@@ -130,9 +130,6 @@ PY
 # the v3 plan must replay strictly fewer schedules than the v2 plan,
 # with the error set equal to the unpruned campaign's, invariant across
 # --jobs — the "prunes at least one additional replay" acceptance bar.
-# (--prune-static still rejects --shards — the plan is keyed to a
-# supervisor-local free run — so shard coverage stays the unpruned
-# byte-parity block above.)
 ./target/release/dampi-cli verify ordered_stages --np 3 --json > "$MDIR/os.base.json"
 ./target/release/dampi-cli verify ordered_stages --np 3 --prune-static --json \
     > "$MDIR/os.v2.json"
@@ -219,6 +216,14 @@ cmp "$MDIR/rc.j1.json" "$MDIR/rc.s2.json"
 cmp "$MDIR/rc.j1.json" "$MDIR/rc.s2k.json"
 cmp "$MDIR/rc.j1.journal" "$MDIR/rc.s2.journal"
 cmp "$MDIR/rc.j1.journal" "$MDIR/rc.s2k.journal"
+# The same parity with a static prune plan installed: the plan prunes on
+# the supervisor's commit path and workers never see it.
+./target/release/dampi-cli verify racers --np 4 --prune-static --jobs 1 --json \
+    --journal "$MDIR/rc.pj1.journal" > "$MDIR/rc.pj1.json"
+./target/release/dampi-cli verify racers --np 4 --prune-static --shards 2 --json \
+    --journal "$MDIR/rc.ps2.journal" > "$MDIR/rc.ps2.json"
+cmp "$MDIR/rc.pj1.json" "$MDIR/rc.ps2.json"
+cmp "$MDIR/rc.pj1.journal" "$MDIR/rc.ps2.journal"
 ./target/release/metrics-lint "$MDIR/rc.s2.metrics.json" "$MDIR/rc.s2k.metrics.json" \
     --expect-semantic-match
 # fig3's error set is non-empty — the strongest equality check (exit 2).

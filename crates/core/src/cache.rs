@@ -32,8 +32,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::decisions::DecisionSet;
+use crate::executor::AttemptReport;
 use crate::prune::PrunePlan;
-use crate::scheduler::AttemptReport;
 use crate::shard::protocol::{self, SubtreeResult};
 
 /// Version of the on-disk entry layout. Bump on any change to the entry
@@ -102,10 +102,9 @@ pub(crate) struct PendingStore {
 }
 
 /// The content-addressed replay-result store. One instance serves a whole
-/// campaign: the sequential walk, the in-process pool coordinator, or the
-/// shard supervisor (workers never touch the disk — the supervisor owns
-/// the cache and short-circuits dispatch, so the frame protocol is
-/// unchanged).
+/// campaign, and only the exploration driver touches it: executors
+/// (including shard workers) never see the disk, so the frame protocol is
+/// unchanged.
 #[derive(Debug)]
 pub struct ReplayCache {
     /// Keyspace directory: `<root>/<program:016x>-<plan:016x>`.
@@ -183,14 +182,7 @@ impl ReplayCache {
         {
             return self.reject(&path);
         }
-        let (res, attempt_makespans, divergences, retries) =
-            protocol::result_into_parts(entry.result);
-        Some(AttemptReport {
-            res,
-            attempt_makespans,
-            divergences,
-            retries,
-        })
+        Some(entry.result.into())
     }
 
     /// Serialize `rep` for storage under `decisions`' digest. Returns

@@ -71,6 +71,7 @@ pub mod clock;
 pub mod config;
 pub mod decisions;
 pub mod epoch;
+mod executor;
 pub mod journal;
 pub mod late;
 pub mod metrics;

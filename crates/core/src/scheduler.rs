@@ -12,25 +12,17 @@
 //! (decentralized piggyback analysis) and the ISP baseline (centralized
 //! scheduler) drive their replays through this one implementation.
 //!
-//! # Parallel exploration
-//!
-//! Every fork on the frontier is an independent simulation, so replays can
-//! run concurrently ([`explore_parallel`], `--jobs` on the CLI). The
-//! design is *speculative execution with in-order commit*: a pool of
-//! worker threads replays frontier forks ahead of time, while the
-//! coordinator consumes results strictly in the order the sequential
-//! depth-first walk would have produced them. Because commit order — not
-//! completion order — drives every state change (interleaving numbering,
-//! error dedup, visited-set growth, fork pushes, virtual-time summation,
-//! budget and stop-on-first-error checks, checkpoints), a `jobs = N`
-//! exploration is **bit-identical** to `jobs = 1` for every option
-//! combination, including floating-point totals. Speculation past a
-//! budget/stop boundary is discarded, never committed, so at most
-//! `jobs − 1` replays of wasted work bound the overshoot.
+//! There is one exploration loop, `drive`, over one `Walk`; where replays
+//! run (inline, on a thread pool, across worker processes) is an
+//! `Executor` behind it. Results commit strictly in depth-first order
+//! whatever order they complete in, which is why every `jobs`/`shards`
+//! setting yields a **bit-identical** exploration. DESIGN.md, "Exploration
+//! driver", has the loop, the executor contract and the determinism
+//! argument.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -38,10 +30,11 @@ use dampi_mpi::program::RunOutcome;
 use dampi_mpi::MpiError;
 
 use crate::bounds::MixingBound;
-use crate::cache::{PendingStore, ReplayCache};
+use crate::cache::ReplayCache;
 use crate::config::RetryBackoff;
 use crate::decisions::{DecisionSet, EpochDecision};
 use crate::epoch::{EpochRecord, ToolRunStats};
+use crate::executor::{AttemptReport, Event, Executor, Inline, ThreadPool};
 use crate::journal::{ExplorationJournal, JournalFork, JOURNAL_VERSION};
 use crate::metrics::{CampaignEvent, CampaignMetrics, CampaignTrace, ObservedCommit};
 use crate::prune::PrunePlan;
@@ -198,6 +191,22 @@ pub struct Exploration {
     pub cache_misses: u64,
 }
 
+/// Where an exploration begins.
+pub enum Start {
+    /// From nothing: the initial `SELF_RUN` is the first thing executed.
+    Fresh,
+    /// From a free run that already executed. It is committed as the
+    /// campaign's `SELF_RUN` — the `--prune-static` path: the prune plan
+    /// was derived from exactly that run, so the root frontier being
+    /// pruned is the frontier that run produced, not a re-execution that
+    /// might have scheduled differently.
+    FirstRun(RunResult),
+    /// From a checkpoint journal (see [`crate::journal`]). The journal's
+    /// frontier is replayed in its exact stack order, so the completed
+    /// campaign matches an uninterrupted one under any executor.
+    Resume(ExplorationJournal),
+}
+
 /// Per-commit prune accounting returned by [`push_forks`]: how many forks
 /// the plan dropped and how many committed epochs it proved deterministic,
 /// split by which analysis pass supplied the fact.
@@ -211,44 +220,46 @@ struct ForkStats {
     protocol_deterministic: u64,
 }
 
-pub(crate) struct Fork {
-    pub(crate) decisions: DecisionSet,
+struct Fork {
+    decisions: DecisionSet,
+    /// `decisions.signature()`, computed once: it keys the visited set,
+    /// the driver's ready results and the executor's in-flight set.
+    sig: u64,
     /// Deepest canonical epoch index this fork's subtree may still branch
     /// at (`None` = unbounded). Bounded mixing anchors the window at the
     /// epoch where the subtree's *original* alternate was forced and the
     /// window is inherited, not re-anchored, by nested forks — so each
     /// initial-run epoch opens one overlapping window of height `k` and
     /// the search cost is a sum of `O(P^k)` subtrees (paper §III-B2).
-    pub(crate) window_end: Option<usize>,
+    window_end: Option<usize>,
 }
 
-/// Run the depth-first exploration from scratch.
+impl Fork {
+    fn new(decisions: DecisionSet, window_end: Option<usize>) -> Self {
+        Self {
+            sig: decisions.signature(),
+            decisions,
+            window_end,
+        }
+    }
+}
+
+/// Run the depth-first exploration from scratch, sequentially.
 pub fn explore<F>(run: F, opts: &ExploreOptions) -> Exploration
 where
     F: FnMut(&DecisionSet) -> RunResult,
 {
-    explore_inner(run, opts, None)
+    drive(opts, &mut Inline::new(run, opts), Start::Fresh).expect(IN_PROCESS)
 }
 
-/// Continue an interrupted exploration from a journal (see
-/// [`crate::journal`]). The journal's frontier is replayed in its exact
-/// stack order, so the completed campaign matches an uninterrupted one.
-pub fn explore_resumed<F>(run: F, opts: &ExploreOptions, journal: ExplorationJournal) -> Exploration
-where
-    F: FnMut(&DecisionSet) -> RunResult,
-{
-    explore_inner(run, opts, Some(journal))
-}
-
-/// Run the exploration with `opts.jobs` concurrent replay workers (see the
-/// module docs on speculative execution with in-order commit). With
+/// Run the exploration with `opts.jobs` concurrent replay workers. With
 /// `jobs <= 1` this is exactly [`explore`]; with more, the result is still
 /// bit-identical — only wall-clock time changes.
 pub fn explore_parallel<F>(run: F, opts: &ExploreOptions) -> Exploration
 where
     F: Fn(&DecisionSet) -> RunResult + Sync,
 {
-    explore_parallel_inner(&run, opts, None)
+    explore_from(&run, opts, Start::Fresh)
 }
 
 /// [`explore_parallel`] continuing from a checkpoint journal. A campaign
@@ -262,24 +273,194 @@ pub fn explore_parallel_resumed<F>(
 where
     F: Fn(&DecisionSet) -> RunResult + Sync,
 {
-    explore_parallel_inner(&run, opts, Some(journal))
+    explore_from(&run, opts, Start::Resume(journal))
 }
 
-/// Mutable exploration state shared by the sequential and parallel
-/// drivers. Every state transition goes through [`Walk::commit`], which is
-/// what makes the parallel merge deterministic: the driver chooses *when*
-/// to execute a replay, the walk alone decides *in what order* results
-/// become part of the exploration.
-pub(crate) struct Walk<'a> {
+/// In-process exploration from any [`Start`]: `opts.jobs` picks the
+/// executor.
+pub(crate) fn explore_from<F>(run: &F, opts: &ExploreOptions, start: Start) -> Exploration
+where
+    F: Fn(&DecisionSet) -> RunResult + Sync,
+{
+    let out = if opts.jobs <= 1 {
+        drive(opts, &mut Inline::new(|ds| run(ds), opts), start)
+    } else {
+        ThreadPool::scoped(run, opts, opts.jobs, |pool| drive(opts, pool, start))
+    };
+    out.expect(IN_PROCESS)
+}
+
+const IN_PROCESS: &str = "in-process executors fail only when a replay worker panicked";
+
+/// A result waiting for its commit turn.
+struct Ready {
+    rep: AttemptReport,
+    source: Source,
+}
+
+/// Where a [`Ready`] result came from.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Source {
+    /// The persistent replay cache (a hit).
+    Cache,
+    /// An execution (a miss whenever a cache is attached).
+    Executed,
+    /// The executor gave up on the subtree; the result is synthetic.
+    Quarantined,
+}
+
+/// The exploration loop. It alone owns the [`Walk`], the replay cache, the
+/// journal and the metrics/trace hooks; `exec` only runs replays. Each
+/// turn commits every result that is next in depth-first order, offers the
+/// new top of the frontier to the executor (unconditionally) and deeper
+/// entries as speculation (bounded by idle workers and the remaining
+/// interleaving budget), then blocks for one event. Because commit order —
+/// not completion order — drives every state change, the exploration does
+/// not depend on the executor; speculation past a budget/stop boundary is
+/// discarded, never committed.
+pub(crate) fn drive(
+    opts: &ExploreOptions,
+    exec: &mut dyn Executor,
+    start: Start,
+) -> io::Result<Exploration> {
+    let mut w = Walk::new(opts);
+    // Nothing is submitted yet, so the idle count is the executor's width.
+    let resumed = matches!(start, Start::Resume(_));
+    w.begin(exec.idle(), resumed);
+    let mut first_run = None;
+    match start {
+        Start::Resume(journal) => w.restore(journal),
+        Start::Fresh => {}
+        Start::FirstRun(run) => first_run = Some(run),
+    }
+    if !resumed {
+        w.stack.push(Fork::new(DecisionSet::self_run(), None));
+    }
+    let started = || {
+        if let Some(m) = &opts.metrics {
+            m.on_started();
+        }
+    };
+    // Results completed ahead of their commit turn, by signature.
+    let mut ready: HashMap<u64, Ready> = HashMap::new();
+    // Schedules the cache has already missed on — probed at most once
+    // each, however often the executor refuses them.
+    let mut probed_miss: HashSet<u64> = HashSet::new();
+    // The signature the loop last blocked for: a result that was ready
+    // without blocking means speculation hid the whole replay latency.
+    let mut waited: Option<u64> = None;
+
+    loop {
+        while !w.halted() {
+            let Some(r) = w.stack.last().and_then(|top| ready.remove(&top.sig)) else {
+                break;
+            };
+            let fork = w.stack.pop().expect("top checked");
+            if r.source == Source::Executed && waited != Some(fork.sig) {
+                if let Some(m) = &opts.metrics {
+                    m.on_speculation_hit();
+                }
+            }
+            waited = None;
+            w.speculated = exec.in_flight();
+            w.commit(&fork, r);
+        }
+        if w.halted() || w.stack.is_empty() {
+            break;
+        }
+
+        let top_sig = w.stack.last().expect("non-empty").sig;
+        let budget_room = opts.max_interleavings.map_or(usize::MAX, |max| {
+            max.saturating_sub(w.ex.interleavings) as usize
+        });
+        let mut flying = exec.in_flight().len();
+        for (depth, fork) in w.stack.iter().rev().enumerate() {
+            // Every frontier entry is eventually popped, so speculation is
+            // only wasted past a budget/stop boundary.
+            if depth > 0 && (exec.idle() == 0 || flying + ready.len() >= budget_room) {
+                break;
+            }
+            if ready.contains_key(&fork.sig) {
+                continue;
+            }
+            let cached = match &opts.cache {
+                Some(c) if !probed_miss.contains(&fork.sig) => c.lookup(&fork.decisions),
+                _ => None,
+            };
+            let in_hand = match cached {
+                Some(rep) => Some((rep, Source::Cache)),
+                None if fork.decisions.is_self_run() => first_run
+                    .take()
+                    .map(|run| (AttemptReport::single(run), Source::Executed)),
+                None => None,
+            };
+            if let Some((rep, source)) = in_hand {
+                // A result in hand counts as dispatched: the ledger
+                // `started == committed + aborted` covers it too.
+                started();
+                ready.insert(fork.sig, Ready { rep, source });
+                if depth == 0 {
+                    break; // commit it before looking any deeper
+                }
+                continue;
+            }
+            if opts.cache.is_some() {
+                probed_miss.insert(fork.sig);
+            }
+            if exec.submit(fork.sig, &fork.decisions) {
+                started();
+                flying += 1;
+            }
+        }
+        if ready.contains_key(&top_sig) {
+            continue;
+        }
+
+        waited = Some(top_sig);
+        let (sig, rep, source) = match exec.next()? {
+            Event::Completed(sig, rep) => (sig, *rep, Source::Executed),
+            Event::Quarantined(sig, reason) => {
+                started(); // the synthetic commit's dispatch
+                (sig, AttemptReport::quarantined(reason), Source::Quarantined)
+            }
+            Event::Wake => continue,
+            Event::Drain => {
+                w.ex.drained = true;
+                w.speculated = exec.in_flight();
+                w.checkpoint();
+                if let Some(t) = &opts.trace {
+                    t.emit(CampaignEvent::CampaignDrained {
+                        frontier: w.stack.len(),
+                    });
+                }
+                break;
+            }
+        };
+        ready.insert(sig, Ready { rep, source });
+    }
+    // Every accepted submission is, at this point, exactly one of:
+    // committed, completed-but-uncommitted (ready), or still in flight. The
+    // latter two were started and will never commit.
+    if let Some(m) = &opts.metrics {
+        m.on_aborted((exec.in_flight().len() + ready.len()) as u64);
+    }
+    Ok(w.finish())
+}
+
+/// Mutable exploration state. Every state transition goes through
+/// [`Walk::commit`]: the driver chooses *when* to execute a replay, the
+/// walk alone decides *in what order* results become part of the
+/// exploration.
+struct Walk<'a> {
     opts: &'a ExploreOptions,
-    pub(crate) ex: Exploration,
+    ex: Exploration,
     visited: HashSet<u64>,
-    pub(crate) stack: Vec<Fork>,
+    stack: Vec<Fork>,
     seen_errors: HashSet<(usize, String)>,
-    /// Signatures dispatched to workers but not yet committed, snapshotted
-    /// into the journal (advisory: a resume simply re-runs them since
-    /// their forks are still on the frontier).
-    pub(crate) speculated: Vec<u64>,
+    /// Signatures in flight at the last commit, snapshotted into the
+    /// journal (advisory: a resume simply re-runs them since their forks
+    /// are still on the frontier).
+    speculated: Vec<u64>,
     /// The cache's stale count when this walk started: a `ReplayCache` can
     /// outlive one campaign (it is shared by `Arc`), so the metrics report
     /// the per-campaign delta, not the store's lifetime total.
@@ -287,7 +468,7 @@ pub(crate) struct Walk<'a> {
 }
 
 impl<'a> Walk<'a> {
-    pub(crate) fn new(opts: &'a ExploreOptions) -> Self {
+    fn new(opts: &'a ExploreOptions) -> Self {
         Self {
             opts,
             ex: Exploration::default(),
@@ -301,10 +482,11 @@ impl<'a> Walk<'a> {
 
     /// Should the walk stop before committing another replay? Checked
     /// *before* the pop so a checkpointed frontier still holds every
-    /// unexplored fork — resuming with a larger budget loses nothing.
-    pub(crate) fn halted(&mut self) -> bool {
+    /// unexplored fork — resuming with a larger budget loses nothing. The
+    /// initial run is never budgeted away.
+    fn halted(&mut self) -> bool {
         if let Some(max) = self.opts.max_interleavings {
-            if self.ex.interleavings >= max && !self.stack.is_empty() {
+            if self.ex.interleavings >= max.max(1) && !self.stack.is_empty() {
                 self.ex.budget_exhausted = true;
                 return true;
             }
@@ -312,68 +494,17 @@ impl<'a> Walk<'a> {
         self.opts.stop_on_first_error && !self.ex.errors.is_empty()
     }
 
-    /// Commit the initial `SELF_RUN`.
-    pub(crate) fn commit_root(&mut self, rep: AttemptReport) {
-        let attempts = rep.retries + 1;
-        self.absorb_cost(&rep);
-        let first = rep.res;
-        self.ex.interleavings = 1;
-        self.ex.first_run_stats = first.stats;
-        self.ex.first_run_makespan = first.outcome.makespan;
-        // Leak checking happens at MPI_Finalize; a run that aborted or
-        // deadlocked never reached it, so its leftover resources are
-        // teardown debris, not application leaks.
-        if first.outcome.succeeded() {
-            self.ex.first_run_leaks = first.outcome.leaks.clone();
-        }
-        absorb_errors(
-            &mut self.ex,
-            &mut self.seen_errors,
-            &first.outcome,
-            1,
-            &DecisionSet::self_run(),
-        );
-        absorb_discoveries(&mut self.ex, &first.epochs);
-        let mut pruned = ForkStats::default();
-        let timed_out = if let Some(detail) = timeout_of(&first.outcome) {
-            self.ex.timeouts.push(ReplayTimeoutRecord {
-                interleaving: 1,
-                detail,
-                decisions: DecisionSet::self_run(),
-            });
-            true
-        } else {
-            pruned = push_forks(
-                &mut self.stack,
-                &mut self.visited,
-                &first.epochs,
-                Root,
-                self.opts,
-            );
-            false
+    /// Commit one result in walk order, with its cache bookkeeping: a miss
+    /// is serialized before the commit consumes it and written after, so
+    /// the store only ever holds results the walk absorbed. The initial
+    /// `SELF_RUN` is the commit of the empty decision set.
+    fn commit(&mut self, fork: &Fork, r: Ready) {
+        let Ready { rep, source } = r;
+        let pending = match &self.opts.cache {
+            Some(c) if source != Source::Cache => c.prepare(&fork.decisions, &rep),
+            _ => None,
         };
-        self.absorb_fork_stats(pruned);
-        self.observe(ObservedCommit {
-            interleaving: 1,
-            depth: 0,
-            forks_pushed: self.stack.len(),
-            new_errors: self.ex.errors.len(),
-            makespan: self.ex.first_run_makespan,
-            attempts,
-            stats: self.ex.first_run_stats,
-            timed_out,
-            alternates_pruned: pruned.pruned,
-            wildcards_deterministic: pruned.deterministic,
-            refined_alternates_pruned: pruned.refined_pruned,
-            refined_wildcards_deterministic: pruned.refined_deterministic,
-            protocol_alternates_pruned: pruned.protocol_pruned,
-            protocol_wildcards_deterministic: pruned.protocol_deterministic,
-        });
-        self.checkpoint();
-    }
-
-    /// Commit one replay result in walk order.
-    pub(crate) fn commit(&mut self, fork: &Fork, rep: AttemptReport) {
+        self.note_cache(source == Source::Cache, fork.sig);
         let attempts = rep.retries + 1;
         self.absorb_cost(&rep);
         let res = rep.res;
@@ -383,6 +514,21 @@ impl<'a> Walk<'a> {
         let stack_before = self.stack.len();
         let makespan = res.outcome.makespan;
         let stats = res.stats;
+        let provenance = if fork.decisions.is_self_run() {
+            self.ex.first_run_stats = stats;
+            self.ex.first_run_makespan = makespan;
+            // Leak checking happens at MPI_Finalize; a run that aborted or
+            // deadlocked never reached it, so its leftover resources are
+            // teardown debris, not application leaks.
+            if res.outcome.succeeded() {
+                self.ex.first_run_leaks = res.outcome.leaks.clone();
+            }
+            Provenance::Root
+        } else {
+            Provenance::Child {
+                window_end: fork.window_end,
+            }
+        };
         absorb_errors(
             &mut self.ex,
             &mut self.seen_errors,
@@ -408,15 +554,17 @@ impl<'a> Walk<'a> {
                 &mut self.stack,
                 &mut self.visited,
                 &res.epochs,
-                Child {
-                    fork_index: fork_index_of(fork),
-                    window_end: fork.window_end,
-                },
+                provenance,
                 self.opts,
             );
             false
         };
-        self.absorb_fork_stats(pruned);
+        self.ex.alternates_pruned += pruned.pruned;
+        self.ex.wildcards_deterministic += pruned.deterministic;
+        self.ex.refined_alternates_pruned += pruned.refined_pruned;
+        self.ex.refined_wildcards_deterministic += pruned.refined_deterministic;
+        self.ex.protocol_alternates_pruned += pruned.protocol_pruned;
+        self.ex.protocol_wildcards_deterministic += pruned.protocol_deterministic;
         self.observe(ObservedCommit {
             interleaving,
             depth: fork.decisions.decisions.len(),
@@ -434,22 +582,23 @@ impl<'a> Walk<'a> {
             protocol_wildcards_deterministic: pruned.protocol_deterministic,
         });
         self.checkpoint();
+        if source == Source::Quarantined {
+            self.ex.quarantined += 1;
+        }
+        if let (Some(c), Some(p)) = (&self.opts.cache, pending) {
+            if c.commit_store(&p) {
+                if let Some(m) = &self.opts.metrics {
+                    m.on_cache_store();
+                }
+            }
+        }
     }
 
-    fn absorb_fork_stats(&mut self, fs: ForkStats) {
-        self.ex.alternates_pruned += fs.pruned;
-        self.ex.wildcards_deterministic += fs.deterministic;
-        self.ex.refined_alternates_pruned += fs.refined_pruned;
-        self.ex.refined_wildcards_deterministic += fs.refined_deterministic;
-        self.ex.protocol_alternates_pruned += fs.protocol_pruned;
-        self.ex.protocol_wildcards_deterministic += fs.protocol_deterministic;
-    }
-
-    /// Account one commit's cache disposition. Called immediately before
-    /// the commit, on the commit path only, so every commit is exactly
-    /// one hit or one miss and `hits + misses` equals the committed count
-    /// at any `--jobs`/`--shards` setting. No-op without a cache.
-    pub(crate) fn note_cache(&mut self, hit: bool, decisions: &DecisionSet) {
+    /// Account one commit's cache disposition: every commit is exactly one
+    /// hit or one miss (a quarantine is a miss the cache could not serve),
+    /// so `hits + misses` equals the committed count under any executor.
+    /// No-op without a cache.
+    fn note_cache(&mut self, hit: bool, signature: u64) {
         if self.opts.cache.is_none() {
             return;
         }
@@ -459,9 +608,7 @@ impl<'a> Walk<'a> {
                 m.on_cache_hit();
             }
             if let Some(t) = &self.opts.trace {
-                t.emit(CampaignEvent::CacheHit {
-                    signature: decisions.signature(),
-                });
+                t.emit(CampaignEvent::CacheHit { signature });
             }
         } else {
             self.ex.cache_misses += 1;
@@ -492,7 +639,7 @@ impl<'a> Walk<'a> {
     }
 
     /// Announce the campaign to the sinks.
-    pub(crate) fn begin(&self, jobs: usize, resumed: bool) {
+    fn begin(&self, jobs: usize, resumed: bool) {
         if let Some(m) = &self.opts.metrics {
             m.on_pool(jobs);
             if let Some(c) = &self.opts.cache {
@@ -506,7 +653,7 @@ impl<'a> Walk<'a> {
 
     /// Close out the walk: final sink updates, then surrender the
     /// exploration.
-    pub(crate) fn finish(self) -> Exploration {
+    fn finish(self) -> Exploration {
         if let Some(m) = &self.opts.metrics {
             if let Some(c) = &self.opts.cache {
                 m.on_cache_stale(c.stale_count() - self.cache_stale_base);
@@ -535,7 +682,7 @@ impl<'a> Walk<'a> {
         self.ex.retries += rep.retries;
     }
 
-    pub(crate) fn checkpoint(&self) {
+    fn checkpoint(&self) {
         let Some(path) = &self.opts.checkpoint else {
             return;
         };
@@ -584,7 +731,7 @@ impl<'a> Walk<'a> {
         }
     }
 
-    pub(crate) fn restore(&mut self, journal: ExplorationJournal) {
+    fn restore(&mut self, journal: ExplorationJournal) {
         self.ex.interleavings = journal.interleavings;
         self.ex.retries = journal.retries;
         self.ex.divergences = journal.divergences;
@@ -600,404 +747,13 @@ impl<'a> Walk<'a> {
         self.ex.timeouts = journal.timeouts;
         self.ex.quarantined = journal.quarantined;
         self.visited.extend(journal.visited);
-        self.stack
-            .extend(journal.frontier.into_iter().map(|f| Fork {
-                decisions: f.decisions,
-                window_end: f.window_end,
-            }));
+        self.stack.extend(
+            journal
+                .frontier
+                .into_iter()
+                .map(|f| Fork::new(f.decisions, f.window_end)),
+        );
     }
-}
-
-fn explore_inner<F>(
-    mut run: F,
-    opts: &ExploreOptions,
-    resume: Option<ExplorationJournal>,
-) -> Exploration
-where
-    F: FnMut(&DecisionSet) -> RunResult,
-{
-    let mut w = Walk::new(opts);
-    w.begin(1, resume.is_some());
-    match resume {
-        Some(journal) => w.restore(journal),
-        None => {
-            let root = DecisionSet::self_run();
-            if let Some(rep) = cache_lookup(opts, &root) {
-                if let Some(m) = &opts.metrics {
-                    m.on_started();
-                }
-                w.note_cache(true, &root);
-                w.commit_root(rep);
-            } else {
-                let rep = execute_observed(&mut run, &root, opts);
-                let pending = cache_prepare(opts, &root, &rep);
-                w.note_cache(false, &root);
-                w.commit_root(rep);
-                cache_store(opts, pending);
-            }
-        }
-    }
-    loop {
-        if w.halted() {
-            break;
-        }
-        let Some(fork) = w.stack.pop() else { break };
-        if let Some(rep) = cache_lookup(opts, &fork.decisions) {
-            if let Some(m) = &opts.metrics {
-                m.on_started();
-            }
-            w.note_cache(true, &fork.decisions);
-            w.commit(&fork, rep);
-        } else {
-            let rep = execute_observed(&mut run, &fork.decisions, opts);
-            let pending = cache_prepare(opts, &fork.decisions, &rep);
-            w.note_cache(false, &fork.decisions);
-            w.commit(&fork, rep);
-            cache_store(opts, pending);
-        }
-    }
-    w.finish()
-}
-
-/// One schedule dispatched to a replay worker.
-struct Job {
-    sig: u64,
-    decisions: DecisionSet,
-}
-
-fn explore_parallel_inner<F>(
-    run: &F,
-    opts: &ExploreOptions,
-    resume: Option<ExplorationJournal>,
-) -> Exploration
-where
-    F: Fn(&DecisionSet) -> RunResult + Sync,
-{
-    let jobs = opts.jobs.max(1);
-    if jobs == 1 {
-        return explore_inner(|ds| run(ds), opts, resume);
-    }
-
-    let mut w = Walk::new(opts);
-    w.begin(jobs, resume.is_some());
-    match resume {
-        Some(journal) => w.restore(journal),
-        None => {
-            // The initial SELF_RUN has nothing to overlap with; run it
-            // inline before the pool starts.
-            let root = DecisionSet::self_run();
-            if let Some(rep) = cache_lookup(opts, &root) {
-                if let Some(m) = &opts.metrics {
-                    m.on_started();
-                }
-                w.note_cache(true, &root);
-                w.commit_root(rep);
-            } else {
-                let rep = execute_observed(&mut |ds| run(ds), &root, opts);
-                let pending = cache_prepare(opts, &root, &rep);
-                w.note_cache(false, &root);
-                w.commit_root(rep);
-                cache_store(opts, pending);
-            }
-        }
-    }
-
-    let (job_tx, job_rx) = crossbeam::channel::unbounded::<Job>();
-    let (res_tx, res_rx) = crossbeam::channel::unbounded::<(u64, AttemptReport)>();
-    // Drain-and-cancel: once the coordinator stops (first error under
-    // `stop_on_first_error`, exhausted budget), workers skip execution of
-    // anything still queued and exit on channel disconnect.
-    let cancel = AtomicBool::new(false);
-
-    crossbeam::thread::scope(|scope| {
-        for wid in 0..jobs {
-            let job_rx = job_rx.clone();
-            let res_tx = res_tx.clone();
-            let cancel = &cancel;
-            scope
-                .builder()
-                .name(format!("dampi-explore-{wid}"))
-                .spawn(move |_| loop {
-                    let idle0 = opts.metrics.as_ref().map(|_| Instant::now());
-                    let Ok(job) = job_rx.recv() else { break };
-                    if let (Some(m), Some(t0)) = (&opts.metrics, idle0) {
-                        m.on_worker_idle(t0.elapsed());
-                    }
-                    if cancel.load(Ordering::Relaxed) {
-                        continue; // drain without running
-                    }
-                    if let Some(t) = &opts.trace {
-                        t.emit(CampaignEvent::ReplayStart { signature: job.sig });
-                    }
-                    let busy0 = opts.metrics.as_ref().map(|_| Instant::now());
-                    let rep = execute_with_retry(&mut |ds| run(ds), &job.decisions, opts);
-                    if let (Some(m), Some(t0)) = (&opts.metrics, busy0) {
-                        m.on_executed(t0.elapsed());
-                    }
-                    if res_tx.send((job.sig, rep)).is_err() {
-                        break;
-                    }
-                })
-                .expect("spawn exploration worker");
-        }
-        drop(job_rx);
-        drop(res_tx);
-
-        // Results completed ahead of their commit turn, by signature. A
-        // signature identifies its fork uniquely: the visited set admits
-        // each decision prefix onto the stack exactly once.
-        let mut ready: HashMap<u64, Ready> = HashMap::new();
-        let mut in_flight: HashSet<u64> = HashSet::new();
-        // The top signature the coordinator last had to block for — when a
-        // commit's result was already cached by the time its fork surfaced,
-        // speculation hid the whole replay latency (a "hit").
-        let mut waited: Option<u64> = None;
-
-        loop {
-            if w.halted() || w.stack.is_empty() {
-                break;
-            }
-            // Progress guarantee: the next fork to commit is always cached
-            // or in flight before the coordinator blocks.
-            let top_sig = w.stack.last().expect("non-empty").decisions.signature();
-            if !ready.contains_key(&top_sig) && !in_flight.contains(&top_sig) {
-                let fork = w.stack.last().expect("non-empty");
-                if let Some(rep) = cache_lookup(opts, &fork.decisions) {
-                    ready.insert(
-                        top_sig,
-                        Ready {
-                            rep,
-                            from_cache: true,
-                        },
-                    );
-                    if let Some(m) = &opts.metrics {
-                        m.on_started();
-                    }
-                } else if job_tx
-                    .send(Job {
-                        sig: top_sig,
-                        decisions: fork.decisions.clone(),
-                    })
-                    .is_ok()
-                {
-                    in_flight.insert(top_sig);
-                    if let Some(m) = &opts.metrics {
-                        m.on_started();
-                    }
-                }
-            }
-            // Speculate deeper frontier entries onto idle workers. Every
-            // stack entry is eventually popped by the depth-first walk, so
-            // speculation is only wasted past a budget/stop boundary —
-            // which the dispatch window below caps at the remaining
-            // interleaving budget.
-            let budget_room = opts
-                .max_interleavings
-                .map_or(usize::MAX, |max| (max - w.ex.interleavings) as usize);
-            for fork in w.stack.iter().rev().skip(1) {
-                if in_flight.len() >= jobs || in_flight.len() + ready.len() >= budget_room {
-                    break;
-                }
-                let sig = fork.decisions.signature();
-                if in_flight.contains(&sig) || ready.contains_key(&sig) {
-                    continue;
-                }
-                // A persistent-cache hit occupies a ready slot, not a
-                // worker — the disk read happens here, at most once per
-                // fork, and the hit itself is counted later at commit.
-                if let Some(rep) = cache_lookup(opts, &fork.decisions) {
-                    ready.insert(
-                        sig,
-                        Ready {
-                            rep,
-                            from_cache: true,
-                        },
-                    );
-                    if let Some(m) = &opts.metrics {
-                        m.on_started();
-                    }
-                    continue;
-                }
-                if job_tx
-                    .send(Job {
-                        sig,
-                        decisions: fork.decisions.clone(),
-                    })
-                    .is_err()
-                {
-                    break;
-                }
-                in_flight.insert(sig);
-                if let Some(m) = &opts.metrics {
-                    m.on_started();
-                }
-            }
-            // Commit in walk order when the top's result is ready;
-            // otherwise block for the next completion, whoever it is.
-            if let Some(r) = ready.remove(&top_sig) {
-                if let Some(m) = &opts.metrics {
-                    if !r.from_cache && waited != Some(top_sig) {
-                        m.on_speculation_hit();
-                    }
-                }
-                waited = None;
-                let fork = w.stack.pop().expect("non-empty");
-                w.speculated = in_flight.iter().copied().collect();
-                w.speculated.sort_unstable();
-                let pending = if r.from_cache {
-                    None
-                } else {
-                    cache_prepare(opts, &fork.decisions, &r.rep)
-                };
-                w.note_cache(r.from_cache, &fork.decisions);
-                w.commit(&fork, r.rep);
-                cache_store(opts, pending);
-            } else {
-                waited = Some(top_sig);
-                match res_rx.recv() {
-                    Ok((sig, rep)) => {
-                        in_flight.remove(&sig);
-                        ready.insert(
-                            sig,
-                            Ready {
-                                rep,
-                                from_cache: false,
-                            },
-                        );
-                    }
-                    Err(_) => break, // every worker exited
-                }
-            }
-        }
-        cancel.store(true, Ordering::Relaxed);
-        // Every dispatched schedule is, at this point, exactly one of:
-        // committed, completed-but-uncommitted (ready), or still in
-        // flight. The latter two were started and will never commit.
-        if let Some(m) = &opts.metrics {
-            m.on_aborted((in_flight.len() + ready.len()) as u64);
-        }
-        drop(job_tx);
-        // In-flight replays finish (bounded by the per-replay watchdog);
-        // their results land in a channel nobody reads and are dropped
-        // with it when the scope joins the workers.
-    })
-    .expect("exploration worker scope");
-    w.finish()
-}
-
-/// One schedule's execution including divergence retries: the final
-/// attempt's result (the one the walk uses) plus the cost of every
-/// attempt, in order.
-pub(crate) struct AttemptReport {
-    pub(crate) res: RunResult,
-    /// Simulated makespan of each attempt, first to last.
-    pub(crate) attempt_makespans: Vec<f64>,
-    /// Guided-lookup misses summed over all attempts.
-    pub(crate) divergences: u64,
-    /// Number of re-executions after a divergence.
-    pub(crate) retries: u64,
-}
-
-/// A replay result ready to commit, tagged with where it came from: the
-/// persistent replay cache (a hit) or an execution (a miss whenever a
-/// cache is attached). Drivers hold these between completion and the
-/// deterministic in-order commit.
-pub(crate) struct Ready {
-    pub(crate) rep: AttemptReport,
-    pub(crate) from_cache: bool,
-}
-
-/// Consult the persistent replay cache, if one is attached.
-pub(crate) fn cache_lookup(
-    opts: &ExploreOptions,
-    decisions: &DecisionSet,
-) -> Option<AttemptReport> {
-    opts.cache.as_ref()?.lookup(decisions)
-}
-
-/// Serialize a missed result for storage. Runs *before* the commit
-/// consumes the result; the bytes are written after the commit succeeds.
-pub(crate) fn cache_prepare(
-    opts: &ExploreOptions,
-    decisions: &DecisionSet,
-    rep: &AttemptReport,
-) -> Option<PendingStore> {
-    opts.cache.as_ref()?.prepare(decisions, rep)
-}
-
-/// Write a prepared entry back to the store after its commit.
-pub(crate) fn cache_store(opts: &ExploreOptions, pending: Option<PendingStore>) {
-    let (Some(c), Some(p)) = (opts.cache.as_ref(), pending) else {
-        return;
-    };
-    if c.commit_store(&p) {
-        if let Some(m) = &opts.metrics {
-            m.on_cache_store();
-        }
-    }
-}
-
-/// [`execute_with_retry`] plus observability: the dispatch count, the
-/// wall-clock replay span, and the trace `ReplayStart` event. Used by the
-/// sequential walk and the inline root run; pool workers are instrumented
-/// in place (their dispatch is counted by the coordinator).
-fn execute_observed<F>(run: &mut F, decisions: &DecisionSet, opts: &ExploreOptions) -> AttemptReport
-where
-    F: FnMut(&DecisionSet) -> RunResult,
-{
-    if let Some(m) = &opts.metrics {
-        m.on_started();
-    }
-    if let Some(t) = &opts.trace {
-        t.emit(CampaignEvent::ReplayStart {
-            signature: decisions.signature(),
-        });
-    }
-    let t0 = opts.metrics.as_ref().map(|_| Instant::now());
-    let rep = execute_with_retry(run, decisions, opts);
-    if let (Some(m), Some(t0)) = (&opts.metrics, t0) {
-        m.on_executed(t0.elapsed());
-    }
-    rep
-}
-
-/// Execute one schedule, retrying (with exponential backoff) when a guided
-/// replay diverges from its decisions.
-pub(crate) fn execute_with_retry<F>(
-    run: &mut F,
-    decisions: &DecisionSet,
-    opts: &ExploreOptions,
-) -> AttemptReport
-where
-    F: FnMut(&DecisionSet) -> RunResult,
-{
-    let mut res = run(decisions);
-    let mut rep = AttemptReport {
-        attempt_makespans: vec![res.outcome.makespan],
-        divergences: res.stats.divergences,
-        retries: 0,
-        res,
-    };
-    let mut attempt: u32 = 0;
-    while !decisions.is_self_run()
-        && rep.res.stats.divergences > 0
-        && attempt < opts.divergence_retries
-    {
-        // The schedule's signature seeds the jitter, so a replay's retry
-        // timing is a pure function of its identity — sharded campaigns
-        // stay reproducible.
-        let backoff = opts.retry_backoff.delay(attempt, decisions.signature());
-        if !backoff.is_zero() {
-            std::thread::sleep(backoff);
-        }
-        attempt += 1;
-        rep.retries += 1;
-        res = run(decisions);
-        rep.attempt_makespans.push(res.outcome.makespan);
-        rep.divergences += res.stats.divergences;
-        rep.res = res;
-    }
-    rep
 }
 
 /// The watchdog detail when this run was killed over budget.
@@ -1008,24 +764,13 @@ pub(crate) fn timeout_of(outcome: &RunOutcome) -> Option<String> {
     }
 }
 
-fn fork_index_of(fork: &Fork) -> usize {
-    // The branch point is the last decision in the set; its canonical
-    // index is not needed beyond window math, which uses window_end, so
-    // this helper only disambiguates Child provenance for region checks.
-    fork.decisions.decisions.len().saturating_sub(1)
-}
-
 /// Where a run came from, for window bookkeeping.
 enum Provenance {
     /// The initial `SELF_RUN`: every epoch anchors its own window.
     Root,
     /// A guided replay: new epochs may branch only inside the inherited
     /// window.
-    Child {
-        #[allow(dead_code)]
-        fork_index: usize,
-        window_end: Option<usize>,
-    },
+    Child { window_end: Option<usize> },
 }
 use Provenance::{Child, Root};
 
@@ -1101,7 +846,7 @@ fn push_forks(
         let window_end = match (&provenance, opts.bound) {
             (_, MixingBound::Unbounded) => None,
             (Root, MixingBound::K(k)) => Some(i.saturating_add(k as usize)),
-            (Child { window_end, .. }, MixingBound::K(_)) => {
+            (Child { window_end }, MixingBound::K(_)) => {
                 match window_end {
                     Some(end) if i <= *end => Some(*end),
                     Some(_) => continue, // outside the window: SELF_RUN only
@@ -1174,12 +919,9 @@ fn push_forks(
                 clock: e.clock,
                 src: alt,
             });
-            let ds = DecisionSet::guided(e.clock, decisions);
-            if visited.insert(ds.signature()) {
-                stack.push(Fork {
-                    decisions: ds,
-                    window_end,
-                });
+            let fork = Fork::new(DecisionSet::guided(e.clock, decisions), window_end);
+            if visited.insert(fork.sig) {
+                stack.push(fork);
             }
         }
     }
@@ -1190,6 +932,7 @@ fn push_forks(
 mod tests {
     use super::*;
     use crate::epoch::NdKind;
+    use crate::executor::execute_with_retry;
     use dampi_clocks::ClockStamp;
     use dampi_mpi::{Comm, LeakReport, MpiError};
     use std::time::Duration;
@@ -1704,5 +1447,243 @@ mod tests {
         // epoch, so (0,0) above only ever counts once).
         assert_eq!(seq.protocol_wildcards_deterministic, 2);
         assert!(seq.interleavings < 64, "plan must actually prune");
+    }
+
+    // ---- The executor contract, without threads ---------------------------
+
+    /// The order a [`Scripted`] executor releases what it holds in.
+    #[derive(Clone, Copy, Debug)]
+    enum Order {
+        /// Newest submission first.
+        Reverse,
+        /// Alternately the oldest and the newest.
+        Interleaved,
+        /// Oldest first, except that the very oldest — the driver always
+        /// submits the next fork to commit first — goes last.
+        TopLast,
+    }
+
+    /// A deterministic executor double: no threads, no sleeps. It accepts
+    /// up to `width` submissions and `next` releases one of them in a
+    /// scripted, adversarial order. It can also lose a submission (count it
+    /// aborted and answer `Wake`, as the process fleet does when a worker
+    /// dies) and quarantine one.
+    struct Scripted<'a, F> {
+        run: F,
+        opts: &'a ExploreOptions,
+        width: usize,
+        order: Order,
+        held: Vec<(u64, DecisionSet)>,
+        turn: usize,
+        /// Lose every submission this many times before completing it.
+        losses: u32,
+        lost: HashMap<u64, u32>,
+        /// Quarantine the schedule this predicate picks.
+        poison: fn(&DecisionSet) -> bool,
+        /// Every signature ever accepted, in order.
+        accepted: Vec<u64>,
+    }
+
+    impl<'a, F: Fn(&DecisionSet) -> RunResult> Scripted<'a, F> {
+        fn new(run: F, opts: &'a ExploreOptions, width: usize, order: Order) -> Self {
+            Self {
+                run,
+                opts,
+                width,
+                order,
+                held: Vec::new(),
+                turn: 0,
+                losses: 0,
+                lost: HashMap::new(),
+                poison: |_| false,
+                accepted: Vec::new(),
+            }
+        }
+    }
+
+    impl<F: Fn(&DecisionSet) -> RunResult> Executor for Scripted<'_, F> {
+        fn idle(&self) -> usize {
+            self.width - self.held.len()
+        }
+
+        fn in_flight(&self) -> Vec<u64> {
+            let mut sigs: Vec<u64> = self.held.iter().map(|(sig, _)| *sig).collect();
+            sigs.sort_unstable();
+            sigs
+        }
+
+        fn submit(&mut self, sig: u64, decisions: &DecisionSet) -> bool {
+            if self.held.len() >= self.width || self.held.iter().any(|(s, _)| *s == sig) {
+                return false;
+            }
+            self.held.push((sig, decisions.clone()));
+            self.accepted.push(sig);
+            true
+        }
+
+        fn next(&mut self) -> io::Result<Event> {
+            if self.held.is_empty() {
+                return Err(io::Error::other("scripted executor holds nothing"));
+            }
+            self.turn += 1;
+            let last = self.held.len() - 1;
+            let pick = match self.order {
+                Order::Reverse => last,
+                Order::Interleaved => (self.turn % 2) * last,
+                Order::TopLast => last.min(1),
+            };
+            let (sig, decisions) = self.held.remove(pick);
+            let lost = self.lost.entry(sig).or_insert(0);
+            let poisoned = (self.poison)(&decisions);
+            if *lost < self.losses || poisoned {
+                // Either way the accepted submission is gone: aborted.
+                *lost += 1;
+                if let Some(m) = &self.opts.metrics {
+                    m.on_aborted(1);
+                }
+                return Ok(if poisoned {
+                    Event::Quarantined(sig, "poison".into())
+                } else {
+                    Event::Wake
+                });
+            }
+            let rep = execute_with_retry(&mut |ds| (self.run)(ds), &decisions, self.opts);
+            Ok(Event::Completed(sig, Box::new(rep)))
+        }
+    }
+
+    /// 3 epochs x 3 sources with everything the commit path has to keep in
+    /// order: schedule-dependent makespans (so the f64 total is
+    /// order-sensitive), a bug on one leaf, a diverging schedule (retried,
+    /// several attempt makespans) and a schedule whose replay times out.
+    fn model_run() -> impl Fn(&DecisionSet) -> RunResult + Sync {
+        let base = synthetic_run(3, 3);
+        move |ds: &DecisionSet| {
+            let mut r = base(ds);
+            let weight: usize = ds.decisions.iter().map(|d| d.src + 1).sum();
+            r.outcome.makespan = 1.0 + 0.1 * weight as f64;
+            if ds.lookup(0, 0) == Some(2) && ds.lookup(0, 1) == Some(2) {
+                r.outcome.rank_errors[0] = Some(MpiError::UserAssert {
+                    message: "x==33".into(),
+                });
+            }
+            if ds.lookup(0, 2) == Some(1) {
+                r.stats.divergences = 1;
+            }
+            if is_poison(ds) {
+                r.outcome.fatal = Some(MpiError::ReplayTimeout {
+                    detail: "poison".into(),
+                });
+                r.outcome.makespan = 0.0;
+                r.epochs.clear();
+                r.stats = ToolRunStats::default();
+            }
+            r
+        }
+    }
+
+    fn is_poison(ds: &DecisionSet) -> bool {
+        ds.decisions.len() == 2 && ds.lookup(0, 0) == Some(1) && ds.lookup(0, 1) == Some(1)
+    }
+
+    fn observed(tag: &str, max: Option<u64>) -> (ExploreOptions, Arc<CampaignMetrics>, PathBuf) {
+        let journal = std::env::temp_dir().join(format!(
+            "dampi-driver-test-{}-{tag}.journal",
+            std::process::id()
+        ));
+        let metrics = CampaignMetrics::new();
+        let opts = ExploreOptions {
+            max_interleavings: max,
+            checkpoint: Some(journal.clone()),
+            metrics: Some(metrics.clone()),
+            ..opts(MixingBound::Unbounded)
+        };
+        (opts, metrics, journal)
+    }
+
+    fn assert_ledger_balances(m: &CampaignMetrics, ex: &Exploration) {
+        assert_eq!(m.committed(), ex.interleavings);
+        assert_eq!(
+            m.started(),
+            m.committed() + m.aborted(),
+            "started {} committed {} aborted {}",
+            m.started(),
+            m.committed(),
+            m.aborted()
+        );
+    }
+
+    /// The in-order-commit argument, checked without relying on thread
+    /// timing: whatever order results come back in, however often a
+    /// submission is lost, the exploration is the inline one.
+    #[test]
+    fn scripted_completion_orders_match_inline() {
+        for max in [Some(1_000_000), Some(7)] {
+            let (o, m, inline_j) = observed("inline", max);
+            let inline = explore(model_run(), &o);
+            assert_ledger_balances(&m, &inline);
+            assert_eq!(m.aborted(), 0, "the inline executor never speculates");
+            let inline_bytes = std::fs::read(&inline_j).expect("inline journal");
+            if !inline.budget_exhausted {
+                assert_eq!(inline.errors.len(), 1);
+                assert!(inline.retries > 0 && inline.timeouts.len() == 1);
+            }
+
+            for order in [Order::Reverse, Order::Interleaved, Order::TopLast] {
+                for (width, losses) in [(1, 0), (3, 0), (4, 2), (8, 1)] {
+                    let (o, m, j) = observed("scripted", max);
+                    let mut exec = Scripted::new(model_run(), &o, width, order);
+                    exec.losses = losses;
+                    let ex = drive(&o, &mut exec, Start::Fresh).expect("scripted campaign");
+                    assert_equiv(&inline, &ex);
+                    assert_ledger_balances(&m, &ex);
+                    // Until the budget caps the speculation window, the
+                    // final commit has nothing in flight and the journals
+                    // are the same bytes.
+                    if !ex.budget_exhausted {
+                        assert_eq!(
+                            inline_bytes,
+                            std::fs::read(&j).expect("scripted journal"),
+                            "journal diverged: {order:?} width {width} losses {losses}"
+                        );
+                    }
+                    let _ = std::fs::remove_file(j);
+                }
+            }
+            let _ = std::fs::remove_file(inline_j);
+        }
+    }
+
+    /// A quarantine commits as the timeout the schedule would have been,
+    /// at its depth-first turn, and is counted.
+    #[test]
+    fn scripted_quarantine_commits_in_walk_order() {
+        let (o, _, inline_j) = observed("q-inline", Some(1_000_000));
+        let inline = explore(model_run(), &o);
+        let (o, m, j) = observed("q-scripted", Some(1_000_000));
+        let mut exec = Scripted::new(model_run(), &o, 4, Order::Reverse);
+        exec.poison = is_poison;
+        let ex = drive(&o, &mut exec, Start::Fresh).expect("scripted campaign");
+        assert_equiv(&inline, &ex);
+        assert_eq!(ex.timeouts[0].detail, inline.timeouts[0].detail);
+        assert_eq!((inline.quarantined, ex.quarantined), (0, 1));
+        assert_ledger_balances(&m, &ex);
+        let _ = std::fs::remove_file(inline_j);
+        let _ = std::fs::remove_file(j);
+    }
+
+    /// A pre-executed free run is committed as the root by the driver and
+    /// never reaches the executor.
+    #[test]
+    fn first_run_is_committed_not_dispatched() {
+        let o = opts(MixingBound::Unbounded);
+        let fresh = explore(model_run(), &o);
+        let first = model_run()(&DecisionSet::self_run());
+        let mut exec = Scripted::new(model_run(), &o, 2, Order::TopLast);
+        let ex = drive(&o, &mut exec, Start::FirstRun(first)).expect("scripted campaign");
+        assert_equiv(&fresh, &ex);
+        let root = DecisionSet::self_run().signature();
+        assert!(!exec.accepted.contains(&root));
+        assert_eq!(exec.accepted.len() as u64, ex.interleavings - 1);
     }
 }

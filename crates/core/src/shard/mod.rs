@@ -2,9 +2,9 @@
 //!
 //! The paper's verifier is *distributed*: exploration work is farmed out
 //! to many MPI processes and merged centrally. This module is that layer
-//! for the reproduction — a supervisor shards frontier subtrees across `N`
-//! worker processes and merges their results through the scheduler's
-//! deterministic in-order commit path, so `--shards N` produces
+//! for the reproduction — the exploration driver (DESIGN.md, "Exploration
+//! driver") hands frontier subtrees to `N` worker processes and commits
+//! their results in depth-first order, so `--shards N` produces
 //! **byte-identical** output to `--jobs 1`: same interleaving counts, same
 //! error sets, same report JSON, same checkpoint journal bytes.
 //!
@@ -17,9 +17,9 @@
 //!   [`dampi_mpi::fault::WorkerFaultPlan`] chaos hooks.
 //! * [`lease`] — the two failure detectors (beacon silence, wall-clock
 //!   lease) as a pure, clock-free state machine.
-//! * [`supervisor`] — the event loop that owns the walk: dispatch,
-//!   speculation, loss recovery with bounded redispatch, quarantine of
-//!   poison subtrees, bounded worker restarts, and graceful drain.
+//! * [`supervisor`] — the worker fleet as the driver's executor: dispatch,
+//!   loss recovery with bounded redispatch, quarantine of poison subtrees,
+//!   bounded worker restarts, and graceful drain.
 //!
 //! Workers never hold exploration state. That asymmetry is the entire
 //! robustness story: any worker can die at any moment and the supervisor
@@ -40,6 +40,7 @@ use crate::config::RetryBackoff;
 
 pub use lease::{LeaseConfig, SlotHealth, Verdict};
 pub use protocol::{FromWorker, SubtreeResult, ToWorker, PROTOCOL_VERSION};
+pub(crate) use supervisor::explore_sharded_from;
 pub use supervisor::{
     explore_sharded, InProcessLauncher, ProcessWorkerLauncher, SpawnedWorker, WorkerHandle,
     WorkerLauncher,

@@ -24,6 +24,7 @@ use dampi_mpi::program::RunOutcome;
 
 use crate::decisions::DecisionSet;
 use crate::epoch::{EpochRecord, ToolRunStats};
+use crate::executor::AttemptReport;
 use crate::scheduler::RunResult;
 
 /// Protocol version, checked in the `Hello` handshake. Bumped on any
@@ -193,19 +194,34 @@ pub fn recv_msg<R: Read, T: serde::Deserialize>(r: &mut R) -> io::Result<Option<
         .map_err(io::Error::other)
 }
 
-/// [`SubtreeResult`] → the scheduler's attempt report shape.
-pub(crate) fn result_into_parts(mut r: SubtreeResult) -> (RunResult, Vec<f64>, u64, u64) {
-    r.rebuild_indices();
-    (
-        RunResult {
-            outcome: r.outcome,
-            epochs: r.epochs,
-            stats: r.stats,
-        },
-        r.attempt_makespans,
-        r.divergences,
-        r.retries,
-    )
+/// [`SubtreeResult`] → the driver's attempt report shape.
+impl From<SubtreeResult> for AttemptReport {
+    fn from(mut r: SubtreeResult) -> Self {
+        r.rebuild_indices();
+        Self {
+            res: RunResult {
+                outcome: r.outcome,
+                epochs: r.epochs,
+                stats: r.stats,
+            },
+            attempt_makespans: r.attempt_makespans,
+            divergences: r.divergences,
+            retries: r.retries,
+        }
+    }
+}
+
+impl From<AttemptReport> for SubtreeResult {
+    fn from(rep: AttemptReport) -> Self {
+        Self {
+            outcome: rep.res.outcome,
+            epochs: rep.res.epochs,
+            stats: rep.res.stats,
+            attempt_makespans: rep.attempt_makespans,
+            divergences: rep.divergences,
+            retries: rep.retries,
+        }
+    }
 }
 
 #[cfg(test)]

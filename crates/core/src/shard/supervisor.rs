@@ -1,39 +1,33 @@
-//! The fault-tolerant shard supervisor.
+//! The fault-tolerant process fleet: the `Executor` behind `--shards`.
 //!
-//! [`explore_sharded`] is the process-level sibling of
-//! [`explore_parallel`](crate::scheduler::explore_parallel): the same
-//! speculative-execution/in-order-commit design, with worker *processes*
-//! behind a framed pipe protocol instead of threads behind a channel. The
-//! supervisor owns the one and only `Walk` — workers execute replays and
-//! nothing else — so every exploration state change still flows through
-//! the deterministic commit path and a completed `--shards N` campaign is
-//! byte-identical to `--jobs 1`: same counts, same error set, same report
-//! JSON, same journal bytes.
-//!
-//! What the thread pool never had to survive, this module does:
+//! The exploration driver (DESIGN.md, "Exploration driver") owns every
+//! piece of exploration state; `ProcessFleet` only runs the replays it is
+//! handed, on worker *processes* behind a framed pipe protocol — which is
+//! why a completed `--shards N` campaign is byte-identical to `--jobs 1`.
+//! What the thread pool never has to survive, the fleet does:
 //!
 //! * **Crash detection** — a reader thread per worker incarnation turns
 //!   EOF, I/O errors, and checksum-corrupt frames into loss events; a
 //!   beacon-silence detector catches processes that die without closing
 //!   their pipe, and a wall-clock lease catches workers that heartbeat
 //!   forever without finishing (see [`super::lease`]).
-//! * **Recovery** — a lost worker's in-flight subtree goes back on the
-//!   dispatch queue after a deterministic backoff; the slot respawns with
-//!   a bounded retry budget. Dispatch attempts per subtree are also
-//!   bounded: after `max_attempts` losses the subtree is **quarantined**,
-//!   committed as an honest [`timeout`](crate::report::ReplayTimeoutRecord)
-//!   (partial coverage, reported, never silently dropped), and the walk
-//!   moves on instead of hanging.
+//! * **Recovery** — a lost worker's in-flight subtree becomes submittable
+//!   again after a deterministic backoff; the slot respawns with a bounded
+//!   retry budget. Dispatch attempts per subtree are also bounded: after
+//!   `max_attempts` losses the subtree is **quarantined**, committed as an
+//!   honest [`timeout`](crate::report::ReplayTimeoutRecord) (partial
+//!   coverage, reported, never silently dropped), and the walk moves on
+//!   instead of hanging.
 //! * **Graceful drain** — an external flag (the CLI wires SIGTERM to it)
 //!   checkpoints the frontier and stops cleanly; the journal resumes under
 //!   any `--shards`/`--jobs` value.
 //!
-//! Accounting note: a quarantined subtree's synthetic commit counts one
-//! `replays_started`, so the campaign ledger
-//! `started == committed + aborted` survives any kill schedule — each of
-//! its real dispatch attempts was started once and aborted once.
+//! Accounting note: each real dispatch attempt of a lost subtree was
+//! started once (by the driver) and aborted once (here), and a quarantined
+//! subtree's synthetic commit counts one more start, so the campaign ledger
+//! `started == committed + aborted` survives any kill schedule.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -41,21 +35,16 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dampi_mpi::fault::WorkerFaultPlan;
-use dampi_mpi::program::RunOutcome;
-use dampi_mpi::MpiError;
 use parking_lot::{Condvar, Mutex};
 
 use crate::decisions::DecisionSet;
-use crate::epoch::ToolRunStats;
+use crate::executor::{Event, Executor};
 use crate::journal::ExplorationJournal;
 use crate::metrics::CampaignEvent;
-use crate::scheduler::{
-    cache_lookup, cache_prepare, cache_store, AttemptReport, Exploration, ExploreOptions, Ready,
-    RunResult, Walk,
-};
+use crate::scheduler::{drive, Exploration, ExploreOptions, RunResult, Start};
 
 use super::lease::{LeaseConfig, SlotHealth, Verdict};
-use super::protocol::{recv_msg, result_into_parts, FromWorker, ToWorker, PROTOCOL_VERSION};
+use super::protocol::{recv_msg, FromWorker, ToWorker, PROTOCOL_VERSION};
 use super::worker::{run_worker, WorkerConfig};
 use super::ShardOptions;
 
@@ -344,10 +333,10 @@ impl WorkerLauncher for InProcessLauncher {
     }
 }
 
-// ---- Supervisor ------------------------------------------------------------
+// ---- The fleet --------------------------------------------------------------
 
-/// Everything that can wake the supervisor, funneled through one channel.
-enum Event {
+/// Everything that can wake the fleet, funneled through one channel.
+enum Signal {
     /// A frame arrived from slot `slot`, incarnation `gen`.
     Msg {
         slot: usize,
@@ -382,16 +371,18 @@ struct Slot {
     dead: bool,
 }
 
-struct Sup<'a> {
+/// Worker processes (or in-process stand-ins) spawned by a
+/// [`WorkerLauncher`], with the failure handling of the module docs.
+struct ProcessFleet<'a> {
     launcher: &'a dyn WorkerLauncher,
     opts: &'a ExploreOptions,
     shard: &'a ShardOptions,
     lease_cfg: LeaseConfig,
-    tx: crossbeam::channel::Sender<Event>,
+    tx: crossbeam::channel::Sender<Signal>,
+    rx: crossbeam::channel::Receiver<Signal>,
     slots: Vec<Slot>,
-    /// Results completed ahead of their commit turn, by signature —
-    /// worker products and persistent-cache prefetches alike.
-    ready: HashMap<u64, Ready>,
+    /// Completions and quarantines not yet handed to the driver.
+    outbox: VecDeque<Event>,
     /// Signature → slot currently executing it.
     in_flight: HashMap<u64, usize>,
     /// Dispatch attempts consumed per signature.
@@ -399,11 +390,62 @@ struct Sup<'a> {
     /// Signatures lost with a worker: not dispatchable again before the
     /// deadline (redispatch backoff).
     deferred: HashMap<u64, Instant>,
-    /// Signature → loss reason, for subtrees that exhausted their attempts.
-    quarantined: HashMap<u64, String>,
 }
 
-impl Sup<'_> {
+impl<'a> ProcessFleet<'a> {
+    /// Start the tick thread and the initial fleet.
+    fn spawn(
+        launcher: &'a dyn WorkerLauncher,
+        opts: &'a ExploreOptions,
+        shard: &'a ShardOptions,
+    ) -> io::Result<Self> {
+        let (tx, rx) = crossbeam::channel::unbounded::<Signal>();
+        {
+            let tx = tx.clone();
+            let tick = tick_interval(shard);
+            std::thread::Builder::new()
+                .name("dampi-shard-tick".into())
+                .spawn(move || loop {
+                    std::thread::sleep(tick);
+                    if tx.send(Signal::Tick).is_err() {
+                        return;
+                    }
+                })?;
+        }
+        let shards = shard.shards.max(1);
+        let mut fleet = Self {
+            launcher,
+            opts,
+            shard,
+            lease_cfg: LeaseConfig {
+                heartbeat_timeout: shard.heartbeat_timeout,
+                lease: shard.lease,
+            },
+            tx,
+            rx,
+            slots: (0..shards)
+                .map(|_| Slot {
+                    gen: 0,
+                    handle: None,
+                    health: SlotHealth::new(Instant::now()),
+                    busy: None,
+                    dispatched_at: None,
+                    restarts: 0,
+                    respawn_at: None,
+                    dead: false,
+                })
+                .collect(),
+            outbox: VecDeque::new(),
+            in_flight: HashMap::new(),
+            attempts: HashMap::new(),
+            deferred: HashMap::new(),
+        };
+        for i in 0..shards {
+            fleet.spawn_slot(i)?;
+        }
+        Ok(fleet)
+    }
+
     fn spawn_slot(&mut self, i: usize) -> io::Result<()> {
         let gen = self.slots[i].gen;
         let fault = self
@@ -471,10 +513,10 @@ impl Sup<'_> {
         }
         let att = self.attempts.get(&sig).copied().unwrap_or(0);
         if att >= self.shard.max_attempts {
-            self.quarantined.insert(
+            self.outbox.push_back(Event::Quarantined(
                 sig,
                 format!("subtree lost with its worker {att} times; last loss: {reason}"),
-            );
+            ));
             if let Some(m) = &self.opts.metrics {
                 m.on_quarantined();
             }
@@ -587,42 +629,12 @@ impl Sup<'_> {
                         m.on_executed(t0.elapsed());
                     }
                     self.in_flight.remove(&sig);
-                    let (res, attempt_makespans, divergences, retries) = result_into_parts(*result);
-                    self.ready.insert(
-                        sig,
-                        Ready {
-                            rep: AttemptReport {
-                                res,
-                                attempt_makespans,
-                                divergences,
-                                retries,
-                            },
-                            from_cache: false,
-                        },
-                    );
+                    self.outbox
+                        .push_back(Event::Completed(sig, Box::new((*result).into())));
                 }
                 Ok(())
             }
         }
-    }
-
-    fn on_gone(&mut self, slot: usize, gen: u64, reason: &str, now: Instant) {
-        let live = {
-            let s = &self.slots[slot];
-            !s.dead && s.gen == gen && s.handle.is_some()
-        };
-        if live {
-            self.lose_slot(slot, reason, now);
-        }
-    }
-
-    /// Is `sig` currently dispatchable (not ready, not running, not
-    /// quarantined, not inside its redispatch backoff)?
-    fn dispatchable(&self, sig: u64, now: Instant) -> bool {
-        !self.ready.contains_key(&sig)
-            && !self.in_flight.contains_key(&sig)
-            && !self.quarantined.contains_key(&sig)
-            && self.deferred.get(&sig).is_none_or(|t| now >= *t)
     }
 
     /// Hand `sig` to an idle worker. Returns false when no live idle
@@ -658,15 +670,14 @@ impl Sup<'_> {
                     let att = self.attempts.entry(sig).or_insert(0);
                     *att += 1;
                     let att = *att;
-                    if let Some(m) = &self.opts.metrics {
-                        m.on_started();
-                        if att > 1 {
-                            m.on_subtree_redispatched();
-                        }
-                    }
                     if let Some(t) = &self.opts.trace {
                         t.emit(CampaignEvent::ReplayStart { signature: sig });
-                        if att > 1 {
+                    }
+                    if att > 1 {
+                        if let Some(m) = &self.opts.metrics {
+                            m.on_subtree_redispatched();
+                        }
+                        if let Some(t) = &self.opts.trace {
                             t.emit(CampaignEvent::SubtreeRedispatched {
                                 signature: sig,
                                 attempt: att,
@@ -679,39 +690,76 @@ impl Sup<'_> {
             }
         }
     }
+}
 
-    fn idle_slots(&self) -> usize {
+impl Executor for ProcessFleet<'_> {
+    fn idle(&self) -> usize {
         self.slots
             .iter()
             .filter(|s| !s.dead && s.handle.is_some() && s.busy.is_none())
             .count()
     }
 
-    fn all_dead(&self) -> bool {
-        self.slots.iter().all(|s| s.dead)
-    }
-
-    /// Sorted in-flight signatures, mirrored into the journal's advisory
-    /// `in_flight` field exactly like the thread pool does.
-    fn speculated(&self) -> Vec<u64> {
+    fn in_flight(&self) -> Vec<u64> {
         let mut sigs: Vec<u64> = self.in_flight.keys().copied().collect();
         sigs.sort_unstable();
         sigs
     }
 
-    fn drain_requested(&self) -> bool {
-        self.shard
-            .drain
-            .as_ref()
-            .is_some_and(|f| f.load(Ordering::Relaxed))
+    fn submit(&mut self, sig: u64, decisions: &DecisionSet) -> bool {
+        let now = Instant::now();
+        !self.in_flight.contains_key(&sig)
+            && self.deferred.get(&sig).is_none_or(|t| now >= *t)
+            && self.try_dispatch(sig, decisions, now)
     }
 
+    fn next(&mut self) -> io::Result<Event> {
+        if let Some(ev) = self.outbox.pop_front() {
+            return Ok(ev);
+        }
+        // The driver is blocked on a result nobody can produce any more:
+        // wedged forever is worse than failing loudly.
+        if self.slots.iter().all(|s| s.dead) {
+            return Err(io::Error::other(format!(
+                "all {} shard workers failed permanently with work outstanding",
+                self.slots.len()
+            )));
+        }
+        let signal = self
+            .rx
+            .recv()
+            .map_err(|_| io::Error::other("shard event channel closed"))?;
+        let now = Instant::now();
+        match signal {
+            Signal::Tick => {
+                let draining = self.shard.drain.as_ref();
+                if draining.is_some_and(|f| f.load(Ordering::Relaxed)) {
+                    return Ok(Event::Drain);
+                }
+                self.check_health(now);
+                self.respawn_due(now);
+            }
+            Signal::Gone { slot, gen, reason } => {
+                let s = &self.slots[slot];
+                if !s.dead && s.gen == gen && s.handle.is_some() {
+                    self.lose_slot(slot, &reason, now);
+                }
+            }
+            Signal::Msg { slot, gen, msg } => self.on_msg(slot, gen, msg)?,
+        }
+        Ok(self.outbox.pop_front().unwrap_or(Event::Wake))
+    }
+}
+
+impl Drop for ProcessFleet<'_> {
     /// Shutdown everything: polite `Shutdown` first, then the hammer.
-    fn shutdown_all(&mut self) {
+    fn drop(&mut self) {
         for s in &mut self.slots {
             if let Some(h) = s.handle.as_mut() {
                 let _ = h.send(&ToWorker::Shutdown);
             }
+        }
+        for s in &mut self.slots {
             if let Some(mut h) = s.handle.take() {
                 h.kill();
             }
@@ -727,66 +775,25 @@ fn start_reader(
     mut reader: Box<dyn Read + Send>,
     slot: usize,
     gen: u64,
-    tx: crossbeam::channel::Sender<Event>,
+    tx: crossbeam::channel::Sender<Signal>,
 ) -> io::Result<()> {
     std::thread::Builder::new()
         .name(format!("dampi-shard-read-{slot}"))
         .spawn(move || loop {
-            match recv_msg::<_, FromWorker>(&mut reader) {
+            let reason = match recv_msg::<_, FromWorker>(&mut reader) {
                 Ok(Some(msg)) => {
-                    if tx.send(Event::Msg { slot, gen, msg }).is_err() {
+                    if tx.send(Signal::Msg { slot, gen, msg }).is_err() {
                         return;
                     }
+                    continue;
                 }
-                Ok(None) => {
-                    let _ = tx.send(Event::Gone {
-                        slot,
-                        gen,
-                        reason: "connection closed".into(),
-                    });
-                    return;
-                }
-                Err(e) => {
-                    let _ = tx.send(Event::Gone {
-                        slot,
-                        gen,
-                        reason: e.to_string(),
-                    });
-                    return;
-                }
-            }
+                Ok(None) => "connection closed".into(),
+                Err(e) => e.to_string(),
+            };
+            let _ = tx.send(Signal::Gone { slot, gen, reason });
+            return;
         })?;
     Ok(())
-}
-
-/// The synthetic commit for a quarantined subtree: shaped exactly like a
-/// watchdog timeout so it flows through the existing partial-coverage
-/// reporting ([`Exploration::timeouts`] → the report's warning block). No
-/// forks are pushed (the subtree was never explored), no virtual time is
-/// added (`attempt_makespans` is empty — adding `0.0` would perturb the
-/// bitwise total), and the walk order is preserved because the commit
-/// happens when the fork surfaces at the top of the frontier, same as any
-/// real result.
-fn quarantine_report(detail: &str) -> AttemptReport {
-    AttemptReport {
-        res: RunResult {
-            outcome: RunOutcome {
-                rank_errors: Vec::new(),
-                leaks: dampi_mpi::LeakReport::default(),
-                fatal: Some(MpiError::ReplayTimeout {
-                    detail: detail.to_string(),
-                }),
-                per_rank_vt: Vec::new(),
-                wall_elapsed: Duration::ZERO,
-                makespan: 0.0,
-            },
-            epochs: Vec::new(),
-            stats: ToolRunStats::default(),
-        },
-        attempt_makespans: Vec::new(),
-        divergences: 0,
-        retries: 0,
-    }
 }
 
 fn tick_interval(shard: &ShardOptions) -> Duration {
@@ -806,284 +813,32 @@ fn tick_interval(shard: &ShardOptions) -> Duration {
 /// Fails when the initial fleet cannot spawn, when a worker's `Hello`
 /// reveals a protocol or config mismatch, or when every slot exhausts its
 /// restart budget with work still outstanding.
-#[allow(clippy::too_many_lines)]
 pub fn explore_sharded(
     launcher: &dyn WorkerLauncher,
     opts: &ExploreOptions,
     shard: &ShardOptions,
     resume: Option<ExplorationJournal>,
 ) -> io::Result<Exploration> {
-    let shards = shard.shards.max(1);
-    let mut w = Walk::new(opts);
-    w.begin(shards, resume.is_some());
-    let mut root_pending = resume.is_none();
-    if let Some(journal) = resume {
-        w.restore(journal);
-    }
-
-    let (tx, rx) = crossbeam::channel::unbounded::<Event>();
-    {
-        let tx = tx.clone();
-        let tick = tick_interval(shard);
-        std::thread::Builder::new()
-            .name("dampi-shard-tick".into())
-            .spawn(move || loop {
-                std::thread::sleep(tick);
-                if tx.send(Event::Tick).is_err() {
-                    return;
-                }
-            })?;
-    }
-
-    let mut sup = Sup {
+    explore_sharded_from(
         launcher,
         opts,
         shard,
-        lease_cfg: LeaseConfig {
-            heartbeat_timeout: shard.heartbeat_timeout,
-            lease: shard.lease,
-        },
-        tx,
-        slots: (0..shards)
-            .map(|_| Slot {
-                gen: 0,
-                handle: None,
-                health: SlotHealth::new(Instant::now()),
-                busy: None,
-                dispatched_at: None,
-                restarts: 0,
-                respawn_at: None,
-                dead: false,
-            })
-            .collect(),
-        ready: HashMap::new(),
-        in_flight: HashMap::new(),
-        attempts: HashMap::new(),
-        deferred: HashMap::new(),
-        quarantined: HashMap::new(),
-    };
-    for i in 0..shards {
-        sup.spawn_slot(i)?;
-    }
+        resume.map_or(Start::Fresh, Start::Resume),
+    )
+}
 
-    let root_sig = DecisionSet::self_run().signature();
-    let mut waited: Option<u64> = None;
-    // Schedules the persistent cache has already missed on — probed at
-    // most once each, so a cold campaign pays one disk stat per subtree.
-    let mut probed_miss: HashSet<u64> = HashSet::new();
-
-    loop {
-        // Commit phase: absorb every ready result in walk order. The walk
-        // alone mutates exploration state, so this block is the entire
-        // determinism argument.
-        loop {
-            if root_pending {
-                let root = DecisionSet::self_run();
-                if let Some(r) = sup.ready.remove(&root_sig) {
-                    let pending = if r.from_cache {
-                        None
-                    } else {
-                        cache_prepare(opts, &root, &r.rep)
-                    };
-                    w.note_cache(r.from_cache, &root);
-                    w.commit_root(r.rep);
-                    cache_store(opts, pending);
-                    root_pending = false;
-                    continue;
-                }
-                if let Some(reason) = sup.quarantined.get(&root_sig).cloned() {
-                    if let Some(m) = &opts.metrics {
-                        m.on_started(); // the synthetic commit's dispatch
-                    }
-                    // A quarantine is a committed subtree the cache could
-                    // not serve: a miss (and never stored — its result is
-                    // a synthetic timeout, not the schedule's semantics).
-                    w.note_cache(false, &root);
-                    w.commit_root(quarantine_report(&reason));
-                    w.ex.quarantined += 1;
-                    root_pending = false;
-                    continue;
-                }
-                if !sup.in_flight.contains_key(&root_sig) && !probed_miss.contains(&root_sig) {
-                    if let Some(rep) = cache_lookup(opts, &root) {
-                        if let Some(m) = &opts.metrics {
-                            m.on_started(); // the cache hit's synthetic dispatch
-                        }
-                        w.note_cache(true, &root);
-                        w.commit_root(rep);
-                        root_pending = false;
-                        continue;
-                    }
-                    probed_miss.insert(root_sig);
-                }
-                break;
-            }
-            if w.halted() || w.stack.is_empty() {
-                break;
-            }
-            let top_sig = w.stack.last().expect("non-empty").decisions.signature();
-            if let Some(r) = sup.ready.remove(&top_sig) {
-                if let Some(m) = &opts.metrics {
-                    if !r.from_cache && waited != Some(top_sig) {
-                        m.on_speculation_hit();
-                    }
-                }
-                waited = None;
-                let fork = w.stack.pop().expect("non-empty");
-                w.speculated = sup.speculated();
-                let pending = if r.from_cache {
-                    None
-                } else {
-                    cache_prepare(opts, &fork.decisions, &r.rep)
-                };
-                w.note_cache(r.from_cache, &fork.decisions);
-                w.commit(&fork, r.rep);
-                cache_store(opts, pending);
-                continue;
-            }
-            if let Some(reason) = sup.quarantined.get(&top_sig).cloned() {
-                waited = None;
-                let fork = w.stack.pop().expect("non-empty");
-                if let Some(m) = &opts.metrics {
-                    m.on_started(); // the synthetic commit's dispatch
-                }
-                w.speculated = sup.speculated();
-                w.note_cache(false, &fork.decisions);
-                w.commit(&fork, quarantine_report(&reason));
-                w.ex.quarantined += 1;
-                continue;
-            }
-            if !sup.in_flight.contains_key(&top_sig) && !probed_miss.contains(&top_sig) {
-                if let Some(rep) = cache_lookup(opts, &w.stack.last().expect("non-empty").decisions)
-                {
-                    waited = None;
-                    if let Some(m) = &opts.metrics {
-                        m.on_started(); // the cache hit's synthetic dispatch
-                    }
-                    let fork = w.stack.pop().expect("non-empty");
-                    w.speculated = sup.speculated();
-                    w.note_cache(true, &fork.decisions);
-                    w.commit(&fork, rep);
-                    continue;
-                }
-                probed_miss.insert(top_sig);
-            }
-            break;
-        }
-
-        if !root_pending && (w.halted() || w.stack.is_empty()) {
-            break;
-        }
-
-        // Dispatch phase: the next fork to commit first (unconditionally),
-        // then speculation over deeper frontier entries, bounded by idle
-        // workers and the remaining interleaving budget — the same window
-        // the thread pool uses.
-        let now = Instant::now();
-        if root_pending {
-            if sup.dispatchable(root_sig, now) {
-                sup.try_dispatch(root_sig, &DecisionSet::self_run(), now);
-            }
-            waited = Some(root_sig);
-        } else {
-            let top = w.stack.last().expect("non-empty");
-            let top_sig = top.decisions.signature();
-            if sup.dispatchable(top_sig, now) {
-                let decisions = top.decisions.clone();
-                sup.try_dispatch(top_sig, &decisions, now);
-            }
-            let budget_room = opts
-                .max_interleavings
-                .map_or(usize::MAX, |max| (max - w.ex.interleavings) as usize);
-            for fork in w.stack.iter().rev().skip(1) {
-                if sup.idle_slots() == 0 || sup.in_flight.len() + sup.ready.len() >= budget_room {
-                    break;
-                }
-                let sig = fork.decisions.signature();
-                if !sup.dispatchable(sig, now) {
-                    continue;
-                }
-                // The supervisor owns the cache: a hit becomes a ready
-                // result instead of a dispatch, so workers only ever see
-                // genuinely-missed subtrees over the unchanged protocol.
-                if !probed_miss.contains(&sig) {
-                    if let Some(rep) = cache_lookup(opts, &fork.decisions) {
-                        sup.ready.insert(
-                            sig,
-                            Ready {
-                                rep,
-                                from_cache: true,
-                            },
-                        );
-                        if let Some(m) = &opts.metrics {
-                            m.on_started(); // the cache hit's synthetic dispatch
-                        }
-                        continue;
-                    }
-                    probed_miss.insert(sig);
-                }
-                sup.try_dispatch(sig, &fork.decisions, now);
-            }
-            waited = Some(top_sig);
-        }
-
-        // Block for whatever happens next.
-        let Ok(ev) = rx.recv() else { break };
-        match ev {
-            Event::Tick => {
-                let now = Instant::now();
-                if sup.drain_requested() {
-                    w.ex.drained = true;
-                    w.speculated = sup.speculated();
-                    w.checkpoint();
-                    if let Some(t) = &opts.trace {
-                        t.emit(CampaignEvent::CampaignDrained {
-                            frontier: w.stack.len(),
-                        });
-                    }
-                    break;
-                }
-                sup.check_health(now);
-                sup.respawn_due(now);
-            }
-            Event::Gone { slot, gen, reason } => {
-                sup.on_gone(slot, gen, &reason, Instant::now());
-            }
-            Event::Msg { slot, gen, msg } => {
-                if let Err(e) = sup.on_msg(slot, gen, msg) {
-                    sup.shutdown_all();
-                    return Err(e);
-                }
-            }
-        }
-
-        // Wedged forever is worse than failing loudly: with every slot
-        // dead and undispatchable work remaining, no event can ever
-        // unblock the walk.
-        let stuck = sup.all_dead() && {
-            if root_pending {
-                !sup.ready.contains_key(&root_sig) && !sup.quarantined.contains_key(&root_sig)
-            } else {
-                w.stack.iter().any(|f| {
-                    let sig = f.decisions.signature();
-                    !sup.ready.contains_key(&sig) && !sup.quarantined.contains_key(&sig)
-                })
-            }
-        };
-        if stuck {
-            sup.shutdown_all();
-            return Err(io::Error::other(format!(
-                "all {shards} shard workers failed permanently with work outstanding"
-            )));
-        }
-    }
-
-    // Speculation past the end (budget/stop/drain boundary) never commits.
-    if let Some(m) = &opts.metrics {
-        m.on_aborted((sup.in_flight.len() + sup.ready.len()) as u64);
-    }
-    sup.shutdown_all();
-    Ok(w.finish())
+/// [`explore_sharded`] from any [`Start`].
+pub(crate) fn explore_sharded_from(
+    launcher: &dyn WorkerLauncher,
+    opts: &ExploreOptions,
+    shard: &ShardOptions,
+    start: Start,
+) -> io::Result<Exploration> {
+    drive(
+        opts,
+        &mut ProcessFleet::spawn(launcher, opts, shard)?,
+        start,
+    )
 }
 
 #[cfg(test)]

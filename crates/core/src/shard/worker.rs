@@ -2,7 +2,7 @@
 //!
 //! A worker is deliberately dumb. It holds no frontier, no visited set, no
 //! budget — the supervisor owns every piece of exploration state and the
-//! worker only maps a [`DecisionSet`] to a [`SubtreeResult`] through the
+//! worker only maps a [`DecisionSet`] to a [`super::SubtreeResult`] through the
 //! exact same `execute_with_retry` path the in-process thread pool uses.
 //! That is what keeps `--shards N` byte-identical to `--jobs 1`: the
 //! numbers a worker ships back are the numbers the sequential walk would
@@ -31,11 +31,11 @@ use dampi_mpi::fault::{WorkerFaultKind, WorkerFaultPlan};
 use parking_lot::{Condvar, Mutex};
 
 use crate::decisions::DecisionSet;
-use crate::scheduler::{execute_with_retry, ExploreOptions, RunResult};
+use crate::executor::execute_with_retry;
+use crate::scheduler::{ExploreOptions, RunResult};
 
 use super::protocol::{
-    checksum, recv_msg, send_msg, write_frame_with_checksum, FromWorker, SubtreeResult, ToWorker,
-    PROTOCOL_VERSION,
+    checksum, recv_msg, send_msg, write_frame_with_checksum, FromWorker, ToWorker, PROTOCOL_VERSION,
 };
 
 /// Everything a worker needs to know that is not the program itself.
@@ -178,19 +178,11 @@ where
             }
         }
         let rep = execute_with_retry(run, &decisions, opts);
-        let result = SubtreeResult {
-            outcome: rep.res.outcome,
-            epochs: rep.res.epochs,
-            stats: rep.res.stats,
-            attempt_makespans: rep.attempt_makespans,
-            divergences: rep.divergences,
-            retries: rep.retries,
-        };
         send_msg(
             &mut *writer.lock(),
             &FromWorker::Result {
                 sig,
-                result: Box::new(result),
+                result: Box::new(rep.into()),
             },
         )?;
     }
@@ -250,17 +242,9 @@ where
             // payload. The supervisor must reject the frame, not trust
             // partial bytes.
             let rep = execute_with_retry(run, decisions, opts);
-            let result = SubtreeResult {
-                outcome: rep.res.outcome,
-                epochs: rep.res.epochs,
-                stats: rep.res.stats,
-                attempt_makespans: rep.attempt_makespans,
-                divergences: rep.divergences,
-                retries: rep.retries,
-            };
             let msg = FromWorker::Result {
                 sig,
-                result: Box::new(result),
+                result: Box::new(rep.into()),
             };
             if let Ok(json) = serde_json::to_string(&msg) {
                 let bytes = json.as_bytes();

@@ -7,6 +7,8 @@
 //! until the space of non-deterministic matches (as bounded by the
 //! configuration) is covered.
 
+use std::io;
+use std::path::Path;
 use std::sync::Arc;
 
 use dampi_mpi::fault::{FaultLayer, FaultPlan};
@@ -23,7 +25,8 @@ use crate::journal::ExplorationJournal;
 use crate::metrics::{CampaignMetrics, CampaignTrace};
 use crate::prune::PrunePlan;
 use crate::report::VerificationReport;
-use crate::scheduler::{self, ExploreOptions, RunResult};
+use crate::scheduler::{self, ExploreOptions, RunResult, Start};
+use crate::shard::{ShardOptions, WorkerLauncher};
 use crate::tool::{DampiCtx, DampiLayer};
 
 /// The top-level DAMPI verifier.
@@ -262,34 +265,43 @@ impl DampiVerifier {
     /// deterministic, so the report is identical to a sequential run.
     #[must_use]
     pub fn verify(&self, program: &dyn MpiProgram) -> VerificationReport {
-        let opts = self.explore_options();
-        let ex = scheduler::explore_parallel(|ds| self.instrumented_run(program, ds), &opts);
-        self.report_from(program.name(), ex)
+        self.verify_from(program, Start::Fresh)
     }
 
-    /// Full verification that reuses an already-executed free run as the
-    /// campaign's `SELF_RUN` — the `--prune-static` path: the prune plan
-    /// was derived from exactly that run (via [`Self::traced_run`]), so
-    /// the root frontier being pruned is the frontier that run produced,
-    /// not a re-execution that might have scheduled differently.
+    /// Full verification that reuses an already-executed free run (e.g.
+    /// the one [`Self::traced_run`] fed to the static analysis) as the
+    /// campaign's `SELF_RUN` — see [`Start::FirstRun`].
     #[must_use]
     pub fn verify_with_first_run(
         &self,
         program: &dyn MpiProgram,
         first: RunResult,
     ) -> VerificationReport {
-        let opts = self.explore_options();
-        let cached = parking_lot::Mutex::new(Some(first));
-        let ex = scheduler::explore_parallel(
-            |ds| {
-                if ds.is_self_run() {
-                    if let Some(run) = cached.lock().take() {
-                        return run;
-                    }
-                }
-                self.instrumented_run(program, ds)
-            },
-            &opts,
+        self.verify_from(program, Start::FirstRun(first))
+    }
+
+    /// Continue an interrupted campaign from an exploration journal (see
+    /// [`crate::journal`]). Further checkpoints keep going to the same
+    /// file unless the configuration names a different one, so a campaign
+    /// can be killed and resumed any number of times.
+    pub fn verify_resumed(
+        &self,
+        program: &dyn MpiProgram,
+        journal_path: &Path,
+    ) -> io::Result<VerificationReport> {
+        let journal = ExplorationJournal::load(journal_path)?;
+        Ok(self
+            .journaling_to(journal_path)
+            .verify_from(program, Start::Resume(journal)))
+    }
+
+    /// In-process verification from any [`Start`].
+    #[must_use]
+    pub fn verify_from(&self, program: &dyn MpiProgram, start: Start) -> VerificationReport {
+        let ex = scheduler::explore_from(
+            &|ds| self.instrumented_run(program, ds),
+            &self.explore_options(),
+            start,
         );
         self.report_from(program.name(), ex)
     }
@@ -308,12 +320,10 @@ impl DampiVerifier {
     pub fn verify_sharded(
         &self,
         program: &dyn MpiProgram,
-        launcher: &dyn crate::shard::WorkerLauncher,
-        shard: &crate::shard::ShardOptions,
-    ) -> std::io::Result<VerificationReport> {
-        let opts = self.explore_options();
-        let ex = crate::shard::explore_sharded(launcher, &opts, shard, None)?;
-        Ok(self.report_from(program.name(), ex))
+        launcher: &dyn WorkerLauncher,
+        shard: &ShardOptions,
+    ) -> io::Result<VerificationReport> {
+        self.verify_sharded_from(program, launcher, shard, Start::Fresh)
     }
 
     /// [`Self::verify_sharded`] continuing from a checkpoint journal —
@@ -327,39 +337,45 @@ impl DampiVerifier {
     pub fn verify_sharded_resumed(
         &self,
         program: &dyn MpiProgram,
-        launcher: &dyn crate::shard::WorkerLauncher,
-        shard: &crate::shard::ShardOptions,
-        journal_path: &std::path::Path,
-    ) -> std::io::Result<VerificationReport> {
+        launcher: &dyn WorkerLauncher,
+        shard: &ShardOptions,
+        journal_path: &Path,
+    ) -> io::Result<VerificationReport> {
         let journal = ExplorationJournal::load(journal_path)?;
-        let mut opts = self.explore_options();
-        if opts.checkpoint.is_none() {
-            opts.checkpoint = Some(journal_path.to_path_buf());
-        }
-        let ex = crate::shard::explore_sharded(launcher, &opts, shard, Some(journal))?;
+        self.journaling_to(journal_path).verify_sharded_from(
+            program,
+            launcher,
+            shard,
+            Start::Resume(journal),
+        )
+    }
+
+    /// Sharded verification from any [`Start`]. A [`Start::FirstRun`] is
+    /// committed by the supervisor and never dispatched, and the prune
+    /// plan is consulted only on the supervisor's commit path, so workers
+    /// need neither.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::verify_sharded`].
+    pub fn verify_sharded_from(
+        &self,
+        program: &dyn MpiProgram,
+        launcher: &dyn WorkerLauncher,
+        shard: &ShardOptions,
+        start: Start,
+    ) -> io::Result<VerificationReport> {
+        let ex =
+            crate::shard::explore_sharded_from(launcher, &self.explore_options(), shard, start)?;
         Ok(self.report_from(program.name(), ex))
     }
 
-    /// Continue an interrupted campaign from an exploration journal (see
-    /// [`crate::journal`]). Further checkpoints keep going to the same
-    /// file unless the configuration names a different one, so a campaign
-    /// can be killed and resumed any number of times.
-    pub fn verify_resumed(
-        &self,
-        program: &dyn MpiProgram,
-        journal_path: &std::path::Path,
-    ) -> std::io::Result<VerificationReport> {
-        let journal = ExplorationJournal::load(journal_path)?;
-        let mut opts = self.explore_options();
-        if opts.checkpoint.is_none() {
-            opts.checkpoint = Some(journal_path.to_path_buf());
-        }
-        let ex = scheduler::explore_parallel_resumed(
-            |ds| self.instrumented_run(program, ds),
-            &opts,
-            journal,
-        );
-        Ok(self.report_from(program.name(), ex))
+    /// This verifier, checkpointing to `path` unless the configuration
+    /// already names a journal.
+    fn journaling_to(&self, path: &Path) -> Self {
+        let mut v = self.clone();
+        v.cfg.journal.get_or_insert_with(|| path.to_path_buf());
+        v
     }
 
     fn report_from(&self, program: &str, ex: scheduler::Exploration) -> VerificationReport {

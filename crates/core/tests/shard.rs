@@ -14,7 +14,8 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use dampi_core::scheduler::{ExploreOptions, RunResult};
+use dampi_core::prune::PrunePlan;
+use dampi_core::scheduler::{ExploreOptions, RunResult, Start};
 use dampi_core::shard::{InProcessLauncher, ShardOptions};
 use dampi_core::{DampiConfig, DampiVerifier, DecisionSet};
 use dampi_mpi::fault::{WorkerFaultKind, WorkerFaultPlan};
@@ -85,6 +86,44 @@ fn sharded_report_and_journal_match_unsharded() {
     let base_bytes = std::fs::read(&base_j).expect("baseline journal");
     let shard_bytes = std::fs::read(&shard_j).expect("sharded journal");
     assert_eq!(base_bytes, shard_bytes, "journal must be byte-identical");
+    let _ = std::fs::remove_file(base_j);
+    let _ = std::fs::remove_file(shard_j);
+}
+
+/// `--prune-static` composes with `--shards`: the plan is consulted only
+/// on the supervisor's commit path and the analyzed free run is committed
+/// there, never dispatched, so workers need neither. The fixture is the
+/// analyzer's plan for racers at np 4 (two symmetry orbits: 4 -> 2).
+#[test]
+fn pruned_sharded_campaign_matches_pruned_unsharded() {
+    let plan: PrunePlan = serde_json::from_str(include_str!("fixtures/prune_plan_v1.json"))
+        .expect("fixture plan loads");
+    let prog: Arc<dyn MpiProgram> = Arc::new(patterns::symmetric_racers());
+    let base_j = tmp_journal("prune-base");
+    let shard_j = tmp_journal("prune-shard");
+
+    let base_v = racers_verifier(base_j.clone()).with_prune_plan(plan.clone());
+    let (_, first) = base_v.traced_run(prog.as_ref());
+    let base = base_v.verify_with_first_run(prog.as_ref(), first.clone());
+    assert_eq!(base.interleavings, 2, "the orbits halve the campaign");
+    assert!(base.alternates_pruned > 0 && base.errors.is_empty());
+
+    let v = Arc::new(racers_verifier(shard_j.clone()).with_prune_plan(plan));
+    let launcher = launcher_for(&v, &prog);
+    let opts = ShardOptions {
+        shards: 2,
+        ..ShardOptions::default()
+    };
+    let sharded = v
+        .verify_sharded_from(prog.as_ref(), &launcher, &opts, Start::FirstRun(first))
+        .expect("clean sharded campaign");
+
+    assert_eq!(base.to_json().to_string(), sharded.to_json().to_string());
+    assert_eq!(
+        std::fs::read(&base_j).expect("baseline journal"),
+        std::fs::read(&shard_j).expect("sharded journal"),
+        "journal must be byte-identical"
+    );
     let _ = std::fs::remove_file(base_j);
     let _ = std::fs::remove_file(shard_j);
 }

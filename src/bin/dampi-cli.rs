@@ -24,11 +24,11 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
-use dampi::core::scheduler::ExploreOptions;
+use dampi::core::scheduler::{ExploreOptions, Start};
 use dampi::core::shard::{self, ProcessWorkerLauncher, ShardOptions};
 use dampi::core::{
     CampaignMetrics, CampaignTrace, ClockMode, DampiConfig, DampiVerifier, DecisionSet,
-    MixingBound, ReplayCache,
+    ExplorationJournal, MixingBound, ReplayCache,
 };
 use dampi::isp::IspVerifier;
 use dampi::mpi::fault::WorkerFaultPlan;
@@ -614,10 +614,6 @@ fn cmd_verify(name: &str, rest: &[String]) -> ExitCode {
             eprintln!("error: --shards is DAMPI-only (the centralized ISP baseline is the architecture sharding replaces)");
             return ExitCode::FAILURE;
         }
-        if args.prune_static {
-            eprintln!("error: --prune-static cannot combine with --shards yet (the plan is keyed to a supervisor-local free run)");
-            return ExitCode::FAILURE;
-        }
         if args.jobs.is_some() {
             eprintln!("error: --jobs and --shards are mutually exclusive (jobs are replay threads, shards are worker processes)");
             return ExitCode::FAILURE;
@@ -684,7 +680,9 @@ fn cmd_verify(name: &str, rest: &[String]) -> ExitCode {
     if args.deferred {
         cfg = cfg.with_deferred_clock_sync();
     }
-    if let Some(path) = &args.journal {
+    // A resumed campaign keeps checkpointing to the journal it came from
+    // unless --journal names another.
+    if let Some(path) = args.journal.as_ref().or(args.resume.as_ref()) {
         cfg = cfg.with_journal(path.clone());
     }
     let mut verifier = DampiVerifier::with_config(sim, cfg);
@@ -801,8 +799,21 @@ fn cmd_verify(name: &str, rest: &[String]) -> ExitCode {
         });
         (stop_tx, handle)
     });
+    // --resume and --prune-static exclude each other (checked above), so
+    // the campaign has exactly one starting point under any executor.
+    let start = match (&args.resume, prune_run) {
+        (Some(journal), _) => match ExplorationJournal::load(journal) {
+            Ok(j) => Start::Resume(j),
+            Err(e) => {
+                eprintln!("error: cannot resume from {}: {e}", journal.display());
+                return ExitCode::FAILURE;
+            }
+        },
+        (None, Some(run)) => Start::FirstRun(run),
+        (None, None) => Start::Fresh,
+    };
     let report = if let Some(shards) = args.shards {
-        match run_sharded(name, prog.as_ref(), &verifier, shards, &args) {
+        match run_sharded(name, prog.as_ref(), &verifier, shards, &args, start) {
             Ok(report) => report,
             Err(e) => {
                 eprintln!("error: sharded campaign failed: {e}");
@@ -810,17 +821,7 @@ fn cmd_verify(name: &str, rest: &[String]) -> ExitCode {
             }
         }
     } else {
-        match (&args.resume, prune_run) {
-            (Some(journal), _) => match verifier.verify_resumed(prog.as_ref(), journal) {
-                Ok(report) => report,
-                Err(e) => {
-                    eprintln!("error: cannot resume from {}: {e}", journal.display());
-                    return ExitCode::FAILURE;
-                }
-            },
-            (None, Some(run)) => verifier.verify_with_first_run(prog.as_ref(), run),
-            (None, None) => verifier.verify(prog.as_ref()),
-        }
+        verifier.verify_from(prog.as_ref(), start)
     };
     if let Some((stop_tx, handle)) = progress_reporter {
         let _ = stop_tx.send(());
@@ -906,6 +907,7 @@ fn run_sharded(
     verifier: &DampiVerifier,
     shards: usize,
     args: &Args,
+    start: Start,
 ) -> std::io::Result<dampi::core::VerificationReport> {
     let mut opts = ShardOptions {
         shards,
@@ -957,10 +959,7 @@ fn run_sharded(
         }
         c
     });
-    match &args.resume {
-        Some(journal) => verifier.verify_sharded_resumed(prog, &launcher, &opts, journal),
-        None => verifier.verify_sharded(prog, &launcher, &opts),
-    }
+    verifier.verify_sharded_from(prog, &launcher, &opts, start)
 }
 
 fn cmd_analyze(name: &str, rest: &[String]) -> ExitCode {

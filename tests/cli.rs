@@ -110,6 +110,52 @@ fn verify_jobs_parity_on_symmetric_racers() {
     assert!(seq.contains("\"interleavings\""), "{seq}");
 }
 
+#[test]
+fn verify_prune_static_composes_with_shards() {
+    // Real worker processes: the analyzed free run is committed by the
+    // supervisor and the plan prunes on its commit path, so the pruned
+    // sharded campaign is the pruned sequential one, byte for byte.
+    let dir = std::env::temp_dir().join(format!("dampi-cli-prune-shards-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |driver: [&str; 2], journal: &str| {
+        let journal = dir.join(journal);
+        let out = cli()
+            .args(["verify", "racers", "--np", "4", "--prune-static", "--json"])
+            .args(driver)
+            .arg("--journal")
+            .arg(&journal)
+            .output()
+            .expect("run dampi-cli");
+        assert!(out.status.success(), "{out:?}");
+        (
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+            std::fs::read(&journal).expect("journal written"),
+        )
+    };
+    let (seq, seq_journal) = run(["--jobs", "1"], "j1.journal");
+    let (sharded, sharded_journal) = run(["--shards", "2"], "s2.journal");
+    assert_eq!(seq, sharded, "pruned report must be byte-identical");
+    assert_eq!(
+        seq_journal, sharded_journal,
+        "journal must be byte-identical"
+    );
+    let report: serde_json::Value = serde_json::from_str(&seq).unwrap();
+    let field = |v: &serde_json::Value, k: &str| v.get(k).and_then(serde_json::Value::as_u64);
+    assert_eq!(field(&report, "interleavings"), Some(2), "4 -> 2 replays");
+    assert!(field(&report, "alternates_pruned") > Some(0));
+    std::fs::remove_dir_all(&dir).ok();
+
+    let out = cli()
+        .args(["verify", "ordered_stages", "--np", "3", "--prune-static"])
+        .args(["--protocol", "ordered_stages", "--shards", "2", "--json"])
+        .output()
+        .expect("run dampi-cli");
+    assert!(out.status.success(), "{out:?}");
+    let report: serde_json::Value =
+        serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).unwrap();
+    assert_eq!(field(&report, "interleavings"), Some(1));
+}
+
 fn lint() -> Command {
     Command::new(env!("CARGO_BIN_EXE_metrics-lint"))
 }
