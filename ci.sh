@@ -36,30 +36,17 @@ if ./target/release/dampi-cli analyze collective_mismatch --np 4 --json \
   echo "ci: analyze collective_mismatch must exit non-zero (L001 is an error)" >&2
   exit 1
 fi
+# Key set, schema/plan versions and lint fields are `metrics-lint
+# --analysis`'s job (run on these files below); only the answers are here.
 python3 - "$MDIR/racers.analysis.json" "$MDIR/cm.analysis.json" <<'PY'
 import json, sys
-for path in sys.argv[1:3]:
-    r = json.load(open(path))
-    for key in ("schema_version", "program", "nprocs", "epochs", "epochs_mapped",
-                "alternates_recorded", "match_set_sizes", "deterministic_wildcards",
-                "infeasible_alternates", "orbits", "lints", "error_lints", "notes",
-                "plan_version", "refined_match_set_sizes", "refinement_iterations",
-                "refined_deterministic_wildcards", "refined_infeasible_alternates",
-                "oblivious_receives", "protocol_deterministic_wildcards",
-                "protocol_infeasible_alternates", "protocol"):
-        assert key in r, f"{path}: missing `{key}`"
-    assert r["schema_version"] == 2, r["schema_version"]
-    assert r["plan_version"] == 3, r["plan_version"]
-    # No --protocol flag on these runs: the block must be absent-by-null.
-    assert r["protocol"] is None, r["protocol"]
-    for lint in r["lints"]:
-        assert set(lint) == {"id", "kind", "severity", "ranks", "message"}, lint
-        assert lint["id"].startswith("L") and lint["severity"] in ("error", "warning")
 racers, cm = (json.load(open(p)) for p in sys.argv[1:3])
+# No --protocol flag on these runs: the block must be absent-by-null.
+assert racers["protocol"] is None and cm["protocol"] is None
 assert racers["orbits"] == [[0, 2], [1, 3]], racers["orbits"]
 assert [l["id"] for l in cm["lints"]] == ["L001"], cm["lints"]
 assert cm["error_lints"] == 1
-print("ci: analyzer JSON schema ok")
+print("ci: analyzer answers ok")
 PY
 # L005 smoke: the seeded stuck-wildcard reproducer must exit 2 with the
 # refinement-backed definite-stuck lint (plus the request-leak warning).
@@ -164,9 +151,6 @@ planted = [v for v in lines if v["expected"]]
 assert len(planted) == 12, len(planted)
 print(f"ci: protocol-template fuzz ok ({len(planted)}/24 seeded violations caught)")
 PY
-# Version-1 prune plans (no version field, no refined sets) must keep
-# loading and steering campaigns — the committed fixture is the contract.
-cargo test -q --offline -p dampi-core --test prune_plan_compat
 ./target/release/dampi-cli verify matmul --json > "$MDIR/mm.base.json"
 ./target/release/dampi-cli verify matmul --prune-static --json > "$MDIR/mm.pruned.json"
 ./target/release/dampi-cli verify matmul_ack --json > "$MDIR/ma.base.json"

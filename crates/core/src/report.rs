@@ -9,6 +9,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::bounds::MixingBound;
 use crate::decisions::DecisionSet;
+use crate::scheduler::Exploration;
 
 /// A program bug found during exploration, with its reproduction recipe:
 /// replaying `decisions` deterministically re-triggers the bug.
@@ -109,6 +110,46 @@ pub struct VerificationReport {
 }
 
 impl VerificationReport {
+    /// The report of a finished exploration: the one place a scheduler
+    /// counter is threaded into the report (DAMPI and the ISP baseline both
+    /// build theirs here).
+    #[must_use]
+    pub fn from_exploration(
+        program: &str,
+        nprocs: usize,
+        clock_mode: ClockMode,
+        bound: MixingBound,
+        ex: Exploration,
+    ) -> Self {
+        Self {
+            program: program.to_owned(),
+            nprocs,
+            clock_mode,
+            bound,
+            interleavings: ex.interleavings,
+            errors: ex.errors,
+            leaks: ex.first_run_leaks,
+            wildcards_analyzed: ex.first_run_stats.wildcards,
+            unsafe_alerts: ex.first_run_stats.unsafe_alerts,
+            divergences: ex.divergences,
+            retries: ex.retries,
+            timeouts: ex.timeouts,
+            quarantined: ex.quarantined,
+            drained: ex.drained,
+            pb_messages: ex.first_run_stats.pb_messages,
+            first_run_makespan: ex.first_run_makespan,
+            total_virtual_time: ex.total_virtual_time,
+            budget_exhausted: ex.budget_exhausted,
+            alternates_pruned: ex.alternates_pruned,
+            wildcards_deterministic: ex.wildcards_deterministic,
+            refined_alternates_pruned: ex.refined_alternates_pruned,
+            refined_wildcards_deterministic: ex.refined_wildcards_deterministic,
+            protocol_alternates_pruned: ex.protocol_alternates_pruned,
+            protocol_wildcards_deterministic: ex.protocol_wildcards_deterministic,
+            discovered: ex.discovered,
+        }
+    }
+
     /// Number of deadlocks among the found errors.
     #[must_use]
     pub fn deadlocks(&self) -> usize {

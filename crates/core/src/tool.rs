@@ -33,7 +33,10 @@ use bytes::Bytes;
 use dampi_clocks::{ClockMode, ClockStamp};
 use dampi_mpi::matching::ProbeInfo;
 use dampi_mpi::proc_api::{Mpi, Status};
-use dampi_mpi::{Comm, MpiError, ReduceOp, Request, Result, Tag, ANY_SOURCE, ANY_TAG};
+use dampi_mpi::{
+    CollOutcome, CollSig, Comm, Contribution, MpiError, ReduceOp, Request, Result, Tag, ANY_SOURCE,
+    ANY_TAG,
+};
 
 use crate::clock::AnyClock;
 use crate::config::PiggybackMechanism;
@@ -688,83 +691,14 @@ impl<M: Mpi> Mpi for DampiLayer<M> {
             .map(|i| self.adjust_probe(i)))
     }
 
-    fn barrier(&mut self, comm: Comm) -> Result<()> {
-        self.transmit_guard();
-        self.inner.barrier(comm)?;
-        self.clock_allmax(comm)
-    }
-
-    fn bcast(&mut self, comm: Comm, root: usize, data: Option<Bytes>) -> Result<Bytes> {
-        self.transmit_guard();
-        let out = self.inner.bcast(comm, root, data)?;
-        self.clock_allmax(comm)?;
-        Ok(out)
-    }
-
-    fn reduce_u64(
+    fn collective(
         &mut self,
         comm: Comm,
-        root: usize,
-        value: Vec<u64>,
-        op: ReduceOp,
-    ) -> Result<Option<Vec<u64>>> {
+        sig: CollSig,
+        contribution: Contribution,
+    ) -> Result<CollOutcome> {
         self.transmit_guard();
-        let out = self.inner.reduce_u64(comm, root, value, op)?;
-        self.clock_allmax(comm)?;
-        Ok(out)
-    }
-
-    fn allreduce_u64(&mut self, comm: Comm, value: Vec<u64>, op: ReduceOp) -> Result<Vec<u64>> {
-        self.transmit_guard();
-        let out = self.inner.allreduce_u64(comm, value, op)?;
-        self.clock_allmax(comm)?;
-        Ok(out)
-    }
-
-    fn reduce_f64(
-        &mut self,
-        comm: Comm,
-        root: usize,
-        value: Vec<f64>,
-        op: ReduceOp,
-    ) -> Result<Option<Vec<f64>>> {
-        self.transmit_guard();
-        let out = self.inner.reduce_f64(comm, root, value, op)?;
-        self.clock_allmax(comm)?;
-        Ok(out)
-    }
-
-    fn allreduce_f64(&mut self, comm: Comm, value: Vec<f64>, op: ReduceOp) -> Result<Vec<f64>> {
-        self.transmit_guard();
-        let out = self.inner.allreduce_f64(comm, value, op)?;
-        self.clock_allmax(comm)?;
-        Ok(out)
-    }
-
-    fn gather(&mut self, comm: Comm, root: usize, data: Bytes) -> Result<Option<Vec<Bytes>>> {
-        self.transmit_guard();
-        let out = self.inner.gather(comm, root, data)?;
-        self.clock_allmax(comm)?;
-        Ok(out)
-    }
-
-    fn allgather(&mut self, comm: Comm, data: Bytes) -> Result<Vec<Bytes>> {
-        self.transmit_guard();
-        let out = self.inner.allgather(comm, data)?;
-        self.clock_allmax(comm)?;
-        Ok(out)
-    }
-
-    fn scatter(&mut self, comm: Comm, root: usize, data: Option<Vec<Bytes>>) -> Result<Bytes> {
-        self.transmit_guard();
-        let out = self.inner.scatter(comm, root, data)?;
-        self.clock_allmax(comm)?;
-        Ok(out)
-    }
-
-    fn alltoall(&mut self, comm: Comm, data: Vec<Bytes>) -> Result<Vec<Bytes>> {
-        self.transmit_guard();
-        let out = self.inner.alltoall(comm, data)?;
+        let out = self.inner.collective(comm, sig, contribution)?;
         self.clock_allmax(comm)?;
         Ok(out)
     }

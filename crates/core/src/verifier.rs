@@ -20,7 +20,7 @@ use dampi_mpi::Mpi;
 use crate::cache::ReplayCache;
 use crate::config::DampiConfig;
 use crate::decisions::DecisionSet;
-use crate::epoch::{ToolRunStats, TraceCollector};
+use crate::epoch::TraceCollector;
 use crate::journal::ExplorationJournal;
 use crate::metrics::{CampaignMetrics, CampaignTrace};
 use crate::prune::PrunePlan;
@@ -379,38 +379,12 @@ impl DampiVerifier {
     }
 
     fn report_from(&self, program: &str, ex: scheduler::Exploration) -> VerificationReport {
-        let ToolRunStats {
-            wildcards,
-            pb_messages,
-            unsafe_alerts,
-            ..
-        } = ex.first_run_stats;
-        VerificationReport {
-            program: program.to_owned(),
-            nprocs: self.sim.nprocs,
-            clock_mode: self.cfg.clock_mode,
-            bound: self.cfg.bound,
-            interleavings: ex.interleavings,
-            errors: ex.errors,
-            leaks: ex.first_run_leaks,
-            wildcards_analyzed: wildcards,
-            unsafe_alerts,
-            divergences: ex.divergences,
-            retries: ex.retries,
-            timeouts: ex.timeouts,
-            quarantined: ex.quarantined,
-            drained: ex.drained,
-            pb_messages,
-            first_run_makespan: ex.first_run_makespan,
-            total_virtual_time: ex.total_virtual_time,
-            budget_exhausted: ex.budget_exhausted,
-            alternates_pruned: ex.alternates_pruned,
-            wildcards_deterministic: ex.wildcards_deterministic,
-            refined_alternates_pruned: ex.refined_alternates_pruned,
-            refined_wildcards_deterministic: ex.refined_wildcards_deterministic,
-            protocol_alternates_pruned: ex.protocol_alternates_pruned,
-            protocol_wildcards_deterministic: ex.protocol_wildcards_deterministic,
-            discovered: ex.discovered,
-        }
+        VerificationReport::from_exploration(
+            program,
+            self.sim.nprocs,
+            self.cfg.clock_mode,
+            self.cfg.bound,
+            ex,
+        )
     }
 }

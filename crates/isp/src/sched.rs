@@ -25,17 +25,6 @@ use dampi_mpi::{Comm, Tag};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-/// Clock-exchange semantics of a collective (paper §II-E).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CollClockKind {
-    /// Barrier/allreduce/allgather/alltoall: everyone receives from all.
-    AllMax,
-    /// Bcast/scatter: everyone receives the root's clock.
-    FromRoot,
-    /// Reduce/gather: the root receives from all.
-    ToRoot,
-}
-
 #[derive(Debug)]
 struct SendRec {
     stamp: Vec<u64>,
@@ -44,10 +33,8 @@ struct SendRec {
 
 #[derive(Debug)]
 struct CollGather {
-    kind: CollClockKind,
-    root_crank: usize,
-    /// (world rank, comm rank, pre-collective vector) per contributor.
-    contributions: Vec<(usize, usize, Vec<u64>)>,
+    /// (world rank, pre-collective vector) per contributor.
+    contributions: Vec<(usize, Vec<u64>)>,
     expected: usize,
 }
 
@@ -222,29 +209,19 @@ impl IspScheduler {
     }
 
     /// A rank is entering a collective: deposit its pre-collective vector.
-    /// When the last member deposits, the exchange is applied to every
-    /// contributor per the operation's clock semantics. Must be called
-    /// *before* the rank enters the underlying collective so contributions
-    /// are pre-collective values.
-    pub fn on_collective(
-        &self,
-        world_rank: usize,
-        crank: usize,
-        comm: Comm,
-        comm_size: usize,
-        kind: CollClockKind,
-        root_crank: usize,
-    ) {
+    /// When the last member deposits, every contributor merges the
+    /// elementwise maximum — one all-to-all exchange whatever the
+    /// operation, matching the runtime's rendezvous and DAMPI's
+    /// `clock_allmax`. Must be called *before* the rank enters the
+    /// underlying collective so contributions are pre-collective values.
+    pub fn on_collective(&self, world_rank: usize, comm: Comm, comm_size: usize) {
         let mut g = self.inner.lock();
         let vec = g.vcs[world_rank].components().to_vec();
         let gather = g.colls.entry(comm).or_insert_with(|| CollGather {
-            kind,
-            root_crank,
             contributions: Vec::with_capacity(comm_size),
             expected: comm_size,
         });
-        debug_assert_eq!(gather.kind, kind, "mismatched collective reported");
-        gather.contributions.push((world_rank, crank, vec));
+        gather.contributions.push((world_rank, vec));
         if gather.contributions.len() == gather.expected {
             let gather = g.colls.remove(&comm).expect("just inserted");
             let merged: Vec<u64> = (0..self.nprocs)
@@ -252,31 +229,14 @@ impl IspScheduler {
                     gather
                         .contributions
                         .iter()
-                        .map(|(_, _, v)| v[i])
+                        .map(|(_, v)| v[i])
                         .max()
                         .unwrap_or(0)
                 })
                 .collect();
-            let root_vec = gather
-                .contributions
-                .iter()
-                .find(|(_, c, _)| *c == gather.root_crank)
-                .map(|(_, _, v)| v.clone());
-            for (wr, crank, _) in &gather.contributions {
-                let apply = match gather.kind {
-                    CollClockKind::AllMax => Some(&merged),
-                    CollClockKind::FromRoot => root_vec.as_ref(),
-                    CollClockKind::ToRoot => {
-                        if *crank == gather.root_crank {
-                            Some(&merged)
-                        } else {
-                            None
-                        }
-                    }
-                };
-                if let Some(v) = apply {
-                    g.vcs[*wr].merge(&ClockStamp::Vector(v.clone()));
-                }
+            let merged = ClockStamp::Vector(merged);
+            for (wr, _) in &gather.contributions {
+                g.vcs[*wr].merge(&merged);
             }
         }
     }
@@ -403,32 +363,13 @@ mod tests {
         let s = sched(2);
         // Rank 1 ticks via an epoch, then both enter a barrier.
         s.on_nd_post(1, Comm::WORLD, 0, NdKind::Recv, false, Some(0));
-        s.on_collective(0, 0, Comm::WORLD, 2, CollClockKind::AllMax, 0);
-        s.on_collective(1, 1, Comm::WORLD, 2, CollClockKind::AllMax, 0);
+        s.on_collective(0, Comm::WORLD, 2);
+        s.on_collective(1, Comm::WORLD, 2);
         // Rank 0 now knows rank 1's tick: a send from rank 0 is causally
         // after the epoch.
         s.on_send(0, 0, 1, Comm::WORLD, 0);
         s.on_recv_complete(1, Comm::WORLD, 0, 0, 0, None);
         let (epochs, _) = s.collect();
         assert!(epochs[0].alternates.is_empty(), "{epochs:?}");
-    }
-
-    #[test]
-    fn collective_from_root_only_spreads_root() {
-        let s = sched(3);
-        // Rank 2 ticks; then a bcast from root 0: rank 2's knowledge must
-        // NOT spread to others (only root's clock flows).
-        s.on_nd_post(2, Comm::WORLD, 0, NdKind::Recv, false, Some(0));
-        s.on_collective(0, 0, Comm::WORLD, 3, CollClockKind::FromRoot, 0);
-        s.on_collective(1, 1, Comm::WORLD, 3, CollClockKind::FromRoot, 0);
-        s.on_collective(2, 2, Comm::WORLD, 3, CollClockKind::FromRoot, 0);
-        // A send from rank 1 remains concurrent with rank 2's epoch.
-        s.on_send(1, 1, 2, Comm::WORLD, 0);
-        s.on_recv_complete(2, Comm::WORLD, 1, 1, 0, None);
-        let (epochs, _) = s.collect();
-        assert!(
-            epochs[0].alternates.contains(&1),
-            "bcast must not leak non-root clocks: {epochs:?}"
-        );
     }
 }

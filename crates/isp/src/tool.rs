@@ -15,9 +15,9 @@ use dampi_core::decisions::DecisionSet;
 use dampi_core::epoch::NdKind;
 use dampi_mpi::matching::ProbeInfo;
 use dampi_mpi::proc_api::{Mpi, Status};
-use dampi_mpi::{Comm, ReduceOp, Request, Result, Tag, ANY_SOURCE};
+use dampi_mpi::{CollOutcome, CollSig, Comm, Contribution, Request, Result, Tag, ANY_SOURCE};
 
-use crate::sched::{CollClockKind, IspScheduler};
+use crate::sched::IspScheduler;
 
 /// Request bookkeeping: what to report at completion time.
 enum IspMeta {
@@ -76,27 +76,21 @@ impl<M: Mpi> IspLayer<M> {
         }
     }
 
-    fn report_collective(
-        &mut self,
-        comm: Comm,
-        _dataflow: CollClockKind,
-        root: usize,
-    ) -> Result<()> {
+    /// Deposit this rank's pre-collective vector with the scheduler.
+    ///
+    /// The simulated runtime executes every collective as a full rendezvous
+    /// (each rank's exit happens-after every rank's entry), so the causal
+    /// model carries all-to-all edges whatever the operation's MPI dataflow.
+    /// Recording only the dataflow edges (paper §II-E) under-orders
+    /// post-collective sends against pre-collective wildcard receives, and
+    /// the scheduler then proposes matches the runtime cannot realize —
+    /// surfacing as phantom deadlocks on clean programs (fuzz seed 66). The
+    /// DAMPI layer applies the same strengthening (`clock_allmax`); both
+    /// sides must agree or differential fuzzing diverges.
+    fn report_collective(&mut self, comm: Comm) -> Result<()> {
         self.transact()?;
-        let crank = self.inner.comm_rank(comm)?;
         let size = self.inner.comm_size(comm)?;
-        // The simulated runtime executes every collective as a full
-        // rendezvous (each rank's exit happens-after every rank's entry),
-        // so the causal model must carry all-to-all edges regardless of
-        // the operation's MPI dataflow. Recording only the dataflow kind
-        // (`_dataflow`, paper §II-E) under-orders post-collective sends
-        // against pre-collective wildcard receives, and the scheduler
-        // then proposes matches the runtime cannot realize — surfacing
-        // as phantom deadlocks on clean programs (fuzz seed 66). The
-        // DAMPI layer applies the same strengthening (`clock_allmax`);
-        // both sides must agree or differential fuzzing diverges.
-        self.sched
-            .on_collective(self.rank, crank, comm, size, CollClockKind::AllMax, root);
+        self.sched.on_collective(self.rank, comm, size);
         Ok(())
     }
 
@@ -255,80 +249,28 @@ impl<M: Mpi> Mpi for IspLayer<M> {
         self.inner.iprobe(comm, src, tag)
     }
 
-    fn barrier(&mut self, comm: Comm) -> Result<()> {
-        self.report_collective(comm, CollClockKind::AllMax, 0)?;
-        self.inner.barrier(comm)
-    }
-
-    fn bcast(&mut self, comm: Comm, root: usize, data: Option<Bytes>) -> Result<Bytes> {
-        self.report_collective(comm, CollClockKind::FromRoot, root)?;
-        self.inner.bcast(comm, root, data)
-    }
-
-    fn reduce_u64(
+    fn collective(
         &mut self,
         comm: Comm,
-        root: usize,
-        value: Vec<u64>,
-        op: ReduceOp,
-    ) -> Result<Option<Vec<u64>>> {
-        self.report_collective(comm, CollClockKind::ToRoot, root)?;
-        self.inner.reduce_u64(comm, root, value, op)
-    }
-
-    fn allreduce_u64(&mut self, comm: Comm, value: Vec<u64>, op: ReduceOp) -> Result<Vec<u64>> {
-        self.report_collective(comm, CollClockKind::AllMax, 0)?;
-        self.inner.allreduce_u64(comm, value, op)
-    }
-
-    fn reduce_f64(
-        &mut self,
-        comm: Comm,
-        root: usize,
-        value: Vec<f64>,
-        op: ReduceOp,
-    ) -> Result<Option<Vec<f64>>> {
-        self.report_collective(comm, CollClockKind::ToRoot, root)?;
-        self.inner.reduce_f64(comm, root, value, op)
-    }
-
-    fn allreduce_f64(&mut self, comm: Comm, value: Vec<f64>, op: ReduceOp) -> Result<Vec<f64>> {
-        self.report_collective(comm, CollClockKind::AllMax, 0)?;
-        self.inner.allreduce_f64(comm, value, op)
-    }
-
-    fn gather(&mut self, comm: Comm, root: usize, data: Bytes) -> Result<Option<Vec<Bytes>>> {
-        self.report_collective(comm, CollClockKind::ToRoot, root)?;
-        self.inner.gather(comm, root, data)
-    }
-
-    fn allgather(&mut self, comm: Comm, data: Bytes) -> Result<Vec<Bytes>> {
-        self.report_collective(comm, CollClockKind::AllMax, 0)?;
-        self.inner.allgather(comm, data)
-    }
-
-    fn scatter(&mut self, comm: Comm, root: usize, data: Option<Vec<Bytes>>) -> Result<Bytes> {
-        self.report_collective(comm, CollClockKind::FromRoot, root)?;
-        self.inner.scatter(comm, root, data)
-    }
-
-    fn alltoall(&mut self, comm: Comm, data: Vec<Bytes>) -> Result<Vec<Bytes>> {
-        self.report_collective(comm, CollClockKind::AllMax, 0)?;
-        self.inner.alltoall(comm, data)
+        sig: CollSig,
+        contribution: Contribution,
+    ) -> Result<CollOutcome> {
+        self.report_collective(comm)?;
+        self.inner.collective(comm, sig, contribution)
     }
 
     fn comm_dup(&mut self, comm: Comm) -> Result<Comm> {
-        self.report_collective(comm, CollClockKind::AllMax, 0)?;
+        self.report_collective(comm)?;
         self.inner.comm_dup(comm)
     }
 
     fn comm_split(&mut self, comm: Comm, color: i64, key: i64) -> Result<Option<Comm>> {
-        self.report_collective(comm, CollClockKind::AllMax, 0)?;
+        self.report_collective(comm)?;
         self.inner.comm_split(comm, color, key)
     }
 
     fn comm_free(&mut self, comm: Comm) -> Result<()> {
-        self.report_collective(comm, CollClockKind::AllMax, 0)?;
+        self.report_collective(comm)?;
         self.inner.comm_free(comm)
     }
 

@@ -91,36 +91,14 @@ impl IspVerifier {
             ..ExploreOptions::default()
         };
         let ex = scheduler::explore(|ds| self.instrumented_run(program, ds), &opts);
-        VerificationReport {
-            program: program.name().to_owned(),
-            nprocs: self.sim.nprocs,
-            clock_mode: dampi_clocks::ClockMode::Vector,
-            bound: MixingBound::Unbounded,
-            interleavings: ex.interleavings,
-            errors: ex.errors,
-            leaks: ex.first_run_leaks,
-            wildcards_analyzed: ex.first_run_stats.wildcards,
-            unsafe_alerts: 0,
-            divergences: ex.divergences,
-            retries: ex.retries,
-            timeouts: ex.timeouts,
-            // Sharding is a DAMPI-side feature; the centralized baseline
-            // runs in-process only.
-            quarantined: 0,
-            drained: false,
-            pb_messages: 0,
-            first_run_makespan: ex.first_run_makespan,
-            total_virtual_time: ex.total_virtual_time,
-            budget_exhausted: ex.budget_exhausted,
-            // Static pruning is a DAMPI-side feature; the centralized
-            // baseline never consumes a plan.
-            alternates_pruned: 0,
-            wildcards_deterministic: 0,
-            refined_alternates_pruned: 0,
-            refined_wildcards_deterministic: 0,
-            protocol_alternates_pruned: 0,
-            protocol_wildcards_deterministic: 0,
-            discovered: ex.discovered,
-        }
+        // Sharding, static pruning and the piggyback/monitor counters are
+        // DAMPI-side features: the exploration reports them as zero here.
+        VerificationReport::from_exploration(
+            program.name(),
+            self.sim.nprocs,
+            dampi_clocks::ClockMode::Vector,
+            MixingBound::Unbounded,
+            ex,
+        )
     }
 }

@@ -1,8 +1,7 @@
 //! Blocking collective operations: rendezvous slots and data combination.
 //!
 //! MPI requires all ranks of a communicator to call the *same* collective;
-//! it does not require synchronous completion (the paper's §II-E exploits
-//! this to define clock semantics per collective). The simulator implements
+//! it does not require synchronous completion. The simulator implements
 //! collectives as generation-counted rendezvous: ranks deposit
 //! contributions, the last arrival combines them, and every rank leaves with
 //! its per-rank outcome. Calling mismatched collectives concurrently on one
@@ -99,6 +98,52 @@ pub enum CollSig {
     CommSplit,
     /// `MPI_Comm_free` (collective over the freed communicator).
     CommFree,
+}
+
+impl CollSig {
+    /// Operation name as trace layers record it. The strings are a contract
+    /// for `.protocol` specs, lint L001 and the analysis digests.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            CollSig::Barrier => "barrier",
+            CollSig::Bcast { .. } => "bcast",
+            CollSig::ReduceU64 { .. } => "reduce_u64",
+            CollSig::AllreduceU64 { .. } => "allreduce_u64",
+            CollSig::ReduceF64 { .. } => "reduce_f64",
+            CollSig::AllreduceF64 { .. } => "allreduce_f64",
+            CollSig::Gather { .. } => "gather",
+            CollSig::Allgather => "allgather",
+            CollSig::Scatter { .. } => "scatter",
+            CollSig::Alltoall => "alltoall",
+            CollSig::CommDup => "comm_dup",
+            CollSig::CommSplit => "comm_split",
+            CollSig::CommFree => "comm_free",
+        }
+    }
+
+    /// Root comm rank of the rooted collectives, `None` for the rest.
+    #[must_use]
+    pub fn root(self) -> Option<usize> {
+        match self {
+            CollSig::Bcast { root }
+            | CollSig::ReduceU64 { root, .. }
+            | CollSig::ReduceF64 { root, .. }
+            | CollSig::Gather { root }
+            | CollSig::Scatter { root } => Some(root),
+            _ => None,
+        }
+    }
+
+    /// True for the communicator-management collectives, which the typed
+    /// `comm_dup`/`comm_split`/`comm_free` own and the runtime combines.
+    #[must_use]
+    pub fn is_comm_management(self) -> bool {
+        matches!(
+            self,
+            CollSig::CommDup | CollSig::CommSplit | CollSig::CommFree
+        )
+    }
 }
 
 /// Per-rank input to a collective.

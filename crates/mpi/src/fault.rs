@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::collective::ReduceOp;
+use crate::collective::{CollOutcome, CollSig, Contribution};
 use crate::comm::Comm;
 use crate::error::Result;
 use crate::matching::ProbeInfo;
@@ -390,57 +390,14 @@ impl<M: Mpi> Mpi for FaultLayer<M> {
         self.inner.iprobe(comm, src, tag)
     }
 
-    fn barrier(&mut self, comm: Comm) -> Result<()> {
-        self.op_event()?;
-        self.inner.barrier(comm)
-    }
-    fn bcast(&mut self, comm: Comm, root: usize, data: Option<Bytes>) -> Result<Bytes> {
-        self.op_event()?;
-        self.inner.bcast(comm, root, data)
-    }
-    fn reduce_u64(
+    fn collective(
         &mut self,
         comm: Comm,
-        root: usize,
-        value: Vec<u64>,
-        op: ReduceOp,
-    ) -> Result<Option<Vec<u64>>> {
+        sig: CollSig,
+        contribution: Contribution,
+    ) -> Result<CollOutcome> {
         self.op_event()?;
-        self.inner.reduce_u64(comm, root, value, op)
-    }
-    fn allreduce_u64(&mut self, comm: Comm, value: Vec<u64>, op: ReduceOp) -> Result<Vec<u64>> {
-        self.op_event()?;
-        self.inner.allreduce_u64(comm, value, op)
-    }
-    fn reduce_f64(
-        &mut self,
-        comm: Comm,
-        root: usize,
-        value: Vec<f64>,
-        op: ReduceOp,
-    ) -> Result<Option<Vec<f64>>> {
-        self.op_event()?;
-        self.inner.reduce_f64(comm, root, value, op)
-    }
-    fn allreduce_f64(&mut self, comm: Comm, value: Vec<f64>, op: ReduceOp) -> Result<Vec<f64>> {
-        self.op_event()?;
-        self.inner.allreduce_f64(comm, value, op)
-    }
-    fn gather(&mut self, comm: Comm, root: usize, data: Bytes) -> Result<Option<Vec<Bytes>>> {
-        self.op_event()?;
-        self.inner.gather(comm, root, data)
-    }
-    fn allgather(&mut self, comm: Comm, data: Bytes) -> Result<Vec<Bytes>> {
-        self.op_event()?;
-        self.inner.allgather(comm, data)
-    }
-    fn scatter(&mut self, comm: Comm, root: usize, data: Option<Vec<Bytes>>) -> Result<Bytes> {
-        self.op_event()?;
-        self.inner.scatter(comm, root, data)
-    }
-    fn alltoall(&mut self, comm: Comm, data: Vec<Bytes>) -> Result<Vec<Bytes>> {
-        self.op_event()?;
-        self.inner.alltoall(comm, data)
+        self.inner.collective(comm, sig, contribution)
     }
 
     fn comm_dup(&mut self, comm: Comm) -> Result<Comm> {

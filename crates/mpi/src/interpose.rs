@@ -2,8 +2,10 @@
 //!
 //! A *layer* is just an [`Mpi`] implementation that owns an inner [`Mpi`]
 //! and forwards (possibly rewritten) calls downward — the simulator analog
-//! of a PnMPI module providing `MPI_f` and calling `PMPI_f`. This module
-//! provides two reference layers:
+//! of a PnMPI module providing `MPI_f` and calling `PMPI_f`. A layer
+//! implements the required primitives only: [`Mpi::collective`] once for all
+//! ten typed data collectives, which it inherits as provided methods. This
+//! module provides two reference layers:
 //!
 //! * [`PassthroughLayer`] — forwards everything unchanged; the identity
 //!   tool, useful in tests and for measuring interposition overhead floors.
@@ -18,7 +20,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::collective::ReduceOp;
+use crate::collective::{CollOutcome, CollSig, Contribution};
 use crate::comm::Comm;
 use crate::error::Result;
 use crate::matching::ProbeInfo;
@@ -93,47 +95,13 @@ impl<M: Mpi> Mpi for PassthroughLayer<M> {
     fn iprobe(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<Option<ProbeInfo>> {
         self.inner.iprobe(comm, src, tag)
     }
-    fn barrier(&mut self, comm: Comm) -> Result<()> {
-        self.inner.barrier(comm)
-    }
-    fn bcast(&mut self, comm: Comm, root: usize, data: Option<Bytes>) -> Result<Bytes> {
-        self.inner.bcast(comm, root, data)
-    }
-    fn reduce_u64(
+    fn collective(
         &mut self,
         comm: Comm,
-        root: usize,
-        value: Vec<u64>,
-        op: ReduceOp,
-    ) -> Result<Option<Vec<u64>>> {
-        self.inner.reduce_u64(comm, root, value, op)
-    }
-    fn allreduce_u64(&mut self, comm: Comm, value: Vec<u64>, op: ReduceOp) -> Result<Vec<u64>> {
-        self.inner.allreduce_u64(comm, value, op)
-    }
-    fn reduce_f64(
-        &mut self,
-        comm: Comm,
-        root: usize,
-        value: Vec<f64>,
-        op: ReduceOp,
-    ) -> Result<Option<Vec<f64>>> {
-        self.inner.reduce_f64(comm, root, value, op)
-    }
-    fn allreduce_f64(&mut self, comm: Comm, value: Vec<f64>, op: ReduceOp) -> Result<Vec<f64>> {
-        self.inner.allreduce_f64(comm, value, op)
-    }
-    fn gather(&mut self, comm: Comm, root: usize, data: Bytes) -> Result<Option<Vec<Bytes>>> {
-        self.inner.gather(comm, root, data)
-    }
-    fn allgather(&mut self, comm: Comm, data: Bytes) -> Result<Vec<Bytes>> {
-        self.inner.allgather(comm, data)
-    }
-    fn scatter(&mut self, comm: Comm, root: usize, data: Option<Vec<Bytes>>) -> Result<Bytes> {
-        self.inner.scatter(comm, root, data)
-    }
-    fn alltoall(&mut self, comm: Comm, data: Vec<Bytes>) -> Result<Vec<Bytes>> {
-        self.inner.alltoall(comm, data)
+        sig: CollSig,
+        contribution: Contribution,
+    ) -> Result<CollOutcome> {
+        self.inner.collective(comm, sig, contribution)
     }
     fn comm_dup(&mut self, comm: Comm) -> Result<Comm> {
         self.inner.comm_dup(comm)
@@ -241,57 +209,14 @@ impl<M: Mpi> Mpi for StatsLayer<M> {
         self.tally(OpClass::SendRecv);
         self.inner.iprobe(comm, src, tag)
     }
-    fn barrier(&mut self, comm: Comm) -> Result<()> {
-        self.tally(OpClass::Collective);
-        self.inner.barrier(comm)
-    }
-    fn bcast(&mut self, comm: Comm, root: usize, data: Option<Bytes>) -> Result<Bytes> {
-        self.tally(OpClass::Collective);
-        self.inner.bcast(comm, root, data)
-    }
-    fn reduce_u64(
+    fn collective(
         &mut self,
         comm: Comm,
-        root: usize,
-        value: Vec<u64>,
-        op: ReduceOp,
-    ) -> Result<Option<Vec<u64>>> {
+        sig: CollSig,
+        contribution: Contribution,
+    ) -> Result<CollOutcome> {
         self.tally(OpClass::Collective);
-        self.inner.reduce_u64(comm, root, value, op)
-    }
-    fn allreduce_u64(&mut self, comm: Comm, value: Vec<u64>, op: ReduceOp) -> Result<Vec<u64>> {
-        self.tally(OpClass::Collective);
-        self.inner.allreduce_u64(comm, value, op)
-    }
-    fn reduce_f64(
-        &mut self,
-        comm: Comm,
-        root: usize,
-        value: Vec<f64>,
-        op: ReduceOp,
-    ) -> Result<Option<Vec<f64>>> {
-        self.tally(OpClass::Collective);
-        self.inner.reduce_f64(comm, root, value, op)
-    }
-    fn allreduce_f64(&mut self, comm: Comm, value: Vec<f64>, op: ReduceOp) -> Result<Vec<f64>> {
-        self.tally(OpClass::Collective);
-        self.inner.allreduce_f64(comm, value, op)
-    }
-    fn gather(&mut self, comm: Comm, root: usize, data: Bytes) -> Result<Option<Vec<Bytes>>> {
-        self.tally(OpClass::Collective);
-        self.inner.gather(comm, root, data)
-    }
-    fn allgather(&mut self, comm: Comm, data: Bytes) -> Result<Vec<Bytes>> {
-        self.tally(OpClass::Collective);
-        self.inner.allgather(comm, data)
-    }
-    fn scatter(&mut self, comm: Comm, root: usize, data: Option<Vec<Bytes>>) -> Result<Bytes> {
-        self.tally(OpClass::Collective);
-        self.inner.scatter(comm, root, data)
-    }
-    fn alltoall(&mut self, comm: Comm, data: Vec<Bytes>) -> Result<Vec<Bytes>> {
-        self.tally(OpClass::Collective);
-        self.inner.alltoall(comm, data)
+        self.inner.collective(comm, sig, contribution)
     }
     fn comm_dup(&mut self, comm: Comm) -> Result<Comm> {
         self.tally(OpClass::Collective);

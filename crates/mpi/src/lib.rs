@@ -47,7 +47,7 @@ pub mod trace;
 pub mod types;
 pub mod vtime;
 
-pub use collective::ReduceOp;
+pub use collective::{CollOutcome, CollSig, Contribution, ReduceOp};
 pub use comm::Comm;
 pub use envelope::Envelope;
 pub use error::{MpiError, Result};

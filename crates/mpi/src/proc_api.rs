@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::collective::ReduceOp;
+use crate::collective::{CollOutcome, CollSig, Contribution, ReduceOp};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
 use crate::matching::ProbeInfo;
@@ -36,9 +36,11 @@ pub struct Status {
 /// The MPI interface available to verified programs and tool layers.
 ///
 /// Blocking convenience operations (`send`, `recv`, `waitall`, `sendrecv`)
-/// have default implementations in terms of the nonblocking primitives, so a
-/// tool layer that intercepts the primitives automatically intercepts the
-/// conveniences.
+/// have default implementations in terms of the nonblocking primitives, and
+/// the ten typed data collectives (`barrier` … `alltoall`) in terms of
+/// [`Mpi::collective`], so a tool layer that intercepts the primitives
+/// automatically intercepts the conveniences. `comm_dup`/`comm_split`/
+/// `comm_free` stay primitives: layers treat each of the three differently.
 #[allow(clippy::too_many_arguments)]
 pub trait Mpi: Send {
     /// This process's world rank.
@@ -79,39 +81,16 @@ pub trait Mpi: Send {
     /// Nonblocking probe (`MPI_Iprobe`).
     fn iprobe(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<Option<ProbeInfo>>;
 
-    /// `MPI_Barrier`.
-    fn barrier(&mut self, comm: Comm) -> Result<()>;
-    /// `MPI_Bcast`: root passes `Some(data)`, everyone receives it.
-    fn bcast(&mut self, comm: Comm, root: usize, data: Option<Bytes>) -> Result<Bytes>;
-    /// `MPI_Reduce` on u64 vectors; only root receives `Some`.
-    fn reduce_u64(
+    /// The one entry point of every data collective: deposit this rank's
+    /// `contribution` to the `sig` rendezvous on `comm` and leave with its
+    /// per-rank outcome. The typed collectives below are all derived from
+    /// it, so a tool layer implements its collective behaviour here once.
+    fn collective(
         &mut self,
         comm: Comm,
-        root: usize,
-        value: Vec<u64>,
-        op: ReduceOp,
-    ) -> Result<Option<Vec<u64>>>;
-    /// `MPI_Allreduce` on u64 vectors.
-    fn allreduce_u64(&mut self, comm: Comm, value: Vec<u64>, op: ReduceOp) -> Result<Vec<u64>>;
-    /// `MPI_Reduce` on f64 vectors; only root receives `Some`.
-    fn reduce_f64(
-        &mut self,
-        comm: Comm,
-        root: usize,
-        value: Vec<f64>,
-        op: ReduceOp,
-    ) -> Result<Option<Vec<f64>>>;
-    /// `MPI_Allreduce` on f64 vectors.
-    fn allreduce_f64(&mut self, comm: Comm, value: Vec<f64>, op: ReduceOp) -> Result<Vec<f64>>;
-    /// `MPI_Gather` to `root`, which receives all contributions in comm-rank
-    /// order.
-    fn gather(&mut self, comm: Comm, root: usize, data: Bytes) -> Result<Option<Vec<Bytes>>>;
-    /// `MPI_Allgather`.
-    fn allgather(&mut self, comm: Comm, data: Bytes) -> Result<Vec<Bytes>>;
-    /// `MPI_Scatter` from `root`, which passes one payload per rank.
-    fn scatter(&mut self, comm: Comm, root: usize, data: Option<Vec<Bytes>>) -> Result<Bytes>;
-    /// `MPI_Alltoall`.
-    fn alltoall(&mut self, comm: Comm, data: Vec<Bytes>) -> Result<Vec<Bytes>>;
+        sig: CollSig,
+        contribution: Contribution,
+    ) -> Result<CollOutcome>;
 
     /// `MPI_Comm_dup` (collective over `comm`).
     fn comm_dup(&mut self, comm: Comm) -> Result<Comm>;
@@ -164,6 +143,137 @@ pub trait Mpi: Send {
         let out = self.wait(rr)?;
         self.wait(sr)?;
         Ok(out)
+    }
+
+    /// `MPI_Barrier`.
+    fn barrier(&mut self, comm: Comm) -> Result<()> {
+        let sig = CollSig::Barrier;
+        match self.collective(comm, sig, Contribution::None)? {
+            CollOutcome::None => Ok(()),
+            other => Err(unexpected_outcome(sig, &other)),
+        }
+    }
+
+    /// `MPI_Bcast`: root passes `Some(data)`, everyone receives it.
+    fn bcast(&mut self, comm: Comm, root: usize, data: Option<Bytes>) -> Result<Bytes> {
+        let sig = CollSig::Bcast { root };
+        let contribution = if self.comm_rank(comm)? == root {
+            Contribution::Bytes(root_data(sig, data)?)
+        } else {
+            Contribution::None
+        };
+        match self.collective(comm, sig, contribution)? {
+            CollOutcome::Bytes(b) => Ok(b),
+            other => Err(unexpected_outcome(sig, &other)),
+        }
+    }
+
+    /// `MPI_Reduce` on u64 vectors; only root receives `Some`.
+    fn reduce_u64(
+        &mut self,
+        comm: Comm,
+        root: usize,
+        value: Vec<u64>,
+        op: ReduceOp,
+    ) -> Result<Option<Vec<u64>>> {
+        let sig = CollSig::ReduceU64 { root, op };
+        match self.collective(comm, sig, Contribution::U64s(value))? {
+            CollOutcome::U64s(v) => Ok(Some(v)),
+            CollOutcome::None => Ok(None),
+            other => Err(unexpected_outcome(sig, &other)),
+        }
+    }
+
+    /// `MPI_Allreduce` on u64 vectors.
+    fn allreduce_u64(&mut self, comm: Comm, value: Vec<u64>, op: ReduceOp) -> Result<Vec<u64>> {
+        let sig = CollSig::AllreduceU64 { op };
+        match self.collective(comm, sig, Contribution::U64s(value))? {
+            CollOutcome::U64s(v) => Ok(v),
+            other => Err(unexpected_outcome(sig, &other)),
+        }
+    }
+
+    /// `MPI_Reduce` on f64 vectors; only root receives `Some`.
+    fn reduce_f64(
+        &mut self,
+        comm: Comm,
+        root: usize,
+        value: Vec<f64>,
+        op: ReduceOp,
+    ) -> Result<Option<Vec<f64>>> {
+        let sig = CollSig::ReduceF64 { root, op };
+        match self.collective(comm, sig, Contribution::F64s(value))? {
+            CollOutcome::F64s(v) => Ok(Some(v)),
+            CollOutcome::None => Ok(None),
+            other => Err(unexpected_outcome(sig, &other)),
+        }
+    }
+
+    /// `MPI_Allreduce` on f64 vectors.
+    fn allreduce_f64(&mut self, comm: Comm, value: Vec<f64>, op: ReduceOp) -> Result<Vec<f64>> {
+        let sig = CollSig::AllreduceF64 { op };
+        match self.collective(comm, sig, Contribution::F64s(value))? {
+            CollOutcome::F64s(v) => Ok(v),
+            other => Err(unexpected_outcome(sig, &other)),
+        }
+    }
+
+    /// `MPI_Gather` to `root`, which receives all contributions in comm-rank
+    /// order.
+    fn gather(&mut self, comm: Comm, root: usize, data: Bytes) -> Result<Option<Vec<Bytes>>> {
+        let sig = CollSig::Gather { root };
+        match self.collective(comm, sig, Contribution::Bytes(data))? {
+            CollOutcome::BytesVec(v) => Ok(Some(v)),
+            CollOutcome::None => Ok(None),
+            other => Err(unexpected_outcome(sig, &other)),
+        }
+    }
+
+    /// `MPI_Allgather`.
+    fn allgather(&mut self, comm: Comm, data: Bytes) -> Result<Vec<Bytes>> {
+        let sig = CollSig::Allgather;
+        match self.collective(comm, sig, Contribution::Bytes(data))? {
+            CollOutcome::BytesVec(v) => Ok(v),
+            other => Err(unexpected_outcome(sig, &other)),
+        }
+    }
+
+    /// `MPI_Scatter` from `root`, which passes one payload per rank.
+    fn scatter(&mut self, comm: Comm, root: usize, data: Option<Vec<Bytes>>) -> Result<Bytes> {
+        let sig = CollSig::Scatter { root };
+        let contribution = if self.comm_rank(comm)? == root {
+            Contribution::BytesVec(root_data(sig, data)?)
+        } else {
+            Contribution::None
+        };
+        match self.collective(comm, sig, contribution)? {
+            CollOutcome::Bytes(b) => Ok(b),
+            other => Err(unexpected_outcome(sig, &other)),
+        }
+    }
+
+    /// `MPI_Alltoall`.
+    fn alltoall(&mut self, comm: Comm, data: Vec<Bytes>) -> Result<Vec<Bytes>> {
+        let sig = CollSig::Alltoall;
+        match self.collective(comm, sig, Contribution::BytesVec(data))? {
+            CollOutcome::BytesVec(v) => Ok(v),
+            other => Err(unexpected_outcome(sig, &other)),
+        }
+    }
+}
+
+/// The payload the root of a `bcast`/`scatter` must supply.
+fn root_data<T>(sig: CollSig, data: Option<T>) -> Result<T> {
+    data.ok_or_else(|| MpiError::ToolProtocol {
+        detail: format!("{} root passed no data", sig.name()),
+    })
+}
+
+/// A collective left the rendezvous with an outcome its typed wrapper cannot
+/// unpack: a broken layer below, never a program error.
+pub(crate) fn unexpected_outcome(sig: CollSig, got: &CollOutcome) -> MpiError {
+    MpiError::ToolProtocol {
+        detail: format!("{} returned {got:?}", sig.name()),
     }
 }
 
@@ -250,56 +360,21 @@ impl Mpi for Pmpi {
         self.world.op_iprobe(self.rank, comm, src, tag)
     }
 
-    fn barrier(&mut self, comm: Comm) -> Result<()> {
-        self.world.op_barrier(self.rank, comm)
-    }
-
-    fn bcast(&mut self, comm: Comm, root: usize, data: Option<Bytes>) -> Result<Bytes> {
-        self.world.op_bcast(self.rank, comm, root, data)
-    }
-
-    fn reduce_u64(
+    fn collective(
         &mut self,
         comm: Comm,
-        root: usize,
-        value: Vec<u64>,
-        op: ReduceOp,
-    ) -> Result<Option<Vec<u64>>> {
-        self.world.op_reduce_u64(self.rank, comm, root, value, op)
-    }
-
-    fn allreduce_u64(&mut self, comm: Comm, value: Vec<u64>, op: ReduceOp) -> Result<Vec<u64>> {
-        self.world.op_allreduce_u64(self.rank, comm, value, op)
-    }
-
-    fn reduce_f64(
-        &mut self,
-        comm: Comm,
-        root: usize,
-        value: Vec<f64>,
-        op: ReduceOp,
-    ) -> Result<Option<Vec<f64>>> {
-        self.world.op_reduce_f64(self.rank, comm, root, value, op)
-    }
-
-    fn allreduce_f64(&mut self, comm: Comm, value: Vec<f64>, op: ReduceOp) -> Result<Vec<f64>> {
-        self.world.op_allreduce_f64(self.rank, comm, value, op)
-    }
-
-    fn gather(&mut self, comm: Comm, root: usize, data: Bytes) -> Result<Option<Vec<Bytes>>> {
-        self.world.op_gather(self.rank, comm, root, data)
-    }
-
-    fn allgather(&mut self, comm: Comm, data: Bytes) -> Result<Vec<Bytes>> {
-        self.world.op_allgather(self.rank, comm, data)
-    }
-
-    fn scatter(&mut self, comm: Comm, root: usize, data: Option<Vec<Bytes>>) -> Result<Bytes> {
-        self.world.op_scatter(self.rank, comm, root, data)
-    }
-
-    fn alltoall(&mut self, comm: Comm, data: Vec<Bytes>) -> Result<Vec<Bytes>> {
-        self.world.op_alltoall(self.rank, comm, data)
+        sig: CollSig,
+        contribution: Contribution,
+    ) -> Result<CollOutcome> {
+        // Communicator management has typed methods with their own checks
+        // (tool shadow comms, the MPI_COMM_WORLD refusal): keep it off the
+        // data waist so nothing reaches the runtime around them.
+        if sig.is_comm_management() {
+            return Err(MpiError::ToolProtocol {
+                detail: format!("{} is not a data collective", sig.name()),
+            });
+        }
+        self.world.collective(self.rank, comm, sig, contribution)
     }
 
     fn comm_dup(&mut self, comm: Comm) -> Result<Comm> {

@@ -15,13 +15,13 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 
-use crate::collective::{combine, CollOutcome, CollSig, CollSlot, Contribution, ReduceOp};
+use crate::collective::{combine, CollOutcome, CollSig, CollSlot, Contribution};
 use crate::comm::{Comm, CommInfo};
 use crate::envelope::Envelope;
 use crate::error::{MpiError, Result};
 use crate::leak::{CommLeak, LeakReport};
 use crate::matching::{Delivery, MatchEngine, MatchPolicy, ProbeInfo};
-use crate::proc_api::{Pmpi, Status};
+use crate::proc_api::{unexpected_outcome, Pmpi, Status};
 use crate::program::{MpiProgram, RunOutcome};
 use crate::request::{ReqKind, ReqState, Request, RequestEntry, RequestTable};
 use crate::types::{Tag, ANY_SOURCE};
@@ -770,20 +770,29 @@ impl World {
 
     // ---- collectives ------------------------------------------------------
 
-    /// Shared rendezvous path for every collective operation.
-    fn collective(
+    /// Shared rendezvous path for every collective operation: the bottom
+    /// of [`Mpi::collective`](crate::proc_api::Mpi::collective) and of the
+    /// three communicator-management operations below.
+    pub(crate) fn collective(
         &self,
         rank: usize,
         comm: Comm,
         sig: CollSig,
         contribution: Contribution,
     ) -> Result<CollOutcome> {
-        let gen = {
+        let (gen, idx, crank) = {
             let mut g = self.enter(rank);
             if let Some(f) = self.guard(&mut g) {
                 return Err(f);
             }
             let (idx, crank) = Self::resolve(&g, comm, rank)?;
+            let size = g.comms[idx].info.size();
+            if let Some(root) = sig.root().filter(|&root| root >= size) {
+                return Err(MpiError::InvalidRank {
+                    rank: i32::try_from(root).unwrap_or(i32::MAX),
+                    comm_size: size,
+                });
+            }
             g.vt[rank] += self.cfg.vtime.send_overhead;
             self.check_vt_budget(&mut g, rank)?;
             let vt = g.vt[rank];
@@ -801,13 +810,11 @@ impl World {
             };
             if last {
                 let (sig, contribs, max_vt) = g.comms[idx].coll.take_contributions();
-                let size = g.comms[idx].info.size();
                 let result_vt = max_vt + self.cfg.vtime.collective_cost(size);
-                let outcomes = match sig {
-                    CollSig::CommDup | CollSig::CommSplit | CollSig::CommFree => {
-                        self.comm_management(&mut g, idx, sig, &contribs)
-                    }
-                    _ => combine(sig, &contribs),
+                let outcomes = if sig.is_comm_management() {
+                    self.comm_management(&mut g, idx, sig, &contribs)
+                } else {
+                    combine(sig, &contribs)
                 };
                 g.comms[idx].coll.finish(gen, outcomes, result_vt);
                 let members: Vec<usize> = g.comms[idx].info.group.clone();
@@ -817,15 +824,7 @@ impl World {
                     }
                 }
             }
-            gen
-        };
-        let idx = comm.0 as usize;
-        let crank = {
-            let g = self.state.lock();
-            g.comms[idx]
-                .info
-                .comm_rank_of(rank)
-                .ok_or(MpiError::InvalidComm)?
+            (gen, idx, crank)
         };
         let (outcome, vt) =
             self.block_on(rank, |s| s.comms[idx].coll.try_take(gen, crank).map(Ok))?;
@@ -910,195 +909,10 @@ impl World {
         }
     }
 
-    pub(crate) fn op_barrier(&self, rank: usize, comm: Comm) -> Result<()> {
-        match self.collective(rank, comm, CollSig::Barrier, Contribution::None)? {
-            CollOutcome::None => Ok(()),
-            other => Err(MpiError::ToolProtocol {
-                detail: format!("barrier returned {other:?}"),
-            }),
-        }
-    }
-
-    pub(crate) fn op_bcast(
-        &self,
-        rank: usize,
-        comm: Comm,
-        root: usize,
-        data: Option<Bytes>,
-    ) -> Result<Bytes> {
-        let crank = self.op_comm_rank(rank, comm)?;
-        let contribution = if crank == root {
-            Contribution::Bytes(data.ok_or_else(|| MpiError::ToolProtocol {
-                detail: "bcast root passed no data".to_owned(),
-            })?)
-        } else {
-            Contribution::None
-        };
-        match self.collective(rank, comm, CollSig::Bcast { root }, contribution)? {
-            CollOutcome::Bytes(b) => Ok(b),
-            other => Err(MpiError::ToolProtocol {
-                detail: format!("bcast returned {other:?}"),
-            }),
-        }
-    }
-
-    pub(crate) fn op_reduce_u64(
-        &self,
-        rank: usize,
-        comm: Comm,
-        root: usize,
-        value: Vec<u64>,
-        op: ReduceOp,
-    ) -> Result<Option<Vec<u64>>> {
-        match self.collective(
-            rank,
-            comm,
-            CollSig::ReduceU64 { root, op },
-            Contribution::U64s(value),
-        )? {
-            CollOutcome::U64s(v) => Ok(Some(v)),
-            CollOutcome::None => Ok(None),
-            other => Err(MpiError::ToolProtocol {
-                detail: format!("reduce returned {other:?}"),
-            }),
-        }
-    }
-
-    pub(crate) fn op_allreduce_u64(
-        &self,
-        rank: usize,
-        comm: Comm,
-        value: Vec<u64>,
-        op: ReduceOp,
-    ) -> Result<Vec<u64>> {
-        match self.collective(
-            rank,
-            comm,
-            CollSig::AllreduceU64 { op },
-            Contribution::U64s(value),
-        )? {
-            CollOutcome::U64s(v) => Ok(v),
-            other => Err(MpiError::ToolProtocol {
-                detail: format!("allreduce returned {other:?}"),
-            }),
-        }
-    }
-
-    pub(crate) fn op_reduce_f64(
-        &self,
-        rank: usize,
-        comm: Comm,
-        root: usize,
-        value: Vec<f64>,
-        op: ReduceOp,
-    ) -> Result<Option<Vec<f64>>> {
-        match self.collective(
-            rank,
-            comm,
-            CollSig::ReduceF64 { root, op },
-            Contribution::F64s(value),
-        )? {
-            CollOutcome::F64s(v) => Ok(Some(v)),
-            CollOutcome::None => Ok(None),
-            other => Err(MpiError::ToolProtocol {
-                detail: format!("reduce returned {other:?}"),
-            }),
-        }
-    }
-
-    pub(crate) fn op_allreduce_f64(
-        &self,
-        rank: usize,
-        comm: Comm,
-        value: Vec<f64>,
-        op: ReduceOp,
-    ) -> Result<Vec<f64>> {
-        match self.collective(
-            rank,
-            comm,
-            CollSig::AllreduceF64 { op },
-            Contribution::F64s(value),
-        )? {
-            CollOutcome::F64s(v) => Ok(v),
-            other => Err(MpiError::ToolProtocol {
-                detail: format!("allreduce returned {other:?}"),
-            }),
-        }
-    }
-
-    pub(crate) fn op_gather(
-        &self,
-        rank: usize,
-        comm: Comm,
-        root: usize,
-        data: Bytes,
-    ) -> Result<Option<Vec<Bytes>>> {
-        match self.collective(
-            rank,
-            comm,
-            CollSig::Gather { root },
-            Contribution::Bytes(data),
-        )? {
-            CollOutcome::BytesVec(v) => Ok(Some(v)),
-            CollOutcome::None => Ok(None),
-            other => Err(MpiError::ToolProtocol {
-                detail: format!("gather returned {other:?}"),
-            }),
-        }
-    }
-
-    pub(crate) fn op_allgather(&self, rank: usize, comm: Comm, data: Bytes) -> Result<Vec<Bytes>> {
-        match self.collective(rank, comm, CollSig::Allgather, Contribution::Bytes(data))? {
-            CollOutcome::BytesVec(v) => Ok(v),
-            other => Err(MpiError::ToolProtocol {
-                detail: format!("allgather returned {other:?}"),
-            }),
-        }
-    }
-
-    pub(crate) fn op_scatter(
-        &self,
-        rank: usize,
-        comm: Comm,
-        root: usize,
-        data: Option<Vec<Bytes>>,
-    ) -> Result<Bytes> {
-        let crank = self.op_comm_rank(rank, comm)?;
-        let contribution = if crank == root {
-            Contribution::BytesVec(data.ok_or_else(|| MpiError::ToolProtocol {
-                detail: "scatter root passed no data".to_owned(),
-            })?)
-        } else {
-            Contribution::None
-        };
-        match self.collective(rank, comm, CollSig::Scatter { root }, contribution)? {
-            CollOutcome::Bytes(b) => Ok(b),
-            other => Err(MpiError::ToolProtocol {
-                detail: format!("scatter returned {other:?}"),
-            }),
-        }
-    }
-
-    pub(crate) fn op_alltoall(
-        &self,
-        rank: usize,
-        comm: Comm,
-        data: Vec<Bytes>,
-    ) -> Result<Vec<Bytes>> {
-        match self.collective(rank, comm, CollSig::Alltoall, Contribution::BytesVec(data))? {
-            CollOutcome::BytesVec(v) => Ok(v),
-            other => Err(MpiError::ToolProtocol {
-                detail: format!("alltoall returned {other:?}"),
-            }),
-        }
-    }
-
     pub(crate) fn op_comm_dup(&self, rank: usize, comm: Comm) -> Result<Comm> {
         match self.collective(rank, comm, CollSig::CommDup, Contribution::None)? {
             CollOutcome::Comm(c) => Ok(c),
-            other => Err(MpiError::ToolProtocol {
-                detail: format!("comm_dup returned {other:?}"),
-            }),
+            other => Err(unexpected_outcome(CollSig::CommDup, &other)),
         }
     }
 
@@ -1117,9 +931,7 @@ impl World {
         )? {
             CollOutcome::Comm(c) => Ok(Some(c)),
             CollOutcome::NoComm => Ok(None),
-            other => Err(MpiError::ToolProtocol {
-                detail: format!("comm_split returned {other:?}"),
-            }),
+            other => Err(unexpected_outcome(CollSig::CommSplit, &other)),
         }
     }
 
@@ -1131,9 +943,7 @@ impl World {
         }
         match self.collective(rank, comm, CollSig::CommFree, Contribution::None)? {
             CollOutcome::None => Ok(()),
-            other => Err(MpiError::ToolProtocol {
-                detail: format!("comm_free returned {other:?}"),
-            }),
+            other => Err(unexpected_outcome(CollSig::CommFree, &other)),
         }
     }
 

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::collective::ReduceOp;
+use crate::collective::{CollOutcome, CollSig, Contribution};
 use crate::comm::Comm;
 use crate::error::Result;
 use crate::matching::ProbeInfo;
@@ -294,87 +294,17 @@ impl<M: Mpi> Mpi for TraceLayer<M> {
         });
         Ok(out)
     }
-    fn barrier(&mut self, comm: Comm) -> Result<()> {
-        self.record(TraceOp::Collective {
-            comm: comm.0,
-            name: "barrier".into(),
-        });
-        self.inner.barrier(comm)
-    }
-    fn bcast(&mut self, comm: Comm, root: usize, data: Option<Bytes>) -> Result<Bytes> {
-        self.record(TraceOp::Collective {
-            comm: comm.0,
-            name: "bcast".into(),
-        });
-        self.inner.bcast(comm, root, data)
-    }
-    fn reduce_u64(
+    fn collective(
         &mut self,
         comm: Comm,
-        root: usize,
-        value: Vec<u64>,
-        op: ReduceOp,
-    ) -> Result<Option<Vec<u64>>> {
+        sig: CollSig,
+        contribution: Contribution,
+    ) -> Result<CollOutcome> {
         self.record(TraceOp::Collective {
             comm: comm.0,
-            name: "reduce_u64".into(),
+            name: sig.name().into(),
         });
-        self.inner.reduce_u64(comm, root, value, op)
-    }
-    fn allreduce_u64(&mut self, comm: Comm, value: Vec<u64>, op: ReduceOp) -> Result<Vec<u64>> {
-        self.record(TraceOp::Collective {
-            comm: comm.0,
-            name: "allreduce_u64".into(),
-        });
-        self.inner.allreduce_u64(comm, value, op)
-    }
-    fn reduce_f64(
-        &mut self,
-        comm: Comm,
-        root: usize,
-        value: Vec<f64>,
-        op: ReduceOp,
-    ) -> Result<Option<Vec<f64>>> {
-        self.record(TraceOp::Collective {
-            comm: comm.0,
-            name: "reduce_f64".into(),
-        });
-        self.inner.reduce_f64(comm, root, value, op)
-    }
-    fn allreduce_f64(&mut self, comm: Comm, value: Vec<f64>, op: ReduceOp) -> Result<Vec<f64>> {
-        self.record(TraceOp::Collective {
-            comm: comm.0,
-            name: "allreduce_f64".into(),
-        });
-        self.inner.allreduce_f64(comm, value, op)
-    }
-    fn gather(&mut self, comm: Comm, root: usize, data: Bytes) -> Result<Option<Vec<Bytes>>> {
-        self.record(TraceOp::Collective {
-            comm: comm.0,
-            name: "gather".into(),
-        });
-        self.inner.gather(comm, root, data)
-    }
-    fn allgather(&mut self, comm: Comm, data: Bytes) -> Result<Vec<Bytes>> {
-        self.record(TraceOp::Collective {
-            comm: comm.0,
-            name: "allgather".into(),
-        });
-        self.inner.allgather(comm, data)
-    }
-    fn scatter(&mut self, comm: Comm, root: usize, data: Option<Vec<Bytes>>) -> Result<Bytes> {
-        self.record(TraceOp::Collective {
-            comm: comm.0,
-            name: "scatter".into(),
-        });
-        self.inner.scatter(comm, root, data)
-    }
-    fn alltoall(&mut self, comm: Comm, data: Vec<Bytes>) -> Result<Vec<Bytes>> {
-        self.record(TraceOp::Collective {
-            comm: comm.0,
-            name: "alltoall".into(),
-        });
-        self.inner.alltoall(comm, data)
+        self.inner.collective(comm, sig, contribution)
     }
     fn comm_dup(&mut self, comm: Comm) -> Result<Comm> {
         let result = self.inner.comm_dup(comm)?;

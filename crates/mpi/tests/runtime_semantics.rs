@@ -881,3 +881,259 @@ mod collective_edges {
         assert!(run_native(&cfg(4), &prog).succeeded());
     }
 }
+
+mod collective_waist {
+    //! `Mpi::collective` is the one entry point of the ten typed data
+    //! collectives: a layer that implements only it sees every one of them.
+
+    use std::sync::{Arc, Mutex};
+
+    use super::*;
+    use dampi_mpi::matching::ProbeInfo;
+    use dampi_mpi::{
+        CollOutcome, CollSig, Contribution, Mpi, PassthroughLayer, Request, Result, Status, Tag,
+    };
+
+    /// Per-rank log of the signatures one layer position saw.
+    type SigLog = Arc<Mutex<Vec<Vec<CollSig>>>>;
+
+    /// Forwards everything; its only behaviour is in `collective`.
+    struct Recording<M: Mpi> {
+        inner: M,
+        log: SigLog,
+    }
+
+    impl<M: Mpi> Mpi for Recording<M> {
+        fn world_rank(&self) -> usize {
+            self.inner.world_rank()
+        }
+        fn world_size(&self) -> usize {
+            self.inner.world_size()
+        }
+        fn comm_rank(&self, comm: Comm) -> Result<usize> {
+            self.inner.comm_rank(comm)
+        }
+        fn comm_size(&self, comm: Comm) -> Result<usize> {
+            self.inner.comm_size(comm)
+        }
+        fn translate_rank(&self, comm: Comm, comm_rank: usize) -> Result<usize> {
+            self.inner.translate_rank(comm, comm_rank)
+        }
+        fn now(&self) -> f64 {
+            self.inner.now()
+        }
+        fn isend(&mut self, comm: Comm, dest: i32, tag: Tag, data: Bytes) -> Result<Request> {
+            self.inner.isend(comm, dest, tag, data)
+        }
+        fn irecv(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<Request> {
+            self.inner.irecv(comm, src, tag)
+        }
+        fn wait(&mut self, req: Request) -> Result<(Status, Bytes)> {
+            self.inner.wait(req)
+        }
+        fn test(&mut self, req: Request) -> Result<Option<(Status, Bytes)>> {
+            self.inner.test(req)
+        }
+        fn waitany(&mut self, reqs: &[Request]) -> Result<(usize, Status, Bytes)> {
+            self.inner.waitany(reqs)
+        }
+        fn testany(&mut self, reqs: &[Request]) -> Result<Option<(usize, Status, Bytes)>> {
+            self.inner.testany(reqs)
+        }
+        fn waitsome(&mut self, reqs: &[Request]) -> Result<Vec<(usize, Status, Bytes)>> {
+            self.inner.waitsome(reqs)
+        }
+        fn probe(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<ProbeInfo> {
+            self.inner.probe(comm, src, tag)
+        }
+        fn iprobe(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<Option<ProbeInfo>> {
+            self.inner.iprobe(comm, src, tag)
+        }
+        fn collective(
+            &mut self,
+            comm: Comm,
+            sig: CollSig,
+            contribution: Contribution,
+        ) -> Result<CollOutcome> {
+            self.log.lock().unwrap()[self.inner.world_rank()].push(sig);
+            self.inner.collective(comm, sig, contribution)
+        }
+        fn comm_dup(&mut self, comm: Comm) -> Result<Comm> {
+            self.inner.comm_dup(comm)
+        }
+        fn comm_split(&mut self, comm: Comm, color: i64, key: i64) -> Result<Option<Comm>> {
+            self.inner.comm_split(comm, color, key)
+        }
+        fn comm_free(&mut self, comm: Comm) -> Result<()> {
+            self.inner.comm_free(comm)
+        }
+        fn pcontrol(&mut self, code: i32) -> Result<()> {
+            self.inner.pcontrol(code)
+        }
+        fn compute(&mut self, seconds: f64) -> Result<()> {
+            self.inner.compute(seconds)
+        }
+        fn finalize(&mut self) -> Result<()> {
+            self.inner.finalize()
+        }
+    }
+
+    /// The signature each typed collective of [`all_ten`] must reach the
+    /// waist with, in call order, beside its contractual trace name.
+    fn expected() -> [(CollSig, &'static str); 10] {
+        let (sum, max, min) = (ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min);
+        [
+            (CollSig::Barrier, "barrier"),
+            (CollSig::Bcast { root: 1 }, "bcast"),
+            (CollSig::ReduceU64 { root: 0, op: sum }, "reduce_u64"),
+            (CollSig::AllreduceU64 { op: max }, "allreduce_u64"),
+            (CollSig::ReduceF64 { root: 2, op: sum }, "reduce_f64"),
+            (CollSig::AllreduceF64 { op: min }, "allreduce_f64"),
+            (CollSig::Gather { root: 1 }, "gather"),
+            (CollSig::Allgather, "allgather"),
+            (CollSig::Scatter { root: 0 }, "scatter"),
+            (CollSig::Alltoall, "alltoall"),
+        ]
+    }
+
+    /// What one rank received from the nine data-carrying collectives.
+    type Received = (
+        Bytes,
+        Option<Vec<u64>>,
+        Vec<u64>,
+        Option<Vec<f64>>,
+        Vec<f64>,
+        Option<Vec<Bytes>>,
+        Vec<Bytes>,
+        Bytes,
+        Vec<Bytes>,
+    );
+
+    /// Each typed collective once; returns everything the rank received.
+    fn all_ten(mpi: &mut dyn Mpi) -> Result<Received> {
+        let (me, n, w) = (mpi.world_rank(), mpi.world_size(), Comm::WORLD);
+        let byte = |b: usize| bts(&[b as u8]);
+        mpi.barrier(w)?;
+        let bc = mpi.bcast(w, 1, (me == 1).then(|| bts(b"root-data")))?;
+        let ru = mpi.reduce_u64(w, 0, vec![me as u64], ReduceOp::Sum)?;
+        let au = mpi.allreduce_u64(w, vec![me as u64], ReduceOp::Max)?;
+        let rf = mpi.reduce_f64(w, 2, vec![me as f64], ReduceOp::Sum)?;
+        let af = mpi.allreduce_f64(w, vec![me as f64 + 0.5], ReduceOp::Min)?;
+        let ga = mpi.gather(w, 1, byte(me))?;
+        let ag = mpi.allgather(w, byte(me))?;
+        let parts = (me == 0).then(|| (0..n).map(|i| byte(10 + i)).collect());
+        let sc = mpi.scatter(w, 0, parts)?;
+        let aa = mpi.alltoall(w, (0..n).map(|j| byte(10 * me + j)).collect())?;
+        Ok((bc, ru, au, rf, af, ga, ag, sc, aa))
+    }
+
+    /// Run [`all_ten`] on three ranks under `factory`; per-rank results.
+    fn run_all_ten(factory: &dampi_mpi::LayerFactory<'_>) -> Vec<Option<Received>> {
+        let results = Arc::new(Mutex::new(vec![None; 3]));
+        let sink = Arc::clone(&results);
+        let prog = FnProgram(move |mpi: &mut dyn Mpi| {
+            let got = all_ten(mpi)?;
+            sink.lock().unwrap()[mpi.world_rank()] = Some(got);
+            Ok(())
+        });
+        let out = run_with_layers(&cfg(3), &prog, factory);
+        assert!(out.succeeded(), "{:?}", out.rank_errors);
+        let got = results.lock().unwrap().clone();
+        got
+    }
+
+    #[test]
+    fn typed_call_reaches_each_layer_exactly_once() {
+        let bare = run_all_ten(&|_, pmpi| Ok(Box::new(pmpi)));
+        let ranks = vec![bts(&[0]), bts(&[1]), bts(&[2])];
+        assert_eq!(
+            bare[1],
+            Some((
+                bts(b"root-data"),
+                None,
+                vec![2],
+                None,
+                vec![0.5],
+                Some(ranks.clone()),
+                ranks,
+                bts(&[11]),
+                vec![bts(&[1]), bts(&[11]), bts(&[21])],
+            ))
+        );
+        let upper: SigLog = Arc::new(Mutex::new(vec![Vec::new(); 3]));
+        let lower: SigLog = Arc::new(Mutex::new(vec![Vec::new(); 3]));
+        let (up, low) = (Arc::clone(&upper), Arc::clone(&lower));
+        let stacked = run_all_ten(&move |_, pmpi| {
+            let lower = Recording {
+                inner: pmpi,
+                log: Arc::clone(&low),
+            };
+            Ok(Box::new(Recording {
+                inner: PassthroughLayer::new(lower),
+                log: Arc::clone(&up),
+            }))
+        });
+        assert_eq!(stacked, bare, "layers must not change what a rank receives");
+        let sigs: Vec<CollSig> = expected().iter().map(|(sig, _)| *sig).collect();
+        for log in [&upper, &lower] {
+            for seen in log.lock().unwrap().iter() {
+                assert_eq!(seen, &sigs, "one `collective` per typed call, in order");
+            }
+        }
+    }
+
+    #[test]
+    fn collective_names_are_pinned() {
+        for (sig, name) in expected() {
+            assert_eq!(sig.name(), name);
+        }
+    }
+
+    #[test]
+    fn out_of_range_root_is_rejected_before_the_rendezvous() {
+        let prog = FnProgram(|mpi: &mut dyn Mpi| {
+            let (w, root) = (Comm::WORLD, mpi.world_size());
+            let bad = |err: MpiError| {
+                assert!(
+                    matches!(
+                        err,
+                        MpiError::InvalidRank {
+                            rank: 3,
+                            comm_size: 3
+                        }
+                    ),
+                    "{err:?}"
+                );
+            };
+            bad(mpi.bcast(w, root, None).unwrap_err());
+            bad(mpi.reduce_u64(w, root, vec![1], ReduceOp::Sum).unwrap_err());
+            bad(mpi
+                .reduce_f64(w, root, vec![1.0], ReduceOp::Sum)
+                .unwrap_err());
+            bad(mpi.gather(w, root, bts(b"x")).unwrap_err());
+            bad(mpi.scatter(w, root, None).unwrap_err());
+            // No rank entered a rendezvous: the communicator is still usable.
+            let sum = mpi.allreduce_u64(w, vec![1], ReduceOp::Sum)?;
+            assert_eq!(sum, vec![3]);
+            Ok(())
+        });
+        let out = run_native(&cfg(3), &prog);
+        assert!(out.succeeded(), "{:?}", out.rank_errors);
+    }
+
+    #[test]
+    fn comm_management_stays_off_the_data_waist() {
+        let prog = FnProgram(|mpi: &mut dyn Mpi| {
+            for sig in [CollSig::CommDup, CollSig::CommSplit, CollSig::CommFree] {
+                let err = mpi
+                    .collective(Comm::WORLD, sig, Contribution::None)
+                    .unwrap_err();
+                assert!(matches!(err, MpiError::ToolProtocol { .. }), "{err:?}");
+            }
+            mpi.barrier(Comm::WORLD)
+        });
+        let out = run_native(&cfg(2), &prog);
+        assert!(out.succeeded(), "{:?}", out.rank_errors);
+        assert!(out.leaks.is_clean());
+    }
+}
