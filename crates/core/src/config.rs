@@ -5,6 +5,7 @@ use std::time::Duration;
 
 use crate::bounds::MixingBound;
 use dampi_clocks::ClockMode;
+use dampi_mpi::runtime::SimConfig;
 
 /// How clock stamps travel with messages (paper §II-D; mechanisms from
 /// Schulz et al. \[15\]).
@@ -75,6 +76,21 @@ impl RetryBackoff {
             base: d,
             cap: d,
             jitter: 0.0,
+        }
+    }
+
+    /// The schedule to use for divergence retries of replays on `sim`:
+    /// `self`, except [`Self::ZERO`] under
+    /// [`SimConfig::deterministic`]. The sleep exists so an OS-thread race
+    /// can fall the other way on the next attempt; on the cooperative
+    /// scheduler there is no timing to wait out — the retry diverges
+    /// identically however long it waited.
+    #[must_use]
+    pub fn for_sim(self, sim: &SimConfig) -> Self {
+        if sim.deterministic {
+            Self::ZERO
+        } else {
+            self
         }
     }
 

@@ -250,7 +250,7 @@ impl DampiVerifier {
             stop_on_first_error: self.cfg.stop_on_first_error,
             branch_on_guided: self.cfg.branch_on_guided,
             divergence_retries: self.cfg.divergence_retries,
-            retry_backoff: self.cfg.retry_backoff,
+            retry_backoff: self.cfg.retry_backoff.for_sim(&self.sim),
             checkpoint: self.cfg.journal.clone(),
             jobs: self.cfg.jobs,
             metrics: self.metrics.clone(),

@@ -10,6 +10,7 @@
 use std::sync::Arc;
 
 use dampi_core::bounds::MixingBound;
+use dampi_core::config::RetryBackoff;
 use dampi_core::decisions::DecisionSet;
 use dampi_core::report::VerificationReport;
 use dampi_core::scheduler::{self, ExploreOptions, RunResult};
@@ -88,6 +89,7 @@ impl IspVerifier {
             honor_regions: false,
             max_interleavings: self.cfg.max_interleavings,
             stop_on_first_error: self.cfg.stop_on_first_error,
+            retry_backoff: RetryBackoff::default().for_sim(&self.sim),
             ..ExploreOptions::default()
         };
         let ex = scheduler::explore(|ds| self.instrumented_run(program, ds), &opts);

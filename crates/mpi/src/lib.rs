@@ -5,7 +5,8 @@
 //! production MPI interposition story, so this crate provides the closest
 //! synthetic equivalent that exercises the same code paths:
 //!
-//! * **Ranks are OS threads** executing real Rust programs against the
+//! * **Ranks are OS threads** (reused from run to run, see [`pool`])
+//!   executing real Rust programs against the
 //!   [`Mpi`] trait — the program-facing MPI-2-era API (point-to-point with
 //!   wildcard receives and probes, requests, blocking collectives,
 //!   communicator management).
@@ -27,7 +28,9 @@
 //!   blocked inside the runtime), communicator leaks and request leaks at
 //!   finalize, collective-call mismatches, and rank aborts.
 
-#![forbid(unsafe_code)]
+// `pool` erases one lifetime to lend a caller's borrows to threads that
+// outlive the call; it is the only module allowed to contain `unsafe`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod collective;
@@ -38,6 +41,8 @@ pub mod fault;
 pub mod interpose;
 pub mod leak;
 pub mod matching;
+#[allow(unsafe_code)]
+pub mod pool;
 pub mod proc_api;
 pub mod program;
 pub mod request;

@@ -51,8 +51,8 @@ pub struct RunOutcome {
     pub fatal: Option<MpiError>,
     /// Final virtual time of each rank.
     pub per_rank_vt: Vec<f64>,
-    /// Wall-clock time the harness spent executing this run (thread spawn
-    /// to join). Unlike everything else here it is *not* deterministic —
+    /// Wall-clock time the harness spent executing this run (world
+    /// creation to the last rank's report). Unlike everything else here it is *not* deterministic —
     /// observability only, never part of verification semantics.
     pub wall_elapsed: std::time::Duration,
     /// Simulated makespan: max over ranks of final virtual time.

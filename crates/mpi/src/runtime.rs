@@ -1,8 +1,14 @@
 //! The simulated-world runtime: rank threads, blocking, progress, deadlock
 //! detection, collectives, communicator management, and the run harness.
 //!
-//! Every rank is an OS thread. All shared state sits behind one mutex; a
-//! rank that cannot make progress waits on its *own* condvar (targeted
+//! Every rank runs on an OS thread of its own for the length of one run.
+//! The threads are reused from run to run: worlds of up to
+//! [`POOLED_WORLD_MAX`] ranks check theirs out of the process-wide
+//! [`pool`] (a replay campaign re-executes the program
+//! hundreds of times, and spawn + join was a third of a small replay);
+//! wider worlds spawn scoped threads. All shared state sits behind one
+//! mutex; a rank that cannot make progress waits on its *own* condvar, and
+//! only ranks that are actually waiting are ever notified (targeted
 //! wakeups keep 1024-rank runs cheap). Deadlock is declared exactly when
 //! every unfinished rank is blocked inside the runtime: state then can only
 //! change through another rank's action, and there is none left to act —
@@ -21,7 +27,8 @@ use crate::envelope::Envelope;
 use crate::error::{MpiError, Result};
 use crate::leak::{CommLeak, LeakReport};
 use crate::matching::{Delivery, MatchEngine, MatchPolicy, ProbeInfo};
-use crate::proc_api::{unexpected_outcome, Pmpi, Status};
+use crate::pool::{self, RankBody, POOLED_WORLD_MAX, RANK_STACK_SIZE};
+use crate::proc_api::{unexpected_outcome, Mpi, Pmpi, Status};
 use crate::program::{MpiProgram, RunOutcome};
 use crate::request::{ReqKind, ReqState, Request, RequestEntry, RequestTable};
 use crate::types::{Tag, ANY_SOURCE};
@@ -76,9 +83,6 @@ pub struct SimConfig {
     pub policy: MatchPolicy,
     /// Virtual-time model parameters.
     pub vtime: VTimeParams,
-    /// Stack size per rank thread (kept small so 1024-rank worlds are
-    /// cheap; workloads are shallow).
-    pub stack_size: usize,
     /// Eager-protocol threshold: messages with payloads up to this size
     /// are buffered (the send completes at post time); larger messages use
     /// the rendezvous protocol (the send completes only when matched by a
@@ -91,9 +95,12 @@ pub struct SimConfig {
     /// Per-replay watchdog budgets (wall clock and virtual time).
     pub budget: ReplayBudget,
     /// Deterministic cooperative scheduling. When set, exactly one
-    /// runnable rank executes runtime calls at a time: a round-robin turn
-    /// token passes to the next unfinished, unblocked rank whenever the
-    /// holder blocks or finishes. Message arrival order — and therefore
+    /// runnable rank executes runtime calls at a time (every call that
+    /// reads or advances simulated state, `now` and `compute` included, so
+    /// whatever a tool layer does after its first call of an operation
+    /// happens in turn order too): a round-robin turn token passes to the
+    /// next unfinished, unblocked rank whenever the holder blocks or
+    /// finishes. Message arrival order — and therefore
     /// every wildcard-match candidate set in the *unconstrained* part of a
     /// run — becomes a pure function of the program and the forced replay
     /// prefix instead of an OS thread-scheduling race. Exhaustive
@@ -116,7 +123,6 @@ impl SimConfig {
             nprocs,
             policy: MatchPolicy::default(),
             vtime: VTimeParams::default(),
-            stack_size: 256 * 1024,
             eager_limit: None,
             budget: ReplayBudget::default(),
             deterministic: false,
@@ -184,6 +190,10 @@ struct Shared {
     vt: Vec<f64>,
     blocked: Vec<bool>,
     nblocked: usize,
+    /// Ranks waiting on their condvar right now (set and cleared in
+    /// [`World::park`] under the state lock): the only ones a wakeup is
+    /// sent to, since notifying a condvar is a syscall even with no waiter.
+    parked: Vec<bool>,
     finished: Vec<bool>,
     nfinished: usize,
     fatal: Option<MpiError>,
@@ -215,6 +225,7 @@ impl World {
             vt: vec![0.0; n],
             blocked: vec![false; n],
             nblocked: 0,
+            parked: vec![false; n],
             finished: vec![false; n],
             nfinished: 0,
             fatal: None,
@@ -268,9 +279,7 @@ impl World {
     fn trip_timeout(&self, s: &mut Shared, detail: String) -> MpiError {
         if s.fatal.is_none() {
             s.fatal = Some(MpiError::ReplayTimeout { detail });
-            for cv in &self.cvs {
-                cv.notify_all();
-            }
+            self.wake_all(s);
         }
         s.fatal.clone().expect("fatal just set")
     }
@@ -327,12 +336,31 @@ impl World {
     /// Wait on `rank`'s condvar, bounded by the wall-clock deadline when
     /// one is configured (so parked ranks re-check the watchdog).
     fn park(&self, g: &mut parking_lot::MutexGuard<'_, Shared>, rank: usize) {
+        g.parked[rank] = true;
         match self.deadline {
             Some(d) => {
                 let remaining = d.saturating_duration_since(Instant::now());
                 let _ = self.cvs[rank].wait_for(g, remaining);
             }
             None => self.cvs[rank].wait(g),
+        }
+        g.parked[rank] = false;
+    }
+
+    /// Wake `rank` if it is parked. Callers hold the state lock, and a rank
+    /// re-evaluates what it waits for under that lock before it parks, so
+    /// a rank found not parked here cannot miss the event.
+    fn wake(&self, s: &Shared, rank: usize) {
+        if s.parked[rank] {
+            self.cvs[rank].notify_all();
+        }
+    }
+
+    /// Wake every parked rank (a fatal error was declared, or a rank
+    /// finished).
+    fn wake_all(&self, s: &Shared) {
+        for rank in 0..self.cfg.nprocs {
+            self.wake(s, rank);
         }
     }
 
@@ -351,7 +379,7 @@ impl World {
             let r = (from + off) % n;
             if !g.finished[r] && !g.blocked[r] {
                 g.turn = r;
-                self.cvs[r].notify_all();
+                self.wake(g, r);
                 return;
             }
         }
@@ -411,9 +439,7 @@ impl World {
                 let err = MpiError::Deadlock { blocked_ranks };
                 g.fatal = Some(err.clone());
                 Self::clear_blocked(&mut g, rank);
-                for cv in &self.cvs {
-                    cv.notify_all();
-                }
+                self.wake_all(&g);
                 return Err(err);
             }
             // No deadlock, so some other rank is runnable: hand it the
@@ -436,7 +462,7 @@ impl World {
     /// predicate: clear its logical-block flag and wake it.
     fn unblock(&self, s: &mut Shared, world_rank: usize) {
         Self::clear_blocked(s, world_rank);
-        self.cvs[world_rank].notify_all();
+        self.wake(s, world_rank);
     }
 
     /// Complete a recv request (and, for rendezvous messages, the paired
@@ -458,11 +484,11 @@ impl World {
     // ---- point-to-point ---------------------------------------------------
 
     pub(crate) fn op_now(&self, rank: usize) -> f64 {
-        self.state.lock().vt[rank]
+        self.enter(rank).vt[rank]
     }
 
     pub(crate) fn op_compute(&self, rank: usize, seconds: f64) -> Result<()> {
-        let mut g = self.state.lock();
+        let mut g = self.enter(rank);
         if let Some(f) = self.guard(&mut g) {
             return Err(f);
         }
@@ -802,9 +828,7 @@ impl World {
                     // Mismatched collective: a program bug that would hang
                     // the other participants — declare it globally.
                     g.fatal = Some(e.clone());
-                    for cv in &self.cvs {
-                        cv.notify_all();
-                    }
+                    self.wake_all(&g);
                     return Err(e);
                 }
             };
@@ -967,9 +991,7 @@ impl World {
             g.fatal = Some(MpiError::Deadlock { blocked_ranks });
         }
         self.pass_turn(&mut g, rank);
-        for cv in &self.cvs {
-            cv.notify_all();
-        }
+        self.wake_all(&g);
     }
 
     fn abort(&self, rank: usize) {
@@ -981,9 +1003,7 @@ impl World {
             g.finished[rank] = true;
             g.nfinished += 1;
         }
-        for cv in &self.cvs {
-            cv.notify_all();
-        }
+        self.wake_all(&g);
     }
 
     fn leak_report(&self) -> LeakReport {
@@ -1023,11 +1043,12 @@ impl World {
 /// panicking the harness.
 pub type LayerFactory<'a> = dyn Fn(usize, Pmpi) -> Result<Box<dyn Mpi>> + Sync + 'a;
 
-use crate::proc_api::Mpi;
-
 /// Execute `program` on a fresh world with a tool stack built by `factory`
-/// for each rank. Blocks until every rank thread exits; returns the
+/// for each rank. Blocks until every rank has finished; returns the
 /// [`RunOutcome`] with per-rank errors, leak census, and virtual times.
+///
+/// The rank threads come from the process-wide [`pool`] and
+/// go back to it, unless the world is wider than [`POOLED_WORLD_MAX`].
 pub fn run_with_layers(
     cfg: &SimConfig,
     program: &dyn MpiProgram,
@@ -1035,53 +1056,39 @@ pub fn run_with_layers(
 ) -> RunOutcome {
     let world = World::new(cfg.clone());
     let n = cfg.nprocs;
-    let mut rank_errors: Vec<Option<MpiError>> = vec![None; n];
     let wall_start = std::time::Instant::now();
 
-    crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n);
-        for rank in 0..n {
-            let world = Arc::clone(&world);
-            let builder = scope
-                .builder()
-                .stack_size(cfg.stack_size)
-                .name(format!("rank-{rank}"));
-            let handle = builder
-                .spawn(move |_| {
-                    let pmpi = Pmpi::new(Arc::clone(&world), rank);
-                    // The unwind barrier covers the *whole* per-rank
-                    // lifecycle — tool-stack construction, the program
-                    // body, and finalize — so a panicking tool layer is
-                    // isolated exactly like a panicking application rank.
-                    // The stack is dropped inside the barrier too (during
-                    // unwind on panic), letting tool layers flush partial
-                    // state from `Drop`.
-                    let result = catch_unwind(AssertUnwindSafe(|| -> Result<()> {
-                        let mut stack = factory(rank, pmpi)?;
-                        program.run(stack.as_mut())?;
-                        stack.finalize()
-                    }));
-                    let outcome: Option<MpiError> = match result {
-                        Ok(Ok(())) => None,
-                        Ok(Err(e)) => Some(e),
-                        Err(panic) => Some(MpiError::Panicked {
-                            message: panic_message(panic.as_ref()),
-                        }),
-                    };
-                    match &outcome {
-                        None => world.mark_finished(rank),
-                        Some(_) => world.abort(rank),
-                    }
-                    outcome
-                })
-                .expect("spawn rank thread");
-            handles.push(handle);
+    let body = |rank: usize| -> Option<MpiError> {
+        let pmpi = Pmpi::new(Arc::clone(&world), rank);
+        // The unwind barrier covers the *whole* per-rank lifecycle —
+        // tool-stack construction, the program body, and finalize — so a
+        // panicking tool layer is isolated exactly like a panicking
+        // application rank. The stack is dropped inside the barrier too
+        // (during unwind on panic), letting tool layers flush partial
+        // state from `Drop`.
+        let result = catch_unwind(AssertUnwindSafe(|| -> Result<()> {
+            let mut stack = factory(rank, pmpi)?;
+            program.run(stack.as_mut())?;
+            stack.finalize()
+        }));
+        let outcome: Option<MpiError> = match result {
+            Ok(Ok(())) => None,
+            Ok(Err(e)) => Some(e),
+            Err(panic) => Some(MpiError::Panicked {
+                message: panic_message(panic.as_ref()),
+            }),
+        };
+        match &outcome {
+            None => world.mark_finished(rank),
+            Some(_) => world.abort(rank),
         }
-        for (rank, h) in handles.into_iter().enumerate() {
-            rank_errors[rank] = h.join().expect("rank thread never panics past the catch");
-        }
-    })
-    .expect("scope completes");
+        outcome
+    };
+    let rank_errors = if n > POOLED_WORLD_MAX {
+        run_scoped(n, &body)
+    } else {
+        pool::run(n, &body)
+    };
 
     let per_rank_vt = world.snapshot_vt();
     let makespan = per_rank_vt.iter().copied().fold(0.0_f64, f64::max);
@@ -1093,6 +1100,28 @@ pub fn run_with_layers(
         wall_elapsed: wall_start.elapsed(),
         makespan,
     }
+}
+
+/// Run `body(rank)` for every `rank < n` on freshly spawned threads that
+/// are joined before returning — how worlds too wide for the pool run.
+fn run_scoped(n: usize, body: &RankBody<'_>) -> Vec<Option<MpiError>> {
+    crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = (0..n)
+            .map(|rank| {
+                scope
+                    .builder()
+                    .stack_size(RANK_STACK_SIZE)
+                    .name(format!("rank-{rank}"))
+                    .spawn(move |_| body(rank))
+                    .expect("spawn rank thread")
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("rank thread never panics past the catch"))
+            .collect()
+    })
+    .expect("scope completes")
 }
 
 /// Execute `program` with no tool layers (the "native MPI" baseline used
@@ -1114,12 +1143,15 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod thread_safety {
     //! The isolation contract parallel exploration rests on, checked at
-    //! compile time: every replay builds a *fresh* [`World`] inside
-    //! [`run_with_layers`], so concurrent replays on a scheduler worker
-    //! pool share no mutable runtime state — only `Sync` configuration
-    //! ([`SimConfig`], an `Arc<FaultPlan>`, the program itself). If a
-    //! process-global ever sneaks into these types (a `Cell`, an `Rc`, a
-    //! raw pointer), these assertions stop compiling before any test can
+    //! compile time: replay state is per-[`World`], and every replay
+    //! builds a *fresh* one inside [`run_with_layers`], so concurrent
+    //! replays on a scheduler worker pool share no mutable runtime state —
+    //! only `Sync` configuration ([`SimConfig`], an `Arc<FaultPlan>`, the
+    //! program itself). The rank-thread [`pool`] is the one
+    //! process-wide object, and it holds no replay state: parked threads,
+    //! checked out exclusively, that carry nothing from one job to the
+    //! next. If a global ever sneaks into these types (a `Cell`, an `Rc`,
+    //! a raw pointer), these assertions stop compiling before any test can
     //! race.
 
     use super::*;

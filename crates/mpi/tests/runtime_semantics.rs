@@ -882,6 +882,44 @@ mod collective_edges {
     }
 }
 
+/// On the cooperative scheduler *every* runtime call waits for the turn,
+/// `now` and `compute` included: a tool layer that reports to shared state
+/// after reading its clock (ISP's central scheduler does, on every
+/// operation) then reports in turn order, not in whichever order the rank
+/// threads happened to start.
+#[test]
+fn deterministic_turn_covers_now_and_compute() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Mutex;
+
+    for use_compute in [false, true] {
+        let order = Mutex::new(Vec::new());
+        let rank1_calling = AtomicBool::new(false);
+        let prog = FnProgram(|mpi: &mut dyn dampi_mpi::Mpi| {
+            if mpi.world_rank() == 0 {
+                // Rank 0 starts with the turn and keeps it until it
+                // finishes; rank 1 must still be inside its call then.
+                while !rank1_calling.load(Ordering::SeqCst) {
+                    std::hint::spin_loop();
+                }
+                order.lock().unwrap().push(0);
+            } else {
+                rank1_calling.store(true, Ordering::SeqCst);
+                if use_compute {
+                    mpi.compute(1e-6)?;
+                } else {
+                    mpi.now();
+                }
+                order.lock().unwrap().push(1);
+            }
+            Ok(())
+        });
+        let out = run_native(&cfg(2).with_deterministic(true), &prog);
+        assert!(out.succeeded(), "{:?}", out.rank_errors);
+        assert_eq!(*order.lock().unwrap(), [0, 1], "compute: {use_compute}");
+    }
+}
+
 mod collective_waist {
     //! `Mpi::collective` is the one entry point of the ten typed data
     //! collectives: a layer that implements only it sees every one of them.

@@ -431,8 +431,12 @@ mod tests {
 
     #[test]
     fn alternate_schedule_deadlock_hidden_natively_under_bias() {
+        // Cooperative scheduler: the bias under test is the match policy's,
+        // not whichever rank thread happens to reach the matcher first.
         let out = run_native(
-            &SimConfig::new(3).with_policy(MatchPolicy::LowestRank),
+            &SimConfig::new(3)
+                .with_policy(MatchPolicy::LowestRank)
+                .with_deterministic(true),
             &deadlock_on_alternate_schedule(),
         );
         assert!(out.succeeded(), "{:?}", out.rank_errors);

@@ -877,7 +877,7 @@ fn run_worker_mode(name: &str, prog: &dyn MpiProgram, sim: SimConfig, args: &Arg
     // else in ExploreOptions is supervisor-side state a worker never has.
     let opts = ExploreOptions {
         divergence_retries: cfg.divergence_retries,
-        retry_backoff: cfg.retry_backoff,
+        retry_backoff: cfg.retry_backoff.for_sim(&sim),
         ..ExploreOptions::default()
     };
     let wcfg = shard::WorkerConfig {

@@ -117,9 +117,14 @@ fn dampi_repro_schedule_replays_under_isp() {
 #[test]
 fn native_bias_masks_what_verifiers_find() {
     // The paper's motivating claim, end to end: across biased policies the
-    // native run stays green while both verifiers flag the bug.
+    // native run stays green while both verifiers flag the bug. The native
+    // legs run on the cooperative scheduler so that the bias asserted is
+    // the match policy's: free-running, which of rank 1's and rank 2's
+    // sends reaches the matcher first is an OS-thread race.
     for policy in [MatchPolicy::LowestRank, MatchPolicy::ArrivalOrder] {
-        let sim = SimConfig::new(3).with_policy(policy);
+        let sim = SimConfig::new(3)
+            .with_policy(policy)
+            .with_deterministic(true);
         let native = dampi::mpi::run_native(&sim, &patterns::fig3());
         assert!(native.succeeded(), "bias should mask the bug natively");
     }
