@@ -39,19 +39,6 @@ use std::fmt;
 
 use dampi_mpi::Tag;
 
-/// FNV-1a 64-bit digest of the spec source — the `spec_digest` stamped
-/// into analyzer reports so a plan can be matched to the spec that
-/// produced it.
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// True when a trace collective name satisfies a spec collective name:
 /// exact match, or the spec name is a `_`-separated prefix (so the spec's
 /// `allreduce` covers the trace's `allreduce_u64` and `allreduce_f64`).
@@ -485,10 +472,12 @@ impl ProtocolSpec {
         Ok(spec)
     }
 
-    /// FNV-1a digest of the spec source text.
+    /// FNV-1a digest of the spec source text — the `spec_digest` stamped
+    /// into analyzer reports so a plan can be matched to the spec that
+    /// produced it.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        fnv1a64(self.source.as_bytes())
+        dampi_mpi::fnv1a64(self.source.as_bytes())
     }
 
     /// Instantiate the global type at a concrete world size: resolve

@@ -116,12 +116,7 @@ impl SubtreeResult {
 /// authentication; supervisor and workers share a trust domain).
 #[must_use]
 pub fn checksum(payload: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in payload {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
+    dampi_mpi::fnv1a64(payload)
 }
 
 /// Write one frame.

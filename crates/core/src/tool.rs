@@ -32,7 +32,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use dampi_clocks::{ClockMode, ClockStamp};
 use dampi_mpi::matching::ProbeInfo;
-use dampi_mpi::proc_api::{Mpi, Status};
+use dampi_mpi::proc_api::{Completed, Completion, Mpi, Status};
 use dampi_mpi::{
     CollOutcome, CollSig, Comm, Contribution, MpiError, ReduceOp, Request, Result, Tag, ANY_SOURCE,
     ANY_TAG,
@@ -260,38 +260,32 @@ impl<M: Mpi> DampiLayer<M> {
         let (post_src, guided_flag) = self.nd_source();
         let req = self.inner.irecv(comm, post_src, tag)?;
         let epoch_idx = self.record_epoch(comm, tag, NdKind::Recv, guided_flag, None);
-        match self.ctx.piggyback {
-            PiggybackMechanism::SeparateMessage => {
-                self.track_recv_sep(req, comm, Some(epoch_idx));
-            }
-            PiggybackMechanism::PayloadPacking => {
-                self.meta.insert(
-                    req,
-                    ReqMeta::RecvPacked {
-                        comm,
-                        epoch_idx: Some(epoch_idx),
-                    },
-                );
-            }
-        }
+        self.track_recv(req, comm, Some(epoch_idx));
         self.monitor.nd_posted(req);
         Ok(req)
     }
 
-    /// Register a separate-message receive for deferred, posting-ordered
-    /// piggyback consumption.
-    fn track_recv_sep(&mut self, req: Request, comm: Comm, epoch_idx: Option<usize>) {
-        let seq = self.recv_seq;
-        self.recv_seq += 1;
-        self.posted_recvs.insert(seq, (req, comm));
-        self.meta.insert(
-            req,
-            ReqMeta::RecvSep {
-                comm,
-                epoch_idx,
-                seq,
-            },
-        );
+    /// Register a posted receive for claim-time processing. A
+    /// separate-message receive — named ones too — defers its piggyback for
+    /// posting-ordered consumption: eagerly posting it pairs stamps by
+    /// *shadow arrival* order, which diverges from payload pairing when a
+    /// wildcard posted earlier on the same stream is still unclaimed (the
+    /// mispairing fixed by `settle_earlier`).
+    fn track_recv(&mut self, req: Request, comm: Comm, epoch_idx: Option<usize>) {
+        let meta = match self.ctx.piggyback {
+            PiggybackMechanism::SeparateMessage => {
+                let seq = self.recv_seq;
+                self.recv_seq += 1;
+                self.posted_recvs.insert(seq, (req, comm));
+                ReqMeta::RecvSep {
+                    comm,
+                    epoch_idx,
+                    seq,
+                }
+            }
+            PiggybackMechanism::PayloadPacking => ReqMeta::RecvPacked { comm, epoch_idx },
+        };
+        self.meta.insert(req, meta);
     }
 
     /// Consume one piggyback stamp from the shadow stream of the source
@@ -334,10 +328,11 @@ impl<M: Mpi> DampiLayer<M> {
         Ok(())
     }
 
-    /// Claim-time processing shared by the direct-completion and
-    /// force-completed (`ready`) paths of a separate-message receive:
-    /// monitor commit, §V clock sync, epoch bookkeeping, stamp ingestion.
-    fn finish_recv_sep(
+    /// Claim-time processing of a receive, shared by both piggyback
+    /// mechanisms and by the direct-completion and force-completed (`ready`)
+    /// paths: monitor commit, §V clock sync, epoch bookkeeping, stamp
+    /// ingestion.
+    fn finish_recv(
         &mut self,
         req: Request,
         status: Status,
@@ -366,7 +361,7 @@ impl<M: Mpi> DampiLayer<M> {
             Some(ReqMeta::RecvSep {
                 comm, epoch_idx, ..
             }) => {
-                self.finish_recv_sep(req, status, epoch_idx, comm, &stamp)?;
+                self.finish_recv(req, status, epoch_idx, comm, &stamp)?;
                 Ok(Some((status, data)))
             }
             _ => Err(MpiError::ToolProtocol {
@@ -418,20 +413,12 @@ impl<M: Mpi> DampiLayer<M> {
         Ok(())
     }
 
-    /// Post-completion processing shared by wait/test/waitany.
-    fn after_completion(
-        &mut self,
-        req: Request,
-        status: Status,
-        data: Bytes,
-    ) -> Result<(Status, Bytes)> {
+    /// Post-completion processing of one request the runtime just completed;
+    /// leaves the application's payload in `data`.
+    fn after_completion(&mut self, req: Request, status: Status, data: &mut Bytes) -> Result<()> {
         match self.meta.remove(&req) {
-            None => Ok((status, data)),
-            Some(ReqMeta::SendPb(pb)) => {
-                self.inner.wait(pb)?;
-                Ok((status, data))
-            }
-            Some(ReqMeta::SendPacked) => Ok((status, data)),
+            None | Some(ReqMeta::SendPacked) => Ok(()),
+            Some(ReqMeta::SendPb(pb)) => self.inner.wait(pb).map(drop),
             Some(ReqMeta::RecvSep {
                 comm,
                 epoch_idx,
@@ -444,20 +431,12 @@ impl<M: Mpi> DampiLayer<M> {
                 // so the shadow stream is consumed in posting order.
                 self.settle_earlier(comm, seq)?;
                 let stamp = self.take_pb_stamp(comm, status)?;
-                self.finish_recv_sep(req, status, epoch_idx, comm, &stamp)?;
-                Ok((status, data))
+                self.finish_recv(req, status, epoch_idx, comm, &stamp)
             }
             Some(ReqMeta::RecvPacked { comm, epoch_idx }) => {
-                self.monitor.nd_completed(req);
-                self.sync_clocks();
-                let (stamp, payload) = pb::unpack(&data);
-                let mut matched_clock = None;
-                if let Some(i) = epoch_idx {
-                    self.epochs[i].matched_src = Some(status.source);
-                    matched_clock = Some(self.epochs[i].clock);
-                }
-                self.ingest(&stamp, status.source, status.tag, comm, matched_clock)?;
-                Ok((status, payload))
+                let (stamp, payload) = pb::unpack(data);
+                *data = payload;
+                self.finish_recv(req, status, epoch_idx, comm, &stamp)
             }
         }
     }
@@ -552,143 +531,63 @@ impl<M: Mpi> Mpi for DampiLayer<M> {
             return self.nd_irecv(comm, tag);
         }
         let req = self.inner.irecv(comm, src, tag)?;
-        match self.ctx.piggyback {
-            // Named receives defer their piggyback too: eagerly posting
-            // it pairs stamps by *shadow arrival* order, which diverges
-            // from payload pairing when a wildcard posted earlier on the
-            // same stream is still unclaimed (the mispairing fixed by
-            // `settle_earlier`).
-            PiggybackMechanism::SeparateMessage => self.track_recv_sep(req, comm, None),
-            PiggybackMechanism::PayloadPacking => {
-                self.meta.insert(
-                    req,
-                    ReqMeta::RecvPacked {
-                        comm,
-                        epoch_idx: None,
-                    },
-                );
-            }
-        }
+        self.track_recv(req, comm, None);
         Ok(req)
     }
 
-    fn wait(&mut self, req: Request) -> Result<(Status, Bytes)> {
-        if let Some(done) = self.claim_ready(req)? {
+    fn complete(&mut self, reqs: &[Request], how: Completion) -> Result<Completed> {
+        if self.ready.is_empty() || !reqs.iter().any(|r| self.ready.contains_key(r)) {
+            let mut done = self.inner.complete(reqs, how)?;
+            for (i, status, data) in done.iter_mut() {
+                self.after_completion(reqs[*i], *status, data)?;
+            }
             return Ok(done);
         }
-        let (status, data) = self.inner.wait(req)?;
-        self.after_completion(req, status, data)
-    }
-
-    fn test(&mut self, req: Request) -> Result<Option<(Status, Bytes)>> {
-        if let Some(done) = self.claim_ready(req)? {
-            return Ok(Some(done));
-        }
-        match self.inner.test(req)? {
-            Some((status, data)) => self.after_completion(req, status, data).map(Some),
-            None => Ok(None),
-        }
-    }
-
-    fn waitany(&mut self, reqs: &[Request]) -> Result<(usize, Status, Bytes)> {
-        if !self.ready.is_empty() {
-            // Some request may have been force-completed by piggyback
-            // sequencing; the runtime no longer knows it. Mirror the
-            // runtime's lowest-index-completed policy across the mix of
-            // parked and live requests.
-            for (i, r) in reqs.iter().enumerate() {
-                if let Some((status, data)) = self.claim_ready(*r)? {
-                    return Ok((i, status, data));
-                }
-                if let Some((status, data)) = self.inner.test(*r)? {
-                    let (status, data) = self.after_completion(*r, status, data)?;
-                    return Ok((i, status, data));
-                }
-            }
-        }
-        let (idx, status, data) = self.inner.waitany(reqs)?;
-        let (status, data) = self.after_completion(reqs[idx], status, data)?;
-        Ok((idx, status, data))
-    }
-
-    fn testany(&mut self, reqs: &[Request]) -> Result<Option<(usize, Status, Bytes)>> {
-        if !self.ready.is_empty() {
-            for (i, r) in reqs.iter().enumerate() {
-                if let Some((status, data)) = self.claim_ready(*r)? {
-                    return Ok(Some((i, status, data)));
-                }
-                if let Some((status, data)) = self.inner.test(*r)? {
-                    let (status, data) = self.after_completion(*r, status, data)?;
-                    return Ok(Some((i, status, data)));
-                }
-            }
-            return Ok(None);
-        }
-        match self.inner.testany(reqs)? {
-            Some((idx, status, data)) => {
-                let (status, data) = self.after_completion(reqs[idx], status, data)?;
-                Ok(Some((idx, status, data)))
-            }
-            None => Ok(None),
-        }
-    }
-
-    fn waitsome(&mut self, reqs: &[Request]) -> Result<Vec<(usize, Status, Bytes)>> {
-        if reqs.iter().any(|r| self.ready.contains_key(r)) {
-            // A parked completion is immediately available: return
-            // everything currently complete in index order, exactly like
-            // the runtime's waitsome.
-            let mut out = Vec::new();
-            for (i, r) in reqs.iter().enumerate() {
-                if let Some((status, data)) = self.claim_ready(*r)? {
-                    out.push((i, status, data));
-                } else if let Some((status, data)) = self.inner.test(*r)? {
-                    let (status, data) = self.after_completion(*r, status, data)?;
-                    out.push((i, status, data));
-                }
-            }
-            return Ok(out);
-        }
-        let completed = self.inner.waitsome(reqs)?;
-        let mut out = Vec::with_capacity(completed.len());
-        for (idx, status, data) in completed {
-            let (status, data) = self.after_completion(reqs[idx], status, data)?;
-            out.push((idx, status, data));
-        }
-        Ok(out)
-    }
-
-    fn probe(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<ProbeInfo> {
-        if src == ANY_SOURCE {
-            let (post_src, guided_flag) = self.nd_source();
-            let info = self.inner.probe(comm, post_src, tag)?;
-            self.record_epoch(comm, tag, NdKind::Probe, guided_flag, Some(info.src));
-            // A probe commits its match immediately: synchronize now.
-            self.sync_clocks();
-            return Ok(self.adjust_probe(info));
-        }
-        self.inner
-            .probe(comm, src, tag)
-            .map(|i| self.adjust_probe(i))
-    }
-
-    fn iprobe(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<Option<ProbeInfo>> {
-        if src == ANY_SOURCE {
-            let (post_src, guided_flag) = self.nd_source();
-            return match self.inner.iprobe(comm, post_src, tag)? {
-                // §II-E: only record when the flag says a message is ready.
-                Some(info) => {
-                    self.record_epoch(comm, tag, NdKind::Probe, guided_flag, Some(info.src));
-                    self.sync_clocks();
-                    Ok(Some(self.adjust_probe(info)))
-                }
-                None => Ok(None),
+        // A request force-completed by piggyback sequencing is immediately
+        // available, but the runtime no longer knows it: mirror the
+        // runtime's index-order scan across the mix of parked and live
+        // requests.
+        let mut done = Completed::default();
+        for (i, r) in reqs.iter().enumerate() {
+            let (status, data) = match self.claim_ready(*r)? {
+                Some(parked) => parked,
+                None => match self.inner.test(*r)? {
+                    Some((status, mut data)) => {
+                        self.after_completion(*r, status, &mut data)?;
+                        (status, data)
+                    }
+                    None => continue,
+                },
             };
+            done.push((i, status, data));
+            if !how.takes_all() {
+                break;
+            }
         }
-        Ok(self
-            .inner
-            .iprobe(comm, src, tag)?
-            .map(|i| self.adjust_probe(i)))
+        Ok(done)
+    }
+
+    fn probe_for(
+        &mut self,
+        comm: Comm,
+        src: i32,
+        tag: Tag,
+        blocking: bool,
+    ) -> Result<Option<ProbeInfo>> {
+        let hit = if src == ANY_SOURCE {
+            let (post_src, guided_flag) = self.nd_source();
+            let hit = self.inner.probe_for(comm, post_src, tag, blocking)?;
+            // §II-E: only record when the flag says a message is ready.
+            if let Some(info) = hit {
+                self.record_epoch(comm, tag, NdKind::Probe, guided_flag, Some(info.src));
+                // A probe commits its match immediately: synchronize now.
+                self.sync_clocks();
+            }
+            hit
+        } else {
+            self.inner.probe_for(comm, src, tag, blocking)?
+        };
+        Ok(hit.map(|info| self.adjust_probe(info)))
     }
 
     fn collective(
@@ -769,13 +668,9 @@ impl<M: Mpi> Mpi for DampiLayer<M> {
         let comms: Vec<Comm> = self.known_comms.iter().copied().collect();
         for comm in comms {
             while let Some(info) = self.inner.iprobe(comm, ANY_SOURCE, ANY_TAG)? {
-                let (_, data) = self.inner.recv(comm, info.src as i32, info.tag)?;
+                let (status, data) = self.inner.recv(comm, info.src as i32, info.tag)?;
                 let stamp = match self.ctx.piggyback {
-                    PiggybackMechanism::SeparateMessage => {
-                        let shadow = self.shadow_of(comm)?;
-                        let (_, pbdata) = self.inner.recv(shadow, info.src as i32, info.tag)?;
-                        pb::decode_stamp(&pbdata).0
-                    }
+                    PiggybackMechanism::SeparateMessage => self.take_pb_stamp(comm, status)?,
                     PiggybackMechanism::PayloadPacking => pb::unpack(&data).0,
                 };
                 self.ingest(&stamp, info.src, info.tag, comm, None)?;

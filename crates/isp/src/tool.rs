@@ -14,7 +14,7 @@ use bytes::Bytes;
 use dampi_core::decisions::DecisionSet;
 use dampi_core::epoch::NdKind;
 use dampi_mpi::matching::ProbeInfo;
-use dampi_mpi::proc_api::{Mpi, Status};
+use dampi_mpi::proc_api::{Completed, Completion, Mpi, Status};
 use dampi_mpi::{CollOutcome, CollSig, Comm, Contribution, Request, Result, Tag, ANY_SOURCE};
 
 use crate::sched::IspScheduler;
@@ -168,85 +168,34 @@ impl<M: Mpi> Mpi for IspLayer<M> {
         }
     }
 
-    fn wait(&mut self, req: Request) -> Result<(Status, Bytes)> {
+    fn complete(&mut self, reqs: &[Request], how: Completion) -> Result<Completed> {
         self.transact()?;
-        let (status, data) = self.inner.wait(req)?;
-        self.after_recv_complete(req, &status)?;
-        Ok((status, data))
-    }
-
-    fn test(&mut self, req: Request) -> Result<Option<(Status, Bytes)>> {
-        self.transact()?;
-        match self.inner.test(req)? {
-            Some((status, data)) => {
-                self.after_recv_complete(req, &status)?;
-                Ok(Some((status, data)))
-            }
-            None => Ok(None),
-        }
-    }
-
-    fn waitany(&mut self, reqs: &[Request]) -> Result<(usize, Status, Bytes)> {
-        self.transact()?;
-        let (idx, status, data) = self.inner.waitany(reqs)?;
-        self.after_recv_complete(reqs[idx], &status)?;
-        Ok((idx, status, data))
-    }
-
-    fn testany(&mut self, reqs: &[Request]) -> Result<Option<(usize, Status, Bytes)>> {
-        self.transact()?;
-        match self.inner.testany(reqs)? {
-            Some((idx, status, data)) => {
-                self.after_recv_complete(reqs[idx], &status)?;
-                Ok(Some((idx, status, data)))
-            }
-            None => Ok(None),
-        }
-    }
-
-    fn waitsome(&mut self, reqs: &[Request]) -> Result<Vec<(usize, Status, Bytes)>> {
-        self.transact()?;
-        let completed = self.inner.waitsome(reqs)?;
-        for (idx, status, _) in &completed {
+        let done = self.inner.complete(reqs, how)?;
+        for (idx, status, _) in done.iter() {
             self.after_recv_complete(reqs[*idx], status)?;
         }
-        Ok(completed)
+        Ok(done)
     }
 
-    fn probe(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<ProbeInfo> {
+    fn probe_for(
+        &mut self,
+        comm: Comm,
+        src: i32,
+        tag: Tag,
+        blocking: bool,
+    ) -> Result<Option<ProbeInfo>> {
         self.transact()?;
-        if src == ANY_SOURCE {
-            let (post_src, guided) = self.nd_source();
-            let info = self.inner.probe(comm, post_src, tag)?;
+        if src != ANY_SOURCE {
+            return self.inner.probe_for(comm, src, tag, blocking);
+        }
+        let (post_src, guided) = self.nd_source();
+        let hit = self.inner.probe_for(comm, post_src, tag, blocking)?;
+        if let Some(info) = hit {
             self.sched
                 .on_nd_post(self.rank, comm, tag, NdKind::Probe, guided, Some(info.src));
             self.nd_counter += 1;
-            return Ok(info);
         }
-        self.inner.probe(comm, src, tag)
-    }
-
-    fn iprobe(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<Option<ProbeInfo>> {
-        self.transact()?;
-        if src == ANY_SOURCE {
-            let (post_src, guided) = self.nd_source();
-            return match self.inner.iprobe(comm, post_src, tag)? {
-                Some(info) => {
-                    self.sched.on_nd_post(
-                        self.rank,
-                        comm,
-                        tag,
-                        NdKind::Probe,
-                        guided,
-                        Some(info.src),
-                    );
-                    self.nd_counter += 1;
-                    Ok(Some(info))
-                }
-                None => Ok(None),
-            };
-        }
-        self.inner.iprobe(comm, src, tag)
+        Ok(hit)
     }
 
     fn collective(

@@ -287,3 +287,123 @@ fn isp_probe_epochs_counted() {
     let report = isp.verify(&prog);
     assert_eq!(report.wildcards_analyzed, 1, "{report}");
 }
+
+/// How the master of [`drain_program`] consumes its wildcard messages.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Drain {
+    Wait,
+    Test,
+    Waitany,
+    Testany,
+    Waitsome,
+    Probe,
+    IprobeSpin,
+}
+
+/// Every slave sends one message, then rank 0 drains them through `how`.
+/// The barrier in between queues every message first, so each poll hits
+/// and the cooperative scheduler never meets a spin.
+fn drain_program(how: Drain) -> impl dampi_mpi::MpiProgram {
+    FnProgram(move |mpi: &mut dyn Mpi| {
+        let (w, n) = (Comm::WORLD, mpi.world_size());
+        if mpi.world_rank() != 0 {
+            mpi.send(w, 0, 0, codec::encode_u64(7))?;
+            return mpi.barrier(w);
+        }
+        mpi.barrier(w)?;
+        if matches!(how, Drain::Probe | Drain::IprobeSpin) {
+            for _ in 1..n {
+                let info = loop {
+                    if how == Drain::Probe {
+                        break mpi.probe(w, ANY_SOURCE, 0)?;
+                    }
+                    if let Some(info) = mpi.iprobe(w, ANY_SOURCE, 0)? {
+                        break info;
+                    }
+                };
+                mpi.recv(w, info.src as i32, 0)?;
+            }
+            return Ok(());
+        }
+        let mut rest = (1..n)
+            .map(|_| mpi.irecv(w, ANY_SOURCE, 0))
+            .collect::<dampi_mpi::Result<Vec<_>>>()?;
+        // Completing the last-posted receive first makes DAMPI's
+        // separate-message mode settle the earlier ones out of the runtime
+        // and park them: `how` then has to claim parked completions.
+        mpi.wait(rest.pop().expect("np > 1"))?;
+        while !rest.is_empty() {
+            match how {
+                Drain::Wait => drop(mpi.wait(rest.remove(0))?),
+                Drain::Test => {
+                    if mpi.test(rest[0])?.is_some() {
+                        rest.remove(0);
+                    }
+                }
+                Drain::Waitany => drop(rest.remove(mpi.waitany(&rest)?.0)),
+                Drain::Testany => {
+                    if let Some((idx, ..)) = mpi.testany(&rest)? {
+                        rest.remove(idx);
+                    }
+                }
+                Drain::Waitsome => {
+                    for (idx, ..) in mpi.waitsome(&rest)?.iter().rev() {
+                        rest.remove(*idx);
+                    }
+                }
+                Drain::Probe | Drain::IprobeSpin => unreachable!("handled above"),
+            }
+        }
+        Ok(())
+    })
+}
+
+#[test]
+fn every_completion_and_probe_call_explores_the_same_space() {
+    use dampi_core::{DampiConfig, PiggybackMechanism, VerificationReport};
+    fn sim() -> SimConfig {
+        SimConfig::new(4)
+            .with_deterministic(true)
+            .with_policy(MatchPolicy::LowestRank)
+    }
+    let dampi = |piggyback| {
+        let cfg = DampiConfig::default().with_piggyback(piggyback);
+        move |how| DampiVerifier::with_config(sim(), cfg.clone()).verify(&drain_program(how))
+    };
+    type Verify = Box<dyn Fn(Drain) -> VerificationReport>;
+    let tools: [(&str, Verify); 3] = [
+        (
+            "dampi/separate",
+            Box::new(dampi(PiggybackMechanism::SeparateMessage)),
+        ),
+        (
+            "dampi/packed",
+            Box::new(dampi(PiggybackMechanism::PayloadPacking)),
+        ),
+        (
+            "isp",
+            Box::new(|how| IspVerifier::new(sim()).verify(&drain_program(how))),
+        ),
+    ];
+    for (tool, verify) in &tools {
+        let reference = verify(Drain::Wait);
+        assert!(reference.errors.is_empty(), "{tool}: {reference}");
+        assert_eq!(reference.interleavings, 6, "{tool}: 3! match orders");
+        for how in [
+            Drain::Test,
+            Drain::Waitany,
+            Drain::Testany,
+            Drain::Waitsome,
+            Drain::Probe,
+            Drain::IprobeSpin,
+        ] {
+            let report = verify(how);
+            assert!(report.errors.is_empty(), "{tool} {how:?}: {report}");
+            assert_eq!(
+                (report.interleavings, &report.discovered),
+                (reference.interleavings, &reference.discovered),
+                "{tool} {how:?}"
+            );
+        }
+    }
+}

@@ -27,7 +27,7 @@ use crate::collective::{CollOutcome, CollSig, Contribution};
 use crate::comm::Comm;
 use crate::error::Result;
 use crate::matching::ProbeInfo;
-use crate::proc_api::{Mpi, Status};
+use crate::proc_api::{Completed, Completion, Mpi};
 use crate::request::Request;
 use crate::types::Tag;
 
@@ -361,33 +361,19 @@ impl<M: Mpi> Mpi for FaultLayer<M> {
         self.op_event()?;
         self.inner.irecv(comm, src, tag)
     }
-    fn wait(&mut self, req: Request) -> Result<(Status, Bytes)> {
+    fn complete(&mut self, reqs: &[Request], how: Completion) -> Result<Completed> {
         self.op_event()?;
-        self.inner.wait(req)
+        self.inner.complete(reqs, how)
     }
-    fn test(&mut self, req: Request) -> Result<Option<(Status, Bytes)>> {
+    fn probe_for(
+        &mut self,
+        comm: Comm,
+        src: i32,
+        tag: Tag,
+        blocking: bool,
+    ) -> Result<Option<ProbeInfo>> {
         self.op_event()?;
-        self.inner.test(req)
-    }
-    fn waitany(&mut self, reqs: &[Request]) -> Result<(usize, Status, Bytes)> {
-        self.op_event()?;
-        self.inner.waitany(reqs)
-    }
-    fn testany(&mut self, reqs: &[Request]) -> Result<Option<(usize, Status, Bytes)>> {
-        self.op_event()?;
-        self.inner.testany(reqs)
-    }
-    fn waitsome(&mut self, reqs: &[Request]) -> Result<Vec<(usize, Status, Bytes)>> {
-        self.op_event()?;
-        self.inner.waitsome(reqs)
-    }
-    fn probe(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<ProbeInfo> {
-        self.op_event()?;
-        self.inner.probe(comm, src, tag)
-    }
-    fn iprobe(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<Option<ProbeInfo>> {
-        self.op_event()?;
-        self.inner.iprobe(comm, src, tag)
+        self.inner.probe_for(comm, src, tag, blocking)
     }
 
     fn collective(

@@ -3,9 +3,10 @@
 //! A *layer* is just an [`Mpi`] implementation that owns an inner [`Mpi`]
 //! and forwards (possibly rewritten) calls downward — the simulator analog
 //! of a PnMPI module providing `MPI_f` and calling `PMPI_f`. A layer
-//! implements the required primitives only: [`Mpi::collective`] once for all
-//! ten typed data collectives, which it inherits as provided methods. This
-//! module provides two reference layers:
+//! implements the seventeen required primitives only — among them the three
+//! waists [`Mpi::collective`], [`Mpi::complete`] and [`Mpi::probe_for`] — and
+//! inherits every typed collective, completion and probe call as a provided
+//! method. This module provides two reference layers:
 //!
 //! * [`PassthroughLayer`] — forwards everything unchanged; the identity
 //!   tool, useful in tests and for measuring interposition overhead floors.
@@ -24,7 +25,7 @@ use crate::collective::{CollOutcome, CollSig, Contribution};
 use crate::comm::Comm;
 use crate::error::Result;
 use crate::matching::ProbeInfo;
-use crate::proc_api::{Mpi, Status};
+use crate::proc_api::{Completed, Completion, Mpi, Status};
 use crate::request::Request;
 use crate::stats::{OpClass, OpStats, StatsCollector};
 use crate::types::Tag;
@@ -74,26 +75,17 @@ impl<M: Mpi> Mpi for PassthroughLayer<M> {
     fn irecv(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<Request> {
         self.inner.irecv(comm, src, tag)
     }
-    fn wait(&mut self, req: Request) -> Result<(Status, Bytes)> {
-        self.inner.wait(req)
+    fn complete(&mut self, reqs: &[Request], how: Completion) -> Result<Completed> {
+        self.inner.complete(reqs, how)
     }
-    fn test(&mut self, req: Request) -> Result<Option<(Status, Bytes)>> {
-        self.inner.test(req)
-    }
-    fn waitany(&mut self, reqs: &[Request]) -> Result<(usize, Status, Bytes)> {
-        self.inner.waitany(reqs)
-    }
-    fn testany(&mut self, reqs: &[Request]) -> Result<Option<(usize, Status, Bytes)>> {
-        self.inner.testany(reqs)
-    }
-    fn waitsome(&mut self, reqs: &[Request]) -> Result<Vec<(usize, Status, Bytes)>> {
-        self.inner.waitsome(reqs)
-    }
-    fn probe(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<ProbeInfo> {
-        self.inner.probe(comm, src, tag)
-    }
-    fn iprobe(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<Option<ProbeInfo>> {
-        self.inner.iprobe(comm, src, tag)
+    fn probe_for(
+        &mut self,
+        comm: Comm,
+        src: i32,
+        tag: Tag,
+        blocking: bool,
+    ) -> Result<Option<ProbeInfo>> {
+        self.inner.probe_for(comm, src, tag, blocking)
     }
     fn collective(
         &mut self,
@@ -175,25 +167,9 @@ impl<M: Mpi> Mpi for StatsLayer<M> {
         self.tally(OpClass::SendRecv);
         self.inner.irecv(comm, src, tag)
     }
-    fn wait(&mut self, req: Request) -> Result<(Status, Bytes)> {
+    fn complete(&mut self, reqs: &[Request], how: Completion) -> Result<Completed> {
         self.tally(OpClass::Wait);
-        self.inner.wait(req)
-    }
-    fn test(&mut self, req: Request) -> Result<Option<(Status, Bytes)>> {
-        self.tally(OpClass::Wait);
-        self.inner.test(req)
-    }
-    fn waitany(&mut self, reqs: &[Request]) -> Result<(usize, Status, Bytes)> {
-        self.tally(OpClass::Wait);
-        self.inner.waitany(reqs)
-    }
-    fn testany(&mut self, reqs: &[Request]) -> Result<Option<(usize, Status, Bytes)>> {
-        self.tally(OpClass::Wait);
-        self.inner.testany(reqs)
-    }
-    fn waitsome(&mut self, reqs: &[Request]) -> Result<Vec<(usize, Status, Bytes)>> {
-        self.tally(OpClass::Wait);
-        self.inner.waitsome(reqs)
+        self.inner.complete(reqs, how)
     }
     fn waitall(&mut self, reqs: &[Request]) -> Result<Vec<(Status, Bytes)>> {
         // MPI_Waitall is a single call; count it once (Table I counts
@@ -201,13 +177,15 @@ impl<M: Mpi> Mpi for StatsLayer<M> {
         self.tally(OpClass::Wait);
         self.inner.waitall(reqs)
     }
-    fn probe(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<ProbeInfo> {
+    fn probe_for(
+        &mut self,
+        comm: Comm,
+        src: i32,
+        tag: Tag,
+        blocking: bool,
+    ) -> Result<Option<ProbeInfo>> {
         self.tally(OpClass::SendRecv);
-        self.inner.probe(comm, src, tag)
-    }
-    fn iprobe(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<Option<ProbeInfo>> {
-        self.tally(OpClass::SendRecv);
-        self.inner.iprobe(comm, src, tag)
+        self.inner.probe_for(comm, src, tag, blocking)
     }
     fn collective(
         &mut self,

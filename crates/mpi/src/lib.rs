@@ -60,10 +60,10 @@ pub use fault::{FaultAction, FaultLayer, FaultPlan, FaultRule};
 pub use interpose::{LayerFactory, PassthroughLayer};
 pub use leak::LeakReport;
 pub use matching::MatchPolicy;
-pub use proc_api::{Mpi, Pmpi, Status};
+pub use proc_api::{Completed, Completion, Mpi, Pmpi, Status};
 pub use program::{FnProgram, MpiProgram, RankError, RunOutcome};
 pub use request::Request;
 pub use runtime::{run_native, run_with_layers, ReplayBudget, SimConfig, World};
 pub use stats::{OpClass, OpStats};
-pub use types::{Tag, ANY_SOURCE, ANY_TAG};
+pub use types::{fnv1a64, Tag, ANY_SOURCE, ANY_TAG};
 pub use vtime::VTimeParams;

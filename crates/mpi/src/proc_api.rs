@@ -33,14 +33,95 @@ pub struct Status {
     pub tag: Tag,
 }
 
+/// How a completion call waits and how much it takes: the mode argument of
+/// [`Mpi::complete`]. `wait`/`test` are the one-request case of the `Any`
+/// modes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Completion {
+    /// Block until a request is complete and consume the lowest-index one
+    /// (`MPI_Wait`, `MPI_Waitany`).
+    WaitAny,
+    /// Consume the lowest-index complete request, if there is one
+    /// (`MPI_Test`, `MPI_Testany`).
+    TestAny,
+    /// Block until a request is complete and consume every request complete
+    /// at that moment (`MPI_Waitsome`).
+    WaitSome,
+}
+
+impl Completion {
+    /// Whether the call blocks until it has something to return.
+    #[must_use]
+    pub fn blocking(self) -> bool {
+        !matches!(self, Self::TestAny)
+    }
+
+    /// Whether the call takes every complete request rather than the first.
+    #[must_use]
+    pub fn takes_all(self) -> bool {
+        matches!(self, Self::WaitSome)
+    }
+}
+
+/// One consumed request: its index in the list passed to [`Mpi::complete`],
+/// its status and (for receives) its payload.
+pub type Done = (usize, Status, Bytes);
+
+/// What [`Mpi::complete`] consumed, in index order. The first completion is
+/// held inline, so the `Any` modes never allocate.
+#[derive(Debug, Default)]
+pub struct Completed {
+    first: Option<Done>,
+    rest: Vec<Done>,
+}
+
+impl Completed {
+    /// Append a completion.
+    pub fn push(&mut self, done: Done) {
+        if self.first.is_none() {
+            self.first = Some(done);
+        } else {
+            self.rest.push(done);
+        }
+    }
+
+    /// True when nothing was consumed (a polling miss).
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.first.is_none()
+    }
+
+    /// The completions, in index order.
+    pub fn iter(&self) -> impl Iterator<Item = &Done> {
+        self.first.iter().chain(&self.rest)
+    }
+
+    /// The completions, in index order, for a layer that rewrites payloads.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Done> {
+        self.first.iter_mut().chain(&mut self.rest)
+    }
+}
+
+impl IntoIterator for Completed {
+    type Item = Done;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<Done>, std::vec::IntoIter<Done>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.first.into_iter().chain(self.rest)
+    }
+}
+
 /// The MPI interface available to verified programs and tool layers.
 ///
-/// Blocking convenience operations (`send`, `recv`, `waitall`, `sendrecv`)
-/// have default implementations in terms of the nonblocking primitives, and
-/// the ten typed data collectives (`barrier` … `alltoall`) in terms of
-/// [`Mpi::collective`], so a tool layer that intercepts the primitives
-/// automatically intercepts the conveniences. `comm_dup`/`comm_split`/
-/// `comm_free` stay primitives: layers treat each of the three differently.
+/// Seventeen methods are required. Everything else is provided in terms of
+/// three waists, so a tool layer states each behaviour once and intercepts
+/// every typed call derived from it: the ten data collectives (`barrier` …
+/// `alltoall`) go through [`Mpi::collective`], the five completion calls
+/// (`wait`, `test`, `waitany`, `testany`, `waitsome`) through
+/// [`Mpi::complete`], and `probe`/`iprobe` through [`Mpi::probe_for`]. The
+/// blocking conveniences (`send`, `recv`, `waitall`, `sendrecv`) are built
+/// from those. `comm_dup`/`comm_split`/`comm_free` stay primitives: layers
+/// treat each of the three differently.
 #[allow(clippy::too_many_arguments)]
 pub trait Mpi: Send {
     /// This process's world rank.
@@ -63,23 +144,22 @@ pub trait Mpi: Send {
     /// Nonblocking receive (`MPI_Irecv`); `src` may be [`crate::ANY_SOURCE`]
     /// — the non-deterministic operation DAMPI enumerates outcomes of.
     fn irecv(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<Request>;
-    /// Block until `req` completes (`MPI_Wait`); consumes the request.
-    fn wait(&mut self, req: Request) -> Result<(Status, Bytes)>;
-    /// Poll `req` (`MPI_Test`); consumes the request when complete.
-    fn test(&mut self, req: Request) -> Result<Option<(Status, Bytes)>>;
-    /// Block until any of `reqs` completes (`MPI_Waitany`); returns its
-    /// index and consumes only that request.
-    fn waitany(&mut self, reqs: &[Request]) -> Result<(usize, Status, Bytes)>;
-    /// Poll any of `reqs` (`MPI_Testany`); consumes the completed request.
-    fn testany(&mut self, reqs: &[Request]) -> Result<Option<(usize, Status, Bytes)>>;
-    /// Block until at least one of `reqs` completes (`MPI_Waitsome`);
-    /// returns and consumes every request complete at that moment.
-    fn waitsome(&mut self, reqs: &[Request]) -> Result<Vec<(usize, Status, Bytes)>>;
-    /// Blocking probe (`MPI_Probe`); `src` may be wildcard (also
-    /// non-deterministic, paper §II-E).
-    fn probe(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<ProbeInfo>;
-    /// Nonblocking probe (`MPI_Iprobe`).
-    fn iprobe(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<Option<ProbeInfo>>;
+    /// The one entry point of every completion call: consume the complete
+    /// requests among `reqs` that `how` asks for. The five typed calls below
+    /// are derived from it, so a tool layer implements its completion
+    /// behaviour here once. Blocking modes never return empty.
+    fn complete(&mut self, reqs: &[Request], how: Completion) -> Result<Completed>;
+    /// The one entry point of `probe`/`iprobe`: report a matchable message
+    /// without receiving it, waiting for one when `blocking` (which then
+    /// never returns `None`). `src` may be wildcard (also non-deterministic,
+    /// paper §II-E).
+    fn probe_for(
+        &mut self,
+        comm: Comm,
+        src: i32,
+        tag: Tag,
+        blocking: bool,
+    ) -> Result<Option<ProbeInfo>>;
 
     /// The one entry point of every data collective: deposit this rank's
     /// `contribution` to the `sig` rendezvous on `comm` and leave with its
@@ -109,6 +189,54 @@ pub trait Mpi: Send {
     /// `MPI_Finalize`-time hook; tool layers flush their logs here. Called
     /// once by the run harness after the program returns successfully.
     fn finalize(&mut self) -> Result<()>;
+
+    /// Block until `req` completes (`MPI_Wait`); consumes the request.
+    fn wait(&mut self, req: Request) -> Result<(Status, Bytes)> {
+        let (_, status, data) = blocking_hit(self.complete(&[req], Completion::WaitAny)?)?;
+        Ok((status, data))
+    }
+
+    /// Poll `req` (`MPI_Test`); consumes the request when complete.
+    fn test(&mut self, req: Request) -> Result<Option<(Status, Bytes)>> {
+        let done = self
+            .complete(&[req], Completion::TestAny)?
+            .into_iter()
+            .next();
+        Ok(done.map(|(_, status, data)| (status, data)))
+    }
+
+    /// Block until any of `reqs` completes (`MPI_Waitany`); returns its
+    /// index and consumes only that request.
+    fn waitany(&mut self, reqs: &[Request]) -> Result<(usize, Status, Bytes)> {
+        blocking_hit(self.complete(reqs, Completion::WaitAny)?)
+    }
+
+    /// Poll any of `reqs` (`MPI_Testany`); consumes the completed request.
+    fn testany(&mut self, reqs: &[Request]) -> Result<Option<(usize, Status, Bytes)>> {
+        Ok(self.complete(reqs, Completion::TestAny)?.into_iter().next())
+    }
+
+    /// Block until at least one of `reqs` completes (`MPI_Waitsome`);
+    /// returns and consumes every request complete at that moment.
+    fn waitsome(&mut self, reqs: &[Request]) -> Result<Vec<(usize, Status, Bytes)>> {
+        Ok(self
+            .complete(reqs, Completion::WaitSome)?
+            .into_iter()
+            .collect())
+    }
+
+    /// Blocking probe (`MPI_Probe`).
+    fn probe(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<ProbeInfo> {
+        self.probe_for(comm, src, tag, true)?
+            .ok_or_else(|| MpiError::ToolProtocol {
+                detail: "blocking probe returned no message".to_owned(),
+            })
+    }
+
+    /// Nonblocking probe (`MPI_Iprobe`).
+    fn iprobe(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<Option<ProbeInfo>> {
+        self.probe_for(comm, src, tag, false)
+    }
 
     /// Blocking send (`MPI_Send`).
     fn send(&mut self, comm: Comm, dest: i32, tag: Tag, data: Bytes) -> Result<()> {
@@ -262,6 +390,16 @@ pub trait Mpi: Send {
     }
 }
 
+/// A blocking completion left the waist empty-handed: a broken layer below,
+/// never a program error.
+fn blocking_hit(done: Completed) -> Result<Done> {
+    done.into_iter()
+        .next()
+        .ok_or_else(|| MpiError::ToolProtocol {
+            detail: "blocking completion returned no request".to_owned(),
+        })
+}
+
 /// The payload the root of a `bcast`/`scatter` must supply.
 fn root_data<T>(sig: CollSig, data: Option<T>) -> Result<T> {
     data.ok_or_else(|| MpiError::ToolProtocol {
@@ -332,32 +470,18 @@ impl Mpi for Pmpi {
         self.world.op_irecv(self.rank, comm, src, tag)
     }
 
-    fn wait(&mut self, req: Request) -> Result<(Status, Bytes)> {
-        self.world.op_wait(self.rank, req)
+    fn complete(&mut self, reqs: &[Request], how: Completion) -> Result<Completed> {
+        self.world.op_complete(self.rank, reqs, how)
     }
 
-    fn test(&mut self, req: Request) -> Result<Option<(Status, Bytes)>> {
-        self.world.op_test(self.rank, req)
-    }
-
-    fn waitany(&mut self, reqs: &[Request]) -> Result<(usize, Status, Bytes)> {
-        self.world.op_waitany(self.rank, reqs)
-    }
-
-    fn testany(&mut self, reqs: &[Request]) -> Result<Option<(usize, Status, Bytes)>> {
-        self.world.op_testany(self.rank, reqs)
-    }
-
-    fn waitsome(&mut self, reqs: &[Request]) -> Result<Vec<(usize, Status, Bytes)>> {
-        self.world.op_waitsome(self.rank, reqs)
-    }
-
-    fn probe(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<ProbeInfo> {
-        self.world.op_probe(self.rank, comm, src, tag)
-    }
-
-    fn iprobe(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<Option<ProbeInfo>> {
-        self.world.op_iprobe(self.rank, comm, src, tag)
+    fn probe_for(
+        &mut self,
+        comm: Comm,
+        src: i32,
+        tag: Tag,
+        blocking: bool,
+    ) -> Result<Option<ProbeInfo>> {
+        self.world.op_probe(self.rank, comm, src, tag, blocking)
     }
 
     fn collective(

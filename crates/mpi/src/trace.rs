@@ -17,9 +17,9 @@ use crate::collective::{CollOutcome, CollSig, Contribution};
 use crate::comm::Comm;
 use crate::error::Result;
 use crate::matching::ProbeInfo;
-use crate::proc_api::{Mpi, Status};
+use crate::proc_api::{Completed, Completion, Mpi};
 use crate::request::Request;
-use crate::types::Tag;
+use crate::types::{fnv1a64, Tag};
 
 /// One recorded MPI event.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -43,12 +43,7 @@ pub struct TraceEvent {
 /// a payload-value assert).
 #[must_use]
 pub fn payload_digest(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
+    fnv1a64(data)
 }
 
 /// Operation variants captured by the trace.
@@ -234,65 +229,46 @@ impl<M: Mpi> Mpi for TraceLayer<M> {
         });
         self.inner.irecv(comm, src, tag)
     }
-    fn wait(&mut self, req: Request) -> Result<(Status, Bytes)> {
-        let (status, data) = self.inner.wait(req)?;
-        self.record(TraceOp::Wait {
-            completed_source: status.source,
-            tag: status.tag,
-        });
-        Ok((status, data))
-    }
-    fn test(&mut self, req: Request) -> Result<Option<(Status, Bytes)>> {
-        let out = self.inner.test(req)?;
-        self.record(TraceOp::Test {
-            completed: out.is_some(),
-        });
-        Ok(out)
-    }
-    fn waitany(&mut self, reqs: &[Request]) -> Result<(usize, Status, Bytes)> {
-        let (idx, status, data) = self.inner.waitany(reqs)?;
-        self.record(TraceOp::Wait {
-            completed_source: status.source,
-            tag: status.tag,
-        });
-        Ok((idx, status, data))
-    }
-    fn testany(&mut self, reqs: &[Request]) -> Result<Option<(usize, Status, Bytes)>> {
-        let out = self.inner.testany(reqs)?;
-        self.record(TraceOp::Test {
-            completed: out.is_some(),
-        });
-        Ok(out)
-    }
-    fn waitsome(&mut self, reqs: &[Request]) -> Result<Vec<(usize, Status, Bytes)>> {
-        let out = self.inner.waitsome(reqs)?;
-        for (_, status, _) in &out {
-            self.record(TraceOp::Wait {
-                completed_source: status.source,
-                tag: status.tag,
+    fn complete(&mut self, reqs: &[Request], how: Completion) -> Result<Completed> {
+        let done = self.inner.complete(reqs, how)?;
+        if how.blocking() {
+            for (_, status, _) in done.iter() {
+                self.record(TraceOp::Wait {
+                    completed_source: status.source,
+                    tag: status.tag,
+                });
+            }
+        } else {
+            self.record(TraceOp::Test {
+                completed: !done.is_empty(),
             });
         }
-        Ok(out)
+        Ok(done)
     }
-    fn probe(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<ProbeInfo> {
-        let info = self.inner.probe(comm, src, tag)?;
-        self.record(TraceOp::Probe {
-            comm: comm.0,
-            src,
-            tag,
-            hit_source: info.src,
+    fn probe_for(
+        &mut self,
+        comm: Comm,
+        src: i32,
+        tag: Tag,
+        blocking: bool,
+    ) -> Result<Option<ProbeInfo>> {
+        let hit = self.inner.probe_for(comm, src, tag, blocking)?;
+        let comm = comm.0;
+        self.record(match hit {
+            Some(info) if blocking => TraceOp::Probe {
+                comm,
+                src,
+                tag,
+                hit_source: info.src,
+            },
+            _ => TraceOp::Iprobe {
+                comm,
+                src,
+                tag,
+                hit: hit.is_some(),
+            },
         });
-        Ok(info)
-    }
-    fn iprobe(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<Option<ProbeInfo>> {
-        let out = self.inner.iprobe(comm, src, tag)?;
-        self.record(TraceOp::Iprobe {
-            comm: comm.0,
-            src,
-            tag,
-            hit: out.is_some(),
-        });
-        Ok(out)
+        Ok(hit)
     }
     fn collective(
         &mut self,

@@ -24,9 +24,34 @@ pub fn tag_matches(spec: Tag, actual: Tag) -> bool {
     spec == ANY_TAG || spec == actual
 }
 
+/// 64-bit FNV-1a: the tree's one content digest. Payload digests in traces,
+/// frame checksums, replay-cache keyspaces, shard `Hello` config digests
+/// and protocol-spec digests are all this function, and all of them are
+/// persisted or compared across processes — its output must never change.
+#[must_use]
+#[inline]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a64_digests_are_pinned() {
+        // The published FNV-1a test vectors, then a config-digest-shaped
+        // string (fields joined by U+001F, as `dampi-cli` hashes them).
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a64(b"dampi\x1fracers\x1f4"), 0xbc54_c712_bfec_fede);
+    }
 
     #[test]
     fn wildcard_source_matches_everything() {

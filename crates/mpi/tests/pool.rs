@@ -13,8 +13,8 @@ use bytes::Bytes;
 use dampi_mpi::matching::ProbeInfo;
 use dampi_mpi::pool::{idle_threads, POOLED_WORLD_MAX};
 use dampi_mpi::{
-    run_native, run_with_layers, CollOutcome, CollSig, Comm, Contribution, FnProgram, Mpi,
-    MpiError, ReduceOp, ReplayBudget, Request, Result, SimConfig, Status, Tag,
+    run_native, run_with_layers, CollOutcome, CollSig, Comm, Completed, Completion, Contribution,
+    FnProgram, Mpi, MpiError, ReduceOp, ReplayBudget, Request, Result, SimConfig, Tag,
 };
 
 /// The pool is process-wide and these tests assert on which threads it
@@ -81,26 +81,17 @@ impl<M: Mpi> Mpi for PanicsInFinalize<M> {
     fn irecv(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<Request> {
         self.inner.irecv(comm, src, tag)
     }
-    fn wait(&mut self, req: Request) -> Result<(Status, Bytes)> {
-        self.inner.wait(req)
+    fn complete(&mut self, reqs: &[Request], how: Completion) -> Result<Completed> {
+        self.inner.complete(reqs, how)
     }
-    fn test(&mut self, req: Request) -> Result<Option<(Status, Bytes)>> {
-        self.inner.test(req)
-    }
-    fn waitany(&mut self, reqs: &[Request]) -> Result<(usize, Status, Bytes)> {
-        self.inner.waitany(reqs)
-    }
-    fn testany(&mut self, reqs: &[Request]) -> Result<Option<(usize, Status, Bytes)>> {
-        self.inner.testany(reqs)
-    }
-    fn waitsome(&mut self, reqs: &[Request]) -> Result<Vec<(usize, Status, Bytes)>> {
-        self.inner.waitsome(reqs)
-    }
-    fn probe(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<ProbeInfo> {
-        self.inner.probe(comm, src, tag)
-    }
-    fn iprobe(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<Option<ProbeInfo>> {
-        self.inner.iprobe(comm, src, tag)
+    fn probe_for(
+        &mut self,
+        comm: Comm,
+        src: i32,
+        tag: Tag,
+        blocking: bool,
+    ) -> Result<Option<ProbeInfo>> {
+        self.inner.probe_for(comm, src, tag, blocking)
     }
     fn collective(
         &mut self,

@@ -5,8 +5,8 @@
 use bytes::Bytes;
 use dampi_mpi::envelope::codec;
 use dampi_mpi::{
-    run_native, run_with_layers, Comm, FnProgram, MatchPolicy, MpiError, MpiProgram, ReduceOp,
-    SimConfig, ANY_SOURCE, ANY_TAG,
+    run_native, run_with_layers, Comm, FnProgram, MatchPolicy, MpiError, MpiProgram, Pmpi,
+    ReduceOp, SimConfig, Status, ANY_SOURCE, ANY_TAG,
 };
 
 fn cfg(n: usize) -> SimConfig {
@@ -758,6 +758,40 @@ mod completion_variants {
         assert!(out.succeeded(), "{:?}", out.rank_errors);
     }
 
+    /// Only the owner may complete a request; `waitany`/`testany`/`waitsome`
+    /// used to skip a foreign one and block until the deadlock detector
+    /// fired (or answer `None` forever).
+    #[test]
+    fn a_request_of_another_rank_is_rejected_by_every_completion_call() {
+        let shared = std::sync::Mutex::new(None);
+        let prog = FnProgram(|mpi: &mut dyn dampi_mpi::Mpi| {
+            let w = Comm::WORLD;
+            if mpi.world_rank() == 0 {
+                let mine = mpi.irecv(w, 1, 0)?;
+                *shared.lock().unwrap() = Some(mine);
+                mpi.barrier(w)?;
+                mpi.wait(mine)?;
+                return Ok(());
+            }
+            mpi.barrier(w)?;
+            let foreign = [shared.lock().unwrap().expect("rank 0 posted")];
+            let errs = [
+                mpi.wait(foreign[0]).unwrap_err(),
+                mpi.test(foreign[0]).unwrap_err(),
+                mpi.waitany(&foreign).unwrap_err(),
+                mpi.testany(&foreign).unwrap_err(),
+                mpi.waitsome(&foreign).unwrap_err(),
+            ];
+            for err in errs {
+                assert!(matches!(err, MpiError::ToolProtocol { .. }), "{err:?}");
+            }
+            mpi.send(w, 0, 0, bts(b"now"))
+        });
+        let out = run_native(&cfg(2), &prog);
+        assert!(out.succeeded(), "{:?}", out.rank_errors);
+        assert!(out.leaks.is_clean());
+    }
+
     #[test]
     fn waitsome_under_dampi_wildcards() {
         use dampi_core::DampiVerifier;
@@ -920,25 +954,43 @@ fn deterministic_turn_covers_now_and_compute() {
     }
 }
 
-mod collective_waist {
-    //! `Mpi::collective` is the one entry point of the ten typed data
-    //! collectives: a layer that implements only it sees every one of them.
+mod waists {
+    //! `Mpi::collective`, `Mpi::complete` and `Mpi::probe_for` are the entry
+    //! points of the ten typed data collectives, the five completion calls
+    //! and the two probes: a layer that implements only them sees every one.
 
     use std::sync::{Arc, Mutex};
 
     use super::*;
     use dampi_mpi::matching::ProbeInfo;
     use dampi_mpi::{
-        CollOutcome, CollSig, Contribution, Mpi, PassthroughLayer, Request, Result, Status, Tag,
+        CollOutcome, CollSig, Completed, Completion, Contribution, Mpi, PassthroughLayer, Request,
+        Result, Tag,
     };
 
-    /// Per-rank log of the signatures one layer position saw.
-    type SigLog = Arc<Mutex<Vec<Vec<CollSig>>>>;
+    /// One waist call as a layer sees it.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Seen {
+        Collective(CollSig),
+        /// The mode and how many requests were passed.
+        Complete(Completion, usize),
+        /// The `blocking` flag.
+        Probe(bool),
+    }
 
-    /// Forwards everything; its only behaviour is in `collective`.
+    /// Per-rank log of the waist calls one layer position saw.
+    type SeenLog = Arc<Mutex<Vec<Vec<Seen>>>>;
+
+    /// Forwards everything; its only behaviour is in the three waists.
     struct Recording<M: Mpi> {
         inner: M,
-        log: SigLog,
+        log: SeenLog,
+    }
+
+    impl<M: Mpi> Recording<M> {
+        fn saw(&self, call: Seen) {
+            self.log.lock().unwrap()[self.inner.world_rank()].push(call);
+        }
     }
 
     impl<M: Mpi> Mpi for Recording<M> {
@@ -966,26 +1018,19 @@ mod collective_waist {
         fn irecv(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<Request> {
             self.inner.irecv(comm, src, tag)
         }
-        fn wait(&mut self, req: Request) -> Result<(Status, Bytes)> {
-            self.inner.wait(req)
+        fn complete(&mut self, reqs: &[Request], how: Completion) -> Result<Completed> {
+            self.saw(Seen::Complete(how, reqs.len()));
+            self.inner.complete(reqs, how)
         }
-        fn test(&mut self, req: Request) -> Result<Option<(Status, Bytes)>> {
-            self.inner.test(req)
-        }
-        fn waitany(&mut self, reqs: &[Request]) -> Result<(usize, Status, Bytes)> {
-            self.inner.waitany(reqs)
-        }
-        fn testany(&mut self, reqs: &[Request]) -> Result<Option<(usize, Status, Bytes)>> {
-            self.inner.testany(reqs)
-        }
-        fn waitsome(&mut self, reqs: &[Request]) -> Result<Vec<(usize, Status, Bytes)>> {
-            self.inner.waitsome(reqs)
-        }
-        fn probe(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<ProbeInfo> {
-            self.inner.probe(comm, src, tag)
-        }
-        fn iprobe(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<Option<ProbeInfo>> {
-            self.inner.iprobe(comm, src, tag)
+        fn probe_for(
+            &mut self,
+            comm: Comm,
+            src: i32,
+            tag: Tag,
+            blocking: bool,
+        ) -> Result<Option<ProbeInfo>> {
+            self.saw(Seen::Probe(blocking));
+            self.inner.probe_for(comm, src, tag, blocking)
         }
         fn collective(
             &mut self,
@@ -993,7 +1038,7 @@ mod collective_waist {
             sig: CollSig,
             contribution: Contribution,
         ) -> Result<CollOutcome> {
-            self.log.lock().unwrap()[self.inner.world_rank()].push(sig);
+            self.saw(Seen::Collective(sig));
             self.inner.collective(comm, sig, contribution)
         }
         fn comm_dup(&mut self, comm: Comm) -> Result<Comm> {
@@ -1013,6 +1058,27 @@ mod collective_waist {
         }
         fn finalize(&mut self) -> Result<()> {
             self.inner.finalize()
+        }
+    }
+
+    fn new_log(np: usize) -> SeenLog {
+        Arc::new(Mutex::new(vec![Vec::new(); np]))
+    }
+
+    /// Layer factory: a `Recording` above and one below a `PassthroughLayer`.
+    fn recording_stack<'a>(
+        upper: &'a SeenLog,
+        lower: &'a SeenLog,
+    ) -> impl Fn(usize, Pmpi) -> Result<Box<dyn Mpi>> + 'a {
+        move |_, pmpi| {
+            let lower = Recording {
+                inner: pmpi,
+                log: Arc::clone(lower),
+            };
+            Ok(Box::new(Recording {
+                inner: PassthroughLayer::new(lower),
+                log: Arc::clone(upper),
+            }))
         }
     }
 
@@ -1098,25 +1164,73 @@ mod collective_waist {
                 vec![bts(&[1]), bts(&[11]), bts(&[21])],
             ))
         );
-        let upper: SigLog = Arc::new(Mutex::new(vec![Vec::new(); 3]));
-        let lower: SigLog = Arc::new(Mutex::new(vec![Vec::new(); 3]));
-        let (up, low) = (Arc::clone(&upper), Arc::clone(&lower));
-        let stacked = run_all_ten(&move |_, pmpi| {
-            let lower = Recording {
-                inner: pmpi,
-                log: Arc::clone(&low),
-            };
-            Ok(Box::new(Recording {
-                inner: PassthroughLayer::new(lower),
-                log: Arc::clone(&up),
-            }))
-        });
+        let (upper, lower) = (new_log(3), new_log(3));
+        let stacked = run_all_ten(&recording_stack(&upper, &lower));
         assert_eq!(stacked, bare, "layers must not change what a rank receives");
-        let sigs: Vec<CollSig> = expected().iter().map(|(sig, _)| *sig).collect();
+        let sigs: Vec<Seen> = expected()
+            .iter()
+            .map(|(sig, _)| Seen::Collective(*sig))
+            .collect();
         for log in [&upper, &lower] {
             for seen in log.lock().unwrap().iter() {
                 assert_eq!(seen, &sigs, "one `collective` per typed call, in order");
             }
+        }
+    }
+
+    #[test]
+    fn point_to_point_call_reaches_each_layer_exactly_once() {
+        use Completion::{TestAny, WaitAny, WaitSome};
+        const SENDS: i32 = 6;
+        let prog = FnProgram(|mpi: &mut dyn Mpi| {
+            let w = Comm::WORLD;
+            if mpi.world_rank() == 1 {
+                for tag in 0..SENDS {
+                    mpi.send(w, 0, tag, bts(&[tag as u8]))?;
+                }
+                return mpi.barrier(w);
+            }
+            // Every message is queued once the sender is past the barrier,
+            // so each poll below hits the first time.
+            mpi.barrier(w)?;
+            assert_eq!(mpi.probe(w, 1, 0)?.len, 1);
+            assert_eq!(mpi.iprobe(w, 1, 0)?.map(|info| info.src), Some(1));
+            let mut recvs = Vec::new();
+            for tag in 0..SENDS {
+                recvs.push(mpi.irecv(w, 1, tag)?);
+            }
+            let tag_of = |(status, data): (Status, Bytes)| (status.tag, data[0]);
+            assert_eq!(tag_of(mpi.wait(recvs[0])?), (0, 0));
+            assert_eq!(mpi.test(recvs[1])?.map(tag_of), Some((1, 1)));
+            let (idx, status, _) = mpi.waitany(&recvs[2..4])?;
+            assert_eq!((idx, status.tag), (0, 2));
+            let hit = mpi.testany(&recvs[3..5])?;
+            assert_eq!(hit.map(|(idx, status, _)| (idx, status.tag)), Some((0, 3)));
+            let rest = mpi.waitsome(&recvs[4..6])?;
+            let tags: Vec<_> = rest.iter().map(|(idx, st, _)| (*idx, st.tag)).collect();
+            assert_eq!(tags, [(0, 4), (1, 5)]);
+            Ok(())
+        });
+        let (upper, lower) = (new_log(2), new_log(2));
+        let out = run_with_layers(&cfg(2), &prog, &recording_stack(&upper, &lower));
+        assert!(out.succeeded(), "{:?}", out.rank_errors);
+        assert!(out.leaks.is_clean(), "every request was consumed");
+        let receiver = [
+            Seen::Collective(CollSig::Barrier),
+            Seen::Probe(true),
+            Seen::Probe(false),
+            Seen::Complete(WaitAny, 1),
+            Seen::Complete(TestAny, 1),
+            Seen::Complete(WaitAny, 2),
+            Seen::Complete(TestAny, 2),
+            Seen::Complete(WaitSome, 2),
+        ];
+        let mut sender = vec![Seen::Complete(WaitAny, 1); SENDS as usize];
+        sender.push(Seen::Collective(CollSig::Barrier));
+        for log in [&upper, &lower] {
+            let log = log.lock().unwrap();
+            assert_eq!(log[0], receiver, "one waist call per typed call, in order");
+            assert_eq!(log[1], sender, "`send` is `isend` + `wait`");
         }
     }
 

@@ -292,15 +292,6 @@ fn load_protocol(args: &Args) -> Result<Option<dampi::analysis::ProtocolSpec>, S
         .map_err(|e| format!("--protocol {arg}: {e}"))
 }
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The flags that change what a replay *computes*, as opposed to how the
 /// campaign is orchestrated, in canonical order. The supervisor spawns
 /// each worker with exactly this vector (plus `--worker` plumbing), and
@@ -347,7 +338,7 @@ fn semantic_args(name: &str, a: &Args) -> Vec<String> {
 }
 
 fn config_digest(name: &str, a: &Args) -> u64 {
-    fnv1a64(semantic_args(name, a).join("\u{1f}").as_bytes())
+    dampi::mpi::fnv1a64(semantic_args(name, a).join("\u{1f}").as_bytes())
 }
 
 /// SIGTERM → graceful drain. Lives in the CLI because `dampi-core`

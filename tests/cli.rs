@@ -296,3 +296,99 @@ fn verify_rejects_zero_jobs_and_isp_with_jobs() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("ISP"), "{err}");
 }
+
+/// `analyze <workload> --np <np> [--protocol <spec>] --json`: the exit code
+/// and the report, once `metrics-lint --analysis` has accepted its schema.
+fn analyze(workload: &str, np: &str, protocol: Option<&str>) -> (Option<i32>, serde_json::Value) {
+    let mut cmd = cli();
+    cmd.args(["analyze", workload, "--np", np, "--json"]);
+    if let Some(spec) = protocol {
+        cmd.args(["--protocol", spec]);
+    }
+    let out = cmd.output().expect("run dampi-cli");
+    let path = std::env::temp_dir().join(format!(
+        "dampi-cli-analyze-{}-{workload}.json",
+        std::process::id()
+    ));
+    std::fs::write(&path, &out.stdout).unwrap();
+    let linted = lint()
+        .arg("--analysis")
+        .arg(&path)
+        .output()
+        .expect("run metrics-lint");
+    std::fs::remove_file(&path).ok();
+    assert!(linted.status.success(), "{workload}: {linted:?}");
+    let report =
+        serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).expect("analyzer JSON");
+    (out.status.code(), report)
+}
+
+#[test]
+fn analyze_answers_are_schema_clean_and_exact() {
+    use serde_json::json;
+    /// (workload, np, protocol spec, the lints of a run that must exit 2).
+    type Case<'a> = (&'a str, &'a str, Option<&'a str>, Option<&'a [&'a str]>);
+    // Every committed spec is conformant against its workload — the
+    // zero-false-positive gate — and each seeded bug fires exactly its lint.
+    let demo = Some("protocol_demo");
+    let cases: [Case; 12] = [
+        ("racers", "4", None, None),
+        ("collective_mismatch", "4", None, Some(&["L001"])),
+        ("stuck_wildcard", "3", None, Some(&["L002", "L005"])),
+        ("matmul", "4", Some("matmul"), None),
+        ("matmul_ack", "4", Some("matmul_ack"), None),
+        ("adlb", "4", Some("adlb"), None),
+        ("racers", "4", Some("racers"), None),
+        ("ordered_stages", "3", Some("ordered_stages"), None),
+        ("protocol_demo", "3", demo, None),
+        ("protocol_order_bug", "3", demo, Some(&["L006"])),
+        ("protocol_peer_bug", "3", demo, Some(&["L007"])),
+        ("protocol_short_bug", "3", demo, Some(&["L008"])),
+    ];
+    for (workload, np, protocol, lints) in cases {
+        let (code, r) = analyze(workload, np, protocol);
+        let ctx = format!("{workload} {protocol:?}: {r}");
+        let ids: Vec<&str> = r["lints"]
+            .as_array()
+            .expect("lints")
+            .iter()
+            .map(|l| l["id"].as_str().expect("lint id"))
+            .collect();
+        match lints {
+            Some(expected) => {
+                assert_eq!(code, Some(2), "error lints exit 2: {ctx}");
+                assert_eq!(ids, expected, "{ctx}");
+                assert_eq!(r["error_lints"], 1, "{ctx}");
+            }
+            None => assert_eq!(code, Some(0), "{ctx}"),
+        }
+        let p = &r["protocol"];
+        match (protocol, lints) {
+            (None, _) => assert!(p.is_null(), "no --protocol, no block: {ctx}"),
+            (Some(_), None) => {
+                let nprocs = r["nprocs"].as_u64().expect("nprocs") as usize;
+                assert_eq!(p["rank_status"], json!(vec!["conformant"; nprocs]), "{ctx}");
+                for lint in ["l006", "l007", "l008"] {
+                    assert_eq!(p[lint], 0, "{ctx}");
+                }
+            }
+            (Some(_), Some(_)) => {
+                assert_eq!(r["lints"][0]["ranks"], json!([0]), "{ctx}");
+                // Non-conformant runs contribute no pruning facts.
+                assert_eq!(r["protocol_deterministic_wildcards"], json!([]), "{ctx}");
+                assert_eq!(r["protocol_infeasible_alternates"], json!([]), "{ctx}");
+            }
+        }
+        match (workload, protocol) {
+            ("racers", None) => {
+                assert_eq!(r["orbits"], json!(vec![vec![0, 2], vec![1, 3]]), "{ctx}")
+            }
+            // L005 is refinement-backed: some wildcard's refined set is empty.
+            ("stuck_wildcard", _) => {
+                let sizes = r["refined_match_set_sizes"].as_object().expect("sizes");
+                assert!(sizes.iter().any(|(_, n)| *n == 0), "{ctx}");
+            }
+            _ => {}
+        }
+    }
+}
