@@ -327,27 +327,7 @@ for (workload, params), rows in series.items():
         f"under identical params `{params}`")
 print("ci: bench history consistent, no params-matched regressions")
 PY
-# Fuzz smoke: the differential clock-mode oracle (PR 9). Regenerate a
-# 64-seed prefix of the committed corpus and it must be byte-identical —
-# generation, verification, and verdicts are all deterministic (the
-# fuzz harness runs every mode under the cooperative scheduler,
-# SimConfig::deterministic). Then scan the full committed 256-seed
-# corpus: every disagreement must carry a classification (Fig-4-style
-# omission, mechanism variance, budget cap); any BUG:* verdict is a
-# mined, unfixed tool bug and fails the gate. `fuzz` itself exits
-# non-zero on unclassified verdicts, so the prefix run doubles as that
-# check on fresh verdicts too.
-./target/release/dampi-cli fuzz --seed 0 --count 64 --out "$MDIR/fuzz.head.jsonl"
-head -64 corpus/fuzz_verdicts.jsonl > "$MDIR/fuzz.committed.head.jsonl"
-cmp "$MDIR/fuzz.head.jsonl" "$MDIR/fuzz.committed.head.jsonl"
-python3 - <<'PY'
-import json
-lines = [json.loads(l) for l in open("corpus/fuzz_verdicts.jsonl") if l.strip()]
-assert len(lines) == 256, len(lines)
-bad = [v for v in lines if v["verdict"].startswith("BUG:")]
-assert not bad, f"unclassified disagreements in committed corpus: {bad}"
-from collections import Counter
-dist = Counter(v["verdict"] for v in lines)
-print("ci: fuzz corpus classified:", dict(dist))
-PY
+# Fuzz smoke: `tests/cli.rs` regenerates 32 seeds of the committed corpus
+# and scans all 256 verdicts; the release build affords 64.
+./target/release/dampi-cli fuzz --seed 0 --count 64 | cmp - <(head -64 corpus/fuzz_verdicts.jsonl)
 echo "ci: all green"

@@ -132,16 +132,16 @@ pub struct DampiLayer<M: Mpi> {
 }
 
 impl<M: Mpi> DampiLayer<M> {
-    /// Build the layer for one rank. Creates the world shadow communicator
-    /// (a collective — every rank constructs its layer before the program
-    /// starts, so this is safe, mirroring tool setup inside `MPI_Init`).
+    /// Build the layer for one rank — tool setup inside `MPI_Init`. In
+    /// separate-message mode it obtains the world shadow communicator from
+    /// [`Mpi::shadow_world`], which waits for no other rank: a replay starts
+    /// without a rendezvous.
     pub fn new(mut inner: M, ctx: Arc<DampiCtx>) -> Result<Self> {
         let rank = inner.world_rank();
         let nprocs = inner.world_size();
         let mut shadow = BTreeMap::new();
         if ctx.piggyback == PiggybackMechanism::SeparateMessage {
-            let sh = inner.comm_dup(Comm::WORLD)?;
-            shadow.insert(Comm::WORLD, sh);
+            shadow.insert(Comm::WORLD, inner.shadow_world()?);
         }
         let guided = !ctx.decisions.is_self_run();
         Ok(Self {
@@ -324,6 +324,29 @@ impl<M: Mpi> DampiLayer<M> {
                 let stamp = self.take_pb_stamp(comm, status)?;
                 self.ready.insert(req, (status, data, stamp));
             }
+        }
+        Ok(())
+    }
+
+    /// A `waitsome` took several receives out of the runtime in one call,
+    /// in the order of the caller's list. Pair their stamps in *posting*
+    /// order, whatever the list's order, and park them in `ready` for the
+    /// caller's index-order claims. The whole batch leaves `posted_recvs`
+    /// first: `settle_earlier` must not `test` a request the runtime no
+    /// longer knows.
+    fn settle_batch(&mut self, reqs: &[Request], done: &Completed) -> Result<()> {
+        let mut batch = Vec::new();
+        for (i, status, data) in done.iter() {
+            if let Some(ReqMeta::RecvSep { comm, seq, .. }) = self.meta.get(&reqs[*i]) {
+                self.posted_recvs.remove(seq);
+                batch.push((*seq, *comm, reqs[*i], *status, data.clone()));
+            }
+        }
+        batch.sort_unstable_by_key(|(seq, ..)| *seq);
+        for (seq, comm, req, status, data) in batch {
+            self.settle_earlier(comm, seq)?;
+            let stamp = self.take_pb_stamp(comm, status)?;
+            self.ready.insert(req, (status, data, stamp));
         }
         Ok(())
     }
@@ -538,8 +561,13 @@ impl<M: Mpi> Mpi for DampiLayer<M> {
     fn complete(&mut self, reqs: &[Request], how: Completion) -> Result<Completed> {
         if self.ready.is_empty() || !reqs.iter().any(|r| self.ready.contains_key(r)) {
             let mut done = self.inner.complete(reqs, how)?;
+            if how.takes_all() {
+                self.settle_batch(reqs, &done)?;
+            }
             for (i, status, data) in done.iter_mut() {
-                self.after_completion(reqs[*i], *status, data)?;
+                if self.ready.is_empty() || self.claim_ready(reqs[*i])?.is_none() {
+                    self.after_completion(reqs[*i], *status, data)?;
+                }
             }
             return Ok(done);
         }
@@ -645,6 +673,14 @@ impl<M: Mpi> Mpi for DampiLayer<M> {
         self.inner.comm_free(comm)
     }
 
+    fn shadow_world(&mut self) -> Result<Comm> {
+        self.inner.shadow_world()
+    }
+
+    fn release_shadow_world(&mut self, shadow: Comm) -> Result<()> {
+        self.inner.release_shadow_world(shadow)
+    }
+
     fn pcontrol(&mut self, code: i32) -> Result<()> {
         match code {
             PCONTROL_LOOP_BEGIN => self.region_depth += 1,
@@ -677,12 +713,15 @@ impl<M: Mpi> Mpi for DampiLayer<M> {
                 self.stats.drained_messages += 1;
             }
         }
-        // Free remaining shadow communicators (deterministic order — every
-        // rank iterates the same BTreeMap keys) so tool-created
-        // communicators never pollute the application's C-leak census.
-        let shadows: Vec<Comm> = self.shadow.values().copied().collect();
-        self.shadow.clear();
-        for sh in shadows {
+        // Give up the remaining shadow communicators so tool-created ones
+        // never pollute the application's C-leak census: the world's by
+        // release, then those of communicators the application leaked by a
+        // collective free (deterministic order — every rank iterates the
+        // same BTreeMap keys).
+        if let Some(sh) = self.shadow.remove(&Comm::WORLD) {
+            self.inner.release_shadow_world(sh)?;
+        }
+        for sh in std::mem::take(&mut self.shadow).into_values() {
             self.inner.comm_free(sh)?;
         }
         self.submit_trace();

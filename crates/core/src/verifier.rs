@@ -154,7 +154,8 @@ impl DampiVerifier {
             // The fault layer (when armed) sits *below* DAMPI so injected
             // faults hit both application traffic and the tool's own
             // piggyback messages on the shadow communicator. Layer
-            // construction performs the shadow `comm_dup`; a failure there
+            // construction asks the runtime for that communicator
+            // (`shadow_world`, operation 0 of every rank); a failure there
             // is this rank's error, not a harness panic.
             let layer: Box<dyn Mpi> = match &plan {
                 Some(plan) if plan.armed(ctx.decisions.is_self_run()) => Box::new(DampiLayer::new(

@@ -171,8 +171,10 @@ fn wall_clock_watchdog_also_fires() {
 #[test]
 fn panicking_tool_stack_is_isolated_and_recorded() {
     // Rank 1 panics during its very first MPI operation of every guided
-    // replay — which is the DAMPI layer's own shadow `comm_dup`, i.e. the
-    // tool stack itself blows up, not the application. Matmul's SELF_RUN
+    // replay — which is the DAMPI layer's own `shadow_world` call inside
+    // `DampiLayer::new`, i.e. the tool stack itself blows up, not the
+    // application. (The other ranks no longer wait for it there: they run
+    // until they need rank 1 or see the abort.) Matmul's SELF_RUN
     // seeds a multi-fork frontier, so surviving the first panicking replay
     // is observable as further interleavings.
     let plan = FaultPlan::new()

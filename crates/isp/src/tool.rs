@@ -223,6 +223,14 @@ impl<M: Mpi> Mpi for IspLayer<M> {
         self.inner.comm_free(comm)
     }
 
+    fn shadow_world(&mut self) -> Result<Comm> {
+        self.inner.shadow_world()
+    }
+
+    fn release_shadow_world(&mut self, shadow: Comm) -> Result<()> {
+        self.inner.release_shadow_world(shadow)
+    }
+
     fn pcontrol(&mut self, code: i32) -> Result<()> {
         self.inner.pcontrol(code)
     }

@@ -398,6 +398,15 @@ impl<M: Mpi> Mpi for FaultLayer<M> {
         self.op_event()?;
         self.inner.comm_free(comm)
     }
+    fn shadow_world(&mut self) -> Result<Comm> {
+        // A tool's first MPI operation: injection site 0 of every rank.
+        self.op_event()?;
+        self.inner.shadow_world()
+    }
+    fn release_shadow_world(&mut self, shadow: Comm) -> Result<()> {
+        self.op_event()?;
+        self.inner.release_shadow_world(shadow)
+    }
 
     fn pcontrol(&mut self, code: i32) -> Result<()> {
         self.op_event()?;

@@ -3,7 +3,7 @@
 //! A *layer* is just an [`Mpi`] implementation that owns an inner [`Mpi`]
 //! and forwards (possibly rewritten) calls downward — the simulator analog
 //! of a PnMPI module providing `MPI_f` and calling `PMPI_f`. A layer
-//! implements the seventeen required primitives only — among them the three
+//! implements the nineteen required primitives only — among them the three
 //! waists [`Mpi::collective`], [`Mpi::complete`] and [`Mpi::probe_for`] — and
 //! inherits every typed collective, completion and probe call as a provided
 //! method. This module provides two reference layers:
@@ -103,6 +103,12 @@ impl<M: Mpi> Mpi for PassthroughLayer<M> {
     }
     fn comm_free(&mut self, comm: Comm) -> Result<()> {
         self.inner.comm_free(comm)
+    }
+    fn shadow_world(&mut self) -> Result<Comm> {
+        self.inner.shadow_world()
+    }
+    fn release_shadow_world(&mut self, shadow: Comm) -> Result<()> {
+        self.inner.release_shadow_world(shadow)
     }
     fn pcontrol(&mut self, code: i32) -> Result<()> {
         self.inner.pcontrol(code)
@@ -207,6 +213,12 @@ impl<M: Mpi> Mpi for StatsLayer<M> {
     fn comm_free(&mut self, comm: Comm) -> Result<()> {
         self.tally(OpClass::Collective);
         self.inner.comm_free(comm)
+    }
+    fn shadow_world(&mut self) -> Result<Comm> {
+        self.inner.shadow_world()
+    }
+    fn release_shadow_world(&mut self, shadow: Comm) -> Result<()> {
+        self.inner.release_shadow_world(shadow)
     }
     fn pcontrol(&mut self, code: i32) -> Result<()> {
         self.inner.pcontrol(code)

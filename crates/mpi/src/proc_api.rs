@@ -113,7 +113,7 @@ impl IntoIterator for Completed {
 
 /// The MPI interface available to verified programs and tool layers.
 ///
-/// Seventeen methods are required. Everything else is provided in terms of
+/// Nineteen methods are required. Everything else is provided in terms of
 /// three waists, so a tool layer states each behaviour once and intercepts
 /// every typed call derived from it: the ten data collectives (`barrier` …
 /// `alltoall`) go through [`Mpi::collective`], the five completion calls
@@ -121,7 +121,9 @@ impl IntoIterator for Completed {
 /// [`Mpi::complete`], and `probe`/`iprobe` through [`Mpi::probe_for`]. The
 /// blocking conveniences (`send`, `recv`, `waitall`, `sendrecv`) are built
 /// from those. `comm_dup`/`comm_split`/`comm_free` stay primitives: layers
-/// treat each of the three differently.
+/// treat each of the three differently. [`Mpi::shadow_world`] and
+/// [`Mpi::release_shadow_world`] are for tool layers, not programs: every
+/// layer forwards them.
 #[allow(clippy::too_many_arguments)]
 pub trait Mpi: Send {
     /// This process's world rank.
@@ -179,6 +181,15 @@ pub trait Mpi: Send {
     fn comm_split(&mut self, comm: Comm, color: i64, key: i64) -> Result<Option<Comm>>;
     /// `MPI_Comm_free` (collective over `comm`).
     fn comm_free(&mut self, comm: Comm) -> Result<()>;
+    /// The tool's private duplicate of `MPI_COMM_WORLD` (DAMPI's piggyback
+    /// communicator, set up inside `MPI_Init`). **Not collective**: a world
+    /// has one, the first rank to ask creates it, and no rank waits for
+    /// another. Each caller is charged the virtual time of a `comm_dup`.
+    fn shadow_world(&mut self) -> Result<Comm>;
+    /// Give back this rank's hold on the communicator [`Mpi::shadow_world`]
+    /// returned. Not collective either: the communicator is freed once
+    /// every rank of the world has released it.
+    fn release_shadow_world(&mut self, shadow: Comm) -> Result<()>;
 
     /// `MPI_Pcontrol`: a no-op for the runtime, but tool layers interpret it
     /// — DAMPI's loop iteration abstraction brackets loops with it
@@ -511,6 +522,14 @@ impl Mpi for Pmpi {
 
     fn comm_free(&mut self, comm: Comm) -> Result<()> {
         self.world.op_comm_free(self.rank, comm)
+    }
+
+    fn shadow_world(&mut self) -> Result<Comm> {
+        self.world.op_shadow_world(self.rank)
+    }
+
+    fn release_shadow_world(&mut self, shadow: Comm) -> Result<()> {
+        self.world.op_release_shadow_world(self.rank, shadow)
     }
 
     fn pcontrol(&mut self, _code: i32) -> Result<()> {

@@ -200,6 +200,9 @@ struct Shared {
     /// Holder of the execution turn under deterministic scheduling
     /// ([`SimConfig::deterministic`]); unused otherwise.
     turn: usize,
+    /// The tool's shadow of `MPI_COMM_WORLD` once a rank has asked for it
+    /// ([`World::op_shadow_world`]), and how many ranks have released it.
+    world_shadow: Option<(Comm, usize)>,
 }
 
 /// A simulated MPI world. Construct with [`World::new`], then execute
@@ -230,6 +233,7 @@ impl World {
             nfinished: 0,
             fatal: None,
             turn: 0,
+            world_shadow: None,
         };
         let deadline = cfg
             .budget
@@ -788,6 +792,20 @@ impl World {
         outcome
     }
 
+    /// Append a duplicate of `comms[parent_idx]` to the comm table.
+    fn push_dup(&self, s: &mut Shared, parent_idx: usize) -> Comm {
+        let parent = &s.comms[parent_idx].info;
+        let id = Comm(s.comms.len() as u32);
+        let info = CommInfo::derived(
+            id,
+            parent.group.clone(),
+            self.cfg.nprocs,
+            format!("dup of {}", parent.label),
+        );
+        s.comms.push(CommEntry::new(info));
+        id
+    }
+
     /// Combine communicator-management collectives; owns the comm table.
     fn comm_management(
         &self,
@@ -798,18 +816,7 @@ impl World {
     ) -> std::result::Result<Vec<CollOutcome>, MpiError> {
         let n = contribs.len();
         match sig {
-            CollSig::CommDup => {
-                let parent = &s.comms[parent_idx].info;
-                let id = Comm(s.comms.len() as u32);
-                let info = CommInfo::derived(
-                    id,
-                    parent.group.clone(),
-                    self.cfg.nprocs,
-                    format!("dup of {}", parent.label),
-                );
-                s.comms.push(CommEntry::new(info));
-                Ok(vec![CollOutcome::Comm(id); n])
-            }
+            CollSig::CommDup => Ok(vec![CollOutcome::Comm(self.push_dup(s, parent_idx)); n]),
             CollSig::CommSplit => {
                 let parent_group = s.comms[parent_idx].info.group.clone();
                 let parent_label = s.comms[parent_idx].info.label.clone();
@@ -901,6 +908,71 @@ impl World {
         }
     }
 
+    // ---- the tool's shadow of MPI_COMM_WORLD -------------------------------
+
+    /// Charge `rank` the virtual time of a rendezvous over the whole world
+    /// without holding one: the send overhead of entering, then the
+    /// collective's latency. Two additions in that order, as
+    /// [`Self::collective`] makes them, so the makespan keeps its bits:
+    /// `max_r((vt_r + s) + c) == max_r(vt_r + s) + c`.
+    fn charge_world_rendezvous(&self, s: &mut Shared, rank: usize) -> Result<()> {
+        s.vt[rank] += self.cfg.vtime.send_overhead;
+        s.vt[rank] += self.cfg.vtime.collective_cost(self.cfg.nprocs);
+        self.check_vt_budget(s, rank)
+    }
+
+    /// The bottom of [`Mpi::shadow_world`](crate::proc_api::Mpi::shadow_world):
+    /// the first rank to ask appends the duplicate of `MPI_COMM_WORLD` to
+    /// the comm table (where `comm_dup` would have put it, so it keeps its
+    /// id, its label and its place in the leak census); nobody waits.
+    ///
+    /// This stands in for the `comm_dup(WORLD)` rendezvous every rank used
+    /// to open its run with, and keeps what that rendezvous decided besides
+    /// the communicator. It left the deterministic turn with its last
+    /// entrant, rank `np - 1`: the creating call hands the turn there. It
+    /// let a rank it had admitted leave with its communicator even when the
+    /// world had turned fatal meanwhile, to fail at its next operation: so
+    /// this is [`Self::enter`], not [`Self::enter_guarded`]. And it cost
+    /// virtual time ([`Self::charge_world_rendezvous`]).
+    pub(crate) fn op_shadow_world(&self, rank: usize) -> Result<Comm> {
+        let mut g = self.enter(rank);
+        let shadow = match g.world_shadow {
+            Some((shadow, _)) => shadow,
+            None => {
+                let shadow = self.push_dup(&mut g, Comm::WORLD.0 as usize);
+                g.world_shadow = Some((shadow, 0));
+                if self.cfg.deterministic && g.fatal.is_none() {
+                    let last = self.cfg.nprocs - 1;
+                    g.turn = last;
+                    self.wake(&g, last);
+                }
+                shadow
+            }
+        };
+        self.charge_world_rendezvous(&mut g, rank)?;
+        Ok(shadow)
+    }
+
+    /// The bottom of
+    /// [`Mpi::release_shadow_world`](crate::proc_api::Mpi::release_shadow_world):
+    /// count `rank`'s release and mark the communicator freed at the last
+    /// one. A run some rank never finalizes therefore reports the shadow in
+    /// its leak census, as it did when the free was a collective that rank
+    /// never joined.
+    pub(crate) fn op_release_shadow_world(&self, rank: usize, shadow: Comm) -> Result<()> {
+        let mut g = self.enter_guarded(rank)?;
+        let (idx, _) = Self::resolve(&g, shadow, rank)?;
+        let s = &mut *g;
+        match &mut s.world_shadow {
+            Some((held, released)) if *held == shadow => {
+                *released += 1;
+                s.comms[idx].info.freed = *released == self.cfg.nprocs;
+            }
+            _ => return Err(MpiError::InvalidComm),
+        }
+        self.charge_world_rendezvous(s, rank)
+    }
+
     // ---- lifecycle --------------------------------------------------------
 
     fn mark_finished(&self, rank: usize) {
@@ -968,9 +1040,9 @@ impl World {
 
 /// Factory building each rank's interposition stack on top of the runtime
 /// handle — the analog of PnMPI loading a tool-module chain. Construction
-/// is fallible (tool setup may itself perform MPI calls, e.g. the shadow
-/// `comm_dup`); a failure is recorded as that rank's error instead of
-/// panicking the harness.
+/// is fallible (tool setup may itself perform MPI calls, e.g. DAMPI's
+/// [`Mpi::shadow_world`]); a failure is recorded as that rank's error
+/// instead of panicking the harness.
 pub type LayerFactory<'a> = dyn Fn(usize, Pmpi) -> Result<Box<dyn Mpi>> + Sync + 'a;
 
 /// Execute `program` on a fresh world with a tool stack built by `factory`

@@ -305,6 +305,12 @@ impl<M: Mpi> Mpi for TraceLayer<M> {
         self.record(TraceOp::CommFree { comm: comm.0 });
         self.inner.comm_free(comm)
     }
+    fn shadow_world(&mut self) -> Result<Comm> {
+        self.inner.shadow_world()
+    }
+    fn release_shadow_world(&mut self, shadow: Comm) -> Result<()> {
+        self.inner.release_shadow_world(shadow)
+    }
     fn pcontrol(&mut self, code: i32) -> Result<()> {
         self.record(TraceOp::Pcontrol { code });
         self.inner.pcontrol(code)

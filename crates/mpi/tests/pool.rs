@@ -110,6 +110,12 @@ impl<M: Mpi> Mpi for PanicsInFinalize<M> {
     fn comm_free(&mut self, comm: Comm) -> Result<()> {
         self.inner.comm_free(comm)
     }
+    fn shadow_world(&mut self) -> Result<Comm> {
+        self.inner.shadow_world()
+    }
+    fn release_shadow_world(&mut self, shadow: Comm) -> Result<()> {
+        self.inner.release_shadow_world(shadow)
+    }
     fn pcontrol(&mut self, code: i32) -> Result<()> {
         self.inner.pcontrol(code)
     }

@@ -297,6 +297,43 @@ fn verify_rejects_zero_jobs_and_isp_with_jobs() {
     assert!(err.contains("ISP"), "{err}");
 }
 
+#[test]
+fn fuzz_prefix_regenerates_the_committed_corpus() {
+    // The differential oracle is deterministic end to end (generation,
+    // verification under the cooperative scheduler, verdicts), so a prefix
+    // of the committed corpus regenerates byte for byte — the schedule
+    // parity oracle for any change to the runtime or the tool layers. 32
+    // seeds here (seed 2 alone is 7056 replays); `ci.sh` compares 64 with
+    // the release build. `fuzz` exits non-zero on an unclassified verdict.
+    let corpus = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/corpus/fuzz_verdicts.jsonl"
+    ))
+    .expect("committed corpus");
+    let out = cli()
+        .args(["fuzz", "--seed", "0", "--count", "32"])
+        .output()
+        .expect("run dampi-cli");
+    assert!(out.status.success(), "{out:?}");
+    let fresh = String::from_utf8_lossy(&out.stdout);
+    for (seed, (fresh, committed)) in fresh.lines().zip(corpus.lines()).enumerate() {
+        assert_eq!(fresh, committed, "seed {seed}");
+    }
+    assert_eq!(fresh.lines().count(), 32);
+    // Every disagreement in the full corpus carries a classification
+    // (Fig-4-style omission, mechanism variance, budget cap): a `BUG:`
+    // verdict is a mined, unfixed tool bug.
+    let verdicts: Vec<serde_json::Value> = corpus
+        .lines()
+        .map(|l| serde_json::from_str(l).expect("verdict line is JSON"))
+        .collect();
+    assert_eq!(verdicts.len(), 256);
+    for v in &verdicts {
+        let verdict = v["verdict"].as_str().expect("verdict");
+        assert!(!verdict.starts_with("BUG:"), "unclassified: {v}");
+    }
+}
+
 /// `analyze <workload> --np <np> [--protocol <spec>] --json`: the exit code
 /// and the report, once `metrics-lint --analysis` has accepted its schema.
 fn analyze(workload: &str, np: &str, protocol: Option<&str>) -> (Option<i32>, serde_json::Value) {
