@@ -12,7 +12,6 @@
 //!    on alternates discovered for already-forced epochs; measure what the
 //!    DPOR-style extension would add.
 
-use criterion::{criterion_group, Criterion};
 use dampi_bench::Table;
 use dampi_core::pb::stamp_wire_bytes;
 use dampi_core::{ClockMode, DampiConfig, DampiVerifier, DecisionSet, PiggybackMechanism};
@@ -148,32 +147,9 @@ fn branch_on_guided_ablation() {
     table.print();
 }
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablations");
-    g.sample_size(10);
-    g.bench_function("lammps_separate_pb_np32", |b| {
-        let prog = Lammps::nominal();
-        let v = DampiVerifier::new(SimConfig::new(32));
-        b.iter(|| v.instrumented_run(&prog, &DecisionSet::self_run()));
-    });
-    g.bench_function("lammps_packed_pb_np32", |b| {
-        let prog = Lammps::nominal();
-        let v = DampiVerifier::with_config(
-            SimConfig::new(32),
-            DampiConfig::default().with_piggyback(PiggybackMechanism::PayloadPacking),
-        );
-        b.iter(|| v.instrumented_run(&prog, &DecisionSet::self_run()));
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench);
-
 fn main() {
     pb_mechanism_ablation();
     clock_mode_ablation();
     policy_bias_ablation();
     branch_on_guided_ablation();
-    benches();
-    Criterion::default().configure_from_args().final_summary();
 }

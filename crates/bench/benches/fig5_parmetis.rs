@@ -9,7 +9,6 @@
 //! serializes through one scheduler while the total op count grows ~2.5x
 //! per doubling); DAMPI stays within a small factor of native throughout.
 
-use criterion::{criterion_group, Criterion};
 use dampi_bench::Table;
 use dampi_core::{DampiVerifier, DecisionSet};
 use dampi_isp::IspVerifier;
@@ -43,7 +42,7 @@ fn measure(np: usize, with_isp: bool) -> (f64, f64, Option<f64>) {
     (native.makespan, dampi.makespan, isp)
 }
 
-fn print_figure() {
+fn main() {
     let mut table = Table::new(
         "Fig. 5: ParMETIS-3.1 verification time (simulated seconds), DAMPI vs ISP",
         &[
@@ -80,27 +79,4 @@ fn print_figure() {
         ]);
     }
     table.print();
-}
-
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fig5");
-    g.sample_size(10);
-    g.bench_function("dampi_parmetis_np16", |b| {
-        b.iter(|| measure(16, false));
-    });
-    g.bench_function("isp_parmetis_np16", |b| {
-        b.iter(|| {
-            let prog = Parmetis::new(ParmetisParams::nominal(16, scale()));
-            IspVerifier::new(SimConfig::new(16)).instrumented_run(&prog, &DecisionSet::self_run())
-        });
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench);
-
-fn main() {
-    print_figure();
-    benches();
-    Criterion::default().configure_from_args().final_summary();
 }

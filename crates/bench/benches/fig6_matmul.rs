@@ -9,7 +9,6 @@
 //! — every MPI call of every replay pays the centralized synchronous
 //! transaction, whereas DAMPI's replays run at near-native speed.
 
-use criterion::{criterion_group, Criterion};
 use dampi_bench::Table;
 use dampi_core::{DampiConfig, DampiVerifier};
 use dampi_isp::IspVerifier;
@@ -43,7 +42,7 @@ fn isp_time(budget: u64) -> (u64, f64) {
     (report.interleavings, report.total_virtual_time)
 }
 
-fn print_figure() {
+fn main() {
     let budgets: &[u64] = if std::env::var("DAMPI_BENCH_FAST").is_ok() {
         &[50, 100]
     } else {
@@ -66,21 +65,4 @@ fn print_figure() {
         ]);
     }
     table.print();
-}
-
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fig6");
-    g.sample_size(10);
-    g.bench_function("dampi_matmul_50_interleavings", |b| {
-        b.iter(|| dampi_time(50));
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench);
-
-fn main() {
-    print_figure();
-    benches();
-    Criterion::default().configure_from_args().final_summary();
 }

@@ -8,7 +8,6 @@
 //! the count grows roughly *linearly* as k increases — the property the
 //! paper highlights (users can ratchet k up gradually).
 
-use criterion::{criterion_group, Criterion};
 use dampi_bench::Table;
 use dampi_core::{DampiConfig, DampiVerifier, MixingBound};
 use dampi_mpi::SimConfig;
@@ -37,7 +36,7 @@ fn interleavings(np: usize, bound: MixingBound) -> (u64, bool) {
     (report.interleavings, report.budget_exhausted)
 }
 
-fn print_figure() {
+fn main() {
     let max_np = if std::env::var("DAMPI_BENCH_FAST").is_ok() {
         6
     } else {
@@ -66,21 +65,4 @@ fn print_figure() {
     }
     table.print();
     println!("(k-bounded counts grow roughly linearly in k; unbounded is factorial in slaves)");
-}
-
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fig8");
-    g.sample_size(10);
-    g.bench_function("bounded_k1_np6", |b| {
-        b.iter(|| interleavings(6, MixingBound::K(1)));
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench);
-
-fn main() {
-    print_figure();
-    benches();
-    Criterion::default().configure_from_args().final_summary();
 }

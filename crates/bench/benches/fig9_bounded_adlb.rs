@@ -7,7 +7,6 @@
 //! under ISP at all); bounded mixing keeps the counts tractable and
 //! ordered by k.
 
-use criterion::{criterion_group, Criterion};
 use dampi_bench::Table;
 use dampi_core::{DampiConfig, DampiVerifier, MixingBound};
 use dampi_mpi::SimConfig;
@@ -37,7 +36,7 @@ fn interleavings(np: usize, k: u32, cap: u64) -> (u64, bool) {
     (report.interleavings, report.budget_exhausted)
 }
 
-fn print_figure() {
+fn main() {
     let (nps, cap): (&[usize], u64) = if std::env::var("DAMPI_BENCH_FAST").is_ok() {
         (&[4, 8], 2_000)
     } else {
@@ -60,21 +59,4 @@ fn print_figure() {
         table.row(cells);
     }
     table.print();
-}
-
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fig9");
-    g.sample_size(10);
-    g.bench_function("adlb_k0_np8", |b| {
-        b.iter(|| interleavings(8, 0, 5_000));
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench);
-
-fn main() {
-    print_figure();
-    benches();
-    Criterion::default().configure_from_args().final_summary();
 }

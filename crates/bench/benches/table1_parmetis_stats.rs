@@ -10,7 +10,6 @@
 //! centralized scheduler's load grows almost twice as fast as any single
 //! DAMPI process's.
 
-use criterion::{criterion_group, Criterion};
 use dampi_bench::Table;
 use dampi_mpi::interpose::StatsLayer;
 use dampi_mpi::stats::{OpStats, StatsCollector};
@@ -47,7 +46,7 @@ fn fmt_k(v: u64) -> String {
     }
 }
 
-fn print_table() {
+fn main() {
     let nps = [8usize, 16, 32, 64, 128];
     let data: Vec<(OpStats, OpStats)> = nps.iter().map(|&np| census(np)).collect();
     let header: Vec<String> = std::iter::once("MPI Operation Type".to_owned())
@@ -99,19 +98,4 @@ fn print_table() {
             .map(|g| format!("{g:.2}x"))
             .collect::<Vec<_>>()
     );
-}
-
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("table1");
-    g.sample_size(10);
-    g.bench_function("census_np32", |b| b.iter(|| census(32)));
-    g.finish();
-}
-
-criterion_group!(benches, bench);
-
-fn main() {
-    print_table();
-    benches();
-    Criterion::default().configure_from_args().final_summary();
 }

@@ -11,8 +11,7 @@
 //! small pipeline messages each paying the piggyback); C-leak = Yes for
 //! ParMETIS, 104.milc, 113.GemsFDTD, 137.lu, BT, FT.
 
-use criterion::{criterion_group, Criterion};
-use dampi_bench::table2::{measure, run_table2};
+use dampi_bench::table2::run_table2;
 
 fn np() -> usize {
     std::env::var("DAMPI_TABLE2_NP")
@@ -24,22 +23,6 @@ fn np() -> usize {
             1024
         })
 }
-
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("table2");
-    g.sample_size(10);
-    g.bench_function("overhead_ep_np64", |b| {
-        let prog = dampi_workloads::nas::Ep::nominal();
-        b.iter(|| measure(64, &prog));
-    });
-    g.bench_function("overhead_milc_np64", |b| {
-        let prog = dampi_workloads::spec::Milc::nominal();
-        b.iter(|| measure(64, &prog));
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench);
 
 fn main() {
     let (table, rows) = run_table2(np());
@@ -58,6 +41,4 @@ fn main() {
             ""
         }
     );
-    benches();
-    Criterion::default().configure_from_args().final_summary();
 }

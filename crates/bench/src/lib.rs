@@ -1,18 +1,14 @@
-//! Shared helpers for the DAMPI benchmark harnesses.
+//! Shared helpers for the DAMPI paper-figure printers.
 //!
-//! Each Criterion bench target in `benches/` regenerates one table or
-//! figure of the paper; this small library holds the table-printing
-//! utilities they share.
+//! Each bench target in `benches/` is a plain `fn main()` that regenerates
+//! one table or figure of the paper as replay counts and virtual time;
+//! this small library holds the table-printing utilities they share.
+//! Nothing here reads a wall clock — `benchmark/` is the one place in the
+//! tree that times anything.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
-pub mod overhead;
-pub mod parallel;
-pub mod protocol;
-pub mod prune;
-pub mod shard;
 pub mod table;
 pub mod table2;
 

@@ -1,5 +1,6 @@
 //! Table II row computation: DAMPI overhead (slowdown, R\*, C-leak,
-//! R-leak) per benchmark. Shared by the bench target and the binary probe.
+//! R-leak) per benchmark, for the `table2_overhead` bench target
+//! (`DAMPI_TABLE2_NP` picks the process count).
 
 use dampi_core::{DampiVerifier, DecisionSet};
 use dampi_mpi::{run_native, MpiProgram, SimConfig};

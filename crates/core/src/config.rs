@@ -178,15 +178,6 @@ pub struct DampiConfig {
     /// exploration (speculative replay, deterministic in-order merge —
     /// see [`crate::scheduler`]), only faster.
     pub jobs: usize,
-    /// Simulated per-replay launch cost, paid once at the start of every
-    /// *executed* run. On a real cluster each replay is an MPI job launch
-    /// (queue + spawn + `MPI_Init`), which the in-process simulator does
-    /// not otherwise price; benches and the CI warm-run contract set this
-    /// so wall-clock comparisons reflect that bill. Replays served from
-    /// the [`crate::cache`] store never execute, so they never pay it.
-    /// Wall-clock only — virtual time, reports, and cache keys are
-    /// unaffected. Default [`Duration::ZERO`].
-    pub replay_cost: Duration,
 }
 
 impl Default for DampiConfig {
@@ -205,7 +196,6 @@ impl Default for DampiConfig {
             retry_backoff: RetryBackoff::default(),
             journal: None,
             jobs: 1,
-            replay_cost: Duration::ZERO,
         }
     }
 }
@@ -272,14 +262,6 @@ impl DampiConfig {
     #[must_use]
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
-        self
-    }
-
-    /// Builder-style: charge every executed replay a simulated launch
-    /// cost.
-    #[must_use]
-    pub fn with_replay_cost(mut self, cost: Duration) -> Self {
-        self.replay_cost = cost;
         self
     }
 }

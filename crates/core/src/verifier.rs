@@ -141,12 +141,6 @@ impl DampiVerifier {
     /// given decisions. Public so overhead experiments (Table II) can time
     /// a single instrumented run.
     pub fn instrumented_run(&self, program: &dyn MpiProgram, decisions: &DecisionSet) -> RunResult {
-        if !self.cfg.replay_cost.is_zero() {
-            // Simulated MPI job-launch latency (see `DampiConfig::replay_cost`).
-            // Charged here, not in the scheduler, so replays served from the
-            // replay cache — which never reach this function — skip the bill.
-            std::thread::sleep(self.cfg.replay_cost);
-        }
         let (ctx, collector) = self.make_ctx(decisions);
         let plan = self.fault_plan.clone();
         let outcome = run_with_layers(&self.sim, program, &|_rank, pmpi| {

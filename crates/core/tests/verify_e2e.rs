@@ -166,6 +166,46 @@ fn bounded_mixing_reduces_interleavings_on_real_program() {
 }
 
 #[test]
+fn fig8_matmul_interleavings_under_bounded_mixing() {
+    // Fig. 8 as a checked answer: the cells the `fig8_bounded_matmul`
+    // printer shows for its matmul (n=8, one round per slave, free-running
+    // ranks) at np 2-6. The unbounded column is the (np-1)! match orders;
+    // k=0 is 1 + the alternates of the free run; k=1 and k=2 lie between.
+    use dampi_workloads::matmul::{Matmul, MatmulParams};
+    let prog = Matmul::new(MatmulParams {
+        n: 8,
+        rounds_per_slave: 1,
+        task_cost: 0.0,
+        ..Default::default()
+    });
+    let bounds = [
+        MixingBound::K(0),
+        MixingBound::K(1),
+        MixingBound::K(2),
+        MixingBound::Unbounded,
+    ];
+    let figure: [(usize, [u64; 4]); 5] = [
+        (2, [1, 1, 1, 1]),
+        (3, [2, 2, 2, 2]),
+        (4, [4, 6, 6, 6]),
+        (5, [7, 15, 24, 24]),
+        (6, [11, 31, 72, 120]),
+    ];
+    for (np, row) in figure {
+        let got = bounds.map(|bound| {
+            let v = DampiVerifier::with_config(
+                SimConfig::new(np),
+                DampiConfig::default().with_bound(bound),
+            );
+            let report = v.verify(&prog);
+            assert!(report.clean() && !report.budget_exhausted, "{report}");
+            report.interleavings
+        });
+        assert_eq!(got, row, "np={np}, k = 0, 1, 2, unbounded");
+    }
+}
+
+#[test]
 fn loop_region_abstraction_suppresses_branching() {
     let slaves = 3usize;
     let prog = FnProgram(move |mpi: &mut dyn Mpi| {

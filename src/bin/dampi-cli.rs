@@ -9,7 +9,6 @@
 //!                             [--metrics PATH] [--trace PATH] [--progress]
 //!                             [--prune-static]
 //!                             [--cache DIR] [--cache-readonly]
-//!                             [--replay-cost-ms N]
 //!                             [--shards N] [--worker-fault SPEC]
 //!                             [--heartbeat-timeout SECS] [--lease SECS]
 //!                             [--max-attempts K]
@@ -129,7 +128,6 @@ struct Args {
     worker_beat_ms: u64,
     cache: Option<PathBuf>,
     cache_readonly: bool,
-    replay_cost_ms: u64,
     protocol: Option<String>,
 }
 
@@ -162,7 +160,6 @@ fn parse_flags(rest: &[String]) -> Result<Args, String> {
         worker_beat_ms: 250,
         cache: None,
         cache_readonly: false,
-        replay_cost_ms: 0,
         protocol: None,
     };
     let mut it = rest.iter();
@@ -240,11 +237,6 @@ fn parse_flags(rest: &[String]) -> Result<Args, String> {
             }
             "--cache" => a.cache = Some(PathBuf::from(val("--cache")?)),
             "--cache-readonly" => a.cache_readonly = true,
-            "--replay-cost-ms" => {
-                a.replay_cost_ms = val("--replay-cost-ms")?
-                    .parse()
-                    .map_err(|e| format!("--replay-cost-ms: {e}"))?;
-            }
             "--journal" => a.journal = Some(PathBuf::from(val("--journal")?)),
             "--resume" => a.resume = Some(PathBuf::from(val("--resume")?)),
             "--metrics" => a.metrics = Some(PathBuf::from(val("--metrics")?)),
@@ -297,9 +289,7 @@ fn load_protocol(args: &Args) -> Result<Option<dampi::analysis::ProtocolSpec>, S
 /// each worker with exactly this vector (plus `--worker` plumbing), and
 /// both sides hash it into the config digest the worker must echo in its
 /// `Hello` frame — so a supervisor can never merge results computed under
-/// different verification options. `--replay-cost-ms` is deliberately
-/// absent: it prices wall-clock without touching results, so a campaign
-/// priced differently still addresses the same replay-cache keyspace.
+/// different verification options.
 fn semantic_args(name: &str, a: &Args) -> Vec<String> {
     let mut v = vec![
         "verify".to_owned(),
@@ -600,39 +590,27 @@ fn cmd_verify(name: &str, rest: &[String]) -> ExitCode {
         eprintln!("error: --worker-fault requires --shards (it injects chaos into a shard worker)");
         return ExitCode::FAILURE;
     }
-    if args.shards.is_some() {
-        if args.isp {
-            eprintln!("error: --shards is DAMPI-only (the centralized ISP baseline is the architecture sharding replaces)");
-            return ExitCode::FAILURE;
-        }
-        if args.jobs.is_some() {
-            eprintln!("error: --jobs and --shards are mutually exclusive (jobs are replay threads, shards are worker processes)");
-            return ExitCode::FAILURE;
-        }
+    if args.shards.is_some() && args.jobs.is_some() {
+        eprintln!("error: --jobs and --shards are mutually exclusive (jobs are replay threads, shards are worker processes)");
+        return ExitCode::FAILURE;
     }
     if args.isp {
-        if args.resume.is_some() || args.journal.is_some() {
-            eprintln!("error: --resume/--journal are DAMPI-only (checkpointing lives in the distributed scheduler, not the ISP baseline)");
-            return ExitCode::FAILURE;
-        }
-        if args.jobs.is_some() {
-            eprintln!("error: --jobs is DAMPI-only (the ISP baseline is the centralized scheduler whose sequential-replay cost DAMPI avoids)");
-            return ExitCode::FAILURE;
-        }
-        if args.metrics.is_some() || args.trace.is_some() || args.progress {
-            eprintln!("error: --metrics/--trace/--progress are DAMPI-only (campaign observability instruments the distributed scheduler)");
-            return ExitCode::FAILURE;
-        }
-        if args.prune_static {
-            eprintln!("error: --prune-static is DAMPI-only (the prune plan feeds the distributed scheduler's frontier, which the ISP baseline does not have)");
-            return ExitCode::FAILURE;
-        }
-        if args.cache.is_some() {
-            eprintln!("error: --cache is DAMPI-only (the replay cache is addressed by the distributed scheduler's decision prefixes, which the ISP baseline does not produce)");
-            return ExitCode::FAILURE;
-        }
-        if args.replay_cost_ms > 0 {
-            eprintln!("error: --replay-cost-ms is DAMPI-only (it prices the distributed scheduler's replay launches)");
+        // (is set, flag, what the centralized ISP baseline lacks for it)
+        let dampi_only = [
+            (args.resume.is_some(), "--resume", "checkpointed frontier"),
+            (args.journal.is_some(), "--journal", "checkpointed frontier"),
+            (args.jobs.is_some(), "--jobs", "parallel replay"),
+            (args.shards.is_some(), "--shards", "worker fleet"),
+            (args.metrics.is_some(), "--metrics", "campaign observer"),
+            (args.trace.is_some(), "--trace", "campaign observer"),
+            (args.progress, "--progress", "campaign observer"),
+            (args.prune_static, "--prune-static", "frontier to prune"),
+            (args.cache.is_some(), "--cache", "decision-prefix keys"),
+            (args.k.is_some(), "--k", "mixing bound (always unbounded)"),
+            (args.deferred, "--deferred-clock", "piggybacked clocks"),
+        ];
+        if let Some((_, flag, lacks)) = dampi_only.iter().find(|(set, ..)| *set) {
+            eprintln!("error: {flag} is DAMPI-only: the ISP baseline has no {lacks}");
             return ExitCode::FAILURE;
         }
         let mut v = IspVerifier::new(sim);
@@ -663,8 +641,7 @@ fn cmd_verify(name: &str, rest: &[String]) -> ExitCode {
     let mut cfg = DampiConfig::default()
         .with_clock_mode(args.clock)
         .with_max_interleavings(args.max)
-        .with_jobs(jobs)
-        .with_replay_cost(Duration::from_millis(args.replay_cost_ms));
+        .with_jobs(jobs);
     if let Some(k) = args.k {
         cfg = cfg.with_bound(MixingBound::K(k));
     }
@@ -856,8 +833,7 @@ fn run_worker_mode(name: &str, prog: &dyn MpiProgram, sim: SimConfig, args: &Arg
     };
     let mut cfg = DampiConfig::default()
         .with_clock_mode(args.clock)
-        .with_max_interleavings(args.max)
-        .with_replay_cost(Duration::from_millis(args.replay_cost_ms));
+        .with_max_interleavings(args.max);
     if let Some(k) = args.k {
         cfg = cfg.with_bound(MixingBound::K(k));
     }
@@ -930,19 +906,12 @@ fn run_sharded(
     // lost to scheduling noise before the detector fires.
     let beat_ms = (opts.heartbeat_timeout.as_millis() as u64 / 4).clamp(10, 500);
     let fault_spec = args.worker_fault.clone();
-    let replay_cost_ms = args.replay_cost_ms;
     let launcher = ProcessWorkerLauncher::new(move |_slot, fault| {
         let mut c = Command::new(&exe);
         c.args(&forwarded)
             .arg("--worker")
             .arg("--worker-beat-ms")
             .arg(beat_ms.to_string());
-        if replay_cost_ms > 0 {
-            // Launch pricing is plumbing, not semantics: it is excluded
-            // from the config digest, but every worker must still charge
-            // it or sharded wall-clock figures lose their meaning.
-            c.arg("--replay-cost-ms").arg(replay_cost_ms.to_string());
-        }
         if fault.is_some() {
             if let Some(spec) = &fault_spec {
                 c.arg("--worker-fault").arg(spec);
@@ -1066,9 +1035,6 @@ fn usage() -> ExitCode {
          [--cache DIR]         content-addressed replay-result cache: warm reruns of an\n    \
                                unchanged workload reuse committed subtrees byte-for-byte\n    \
          [--cache-readonly]    consult the cache but never write or evict entries\n    \
-         [--replay-cost-ms N]  charge every *executed* replay a simulated MPI job-launch\n    \
-                               latency (cache hits are free; wall-clock only, results\n    \
-                               and cache keys unchanged)\n    \
          [--shards N]          shard replays across N worker *processes* under a\n    \
                                fault-tolerant supervisor; byte-identical to --jobs 1.\n    \
                                SIGTERM drains gracefully (checkpoint via --journal)\n    \

@@ -222,6 +222,69 @@ fn verify_metrics_snapshot_is_deterministic_across_jobs() {
 }
 
 #[test]
+fn verify_cache_contract_holds_as_counts_under_every_driver() {
+    // The replay-cache contract, stated in the ledger's own counts: a cold
+    // run stores exactly what it replays; a warm run of the unchanged
+    // workload executes nothing under any driver and prints the cold
+    // report byte for byte; a flipped parameter shares no entry.
+    let dir = std::env::temp_dir().join(format!("dampi-cli-cache-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |tag: &str, np: &str, driver: [&str; 2]| {
+        let metrics = dir.join(format!("{tag}.metrics.json"));
+        let out = cli()
+            .args(["verify", "matmul", "--np", np, "--max", "400", "--json"])
+            .args(driver)
+            .arg("--cache")
+            .arg(dir.join("store"))
+            .arg("--metrics")
+            .arg(&metrics)
+            .output()
+            .expect("run dampi-cli");
+        assert!(out.status.success(), "{tag}: {out:?}");
+        let snapshot: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+        let count = |section: &str, key: &str| {
+            snapshot[section][key]
+                .as_u64()
+                .unwrap_or_else(|| panic!("{tag}: no {section}.{key}"))
+        };
+        let ledger = ["hits", "misses", "stores", "stale"].map(|k| count("cache", k));
+        let committed = count("wall_clock", "replays_committed");
+        (
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+            ledger,
+            committed,
+            metrics,
+        )
+    };
+    let (cold, ledger, replays, cold_metrics) = run("cold", "4", ["--jobs", "1"]);
+    assert_eq!(ledger, [0, replays, replays, 0], "cold: {replays} replays");
+    let mut snapshots = vec![cold_metrics];
+    for (tag, driver) in [
+        ("warm-j1", ["--jobs", "1"]),
+        ("warm-j4", ["--jobs", "4"]),
+        ("warm-s2", ["--shards", "2"]),
+    ] {
+        let (warm, ledger, committed, metrics) = run(tag, "4", driver);
+        assert_eq!(ledger, [committed, 0, 0, 0], "{tag}");
+        assert_eq!(committed, replays, "{tag}");
+        assert_eq!(warm, cold, "{tag}: warm report must be byte-identical");
+        snapshots.push(metrics);
+    }
+    let out = lint()
+        .args(&snapshots)
+        .arg("--expect-semantic-match")
+        .output()
+        .expect("run metrics-lint");
+    assert!(out.status.success(), "{out:?}");
+    let (_, ledger, flipped, metrics) = run("flip", "5", ["--jobs", "1"]);
+    assert_eq!(ledger, [0, flipped, flipped, 0], "--np flip: full miss");
+    let out = lint().arg(&metrics).output().expect("run metrics-lint");
+    assert!(out.status.success(), "{out:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn verify_trace_streams_schema_versioned_jsonl() {
     let dir = std::env::temp_dir().join("dampi-cli-metrics-test");
     std::fs::create_dir_all(&dir).unwrap();
@@ -264,21 +327,26 @@ fn verify_trace_streams_schema_versioned_jsonl() {
 
 #[test]
 fn verify_rejects_observability_flags_with_isp() {
-    let out = cli()
-        .args([
-            "verify",
-            "fig3",
-            "--np",
-            "3",
-            "--isp",
-            "--metrics",
-            "/dev/null",
-        ])
-        .output()
-        .expect("run dampi-cli");
-    assert!(!out.status.success(), "{out:?}");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("DAMPI-only"), "{err}");
+    // Every DAMPI-only flag is refused by name under `--isp`, never
+    // accepted and ignored (`--isp --k 0` used to explore unbounded).
+    let rows: [&[&str]; 3] = [
+        &["--metrics", "/dev/null"],
+        &["--k", "0"],
+        &["--deferred-clock"],
+    ];
+    for row in rows {
+        let out = cli()
+            .args(["verify", "fig3", "--np", "3", "--isp"])
+            .args(row)
+            .output()
+            .expect("run dampi-cli");
+        assert!(!out.status.success(), "{row:?}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(row[0]) && err.contains("DAMPI-only"),
+            "{row:?}: {err}"
+        );
+    }
 }
 
 #[test]
