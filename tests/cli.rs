@@ -329,10 +329,12 @@ fn verify_trace_streams_schema_versioned_jsonl() {
 fn verify_rejects_observability_flags_with_isp() {
     // Every DAMPI-only flag is refused by name under `--isp`, never
     // accepted and ignored (`--isp --k 0` used to explore unbounded).
-    let rows: [&[&str]; 3] = [
+    let rows: [&[&str]; 5] = [
         &["--metrics", "/dev/null"],
         &["--k", "0"],
         &["--deferred-clock"],
+        &["--clock", "lamport"],
+        &["--protocol", "matmul"],
     ];
     for row in rows {
         let out = cli()
@@ -453,6 +455,7 @@ fn analyze_answers_are_schema_clean_and_exact() {
     for (workload, np, protocol, lints) in cases {
         let (code, r) = analyze(workload, np, protocol);
         let ctx = format!("{workload} {protocol:?}: {r}");
+        assert_eq!(r["program"], workload, "the registry name: {ctx}");
         let ids: Vec<&str> = r["lints"]
             .as_array()
             .expect("lints")
@@ -496,4 +499,170 @@ fn analyze_answers_are_schema_clean_and_exact() {
             _ => {}
         }
     }
+}
+
+#[test]
+fn refused_command_lines_name_the_flag_and_never_panic() {
+    // Out-of-range values, flags of another subcommand and flags missing
+    // their companion are refused before anything runs: exit 1 (a panic is
+    // 101, an ignored flag 0) and one `error:` line naming the flag.
+    let rows = [
+        ("verify racers --np 0", "--np"),
+        ("verify racers --k 4294967296", "--k"),
+        ("verify racers --replay-wall -1", "--replay-wall"),
+        ("verify racers --replay-wall 1e30", "--replay-wall"),
+        ("verify racers --replay-vt nan", "--replay-vt"),
+        ("verify racers --replay-vt 1e400", "--replay-vt"),
+        (
+            "verify racers --shards 2 --heartbeat-timeout -1",
+            "--heartbeat-timeout",
+        ),
+        ("verify racers --shards 2 --lease nan", "--lease"),
+        ("verify racers --lease 3", "--lease"),
+        ("verify racers --heartbeat-timeout 1", "--heartbeat-timeout"),
+        ("verify racers --max-attempts 2", "--max-attempts"),
+        (
+            "verify racers --shards 2 --worker-fault-slot 1",
+            "--worker-fault-slot",
+        ),
+        ("verify racers --cache-readonly", "--cache-readonly"),
+        ("verify racers --protocol racers", "--protocol"),
+        ("verify racers --jobs 2 --shards 2", "--shards"),
+        ("analyze racers --shards 2 --isp --cache /x", "--shards"),
+        ("analyze racers --max 5", "--max"),
+        ("overhead --json", "--json"),
+        ("fuzz --protocol-templates 2 --count 3", "--count"),
+    ];
+    for (line, flag) in rows {
+        let out = cli()
+            .args(line.split_whitespace())
+            .output()
+            .expect("run dampi-cli");
+        assert_eq!(out.status.code(), Some(1), "{line}: {out:?}");
+        assert!(out.stdout.is_empty(), "{line}: nothing ran: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.starts_with("error: ") && err.contains(flag),
+            "{line}: {err}"
+        );
+        assert_eq!(err.lines().count(), 1, "{line}: {err}");
+    }
+}
+
+#[test]
+fn verify_is_one_campaign_under_threads_worker_processes_and_chaos() {
+    // Real `--worker` processes, spawned with the argv the flag table
+    // derives: the report and the checkpoint journal are the `--jobs 1`
+    // bytes under every executor, clean or with a worker killed
+    // mid-campaign (the supervisor re-dispatches the lost subtree through
+    // the same in-order commit path).
+    let dir = std::env::temp_dir().join(format!("dampi-cli-executors-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |tag: &str, workload: &str, driver: &str| {
+        let journal = dir.join(format!("{tag}.journal"));
+        let metrics = dir.join(format!("{tag}.metrics.json"));
+        let out = cli()
+            .arg("verify")
+            .args(workload.split_whitespace().chain(driver.split_whitespace()))
+            .arg("--json")
+            .arg("--journal")
+            .arg(&journal)
+            .arg("--metrics")
+            .arg(&metrics)
+            .output()
+            .expect("run dampi-cli");
+        let report = String::from_utf8_lossy(&out.stdout).into_owned();
+        let json: serde_json::Value =
+            serde_json::from_str(&report).unwrap_or_else(|e| panic!("{tag}: {e}: {out:?}"));
+        let journal = std::fs::read(&journal).expect("journal written");
+        (out.status.code(), report, json, journal, metrics)
+    };
+    let racers = "racers --np 4";
+    let (code, seq, _, seq_journal, _) = run("rc.j1", racers, "--jobs 1");
+    assert_eq!(code, Some(0));
+    assert!(
+        seq.contains("\"program\":\"racers\""),
+        "registry name: {seq}"
+    );
+    let kill = "--shards 2 --worker-fault kill:1 --heartbeat-timeout 0.5";
+    let mut snapshots = Vec::new();
+    for (tag, driver) in [
+        ("rc.j4", "--jobs 4"),
+        ("rc.s2", "--shards 2"),
+        ("rc.s2k", kill),
+    ] {
+        let (_, report, _, journal, metrics) = run(tag, racers, driver);
+        assert_eq!(report, seq, "{tag}: report must be byte-identical");
+        assert_eq!(journal, seq_journal, "{tag}: journal must be identical");
+        snapshots.push(metrics);
+    }
+    // A protocol-pruned campaign is as indifferent to the thread count.
+    let staged = "ordered_stages --np 3 --prune-static --protocol ordered_stages";
+    let (_, one, ..) = run("os.j1", staged, "--jobs 1");
+    let (_, four, ..) = run("os.j4", staged, "--jobs 4");
+    assert_eq!(one, four, "pruned report must be byte-identical");
+    // The kill really happened, and cost nothing semantic.
+    let chaos: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&snapshots[2]).unwrap()).unwrap();
+    let fleet = &chaos["wall_clock"]["shard"];
+    assert!(fleet["workers_lost"].as_u64() >= Some(1), "{fleet}");
+    assert!(
+        fleet["subtrees_redispatched"].as_u64() >= Some(1),
+        "{fleet}"
+    );
+    let out = lint()
+        .args(&snapshots[1..])
+        .arg("--expect-semantic-match")
+        .output()
+        .expect("run metrics-lint");
+    assert!(out.status.success(), "{out:?}");
+    // A bug report crosses the process boundary intact (exit 2). Task-pool
+    // workloads fold wall-clock into their virtual time, so across
+    // *separate* campaigns they get count and error-set equality, not bytes.
+    let rows = [
+        ("f3", "fig3 --np 3", Some(2)),
+        ("mm", "matmul", Some(0)),
+        ("ad", "adlb --max 300", Some(0)),
+    ];
+    for (tag, workload, exit) in rows {
+        let (code, _, threads, ..) = run(&format!("{tag}.j1"), workload, "--jobs 1");
+        let (sharded_code, _, sharded, ..) = run(&format!("{tag}.s2"), workload, "--shards 2");
+        assert_eq!((code, sharded_code), (exit, exit), "{tag}");
+        assert_eq!(sharded["errors"], threads["errors"], "{tag}");
+        assert_eq!(sharded["interleavings"], threads["interleavings"], "{tag}");
+        let found = threads["errors"] != serde_json::json!([]);
+        assert_eq!(found, exit == Some(2), "{tag}");
+    }
+    // Poison-subtree quarantine: a one-slot fleet whose worker dies on every
+    // job terminates with an honest partial-coverage report, not a hang.
+    let poison = "--shards 1 --worker-fault kill:0:always --heartbeat-timeout 0.5 --max-attempts 2";
+    let (_, _, q, ..) = run("rc.quarantine", racers, poison);
+    assert_eq!(q["quarantined"], 1, "{q}");
+    assert_eq!(q["timeouts"].as_array().map(Vec::len), Some(1), "{q}");
+    assert_eq!(q["errors"], serde_json::json!([]), "{q}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn fuzz_protocol_templates_answer_every_seed_through_out() {
+    // The known-answer conformance corpus at the CLI boundary: `--out` gets
+    // one JSON line per seed, every one answered exactly, half of them
+    // planted L006/L007/L008 violations (`fuzz` exits 1 on any miss).
+    let path = std::env::temp_dir().join(format!("dampi-cli-templates-{}", std::process::id()));
+    let out = cli()
+        .args(["fuzz", "--protocol-templates", "24", "--out"])
+        .arg(&path)
+        .output()
+        .expect("run dampi-cli");
+    assert!(out.status.success() && out.stdout.is_empty(), "{out:?}");
+    let lines: Vec<serde_json::Value> = std::fs::read_to_string(&path)
+        .unwrap()
+        .lines()
+        .map(|l| serde_json::from_str(l).expect("template line is JSON"))
+        .collect();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(lines.len(), 24);
+    assert!(lines.iter().all(|v| v["ok"] == true), "{lines:?}");
+    let planted = lines.iter().filter(|v| !v["expected"].is_null()).count();
+    assert_eq!(planted, 12);
 }
