@@ -72,6 +72,7 @@ pub mod config;
 pub mod decisions;
 pub mod epoch;
 mod executor;
+pub mod frame;
 pub mod journal;
 pub mod late;
 pub mod metrics;

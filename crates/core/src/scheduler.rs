@@ -461,10 +461,6 @@ struct Walk<'a> {
     /// journal (advisory: a resume simply re-runs them since their forks
     /// are still on the frontier).
     speculated: Vec<u64>,
-    /// The cache's stale count when this walk started: a `ReplayCache` can
-    /// outlive one campaign (it is shared by `Arc`), so the metrics report
-    /// the per-campaign delta, not the store's lifetime total.
-    cache_stale_base: u64,
 }
 
 impl<'a> Walk<'a> {
@@ -476,7 +472,6 @@ impl<'a> Walk<'a> {
             stack: Vec::new(),
             seen_errors: HashSet::new(),
             speculated: Vec::new(),
-            cache_stale_base: opts.cache.as_ref().map_or(0, |c| c.stale_count()),
         }
     }
 
@@ -656,7 +651,7 @@ impl<'a> Walk<'a> {
     fn finish(self) -> Exploration {
         if let Some(m) = &self.opts.metrics {
             if let Some(c) = &self.opts.cache {
-                m.on_cache_stale(c.stale_count() - self.cache_stale_base);
+                m.on_cache_stale(c.take_unreported_stale());
             }
             m.on_finish(&self.ex);
         }

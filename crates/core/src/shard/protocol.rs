@@ -1,17 +1,10 @@
 //! The supervisor ↔ worker wire protocol.
 //!
-//! Frames are length-prefixed and checksummed:
-//!
-//! ```text
-//! [u32 len LE][u64 FNV-1a(payload) LE][len bytes of JSON payload]
-//! ```
-//!
-//! JSON keeps the payload debuggable (`xxd` a captured stream and read
-//! it); the checksum is what makes corruption a *detected* failure instead
-//! of a parse error deep inside serde — the supervisor treats a bad frame
-//! as a dead worker and re-dispatches, it never trusts partial bytes. The
-//! length cap bounds allocation against a corrupted or adversarial length
-//! word.
+//! Each message is one [`crate::frame`] frame (`[len][fnv1a][payload]`,
+//! re-exported here) whose payload is JSON. JSON keeps the payload
+//! debuggable (`xxd` a captured stream and read it); the frame's checksum
+//! turns corruption into a *detected* failure — the supervisor treats a bad
+//! frame as a dead worker and re-dispatches, it never trusts partial bytes.
 //!
 //! Floating-point fields (makespans, virtual times) survive the JSON trip
 //! bit-exactly: Rust's `Display` for `f64` emits the shortest
@@ -19,6 +12,10 @@
 //! lets a sharded campaign promise *byte*-identical reports and journals.
 
 use std::io::{self, Read, Write};
+
+pub use crate::frame::{
+    checksum, read_frame, write_frame, write_frame_with_checksum, MAX_FRAME_LEN,
+};
 
 use dampi_mpi::program::RunOutcome;
 
@@ -30,10 +27,6 @@ use crate::scheduler::RunResult;
 /// Protocol version, checked in the `Hello` handshake. Bumped on any
 /// incompatible frame or message change.
 pub const PROTOCOL_VERSION: u32 = 1;
-
-/// Upper bound on a frame's payload length (64 MiB). A legitimate subtree
-/// result is orders of magnitude smaller; anything larger is corruption.
-pub const MAX_FRAME_LEN: u32 = 64 << 20;
 
 /// Messages the supervisor sends to a worker.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -111,66 +104,6 @@ impl SubtreeResult {
     }
 }
 
-/// FNV-1a over the payload — cheap, dependency-free, and plenty to catch
-/// torn or bit-flipped frames (this is corruption *detection*, not
-/// authentication; supervisor and workers share a trust domain).
-#[must_use]
-pub fn checksum(payload: &[u8]) -> u64 {
-    dampi_mpi::fnv1a64(payload)
-}
-
-/// Write one frame.
-pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    write_frame_with_checksum(w, payload, checksum(payload))
-}
-
-/// Write one frame with an explicit checksum word — the fault-injection
-/// hook behind [`dampi_mpi::fault::WorkerFaultKind::CorruptResult`].
-pub fn write_frame_with_checksum<W: Write>(
-    w: &mut W,
-    payload: &[u8],
-    checksum: u64,
-) -> io::Result<()> {
-    let len = u32::try_from(payload.len())
-        .ok()
-        .filter(|l| *l <= MAX_FRAME_LEN)
-        .ok_or_else(|| io::Error::other(format!("frame payload of {} bytes", payload.len())))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&checksum.to_le_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
-}
-
-/// Read one frame. `Ok(None)` is a clean EOF *between* frames (the peer
-/// closed); EOF mid-frame, an oversized length, or a checksum mismatch is
-/// an error — the stream can no longer be trusted.
-pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
-    let mut len_buf = [0u8; 4];
-    match r.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_le_bytes(len_buf);
-    if len > MAX_FRAME_LEN {
-        return Err(io::Error::other(format!(
-            "frame length {len} exceeds the {MAX_FRAME_LEN}-byte cap (corrupt stream?)"
-        )));
-    }
-    let mut sum_buf = [0u8; 8];
-    r.read_exact(&mut sum_buf)?;
-    let expect = u64::from_le_bytes(sum_buf);
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    let got = checksum(&payload);
-    if got != expect {
-        return Err(io::Error::other(format!(
-            "frame checksum mismatch: header {expect:#018x}, payload {got:#018x}"
-        )));
-    }
-    Ok(Some(payload))
-}
-
 /// Serialize and frame one message.
 pub fn send_msg<W: Write, T: serde::Serialize>(w: &mut W, msg: &T) -> io::Result<()> {
     let json = serde_json::to_string(msg).map_err(io::Error::other)?;
@@ -222,58 +155,6 @@ impl From<AttemptReport> for SubtreeResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn frame_roundtrip() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
-        write_frame(&mut buf, b"").unwrap();
-        let mut r = &buf[..];
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"hello");
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
-        assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
-    }
-
-    #[test]
-    fn corrupt_payload_is_detected() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"subtree result bytes").unwrap();
-        let flip = buf.len() - 3;
-        buf[flip] ^= 0x40;
-        let mut r = &buf[..];
-        let err = read_frame(&mut r).unwrap_err();
-        assert!(err.to_string().contains("checksum"), "{err}");
-    }
-
-    #[test]
-    fn corrupt_checksum_word_is_detected() {
-        let mut buf = Vec::new();
-        write_frame_with_checksum(&mut buf, b"payload", 0xdead_beef).unwrap();
-        let mut r = &buf[..];
-        assert!(read_frame(&mut r).is_err());
-    }
-
-    #[test]
-    fn oversized_length_is_rejected_without_allocating() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());
-        buf.extend_from_slice(&0u64.to_le_bytes());
-        let mut r = &buf[..];
-        let err = read_frame(&mut r).unwrap_err();
-        assert!(err.to_string().contains("cap"), "{err}");
-    }
-
-    #[test]
-    fn truncated_frame_is_an_error_not_eof() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"cut me off").unwrap();
-        buf.truncate(buf.len() - 4);
-        let mut r = &buf[..];
-        assert!(
-            read_frame(&mut r).is_err(),
-            "mid-frame EOF must not be silent"
-        );
-    }
 
     #[test]
     fn messages_roundtrip() {

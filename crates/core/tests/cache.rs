@@ -26,12 +26,14 @@ fn tmp_path(tag: &str) -> PathBuf {
 
 const PROGRAM_DIGEST: u64 = 0x1234_5678_9abc_def0;
 
-fn racers_verifier(jobs: usize, journal: &Path) -> DampiVerifier {
+fn racers_verifier(jobs: usize, journal: Option<&Path>) -> DampiVerifier {
+    let config = DampiConfig::default().with_jobs(jobs);
     DampiVerifier::with_config(
         SimConfig::new(4).with_policy(MatchPolicy::LowestRank),
-        DampiConfig::default()
-            .with_jobs(jobs)
-            .with_journal(journal.to_path_buf()),
+        match journal {
+            Some(path) => config.with_journal(path.to_path_buf()),
+            None => config,
+        },
     )
 }
 
@@ -49,9 +51,20 @@ struct RunStats {
 /// assertions need: the serialized report, the journal bytes, and the
 /// cache ledger from the metrics snapshot.
 fn run_racers(cache: &Arc<ReplayCache>, jobs: usize, shards: Option<usize>) -> RunStats {
+    run_racers_journaled(cache, jobs, shards, true)
+}
+
+/// [`run_racers`], with the journal (two fsyncs per commit) left out on
+/// request: `journal` is then empty.
+fn run_racers_journaled(
+    cache: &Arc<ReplayCache>,
+    jobs: usize,
+    shards: Option<usize>,
+    journaled: bool,
+) -> RunStats {
     let journal = tmp_path("journal");
     let m = CampaignMetrics::new();
-    let verifier = racers_verifier(jobs, &journal)
+    let verifier = racers_verifier(jobs, journaled.then_some(&journal))
         .with_metrics(m.clone())
         .with_cache(Arc::clone(cache));
     let report = if let Some(shards) = shards {
@@ -76,7 +89,11 @@ fn run_racers(cache: &Arc<ReplayCache>, jobs: usize, shards: Option<usize>) -> R
     let field = |k: &str| cache_block.get(k).and_then(serde_json::Value::as_u64);
     let stats = RunStats {
         report: report.to_json().to_string(),
-        journal: std::fs::read(&journal).expect("journal written"),
+        journal: if journaled {
+            std::fs::read(&journal).expect("journal written")
+        } else {
+            Vec::new()
+        },
         hits: field("hits").expect("hits"),
         misses: field("misses").expect("misses"),
         stores: field("stores").expect("stores"),
@@ -98,7 +115,7 @@ fn warm_run_is_byte_identical_and_all_hits_at_every_driver() {
 
     // Baseline without any cache: the cold cached run must not perturb it.
     let base_j = tmp_path("base-journal");
-    let base = racers_verifier(1, &base_j)
+    let base = racers_verifier(1, Some(&base_j))
         .verify(&patterns::symmetric_racers())
         .to_json()
         .to_string();
@@ -201,49 +218,142 @@ fn readonly_cache_reads_but_never_writes() {
         "readonly open must not even create the keyspace directory"
     );
 
-    // Populate read-write, then a readonly warm run reuses everything.
+    // Populate read-write, then a readonly warm run reuses everything and
+    // leaves the log byte for byte as it found it.
     let rw = Arc::new(
         ReplayCache::open(&dir, PROGRAM_DIGEST, plan_digest(None), false).expect("open cache"),
     );
     let populate = run_racers(&rw, 1, None);
     assert_eq!(populate.stores, populate.committed);
-    let warm = run_racers(&ro, 1, None);
+    let log = std::fs::read(log_path(&dir)).unwrap();
+    let warm = run_racers(&open(&dir, true), 1, None);
     assert_eq!(warm.hits, warm.committed);
     assert_eq!(warm.stores, 0);
     assert_eq!(warm.report, cold.report);
+    assert_eq!(std::fs::read(log_path(&dir)).unwrap(), log);
+
+    // The handle opened before anyone stored indexed an absent log: it does
+    // not see what was appended since, and re-executes instead.
+    let blind = run_racers(&ro, 1, None);
+    assert_eq!((blind.hits, blind.stores), (0, 0));
+    assert_eq!(blind.misses, blind.committed);
+    assert_eq!(blind.report, cold.report);
     let _ = std::fs::remove_dir_all(dir);
 }
 
-#[test]
-fn corrupt_entry_is_counted_stale_and_silently_re_executed() {
-    let dir = tmp_path("corrupt");
-    let cache = Arc::new(
-        ReplayCache::open(&dir, PROGRAM_DIGEST, plan_digest(None), false).expect("open cache"),
+/// The racers keyspace's log under `dir`.
+fn log_path(dir: &Path) -> PathBuf {
+    dir.join(format!("{PROGRAM_DIGEST:016x}-{:016x}", plan_digest(None)))
+        .join("entries")
+}
+
+fn open(dir: &Path, readonly: bool) -> Arc<ReplayCache> {
+    Arc::new(
+        ReplayCache::open(dir, PROGRAM_DIGEST, plan_digest(None), readonly).expect("open cache"),
+    )
+}
+
+/// Header offsets of the log's frames, in order.
+fn frame_offsets(log: &[u8]) -> Vec<usize> {
+    let mut at = Vec::new();
+    let end = dampi_core::frame::scan_log(log, |f| at.push(f.offset as usize)).expect("scan");
+    assert_eq!(
+        end,
+        log.len() as u64,
+        "a log nobody damaged has no torn tail"
     );
-    let cold = run_racers(&cache, 1, None);
-    assert!(cold.stores >= 2);
+    at
+}
 
-    // Truncate one stored entry: its frame checksum can no longer verify.
-    let keyspace = dir.join(format!("{PROGRAM_DIGEST:016x}-{:016x}", plan_digest(None)));
-    let victim = std::fs::read_dir(&keyspace)
-        .expect("keyspace dir")
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .find(|p| p.is_file())
-        .expect("at least one entry");
-    let bytes = std::fs::read(&victim).unwrap();
-    std::fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
+#[test]
+fn a_damaged_frame_is_counted_stale_once_and_silently_re_executed() {
+    // Through the handle that wrote the log, then through one that meets the
+    // damage while indexing: the ledger reads the same.
+    for fresh_handle in [false, true] {
+        let dir = tmp_path("corrupt");
+        let cache = open(&dir, false);
+        let cold = run_racers(&cache, 1, None);
+        assert!(cold.stores >= 3);
 
-    let warm = run_racers(&cache, 1, None);
-    assert_eq!(warm.report, cold.report, "stale entry must not leak");
-    assert_eq!(warm.stale, 1, "exactly the truncated entry is stale");
-    assert_eq!(warm.misses, 1, "the stale subtree re-executes");
-    assert_eq!(warm.hits, warm.committed - 1);
-    assert_eq!(warm.stores, 1, "the re-execution repopulates the entry");
+        // Flip one payload byte in a frame in the middle of the log: its
+        // checksum can no longer verify; its length word still can.
+        let mut log = std::fs::read(log_path(&dir)).unwrap();
+        let offsets = frame_offsets(&log);
+        assert_eq!(offsets.len() as u64, cold.stores);
+        log[offsets[offsets.len() / 2] + 40] ^= 0x10;
+        std::fs::write(log_path(&dir), &log).unwrap();
 
-    // The repaired store is fully warm again.
-    let again = run_racers(&cache, 1, None);
-    assert_eq!(again.hits, again.committed);
-    assert_eq!(again.stale, 0);
+        let cache = if fresh_handle {
+            open(&dir, false)
+        } else {
+            cache
+        };
+        let warm = run_racers(&cache, 1, None);
+        assert_eq!(warm.report, cold.report, "stale entry must not leak");
+        assert_eq!(warm.journal, cold.journal);
+        assert_eq!(warm.stale, 1, "exactly the damaged frame is stale");
+        assert_eq!(warm.misses, 1, "the stale subtree re-executes");
+        assert_eq!(warm.hits, warm.committed - 1);
+        assert_eq!(warm.stores, 1, "the re-execution appends a fresh frame");
+
+        // The repaired store is fully warm again, for this handle and the next.
+        for cache in [Arc::clone(&cache), open(&dir, false)] {
+            let again = run_racers(&cache, 1, None);
+            assert_eq!(again.hits, again.committed);
+            assert_eq!((again.misses, again.stores), (0, 0));
+            assert_eq!(again.stale, 0, "fresh_handle={fresh_handle}");
+        }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+#[test]
+fn a_log_torn_anywhere_in_its_last_frame_costs_one_replay() {
+    let dir = tmp_path("torn");
+    let cold = run_racers(&open(&dir, false), 1, None);
+    let whole = std::fs::read(log_path(&dir)).unwrap();
+    let last = *frame_offsets(&whole).last().unwrap();
+
+    for cut in last..whole.len() {
+        std::fs::write(log_path(&dir), &whole[..cut]).unwrap();
+        let torn_bytes = u64::from(cut > last);
+
+        // `--cache-readonly` serves every earlier entry and touches nothing.
+        let ro = run_racers_journaled(&open(&dir, true), 1, None, false);
+        assert_eq!(ro.report, cold.report, "cut at {cut}");
+        assert_eq!(
+            (ro.stale, ro.misses, ro.stores),
+            (torn_bytes, 1, 0),
+            "cut at {cut}"
+        );
+        assert_eq!(ro.hits, ro.committed - 1, "cut at {cut}");
+        assert_eq!(
+            std::fs::read(log_path(&dir)).unwrap(),
+            whole[..cut],
+            "cut at {cut}"
+        );
+
+        // A writable handle does the same, then stores what it re-executed
+        // where the torn bytes were...
+        let rw = run_racers_journaled(&open(&dir, false), 1, None, false);
+        assert_eq!(rw.report, cold.report, "cut at {cut}");
+        assert_eq!(
+            (rw.stale, rw.misses, rw.stores),
+            (torn_bytes, 1, 1),
+            "cut at {cut}"
+        );
+        let mended = std::fs::read(log_path(&dir)).unwrap();
+        assert_eq!(mended[..last], whole[..last], "cut at {cut}");
+        assert_eq!(
+            frame_offsets(&mended),
+            frame_offsets(&whole),
+            "cut at {cut}"
+        );
+
+        // ... which a reopen then serves.
+        let again = run_racers_journaled(&open(&dir, true), 1, None, false);
+        assert_eq!(again.hits, again.committed, "cut at {cut}");
+        assert_eq!((again.stale, again.misses), (0, 0), "cut at {cut}");
+    }
     let _ = std::fs::remove_dir_all(dir);
 }

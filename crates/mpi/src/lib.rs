@@ -65,5 +65,5 @@ pub use program::{FnProgram, MpiProgram, RankError, RunOutcome};
 pub use request::Request;
 pub use runtime::{run_native, run_with_layers, ReplayBudget, SimConfig, World};
 pub use stats::{OpClass, OpStats};
-pub use types::{fnv1a64, Tag, ANY_SOURCE, ANY_TAG};
+pub use types::{fnv1a64, fnv1a64_extend, Tag, ANY_SOURCE, ANY_TAG, FNV1A64_EMPTY};
 pub use vtime::VTimeParams;

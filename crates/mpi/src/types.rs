@@ -31,7 +31,17 @@ pub fn tag_matches(spec: Tag, actual: Tag) -> bool {
 #[must_use]
 #[inline]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_extend(FNV1A64_EMPTY, bytes)
+}
+
+/// [`fnv1a64`] of no bytes: where a digest taken in pieces starts.
+pub const FNV1A64_EMPTY: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The digest of a prefix, carried over `bytes` more: the digest of the two
+/// together. For input that is streamed rather than held.
+#[must_use]
+#[inline]
+pub fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0100_0000_01b3);
@@ -51,6 +61,11 @@ mod tests {
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
         assert_eq!(fnv1a64(b"dampi\x1fracers\x1f4"), 0xbc54_c712_bfec_fede);
+        assert_eq!(
+            fnv1a64_extend(fnv1a64(b"foo"), b"bar"),
+            fnv1a64(b"foobar"),
+            "a digest taken in pieces is the digest of the whole"
+        );
     }
 
     #[test]

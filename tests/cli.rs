@@ -257,8 +257,37 @@ fn verify_cache_contract_holds_as_counts_under_every_driver() {
             metrics,
         )
     };
+    // Every keyspace under the store: its one file's length, and how many
+    // entries a handle opened on it serves.
+    let keyspaces = || -> Vec<(u64, usize)> {
+        let mut found = Vec::new();
+        for keyspace in std::fs::read_dir(dir.join("store")).unwrap() {
+            let keyspace = keyspace.unwrap();
+            let files: Vec<_> = std::fs::read_dir(keyspace.path())
+                .unwrap()
+                .map(|f| f.unwrap())
+                .collect();
+            assert_eq!(files.len(), 1, "one log per keyspace: {files:?}");
+            let name = keyspace.file_name().into_string().unwrap();
+            let (program, plan) = name.split_once('-').expect("<program>-<plan>");
+            let digest = |hex: &str| u64::from_str_radix(hex, 16).unwrap();
+            let cache = dampi::core::ReplayCache::open(
+                &dir.join("store"),
+                digest(program),
+                digest(plan),
+                true,
+            )
+            .unwrap();
+            assert_eq!(cache.stale_count(), 0, "{name}");
+            found.push((files[0].metadata().unwrap().len(), cache.entries().unwrap()));
+        }
+        found
+    };
     let (cold, ledger, replays, cold_metrics) = run("cold", "4", ["--jobs", "1"]);
     assert_eq!(ledger, [0, replays, replays, 0], "cold: {replays} replays");
+    let stored = keyspaces();
+    assert_eq!(stored.len(), 1);
+    assert_eq!(stored[0].1 as u64, replays, "one entry per replay");
     let mut snapshots = vec![cold_metrics];
     for (tag, driver) in [
         ("warm-j1", ["--jobs", "1"]),
@@ -269,6 +298,7 @@ fn verify_cache_contract_holds_as_counts_under_every_driver() {
         assert_eq!(ledger, [committed, 0, 0, 0], "{tag}");
         assert_eq!(committed, replays, "{tag}");
         assert_eq!(warm, cold, "{tag}: warm report must be byte-identical");
+        assert_eq!(keyspaces(), stored, "{tag}: nothing re-stored");
         snapshots.push(metrics);
     }
     let out = lint()
@@ -279,6 +309,14 @@ fn verify_cache_contract_holds_as_counts_under_every_driver() {
     assert!(out.status.success(), "{out:?}");
     let (_, ledger, flipped, metrics) = run("flip", "5", ["--jobs", "1"]);
     assert_eq!(ledger, [0, flipped, flipped, 0], "--np flip: full miss");
+    let mut entries: Vec<usize> = keyspaces().into_iter().map(|(_, n)| n).collect();
+    entries.sort_unstable();
+    let mut expect = [replays as usize, flipped as usize];
+    expect.sort_unstable();
+    assert_eq!(
+        entries, expect,
+        "the flip stored into a keyspace of its own"
+    );
     let out = lint().arg(&metrics).output().expect("run metrics-lint");
     assert!(out.status.success(), "{out:?}");
     std::fs::remove_dir_all(&dir).ok();
