@@ -4,8 +4,8 @@
 # snapshot through `metrics-lint`, 64 seeds of the fuzz corpus). Every other
 # CLI contract is a `cargo test` in `tests/cli.rs`; nothing here needs
 # python3. Nothing here reads a wall clock: `benchmark/` measures.
-# Tier-1 is the root-package `cargo test -q`; the workspace run covers
-# every crate. Pass --offline (default here) since the build is vendored.
+# Tier-1 is `cargo test -q`, which `default-members` makes the whole
+# workspace. Pass --offline (default here) since the build is vendored.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -37,14 +37,16 @@ found="$(grep -rlE 'fn (waitany|testany|waitsome|iprobe)\(' --include='*.rs' cra
 [ "$found" = crates/mpi/src/proc_api.rs ] || { echo "ci: typed completion/probe calls overridden in: $found" >&2; exit 1; }
 cargo build --release --offline --workspace
 cargo test -q --offline
-cargo test -q --offline --workspace
-# Flake guard: these two asserted a wildcard-match bias that only
+# Flake guard: the first two asserted a wildcard-match bias that only
 # thread-creation order used to provide; they now run their native legs on
-# the cooperative scheduler and must pass every time.
+# the cooperative scheduler and must pass every time. The `lost_wakeup`
+# cases would show a missed wake-up as a rare watchdog timeout, not a
+# steady failure.
 for _ in $(seq 20); do
   cargo test -q --offline --test cross_tool native_bias_masks_what_verifiers_find > /dev/null
   cargo test -q --offline -p dampi-workloads --lib \
       alternate_schedule_deadlock_hidden_natively_under_bias > /dev/null
+  cargo test -q --offline -p dampi-mpi --test runtime_semantics lost_wakeup > /dev/null
 done
 cargo clippy --offline --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace

@@ -421,6 +421,7 @@ mod tests {
                     per_rank_vt: vec![1.25, 0.75],
                     wall_elapsed: std::time::Duration::ZERO,
                     makespan: 1.25,
+                    census: Default::default(),
                 },
                 epochs: Vec::new(),
                 stats: ToolRunStats::default(),

@@ -59,6 +59,7 @@ impl AttemptReport {
                     per_rank_vt: Vec::new(),
                     wall_elapsed: Duration::ZERO,
                     makespan: 0.0,
+                    census: Default::default(),
                 },
                 epochs: Vec::new(),
                 stats: ToolRunStats::default(),

@@ -966,6 +966,7 @@ mod tests {
                     per_rank_vt: vec![1.0],
                     wall_elapsed: Duration::ZERO,
                     makespan: 1.0,
+                    census: Default::default(),
                 },
                 epochs,
                 stats: ToolRunStats {

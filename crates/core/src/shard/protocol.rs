@@ -213,6 +213,7 @@ mod tests {
                 per_rank_vt: ms.to_vec(),
                 wall_elapsed: std::time::Duration::from_micros(17),
                 makespan: ms[2],
+                census: Default::default(),
             },
             epochs: vec![],
             stats: ToolRunStats::default(),

@@ -48,6 +48,7 @@ fn model_run(alt_counts: Vec<usize>) -> impl Fn(&DecisionSet) -> RunResult + Syn
                 per_rank_vt: vec![1.0],
                 wall_elapsed: std::time::Duration::ZERO,
                 makespan: 1.0,
+                census: Default::default(),
             },
             epochs,
             stats: ToolRunStats::default(),

@@ -61,7 +61,7 @@ pub use interpose::{LayerFactory, PassthroughLayer};
 pub use leak::LeakReport;
 pub use matching::MatchPolicy;
 pub use proc_api::{Completed, Completion, Mpi, Pmpi, Status};
-pub use program::{FnProgram, MpiProgram, RankError, RunOutcome};
+pub use program::{FnProgram, MpiProgram, RankError, RunOutcome, RuntimeCensus};
 pub use request::Request;
 pub use runtime::{run_native, run_with_layers, ReplayBudget, SimConfig, World};
 pub use stats::{OpClass, OpStats};

@@ -38,6 +38,24 @@ pub struct RankError {
     pub error: MpiError,
 }
 
+/// How often one run's rank threads parked and woke, counted under the
+/// world lock. Unlike virtual time these depend on thread scheduling in a
+/// free-running world; under the turn token they repeat exactly.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RuntimeCensus {
+    /// Times a rank waited on its condvar.
+    pub parks: u64,
+    /// Condvar notifies sent: at most one per park.
+    pub wakes: u64,
+    /// Times a rank that blocked or finished handed the deterministic turn
+    /// token on. (The one hand-off `Mpi::shadow_world` makes to the last
+    /// rank at start-up is not a pass.)
+    pub turn_passes: u64,
+    /// Parks that followed a notify after which the rank found nothing to
+    /// do: neither its wait satisfied nor the turn handed to it.
+    pub spurious_wakes: u64,
+}
+
 /// Everything a single execution of a program produced. Serializable so
 /// shard workers can ship a replay's outcome to the supervisor verbatim.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -57,6 +75,11 @@ pub struct RunOutcome {
     pub wall_elapsed: std::time::Duration,
     /// Simulated makespan: max over ranks of final virtual time.
     pub makespan: f64,
+    /// Park/wake counts of this run. Observability only, like
+    /// `wall_elapsed`, and never serialized: a shipped or cached outcome
+    /// reads back as zeros.
+    #[serde(skip)]
+    pub census: RuntimeCensus,
 }
 
 impl RunOutcome {
@@ -129,6 +152,7 @@ mod tests {
             per_rank_vt: vec![0.0],
             wall_elapsed: std::time::Duration::ZERO,
             makespan: 0.0,
+            census: RuntimeCensus::default(),
         }
     }
 

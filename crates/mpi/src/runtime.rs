@@ -7,12 +7,33 @@
 //! [`pool`] (a replay campaign re-executes the program
 //! hundreds of times, and spawn + join was a third of a small replay);
 //! wider worlds spawn scoped threads. All shared state sits behind one
-//! mutex; a rank that cannot make progress waits on its *own* condvar, and
-//! only ranks that are actually waiting are ever notified (targeted
-//! wakeups keep 1024-rank runs cheap). Deadlock is declared exactly when
-//! every unfinished rank is blocked inside the runtime: state then can only
-//! change through another rank's action, and there is none left to act —
-//! the classical "all live processes blocked" criterion.
+//! mutex, and a rank that cannot make progress parks on its *own* condvar.
+//!
+//! A notify is a futex syscall and, on one CPU, two context switches, so
+//! a rank is woken only when it can act. One set of rules serves both
+//! scheduler modes:
+//! - a rank that blocks records in `Shared::waits` what it waits for:
+//!   some of its own requests, a blocking probe's `(comm, src, tag)`, or a
+//!   collective generation;
+//! - an event clears a rank's `blocked` flag, and wakes it, only if it can
+//!   satisfy that record. A completed request wakes its owner if the owner
+//!   waits on it (a rendezvous sender included); a queued, unmatched
+//!   message wakes its destination if that is in a matching blocking
+//!   probe; the last entrant of a collective wakes the members waiting on
+//!   it; a finishing rank wakes nobody;
+//! - under the turn token ([`SimConfig::deterministic`]) only the rank
+//!   that holds the turn is ever woken: an event just clears the flag, and
+//!   the holder's hand-off wakes the next holder;
+//! - a fatal error wakes everyone;
+//! - a notify clears the rank's `parked` flag, so a park gets at most one.
+//!
+//! [`RunOutcome::census`] counts the parks, notifies, turn passes and
+//! notifies that found nothing to do.
+//!
+//! Deadlock is declared exactly when every unfinished rank is blocked
+//! inside the runtime: state then can only change through another rank's
+//! action, and there is none left to act — the classical "all live
+//! processes blocked" criterion.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -29,9 +50,9 @@ use crate::leak::{CommLeak, LeakReport};
 use crate::matching::{Delivery, MatchEngine, MatchPolicy, ProbeInfo};
 use crate::pool::{self, RankBody, POOLED_WORLD_MAX, RANK_STACK_SIZE};
 use crate::proc_api::{unexpected_outcome, Completed, Completion, Mpi, Pmpi, Status};
-use crate::program::{MpiProgram, RunOutcome};
+use crate::program::{MpiProgram, RunOutcome, RuntimeCensus};
 use crate::request::{ReqKind, ReqState, Request, RequestEntry, RequestTable};
-use crate::types::{Tag, ANY_SOURCE};
+use crate::types::{source_matches, tag_matches, Tag, ANY_SOURCE};
 use crate::vtime::VTimeParams;
 
 /// Per-replay watchdog budgets (§ fault-tolerant exploration).
@@ -184,16 +205,40 @@ impl CommEntry {
     }
 }
 
+/// What a blocked rank waits for: the events that can let it proceed.
+/// Waiting for the execution turn needs no record, since `Shared::turn`
+/// names the one rank the token wakes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Wait {
+    /// Completion of one of the requests in `Shared::wait_reqs`.
+    Requests,
+    /// An unexpected message on `comms[comm]` that a blocking probe with
+    /// these specifiers matches.
+    Probe { comm: usize, src: i32, tag: Tag },
+    /// The outcome of generation `gen` of `comms[comm]`'s collective slot.
+    Collective { comm: usize, gen: u64 },
+}
+
 struct Shared {
     comms: Vec<CommEntry>,
     requests: RequestTable,
     vt: Vec<f64>,
+    /// `blocked[r]`: `r`'s wait was unsatisfied when last evaluated and no
+    /// event since could have satisfied it.
     blocked: Vec<bool>,
     nblocked: usize,
-    /// Ranks waiting on their condvar right now (set and cleared in
-    /// [`World::park`] under the state lock): the only ones a wakeup is
-    /// sent to, since notifying a condvar is a syscall even with no waiter.
+    /// What each rank waits for, recorded when it becomes blocked and
+    /// meaningful while `blocked[r]` holds.
+    waits: Vec<Wait>,
+    /// The requests of a [`Wait::Requests`] record: one buffer per rank,
+    /// reused from wait to wait.
+    wait_reqs: Vec<Vec<Request>>,
+    /// Ranks waiting on their condvar right now, not yet notified: set in
+    /// [`World::park`], cleared by the one notify [`World::wake`] sends (or
+    /// by the park itself when it times out). Only these are ever notified,
+    /// since notifying a condvar is a syscall even with no waiter.
     parked: Vec<bool>,
+    census: RuntimeCensus,
     finished: Vec<bool>,
     nfinished: usize,
     fatal: Option<MpiError>,
@@ -228,7 +273,10 @@ impl World {
             vt: vec![0.0; n],
             blocked: vec![false; n],
             nblocked: 0,
+            waits: vec![Wait::Requests; n],
+            wait_reqs: vec![Vec::new(); n],
             parked: vec![false; n],
+            census: RuntimeCensus::default(),
             finished: vec![false; n],
             nfinished: 0,
             fatal: None,
@@ -327,11 +375,12 @@ impl World {
     fn enter(&self, rank: usize) -> parking_lot::MutexGuard<'_, Shared> {
         let mut g = self.state.lock();
         if self.cfg.deterministic {
+            let mut idle = false;
             while g.fatal.is_none() && g.turn != rank {
                 if self.guard(&mut g).is_some() {
                     break; // watchdog tripped: fatal is now set
                 }
-                self.park(&mut g, rank);
+                self.park(&mut g, rank, &mut idle);
             }
         }
         g
@@ -349,7 +398,16 @@ impl World {
 
     /// Wait on `rank`'s condvar, bounded by the wall-clock deadline when
     /// one is configured (so parked ranks re-check the watchdog).
-    fn park(&self, g: &mut parking_lot::MutexGuard<'_, Shared>, rank: usize) {
+    ///
+    /// `idle` spans the parks of one wait: it is set when the park ended in
+    /// a notify that did not hand the rank the turn. If the rank then parks
+    /// again in the same wait, that notify found nothing to do and counts
+    /// as a spurious wake.
+    fn park(&self, g: &mut parking_lot::MutexGuard<'_, Shared>, rank: usize, idle: &mut bool) {
+        if std::mem::take(idle) {
+            g.census.spurious_wakes += 1;
+        }
+        g.census.parks += 1;
         g.parked[rank] = true;
         match self.deadline {
             Some(d) => {
@@ -358,24 +416,34 @@ impl World {
             }
             None => self.cvs[rank].wait(g),
         }
-        g.parked[rank] = false;
+        let notified = !std::mem::replace(&mut g.parked[rank], false);
+        *idle = notified && !(self.cfg.deterministic && g.turn == rank);
     }
 
-    /// Wake `rank` if it is parked. Callers hold the state lock, and a rank
-    /// re-evaluates what it waits for under that lock before it parks, so
-    /// a rank found not parked here cannot miss the event.
-    fn wake(&self, s: &Shared, rank: usize) {
-        if s.parked[rank] {
-            self.cvs[rank].notify_all();
+    /// Notify `rank` if it is parked and may act now: under the turn token
+    /// only the holder may, until the world turns fatal. Callers hold the
+    /// state lock, and a rank records what it waits for and parks under
+    /// that lock, so a rank found not parked here cannot miss the event.
+    fn wake(&self, s: &mut Shared, rank: usize) {
+        let may_act = !self.cfg.deterministic || s.turn == rank || s.fatal.is_some();
+        if s.parked[rank] && may_act {
+            s.parked[rank] = false;
+            s.census.wakes += 1;
+            self.cvs[rank].notify_one();
         }
     }
 
-    /// Wake every parked rank (a fatal error was declared, or a rank
-    /// finished).
-    fn wake_all(&self, s: &Shared) {
+    /// Wake every parked rank: the world has turned fatal.
+    fn wake_all(&self, s: &mut Shared) {
         for rank in 0..self.cfg.nprocs {
             self.wake(s, rank);
         }
+    }
+
+    /// Deterministic mode: make `to` the turn holder and wake it.
+    fn give_turn(&self, s: &mut Shared, to: usize) {
+        s.turn = to;
+        self.wake(s, to);
     }
 
     /// Deterministic mode: hand the execution turn from `from` to the next
@@ -392,27 +460,32 @@ impl World {
         for off in 1..n {
             let r = (from + off) % n;
             if !g.finished[r] && !g.blocked[r] {
-                g.turn = r;
-                self.wake(g, r);
+                g.census.turn_passes += 1;
+                self.give_turn(g, r);
                 return;
             }
         }
     }
 
     /// Block `rank` until `ready` yields a result, with deadlock detection.
+    /// `wait` (with `reqs` for [`Wait::Requests`]) is what `ready` waits
+    /// for: the record events are checked against while `rank` is blocked.
     ///
     /// `blocked[r]` means *logically* blocked: `r`'s predicate was
     /// unsatisfied when last evaluated and no event since could have
-    /// satisfied it. Every predicate-changing event ([`Self::unblock`])
-    /// clears the flag of the rank it may have satisfied *before* notifying,
-    /// so `nblocked == live ranks` holds exactly when no rank can ever make
+    /// satisfied it. Every event that can satisfy a blocked rank's record
+    /// ([`Self::unblock_if`]) clears its flag *before* notifying, so
+    /// `nblocked == live ranks` holds exactly when no rank can ever make
     /// progress — a true deadlock, immune to wakeup-scheduling races.
     fn block_on<T>(
         &self,
         rank: usize,
+        wait: Wait,
+        reqs: &[Request],
         mut ready: impl FnMut(&mut Shared) -> Option<Result<T>>,
     ) -> Result<T> {
         let mut g = self.state.lock();
+        let mut idle = false;
         loop {
             // Deterministic mode: only the turn holder may evaluate its
             // predicate (evaluation can consume state — complete a request,
@@ -424,7 +497,7 @@ impl World {
                 && g.turn != rank
                 && self.guard(&mut g).is_none()
             {
-                self.park(&mut g, rank);
+                self.park(&mut g, rank, &mut idle);
                 continue;
             }
             // Completion first: an operation whose predicate is already
@@ -439,8 +512,12 @@ impl World {
                 return Err(f);
             }
             if !g.blocked[rank] {
-                g.blocked[rank] = true;
-                g.nblocked += 1;
+                let s = &mut *g;
+                s.blocked[rank] = true;
+                s.nblocked += 1;
+                s.waits[rank] = wait;
+                s.wait_reqs[rank].clear();
+                s.wait_reqs[rank].extend_from_slice(reqs);
             }
             if g.nblocked == self.cfg.nprocs - g.nfinished {
                 // Every unfinished rank (including us) is blocked: deadlock.
@@ -453,7 +530,7 @@ impl World {
                 let err = MpiError::Deadlock { blocked_ranks };
                 g.fatal = Some(err.clone());
                 Self::clear_blocked(&mut g, rank);
-                self.wake_all(&g);
+                self.wake_all(&mut g);
                 return Err(err);
             }
             // No deadlock, so some other rank is runnable: hand it the
@@ -461,7 +538,7 @@ impl World {
             // bounded wait the loop re-enters `guard`, which trips the
             // watchdog and unwinds every rank.
             self.pass_turn(&mut g, rank);
-            self.park(&mut g, rank);
+            self.park(&mut g, rank, &mut idle);
         }
     }
 
@@ -472,11 +549,25 @@ impl World {
         }
     }
 
-    /// An event occurred that may satisfy `world_rank`'s blocking
-    /// predicate: clear its logical-block flag and wake it.
-    fn unblock(&self, s: &mut Shared, world_rank: usize) {
-        Self::clear_blocked(s, world_rank);
-        self.wake(s, world_rank);
+    /// An event occurred: if `world_rank` is blocked on a wait it
+    /// `satisfies`, clear its logical-block flag and wake it.
+    fn unblock_if(
+        &self,
+        s: &mut Shared,
+        world_rank: usize,
+        satisfies: impl FnOnce(Wait, &[Request]) -> bool,
+    ) {
+        if s.blocked[world_rank] && satisfies(s.waits[world_rank], &s.wait_reqs[world_rank]) {
+            Self::clear_blocked(s, world_rank);
+            self.wake(s, world_rank);
+        }
+    }
+
+    /// `req` of `owner` completed.
+    fn request_done(&self, s: &mut Shared, owner: usize, req: Request) {
+        self.unblock_if(s, owner, |wait, reqs| {
+            wait == Wait::Requests && reqs.contains(&req)
+        });
     }
 
     /// Complete a recv request (and, for rendezvous messages, the paired
@@ -484,7 +575,7 @@ impl World {
     fn complete_recv_locked(&self, s: &mut Shared, req_id: u64, env: Envelope) {
         if let Some(sreq) = env.send_req {
             let sender = s.requests.complete_send(sreq);
-            self.unblock(s, sender);
+            self.request_done(s, sender, Request(sreq));
         }
         s.requests.complete_recv(req_id, env);
         let owner = s
@@ -492,7 +583,7 @@ impl World {
             .get(Request(req_id))
             .expect("just completed")
             .owner;
-        self.unblock(s, owner);
+        self.request_done(s, owner, Request(req_id));
     }
 
     // ---- point-to-point ---------------------------------------------------
@@ -590,8 +681,11 @@ impl World {
                 self.complete_recv_locked(&mut g, rreq, envelope);
             }
             Delivery::Queued => {
-                // A new unexpected message may satisfy a blocked probe.
-                self.unblock(&mut g, dst_world);
+                // An unexpected message can satisfy only a blocking probe.
+                self.unblock_if(&mut g, dst_world, |wait, _| {
+                    matches!(wait, Wait::Probe { comm, src, tag: want }
+                        if comm == idx && source_matches(src, crank) && tag_matches(want, tag))
+                });
             }
         }
         Ok(req)
@@ -650,16 +744,18 @@ impl World {
     }
 
     /// Run `ready` as one operation of `rank`: through [`Self::block_on`]
-    /// until it yields when `blocking`, else once. Polling checks the guard
-    /// *first* so that spin loops observe the watchdog.
+    /// on `wait` until it yields when `blocking`, else once. Polling checks
+    /// the guard *first* so that spin loops observe the watchdog.
     fn attempt<T>(
         &self,
         rank: usize,
         blocking: bool,
+        wait: Wait,
+        reqs: &[Request],
         mut ready: impl FnMut(&mut Shared) -> Option<Result<T>>,
     ) -> Result<Option<T>> {
         if blocking {
-            return self.block_on(rank, ready).map(Some);
+            return self.block_on(rank, wait, reqs, ready).map(Some);
         }
         let mut g = self.enter_guarded(rank)?;
         ready(&mut g).transpose()
@@ -709,7 +805,7 @@ impl World {
             });
         }
         let mut done = Completed::default();
-        self.attempt(rank, how.blocking(), |s| {
+        self.attempt(rank, how.blocking(), Wait::Requests, reqs, |s| {
             self.finish_ready(s, rank, reqs, how, &mut done).transpose()
         })?;
         Ok(done)
@@ -725,9 +821,16 @@ impl World {
         blocking: bool,
     ) -> Result<Option<ProbeInfo>> {
         let policy = self.cfg.policy;
-        self.attempt(rank, blocking, |s| match Self::resolve(s, comm, rank) {
-            Ok((idx, crank)) => s.comms[idx].engine.probe(crank, src, tag, policy).map(Ok),
-            Err(e) => Some(Err(e)),
+        let wait = Wait::Probe {
+            comm: comm.0 as usize,
+            src,
+            tag,
+        };
+        self.attempt(rank, blocking, wait, &[], |s| {
+            match Self::resolve(s, comm, rank) {
+                Ok((idx, crank)) => s.comms[idx].engine.probe(crank, src, tag, policy).map(Ok),
+                Err(e) => Some(Err(e)),
+            }
         })
     }
 
@@ -762,7 +865,7 @@ impl World {
                     // Mismatched collective: a program bug that would hang
                     // the other participants — declare it globally.
                     g.fatal = Some(e.clone());
-                    self.wake_all(&g);
+                    self.wake_all(&mut g);
                     return Err(e);
                 }
             };
@@ -775,17 +878,18 @@ impl World {
                     combine(sig, &contribs)
                 };
                 g.comms[idx].coll.finish(gen, outcomes, result_vt);
-                let members: Vec<usize> = g.comms[idx].info.group.clone();
-                for m in members {
-                    if m != rank {
-                        self.unblock(&mut g, m);
-                    }
+                let waiting = Wait::Collective { comm: idx, gen };
+                for i in 0..size {
+                    let m = g.comms[idx].info.group[i];
+                    self.unblock_if(&mut g, m, |wait, _| wait == waiting);
                 }
             }
             (gen, idx, crank)
         };
-        let (outcome, vt) =
-            self.block_on(rank, |s| s.comms[idx].coll.try_take(gen, crank).map(Ok))?;
+        let wait = Wait::Collective { comm: idx, gen };
+        let (outcome, vt) = self.block_on(rank, wait, &[], |s| {
+            s.comms[idx].coll.try_take(gen, crank).map(Ok)
+        })?;
         let mut g = self.state.lock();
         g.vt[rank] = g.vt[rank].max(vt);
         self.check_vt_budget(&mut g, rank)?;
@@ -942,9 +1046,7 @@ impl World {
                 let shadow = self.push_dup(&mut g, Comm::WORLD.0 as usize);
                 g.world_shadow = Some((shadow, 0));
                 if self.cfg.deterministic && g.fatal.is_none() {
-                    let last = self.cfg.nprocs - 1;
-                    g.turn = last;
-                    self.wake(&g, last);
+                    self.give_turn(&mut g, self.cfg.nprocs - 1);
                 }
                 shadow
             }
@@ -992,8 +1094,12 @@ impl World {
                 .collect();
             g.fatal = Some(MpiError::Deadlock { blocked_ranks });
         }
+        // Finishing satisfies no wait: the turn moves on, and only a fatal
+        // world wakes anyone else.
         self.pass_turn(&mut g, rank);
-        self.wake_all(&g);
+        if g.fatal.is_some() {
+            self.wake_all(&mut g);
+        }
     }
 
     fn abort(&self, rank: usize) {
@@ -1005,7 +1111,7 @@ impl World {
             g.finished[rank] = true;
             g.nfinished += 1;
         }
-        self.wake_all(&g);
+        self.wake_all(&mut g);
     }
 
     fn leak_report(&self) -> LeakReport {
@@ -1035,6 +1141,10 @@ impl World {
 
     fn fatal(&self) -> Option<MpiError> {
         self.state.lock().fatal.clone()
+    }
+
+    fn census(&self) -> RuntimeCensus {
+        self.state.lock().census
     }
 }
 
@@ -1101,6 +1211,7 @@ pub fn run_with_layers(
         per_rank_vt,
         wall_elapsed: wall_start.elapsed(),
         makespan,
+        census: world.census(),
     }
 }
 

@@ -954,6 +954,264 @@ fn deterministic_turn_covers_now_and_compute() {
     }
 }
 
+mod lost_wakeup {
+    //! The runtime wakes a blocked rank only for an event that satisfies
+    //! what it recorded it waits for. Each case here is one way a wait gets
+    //! satisfied, run on free-running threads and on the turn token under a
+    //! wall-clock budget: a missed wake-up fails as `ReplayTimeout` instead
+    //! of hanging the suite.
+
+    use std::time::Duration;
+
+    use super::*;
+    use dampi_mpi::{Mpi, ReplayBudget, Result};
+
+    fn sim(np: usize, deterministic: bool) -> SimConfig {
+        let budget = ReplayBudget::unlimited().with_max_wall_clock(Duration::from_secs(10));
+        cfg(np)
+            .with_deterministic(deterministic)
+            .with_budget(budget)
+    }
+
+    fn both_modes(np: usize, eager_limit: Option<usize>, prog: &dyn MpiProgram) {
+        for deterministic in [false, true] {
+            let out = run_native(&sim(np, deterministic).with_eager_limit(eager_limit), prog);
+            assert!(
+                out.succeeded(),
+                "deterministic {deterministic}: {:?} {:?}",
+                out.fatal,
+                out.rank_errors
+            );
+            assert!(out.leaks.is_clean(), "{:?}", out.leaks);
+        }
+    }
+
+    /// An empty message: eager under every eager limit.
+    fn go(mpi: &mut dyn Mpi, dest: i32) -> Result<()> {
+        mpi.send(Comm::WORLD, dest, 99, Bytes::new())
+    }
+
+    fn wait_go(mpi: &mut dyn Mpi, src: i32) -> Result<()> {
+        mpi.recv(Comm::WORLD, src, 99).map(drop)
+    }
+
+    #[test]
+    fn waitany_wakes_for_the_request_that_completes_first() {
+        // Rank 1 sends A only after rank 0's waitany returned B.
+        let prog = FnProgram(|mpi: &mut dyn Mpi| {
+            let w = Comm::WORLD;
+            match mpi.world_rank() {
+                0 => {
+                    let a = mpi.irecv(w, 1, 1)?;
+                    let b = mpi.irecv(w, 2, 2)?;
+                    let (idx, st, _) = mpi.waitany(&[a, b])?;
+                    assert_eq!((idx, st.source), (1, 2));
+                    go(mpi, 1)?;
+                    mpi.wait(a)?;
+                }
+                1 => {
+                    wait_go(mpi, 0)?;
+                    mpi.send(w, 0, 1, bts(b"a"))?;
+                }
+                _ => mpi.send(w, 0, 2, bts(b"b"))?,
+            }
+            Ok(())
+        });
+        both_modes(3, None, &prog);
+    }
+
+    #[test]
+    fn wait_sleeps_through_another_request_then_wakes_for_its_own() {
+        // B completes while rank 0 waits on A; A is sent after B.
+        let prog = FnProgram(|mpi: &mut dyn Mpi| {
+            let w = Comm::WORLD;
+            match mpi.world_rank() {
+                0 => {
+                    let a = mpi.irecv(w, 1, 1)?;
+                    let b = mpi.irecv(w, 2, 2)?;
+                    let (st, _) = mpi.wait(a)?;
+                    assert_eq!(st.source, 1);
+                    let (st, _) = mpi.wait(b)?;
+                    assert_eq!(st.source, 2);
+                }
+                1 => {
+                    wait_go(mpi, 2)?;
+                    mpi.send(w, 0, 1, bts(b"a"))?;
+                }
+                _ => {
+                    mpi.send(w, 0, 2, bts(b"b"))?;
+                    go(mpi, 1)?;
+                }
+            }
+            Ok(())
+        });
+        both_modes(3, None, &prog);
+    }
+
+    #[test]
+    fn blocking_probe_passes_over_messages_it_does_not_match() {
+        // Queued for rank 0 in this order: wrong tag, wrong source, match.
+        let prog = FnProgram(|mpi: &mut dyn Mpi| {
+            let w = Comm::WORLD;
+            match mpi.world_rank() {
+                0 => {
+                    let info = mpi.probe(w, 1, 5)?;
+                    assert_eq!((info.src, info.tag, info.len), (1, 5, 5));
+                    for (src, tag) in [(1, 6), (2, 5), (1, 5)] {
+                        let (st, _) = mpi.recv(w, src, tag)?;
+                        assert_eq!((st.source, st.tag), (src as usize, tag));
+                    }
+                }
+                1 => {
+                    mpi.send(w, 0, 6, bts(b"tag"))?;
+                    go(mpi, 2)?;
+                    wait_go(mpi, 2)?;
+                    mpi.send(w, 0, 5, bts(b"match"))?;
+                }
+                _ => {
+                    wait_go(mpi, 1)?;
+                    mpi.send(w, 0, 5, bts(b"source"))?;
+                    go(mpi, 1)?;
+                }
+            }
+            Ok(())
+        });
+        both_modes(3, None, &prog);
+    }
+
+    #[test]
+    fn iprobe_spin_then_blocking_recv() {
+        // A bounded spin: on the turn token an unbounded one never yields.
+        let prog = FnProgram(|mpi: &mut dyn Mpi| {
+            let w = Comm::WORLD;
+            if mpi.world_rank() == 0 {
+                for _ in 0..100 {
+                    if mpi.iprobe(w, 1, 3)?.is_some() {
+                        break;
+                    }
+                    std::thread::yield_now();
+                }
+                let (_, data) = mpi.recv(w, 1, 3)?;
+                assert_eq!(&data[..], b"late");
+            } else {
+                mpi.compute(1e-3)?;
+                mpi.send(w, 0, 3, bts(b"late"))?;
+            }
+            Ok(())
+        });
+        both_modes(2, None, &prog);
+    }
+
+    #[test]
+    fn rendezvous_send_wakes_when_its_receive_is_posted() {
+        // Rank 1 posts its receive only after hearing from rank 2, so rank
+        // 0's send is blocked until then.
+        let prog = FnProgram(|mpi: &mut dyn Mpi| {
+            let w = Comm::WORLD;
+            match mpi.world_rank() {
+                0 => {
+                    let sreq = mpi.isend(w, 1, 0, Bytes::from(vec![7u8; 64]))?;
+                    assert!(mpi.test(sreq)?.is_none(), "unmatched rendezvous send");
+                    go(mpi, 2)?;
+                    mpi.wait(sreq)?;
+                }
+                1 => {
+                    wait_go(mpi, 2)?;
+                    let (_, data) = mpi.recv(w, 0, 0)?;
+                    assert_eq!(data.len(), 64);
+                }
+                _ => {
+                    wait_go(mpi, 0)?;
+                    go(mpi, 1)?;
+                }
+            }
+            Ok(())
+        });
+        both_modes(3, Some(0), &prog);
+    }
+
+    #[test]
+    fn collective_wakes_its_members_when_the_last_one_arrives_late() {
+        let prog = FnProgram(|mpi: &mut dyn Mpi| {
+            let me = mpi.world_rank();
+            if me == 2 {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            let sum = mpi.allreduce_u64(Comm::WORLD, vec![me as u64], ReduceOp::Sum)?;
+            assert_eq!(sum, vec![6]);
+            mpi.barrier(Comm::WORLD)
+        });
+        both_modes(4, None, &prog);
+    }
+
+    #[test]
+    fn a_watchdog_trip_wakes_every_parked_rank() {
+        // Every rank but 0 parks in a receive from rank 0, which overstays
+        // the budget in user code: a parked rank's bounded wait trips the
+        // watchdog and every rank unwinds with it.
+        let prog = FnProgram(|mpi: &mut dyn Mpi| {
+            if mpi.world_rank() == 0 {
+                std::thread::sleep(Duration::from_millis(100));
+                mpi.barrier(Comm::WORLD)
+            } else {
+                mpi.recv(Comm::WORLD, 0, 0).map(drop)
+            }
+        });
+        for deterministic in [false, true] {
+            let budget = ReplayBudget::unlimited().with_max_wall_clock(Duration::from_millis(20));
+            let sim = cfg(3).with_deterministic(deterministic).with_budget(budget);
+            let out = run_native(&sim, &prog);
+            assert!(
+                matches!(out.fatal, Some(MpiError::ReplayTimeout { .. })),
+                "deterministic {deterministic}: {:?}",
+                out.fatal
+            );
+            for (rank, err) in out.rank_errors.iter().enumerate() {
+                assert!(
+                    matches!(err, Some(MpiError::ReplayTimeout { .. })),
+                    "rank {rank}: {err:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_unawaited_completion_leaves_the_deadlock_exact() {
+        // Rank 0 waits on A, which nobody sends, while its B completes;
+        // rank 1 waits on a message nobody sends; rank 2 finishes. Both
+        // live ranks are blocked: the same deadlock whether or not B's
+        // completion woke rank 0.
+        let prog = FnProgram(|mpi: &mut dyn Mpi| {
+            let w = Comm::WORLD;
+            match mpi.world_rank() {
+                0 => {
+                    let a = mpi.irecv(w, 1, 1)?;
+                    let _b = mpi.irecv(w, 2, 2)?;
+                    mpi.wait(a).map(drop)
+                }
+                1 => mpi.recv(w, 0, 0).map(drop),
+                _ => mpi.send(w, 0, 2, bts(b"b")),
+            }
+        });
+        for deterministic in [false, true] {
+            let out = run_native(&sim(3, deterministic), &prog);
+            let deadlock = MpiError::Deadlock {
+                blocked_ranks: vec![0, 1],
+            };
+            assert_eq!(
+                out.fatal,
+                Some(deadlock.clone()),
+                "deterministic {deterministic}"
+            );
+            assert_eq!(
+                out.rank_errors,
+                [Some(deadlock.clone()), Some(deadlock), None],
+                "deterministic {deterministic}"
+            );
+        }
+    }
+}
+
 mod waists {
     //! `Mpi::collective`, `Mpi::complete` and `Mpi::probe_for` are the entry
     //! points of the ten typed data collectives, the five completion calls
