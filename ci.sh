@@ -37,16 +37,19 @@ found="$(grep -rlE 'fn (waitany|testany|waitsome|iprobe)\(' --include='*.rs' cra
 [ "$found" = crates/mpi/src/proc_api.rs ] || { echo "ci: typed completion/probe calls overridden in: $found" >&2; exit 1; }
 cargo build --release --offline --workspace
 cargo test -q --offline
-# Flake guard: the first two asserted a wildcard-match bias that only
-# thread-creation order used to provide; they now run their native legs on
-# the cooperative scheduler and must pass every time. The `lost_wakeup`
-# cases would show a missed wake-up as a rare watchdog timeout, not a
-# steady failure.
+# Flake guard: the first three asserted what only a lucky thread schedule
+# used to provide (a wildcard-match bias; adlb's task dealing); they now
+# take those runs on the cooperative scheduler and must pass every time.
+# The `lost_wakeup` cases would show a missed wake-up as a rare watchdog
+# timeout, and `wakeups` a stray park or notify, not a steady failure.
 for _ in $(seq 20); do
   cargo test -q --offline --test cross_tool native_bias_masks_what_verifiers_find > /dev/null
   cargo test -q --offline -p dampi-workloads --lib \
       alternate_schedule_deadlock_hidden_natively_under_bias > /dev/null
+  cargo test -q --offline -p dampi-analysis --test workloads \
+      adlb_oblivious_merges_beyond_exact > /dev/null
   cargo test -q --offline -p dampi-mpi --test runtime_semantics lost_wakeup > /dev/null
+  cargo test -q --offline --test wakeups > /dev/null
 done
 cargo clippy --offline --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace

@@ -31,6 +31,12 @@
 //!   write latency, per-replay wall latency. These depend on thread timing
 //!   and differ run to run.
 //!
+//! Beside them sit the replay-cache ledger (`"cache"`) and the runtime
+//! census (`"runtime"`): parks, wakes, turn passes and spurious wakes
+//! summed over the committed replays this process executed. Cache hits and
+//! shard workers' results count zero there, and free-running counts
+//! follow thread timing, so neither section is semantic.
+//!
 //! The [`CampaignTrace`] is wall-clock-ordered by construction (events are
 //! appended as they happen across threads) and is therefore *not*
 //! deterministic across worker counts; its per-event payloads for commit
@@ -43,14 +49,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use dampi_mpi::RuntimeCensus;
 use parking_lot::Mutex;
 use serde::Serialize;
 
 use crate::epoch::ToolRunStats;
 use crate::scheduler::Exploration;
 
-/// Version of the metrics snapshot schema (the `"schema"` key).
-pub const METRICS_SCHEMA_VERSION: u32 = 2;
+/// Version of the metrics snapshot schema (the `"schema"` key). 3 added
+/// the `runtime` section.
+pub const METRICS_SCHEMA_VERSION: u32 = 3;
 
 /// Version of the campaign-trace JSONL schema (the `"v"` key on every
 /// line).
@@ -248,6 +256,10 @@ pub struct ObservedCommit {
     pub protocol_alternates_pruned: u64,
     /// Epoch instances the protocol proved deterministic at this commit.
     pub protocol_wildcards_deterministic: u64,
+    /// Park/wake counts of the final attempt, when this process executed
+    /// it. A cache hit or a shard worker's result carries zeros: the
+    /// census is never serialized (`RunOutcome::census`).
+    pub census: RuntimeCensus,
 }
 
 // ---- Campaign metrics ------------------------------------------------------
@@ -328,6 +340,11 @@ pub struct CampaignMetrics {
     /// Campaign wall-clock epoch.
     start: Instant,
     semantic: Mutex<SemanticMetrics>,
+    /// Park/wake counts summed over the committed replays this process
+    /// executed (the final attempt of each). Cache hits and shard results
+    /// add zeros, and free-running counts depend on thread scheduling, so
+    /// the sums stay out of the semantic section.
+    runtime: Mutex<RuntimeCensus>,
     fin: Mutex<FinalMetrics>,
 }
 
@@ -356,6 +373,7 @@ impl Default for CampaignMetrics {
             cache_stale: AtomicU64::new(0),
             start: Instant::now(),
             semantic: Mutex::new(SemanticMetrics::default()),
+            runtime: Mutex::new(RuntimeCensus::default()),
             fin: Mutex::new(FinalMetrics::default()),
         }
     }
@@ -401,6 +419,7 @@ impl CampaignMetrics {
     pub fn on_commit(&self, oc: &ObservedCommit, frontier: usize) {
         self.committed.fetch_add(1, Ordering::Relaxed);
         self.semantic.lock().absorb_commit(oc, frontier);
+        *self.runtime.lock() += oc.census;
     }
 
     /// A commit's result had already completed speculatively.
@@ -600,6 +619,13 @@ impl CampaignMetrics {
             "stores": self.cache_stores.load(Ordering::Relaxed),
             "stale": self.cache_stale.load(Ordering::Relaxed),
         });
+        let rt = *self.runtime.lock();
+        let runtime = serde_json::json!({
+            "parks": rt.parks,
+            "wakes": rt.wakes,
+            "turn_passes": rt.turn_passes,
+            "spurious_wakes": rt.spurious_wakes,
+        });
         let wall_clock = serde_json::json!({
             "deterministic": false,
             "wall_s": elapsed,
@@ -624,6 +650,7 @@ impl CampaignMetrics {
             "semantic": semantic,
             "wall_clock": wall_clock,
             "cache": cache,
+            "runtime": runtime,
         })
     }
 }
@@ -911,6 +938,12 @@ mod tests {
                 refined_wildcards_deterministic: 1,
                 protocol_alternates_pruned: 2,
                 protocol_wildcards_deterministic: 1,
+                census: RuntimeCensus {
+                    parks: 5,
+                    wakes: 4,
+                    turn_passes: 6,
+                    spurious_wakes: 1,
+                },
             },
             4,
         );
@@ -930,6 +963,8 @@ mod tests {
                 refined_wildcards_deterministic: 0,
                 protocol_alternates_pruned: 0,
                 protocol_wildcards_deterministic: 1,
+                // A cache hit: nothing executed here.
+                census: RuntimeCensus::default(),
             },
             3,
         );
@@ -949,6 +984,16 @@ mod tests {
         assert_eq!(s.protocol_alternates_pruned, 2);
         assert_eq!(s.protocol_wildcards_deterministic, 2);
         assert_eq!(m.committed(), 2);
+        m.on_finish(&Exploration::default());
+        let j = m.snapshot("demo", 4, "lamport", 1);
+        assert_eq!(
+            j["runtime"],
+            serde_json::json!({"parks": 5, "wakes": 4, "turn_passes": 6, "spurious_wakes": 1})
+        );
+        assert!(
+            j["semantic"].get("parks").is_none(),
+            "census is not semantic"
+        );
     }
 
     #[test]

@@ -508,6 +508,7 @@ impl<'a> Walk<'a> {
         let errors_before = self.ex.errors.len();
         let stack_before = self.stack.len();
         let makespan = res.outcome.makespan;
+        let census = res.outcome.census;
         let stats = res.stats;
         let provenance = if fork.decisions.is_self_run() {
             self.ex.first_run_stats = stats;
@@ -575,6 +576,7 @@ impl<'a> Walk<'a> {
             refined_wildcards_deterministic: pruned.refined_deterministic,
             protocol_alternates_pruned: pruned.protocol_pruned,
             protocol_wildcards_deterministic: pruned.protocol_deterministic,
+            census,
         });
         self.checkpoint();
         if source == Source::Quarantined {

@@ -43,7 +43,8 @@ pub struct RankError {
 /// free-running world; under the turn token they repeat exactly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuntimeCensus {
-    /// Times a rank waited on its condvar.
+    /// Times a rank waited on its condvar. (A park that found notifies of
+    /// its own to send sends them instead and does not count.)
     pub parks: u64,
     /// Condvar notifies sent: at most one per park.
     pub wakes: u64,
@@ -54,6 +55,15 @@ pub struct RuntimeCensus {
     /// Parks that followed a notify after which the rank found nothing to
     /// do: neither its wait satisfied nor the turn handed to it.
     pub spurious_wakes: u64,
+}
+
+impl std::ops::AddAssign for RuntimeCensus {
+    fn add_assign(&mut self, other: Self) {
+        self.parks += other.parks;
+        self.wakes += other.wakes;
+        self.turn_passes += other.turn_passes;
+        self.spurious_wakes += other.spurious_wakes;
+    }
 }
 
 /// Everything a single execution of a program produced. Serializable so

@@ -27,20 +27,36 @@
 //! - a fatal error wakes everyone;
 //! - a notify clears the rank's `parked` flag, so a park gets at most one.
 //!
-//! [`RunOutcome::census`] counts the parks, notifies, turn passes and
-//! notifies that found nothing to do.
+//! No notify is sent under the lock. On one CPU a rank notified by a
+//! thread that still holds the mutex preempts it, blocks re-acquiring the
+//! mutex inside its condvar wait and switches back: three context switches
+//! for one hand-off. So `World::wake` only records the rank in
+//! `Shared::pending`, and the lock guard (`World::lock`) sends the
+//! notifies after it releases the mutex; `World::park` flushes the same
+//! way before it sleeps. Invariant: `pending` is empty whenever the mutex
+//! is free (checked on every acquisition in debug builds). No wake is
+//! lost: a pending rank set its `parked` flag and entered its condvar wait
+//! under the mutex, which that wait releases atomically, so a notify sent
+//! after the notifier unlocks still finds it waiting. A notify can arrive
+//! stale only if the rank's bounded wait (a wall-clock
+//! [`ReplayBudget`]) timed out in between; it then ends a later wait
+//! early, and that wait's loop re-checks and parks again.
+//!
+//! [`RunOutcome::census`] counts the parks that waited, notifies, turn
+//! passes and notifies that found nothing to do.
 //!
 //! Deadlock is declared exactly when every unfinished rank is blocked
 //! inside the runtime: state then can only change through another rank's
 //! action, and there is none left to act — the classical "all live
 //! processes blocked" criterion.
 
+use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::collective::{combine, CollOutcome, CollSig, CollSlot, Contribution};
 use crate::comm::{Comm, CommInfo};
@@ -233,11 +249,15 @@ struct Shared {
     /// The requests of a [`Wait::Requests`] record: one buffer per rank,
     /// reused from wait to wait.
     wait_reqs: Vec<Vec<Request>>,
-    /// Ranks waiting on their condvar right now, not yet notified: set in
-    /// [`World::park`], cleared by the one notify [`World::wake`] sends (or
-    /// by the park itself when it times out). Only these are ever notified,
-    /// since notifying a condvar is a syscall even with no waiter.
+    /// Ranks waiting on their condvar right now, not yet woken: set in
+    /// [`World::park`], cleared by [`World::wake`] (or by the park itself
+    /// when it times out). Only these are ever notified, since notifying a
+    /// condvar is a syscall even with no waiter.
     parked: Vec<bool>,
+    /// Ranks woken while the lock is held, notified once it is released
+    /// ([`Locked`]). Empty whenever the mutex is free; at most one entry
+    /// per rank.
+    pending: Vec<usize>,
     census: RuntimeCensus,
     finished: Vec<bool>,
     nfinished: usize,
@@ -262,6 +282,60 @@ pub struct World {
     deadline: Option<Instant>,
 }
 
+/// The state lock, held; every [`World`] entry point takes it through
+/// [`World::lock`]. Dropping it releases the mutex and then notifies the
+/// ranks woken while it was held.
+struct Locked<'w> {
+    // Fields drop in declaration order: `guard` releases the mutex, then
+    // `due` sends the notifies that `Drop for Locked` moved into it.
+    guard: MutexGuard<'w, Shared>,
+    due: Due<'w>,
+}
+
+impl Drop for Locked<'_> {
+    fn drop(&mut self) {
+        let pending = &mut self.guard.pending;
+        if pending.len() > 1 {
+            self.due.many = std::mem::take(pending);
+        } else {
+            self.due.one = pending.pop();
+        }
+    }
+}
+
+impl Deref for Locked<'_> {
+    type Target = Shared;
+    fn deref(&self) -> &Shared {
+        &self.guard
+    }
+}
+
+impl DerefMut for Locked<'_> {
+    fn deref_mut(&mut self) -> &mut Shared {
+        &mut self.guard
+    }
+}
+
+/// Notifies owed to ranks woken under the lock; sent on drop.
+struct Due<'w> {
+    cvs: &'w [Condvar],
+    /// A lone pending rank, the common case: taken without the list's
+    /// buffer.
+    one: Option<usize>,
+    /// Several pending ranks (a fatal error, or a collective completing in
+    /// a free-running world) take the list's buffer with them; the next
+    /// wake re-grows it.
+    many: Vec<usize>,
+}
+
+impl Drop for Due<'_> {
+    fn drop(&mut self) {
+        for &rank in self.one.iter().chain(&self.many) {
+            self.cvs[rank].notify_one();
+        }
+    }
+}
+
 impl World {
     /// Create a world with `COMM_WORLD` over `cfg.nprocs` ranks.
     #[must_use]
@@ -276,6 +350,7 @@ impl World {
             waits: vec![Wait::Requests; n],
             wait_reqs: vec![Vec::new(); n],
             parked: vec![false; n],
+            pending: Vec::with_capacity(n),
             census: RuntimeCensus::default(),
             finished: vec![false; n],
             nfinished: 0,
@@ -369,18 +444,33 @@ impl World {
         Ok(())
     }
 
+    /// Lock shared state. Dropping the guard releases the mutex, then sends
+    /// the notifies [`Self::wake`] recorded meanwhile.
+    fn lock(&self) -> Locked<'_> {
+        let guard = self.state.lock();
+        debug_assert!(guard.pending.is_empty(), "a wake outlived its lock");
+        Locked {
+            guard,
+            due: Due {
+                cvs: &self.cvs,
+                one: None,
+                many: Vec::new(),
+            },
+        }
+    }
+
     /// Lock shared state and — in deterministic mode — park until `rank`
     /// holds the execution turn. Once the world has a fatal error the turn
     /// discipline is abandoned so every rank can unwind concurrently.
-    fn enter(&self, rank: usize) -> parking_lot::MutexGuard<'_, Shared> {
-        let mut g = self.state.lock();
+    fn enter(&self, rank: usize) -> Locked<'_> {
+        let mut g = self.lock();
         if self.cfg.deterministic {
             let mut idle = false;
             while g.fatal.is_none() && g.turn != rank {
                 if self.guard(&mut g).is_some() {
                     break; // watchdog tripped: fatal is now set
                 }
-                self.park(&mut g, rank, &mut idle);
+                g = self.park(g, rank, &mut idle);
             }
         }
         g
@@ -388,7 +478,7 @@ impl World {
 
     /// [`Self::enter`], then the fatal-or-watchdog check every operation
     /// that does not block starts with.
-    fn enter_guarded(&self, rank: usize) -> Result<parking_lot::MutexGuard<'_, Shared>> {
+    fn enter_guarded(&self, rank: usize) -> Result<Locked<'_>> {
         let mut g = self.enter(rank);
         match self.guard(&mut g) {
             Some(f) => Err(f),
@@ -397,13 +487,25 @@ impl World {
     }
 
     /// Wait on `rank`'s condvar, bounded by the wall-clock deadline when
-    /// one is configured (so parked ranks re-check the watchdog).
+    /// one is configured (so parked ranks re-check the watchdog). Every
+    /// caller re-checks what it waits for when this returns.
+    ///
+    /// Notifies are never sent under the lock, and the wait releases it,
+    /// so a park with wakes pending flushes them instead of waiting: it
+    /// releases the mutex, notifies, re-locks and returns. By then the
+    /// rank may hold what it waited for (a successor that passed the turn
+    /// straight back), and the wait is skipped. Only a park that waits is
+    /// counted.
     ///
     /// `idle` spans the parks of one wait: it is set when the park ended in
     /// a notify that did not hand the rank the turn. If the rank then parks
     /// again in the same wait, that notify found nothing to do and counts
     /// as a spurious wake.
-    fn park(&self, g: &mut parking_lot::MutexGuard<'_, Shared>, rank: usize, idle: &mut bool) {
+    fn park<'w>(&'w self, mut g: Locked<'w>, rank: usize, idle: &mut bool) -> Locked<'w> {
+        if !g.pending.is_empty() {
+            drop(g);
+            return self.lock();
+        }
         if std::mem::take(idle) {
             g.census.spurious_wakes += 1;
         }
@@ -412,24 +514,30 @@ impl World {
         match self.deadline {
             Some(d) => {
                 let remaining = d.saturating_duration_since(Instant::now());
-                let _ = self.cvs[rank].wait_for(g, remaining);
+                let _ = self.cvs[rank].wait_for(&mut g.guard, remaining);
             }
-            None => self.cvs[rank].wait(g),
+            None => self.cvs[rank].wait(&mut g.guard),
         }
+        debug_assert!(g.pending.is_empty(), "a wake outlived its lock");
         let notified = !std::mem::replace(&mut g.parked[rank], false);
         *idle = notified && !(self.cfg.deterministic && g.turn == rank);
+        g
     }
 
-    /// Notify `rank` if it is parked and may act now: under the turn token
+    /// Wake `rank` if it is parked and may act now: under the turn token
     /// only the holder may, until the world turns fatal. Callers hold the
     /// state lock, and a rank records what it waits for and parks under
     /// that lock, so a rank found not parked here cannot miss the event.
+    ///
+    /// The wake is recorded, not sent: clearing `parked` makes it the
+    /// park's one wake, and the rank joins `Shared::pending`, which the
+    /// lock guard notifies once the mutex is released ([`Locked`]).
     fn wake(&self, s: &mut Shared, rank: usize) {
         let may_act = !self.cfg.deterministic || s.turn == rank || s.fatal.is_some();
         if s.parked[rank] && may_act {
             s.parked[rank] = false;
             s.census.wakes += 1;
-            self.cvs[rank].notify_one();
+            s.pending.push(rank);
         }
     }
 
@@ -484,7 +592,7 @@ impl World {
         reqs: &[Request],
         mut ready: impl FnMut(&mut Shared) -> Option<Result<T>>,
     ) -> Result<T> {
-        let mut g = self.state.lock();
+        let mut g = self.lock();
         let mut idle = false;
         loop {
             // Deterministic mode: only the turn holder may evaluate its
@@ -497,7 +605,7 @@ impl World {
                 && g.turn != rank
                 && self.guard(&mut g).is_none()
             {
-                self.park(&mut g, rank, &mut idle);
+                g = self.park(g, rank, &mut idle);
                 continue;
             }
             // Completion first: an operation whose predicate is already
@@ -538,7 +646,7 @@ impl World {
             // bounded wait the loop re-enters `guard`, which trips the
             // watchdog and unwinds every rank.
             self.pass_turn(&mut g, rank);
-            self.park(&mut g, rank, &mut idle);
+            g = self.park(g, rank, &mut idle);
         }
     }
 
@@ -599,7 +707,7 @@ impl World {
     }
 
     pub(crate) fn op_fatal_check(&self) -> Result<()> {
-        let mut g = self.state.lock();
+        let mut g = self.lock();
         match self.guard(&mut g) {
             Some(f) => Err(f),
             None => Ok(()),
@@ -607,17 +715,17 @@ impl World {
     }
 
     pub(crate) fn op_comm_rank(&self, rank: usize, comm: Comm) -> Result<usize> {
-        let g = self.state.lock();
+        let g = self.lock();
         Self::resolve(&g, comm, rank).map(|(_, crank)| crank)
     }
 
     pub(crate) fn op_comm_size(&self, rank: usize, comm: Comm) -> Result<usize> {
-        let g = self.state.lock();
+        let g = self.lock();
         Self::resolve(&g, comm, rank).map(|(idx, _)| g.comms[idx].info.size())
     }
 
     pub(crate) fn op_translate_rank(&self, comm: Comm, comm_rank: usize) -> Result<usize> {
-        let g = self.state.lock();
+        let g = self.lock();
         let entry = g.comms.get(comm.0 as usize).ok_or(MpiError::InvalidComm)?;
         entry
             .info
@@ -890,7 +998,7 @@ impl World {
         let (outcome, vt) = self.block_on(rank, wait, &[], |s| {
             s.comms[idx].coll.try_take(gen, crank).map(Ok)
         })?;
-        let mut g = self.state.lock();
+        let mut g = self.lock();
         g.vt[rank] = g.vt[rank].max(vt);
         self.check_vt_budget(&mut g, rank)?;
         outcome
@@ -1078,7 +1186,7 @@ impl World {
     // ---- lifecycle --------------------------------------------------------
 
     fn mark_finished(&self, rank: usize) {
-        let mut g = self.state.lock();
+        let mut g = self.lock();
         if g.finished[rank] {
             return;
         }
@@ -1103,7 +1211,7 @@ impl World {
     }
 
     fn abort(&self, rank: usize) {
-        let mut g = self.state.lock();
+        let mut g = self.lock();
         if g.fatal.is_none() {
             g.fatal = Some(MpiError::Aborted { by_rank: rank });
         }
@@ -1115,7 +1223,7 @@ impl World {
     }
 
     fn leak_report(&self) -> LeakReport {
-        let g = self.state.lock();
+        let g = self.lock();
         let comm_leaks = g
             .comms
             .iter()
@@ -1136,15 +1244,15 @@ impl World {
     }
 
     fn snapshot_vt(&self) -> Vec<f64> {
-        self.state.lock().vt.clone()
+        self.lock().vt.clone()
     }
 
     fn fatal(&self) -> Option<MpiError> {
-        self.state.lock().fatal.clone()
+        self.lock().fatal.clone()
     }
 
     fn census(&self) -> RuntimeCensus {
-        self.state.lock().census
+        self.lock().census
     }
 }
 

@@ -986,6 +986,17 @@ mod lost_wakeup {
         }
     }
 
+    /// Once the world is fatal, a rank whose wake was lost still unwinds
+    /// with the right error: when its bounded wait runs out. Only the time
+    /// that took tells.
+    fn assert_prompt(out: &dampi_mpi::RunOutcome, what: &str) {
+        assert!(
+            out.wall_elapsed < Duration::from_secs(5),
+            "{what}: took {:?}, a parked rank waited out the watchdog",
+            out.wall_elapsed
+        );
+    }
+
     /// An empty message: eager under every eager limit.
     fn go(mpi: &mut dyn Mpi, dest: i32) -> Result<()> {
         mpi.send(Comm::WORLD, dest, 99, Bytes::new())
@@ -1176,6 +1187,125 @@ mod lost_wakeup {
     }
 
     #[test]
+    fn ping_pong_hands_the_turn_back_and_forth() {
+        // Every blocking receive hands the turn to the peer, whose reply
+        // hands it straight back: each hand-off flushes the wake it
+        // recorded before its own park, and may find the turn returned on
+        // re-locking.
+        const ROUND_TRIPS: usize = 1_000;
+        let prog = FnProgram(|mpi: &mut dyn Mpi| {
+            let me = mpi.world_rank();
+            let peer = 1 - me as i32;
+            for _ in 0..ROUND_TRIPS {
+                if me == 0 {
+                    go(mpi, peer)?;
+                    wait_go(mpi, peer)?;
+                } else {
+                    wait_go(mpi, peer)?;
+                    go(mpi, peer)?;
+                }
+            }
+            Ok(())
+        });
+        for deterministic in [false, true] {
+            let out = run_native(&sim(2, deterministic), &prog);
+            assert!(
+                out.succeeded(),
+                "deterministic {deterministic}: {:?}",
+                out.fatal
+            );
+            let c = out.census;
+            assert!(c.wakes <= c.parks, "deterministic {deterministic}: {c:?}");
+            if deterministic {
+                assert!(c.turn_passes >= 2 * ROUND_TRIPS as u64, "{c:?}");
+                assert!(c.parks <= c.turn_passes + 1, "{c:?}");
+                assert_eq!(c.spurious_wakes, 0, "{c:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_fatal_error_of_the_running_rank_unwinds_every_parked_rank() {
+        // Every rank but 0 reports to rank 0 and parks in a barrier; rank 0
+        // then declares a fatal error, once by a mismatched collective and
+        // once by a failed user assert (an abort). Its wake-all flushes
+        // every other rank at once.
+        for mismatch in [true, false] {
+            let prog = FnProgram(move |mpi: &mut dyn Mpi| {
+                let (me, n) = (mpi.world_rank(), mpi.world_size());
+                if me != 0 {
+                    go(mpi, 0)?;
+                    return mpi.barrier(Comm::WORLD);
+                }
+                for src in 1..n {
+                    wait_go(mpi, src as i32)?;
+                }
+                // Free-running, the others' barrier entry is a race: give
+                // it the time to park.
+                std::thread::sleep(Duration::from_millis(5));
+                if mismatch {
+                    return mpi.bcast(Comm::WORLD, 0, Some(bts(b"x"))).map(drop);
+                }
+                assert_eq!(n, 1, "rank 0's user assert");
+                Ok(())
+            });
+            for deterministic in [false, true] {
+                let out = run_native(&sim(4, deterministic), &prog);
+                let what = format!("mismatch {mismatch}, deterministic {deterministic}");
+                assert_prompt(&out, &what);
+                let fatal = out.fatal.clone().expect(&what);
+                if mismatch {
+                    assert!(
+                        matches!(fatal, MpiError::CollectiveMismatch { .. }),
+                        "{what}: {fatal:?}"
+                    );
+                } else {
+                    assert_eq!(fatal, MpiError::Aborted { by_rank: 0 }, "{what}");
+                    assert!(
+                        matches!(out.rank_errors[0], Some(MpiError::Panicked { .. })),
+                        "{what}: {:?}",
+                        out.rank_errors[0]
+                    );
+                }
+                for (rank, err) in out.rank_errors.iter().enumerate().skip(1) {
+                    assert_eq!(err.as_ref(), Some(&fatal), "{what}: rank {rank}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_wake_all_flushes_a_whole_world_of_parked_ranks() {
+        // A ring of receives nobody sends: the last rank to block finds
+        // every other rank blocked, declares the deadlock and wakes them
+        // all, as many at once as a pooled world holds.
+        let np = dampi_mpi::pool::POOLED_WORLD_MAX;
+        let prog = FnProgram(|mpi: &mut dyn Mpi| {
+            let (me, n) = (mpi.world_rank(), mpi.world_size());
+            wait_go(mpi, ((me + 1) % n) as i32)
+        });
+        let deadlock = MpiError::Deadlock {
+            blocked_ranks: (0..np).collect(),
+        };
+        for deterministic in [false, true] {
+            let out = run_native(&sim(np, deterministic), &prog);
+            assert_prompt(&out, &format!("deterministic {deterministic}"));
+            assert_eq!(
+                out.fatal.as_ref(),
+                Some(&deadlock),
+                "deterministic {deterministic}"
+            );
+            for (rank, err) in out.rank_errors.iter().enumerate() {
+                assert_eq!(
+                    err.as_ref(),
+                    Some(&deadlock),
+                    "deterministic {deterministic}: rank {rank}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn an_unawaited_completion_leaves_the_deadlock_exact() {
         // Rank 0 waits on A, which nobody sends, while its B completes;
         // rank 1 waits on a message nobody sends; rank 2 finishes. Both
@@ -1195,6 +1325,7 @@ mod lost_wakeup {
         });
         for deterministic in [false, true] {
             let out = run_native(&sim(3, deterministic), &prog);
+            assert_prompt(&out, &format!("deterministic {deterministic}"));
             let deadlock = MpiError::Deadlock {
                 blocked_ranks: vec![0, 1],
             };

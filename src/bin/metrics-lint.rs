@@ -24,7 +24,11 @@
 //!   every committed subtree was tallied exactly once on the commit path
 //!   (`hits + misses == replays_committed`, so hits can never outnumber
 //!   commits), `stores <= misses` (only misses populate the store), and
-//!   with the cache disabled all four counters are zero.
+//!   with the cache disabled all four counters are zero;
+//! * the `runtime` census is present and consistent: `wakes <= parks` (a
+//!   park gets at most one wake), `spurious_wakes <= wakes` (each counts a
+//!   wake that found nothing to do), and all four counters are zero when
+//!   the cache served every commit (no replay executed here).
 //!
 //! With `--expect-semantic-match`, additionally requires the `semantic`
 //! section of every file to be byte-identical once serialized — the
@@ -163,6 +167,7 @@ fn check_file(path: &PathBuf, errs: &mut Vec<String>) -> Option<String> {
         }
         None => errs.push(fail(&file, "missing `wall_clock.shard` section")),
     }
+    let mut all_hits = false;
     match v.get("cache") {
         Some(cache) => {
             let enabled = match cache.get("enabled").and_then(Value::as_bool) {
@@ -198,6 +203,7 @@ fn check_file(path: &PathBuf, errs: &mut Vec<String>) -> Option<String> {
                         &format!("cache: stores {stores} > misses {misses}"),
                     ));
                 }
+                all_hits = misses == 0;
             } else if hits + misses + stores + stale != 0 {
                 errs.push(fail(
                     &file,
@@ -206,6 +212,33 @@ fn check_file(path: &PathBuf, errs: &mut Vec<String>) -> Option<String> {
             }
         }
         None => errs.push(fail(&file, "missing `cache` section")),
+    }
+    match v.get("runtime") {
+        Some(rt) => {
+            let parks = require_u64(rt, "parks", &file, errs);
+            let wakes = require_u64(rt, "wakes", &file, errs);
+            let turn_passes = require_u64(rt, "turn_passes", &file, errs);
+            let spurious = require_u64(rt, "spurious_wakes", &file, errs);
+            if wakes > parks {
+                errs.push(fail(
+                    &file,
+                    &format!("runtime: wakes {wakes} > parks {parks}"),
+                ));
+            }
+            if spurious > wakes {
+                errs.push(fail(
+                    &file,
+                    &format!("runtime: spurious_wakes {spurious} > wakes {wakes}"),
+                ));
+            }
+            if all_hits && parks + wakes + turn_passes + spurious != 0 {
+                errs.push(fail(
+                    &file,
+                    "runtime: counts from a campaign the cache served entirely",
+                ));
+            }
+        }
+        None => errs.push(fail(&file, "missing `runtime` section")),
     }
     // Canonical serialization for the cross-file determinism comparison.
     Some(serde_json::to_string(semantic).expect("reserializes"))

@@ -189,6 +189,14 @@ fn verify_metrics_snapshot_is_deterministic_across_jobs() {
     let (p1, sem1) = run("1", "m1.json");
     let (p4, sem4) = run("4", "m4.json");
     assert_eq!(sem1, sem4, "semantic metrics must not depend on --jobs");
+    // The runtime census rides beside it: every replay's finalize barrier
+    // parks its first entrants.
+    let snapshot: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&p1).unwrap()).unwrap();
+    let parks = snapshot["runtime"]["parks"]
+        .as_u64()
+        .expect("runtime.parks");
+    assert!(parks > 0, "{}", snapshot["runtime"]);
     // The lint binary agrees, including the cross-file determinism check.
     let out = lint()
         .args([
@@ -216,6 +224,21 @@ fn verify_metrics_snapshot_is_deterministic_across_jobs() {
     assert!(!out.status.success(), "{out:?}");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("replays_started"), "{err}");
+    // Nor one whose census counts more wakes than parks.
+    let mut v: serde_json::Value = serde_json::from_str(&text).unwrap();
+    let runtime = v
+        .as_object_mut()
+        .unwrap()
+        .get_mut("runtime")
+        .unwrap()
+        .as_object_mut()
+        .unwrap();
+    runtime.insert("wakes".into(), serde_json::json!(parks + 1));
+    std::fs::write(&broken, serde_json::to_string(&v).unwrap()).unwrap();
+    let out = lint().arg(&broken).output().expect("run metrics-lint");
+    assert!(!out.status.success(), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("runtime: wakes"), "{err}");
     for p in [p1, p4, broken] {
         std::fs::remove_file(p).ok();
     }
@@ -250,6 +273,9 @@ fn verify_cache_contract_holds_as_counts_under_every_driver() {
         };
         let ledger = ["hits", "misses", "stores", "stale"].map(|k| count("cache", k));
         let committed = count("wall_clock", "replays_committed");
+        // The runtime census counts only replays executed in this process.
+        let parks = count("runtime", "parks");
+        assert_eq!(parks == 0, ledger[1] == 0, "{tag}: {parks} parks");
         (
             String::from_utf8_lossy(&out.stdout).into_owned(),
             ledger,

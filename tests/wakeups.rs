@@ -5,7 +5,10 @@
 //! rank gets at most one notify per park. Under the turn token only the
 //! holder is ever woken, so the notifies are the turn passes (plus, at
 //! most, the first hand-off to a rank already parked for it) and the turn
-//! passes repeat exactly.
+//! passes repeat exactly. A park counts only when it waits, and every wait
+//! ends in a notify, so the parks are bounded the same way. (A park with
+//! notifies pending sends them instead of waiting: a rank whose successor
+//! passes the turn straight back may not park at all.)
 
 use dampi::core::{DampiVerifier, DecisionSet};
 use dampi::mpi::{MatchPolicy, MpiProgram, RuntimeCensus, SimConfig};
@@ -25,6 +28,7 @@ fn census(np: usize, deterministic: bool, program: &dyn MpiProgram) -> RuntimeCe
     assert!(c.wakes <= c.parks, "{c:?}");
     if deterministic {
         assert!(c.wakes <= c.turn_passes + 1, "{c:?}");
+        assert!(c.parks <= c.turn_passes + 1, "{c:?}");
     }
     c
 }
