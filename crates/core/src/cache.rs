@@ -334,14 +334,9 @@ impl ReplayCache {
             },
         };
         let json = serde_json::to_string(&entry).expect("cache entries serialize");
-        let mut payload = Vec::with_capacity(LOG_HEAD_LEN + json.len());
-        payload.extend_from_slice(&entry.schedule.to_le_bytes());
-        payload.extend_from_slice(json.as_bytes());
-        let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-        frame::write_frame(&mut frame, &payload).ok()?;
         Some(PendingStore {
             schedule: entry.schedule,
-            frame,
+            frame: frame::head_frame(entry.schedule, json.as_bytes()).ok()?,
         })
     }
 
@@ -621,6 +616,27 @@ mod tests {
         append_edited(&root, &schedule(1), |_| {});
         let c = ReplayCache::open(&root, 1, 0, true).unwrap();
         assert!(c.lookup(&schedule(1)).is_some());
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn entries_written_with_a_wall_clock_still_decode() {
+        // Outcomes carried `wall_elapsed` until it stopped being serialized.
+        // Fields are looked up by name, so those entries are still served.
+        let root = tmpdir("wall-clock");
+        append_edited(&root, &schedule(1), |v| {
+            let outcome = v
+                .get_mut("result")
+                .and_then(|r| r.get_mut("outcome"))
+                .and_then(serde_json::Value::as_object_mut)
+                .expect("an outcome object");
+            let wall = serde_json::json!({"secs": 0, "nanos": 17_000});
+            outcome.insert("wall_elapsed".to_owned(), wall);
+        });
+        let c = ReplayCache::open(&root, 1, 0, true).unwrap();
+        let rep = c.lookup(&schedule(1)).expect("served");
+        assert_eq!(rep.res.outcome.wall_elapsed, std::time::Duration::ZERO);
+        assert_eq!(c.stale_count(), 0);
         let _ = fs::remove_dir_all(&root);
     }
 

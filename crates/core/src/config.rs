@@ -170,8 +170,8 @@ pub struct DampiConfig {
     /// Backoff schedule between divergence retries (exponential with
     /// deterministic jitter, capped).
     pub retry_backoff: RetryBackoff,
-    /// When set, checkpoint the exploration frontier to this journal file
-    /// after every run; `verify_resumed` continues from it.
+    /// When set, append every commit to this journal file;
+    /// `verify_resumed` continues from it.
     pub journal: Option<PathBuf>,
     /// Worker threads replaying frontier forks concurrently. `1` (the
     /// default) is the sequential walk; any `N` produces a bit-identical
@@ -250,7 +250,7 @@ impl DampiConfig {
         self
     }
 
-    /// Builder-style: checkpoint the frontier to `path` after every run.
+    /// Builder-style: append every commit to the journal at `path`.
     #[must_use]
     pub fn with_journal(mut self, path: PathBuf) -> Self {
         self.journal = Some(path);

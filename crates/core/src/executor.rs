@@ -6,7 +6,7 @@
 //! implementation, the fault-tolerant process fleet, lives in
 //! [`crate::shard::supervisor`].
 
-use std::collections::BTreeSet;
+use std::collections::HashSet;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -82,7 +82,7 @@ pub(crate) enum Event {
     /// Nothing completed, but `submit` may now accept what it refused
     /// before (a backoff expired, a worker came back).
     Wake,
-    /// Stop now and checkpoint the frontier.
+    /// Stop now: every commit is already in the journal.
     Drain,
 }
 
@@ -91,15 +91,14 @@ pub(crate) enum Event {
 ///
 /// The driver counts `replays_started` once per accepted `submit`. An
 /// executor that loses an accepted submission (a worker died) counts it
-/// aborted, stops listing it in `in_flight`, and the driver submits it
+/// aborted, stops counting it in `in_flight`, and the driver submits it
 /// again.
 pub(crate) trait Executor {
     /// Submissions the executor would start right now. Asked before
     /// anything is submitted, it is the executor's width.
     fn idle(&self) -> usize;
-    /// Signatures accepted and neither completed, quarantined nor lost,
-    /// sorted (the journal's advisory `in_flight` field).
-    fn in_flight(&self) -> Vec<u64>;
+    /// Submissions accepted and neither completed, quarantined nor lost.
+    fn in_flight(&self) -> usize;
     /// Offer one schedule. May refuse: it is already in flight, there is
     /// no capacity, or it is inside a redispatch backoff.
     fn submit(&mut self, sig: u64, decisions: &DecisionSet) -> bool;
@@ -193,8 +192,8 @@ where
         usize::from(self.pending.is_none())
     }
 
-    fn in_flight(&self) -> Vec<u64> {
-        self.pending.iter().map(|(sig, _)| *sig).collect()
+    fn in_flight(&self) -> usize {
+        usize::from(self.pending.is_some())
     }
 
     fn submit(&mut self, sig: u64, decisions: &DecisionSet) -> bool {
@@ -221,7 +220,7 @@ pub(crate) struct ThreadPool {
     jobs: usize,
     job_tx: crossbeam::channel::Sender<(u64, DecisionSet)>,
     res_rx: crossbeam::channel::Receiver<(u64, AttemptReport)>,
-    in_flight: BTreeSet<u64>,
+    in_flight: HashSet<u64>,
 }
 
 impl ThreadPool {
@@ -270,7 +269,7 @@ impl ThreadPool {
                 jobs,
                 job_tx,
                 res_rx,
-                in_flight: BTreeSet::new(),
+                in_flight: HashSet::new(),
             };
             let out = body(&mut pool);
             cancel.store(true, Ordering::Relaxed);
@@ -286,8 +285,8 @@ impl Executor for ThreadPool {
         self.jobs.saturating_sub(self.in_flight.len())
     }
 
-    fn in_flight(&self) -> Vec<u64> {
-        self.in_flight.iter().copied().collect()
+    fn in_flight(&self) -> usize {
+        self.in_flight.len()
     }
 
     fn submit(&mut self, sig: u64, decisions: &DecisionSet) -> bool {

@@ -188,6 +188,18 @@ pub fn scan_log<R: Read>(log: R, mut each: impl FnMut(LogFrame)) -> io::Result<u
     }
 }
 
+/// A whole log frame, header included, whose payload is `head` — the
+/// [`LOG_HEAD_LEN`] bytes [`scan_log`] hands over, a record's key — followed
+/// by `body`.
+pub fn head_frame(head: u64, body: &[u8]) -> io::Result<Vec<u8>> {
+    let mut payload = Vec::with_capacity(LOG_HEAD_LEN + body.len());
+    payload.extend_from_slice(&head.to_le_bytes());
+    payload.extend_from_slice(body);
+    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
+    write_frame(&mut frame, &payload)?;
+    Ok(frame)
+}
+
 /// Append one already-framed record to a log opened in append mode, with a
 /// single `write` of all its bytes, and return the offset it landed at —
 /// asked of the file afterwards, since other handles may have appended since

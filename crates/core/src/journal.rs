@@ -1,389 +1,422 @@
-//! Checkpoint/resume for verification campaigns.
+//! The exploration journal: a campaign's commit log.
 //!
 //! A long exploration (hours of replays on the paper's larger benchmarks)
 //! must survive the driver being killed — a preempted batch job, an OOM'd
-//! login node, a ^C. The scheduler therefore journals its frontier after
-//! every run: the visited-prefix signatures, the pending [`DecisionSet`]
-//! stack, and every partial counter needed to rebuild the
-//! [`crate::scheduler::Exploration`] exactly. `dampi-cli verify
-//! --resume <journal>` reloads the journal and continues where the
-//! campaign stopped; a resumed campaign finishes with the same
-//! interleaving count and error set as an uninterrupted one because the
-//! frontier order is preserved verbatim.
+//! login node, a ^C. A `GUIDED_RUN` is a function of its decision prefix,
+//! and the walk ([`crate::scheduler`]) is a function of the results it
+//! commits, in the order it commits them. So the journal keeps those results
+//! and nothing else: a [`crate::frame`] log with one frame per commit,
+//! appended with one `write` and made durable with one `fdatasync` before
+//! the walk commits the next. A frame's payload is the commit's 8-byte
+//! [`schedule_digest`], as in the replay cache's log, followed by the JSON
+//! record `{version, source, result}`: where the result came from (a cache
+//! hit, an execution, a quarantine) and the [`SubtreeResult`] itself — the
+//! payload shard results and cache entries carry.
 //!
-//! Writes are crash-consistent: the journal is written to a `.tmp`
-//! sibling, fsync'd, renamed over the target, and the directory entry is
-//! fsync'd — so a kill at *any* instant (including `kill -9` mid-write or
-//! mid-rename) leaves either the previous checkpoint or the new one, never
-//! a torn file. A torn `.tmp` left behind by a crash is dead weight the
-//! next checkpoint simply overwrites.
+//! `dampi-cli verify --resume <journal>` starts the campaign over and serves
+//! it from the log: at each commit turn the top of the frontier is answered
+//! by the next record, if that record is the top's schedule. The walk
+//! re-derives its frontier, visited set, coverage and every counter itself,
+//! exactly as the uninterrupted campaign derived them, so a resumed campaign
+//! finishes with the same report. The first record that names another
+//! schedule ends serving: the walk goes on live, and the log is cut at that
+//! record. Records are keyed by schedule alone, not by program: resuming
+//! another program's journal is not detected (nor was it before).
+//!
+//! Damage costs replays, never correctness, as in [`crate::cache`]: the
+//! records end at a torn tail or at the first damaged frame, and what would
+//! have followed re-executes. Only the first frame is held to more: a
+//! non-empty file whose first frame is not a journal record of this version
+//! is refused, so an old snapshot journal, a cache log or garbage is an
+//! error, never a silent restart.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::io;
-use std::path::{Path, PathBuf};
+use std::fs::File;
+use std::io::{self, Write};
+use std::os::unix::fs::{FileExt, MetadataExt};
+use std::path::Path;
 
-use dampi_mpi::LeakReport;
 use serde::{Deserialize, Serialize};
 
+use crate::cache::schedule_digest;
 use crate::decisions::DecisionSet;
-use crate::epoch::ToolRunStats;
-use crate::report::{FoundError, ReplayTimeoutRecord};
+use crate::executor::AttemptReport;
+use crate::frame::{self, LogFrame, FRAME_HEADER_LEN, LOG_HEAD_LEN};
+use crate::scheduler::Source;
+use crate::shard::protocol::SubtreeResult;
 
-/// Journal format version; bumped on incompatible shape changes.
-///
-/// History:
-/// - **1** — initial format (sequential exploration only).
-/// - **2** — adds the `in_flight` set: signatures of forks a parallel
-///   campaign had dispatched to workers but not yet committed when the
-///   checkpoint was written. Version-1 journals load via
-///   [`ExplorationJournal::load`]'s migration path (an empty in-flight
-///   set), so pre-parallel journals resume unchanged.
-pub const JOURNAL_VERSION: u32 = 2;
+/// Journal format version; bumped on incompatible record changes. Versions
+/// 1 and 2 were whole-frontier snapshots; they are not read.
+pub const JOURNAL_VERSION: u32 = 3;
 
-/// Oldest journal version [`ExplorationJournal::load`] can migrate.
-pub const JOURNAL_MIN_VERSION: u32 = 1;
-
-/// One pending branch of the depth-first frontier, as persisted.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct JournalFork {
-    /// The guided schedule to replay.
-    pub decisions: DecisionSet,
-    /// Inherited bounded-mixing window (see `scheduler::Fork`).
-    pub window_end: Option<usize>,
+/// One commit, as a frame of the log holds it after the schedule digest.
+#[derive(Serialize, Deserialize)]
+struct Record {
+    version: u32,
+    source: Source,
+    result: SubtreeResult,
 }
 
-/// One epoch's discovered match set, flattened for JSON (object keys must
-/// be strings, so the `(rank, clock)` map key becomes explicit fields).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DiscoveredEntry {
-    /// World rank of the epoch.
-    pub rank: usize,
-    /// Scalar clock of the epoch.
-    pub clock: u64,
-    /// Every source discovered for it so far.
-    pub sources: Vec<usize>,
-}
-
-/// A consistent snapshot of an in-progress exploration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A journal opened to resume from: the records of its log, served in
+/// commit order.
+#[derive(Debug)]
 pub struct ExplorationJournal {
-    /// Format version ([`JOURNAL_VERSION`]).
-    pub version: u32,
-    /// Interleavings executed so far (including the initial run).
-    pub interleavings: u64,
-    /// Divergence-triggered replay retries so far.
-    pub retries: u64,
-    /// Guided-lookup misses so far.
-    pub divergences: u64,
-    /// Simulated seconds summed over every run so far.
-    pub total_virtual_time: f64,
-    /// Tool stats of the initial `SELF_RUN`.
-    pub first_run_stats: ToolRunStats,
-    /// Simulated makespan of the initial run.
-    pub first_run_makespan: f64,
-    /// Leak census of the initial run.
-    pub first_run_leaks: LeakReport,
-    /// Distinct program bugs found so far, with reproduction schedules.
-    pub errors: Vec<FoundError>,
-    /// Replays the watchdog killed so far.
-    pub timeouts: Vec<ReplayTimeoutRecord>,
-    /// Discovered match coverage so far.
-    pub discovered: Vec<DiscoveredEntry>,
-    /// Signatures of every decision prefix already scheduled.
-    pub visited: Vec<u64>,
-    /// Signatures of frontier forks that were dispatched to replay workers
-    /// but not yet committed when this checkpoint was written (format v2;
-    /// empty for sequential campaigns and migrated v1 journals). Advisory:
-    /// these forks are still in `frontier`, so a resume — parallel or
-    /// sequential — simply re-runs them and lands on the same interleaving
-    /// count and error set as an uninterrupted campaign.
-    #[serde(default)]
-    pub in_flight: Vec<u64>,
-    /// Subtrees quarantined by the shard supervisor so far (each also has
-    /// a record in `timeouts`). `#[serde(default)]` so journals written
-    /// before sharding existed still load; always zero for in-process
-    /// campaigns.
-    #[serde(default)]
-    pub quarantined: u64,
-    /// The pending frontier, bottom-of-stack first (resume pops from the
-    /// back, exactly as the interrupted walk would have).
-    pub frontier: Vec<JournalFork>,
+    log: File,
+    /// Every whole, intact frame from the start of the log up to the first
+    /// one that is not.
+    records: Vec<LogFrame>,
+    /// Records served so far.
+    served: usize,
 }
 
 impl ExplorationJournal {
-    /// Persist crash-consistently: write a `.tmp` sibling, fsync it, rename
-    /// it over `path`, then fsync the parent directory. The data fsync
-    /// orders the bytes before the rename commits them (a rename alone can
-    /// be made durable ahead of the data it points at, leaving a
-    /// zero-length or torn journal after a power cut); the directory fsync
-    /// makes the rename itself durable.
-    pub fn save(&self, path: &Path) -> io::Result<()> {
-        use std::io::Write;
-        let json = serde_json::to_string_pretty(self).map_err(io::Error::other)?;
-        let tmp = tmp_sibling(path);
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(json.as_bytes())?;
-        f.sync_all()?;
-        drop(f);
-        std::fs::rename(&tmp, path)?;
-        #[cfg(unix)]
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            // Directories open read-only on Unix; syncing one flushes the
-            // rename. Best-effort: some filesystems refuse directory
-            // fsync, and the journal itself is already durable.
-            if let Ok(d) = std::fs::File::open(dir) {
-                let _ = d.sync_all();
+    /// Index the journal log at `path` with one checksum scan. Fails when
+    /// the file is non-empty and its first frame is missing or is not a
+    /// journal record of [`JOURNAL_VERSION`].
+    pub fn load(path: &Path) -> io::Result<Self> {
+        let log = File::open(path)?;
+        let mut records = Vec::new();
+        let mut whole = true;
+        frame::scan_log(&log, |f| {
+            whole &= f.intact && f.len as usize >= LOG_HEAD_LEN;
+            if whole {
+                records.push(f);
             }
+        })?;
+        let journal = Self {
+            log,
+            records,
+            served: 0,
+        };
+        let first = journal.records.first().and_then(|f| journal.read(f));
+        if first.is_none() && journal.log.metadata()?.len() > 0 {
+            return Err(io::Error::other(format!(
+                "{} is not a version-{JOURNAL_VERSION} exploration journal",
+                path.display()
+            )));
         }
+        Ok(journal)
+    }
+
+    /// Write the log's records — its frames up to a torn tail or a damaged
+    /// frame — to `path`, and sync them and the directory entry.
+    pub fn save(&self, path: &Path) -> io::Result<()> {
+        let mut bytes = vec![0; usize::try_from(self.end()).map_err(io::Error::other)?];
+        self.log.read_exact_at(&mut bytes, 0)?;
+        let mut f = File::create(path)?;
+        f.write_all(&bytes)?;
+        f.sync_data()?;
+        sync_parent(path);
         Ok(())
     }
 
-    /// Load a journal, migrating older supported formats, and rebuild
-    /// every deserialized decision index.
-    pub fn load(path: &Path) -> io::Result<Self> {
-        let json = std::fs::read_to_string(path)?;
-        let mut j: Self = serde_json::from_str(&json).map_err(io::Error::other)?;
-        if !(JOURNAL_MIN_VERSION..=JOURNAL_VERSION).contains(&j.version) {
-            return Err(io::Error::other(format!(
-                "journal version {} unsupported (expected {JOURNAL_MIN_VERSION}..={JOURNAL_VERSION})",
-                j.version
-            )));
-        }
-        if j.version < 2 {
-            // v1 predates parallel exploration: nothing was ever in flight.
-            j.in_flight = Vec::new();
-        }
-        j.version = JOURNAL_VERSION;
-        for f in &mut j.frontier {
-            f.decisions.rebuild_index();
-        }
-        for e in &mut j.errors {
-            e.decisions.rebuild_index();
-        }
-        for t in &mut j.timeouts {
-            t.decisions.rebuild_index();
-        }
-        Ok(j)
+    /// Commits the log holds.
+    #[must_use]
+    pub fn commits(&self) -> usize {
+        self.records.len()
     }
 
-    /// Rebuild the coverage map from the flattened entries.
-    #[must_use]
-    pub fn discovered_map(&self) -> BTreeMap<(usize, u64), BTreeSet<usize>> {
-        self.discovered
-            .iter()
-            .map(|d| ((d.rank, d.clock), d.sources.iter().copied().collect()))
-            .collect()
+    /// The next record's result and source, if that record is the commit of
+    /// `decisions` and reads back whole.
+    pub(crate) fn serve(&mut self, decisions: &DecisionSet) -> Option<(AttemptReport, Source)> {
+        let f = self.records.get(self.served)?;
+        if f.head != schedule_digest(decisions).to_le_bytes() {
+            return None;
+        }
+        let record = self.read(f)?;
+        self.served += 1;
+        Some((record.result.into(), record.source))
     }
 
-    /// Flatten a coverage map into journal entries.
-    #[must_use]
-    pub fn flatten_discovered(
-        map: &BTreeMap<(usize, u64), BTreeSet<usize>>,
-    ) -> Vec<DiscoveredEntry> {
-        map.iter()
-            .map(|(&(rank, clock), srcs)| DiscoveredEntry {
-                rank,
-                clock,
-                sources: srcs.iter().copied().collect(),
-            })
-            .collect()
+    /// Where the log stops being this campaign's: the first record not
+    /// served, or the end of the records.
+    pub(crate) fn unserved(&self) -> u64 {
+        self.records
+            .get(self.served)
+            .map_or_else(|| self.end(), |f| f.offset)
+    }
+
+    fn end(&self) -> u64 {
+        self.records
+            .last()
+            .map_or(0, |f| f.offset + FRAME_HEADER_LEN as u64 + u64::from(f.len))
+    }
+
+    /// The record in frame `f`, if it reads back whole and is of this
+    /// version.
+    fn read(&self, f: &LogFrame) -> Option<Record> {
+        let payload = frame::read_frame_at(&self.log, f.offset, f.len).ok()??;
+        let json = std::str::from_utf8(payload.strip_prefix(&f.head[..])?).ok()?;
+        let record: Record = serde_json::from_str(json).ok()?;
+        (record.version == JOURNAL_VERSION).then_some(record)
+    }
+
+    /// Whether `path` names the file this journal was loaded from.
+    fn is_at(&self, path: &Path) -> bool {
+        match (self.log.metadata(), std::fs::metadata(path)) {
+            (Ok(a), Ok(b)) => (a.dev(), a.ino()) == (b.dev(), b.ino()),
+            _ => false,
+        }
     }
 }
 
-fn tmp_sibling(path: &Path) -> PathBuf {
-    let mut name = path
-        .file_name()
-        .map_or_else(|| std::ffi::OsString::from("journal"), ToOwned::to_owned);
-    name.push(".tmp");
-    path.with_file_name(name)
+/// Open the log a campaign appends its commits to. A fresh campaign starts
+/// it empty, replacing any file at `path`; a resumed one appends to the
+/// file it was loaded from, its torn tail cut off, or to a copy of its
+/// records when `path` names another file.
+pub(crate) fn open_log(path: &Path, from: Option<&ExplorationJournal>) -> io::Result<File> {
+    let in_place = from.is_some_and(|j| j.is_at(path));
+    if let (Some(j), false) = (from, in_place) {
+        j.save(path)?;
+    }
+    let log = File::options().append(true).create(true).open(path)?;
+    log.set_len(from.map_or(0, ExplorationJournal::end))?;
+    if from.is_none() {
+        sync_parent(path);
+    }
+    Ok(log)
+}
+
+/// Append one commit to `log` and make it durable: one `write`, one
+/// `fdatasync`. A write that fails part-way leaves a torn frame, where a
+/// later resume's records end.
+pub(crate) fn append(
+    mut log: &File,
+    decisions: &DecisionSet,
+    source: Source,
+    rep: AttemptReport,
+) -> io::Result<()> {
+    let mut result = SubtreeResult::from(rep);
+    // Ranks hand in their epoch logs in the order they finalize; the record
+    // keeps them in the order the walk reads them, so that a frame is a
+    // function of its schedule alone.
+    result.epochs.sort_by_key(|e| (e.clock, e.rank));
+    let record = Record {
+        version: JOURNAL_VERSION,
+        source,
+        result,
+    };
+    let json = serde_json::to_string(&record).map_err(io::Error::other)?;
+    let frame = frame::head_frame(schedule_digest(decisions), json.as_bytes())?;
+    log.write_all(&frame)?;
+    log.sync_data()
+}
+
+/// Make a new file's directory entry durable. Best-effort: some filesystems
+/// refuse a directory fsync, and the file's own bytes are synced regardless.
+fn sync_parent(path: &Path) {
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    if let Ok(d) = File::open(dir) {
+        let _ = d.sync_all();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::decisions::EpochDecision;
+    use crate::epoch::ToolRunStats;
+    use crate::scheduler::RunResult;
+    use dampi_mpi::program::RunOutcome;
+    use std::path::PathBuf;
 
-    fn sample() -> ExplorationJournal {
-        ExplorationJournal {
-            version: JOURNAL_VERSION,
-            interleavings: 5,
-            retries: 1,
-            divergences: 2,
-            total_virtual_time: 1.25,
-            first_run_stats: ToolRunStats {
-                wildcards: 3,
-                ..Default::default()
-            },
-            first_run_makespan: 0.25,
-            first_run_leaks: LeakReport::default(),
-            errors: vec![],
-            timeouts: vec![],
-            discovered: vec![DiscoveredEntry {
+    fn tmp(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join("dampi-journal-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(format!("{tag}-{}", std::process::id()))
+    }
+
+    fn schedule(i: usize) -> DecisionSet {
+        DecisionSet::guided(
+            i as u64,
+            vec![EpochDecision {
                 rank: 0,
-                clock: 2,
-                sources: vec![0, 1],
+                clock: i as u64,
+                src: 1,
             }],
-            visited: vec![11, 22],
-            in_flight: vec![22],
-            quarantined: 0,
-            frontier: vec![JournalFork {
-                decisions: DecisionSet::guided(
-                    4,
-                    vec![EpochDecision {
-                        rank: 0,
-                        clock: 4,
-                        src: 1,
-                    }],
-                ),
-                window_end: Some(6),
-            }],
+        )
+    }
+
+    fn report(makespan: f64) -> AttemptReport {
+        AttemptReport::single(RunResult {
+            outcome: RunOutcome {
+                rank_errors: vec![None, None],
+                leaks: dampi_mpi::LeakReport::default(),
+                fatal: None,
+                per_rank_vt: vec![makespan, 0.5],
+                wall_elapsed: std::time::Duration::ZERO,
+                makespan,
+                census: Default::default(),
+            },
+            epochs: Vec::new(),
+            stats: ToolRunStats::default(),
+        })
+    }
+
+    /// A fresh log at `path` holding the commits of `schedule(0..n)`.
+    fn write_log(path: &Path, n: usize) -> Vec<u8> {
+        let log = open_log(path, None).unwrap();
+        for i in 0..n {
+            append(
+                &log,
+                &schedule(i),
+                Source::Executed,
+                report(i as f64 + 0.25),
+            )
+            .unwrap();
         }
+        std::fs::read(path).unwrap()
+    }
+
+    /// The frame of `schedule(i)`'s commit with the record `json`.
+    fn frame_of(i: usize, json: &str) -> Vec<u8> {
+        frame::head_frame(schedule_digest(&schedule(i)), json.as_bytes()).unwrap()
+    }
+
+    /// A record's JSON at format `version`.
+    fn record_json(version: u32) -> String {
+        let result = serde_json::to_string(&SubtreeResult::from(report(1.0))).unwrap();
+        format!(r#"{{"version":{version},"source":"Executed","result":{result}}}"#)
     }
 
     #[test]
-    fn roundtrip_restores_indices() {
-        let dir = std::env::temp_dir().join("dampi-journal-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("journal.json");
-        sample().save(&path).unwrap();
-        let j = ExplorationJournal::load(&path).unwrap();
-        assert_eq!(j.interleavings, 5);
-        // The decision index is #[serde(skip)]; load must have rebuilt it.
-        assert_eq!(j.frontier[0].decisions.lookup(0, 4), Some(1));
-        assert_eq!(j.discovered_map()[&(0, 2)], BTreeSet::from([0, 1]));
+    fn appended_records_serve_back_in_commit_order() {
+        let path = tmp("serve");
+        write_log(&path, 3);
+        let mut j = ExplorationJournal::load(&path).unwrap();
+        assert_eq!(j.commits(), 3);
+        assert!(j.serve(&schedule(1)).is_none(), "only the next record");
+        for i in 0..3 {
+            let (rep, source) = j.serve(&schedule(i)).expect("record");
+            assert_eq!(source, Source::Executed);
+            assert_eq!(
+                rep.res.outcome.makespan.to_bits(),
+                (i as f64 + 0.25).to_bits()
+            );
+        }
+        assert!(j.serve(&schedule(3)).is_none(), "records exhausted");
+        assert_eq!(j.unserved(), std::fs::metadata(&path).unwrap().len());
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn version_mismatch_is_rejected() {
-        let dir = std::env::temp_dir().join("dampi-journal-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad_version.json");
-        let mut j = sample();
-        j.version = JOURNAL_VERSION + 1;
-        j.save(&path).unwrap();
+        let path = tmp("bad-version");
+        std::fs::write(&path, frame_of(0, &record_json(JOURNAL_VERSION + 1))).unwrap();
         assert!(ExplorationJournal::load(&path).is_err());
-        std::fs::remove_file(&path).ok();
-    }
-
-    /// Apply a structured edit to a saved journal's JSON. Editing the
-    /// parsed [`serde_json::Value`] (instead of string surgery on the
-    /// serialized text) keeps the corruption tests correct under any serde
-    /// field order or formatting.
-    fn rewrite_json(
-        path: &Path,
-        edit: impl FnOnce(&mut serde_json::Map<String, serde_json::Value>),
-    ) {
-        let text = std::fs::read_to_string(path).unwrap();
-        let mut v: serde_json::Value = serde_json::from_str(&text).unwrap();
-        edit(v.as_object_mut().expect("journal serializes as an object"));
-        std::fs::write(path, serde_json::to_string_pretty(&v).unwrap()).unwrap();
-    }
-
-    #[test]
-    fn v1_journal_migrates_with_empty_in_flight() {
-        let dir = std::env::temp_dir().join("dampi-journal-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("v1_migration.json");
-        // A pre-parallel journal: version 1, no `in_flight` key at all.
-        let mut v1 = sample();
-        v1.version = 1;
-        v1.save(&path).unwrap();
-        rewrite_json(&path, |obj| {
-            assert!(obj.remove("in_flight").is_some(), "field serialized");
-        });
-        let j = ExplorationJournal::load(&path).unwrap();
-        assert_eq!(j.version, JOURNAL_VERSION, "migrated to current format");
-        assert!(j.in_flight.is_empty(), "v1 never had work in flight");
-        assert_eq!(j.interleavings, 5);
-        assert_eq!(j.frontier[0].decisions.lookup(0, 4), Some(1));
+        std::fs::write(&path, frame_of(0, &record_json(JOURNAL_VERSION))).unwrap();
+        assert_eq!(ExplorationJournal::load(&path).unwrap().commits(), 1);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn future_version_in_file_is_rejected() {
-        let dir = std::env::temp_dir().join("dampi-journal-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("future_version.json");
-        sample().save(&path).unwrap();
-        rewrite_json(&path, |obj| {
-            obj.insert("version".to_owned(), serde_json::json!(JOURNAL_VERSION + 1));
-        });
-        assert!(ExplorationJournal::load(&path).is_err());
+        // Past the first frame a record of another version is not refused
+        // at load: it ends serving, and the walk re-executes from there.
+        let path = tmp("future-version");
+        let mut bytes = write_log(&path, 1);
+        let second = bytes.len() as u64;
+        bytes.extend(frame_of(1, &record_json(JOURNAL_VERSION + 1)));
+        std::fs::write(&path, &bytes).unwrap();
+        let mut j = ExplorationJournal::load(&path).unwrap();
+        assert_eq!(j.commits(), 2, "the frame is whole and intact");
+        assert!(j.serve(&schedule(0)).is_some());
+        assert!(j.serve(&schedule(1)).is_none());
+        assert_eq!(j.unserved(), second);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn torn_tmp_from_killed_checkpoint_leaves_previous_intact() {
-        // Simulate a kill -9 mid-checkpoint: the previous journal is on
-        // disk, and the in-progress write died partway through its `.tmp`
-        // sibling (before the rename). Loading must resume from the
-        // previous checkpoint; the next save must overwrite the debris.
-        let dir = std::env::temp_dir().join("dampi-journal-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("torn_tmp.json");
-        sample().save(&path).unwrap();
-        let full = serde_json::to_string_pretty(&sample()).unwrap();
-        std::fs::write(tmp_sibling(&path), &full[..full.len() / 2]).unwrap();
-        let j = ExplorationJournal::load(&path).unwrap();
-        assert_eq!(j.interleavings, 5, "previous checkpoint resumes cleanly");
-        let mut next = sample();
-        next.interleavings = 6;
-        next.save(&path).unwrap();
-        assert!(
-            !tmp_sibling(&path).exists(),
-            "debris overwritten and renamed"
-        );
-        assert_eq!(ExplorationJournal::load(&path).unwrap().interleavings, 6);
+    fn old_snapshot_journals_and_cache_logs_are_refused() {
+        let path = tmp("not-a-journal");
+        // A version-2 snapshot journal was one pretty-printed JSON object.
+        std::fs::write(&path, "{\n  \"version\": 2,\n  \"interleavings\": 5\n}").unwrap();
+        assert!(ExplorationJournal::load(&path).is_err());
+        // A cache log is frames keyed the same way, holding other records.
+        let entry = r#"{"version":2,"program":1,"plan":0,"schedule":7,"result":{}}"#;
+        std::fs::write(&path, frame_of(0, entry)).unwrap();
+        assert!(ExplorationJournal::load(&path).is_err());
+        // An empty log is a campaign killed before its first commit.
+        std::fs::write(&path, b"").unwrap();
+        assert_eq!(ExplorationJournal::load(&path).unwrap().commits(), 0);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn truncated_journal_is_detected_not_misparsed() {
-        // A journal torn at the *target* path (pre-fsync filesystems could
-        // produce this; so can manual copying) must fail loudly instead of
-        // resuming from garbage.
-        let dir = std::env::temp_dir().join("dampi-journal-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("truncated.json");
-        sample().save(&path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        for cut in [0, 1, text.len() / 2, text.len() - 1] {
-            std::fs::write(&path, &text[..cut]).unwrap();
-            assert!(
-                ExplorationJournal::load(&path).is_err(),
-                "truncation at {cut} bytes must be detected"
-            );
+        let path = tmp("truncated");
+        let whole = write_log(&path, 2);
+        let first_end = {
+            let j = ExplorationJournal::load(&path).unwrap();
+            j.records[1].offset as usize
+        };
+        for cut in 0..=whole.len() {
+            std::fs::write(&path, &whole[..cut]).unwrap();
+            let loaded = ExplorationJournal::load(&path);
+            if cut > 0 && cut < first_end {
+                assert!(loaded.is_err(), "cut inside the first frame at {cut}");
+                continue;
+            }
+            let want = usize::from(cut >= first_end) + usize::from(cut == whole.len());
+            assert_eq!(loaded.unwrap().commits(), want, "cut at {cut}");
         }
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn quarantined_defaults_to_zero_on_old_journals() {
-        let dir = std::env::temp_dir().join("dampi-journal-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("no_quarantine_field.json");
-        let mut j = sample();
-        j.quarantined = 3;
-        j.save(&path).unwrap();
-        assert_eq!(ExplorationJournal::load(&path).unwrap().quarantined, 3);
-        rewrite_json(&path, |obj| {
-            assert!(obj.remove("quarantined").is_some(), "field serialized");
-        });
-        let j = ExplorationJournal::load(&path).unwrap();
-        assert_eq!(j.quarantined, 0, "pre-shard journals load as zero");
+    fn resuming_in_place_cuts_what_was_not_served() {
+        let path = tmp("in-place");
+        let whole = write_log(&path, 3);
+        let second = ExplorationJournal::load(&path).unwrap().records[1].offset;
+        // A torn tail after the third record, as a kill mid-append leaves.
+        std::fs::write(&path, [&whole[..], &whole[..7]].concat()).unwrap();
+        let mut j = ExplorationJournal::load(&path).unwrap();
+        assert_eq!(j.commits(), 3);
+        let log = open_log(&path, Some(&j)).unwrap();
+        assert!(
+            std::fs::read(&path).unwrap() == whole,
+            "the torn tail is cut"
+        );
+        assert!(j.serve(&schedule(0)).is_some());
+        // The walk went elsewhere at the second commit.
+        assert!(j.serve(&schedule(9)).is_none());
+        assert_eq!(j.unserved(), second);
+        log.set_len(j.unserved()).unwrap();
+        append(&log, &schedule(9), Source::Hit, report(9.0)).unwrap();
+        let mut j = ExplorationJournal::load(&path).unwrap();
+        assert_eq!(j.commits(), 2);
+        assert!(j.serve(&schedule(0)).is_some());
+        let (_, source) = j.serve(&schedule(9)).expect("the new record");
+        assert_eq!(source, Source::Hit);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), j.unserved());
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn save_is_atomic_rename() {
-        let dir = std::env::temp_dir().join("dampi-journal-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("atomic.json");
-        sample().save(&path).unwrap();
-        sample().save(&path).unwrap();
-        // No .tmp residue after a successful save.
-        assert!(!tmp_sibling(&path).exists());
+    fn save_copies_the_records_and_resuming_elsewhere_leaves_the_source() {
+        let (path, copy) = (tmp("source"), tmp("copy"));
+        let whole = write_log(&path, 2);
+        let torn = [&whole[..], &whole[..30]].concat();
+        std::fs::write(&path, &torn).unwrap();
+        let j = ExplorationJournal::load(&path).unwrap();
+        j.save(&copy).unwrap();
+        assert!(
+            std::fs::read(&copy).unwrap() == whole,
+            "the torn tail stays behind"
+        );
+        let log = open_log(&copy, Some(&j)).unwrap();
+        append(&log, &schedule(2), Source::Executed, report(2.0)).unwrap();
+        assert_eq!(ExplorationJournal::load(&copy).unwrap().commits(), 3);
+        assert!(
+            std::fs::read(&path).unwrap() == torn,
+            "the source is untouched"
+        );
+        // A fresh campaign replaces whatever the path held.
+        open_log(&copy, None).unwrap();
+        assert_eq!(std::fs::metadata(&copy).unwrap().len(), 0);
         std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&copy).ok();
     }
 }

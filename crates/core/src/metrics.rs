@@ -10,7 +10,7 @@
 //!   exploration pays only an `Option` check per replay.
 //! * [`CampaignTrace`] — a schema-versioned JSONL event stream (the
 //!   [`dampi_mpi::trace`] event-writer pattern lifted to campaign
-//!   granularity): one line per replay start/commit, checkpoint, timeout,
+//!   granularity): one line per replay start/commit, journal append, timeout,
 //!   and campaign boundary.
 //!
 //! # Determinism contract
@@ -305,7 +305,7 @@ pub struct CampaignMetrics {
     worker_idle_ns: AtomicU64,
     /// Per-replay wall latency (execution only, µs).
     replay_wall_us: FixedHistogram,
-    /// Journal checkpoint write latency (µs).
+    /// Journal append latency, write and `fdatasync` (µs).
     journal_write_us: FixedHistogram,
     /// Worker processes (or in-process stand-ins) spawned by the shard
     /// supervisor, initial fleet and restarts included. Zero outside
@@ -485,7 +485,7 @@ impl CampaignMetrics {
         self.cache_stale.store(total, Ordering::Relaxed);
     }
 
-    /// One journal checkpoint was written.
+    /// One commit was appended to the journal.
     pub fn on_checkpoint(&self, latency: Duration) {
         self.journal_write_us
             .record(u64::try_from(latency.as_micros()).unwrap_or(u64::MAX));
@@ -702,7 +702,7 @@ pub enum CampaignEvent {
     CampaignStart {
         /// Worker-pool size (1 = sequential).
         jobs: usize,
-        /// True when continuing from a checkpoint journal.
+        /// True when continuing from a journal.
         resumed: bool,
     },
     /// A replay began executing (wall-clock order, any worker).
@@ -736,11 +736,11 @@ pub enum CampaignEvent {
         /// Decision-prefix signature of the schedule.
         signature: u64,
     },
-    /// A frontier checkpoint was journaled.
+    /// A commit was appended to the journal.
     Checkpoint {
         /// Write latency in microseconds.
         latency_us: u64,
-        /// Frontier size journaled.
+        /// Frontier size after the commit.
         frontier: usize,
     },
     /// The shard supervisor spawned a worker into a slot (`generation`
@@ -775,9 +775,9 @@ pub enum CampaignEvent {
         /// Dispatch attempts consumed before giving up.
         attempts: u32,
     },
-    /// A sharded campaign was drained early (SIGTERM) and checkpointed.
+    /// A sharded campaign was drained early (SIGTERM).
     CampaignDrained {
-        /// Frontier size preserved in the checkpoint journal.
+        /// Forks left unexplored; resuming the journal explores them.
         frontier: usize,
     },
     /// The exploration ended.

@@ -72,9 +72,9 @@ pub struct VerificationReport {
     /// dispatch attempts (repeated worker loss). Each one also appears in
     /// [`VerificationReport::timeouts`]; always zero for in-process runs.
     pub quarantined: u64,
-    /// True when a sharded campaign was drained early (SIGTERM) and
-    /// checkpointed instead of running to completion — the report covers
-    /// only the committed prefix and the journal holds the rest.
+    /// True when a sharded campaign was drained early (SIGTERM) instead of
+    /// running to completion — the report covers only the committed
+    /// prefix; resuming its journal continues the campaign.
     pub drained: bool,
     /// Piggyback messages generated in the initial run.
     pub pb_messages: u64,
@@ -386,7 +386,7 @@ impl fmt::Display for VerificationReport {
         if self.drained {
             writeln!(
                 f,
-                "  NOTE: campaign drained early (SIGTERM) — the checkpoint journal holds the unexplored frontier"
+                "  NOTE: campaign drained early (SIGTERM) — the journal holds every commit; --resume continues it"
             )?;
         }
         if self.unsafe_alerts > 0 {

@@ -21,6 +21,7 @@
 //! argument.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::fs::File;
 use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -35,7 +36,7 @@ use crate::config::RetryBackoff;
 use crate::decisions::{DecisionSet, EpochDecision};
 use crate::epoch::{EpochRecord, ToolRunStats};
 use crate::executor::{AttemptReport, Event, Executor, Inline, ThreadPool};
-use crate::journal::{ExplorationJournal, JournalFork, JOURNAL_VERSION};
+use crate::journal::{self, ExplorationJournal};
 use crate::metrics::{CampaignEvent, CampaignMetrics, CampaignTrace, ObservedCommit};
 use crate::prune::PrunePlan;
 use crate::report::{FoundError, ReplayTimeoutRecord};
@@ -72,8 +73,8 @@ pub struct ExploreOptions {
     /// deterministic jitter and a cap (see [`RetryBackoff`]).
     /// `RetryBackoff::ZERO` retries immediately (the unit-test setting).
     pub retry_backoff: RetryBackoff,
-    /// When set, journal the full frontier to this path after every run
-    /// (atomic write-and-rename) so a killed campaign can resume.
+    /// When set, append every commit to a journal log at this path (see
+    /// [`crate::journal`]) so a killed campaign can resume.
     pub checkpoint: Option<PathBuf>,
     /// Worker threads replaying frontier forks concurrently
     /// ([`explore_parallel`]); `0` and `1` both mean sequential. The merge
@@ -177,9 +178,9 @@ pub struct Exploration {
     /// in [`Exploration::timeouts`] — this counter is the quick summary.
     /// Always zero for in-process exploration.
     pub quarantined: u64,
-    /// True when a sharded campaign was drained early (SIGTERM) and
-    /// checkpointed instead of running to completion. The frontier in the
-    /// journal is the resumable remainder.
+    /// True when a sharded campaign was drained early (SIGTERM) instead of
+    /// running to completion. Its journal holds every commit, so resuming
+    /// from it continues the campaign.
     pub drained: bool,
     /// Commits satisfied from the persistent replay cache. Always zero
     /// when no cache is attached; counted on the commit path, so the
@@ -191,7 +192,9 @@ pub struct Exploration {
     pub cache_misses: u64,
 }
 
-/// Where an exploration begins.
+/// Where an exploration begins. One per campaign, moved once: boxing the
+/// free run would save nothing.
+#[allow(clippy::large_enum_variant)]
 pub enum Start {
     /// From nothing: the initial `SELF_RUN` is the first thing executed.
     Fresh,
@@ -201,9 +204,10 @@ pub enum Start {
     /// pruned is the frontier that run produced, not a re-execution that
     /// might have scheduled differently.
     FirstRun(RunResult),
-    /// From a checkpoint journal (see [`crate::journal`]). The journal's
-    /// frontier is replayed in its exact stack order, so the completed
-    /// campaign matches an uninterrupted one under any executor.
+    /// From a journal (see [`crate::journal`]): the walk starts as
+    /// [`Start::Fresh`] and commits the journal's records before anything
+    /// executes, so the completed campaign matches an uninterrupted one
+    /// under any executor.
     Resume(ExplorationJournal),
 }
 
@@ -262,20 +266,6 @@ where
     explore_from(&run, opts, Start::Fresh)
 }
 
-/// [`explore_parallel`] continuing from a checkpoint journal. A campaign
-/// journaled under `jobs = N` resumes to the same interleaving count and
-/// error set under any other worker count, including sequentially.
-pub fn explore_parallel_resumed<F>(
-    run: F,
-    opts: &ExploreOptions,
-    journal: ExplorationJournal,
-) -> Exploration
-where
-    F: Fn(&DecisionSet) -> RunResult + Sync,
-{
-    explore_from(&run, opts, Start::Resume(journal))
-}
-
 /// In-process exploration from any [`Start`]: `opts.jobs` picks the
 /// executor.
 pub(crate) fn explore_from<F>(run: &F, opts: &ExploreOptions, start: Start) -> Exploration
@@ -298,11 +288,13 @@ struct Ready {
     source: Source,
 }
 
-/// Where a [`Ready`] result came from.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Source {
-    /// The persistent replay cache (a hit).
-    Cache,
+/// Where a committed result came from. The journal records it with the
+/// result, so a resumed campaign re-derives the cache tallies and the
+/// quarantine count exactly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub(crate) enum Source {
+    /// The persistent replay cache.
+    Hit,
     /// An execution (a miss whenever a cache is attached).
     Executed,
     /// The executor gave up on the subtree; the result is synthetic.
@@ -317,25 +309,22 @@ enum Source {
 /// interleaving budget), then blocks for one event. Because commit order —
 /// not completion order — drives every state change, the exploration does
 /// not depend on the executor; speculation past a budget/stop boundary is
-/// discarded, never committed.
+/// discarded, never committed. A resumed campaign first serves each top
+/// from the journal, for as long as the journal's records are the walk's.
 pub(crate) fn drive(
     opts: &ExploreOptions,
     exec: &mut dyn Executor,
     start: Start,
 ) -> io::Result<Exploration> {
-    let mut w = Walk::new(opts);
+    let (mut first_run, mut records) = match start {
+        Start::Fresh => (None, None),
+        Start::FirstRun(run) => (Some(run), None),
+        Start::Resume(journal) => (None, Some(journal)),
+    };
+    let mut w = Walk::new(opts, records.as_ref());
     // Nothing is submitted yet, so the idle count is the executor's width.
-    let resumed = matches!(start, Start::Resume(_));
-    w.begin(exec.idle(), resumed);
-    let mut first_run = None;
-    match start {
-        Start::Resume(journal) => w.restore(journal),
-        Start::Fresh => {}
-        Start::FirstRun(run) => first_run = Some(run),
-    }
-    if !resumed {
-        w.stack.push(Fork::new(DecisionSet::self_run(), None));
-    }
+    w.begin(exec.idle(), records.is_some());
+    w.stack.push(Fork::new(DecisionSet::self_run(), None));
     let started = || {
         if let Some(m) = &opts.metrics {
             m.on_started();
@@ -362,18 +351,34 @@ pub(crate) fn drive(
                 }
             }
             waited = None;
-            w.speculated = exec.in_flight();
-            w.commit(&fork, r);
+            w.commit(&fork, r, false);
         }
         if w.halted() || w.stack.is_empty() {
             break;
         }
 
+        if let Some(j) = &mut records {
+            // While records remain the top is served from them, and nothing
+            // below it is speculated on.
+            if let Some((rep, source)) = j.serve(&w.stack.last().expect("non-empty").decisions) {
+                started();
+                let fork = w.stack.pop().expect("non-empty");
+                w.commit(&fork, Ready { rep, source }, true);
+                continue;
+            }
+            // The walk has left the journal: the rest of it is not this
+            // campaign's. Best-effort: records left behind only end a later
+            // resume's serving there.
+            if let Some(log) = &w.log {
+                let _ = log.set_len(j.unserved());
+            }
+            records = None;
+        }
         let top_sig = w.stack.last().expect("non-empty").sig;
         let budget_room = opts.max_interleavings.map_or(usize::MAX, |max| {
             max.saturating_sub(w.ex.interleavings) as usize
         });
-        let mut flying = exec.in_flight().len();
+        let mut flying = exec.in_flight();
         for (depth, fork) in w.stack.iter().rev().enumerate() {
             // Every frontier entry is eventually popped, so speculation is
             // only wasted past a budget/stop boundary.
@@ -388,7 +393,7 @@ pub(crate) fn drive(
                 _ => None,
             };
             let in_hand = match cached {
-                Some(rep) => Some((rep, Source::Cache)),
+                Some(rep) => Some((rep, Source::Hit)),
                 None if fork.decisions.is_self_run() => first_run
                     .take()
                     .map(|run| (AttemptReport::single(run), Source::Executed)),
@@ -425,9 +430,8 @@ pub(crate) fn drive(
             }
             Event::Wake => continue,
             Event::Drain => {
+                // Every commit is already in the journal.
                 w.ex.drained = true;
-                w.speculated = exec.in_flight();
-                w.checkpoint();
                 if let Some(t) = &opts.trace {
                     t.emit(CampaignEvent::CampaignDrained {
                         frontier: w.stack.len(),
@@ -442,7 +446,7 @@ pub(crate) fn drive(
     // committed, completed-but-uncommitted (ready), or still in flight. The
     // latter two were started and will never commit.
     if let Some(m) = &opts.metrics {
-        m.on_aborted((exec.in_flight().len() + ready.len()) as u64);
+        m.on_aborted((exec.in_flight() + ready.len()) as u64);
     }
     Ok(w.finish())
 }
@@ -457,28 +461,34 @@ struct Walk<'a> {
     visited: HashSet<u64>,
     stack: Vec<Fork>,
     seen_errors: HashSet<(usize, String)>,
-    /// Signatures in flight at the last commit, snapshotted into the
-    /// journal (advisory: a resume simply re-runs them since their forks
-    /// are still on the frontier).
-    speculated: Vec<u64>,
+    /// The journal every commit is appended to.
+    log: Option<File>,
 }
 
 impl<'a> Walk<'a> {
-    fn new(opts: &'a ExploreOptions) -> Self {
+    /// A walk journaling to `opts.checkpoint`, continuing `resumed`'s log
+    /// when there is one. A journal that cannot be opened must not kill a
+    /// healthy campaign: it runs unjournaled.
+    fn new(opts: &'a ExploreOptions, resumed: Option<&ExplorationJournal>) -> Self {
+        let log = opts.checkpoint.as_deref().and_then(|path| {
+            journal::open_log(path, resumed)
+                .inspect_err(|e| eprintln!("dampi: journal {} unusable: {e}", path.display()))
+                .ok()
+        });
         Self {
             opts,
             ex: Exploration::default(),
             visited: HashSet::new(),
             stack: Vec::new(),
             seen_errors: HashSet::new(),
-            speculated: Vec::new(),
+            log,
         }
     }
 
     /// Should the walk stop before committing another replay? Checked
-    /// *before* the pop so a checkpointed frontier still holds every
-    /// unexplored fork — resuming with a larger budget loses nothing. The
-    /// initial run is never budgeted away.
+    /// *before* the pop, so a budget interrupt leaves exactly the journal
+    /// a kill after that commit would. The initial run is never budgeted
+    /// away.
     fn halted(&mut self) -> bool {
         if let Some(max) = self.opts.max_interleavings {
             if self.ex.interleavings >= max.max(1) && !self.stack.is_empty() {
@@ -489,20 +499,22 @@ impl<'a> Walk<'a> {
         self.opts.stop_on_first_error && !self.ex.errors.is_empty()
     }
 
-    /// Commit one result in walk order, with its cache bookkeeping: a miss
-    /// is serialized before the commit consumes it and written after, so
-    /// the store only ever holds results the walk absorbed. The initial
-    /// `SELF_RUN` is the commit of the empty decision set.
-    fn commit(&mut self, fork: &Fork, r: Ready) {
+    /// Commit one result in walk order, then record it: in the journal, and
+    /// — a miss — in the cache, serialized before the commit consumes it
+    /// and written after, so the store only ever holds results the walk
+    /// absorbed. A result `served` from the journal being resumed is
+    /// recorded nowhere. The initial `SELF_RUN` is the commit of the empty
+    /// decision set.
+    fn commit(&mut self, fork: &Fork, r: Ready, served: bool) {
         let Ready { rep, source } = r;
         let pending = match &self.opts.cache {
-            Some(c) if source != Source::Cache => c.prepare(&fork.decisions, &rep),
+            Some(c) if source != Source::Hit && !served => c.prepare(&fork.decisions, &rep),
             _ => None,
         };
-        self.note_cache(source == Source::Cache, fork.sig);
+        self.note_cache(source == Source::Hit, fork.sig);
         let attempts = rep.retries + 1;
         self.absorb_cost(&rep);
-        let res = rep.res;
+        let res = &rep.res;
         self.ex.interleavings += 1;
         let interleaving = self.ex.interleavings;
         let errors_before = self.ex.errors.len();
@@ -578,9 +590,11 @@ impl<'a> Walk<'a> {
             protocol_wildcards_deterministic: pruned.protocol_deterministic,
             census,
         });
-        self.checkpoint();
         if source == Source::Quarantined {
             self.ex.quarantined += 1;
+        }
+        if !served {
+            self.journal(fork, source, rep);
         }
         if let (Some(c), Some(p)) = (&self.opts.cache, pending) {
             if c.commit_store(&p) {
@@ -679,42 +693,16 @@ impl<'a> Walk<'a> {
         self.ex.retries += rep.retries;
     }
 
-    fn checkpoint(&self) {
-        let Some(path) = &self.opts.checkpoint else {
+    /// Append one commit to the journal, if the campaign keeps one. A
+    /// failed append must not kill a healthy campaign: a resume only
+    /// re-executes from that commit on.
+    fn journal(&self, fork: &Fork, source: Source, rep: AttemptReport) {
+        let Some(log) = &self.log else {
             return;
         };
-        let mut sigs: Vec<u64> = self.visited.iter().copied().collect();
-        sigs.sort_unstable();
-        let journal = ExplorationJournal {
-            version: JOURNAL_VERSION,
-            interleavings: self.ex.interleavings,
-            retries: self.ex.retries,
-            divergences: self.ex.divergences,
-            total_virtual_time: self.ex.total_virtual_time,
-            first_run_stats: self.ex.first_run_stats,
-            first_run_makespan: self.ex.first_run_makespan,
-            first_run_leaks: self.ex.first_run_leaks.clone(),
-            errors: self.ex.errors.clone(),
-            timeouts: self.ex.timeouts.clone(),
-            discovered: ExplorationJournal::flatten_discovered(&self.ex.discovered),
-            visited: sigs,
-            in_flight: self.speculated.clone(),
-            quarantined: self.ex.quarantined,
-            frontier: self
-                .stack
-                .iter()
-                .map(|f| JournalFork {
-                    decisions: f.decisions.clone(),
-                    window_end: f.window_end,
-                })
-                .collect(),
-        };
         let t0 = Instant::now();
-        if let Err(e) = journal.save(path) {
-            // A failed checkpoint must not kill a healthy campaign; the
-            // previous journal (if any) is still intact thanks to the
-            // atomic rename.
-            eprintln!("dampi: checkpoint to {} failed: {e}", path.display());
+        if let Err(e) = journal::append(log, &fork.decisions, source, rep) {
+            eprintln!("dampi: journal append failed: {e}");
         }
         let latency = t0.elapsed();
         if let Some(m) = &self.opts.metrics {
@@ -726,30 +714,6 @@ impl<'a> Walk<'a> {
                 frontier: self.stack.len(),
             });
         }
-    }
-
-    fn restore(&mut self, journal: ExplorationJournal) {
-        self.ex.interleavings = journal.interleavings;
-        self.ex.retries = journal.retries;
-        self.ex.divergences = journal.divergences;
-        self.ex.total_virtual_time = journal.total_virtual_time;
-        self.ex.first_run_stats = journal.first_run_stats;
-        self.ex.first_run_makespan = journal.first_run_makespan;
-        self.ex.discovered = journal.discovered_map();
-        self.ex.first_run_leaks = journal.first_run_leaks;
-        for e in &journal.errors {
-            self.seen_errors.insert((e.rank, e.error.to_string()));
-        }
-        self.ex.errors = journal.errors;
-        self.ex.timeouts = journal.timeouts;
-        self.ex.quarantined = journal.quarantined;
-        self.visited.extend(journal.visited);
-        self.stack.extend(
-            journal
-                .frontier
-                .into_iter()
-                .map(|f| Fork::new(f.decisions, f.window_end)),
-        );
     }
 }
 
@@ -1504,10 +1468,8 @@ mod tests {
             self.width - self.held.len()
         }
 
-        fn in_flight(&self) -> Vec<u64> {
-            let mut sigs: Vec<u64> = self.held.iter().map(|(sig, _)| *sig).collect();
-            sigs.sort_unstable();
-            sigs
+        fn in_flight(&self) -> usize {
+            self.held.len()
         }
 
         fn submit(&mut self, sig: u64, decisions: &DecisionSet) -> bool {
@@ -1635,16 +1597,12 @@ mod tests {
                     let ex = drive(&o, &mut exec, Start::Fresh).expect("scripted campaign");
                     assert_equiv(&inline, &ex);
                     assert_ledger_balances(&m, &ex);
-                    // Until the budget caps the speculation window, the
-                    // final commit has nothing in flight and the journals
-                    // are the same bytes.
-                    if !ex.budget_exhausted {
-                        assert_eq!(
-                            inline_bytes,
-                            std::fs::read(&j).expect("scripted journal"),
-                            "journal diverged: {order:?} width {width} losses {losses}"
-                        );
-                    }
+                    // Speculation is never journaled, budget or not.
+                    assert_eq!(
+                        inline_bytes,
+                        std::fs::read(&j).expect("scripted journal"),
+                        "journal diverged: {order:?} width {width} losses {losses}"
+                    );
                     let _ = std::fs::remove_file(j);
                 }
             }
@@ -1668,6 +1626,50 @@ mod tests {
         assert_ledger_balances(&m, &ex);
         let _ = std::fs::remove_file(inline_j);
         let _ = std::fs::remove_file(j);
+    }
+
+    /// Kill the scripted campaign after every commit and resume it under
+    /// another executor shape: the exploration, the ledger and the journal
+    /// bytes are the uninterrupted campaign's. A quarantine served from the
+    /// journal stays a quarantine, even where the resuming executor would
+    /// have run that schedule cleanly.
+    #[test]
+    fn resume_at_every_cut_re_derives_the_campaign() {
+        let (o, _, full_j) = observed("r-full", Some(1_000_000));
+        let mut exec = Scripted::new(model_run(), &o, 4, Order::Reverse);
+        exec.poison = is_poison;
+        let full = drive(&o, &mut exec, Start::Fresh).expect("scripted campaign");
+        let full_bytes = std::fs::read(&full_j).expect("journal");
+        assert_eq!(full.quarantined, 1);
+        for cut in 1..full.interleavings {
+            let (o, _, j) = observed("r-cut", Some(cut));
+            let mut exec = Scripted::new(model_run(), &o, 3, Order::Interleaved);
+            exec.poison = is_poison;
+            let partial = drive(&o, &mut exec, Start::Fresh).expect("partial campaign");
+            let journal = ExplorationJournal::load(&j).expect("journal");
+            assert_eq!(journal.commits() as u64, cut);
+
+            let m = CampaignMetrics::new();
+            let o = ExploreOptions {
+                max_interleavings: Some(1_000_000),
+                metrics: Some(m.clone()),
+                ..o
+            };
+            let mut exec = Scripted::new(model_run(), &o, 2, Order::TopLast);
+            if partial.quarantined == 0 {
+                exec.poison = is_poison;
+            }
+            let resumed = drive(&o, &mut exec, Start::Resume(journal)).expect("resumed");
+            assert_equiv(&full, &resumed);
+            assert_eq!(resumed.quarantined, 1, "cut {cut}");
+            assert_ledger_balances(&m, &resumed);
+            assert!(
+                std::fs::read(&j).expect("journal") == full_bytes,
+                "cut {cut}"
+            );
+            let _ = std::fs::remove_file(j);
+        }
+        let _ = std::fs::remove_file(full_j);
     }
 
     /// A pre-executed free run is committed as the root by the driver and

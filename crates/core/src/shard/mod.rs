@@ -6,7 +6,7 @@
 //! driver") hands frontier subtrees to `N` worker processes and commits
 //! their results in depth-first order, so `--shards N` produces
 //! **byte-identical** output to `--jobs 1`: same interleaving counts, same
-//! error sets, same report JSON, same checkpoint journal bytes.
+//! error sets, same report JSON, same journal bytes.
 //!
 //! The pieces:
 //!
@@ -42,8 +42,7 @@ pub use lease::{LeaseConfig, SlotHealth, Verdict};
 pub use protocol::{FromWorker, SubtreeResult, ToWorker, PROTOCOL_VERSION};
 pub(crate) use supervisor::explore_sharded_from;
 pub use supervisor::{
-    explore_sharded, InProcessLauncher, ProcessWorkerLauncher, SpawnedWorker, WorkerHandle,
-    WorkerLauncher,
+    InProcessLauncher, ProcessWorkerLauncher, SpawnedWorker, WorkerHandle, WorkerLauncher,
 };
 pub use worker::{run_worker, WorkerConfig};
 
@@ -79,8 +78,9 @@ pub struct ShardOptions {
     /// incarnation only, unless the plan is persistent).
     pub fault_slot: usize,
     /// Graceful-drain flag: when it turns true (the CLI wires SIGTERM to
-    /// it), the supervisor checkpoints the frontier and returns early with
-    /// [`crate::scheduler::Exploration::drained`] set.
+    /// it), the campaign returns early with
+    /// [`crate::scheduler::Exploration::drained`] set; its journal already
+    /// holds every commit.
     pub drain: Option<Arc<AtomicBool>>,
 }
 

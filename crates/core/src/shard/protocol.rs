@@ -239,5 +239,10 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits(), "{a} must survive the wire");
         }
         assert_eq!(result.outcome.makespan.to_bits(), ms[2].to_bits());
+        assert_eq!(
+            result.outcome.wall_elapsed,
+            std::time::Duration::ZERO,
+            "the wall clock stays on the worker's side"
+        );
     }
 }

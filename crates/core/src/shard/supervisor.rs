@@ -19,8 +19,8 @@
 //!   coverage, reported, never silently dropped), and the walk moves on
 //!   instead of hanging.
 //! * **Graceful drain** — an external flag (the CLI wires SIGTERM to it)
-//!   checkpoints the frontier and stops cleanly; the journal resumes under
-//!   any `--shards`/`--jobs` value.
+//!   stops the campaign cleanly; its journal already holds every commit
+//!   and resumes under any `--shards`/`--jobs` value.
 //!
 //! Accounting note: each real dispatch attempt of a lost subtree was
 //! started once (by the driver) and aborted once (here), and a quarantined
@@ -39,7 +39,6 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::decisions::DecisionSet;
 use crate::executor::{Event, Executor};
-use crate::journal::ExplorationJournal;
 use crate::metrics::CampaignEvent;
 use crate::scheduler::{drive, Exploration, ExploreOptions, RunResult, Start};
 
@@ -700,10 +699,8 @@ impl Executor for ProcessFleet<'_> {
             .count()
     }
 
-    fn in_flight(&self) -> Vec<u64> {
-        let mut sigs: Vec<u64> = self.in_flight.keys().copied().collect();
-        sigs.sort_unstable();
-        sigs
+    fn in_flight(&self) -> usize {
+        self.in_flight.len()
     }
 
     fn submit(&mut self, sig: u64, decisions: &DecisionSet) -> bool {
@@ -805,29 +802,14 @@ fn tick_interval(shard: &ShardOptions) -> Duration {
 /// stand-ins) spawned by `launcher`, surviving worker failure per the
 /// module docs. A completed campaign is byte-identical to
 /// [`explore`](crate::scheduler::explore) with the same options; a drained
-/// one (`shard.drain`) returns early with [`Exploration::drained`] set and
-/// a resumable checkpoint behind it.
+/// one (`shard.drain`) returns early with [`Exploration::drained`] set, its
+/// journal resumable.
 ///
 /// # Errors
 ///
 /// Fails when the initial fleet cannot spawn, when a worker's `Hello`
 /// reveals a protocol or config mismatch, or when every slot exhausts its
 /// restart budget with work still outstanding.
-pub fn explore_sharded(
-    launcher: &dyn WorkerLauncher,
-    opts: &ExploreOptions,
-    shard: &ShardOptions,
-    resume: Option<ExplorationJournal>,
-) -> io::Result<Exploration> {
-    explore_sharded_from(
-        launcher,
-        opts,
-        shard,
-        resume.map_or(Start::Fresh, Start::Resume),
-    )
-}
-
-/// [`explore_sharded`] from any [`Start`].
 pub(crate) fn explore_sharded_from(
     launcher: &dyn WorkerLauncher,
     opts: &ExploreOptions,

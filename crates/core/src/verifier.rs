@@ -276,7 +276,7 @@ impl DampiVerifier {
     }
 
     /// Continue an interrupted campaign from an exploration journal (see
-    /// [`crate::journal`]). Further checkpoints keep going to the same
+    /// [`crate::journal`]). Its commits keep being appended to the same
     /// file unless the configuration names a different one, so a campaign
     /// can be killed and resumed any number of times.
     pub fn verify_resumed(
@@ -311,7 +311,7 @@ impl DampiVerifier {
     /// # Errors
     ///
     /// Fails when the worker fleet cannot be spawned or permanently dies
-    /// with work outstanding (see [`crate::shard::explore_sharded`]).
+    /// with work outstanding (see [`crate::shard`]).
     pub fn verify_sharded(
         &self,
         program: &dyn MpiProgram,
@@ -321,14 +321,14 @@ impl DampiVerifier {
         self.verify_sharded_from(program, launcher, shard, Start::Fresh)
     }
 
-    /// [`Self::verify_sharded`] continuing from a checkpoint journal —
-    /// including one written by a drained (SIGTERM'd) sharded campaign or
-    /// by a plain `--jobs` run; the formats are identical.
+    /// [`Self::verify_sharded`] continuing from a journal — including one
+    /// written by a drained (SIGTERM'd) sharded campaign or by a plain
+    /// `--jobs` run; the formats are identical.
     ///
     /// # Errors
     ///
     /// Fails when the journal cannot be loaded or the worker fleet fails
-    /// permanently (see [`crate::shard::explore_sharded`]).
+    /// permanently (see [`crate::shard`]).
     pub fn verify_sharded_resumed(
         &self,
         program: &dyn MpiProgram,
@@ -365,8 +365,8 @@ impl DampiVerifier {
         Ok(self.report_from(program.name(), ex))
     }
 
-    /// This verifier, checkpointing to `path` unless the configuration
-    /// already names a journal.
+    /// This verifier, journaling to `path` unless the configuration already
+    /// names a journal.
     fn journaling_to(&self, path: &Path) -> Self {
         let mut v = self.clone();
         v.cfg.journal.get_or_insert_with(|| path.to_path_buf());

@@ -1,8 +1,8 @@
 //! End-to-end tests of the content-addressed replay cache: a warm run
-//! must be **byte-identical** to a cold run (report JSON and journal
-//! bytes) at every driver (`--jobs 1`, `--jobs 4`, in-process `--shards
-//! 2`), reuse every committed subtree, and any change to the program or
-//! prune-plan digest must be a full miss — never stale reuse.
+//! must be **byte-identical** to a cold run (report JSON) at every driver
+//! (`--jobs 1`, `--jobs 4`, in-process `--shards 2`), with the same journal
+//! bytes at each, reuse every committed subtree, and any change to the
+//! program or prune-plan digest must be a full miss — never stale reuse.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,7 +54,7 @@ fn run_racers(cache: &Arc<ReplayCache>, jobs: usize, shards: Option<usize>) -> R
     run_racers_journaled(cache, jobs, shards, true)
 }
 
-/// [`run_racers`], with the journal (two fsyncs per commit) left out on
+/// [`run_racers`], with the journal (an fsync per commit) left out on
 /// request: `journal` is then empty.
 fn run_racers_journaled(
     cache: &Arc<ReplayCache>,
@@ -133,14 +133,19 @@ fn warm_run_is_byte_identical_and_all_hits_at_every_driver() {
     assert_eq!(cold.stores, cold.misses, "every miss populates the store");
     assert!(cold.committed >= 2, "racers explores multiple subtrees");
 
+    // A warm journal records its commits as hits, so it is not the cold
+    // one; it is the same at every driver.
+    let mut warm_journal = None;
     for (jobs, shards) in [(1, None), (4, None), (1, Some(2))] {
         let warm = run_racers(&cache, jobs, shards);
         assert_eq!(
             warm.report, cold.report,
             "warm report at jobs={jobs} shards={shards:?}"
         );
+        assert_eq!(frame_offsets(&warm.journal).len() as u64, warm.committed);
         assert_eq!(
-            warm.journal, cold.journal,
+            warm_journal.get_or_insert_with(|| warm.journal.clone()),
+            &warm.journal,
             "warm journal at jobs={jobs} shards={shards:?}"
         );
         assert_eq!(
@@ -290,7 +295,7 @@ fn a_damaged_frame_is_counted_stale_once_and_silently_re_executed() {
         };
         let warm = run_racers(&cache, 1, None);
         assert_eq!(warm.report, cold.report, "stale entry must not leak");
-        assert_eq!(warm.journal, cold.journal);
+        assert_eq!(frame_offsets(&warm.journal).len() as u64, warm.committed);
         assert_eq!(warm.stale, 1, "exactly the damaged frame is stale");
         assert_eq!(warm.misses, 1, "the stale subtree re-executes");
         assert_eq!(warm.hits, warm.committed - 1);

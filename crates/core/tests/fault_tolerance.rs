@@ -10,10 +10,13 @@
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
+use dampi_core::cache::plan_digest;
 use dampi_core::{
-    DampiConfig, DampiVerifier, ExplorationJournal, RetryBackoff, VerificationReport,
+    CampaignMetrics, DampiConfig, DampiVerifier, DecisionSet, ExplorationJournal, PrunePlan,
+    ReplayCache, RetryBackoff, VerificationReport,
 };
 use dampi_mpi::fault::{FaultAction, FaultPlan, FaultRule};
 use dampi_mpi::{Comm, MatchPolicy, MpiError, ReplayBudget, SimConfig};
@@ -54,9 +57,9 @@ fn resumed_campaign_matches_uninterrupted_run() {
         "need a campaign long enough to interrupt: {uninterrupted}"
     );
 
-    // "Kill" the campaign mid-exploration: the journal is checkpointed
-    // after every run, so stopping at the interleaving budget leaves the
-    // same on-disk state as a SIGKILL right after run 3.
+    // "Kill" the campaign mid-exploration: every commit is appended to the
+    // journal as it happens, so stopping at the interleaving budget leaves
+    // the same on-disk state as a SIGKILL right after run 3.
     let path = journal_path("resume-matmul");
     let cfg = DampiConfig::default()
         .with_max_interleavings(3)
@@ -65,8 +68,7 @@ fn resumed_campaign_matches_uninterrupted_run() {
     assert!(partial.budget_exhausted);
     assert_eq!(partial.interleavings, 3);
     let journal = ExplorationJournal::load(&path).expect("journal written");
-    assert_eq!(journal.interleavings, 3);
-    assert!(!journal.frontier.is_empty(), "work must remain");
+    assert_eq!(journal.commits(), 3, "one record per commit");
 
     // Resume with the interruption lifted: the completed campaign must be
     // indistinguishable from the uninterrupted one.
@@ -80,10 +82,9 @@ fn resumed_campaign_matches_uninterrupted_run() {
         uninterrupted.total_discovered_matches()
     );
 
-    // The final checkpoint reflects completion: nothing left to explore.
+    // The final journal holds the whole campaign.
     let done = ExplorationJournal::load(&path).expect("final journal");
-    assert!(done.frontier.is_empty());
-    assert_eq!(done.interleavings, uninterrupted.interleavings);
+    assert_eq!(done.commits() as u64, uninterrupted.interleavings);
     std::fs::remove_file(&path).ok();
 }
 
@@ -281,8 +282,8 @@ fn self_run_timeout_is_reported_not_fatal() {
 fn parallel_campaign_killed_mid_flight_resumes_to_sequential_result() {
     // The parallel satellite of the checkpoint/resume invariant: a
     // `jobs = 4` campaign is killed mid-flight (budget interrupt — same
-    // on-disk journal state as a SIGKILL right after a commit, including
-    // the v2 `in_flight` speculation snapshot), then resumed in parallel.
+    // on-disk journal state as a SIGKILL right after a commit, with
+    // speculative replays still in flight), then resumed in parallel.
     // The completed campaign must match an uninterrupted *sequential* one
     // exactly: worker count is a wall-clock knob, never a coverage knob.
     let prog = Matmul::new(MatmulParams {
@@ -308,8 +309,7 @@ fn parallel_campaign_killed_mid_flight_resumes_to_sequential_result() {
     assert!(partial.budget_exhausted);
     assert_eq!(partial.interleavings, 3, "parallel budget is exact");
     let journal = ExplorationJournal::load(&path).expect("journal written");
-    assert_eq!(journal.interleavings, 3);
-    assert!(!journal.frontier.is_empty(), "work must remain");
+    assert_eq!(journal.commits(), 3, "speculation is never journaled");
 
     let resumed = DampiVerifier::with_config(sim, DampiConfig::default().with_jobs(4))
         .verify_resumed(&prog, &path)
@@ -321,7 +321,7 @@ fn parallel_campaign_killed_mid_flight_resumes_to_sequential_result() {
         sequential.total_discovered_matches()
     );
     let done = ExplorationJournal::load(&path).expect("final journal");
-    assert!(done.frontier.is_empty());
+    assert_eq!(done.commits() as u64, sequential.interleavings);
     std::fs::remove_file(&path).ok();
 }
 
@@ -341,4 +341,88 @@ fn parallel_verify_matches_sequential_on_symmetric_racers() {
         seq.total_discovered_matches()
     );
     assert_eq!(par.timeouts.len(), seq.timeouts.len());
+}
+
+/// The resume contract at every cut, once with a prune plan — one
+/// infeasible root alternate and one symmetry orbit — and once with a
+/// replay cache as well: the resumed report and the semantic metrics equal
+/// the uninterrupted campaign's, and so does the cache ledger. Root pruning
+/// and the first cache misses happen before any cut, so a resume that
+/// restored counters instead of re-deriving them falls short here.
+#[test]
+fn resumed_pruned_and_cached_campaigns_match_at_every_cut() {
+    let prog = Matmul::new(MatmulParams {
+        n: 6,
+        rounds_per_slave: 2,
+        task_cost: 0.0,
+        ..Default::default()
+    });
+    let sim = SimConfig::new(4).with_deterministic(true);
+    let root = DampiVerifier::new(sim.clone()).instrumented_run(&prog, &DecisionSet::self_run());
+    let infeasible = root
+        .epochs
+        .iter()
+        .find_map(|e| Some((e.rank, e.clock, *e.unexplored_alternates().first()?)))
+        .expect("the root run has an alternate");
+    let plan = PrunePlan {
+        infeasible: BTreeSet::from([infeasible]),
+        orbits: vec![BTreeSet::from([1, 2, 3])],
+        ..PrunePlan::default()
+    };
+    let path = journal_path("resume-every-cut");
+    let cache_root = path.with_extension("cache");
+    for cached in [false, true] {
+        // Returns the report, the semantic metrics and the cache ledger. A
+        // fresh campaign starts from an empty cache; a resume continues
+        // with the one its interrupted run left.
+        let campaign = |cfg: DampiConfig, resume: bool| {
+            let m = CampaignMetrics::new();
+            let mut v = DampiVerifier::with_config(sim.clone(), cfg)
+                .with_prune_plan(plan.clone())
+                .with_metrics(m.clone());
+            if cached {
+                if !resume {
+                    let _ = std::fs::remove_dir_all(&cache_root);
+                }
+                let key = plan_digest(Some(&plan));
+                let cache = ReplayCache::open(&cache_root, 1, key, false).expect("cache");
+                v = v.with_cache(Arc::new(cache));
+            }
+            let report = if resume {
+                v.verify_resumed(&prog, &path).expect("resume")
+            } else {
+                v.verify(&prog)
+            };
+            let snap = m.snapshot("matmul", 4, "lamport", 1);
+            let ledger = (
+                snap["cache"]["hits"].as_u64(),
+                snap["cache"]["misses"].as_u64(),
+            );
+            (report, snap["semantic"].to_string(), ledger)
+        };
+        let (full, semantic, ledger) = campaign(DampiConfig::default(), false);
+        assert!(
+            full.alternates_pruned > 1,
+            "the plan and the orbit both prune"
+        );
+        if cached {
+            assert_eq!(ledger, (Some(0), Some(full.interleavings)));
+        }
+        for cut in 1..=full.interleavings {
+            let cfg = DampiConfig::default()
+                .with_max_interleavings(cut)
+                .with_journal(path.clone());
+            campaign(cfg, false);
+            let resumed = campaign(DampiConfig::default(), true);
+            assert_eq!(
+                resumed.0.to_json().to_string(),
+                full.to_json().to_string(),
+                "cached={cached} cut={cut}"
+            );
+            assert_eq!(resumed.1, semantic, "cached={cached} cut={cut}");
+            assert_eq!(resumed.2, ledger, "cached={cached} cut={cut}");
+        }
+    }
+    std::fs::remove_file(&path).ok();
+    let _ = std::fs::remove_dir_all(&cache_root);
 }

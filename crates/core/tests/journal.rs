@@ -1,0 +1,175 @@
+//! The journal as a commit log, end to end: a campaign killed after any
+//! commit, or whose journal is torn at any byte, resumes to the report and
+//! the journal bytes of the uninterrupted campaign — on the inline walk, the
+//! thread pool and the in-process shard fleet alike.
+
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use dampi_core::cache::plan_digest;
+use dampi_core::scheduler::{ExploreOptions, RunResult};
+use dampi_core::shard::{InProcessLauncher, ShardOptions};
+use dampi_core::{
+    DampiConfig, DampiVerifier, DecisionSet, ExplorationJournal, ReplayCache, VerificationReport,
+};
+use dampi_mpi::program::MpiProgram;
+use dampi_mpi::{MatchPolicy, SimConfig};
+use dampi_workloads::matmul::{Matmul, MatmulParams};
+use dampi_workloads::patterns;
+
+fn tmp_journal(tag: &str) -> PathBuf {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let n = SEQ.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!(
+        "dampi-journal-test-{}-{tag}-{n}.journal",
+        std::process::id()
+    ))
+}
+
+/// Where a campaign's replays run.
+#[derive(Clone, Copy, Debug)]
+enum Driver {
+    Jobs(usize),
+    Shards(usize),
+}
+
+const DRIVERS: [Driver; 3] = [Driver::Jobs(1), Driver::Jobs(4), Driver::Shards(2)];
+
+/// A campaign budget no test workload reaches.
+const UNBOUNDED: u64 = 100_000;
+
+/// One campaign of `prog` under `driver`, journaling to `journal`: fresh
+/// with a budget of `max` commits, or resumed from the journal.
+fn campaign(
+    prog: &Arc<dyn MpiProgram>,
+    sim: &SimConfig,
+    driver: Driver,
+    journal: &Path,
+    max: u64,
+    resume: bool,
+) -> std::io::Result<VerificationReport> {
+    let mut cfg = DampiConfig::default()
+        .with_max_interleavings(max)
+        .with_journal(journal.to_path_buf());
+    if let Driver::Jobs(jobs) = driver {
+        cfg = cfg.with_jobs(jobs);
+    }
+    let v = Arc::new(DampiVerifier::with_config(sim.clone(), cfg));
+    let Driver::Shards(shards) = driver else {
+        return if resume {
+            v.verify_resumed(prog.as_ref(), journal)
+        } else {
+            Ok(v.verify(prog.as_ref()))
+        };
+    };
+    let (vr, pr) = (Arc::clone(&v), Arc::clone(prog));
+    let run: Arc<dyn Fn(&DecisionSet) -> RunResult + Send + Sync> =
+        Arc::new(move |ds| vr.instrumented_run(pr.as_ref(), ds));
+    let launcher = InProcessLauncher::new(run, &ExploreOptions::default());
+    let opts = ShardOptions {
+        shards,
+        ..ShardOptions::default()
+    };
+    if resume {
+        v.verify_sharded_resumed(prog.as_ref(), &launcher, &opts, journal)
+    } else {
+        v.verify_sharded(prog.as_ref(), &launcher, &opts)
+    }
+}
+
+fn racers() -> (Arc<dyn MpiProgram>, SimConfig) {
+    (
+        Arc::new(patterns::symmetric_racers()),
+        SimConfig::new(4).with_policy(MatchPolicy::LowestRank),
+    )
+}
+
+/// The uninterrupted `--jobs 1` campaign: its report and journal bytes.
+fn baseline(prog: &Arc<dyn MpiProgram>, sim: &SimConfig) -> (VerificationReport, Vec<u8>) {
+    let j = tmp_journal("base");
+    let report = campaign(prog, sim, Driver::Jobs(1), &j, UNBOUNDED, false).expect("campaign");
+    let bytes = std::fs::read(&j).expect("journal written");
+    let commits = ExplorationJournal::load(&j).expect("journal").commits();
+    assert_eq!(commits as u64, report.interleavings, "one frame per commit");
+    let _ = std::fs::remove_file(j);
+    (report, bytes)
+}
+
+/// Kill a campaign after every `step`-th commit and resume it, under each
+/// driver: the resumed report and the final journal are the uninterrupted
+/// `--jobs 1` campaign's, byte for byte.
+fn killed_and_resumed_under_every_driver(prog: &Arc<dyn MpiProgram>, sim: &SimConfig, step: u64) {
+    let (base, base_bytes) = baseline(prog, sim);
+    let total = base.interleavings;
+    let base = base.to_json().to_string();
+    for driver in DRIVERS {
+        for cut in (step..=total).step_by(step as usize) {
+            let j = tmp_journal("cut");
+            let partial = campaign(prog, sim, driver, &j, cut, false).expect("partial");
+            assert_eq!(partial.interleavings, cut, "{driver:?}");
+            let resumed = campaign(prog, sim, driver, &j, UNBOUNDED, true).expect("resume");
+            assert_eq!(resumed.to_json().to_string(), base, "{driver:?} cut {cut}");
+            let bytes = std::fs::read(&j).expect("journal");
+            assert!(
+                bytes == base_bytes,
+                "{driver:?} cut {cut}: journal bytes differ"
+            );
+            let _ = std::fs::remove_file(j);
+        }
+    }
+}
+
+#[test]
+fn racers_killed_at_every_commit_resumes_under_every_driver() {
+    let (prog, sim) = racers();
+    killed_and_resumed_under_every_driver(&prog, &sim, 1);
+}
+
+#[test]
+fn matmul_killed_at_every_tenth_commit_resumes_under_every_driver() {
+    // Free-running task-pool ranks race for the master, so two campaigns
+    // commit different outcomes; the turn-token scheduler makes them one.
+    let prog: Arc<dyn MpiProgram> = Arc::new(Matmul::new(MatmulParams::default()));
+    let sim = SimConfig::new(4).with_deterministic(true);
+    killed_and_resumed_under_every_driver(&prog, &sim, 10);
+}
+
+#[test]
+fn a_journal_torn_at_any_byte_resumes_or_is_refused() {
+    // A warm cache stands in for the replays, so that a resume at every
+    // byte offset stays cheap: the journal's records are then hits, and so
+    // are the commits a resume appends.
+    let (prog, sim) = racers();
+    let dir = tmp_journal("torn-cache");
+    let cache = Arc::new(ReplayCache::open(&dir, 1, plan_digest(None), false).expect("cache"));
+    let verifier = |cfg: DampiConfig| {
+        DampiVerifier::with_config(sim.clone(), cfg).with_cache(Arc::clone(&cache))
+    };
+    let cold = verifier(DampiConfig::default()).verify(prog.as_ref());
+    let j = tmp_journal("torn");
+    let base = verifier(DampiConfig::default().with_journal(j.clone())).verify(prog.as_ref());
+    let base = base.to_json().to_string();
+    assert_eq!(base, cold.to_json().to_string());
+    let whole = std::fs::read(&j).expect("journal written");
+    let mut offsets = Vec::new();
+    dampi_core::frame::scan_log(&whole[..], |f| offsets.push(f.offset as usize)).expect("scan");
+    let first_end = offsets.get(1).copied().unwrap_or(whole.len());
+    for cut in 0..=whole.len() {
+        std::fs::write(&j, &whole[..cut]).expect("write");
+        let resumed = verifier(DampiConfig::default()).verify_resumed(prog.as_ref(), &j);
+        if cut > 0 && cut < first_end {
+            assert!(resumed.is_err(), "cut {cut} is inside the first frame");
+            continue;
+        }
+        let resumed = resumed.unwrap_or_else(|e| panic!("cut {cut}: {e}"));
+        assert_eq!(resumed.to_json().to_string(), base, "cut {cut}");
+        let bytes = std::fs::read(&j).expect("journal");
+        assert!(
+            bytes == whole,
+            "cut {cut}: the torn tail is cut and re-appended"
+        );
+    }
+    let _ = std::fs::remove_file(j);
+    let _ = std::fs::remove_dir_all(dir);
+}

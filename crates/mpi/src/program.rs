@@ -81,13 +81,15 @@ pub struct RunOutcome {
     pub per_rank_vt: Vec<f64>,
     /// Wall-clock time the harness spent executing this run (world
     /// creation to the last rank's report). Unlike everything else here it is *not* deterministic —
-    /// observability only, never part of verification semantics.
+    /// observability only, never part of verification semantics, and never
+    /// serialized: a shipped, cached or journaled outcome reads back as zero,
+    /// so its bytes are a function of the schedule alone.
+    #[serde(skip)]
     pub wall_elapsed: std::time::Duration,
     /// Simulated makespan: max over ranks of final virtual time.
     pub makespan: f64,
     /// Park/wake counts of this run. Observability only, like
-    /// `wall_elapsed`, and never serialized: a shipped or cached outcome
-    /// reads back as zeros.
+    /// `wall_elapsed`, and never serialized either.
     #[serde(skip)]
     pub census: RuntimeCensus,
 }

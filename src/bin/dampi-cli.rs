@@ -250,11 +250,10 @@ flag_table! {
     Jobs = "--jobs", COUNT, "N", V,
         "parallel replay threads (default: all cores; same result as 1, only faster)",
         conflicts: &[F::Shards], isp_lacks: Some("parallel replay");
-    Journal = "--journal", Text, "PATH", V,
-        "checkpoint the exploration frontier after every run",
-        isp_lacks: Some("checkpointed frontier");
+    Journal = "--journal", Text, "PATH", V, "append every commit to a journal log",
+        isp_lacks: Some("commit log");
     Resume = "--resume", Text, "PATH", V, "continue an interrupted campaign from its journal",
-        isp_lacks: Some("checkpointed frontier");
+        isp_lacks: Some("commit log");
     Metrics = "--metrics", Text, "PATH", V,
         "write a campaign metrics snapshot (JSON) after the run",
         isp_lacks: Some("campaign observer");
@@ -279,7 +278,7 @@ flag_table! {
         needs: &[F::Cache];
     Shards = "--shards", COUNT, "N", V,
         "shard replays across N supervised worker processes: byte-identical to --jobs 1; \
-         SIGTERM drains gracefully (checkpoint via --journal)",
+         SIGTERM drains gracefully (resume via --journal)",
         isp_lacks: Some("worker fleet");
     HeartbeatTimeout = "--heartbeat-timeout", Secs, "SECS", V,
         "declare a silent worker lost (default 2)",
@@ -733,8 +732,8 @@ fn cmd_verify(name: &str, p: &Parsed) -> Result<ExitCode, String> {
         }),
     };
     cfg = cfg.with_jobs(jobs);
-    // A resumed campaign keeps checkpointing to the journal it came from
-    // unless --journal names another.
+    // A resumed campaign keeps appending to the journal it came from unless
+    // --journal names another.
     let resume = p.path(F::Resume);
     if let Some(path) = p.path(F::Journal).or_else(|| resume.clone()) {
         cfg = cfg.with_journal(path);

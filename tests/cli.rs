@@ -569,8 +569,15 @@ fn analyze_answers_are_schema_clean_and_exact() {
 fn refused_command_lines_name_the_flag_and_never_panic() {
     // Out-of-range values, flags of another subcommand and flags missing
     // their companion are refused before anything runs: exit 1 (a panic is
-    // 101, an ignored flag 0) and one `error:` line naming the flag.
+    // 101, an ignored flag 0) and one `error:` line naming the flag. So is a
+    // `--resume` file that is not a journal: here a hostile record, a
+    // megabyte of `[`, inside an intact frame.
+    let hostile = std::env::temp_dir().join(format!("dampi-cli-hostile-{}", std::process::id()));
+    let frame = dampi::core::frame::head_frame(0, "[".repeat(1 << 20).as_bytes()).unwrap();
+    std::fs::write(&hostile, frame).unwrap();
+    let resume = format!("verify racers --resume {}", hostile.display());
     let rows = [
+        (resume.as_str(), "--resume"),
         ("verify racers --np 0", "--np"),
         ("verify racers --k 4294967296", "--k"),
         ("verify racers --replay-wall -1", "--replay-wall"),
@@ -611,6 +618,7 @@ fn refused_command_lines_name_the_flag_and_never_panic() {
         );
         assert_eq!(err.lines().count(), 1, "{line}: {err}");
     }
+    std::fs::remove_file(hostile).ok();
 }
 
 #[test]

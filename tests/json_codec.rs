@@ -316,12 +316,14 @@ fn nesting_is_capped_with_an_ordinary_error() {
     assert!(from_str::<Tree>(&mixed).is_ok());
     let mixed = format!("[{mixed}]");
     assert!(from_str::<Tree>(&mixed).is_err());
-    // What used to overflow the stack and abort the process: a journal
-    // (which carries no checksum) that is a megabyte of `[`.
+    // What used to overflow the stack and abort the process: a megabyte of
+    // `[`, here as a journal record inside an intact frame — its checksum
+    // holds, so only the parser's cap stands between it and the stack.
     let hostile = "[".repeat(1 << 20);
     assert!(from_str::<Value>(&hostile).is_err());
     let path = std::env::temp_dir().join(format!("dampi-hostile-journal-{}", std::process::id()));
-    std::fs::write(&path, &hostile).unwrap();
+    let frame = dampi::core::frame::head_frame(0, hostile.as_bytes()).unwrap();
+    std::fs::write(&path, frame).unwrap();
     let loaded = dampi::core::ExplorationJournal::load(&path);
     let _ = std::fs::remove_file(&path);
     assert!(
