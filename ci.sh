@@ -43,7 +43,8 @@ cargo test -q --offline
 # The `lost_wakeup` cases would show a missed wake-up as a rare watchdog
 # timeout, and `wakeups` a stray park or notify, not a steady failure; the
 # journal's racers kill-and-resume a mis-served record, since `--jobs 4`
-# speculation and worker timing vary from run to run.
+# speculation and worker timing vary from run to run; the ISP driver-parity
+# tests likewise, and free-running ISP replays race besides.
 for _ in $(seq 20); do
   cargo test -q --offline --test cross_tool native_bias_masks_what_verifiers_find > /dev/null
   cargo test -q --offline -p dampi-workloads --lib \
@@ -53,6 +54,8 @@ for _ in $(seq 20); do
   cargo test -q --offline -p dampi-mpi --test runtime_semantics lost_wakeup > /dev/null
   cargo test -q --offline --test wakeups > /dev/null
   cargo test -q --offline -p dampi-core --test journal racers_killed_at_every_commit > /dev/null
+  cargo test -q --offline --test isp_drivers > /dev/null
+  cargo test -q --offline --test cli isp > /dev/null
 done
 cargo clippy --offline --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace

@@ -10,8 +10,7 @@
 //! per doubling); DAMPI stays within a small factor of native throughout.
 
 use dampi_bench::Table;
-use dampi_core::{DampiVerifier, DecisionSet};
-use dampi_isp::IspVerifier;
+use dampi_core::{DampiConfig, DampiVerifier, DecisionSet, ToolStack};
 use dampi_mpi::{run_native, SimConfig};
 use dampi_workloads::parmetis::{Parmetis, ParmetisParams};
 
@@ -33,7 +32,8 @@ fn measure(np: usize, with_isp: bool) -> (f64, f64, Option<f64>) {
         .outcome;
     assert!(dampi.succeeded(), "{:?}", dampi.fatal);
     let isp = with_isp.then(|| {
-        let out = IspVerifier::new(sim)
+        let isp = DampiConfig::default().with_tool(ToolStack::Isp);
+        let out = DampiVerifier::with_config(sim, isp)
             .instrumented_run(&prog, &DecisionSet::self_run())
             .outcome;
         assert!(out.succeeded(), "{:?}", out.fatal);

@@ -10,8 +10,7 @@
 //! transaction, whereas DAMPI's replays run at near-native speed.
 
 use dampi_bench::Table;
-use dampi_core::{DampiConfig, DampiVerifier};
-use dampi_isp::IspVerifier;
+use dampi_core::{DampiConfig, DampiVerifier, ToolStack};
 use dampi_mpi::SimConfig;
 use dampi_workloads::matmul::{Matmul, MatmulParams};
 
@@ -26,18 +25,13 @@ fn program() -> Matmul {
     })
 }
 
-fn dampi_time(budget: u64) -> (u64, f64) {
+fn time(tool: ToolStack, budget: u64) -> (u64, f64) {
     let v = DampiVerifier::with_config(
         SimConfig::new(NP),
-        DampiConfig::default().with_max_interleavings(budget),
+        DampiConfig::default()
+            .with_tool(tool)
+            .with_max_interleavings(budget),
     );
-    let report = v.verify(&program());
-    (report.interleavings, report.total_virtual_time)
-}
-
-fn isp_time(budget: u64) -> (u64, f64) {
-    let mut v = IspVerifier::new(SimConfig::new(NP));
-    v.cfg.max_interleavings = Some(budget);
     let report = v.verify(&program());
     (report.interleavings, report.total_virtual_time)
 }
@@ -53,8 +47,8 @@ fn main() {
         &["interleavings", "DAMPI", "ISP", "ISP/DAMPI"],
     );
     for &budget in budgets {
-        let (nd, td) = dampi_time(budget);
-        let (ni, ti) = isp_time(budget);
+        let (nd, td) = time(ToolStack::Dampi, budget);
+        let (ni, ti) = time(ToolStack::Isp, budget);
         assert_eq!(nd, budget, "matmul has enough interleavings");
         assert_eq!(ni, budget);
         table.row(vec![

@@ -129,9 +129,28 @@ impl Default for RetryBackoff {
     }
 }
 
+/// The interposition stack a replay runs under. Everything above it — the
+/// exploration driver and its executors, the journal, the replay cache and
+/// the report — is shared, so the two differ in architecture alone.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum ToolStack {
+    /// DAMPI's decentralized layer: per-rank logical clocks travel as
+    /// piggybacks and each rank detects its own late messages.
+    #[default]
+    Dampi,
+    /// ISP's centralized baseline ([`crate::isp`]): every MPI call is a
+    /// synchronous transaction with one scheduler that keeps exact vector
+    /// clocks. The DAMPI-layer knobs (`clock_mode`, `piggyback`,
+    /// `monitor_unsafe_pattern`, `deferred_clock_sync`) configure nothing
+    /// here, and the report's clock mode is [`ClockMode::Vector`].
+    Isp,
+}
+
 /// Configuration of a DAMPI verification session.
 #[derive(Debug, Clone)]
 pub struct DampiConfig {
+    /// The tool stack replays run under (default DAMPI's).
+    pub tool: ToolStack,
     /// Clock algebra: Lamport (scalable, default) or vector (precise
     /// reference mode for the §II-F completeness characterization).
     pub clock_mode: ClockMode,
@@ -183,6 +202,7 @@ pub struct DampiConfig {
 impl Default for DampiConfig {
     fn default() -> Self {
         Self {
+            tool: ToolStack::Dampi,
             clock_mode: ClockMode::Lamport,
             bound: MixingBound::Unbounded,
             honor_regions: true,
@@ -201,6 +221,13 @@ impl Default for DampiConfig {
 }
 
 impl DampiConfig {
+    /// Builder-style: choose the tool stack replays run under.
+    #[must_use]
+    pub fn with_tool(mut self, tool: ToolStack) -> Self {
+        self.tool = tool;
+        self
+    }
+
     /// Builder-style: set the clock mode.
     #[must_use]
     pub fn with_clock_mode(mut self, mode: ClockMode) -> Self {
@@ -273,6 +300,7 @@ mod tests {
     #[test]
     fn defaults_are_paper_faithful() {
         let c = DampiConfig::default();
+        assert_eq!(c.tool, ToolStack::Dampi);
         assert_eq!(c.clock_mode, ClockMode::Lamport);
         assert_eq!(c.bound, MixingBound::Unbounded);
         assert_eq!(c.piggyback, PiggybackMechanism::SeparateMessage);

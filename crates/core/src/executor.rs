@@ -163,8 +163,8 @@ where
 
 /// Runs each submission on the caller's thread, inside `next`. It holds
 /// one submission at a time, so the driver never speculates over it: this
-/// is the sequential depth-first walk (`jobs ≤ 1`, the ISP baseline) and
-/// the reference every other executor is compared against.
+/// is the sequential depth-first walk (`jobs ≤ 1`, under either tool
+/// stack) and the reference every other executor is compared against.
 pub(crate) struct Inline<'a, F> {
     run: F,
     opts: &'a ExploreOptions,

@@ -18,12 +18,13 @@
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use dampi_clocks::{ClockMode, ClockStamp, LogicalClock, VectorClock};
-use dampi_core::epoch::{EpochRecord, NdKind, ToolRunStats};
-use dampi_core::late;
 use dampi_mpi::vtime::{CentralClock, VTimeParams};
 use dampi_mpi::{Comm, Tag};
 use parking_lot::Mutex;
 use std::sync::Arc;
+
+use crate::epoch::{EpochRecord, NdKind, ToolRunStats};
+use crate::late;
 
 #[derive(Debug)]
 struct SendRec {
@@ -52,7 +53,7 @@ struct SchedInner {
     stats: ToolRunStats,
 }
 
-/// The central scheduler shared by every rank's [`crate::IspLayer`].
+/// The central scheduler shared by every rank's [`super::IspLayer`].
 #[derive(Debug)]
 pub struct IspScheduler {
     nprocs: usize,

@@ -11,13 +11,13 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use dampi_core::decisions::DecisionSet;
-use dampi_core::epoch::NdKind;
 use dampi_mpi::matching::ProbeInfo;
 use dampi_mpi::proc_api::{Completed, Completion, Mpi, Status};
 use dampi_mpi::{CollOutcome, CollSig, Comm, Contribution, Request, Result, Tag, ANY_SOURCE};
 
-use crate::sched::IspScheduler;
+use super::sched::IspScheduler;
+use crate::decisions::DecisionSet;
+use crate::epoch::NdKind;
 
 /// Request bookkeeping: what to report at completion time.
 enum IspMeta {

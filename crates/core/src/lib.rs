@@ -25,7 +25,9 @@
 //!    runtime, resource leaks at finalize, plus the §V unsafe-pattern
 //!    monitor ([`monitor`]).
 //!
-//! The top-level driver is [`verifier::DampiVerifier`]:
+//! The top-level driver is [`verifier::DampiVerifier`]. It replays under
+//! DAMPI's layer or, for the paper's comparison, under the centralized ISP
+//! baseline's ([`isp`]; [`config::ToolStack`]):
 //!
 //! ```
 //! use dampi_core::verifier::DampiVerifier;
@@ -73,6 +75,7 @@ pub mod decisions;
 pub mod epoch;
 mod executor;
 pub mod frame;
+pub mod isp;
 pub mod journal;
 pub mod late;
 pub mod metrics;
@@ -88,7 +91,7 @@ pub mod verifier;
 
 pub use bounds::MixingBound;
 pub use cache::{ReplayCache, CACHE_SCHEMA_VERSION};
-pub use config::{DampiConfig, PiggybackMechanism, RetryBackoff};
+pub use config::{DampiConfig, PiggybackMechanism, RetryBackoff, ToolStack};
 pub use decisions::{DecisionSet, EpochDecision};
 pub use epoch::{EpochRecord, NdKind};
 pub use journal::ExplorationJournal;

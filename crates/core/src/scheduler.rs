@@ -8,9 +8,10 @@
 //! set over decision-prefix signatures prevents re-exploration.
 //!
 //! The generator is tool-agnostic: it only needs a `run` function mapping a
-//! [`DecisionSet`] to a [`RunResult`]. Both the DAMPI verifier
-//! (decentralized piggyback analysis) and the ISP baseline (centralized
-//! scheduler) drive their replays through this one implementation.
+//! [`DecisionSet`] to a [`RunResult`]. Both of the verifier's tool stacks,
+//! DAMPI's (decentralized piggyback analysis) and the ISP baseline's
+//! (centralized scheduler), drive their replays through this one
+//! implementation.
 //!
 //! There is one exploration loop, `drive`, over one `Walk`; where replays
 //! run (inline, on a thread pool, across worker processes) is an
@@ -248,17 +249,10 @@ impl Fork {
     }
 }
 
-/// Run the depth-first exploration from scratch, sequentially.
-pub fn explore<F>(run: F, opts: &ExploreOptions) -> Exploration
-where
-    F: FnMut(&DecisionSet) -> RunResult,
-{
-    drive(opts, &mut Inline::new(run, opts), Start::Fresh).expect(IN_PROCESS)
-}
-
-/// Run the exploration with `opts.jobs` concurrent replay workers. With
-/// `jobs <= 1` this is exactly [`explore`]; with more, the result is still
-/// bit-identical — only wall-clock time changes.
+/// Run the depth-first exploration from scratch with `opts.jobs` concurrent
+/// replay workers. With `jobs <= 1` this is the sequential walk on the
+/// caller's thread; with more, the result is still bit-identical — only
+/// wall-clock time changes.
 pub fn explore_parallel<F>(run: F, opts: &ExploreOptions) -> Exploration
 where
     F: Fn(&DecisionSet) -> RunResult + Sync,
@@ -901,8 +895,7 @@ mod tests {
     /// A synthetic "program": `n_epochs` wildcard receives on rank 0, each
     /// with sources `0..n_srcs`. The run function honors forced decisions
     /// and reports all alternates, mimicking what DampiLayer produces.
-    /// `Fn + Sync` so the same harness drives both [`explore`] and
-    /// [`explore_parallel`].
+    /// `Fn + Sync` so the same harness drives every executor.
     fn synthetic_run(n_epochs: u64, n_srcs: usize) -> impl Fn(&DecisionSet) -> RunResult + Sync {
         move |ds: &DecisionSet| {
             let epochs: Vec<EpochRecord> = (0..n_epochs)
@@ -950,6 +943,12 @@ mod tests {
             retry_backoff: RetryBackoff::ZERO,
             ..ExploreOptions::default()
         }
+    }
+
+    /// The sequential walk on the inline executor, the reference every
+    /// other executor is compared against.
+    fn explore(run: impl Fn(&DecisionSet) -> RunResult + Sync, o: &ExploreOptions) -> Exploration {
+        explore_parallel(run, &with_jobs(o.clone(), 1))
     }
 
     #[test]

@@ -801,7 +801,8 @@ fn tick_interval(shard: &ShardOptions) -> Duration {
 /// Run the exploration sharded across worker processes (or in-process
 /// stand-ins) spawned by `launcher`, surviving worker failure per the
 /// module docs. A completed campaign is byte-identical to
-/// [`explore`](crate::scheduler::explore) with the same options; a drained
+/// [`explore_parallel`](crate::scheduler::explore_parallel) with the same
+/// options; a drained
 /// one (`shard.drain`) returns early with [`Exploration::drained`] set, its
 /// journal resumable.
 ///

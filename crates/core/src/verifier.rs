@@ -6,11 +6,16 @@
 //! generator produces Epoch Decisions; the program is rerun under guidance
 //! until the space of non-deterministic matches (as bounded by the
 //! configuration) is covered.
+//!
+//! The same driver replays under ISP's centralized stack when
+//! [`DampiConfig::tool`] is [`ToolStack::Isp`]: only the layer each rank
+//! runs under changes.
 
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
+use dampi_clocks::ClockMode;
 use dampi_mpi::fault::{FaultLayer, FaultPlan};
 use dampi_mpi::program::{MpiProgram, RunOutcome};
 use dampi_mpi::runtime::{run_with_layers, SimConfig};
@@ -18,9 +23,10 @@ use dampi_mpi::trace::{TraceCollector as EventTraceCollector, TraceEvent, TraceL
 use dampi_mpi::Mpi;
 
 use crate::cache::ReplayCache;
-use crate::config::DampiConfig;
+use crate::config::{DampiConfig, ToolStack};
 use crate::decisions::DecisionSet;
 use crate::epoch::TraceCollector;
+use crate::isp::{IspLayer, IspScheduler};
 use crate::journal::ExplorationJournal;
 use crate::metrics::{CampaignMetrics, CampaignTrace};
 use crate::prune::PrunePlan;
@@ -29,14 +35,15 @@ use crate::scheduler::{self, ExploreOptions, RunResult, Start};
 use crate::shard::{ShardOptions, WorkerLauncher};
 use crate::tool::{DampiCtx, DampiLayer};
 
-/// The top-level DAMPI verifier.
+/// The top-level verifier: DAMPI's driver, replaying under the tool stack
+/// `cfg.tool` names.
 #[derive(Debug, Clone)]
 pub struct DampiVerifier {
     /// Simulated-world configuration (process count, match policy, costs).
     pub sim: SimConfig,
-    /// Verifier configuration (clock mode, bounds, heuristics).
+    /// Verifier configuration (tool stack, clock mode, bounds, heuristics).
     pub cfg: DampiConfig,
-    /// Substrate fault-injection plan, layered below the DAMPI tool when
+    /// Substrate fault-injection plan, layered below the tool stack when
     /// set (testing the verifier's own fault tolerance).
     pub fault_plan: Option<Arc<FaultPlan>>,
     /// Campaign metrics sink observing [`Self::verify`] /
@@ -137,30 +144,55 @@ impl DampiVerifier {
         (ctx, collector)
     }
 
-    /// Execute one run of `program` under the DAMPI tool stack with the
-    /// given decisions. Public so overhead experiments (Table II) can time
-    /// a single instrumented run.
+    /// Execute one run of `program` under the configured tool stack
+    /// ([`DampiConfig::tool`]) with the given decisions. Public so overhead
+    /// experiments (Table II, Fig. 5) can time a single instrumented run.
     pub fn instrumented_run(&self, program: &dyn MpiProgram, decisions: &DecisionSet) -> RunResult {
-        let (ctx, collector) = self.make_ctx(decisions);
-        let plan = self.fault_plan.clone();
-        let outcome = run_with_layers(&self.sim, program, &|_rank, pmpi| {
-            let ctx = Arc::clone(&ctx);
-            // The fault layer (when armed) sits *below* DAMPI so injected
-            // faults hit both application traffic and the tool's own
-            // piggyback messages on the shadow communicator. Layer
-            // construction asks the runtime for that communicator
-            // (`shadow_world`, operation 0 of every rank); a failure there
-            // is this rank's error, not a harness panic.
-            let layer: Box<dyn Mpi> = match &plan {
-                Some(plan) if plan.armed(ctx.decisions.is_self_run()) => Box::new(DampiLayer::new(
-                    FaultLayer::new(pmpi, Arc::clone(plan)),
-                    ctx,
-                )?),
-                _ => Box::new(DampiLayer::new(pmpi, ctx)?),
-            };
-            Ok(layer)
-        });
-        let (epochs, stats) = collector.take();
+        // The fault layer (when armed) sits *below* the tool, so injected
+        // faults hit application traffic and, under DAMPI, the tool's own
+        // piggyback messages on the shadow communicator.
+        let plan = self
+            .fault_plan
+            .as_ref()
+            .filter(|plan| plan.armed(decisions.is_self_run()));
+        let (outcome, (epochs, stats)) = match self.cfg.tool {
+            ToolStack::Dampi => {
+                let (ctx, collector) = self.make_ctx(decisions);
+                let outcome = run_with_layers(&self.sim, program, &|_rank, pmpi| {
+                    let ctx = Arc::clone(&ctx);
+                    // Layer construction asks the runtime for the shadow
+                    // communicator (`shadow_world`, operation 0 of every
+                    // rank); a failure there is this rank's error, not a
+                    // harness panic.
+                    let layer: Box<dyn Mpi> = match plan {
+                        Some(plan) => Box::new(DampiLayer::new(
+                            FaultLayer::new(pmpi, Arc::clone(plan)),
+                            ctx,
+                        )?),
+                        None => Box::new(DampiLayer::new(pmpi, ctx)?),
+                    };
+                    Ok(layer)
+                });
+                (outcome, collector.take())
+            }
+            ToolStack::Isp => {
+                let sched = IspScheduler::new(self.sim.nprocs, self.sim.vtime);
+                let ds = Arc::new(decisions.clone());
+                let outcome = run_with_layers(&self.sim, program, &|_rank, pmpi| {
+                    let (sched, ds) = (Arc::clone(&sched), Arc::clone(&ds));
+                    let layer: Box<dyn Mpi> = match plan {
+                        Some(plan) => Box::new(IspLayer::new(
+                            FaultLayer::new(pmpi, Arc::clone(plan)),
+                            sched,
+                            ds,
+                        )),
+                        None => Box::new(IspLayer::new(pmpi, sched, ds)),
+                    };
+                    Ok(layer)
+                });
+                (outcome, sched.collect())
+            }
+        };
         RunResult {
             outcome,
             epochs,
@@ -173,7 +205,9 @@ impl DampiVerifier {
     /// the MPI calls the program made (piggyback traffic stays invisible,
     /// since it is issued below the trace layer), while the tool still
     /// collects epochs and alternates from the same run. This is the input
-    /// the static pre-analysis (`dampi-analysis`) consumes.
+    /// the static pre-analysis (`dampi-analysis`) consumes; it runs under
+    /// DAMPI's layer whatever [`DampiConfig::tool`] says, because the
+    /// analysis keys its facts by DAMPI epoch clocks.
     pub fn traced_run(&self, program: &dyn MpiProgram) -> (Vec<TraceEvent>, RunResult) {
         let (ctx, collector) = self.make_ctx(&DecisionSet::self_run());
         let events = EventTraceCollector::new();
@@ -374,10 +408,16 @@ impl DampiVerifier {
     }
 
     fn report_from(&self, program: &str, ex: scheduler::Exploration) -> VerificationReport {
+        // ISP's central scheduler keeps exact vector clocks whatever the
+        // DAMPI clock knob says.
+        let clock_mode = match self.cfg.tool {
+            ToolStack::Dampi => self.cfg.clock_mode,
+            ToolStack::Isp => ClockMode::Vector,
+        };
         VerificationReport::from_exploration(
             program,
             self.sim.nprocs,
-            self.cfg.clock_mode,
+            clock_mode,
             self.cfg.bound,
             ex,
         )

@@ -8,7 +8,7 @@ use std::collections::BTreeSet;
 use dampi_clocks::ClockStamp;
 use dampi_core::decisions::DecisionSet;
 use dampi_core::epoch::{EpochRecord, NdKind, ToolRunStats};
-use dampi_core::scheduler::{explore, explore_parallel, ExploreOptions, RunResult};
+use dampi_core::scheduler::{explore_parallel, ExploreOptions, RunResult};
 use dampi_core::{CampaignMetrics, CampaignTrace, TRACE_SCHEMA_VERSION};
 use dampi_mpi::program::RunOutcome;
 use dampi_mpi::{Comm, LeakReport};
@@ -90,7 +90,7 @@ fn semantic_metrics_are_byte_identical_across_jobs() {
 fn sequential_walk_matches_parallel_semantics() {
     let alt_counts = vec![2, 3, 2];
     let m_seq = CampaignMetrics::new();
-    let _ = explore(
+    let _ = explore_parallel(
         model_run(alt_counts.clone()),
         &ExploreOptions {
             metrics: Some(m_seq.clone()),

@@ -2,12 +2,14 @@
 //! bounded mixing, dedup) over synthetic epoch structures.
 
 use std::collections::{BTreeSet, HashSet};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 
 use dampi_clocks::ClockStamp;
 use dampi_core::bounds::MixingBound;
 use dampi_core::decisions::DecisionSet;
 use dampi_core::epoch::{EpochRecord, NdKind, ToolRunStats};
-use dampi_core::scheduler::{explore, explore_parallel, ExploreOptions, RunResult};
+use dampi_core::scheduler::{explore_parallel, ExploreOptions, RunResult};
 use dampi_mpi::program::RunOutcome;
 use dampi_mpi::{Comm, LeakReport};
 use proptest::prelude::*;
@@ -75,7 +77,7 @@ proptest! {
         alt_counts in prop::collection::vec(1usize..4, 1..6),
     ) {
         let expected: u64 = alt_counts.iter().map(|&n| n as u64).product();
-        let ex = explore(model_run(alt_counts), &opts(MixingBound::Unbounded));
+        let ex = explore_parallel(model_run(alt_counts), &opts(MixingBound::Unbounded));
         prop_assert_eq!(ex.interleavings, expected);
     }
 
@@ -86,7 +88,7 @@ proptest! {
         alt_counts in prop::collection::vec(1usize..5, 1..8),
     ) {
         let expected: u64 = 1 + alt_counts.iter().map(|&n| (n - 1) as u64).sum::<u64>();
-        let ex = explore(model_run(alt_counts), &opts(MixingBound::K(0)));
+        let ex = explore_parallel(model_run(alt_counts), &opts(MixingBound::K(0)));
         prop_assert_eq!(ex.interleavings, expected);
     }
 
@@ -95,18 +97,18 @@ proptest! {
     fn bounded_counts_are_monotone_in_k(
         alt_counts in prop::collection::vec(1usize..4, 1..6),
     ) {
-        let full = explore(model_run(alt_counts.clone()), &opts(MixingBound::Unbounded))
+        let full = explore_parallel(model_run(alt_counts.clone()), &opts(MixingBound::Unbounded))
             .interleavings;
         let mut prev = 0;
         for k in 0..4u32 {
-            let n = explore(model_run(alt_counts.clone()), &opts(MixingBound::K(k)))
+            let n = explore_parallel(model_run(alt_counts.clone()), &opts(MixingBound::K(k)))
                 .interleavings;
             prop_assert!(n >= prev, "k={k}: {n} < {prev}");
             prop_assert!(n <= full, "k={k}: {n} > full {full}");
             prev = n;
         }
         // A window as deep as the program is full coverage.
-        let deep = explore(
+        let deep = explore_parallel(
             model_run(alt_counts.clone()),
             &opts(MixingBound::K(alt_counts.len() as u32)),
         )
@@ -121,17 +123,17 @@ proptest! {
         alt_counts in prop::collection::vec(1usize..4, 1..5),
         k in 0u32..3,
     ) {
-        let mut seen: HashSet<u64> = HashSet::new();
-        let mut dup = false;
+        let seen: Mutex<HashSet<u64>> = Mutex::new(HashSet::new());
+        let dup = AtomicBool::new(false);
         let inner = model_run(alt_counts);
         let run = |ds: &DecisionSet| {
-            if !seen.insert(ds.signature()) {
-                dup = true;
+            if !seen.lock().unwrap().insert(ds.signature()) {
+                dup.store(true, Ordering::Relaxed);
             }
             inner(ds)
         };
-        let _ = explore(run, &opts(MixingBound::K(k)));
-        prop_assert!(!dup, "a decision signature was executed twice");
+        let _ = explore_parallel(run, &opts(MixingBound::K(k)));
+        prop_assert!(!dup.into_inner(), "a decision signature was executed twice");
     }
 
     /// Coverage invariant: with unbounded search, every source of every
@@ -140,7 +142,7 @@ proptest! {
     fn unbounded_discovers_every_source(
         alt_counts in prop::collection::vec(1usize..4, 1..5),
     ) {
-        let ex = explore(model_run(alt_counts.clone()), &opts(MixingBound::Unbounded));
+        let ex = explore_parallel(model_run(alt_counts.clone()), &opts(MixingBound::Unbounded));
         for (i, &nsrc) in alt_counts.iter().enumerate() {
             let found = &ex.discovered[&(0, i as u64)];
             prop_assert_eq!(found.len(), nsrc, "epoch {}: {:?}", i, found);
@@ -153,8 +155,8 @@ proptest! {
     fn k0_coverage_equals_unbounded_for_independent_epochs(
         alt_counts in prop::collection::vec(1usize..4, 1..6),
     ) {
-        let a = explore(model_run(alt_counts.clone()), &opts(MixingBound::K(0)));
-        let b = explore(model_run(alt_counts), &opts(MixingBound::Unbounded));
+        let a = explore_parallel(model_run(alt_counts.clone()), &opts(MixingBound::K(0)));
+        let b = explore_parallel(model_run(alt_counts), &opts(MixingBound::Unbounded));
         prop_assert_eq!(a.discovered, b.discovered);
     }
 
@@ -174,7 +176,7 @@ proptest! {
             max_interleavings: Some(budget.first().copied().unwrap_or(2_000_000)),
             ..opts(bound)
         };
-        let seq = explore(model_run(alt_counts.clone()), &o);
+        let seq = explore_parallel(model_run(alt_counts.clone()), &o);
         let par = explore_parallel(
             model_run(alt_counts),
             &ExploreOptions { jobs: 4, ..o },

@@ -50,9 +50,9 @@
 use std::collections::BTreeSet;
 
 use dampi_core::{
-    ClockMode, DampiConfig, DampiVerifier, MixingBound, PiggybackMechanism, VerificationReport,
+    ClockMode, DampiConfig, DampiVerifier, MixingBound, PiggybackMechanism, ToolStack,
+    VerificationReport,
 };
-use dampi_isp::IspVerifier;
 use dampi_mpi::{MatchPolicy, SimConfig};
 use dampi_workloads::generated::{BugLabel, GenProgram, GenSpec};
 use serde::{Deserialize, Serialize};
@@ -158,8 +158,36 @@ impl Verdict {
     }
 }
 
+/// One verification mode: its name, tool stack, clock, mixing bound and
+/// piggyback mechanism (clock and piggyback configure nothing under ISP).
+type Mode = (
+    &'static str,
+    ToolStack,
+    ClockMode,
+    MixingBound,
+    PiggybackMechanism,
+);
+
+/// The seven modes, in the order a verdict lists them.
+const MODES: [Mode; 7] = {
+    use ClockMode::{Lamport, Vector};
+    use MixingBound::{Unbounded, K};
+    use PiggybackMechanism::{PayloadPacking as Packed, SeparateMessage as Separate};
+    use ToolStack::{Dampi, Isp};
+    [
+        ("isp", Isp, Vector, Unbounded, Separate),
+        ("vec", Dampi, Vector, Unbounded, Separate),
+        ("vec-packed", Dampi, Vector, Unbounded, Packed),
+        ("lam", Dampi, Lamport, Unbounded, Separate),
+        ("lam-packed", Dampi, Lamport, Unbounded, Packed),
+        ("lam-k0", Dampi, Lamport, K(0), Separate),
+        ("lam-k1", Dampi, Lamport, K(1), Separate),
+    ]
+};
+
 fn dampi_report(
     spec: &GenSpec,
+    tool: ToolStack,
     mode: ClockMode,
     bound: MixingBound,
     pb: PiggybackMechanism,
@@ -169,20 +197,12 @@ fn dampi_report(
         .with_policy(MatchPolicy::LowestRank)
         .with_deterministic(true);
     let cfg = DampiConfig::default()
+        .with_tool(tool)
         .with_clock_mode(mode)
         .with_bound(bound)
         .with_piggyback(pb)
         .with_max_interleavings(max);
     DampiVerifier::with_config(sim, cfg).verify(&GenProgram::new(spec.clone()))
-}
-
-fn isp_report(spec: &GenSpec, max: u64) -> VerificationReport {
-    let sim = SimConfig::new(spec.nprocs)
-        .with_policy(MatchPolicy::LowestRank)
-        .with_deterministic(true);
-    let mut v = IspVerifier::new(sim);
-    v.cfg.max_interleavings = Some(max);
-    v.verify(&GenProgram::new(spec.clone()))
 }
 
 /// Check the known-answer label against the exact (vector/ISP) outcomes.
@@ -238,77 +258,10 @@ fn label_violation(label: BugLabel, vec: &ModeOutcome, isp: &ModeOutcome) -> Opt
 #[allow(clippy::too_many_lines)]
 pub fn run_oracle(spec: &GenSpec, params: &OracleParams) -> Verdict {
     let max = params.max_interleavings;
-    let isp = ModeOutcome::from_report("isp", &isp_report(spec, max));
-    let vec_sep = ModeOutcome::from_report(
-        "vec",
-        &dampi_report(
-            spec,
-            ClockMode::Vector,
-            MixingBound::Unbounded,
-            PiggybackMechanism::SeparateMessage,
-            max,
-        ),
-    );
-    let vec_packed = ModeOutcome::from_report(
-        "vec-packed",
-        &dampi_report(
-            spec,
-            ClockMode::Vector,
-            MixingBound::Unbounded,
-            PiggybackMechanism::PayloadPacking,
-            max,
-        ),
-    );
-    let lam_sep = ModeOutcome::from_report(
-        "lam",
-        &dampi_report(
-            spec,
-            ClockMode::Lamport,
-            MixingBound::Unbounded,
-            PiggybackMechanism::SeparateMessage,
-            max,
-        ),
-    );
-    let lam_packed = ModeOutcome::from_report(
-        "lam-packed",
-        &dampi_report(
-            spec,
-            ClockMode::Lamport,
-            MixingBound::Unbounded,
-            PiggybackMechanism::PayloadPacking,
-            max,
-        ),
-    );
-    let lam_k0 = ModeOutcome::from_report(
-        "lam-k0",
-        &dampi_report(
-            spec,
-            ClockMode::Lamport,
-            MixingBound::K(0),
-            PiggybackMechanism::SeparateMessage,
-            max,
-        ),
-    );
-    let lam_k1 = ModeOutcome::from_report(
-        "lam-k1",
-        &dampi_report(
-            spec,
-            ClockMode::Lamport,
-            MixingBound::K(1),
-            PiggybackMechanism::SeparateMessage,
-            max,
-        ),
-    );
-
-    let modes = vec![
-        isp.clone(),
-        vec_sep.clone(),
-        vec_packed.clone(),
-        lam_sep.clone(),
-        lam_packed.clone(),
-        lam_k0.clone(),
-        lam_k1.clone(),
-    ];
+    let modes = MODES.map(|(name, tool, clock, bound, pb)| {
+        ModeOutcome::from_report(name, &dampi_report(spec, tool, clock, bound, pb, max))
+    });
+    let [isp, vec_sep, vec_packed, lam_sep, lam_packed, lam_k0, lam_k1] = modes.clone();
     let mut verdict = Verdict {
         seed: spec.seed,
         name: spec.name.clone(),
@@ -318,7 +271,7 @@ pub fn run_oracle(spec: &GenSpec, params: &OracleParams) -> Verdict {
         wildcards: spec.wildcard_count(),
         verdict: "agree".to_owned(),
         closing_k: None,
-        modes,
+        modes: modes.to_vec(),
         detail: String::new(),
     };
     let fail = |v: &mut Verdict, what: &str, detail: String| {
@@ -402,6 +355,7 @@ pub fn run_oracle(spec: &GenSpec, params: &OracleParams) -> Verdict {
             for k in 2..=params.escalate_k {
                 let r = dampi_report(
                     spec,
+                    ToolStack::Dampi,
                     ClockMode::Lamport,
                     MixingBound::K(k),
                     PiggybackMechanism::SeparateMessage,

@@ -13,9 +13,10 @@
 //!    them, not clock imprecision.
 
 use dampi_clocks::{ClockOrd, ClockStamp, LogicalClock, VectorClock};
-use dampi_core::{ClockMode, DampiConfig, DampiVerifier, PiggybackMechanism, VerificationReport};
+use dampi_core::{
+    ClockMode, DampiConfig, DampiVerifier, PiggybackMechanism, ToolStack, VerificationReport,
+};
 use dampi_fuzz::{generate, GenParams};
-use dampi_isp::IspVerifier;
 use dampi_mpi::{MatchPolicy, SimConfig};
 use dampi_workloads::generated::{GenProgram, GenSpec};
 use proptest::prelude::*;
@@ -145,20 +146,13 @@ proptest! {
 
 const MAX_INTERLEAVINGS: u64 = 800;
 
-fn isp_report(spec: &GenSpec) -> VerificationReport {
-    let sim = SimConfig::new(spec.nprocs)
-        .with_policy(MatchPolicy::LowestRank)
-        .with_deterministic(true);
-    let mut v = IspVerifier::new(sim);
-    v.cfg.max_interleavings = Some(MAX_INTERLEAVINGS);
-    v.verify(&GenProgram::new(spec.clone()))
-}
-
-fn vec_report(spec: &GenSpec) -> VerificationReport {
+/// Vector-mode DAMPI, or ISP (whose clocks are vectors regardless).
+fn report(spec: &GenSpec, tool: ToolStack) -> VerificationReport {
     let sim = SimConfig::new(spec.nprocs)
         .with_policy(MatchPolicy::LowestRank)
         .with_deterministic(true);
     let cfg = DampiConfig::default()
+        .with_tool(tool)
         .with_clock_mode(ClockMode::Vector)
         .with_piggyback(PiggybackMechanism::SeparateMessage)
         .with_max_interleavings(MAX_INTERLEAVINGS);
@@ -172,8 +166,8 @@ proptest! {
     #[test]
     fn vector_mode_agrees_with_isp_on_generated_programs(seed in 0u64..10_000) {
         let spec = generate(seed, &GenParams::for_seed(seed));
-        let isp = isp_report(&spec);
-        let vec = vec_report(&spec);
+        let isp = report(&spec, ToolStack::Isp);
+        let vec = report(&spec, ToolStack::Dampi);
         prop_assert_eq!(
             isp.error_signature(),
             vec.error_signature(),

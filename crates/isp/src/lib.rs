@@ -1,35 +1,34 @@
 //! **ISP** — the centralized dynamic verifier baseline (paper §II-A).
 //!
-//! ISP preceded DAMPI: it intercepts every MPI call and performs a
-//! *synchronous transaction* with one central scheduler, which therefore
-//! holds a complete global picture — match detection is exact (vector-clock
-//! quality) and replay is driven centrally. The price is that every MPI
-//! call in the entire job serializes through the scheduler, which is why
-//! ISP's verification time explodes with scale (paper Fig. 5/6) while
-//! DAMPI's stays near-native.
-//!
-//! This crate reproduces both aspects:
-//!
-//! * [`sched::IspScheduler`] — the central scheduler: a serialized virtual
-//!   clock (every transaction advances `max(sched, caller) + per_op`) plus
-//!   centrally-maintained vector clocks, message logs, and epoch records.
-//! * [`tool::IspLayer`] — the interposition layer: each operation round
-//!   trips through the scheduler (cost) and reports enough information for
-//!   central match detection. Wildcard receives are forced from the same
-//!   [`dampi_core::DecisionSet`](dampi_core::decisions::DecisionSet) format
-//!   DAMPI uses.
-//! * [`verifier::IspVerifier`] — the driver, reusing DAMPI's depth-first
-//!   schedule generator so the two tools differ *only* in architecture
-//!   (centralized vs decentralized), exactly the comparison the paper
-//!   makes.
+//! The ISP tool stack lives in `dampi_core::isp`, and
+//! `DampiVerifier` replays under it when `DampiConfig::tool` is
+//! `ToolStack::Isp`: ISP and DAMPI share one driver and differ only in
+//! architecture. This crate keeps the one-run facade [`IspVerifier`] for
+//! callers that time a single ISP run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod sched;
-pub mod tool;
-pub mod verifier;
+use dampi_core::decisions::DecisionSet;
+use dampi_core::scheduler::RunResult;
+use dampi_core::{DampiConfig, DampiVerifier, ToolStack};
+use dampi_mpi::program::MpiProgram;
+use dampi_mpi::runtime::SimConfig;
 
-pub use sched::IspScheduler;
-pub use tool::IspLayer;
-pub use verifier::IspVerifier;
+/// A [`DampiVerifier`] that replays under the ISP tool stack.
+#[derive(Debug, Clone)]
+pub struct IspVerifier(DampiVerifier);
+
+impl IspVerifier {
+    /// ISP over `sim`, with the default configuration.
+    #[must_use]
+    pub fn new(sim: SimConfig) -> Self {
+        let cfg = DampiConfig::default().with_tool(ToolStack::Isp);
+        Self(DampiVerifier::with_config(sim, cfg))
+    }
+
+    /// Execute one run under the ISP stack with the given decisions.
+    pub fn instrumented_run(&self, program: &dyn MpiProgram, decisions: &DecisionSet) -> RunResult {
+        self.0.instrumented_run(program, decisions)
+    }
+}

@@ -1,8 +1,7 @@
 //! End-to-end ISP tests and the ISP-vs-DAMPI architectural comparison
 //! that underlies the paper's Fig. 5 and Fig. 6.
 
-use dampi_core::DampiVerifier;
-use dampi_isp::IspVerifier;
+use dampi_core::{DampiConfig, DampiVerifier, ToolStack};
 use dampi_mpi::envelope::codec;
 use dampi_mpi::proc_api::user_assert;
 use dampi_mpi::{Comm, FnProgram, MatchPolicy, Mpi, MpiError, SimConfig, ANY_SOURCE};
@@ -10,10 +9,15 @@ use dampi_workloads::matmul::{Matmul, MatmulParams};
 use dampi_workloads::parmetis::{Parmetis, ParmetisParams};
 use dampi_workloads::patterns;
 
+/// The verifier, replaying under the ISP tool stack.
+fn isp_verifier(sim: SimConfig) -> DampiVerifier {
+    DampiVerifier::with_config(sim, DampiConfig::default().with_tool(ToolStack::Isp))
+}
+
 #[test]
 fn isp_finds_the_fig3_bug() {
     let sim = SimConfig::new(3).with_policy(MatchPolicy::LowestRank);
-    let report = IspVerifier::new(sim).verify(&patterns::fig3());
+    let report = isp_verifier(sim).verify(&patterns::fig3());
     assert!(
         report
             .errors
@@ -27,7 +31,7 @@ fn isp_finds_the_fig3_bug() {
 #[test]
 fn isp_finds_alternate_schedule_deadlock() {
     let sim = SimConfig::new(3).with_policy(MatchPolicy::LowestRank);
-    let report = IspVerifier::new(sim).verify(&patterns::deadlock_on_alternate_schedule());
+    let report = isp_verifier(sim).verify(&patterns::deadlock_on_alternate_schedule());
     assert!(report.deadlocks() >= 1, "{report}");
 }
 
@@ -52,7 +56,7 @@ fn isp_is_complete_on_the_cross_coupled_pattern() {
             },
         ],
     );
-    let isp = IspVerifier::new(SimConfig::new(4));
+    let isp = isp_verifier(SimConfig::new(4));
     let res = isp.instrumented_run(&patterns::fig4_cross_coupled(), &initial);
     assert!(res.outcome.succeeded(), "{:?}", res.outcome.fatal);
     let e10 = res
@@ -80,7 +84,7 @@ fn isp_and_dampi_agree_on_clean_programs() {
         Ok(())
     });
     let dampi = DampiVerifier::new(SimConfig::new(4)).verify(&prog);
-    let isp = IspVerifier::new(SimConfig::new(4)).verify(&prog);
+    let isp = isp_verifier(SimConfig::new(4)).verify(&prog);
     assert!(dampi.errors.is_empty());
     assert!(isp.errors.is_empty());
     // Same interleaving space for this symmetric pattern: 3! = 6.
@@ -111,7 +115,7 @@ fn isp_single_run_is_slower_than_dampi_single_run() {
         .instrumented_run(&prog, &dampi_core::DecisionSet::self_run())
         .outcome
         .makespan;
-    let isp = IspVerifier::new(sim)
+    let isp = isp_verifier(sim)
         .instrumented_run(&prog, &dampi_core::DecisionSet::self_run())
         .outcome
         .makespan;
@@ -134,7 +138,7 @@ fn isp_slowdown_grows_with_scale_dampi_stays_flat() {
             .instrumented_run(&prog, &dampi_core::DecisionSet::self_run())
             .outcome
             .makespan;
-        let isp = IspVerifier::new(sim)
+        let isp = isp_verifier(sim)
             .instrumented_run(&prog, &dampi_core::DecisionSet::self_run())
             .outcome
             .makespan;
@@ -164,7 +168,7 @@ fn isp_explores_matmul_interleavings() {
         task_cost: 0.0,
         ..Default::default()
     });
-    let mut isp = IspVerifier::new(SimConfig::new(3));
+    let mut isp = isp_verifier(SimConfig::new(3));
     isp.cfg.max_interleavings = Some(50);
     let report = isp.verify(&prog);
     assert!(report.errors.is_empty(), "{report}");
@@ -179,7 +183,7 @@ fn isp_respects_budget() {
         task_cost: 0.0,
         ..Default::default()
     });
-    let mut isp = IspVerifier::new(SimConfig::new(4));
+    let mut isp = isp_verifier(SimConfig::new(4));
     isp.cfg.max_interleavings = Some(3);
     let report = isp.verify(&prog);
     assert_eq!(report.interleavings, 3);
@@ -189,7 +193,7 @@ fn isp_respects_budget() {
 #[test]
 fn isp_guided_replay_reproduces_bug() {
     let sim = SimConfig::new(3).with_policy(MatchPolicy::LowestRank);
-    let isp = IspVerifier::new(sim);
+    let isp = isp_verifier(sim);
     let report = isp.verify(&patterns::fig3());
     let repro = report
         .errors
@@ -218,7 +222,7 @@ fn isp_counts_wildcards() {
         user_assert(true, "fine")?;
         Ok(())
     });
-    let mut isp = IspVerifier::new(SimConfig::new(3));
+    let mut isp = isp_verifier(SimConfig::new(3));
     isp.cfg.max_interleavings = Some(1);
     let report = isp.verify(&prog);
     assert_eq!(report.wildcards_analyzed, 2);
@@ -226,7 +230,7 @@ fn isp_counts_wildcards() {
 
 #[test]
 fn isp_transaction_counts_scale_with_ops() {
-    use dampi_isp::IspScheduler;
+    use dampi_core::isp::IspScheduler;
     use dampi_mpi::vtime::VTimeParams;
     let sched = IspScheduler::new(4, VTimeParams::default());
     assert_eq!(sched.transactions(), 0);
@@ -263,7 +267,7 @@ fn isp_handles_waitsome_completions() {
         }
         Ok(())
     });
-    let mut isp = IspVerifier::new(SimConfig::new(4));
+    let mut isp = isp_verifier(SimConfig::new(4));
     isp.cfg.max_interleavings = Some(200);
     let report = isp.verify(&prog);
     assert!(report.errors.is_empty(), "{report}");
@@ -282,7 +286,7 @@ fn isp_probe_epochs_counted() {
         }
         Ok(())
     });
-    let mut isp = IspVerifier::new(SimConfig::new(3));
+    let mut isp = isp_verifier(SimConfig::new(3));
     isp.cfg.max_interleavings = Some(1);
     let report = isp.verify(&prog);
     assert_eq!(report.wildcards_analyzed, 1, "{report}");
@@ -382,7 +386,7 @@ fn every_completion_and_probe_call_explores_the_same_space() {
         ),
         (
             "isp",
-            Box::new(|how| IspVerifier::new(sim()).verify(&drain_program(how))),
+            Box::new(|how| isp_verifier(sim()).verify(&drain_program(how))),
         ),
     ];
     for (tool, verify) in &tools {

@@ -14,8 +14,8 @@
 //!   the paper's Table I classification, excluding any traffic layers below
 //!   it generate.
 //!
-//! The verifier tools themselves (`DampiLayer` in `dampi-core`, `IspLayer`
-//! in `dampi-isp`) are built on exactly this pattern.
+//! The verifier's two tool stacks (`DampiLayer` and `isp::IspLayer`, both
+//! in `dampi-core`) are built on exactly this pattern.
 
 use std::sync::Arc;
 

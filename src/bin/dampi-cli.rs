@@ -15,9 +15,8 @@ use dampi::core::scheduler::{ExploreOptions, Start};
 use dampi::core::shard::{self, ProcessWorkerLauncher, ShardOptions};
 use dampi::core::{
     CampaignMetrics, CampaignTrace, ClockMode, DampiConfig, DampiVerifier, DecisionSet,
-    ExplorationJournal, MixingBound, ReplayCache, VerificationReport,
+    ExplorationJournal, MixingBound, ReplayCache, ToolStack, VerificationReport,
 };
-use dampi::isp::IspVerifier;
 use dampi::mpi::fault::WorkerFaultPlan;
 use dampi::mpi::{run_native, MatchPolicy, MpiProgram, ReplayBudget, SimConfig};
 use dampi::workloads::adlb::{Adlb, AdlbParams};
@@ -220,6 +219,9 @@ macro_rules! flag_table {
     };
 }
 
+/// What `--isp` lacks for the static pre-analysis rows.
+const PLAN: &str = "prune plan (its facts are keyed by DAMPI epoch clocks)";
+
 flag_table! {
     // The semantic rows come first, in the order `semantic_args` has always
     // written them: warm `--cache` directories are keyed by that order.
@@ -245,41 +247,36 @@ flag_table! {
     ReplayWall = "--replay-wall", Secs, "SECS", V,
         "kill any replay exceeding this wall-clock budget",
         semantic: true;
-    Isp = "--isp", Switch, "", V, "verify with the centralized ISP baseline instead of DAMPI";
+    // Last: absent, it leaves every DAMPI command line's digest as it was.
+    Isp = "--isp", Switch, "", V, "replay under the centralized ISP baseline instead of DAMPI",
+        semantic: true;
     Json = "--json", Switch, "", VA, "print the report as one JSON object";
     Jobs = "--jobs", COUNT, "N", V,
         "parallel replay threads (default: all cores; same result as 1, only faster)",
-        conflicts: &[F::Shards], isp_lacks: Some("parallel replay");
-    Journal = "--journal", Text, "PATH", V, "append every commit to a journal log",
-        isp_lacks: Some("commit log");
-    Resume = "--resume", Text, "PATH", V, "continue an interrupted campaign from its journal",
-        isp_lacks: Some("commit log");
+        conflicts: &[F::Shards];
+    Journal = "--journal", Text, "PATH", V, "append every commit to a journal log";
+    Resume = "--resume", Text, "PATH", V, "continue an interrupted campaign from its journal";
     Metrics = "--metrics", Text, "PATH", V,
-        "write a campaign metrics snapshot (JSON) after the run",
-        isp_lacks: Some("campaign observer");
-    Trace = "--trace", Text, "PATH", V, "stream a schema-versioned JSONL campaign trace",
-        isp_lacks: Some("campaign observer");
+        "write a campaign metrics snapshot (JSON) after the run";
+    Trace = "--trace", Text, "PATH", V, "stream a schema-versioned JSONL campaign trace";
     Progress = "--progress", Switch, "", V,
-        "print a live progress line (replays/sec, frontier, ETA)",
-        isp_lacks: Some("campaign observer");
+        "print a live progress line (replays/sec, frontier, ETA)";
     PruneStatic = "--prune-static", Switch, "", V,
         "run the static pre-analysis first and prune the frontier (same error set, fewer replays)",
-        conflicts: &[F::Resume], isp_lacks: Some("frontier to prune");
+        conflicts: &[F::Resume], isp_lacks: Some(PLAN);
     Protocol = "--protocol", Text, "SPEC", VA,
         "session-protocol spec (path or committed name): adds the L006–L008 conformance \
          lints; verify also prunes the alternates it rules out",
-        needs: &[F::PruneStatic], isp_lacks: Some("frontier to prune");
+        needs: &[F::PruneStatic], isp_lacks: Some(PLAN);
     Cache = "--cache", Text, "DIR", V,
         "replay-result cache: warm reruns of an unchanged workload reuse committed subtrees \
-         byte for byte",
-        isp_lacks: Some("decision-prefix keys");
+         byte for byte";
     CacheReadonly = "--cache-readonly", Switch, "", V,
         "consult the cache but never write or evict entries",
         needs: &[F::Cache];
     Shards = "--shards", COUNT, "N", V,
         "shard replays across N supervised worker processes: byte-identical to --jobs 1; \
-         SIGTERM drains gracefully (resume via --journal)",
-        isp_lacks: Some("worker fleet");
+         SIGTERM drains gracefully (resume via --journal)";
     HeartbeatTimeout = "--heartbeat-timeout", Secs, "SECS", V,
         "declare a silent worker lost (default 2)",
         needs: &[F::Shards];
@@ -296,7 +293,7 @@ flag_table! {
         "the worker slot the fault hits (default 0)",
         needs: &[F::WorkerFault];
     Worker = "--worker", Switch, "", V, "serve replays to a supervisor over stdin/stdout",
-        internal: true, conflicts: &[F::Isp, F::Shards, F::PruneStatic, F::Cache];
+        internal: true, conflicts: &[F::Shards, F::PruneStatic, F::Cache];
     WorkerBeatMs = "--worker-beat-ms", U64, "MS", V, "heartbeat period",
         default: Some("250"), internal: true, needs: &[F::Worker];
     Seed = "--seed", U64, "S", FZ, "first seed (default 0)", default: Some("0");
@@ -400,10 +397,12 @@ impl Parsed {
     }
 
     /// Row `i`'s explicit value, else its default where this subcommand
-    /// takes the flag.
+    /// takes the flag and the tool has it (`--isp` has no `--clock`).
     fn at(&self, i: usize) -> Option<&str> {
         let row = &FLAGS[i];
-        let default = row.default.filter(|_| row.cmds.contains(&self.cmd));
+        let lacked = row.isp_lacks.is_some() && self.given(F::Isp);
+        let binds = row.cmds.contains(&self.cmd) && !lacked;
+        let default = row.default.filter(|_| binds);
         self.explicit[i].as_deref().or(default)
     }
 
@@ -494,6 +493,9 @@ fn replay_config(p: &Parsed) -> (SimConfig, DampiConfig) {
         _ => ClockMode::Lamport,
     };
     let mut cfg = DampiConfig::default().with_clock_mode(clock);
+    if p.given(F::Isp) {
+        cfg = cfg.with_tool(ToolStack::Isp);
+    }
     if let Some(max) = p.num(F::Max) {
         cfg = cfg.with_max_interleavings(max);
     }
@@ -715,11 +717,6 @@ fn cmd_verify(name: &str, p: &Parsed) -> Result<ExitCode, String> {
         // supervisor and serves replays over stdin/stdout.
         return run_worker_mode(name, prog, sim, cfg, p);
     }
-    if p.given(F::Isp) {
-        let mut v = IspVerifier::new(sim);
-        v.cfg.max_interleavings = p.num(F::Max);
-        return Ok(print_report(name, v.verify(prog), p));
-    }
     // Default to every available core: each frontier fork is an
     // independent simulation and the merge is deterministic either way.
     // Under --shards the parallelism lives in the worker fleet, so the
@@ -836,7 +833,7 @@ fn cmd_verify(name: &str, p: &Parsed) -> Result<ExitCode, String> {
         let _ = handle.join();
     }
     if let (Some(m), Some(path)) = (&metrics, p.path(F::Metrics)) {
-        let clock = p.text(F::Clock).expect("the row has a default");
+        let clock = report.clock_mode.name();
         let snap = m.snapshot(name, np, clock, shards.unwrap_or(jobs));
         let json = serde_json::to_string_pretty(&snap).expect("metrics snapshot serializes");
         std::fs::write(path, json + "\n").map_err(|e| fail(F::Metrics, e))?;
@@ -1087,6 +1084,11 @@ mod tests {
                     --unbiased --replay-vt 1000 --replay-wall 0.5";
         assert_eq!(semantic_args("racers", &p).join(" "), full);
         assert_eq!(config_digest("racers", &p), 0xd6ef_a171_905a_5fd1);
+        // `--isp` is written last, and the `--clock` default it lacks is not.
+        let p = parsed(Cmd::Verify, "--isp --jobs 2 --replay-vt 1e3 --unbiased").unwrap();
+        let isp = "verify racers --np 4 --max 10000 --unbiased --replay-vt 1000 --isp";
+        assert_eq!(semantic_args("racers", &p).join(" "), isp);
+        assert_eq!(config_digest("racers", &p), 0x4837_dc17_35cc_6d7e);
     }
 
     /// A value of `kind`, drawn from `n`.
@@ -1108,11 +1110,10 @@ mod tests {
             picks in prop::collection::vec((0usize..FLAGS.len(), 0u64..5000), 0..10),
         ) {
             // Draw from the public flags `verify` takes unconditionally, so
-            // that nine in ten command lines are accepted (a `--jobs`/`--shards`
-            // clash is not; nor is anything beside `--isp`, so it stays out).
+            // that most command lines are accepted (a `--jobs`/`--shards`
+            // clash is not, nor a DAMPI-only flag beside `--isp`).
             let free = |row: &&Flag| {
-                let public = !row.internal && row.name != F::Isp.row().name;
-                public && row.cmds.contains(&Cmd::Verify) && row.needs.is_empty()
+                !row.internal && row.cmds.contains(&Cmd::Verify) && row.needs.is_empty()
             };
             let pool: Vec<&Flag> = FLAGS.iter().filter(free).collect();
             let mut argv = Vec::new();

@@ -7,9 +7,9 @@
 //!
 //! * [`mpi`] — the MPI runtime simulator and PnMPI-style interposition.
 //! * [`clocks`] — Lamport and vector logical clocks.
-//! * [`core`] — the DAMPI verifier (epochs, piggybacks, replay, bounds).
+//! * [`core`] — the verifier (epochs, piggybacks, replay, bounds), and the
+//!   ISP centralized baseline as a second tool stack it replays under.
 //! * [`analysis`] — static pre-replay analysis (match-set pruning, lints).
-//! * [`isp`] — the ISP centralized baseline.
 //! * [`workloads`] — matmul, ParMETIS-like, NAS-like, SpecMPI-like, ADLB.
 //!
 //! Quickstart: see `examples/quickstart.rs`, or:
@@ -39,6 +39,5 @@ pub use dampi_analysis as analysis;
 pub use dampi_clocks as clocks;
 pub use dampi_core as core;
 pub use dampi_fuzz as fuzz;
-pub use dampi_isp as isp;
 pub use dampi_mpi as mpi;
 pub use dampi_workloads as workloads;

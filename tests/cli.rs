@@ -392,12 +392,13 @@ fn verify_trace_streams_schema_versioned_jsonl() {
 #[test]
 fn verify_rejects_observability_flags_with_isp() {
     // Every DAMPI-only flag is refused by name under `--isp`, never
-    // accepted and ignored (`--isp --k 0` used to explore unbounded).
+    // accepted and ignored (`--isp --k 0` used to explore unbounded). The
+    // observability flags are no longer among them: they are the driver's.
     let rows: [&[&str]; 5] = [
-        &["--metrics", "/dev/null"],
         &["--k", "0"],
         &["--deferred-clock"],
         &["--clock", "lamport"],
+        &["--prune-static"],
         &["--protocol", "matmul"],
     ];
     for row in rows {
@@ -406,13 +407,28 @@ fn verify_rejects_observability_flags_with_isp() {
             .args(row)
             .output()
             .expect("run dampi-cli");
-        assert!(!out.status.success(), "{row:?}: {out:?}");
+        assert_eq!(out.status.code(), Some(1), "{row:?}: {out:?}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(
             err.contains(row[0]) && err.contains("DAMPI-only"),
             "{row:?}: {err}"
         );
     }
+    // The driver's flags are the driver's, whatever the tool: an ISP
+    // campaign's metrics snapshot lints clean and names ISP's clocks.
+    let path = std::env::temp_dir().join(format!("dampi-cli-isp-{}.json", std::process::id()));
+    let out = cli()
+        .args("verify racers --np 4 --isp --jobs 2 --metrics".split_whitespace())
+        .arg(&path)
+        .output()
+        .expect("run dampi-cli");
+    assert!(out.status.success(), "{out:?}");
+    let out = lint().arg(&path).output().expect("run metrics-lint");
+    assert!(out.status.success(), "{out:?}");
+    let snapshot: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    assert_eq!(snapshot["semantic"]["clock_mode"], "vector", "{snapshot}");
+    std::fs::remove_file(path).ok();
 }
 
 #[test]
@@ -422,13 +438,32 @@ fn verify_rejects_zero_jobs_and_isp_with_jobs() {
         .output()
         .expect("run dampi-cli");
     assert!(!out.status.success(), "{out:?}");
-    let out = cli()
-        .args(["verify", "fig3", "--np", "3", "--isp", "--jobs", "2"])
-        .output()
-        .expect("run dampi-cli");
-    assert!(!out.status.success(), "{out:?}");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("ISP"), "{err}");
+    // ISP with `--jobs` or `--shards` used to be refused too; it is now one
+    // campaign under every executor. Free-running ISP replays race, so
+    // separate campaigns are compared by what their barriers pin: the
+    // count, the errors and the coverage.
+    for (workload, exit) in [("racers --np 4", Some(0)), ("fig3 --np 3", Some(2))] {
+        let run = |driver: &str| {
+            let out = cli()
+                .arg("verify")
+                .args(workload.split_whitespace())
+                .args(["--isp", "--json"])
+                .args(driver.split_whitespace())
+                .output()
+                .expect("run dampi-cli");
+            assert_eq!(out.status.code(), exit, "{workload} {driver}: {out:?}");
+            let report: serde_json::Value =
+                serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).unwrap();
+            // No piggyback anywhere: every replay, the workers' too, ran ISP.
+            assert_eq!(report["pb_messages"], 0, "{workload} {driver}");
+            assert_eq!(report["clock_mode"], "vector", "{workload} {driver}");
+            ["interleavings", "errors", "discovered"].map(|k| report[k].clone())
+        };
+        let seq = run("--jobs 1");
+        for driver in ["--jobs 2", "--shards 2"] {
+            assert_eq!(run(driver), seq, "{workload} {driver}");
+        }
+    }
 }
 
 #[test]

@@ -1,19 +1,23 @@
 //! Cross-crate integration: the DAMPI and ISP verifiers against the full
 //! workload suite.
 
-use dampi::core::{DampiConfig, DampiVerifier, MixingBound};
-use dampi::isp::IspVerifier;
+use dampi::core::{DampiConfig, DampiVerifier, MixingBound, ToolStack};
 use dampi::mpi::{MatchPolicy, MpiError, SimConfig};
 use dampi::workloads::adlb::{Adlb, AdlbParams};
 use dampi::workloads::matmul::{Matmul, MatmulParams};
 use dampi::workloads::patterns;
 use dampi::workloads::{nas, spec};
 
+/// The verifier, replaying under the ISP tool stack.
+fn isp_verifier(sim: SimConfig) -> DampiVerifier {
+    DampiVerifier::with_config(sim, DampiConfig::default().with_tool(ToolStack::Isp))
+}
+
 #[test]
 fn both_tools_find_the_fig3_bug() {
     let sim = SimConfig::new(3).with_policy(MatchPolicy::LowestRank);
     let d = DampiVerifier::new(sim.clone()).verify(&patterns::fig3());
-    let i = IspVerifier::new(sim).verify(&patterns::fig3());
+    let i = isp_verifier(sim).verify(&patterns::fig3());
     assert_eq!(d.assertion_failures(), 1, "{d}");
     assert!(
         i.errors
@@ -27,7 +31,7 @@ fn both_tools_find_the_fig3_bug() {
 fn both_tools_find_the_schedule_deadlock() {
     let sim = SimConfig::new(3).with_policy(MatchPolicy::LowestRank);
     let d = DampiVerifier::new(sim.clone()).verify(&patterns::deadlock_on_alternate_schedule());
-    let i = IspVerifier::new(sim).verify(&patterns::deadlock_on_alternate_schedule());
+    let i = isp_verifier(sim).verify(&patterns::deadlock_on_alternate_schedule());
     assert!(d.deadlocks() >= 1, "{d}");
     assert!(i.deadlocks() >= 1, "{i}");
 }
@@ -41,7 +45,7 @@ fn coverage_agrees_on_matmul() {
         ..Default::default()
     });
     let d = DampiVerifier::new(SimConfig::new(4)).verify(&prog);
-    let i = IspVerifier::new(SimConfig::new(4)).verify(&prog);
+    let i = isp_verifier(SimConfig::new(4)).verify(&prog);
     assert!(d.errors.is_empty());
     assert!(i.errors.is_empty());
     assert_eq!(d.interleavings, i.interleavings, "\nDAMPI {d}\nISP {i}");
@@ -101,7 +105,7 @@ fn dampi_repro_schedule_replays_under_isp() {
     let sim = SimConfig::new(3).with_policy(MatchPolicy::LowestRank);
     let d = DampiVerifier::new(sim.clone()).verify(&patterns::fig3());
     let repro = &d.errors[0].decisions;
-    let isp = IspVerifier::new(sim);
+    let isp = isp_verifier(sim);
     let rerun = isp.instrumented_run(&patterns::fig3(), repro);
     assert!(
         rerun
@@ -133,7 +137,7 @@ fn native_bias_masks_what_verifiers_find() {
         .verify(&patterns::fig3())
         .errors
         .is_empty());
-    assert!(!IspVerifier::new(sim)
+    assert!(!isp_verifier(sim)
         .verify(&patterns::fig3())
         .errors
         .is_empty());
@@ -150,6 +154,6 @@ fn head_to_head_deadlock_found_in_initial_run() {
 fn leaky_program_reported_by_both_tools() {
     let d = DampiVerifier::new(SimConfig::new(2)).verify(&patterns::leaky_program());
     assert!(d.leaks.has_comm_leak() && d.leaks.has_request_leak(), "{d}");
-    let i = IspVerifier::new(SimConfig::new(2)).verify(&patterns::leaky_program());
+    let i = isp_verifier(SimConfig::new(2)).verify(&patterns::leaky_program());
     assert!(i.leaks.has_comm_leak() && i.leaks.has_request_leak(), "{i}");
 }

@@ -2,8 +2,7 @@
 //! must track `comm_dup`/`comm_split` hierarchies, and ISP's central
 //! bookkeeping must translate sub-communicator ranks correctly.
 
-use dampi::core::{DampiVerifier, DecisionSet};
-use dampi::isp::IspVerifier;
+use dampi::core::{DampiConfig, DampiVerifier, DecisionSet, ToolStack};
 use dampi::mpi::envelope::codec;
 use dampi::mpi::proc_api::user_assert;
 use dampi::mpi::{Comm, FnProgram, Mpi, Result, SimConfig, ANY_SOURCE};
@@ -60,7 +59,8 @@ fn dampi_verifies_wildcards_inside_split_comms() {
 
 #[test]
 fn isp_verifies_wildcards_inside_split_comms() {
-    let report = IspVerifier::new(SimConfig::new(6)).verify(&split_with_wildcards());
+    let isp = DampiConfig::default().with_tool(ToolStack::Isp);
+    let report = DampiVerifier::with_config(SimConfig::new(6), isp).verify(&split_with_wildcards());
     assert!(report.errors.is_empty(), "{report}");
     assert!(report.interleavings >= 2, "{report}");
 }
