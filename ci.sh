@@ -10,11 +10,12 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo fmt --check
-# Unsafe gate: first-party `unsafe` lives in exactly two files — the
-# rank-thread pool's lifetime erasure and the CLI's SIGTERM FFI — and every
-# other crate root still forbids it outright (`dampi-mpi` denies it, with
-# the one `#[allow]` on `pool`).
-allowed=$'crates/mpi/src/pool.rs\nsrc/bin/dampi-cli.rs'
+# Unsafe gate: first-party `unsafe` lives in exactly three files — the
+# rank-thread pool's lifetime erasure, the CLI's SIGTERM FFI and the
+# allocation census's counting allocator (a test) — and every other crate
+# root still forbids it outright (`dampi-mpi` denies it, with the one
+# `#[allow]` on `pool`).
+allowed=$'crates/mpi/src/pool.rs\nsrc/bin/dampi-cli.rs\ntests/alloc_census.rs'
 found="$(grep -rlE 'unsafe[[:space:]]+(\{|impl|fn)' --include='*.rs' \
     crates src tests examples benchmark/src benchmark/tests | sort)"
 if [ "$found" != "$allowed" ]; then

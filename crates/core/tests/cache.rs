@@ -9,6 +9,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dampi_core::cache::plan_digest;
+use dampi_core::frame::{FRAME_HEADER_LEN, LOG_HEAD_LEN};
 use dampi_core::scheduler::{ExploreOptions, RunResult};
 use dampi_core::shard::{InProcessLauncher, ShardOptions};
 use dampi_core::{
@@ -308,6 +309,38 @@ fn a_damaged_frame_is_counted_stale_once_and_silently_re_executed() {
             assert_eq!((again.misses, again.stores), (0, 0));
             assert_eq!(again.stale, 0, "fresh_handle={fresh_handle}");
         }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+#[test]
+fn an_intact_frame_holding_a_hostile_nest_is_stale_once_and_re_executed() {
+    // A megabyte of `[`, in an unknown field or where a known one's value
+    // should be, inside a frame whose checksum holds: only the parser's
+    // nesting cap stands between it and the stack.
+    let nest = "[".repeat(1 << 20);
+    for (at, hostile) in [
+        ("{", format!(r#"{{"unknown":{nest},"#)),
+        (r#""result":{"#, format!(r#""result":{{"epochs":{nest},"#)),
+    ] {
+        let dir = tmp_path("hostile");
+        let cold = run_racers_journaled(&open(&dir, false), 1, None, false);
+        let log = std::fs::read(log_path(&dir)).unwrap();
+        let offsets = frame_offsets(&log);
+        let mid = offsets.len() / 2;
+        let (start, end) = (offsets[mid], offsets[mid + 1]);
+        let payload = &log[start + FRAME_HEADER_LEN..end];
+        let (head, json) = payload.split_at(LOG_HEAD_LEN);
+        let json = std::str::from_utf8(json).unwrap().replacen(at, &hostile, 1);
+        let mut spliced = log[..start].to_vec();
+        dampi_core::frame::write_frame(&mut spliced, &[head, json.as_bytes()].concat()).unwrap();
+        spliced.extend_from_slice(&log[end..]);
+        std::fs::write(log_path(&dir), &spliced).unwrap();
+
+        let warm = run_racers_journaled(&open(&dir, false), 1, None, false);
+        assert_eq!(warm.report, cold.report, "{at}");
+        assert_eq!((warm.stale, warm.misses, warm.stores), (1, 1, 1), "{at}");
+        assert_eq!(warm.hits, warm.committed - 1, "{at}");
         let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -1,21 +1,24 @@
 //! The vendored JSON codec, tested where tier-1 runs (`vendor/` is outside
-//! the workspace). `serde_json::from_str` parses straight into a
-//! `serde::Content` tree and `to_string`/`to_string_pretty` print straight
-//! from one; the older route through a `serde_json::Value` tree (`to_value`,
-//! `Value`'s `Display`) is the reference they are held to, byte for byte.
-//! Journals, reports, `plan_digest`, config digests and cache keyspace names
-//! all hash or compare these bytes.
+//! the workspace). `serde_json::from_str` reads text straight into the
+//! target type through one parser (`Value` and this file's `Tree` are
+//! types like any other), and `to_string`/`to_string_pretty` print straight
+//! from a `serde::Content` tree; the older route through a
+//! `serde_json::Value` tree (`to_value`, `Value`'s `Display`) is the
+//! reference the printers are held to, byte for byte. Journals, reports,
+//! `plan_digest`, config digests and cache keyspace names all hash or
+//! compare these bytes.
 
 use std::path::Path;
 use std::time::{Duration, Instant};
 
+use dampi::core::shard::protocol::SubtreeResult;
 use proptest::prelude::*;
 use proptest::TestRng;
-use serde::{Content, DeError, Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Deserializer, Serialize};
 use serde_json::{from_str, to_string, to_string_pretty, to_value, Value};
 
 /// A `Content` tree as its own (de)serializable type, so the public API can
-/// be driven with arbitrary trees.
+/// be driven with arbitrary trees. It reads as a `Value` does.
 #[derive(Debug, Clone, PartialEq)]
 struct Tree(Content);
 
@@ -26,8 +29,8 @@ impl Serialize for Tree {
 }
 
 impl Deserialize for Tree {
-    fn from_content(content: &Content) -> Result<Self, DeError> {
-        Ok(Self(content.clone()))
+    fn deserialize(d: &mut dyn Deserializer<'_>) -> Result<Self, DeError> {
+        Value::deserialize(d).map(|v| Self(v.to_content()))
     }
 }
 
@@ -124,8 +127,54 @@ impl Strategy for AnyContent {
     }
 }
 
+/// A printed random tree with a few bytes overwritten by JSON's own
+/// punctuation, or cut short: mostly malformed, sometimes not.
+struct Damaged;
+
+impl Strategy for Damaged {
+    type Value = String;
+    fn sample(&self, rng: &mut TestRng) -> String {
+        const BYTES: &[u8] = b"[]{},:\"\\ 0-.e1nu";
+        let tree = AnyContent { canonical: false }.sample(rng);
+        let mut doc = to_string(&Tree(tree)).unwrap().into_bytes();
+        for _ in 0..rng.next_u64() % 3 {
+            if doc.is_empty() {
+                break;
+            }
+            let at = (rng.next_u64() % doc.len() as u64) as usize;
+            if rng.next_u64().is_multiple_of(4) {
+                doc.truncate(at);
+            } else if doc[at].is_ascii() {
+                doc[at] = BYTES[(rng.next_u64() % BYTES.len() as u64) as usize];
+            }
+        }
+        // A cut may split a character; what is left of it is replaced.
+        String::from_utf8_lossy(&doc).into_owned()
+    }
+}
+
+/// A value read by skipping it.
+struct Skipped;
+
+impl Deserialize for Skipped {
+    fn deserialize(d: &mut dyn Deserializer<'_>) -> Result<Self, DeError> {
+        d.skip().map(|()| Self)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// Skipping a value accepts exactly the documents reading it does.
+    #[test]
+    fn skipping_accepts_what_reading_accepts(doc in Damaged) {
+        prop_assert_eq!(
+            from_str::<Skipped>(&doc).is_ok(),
+            from_str::<Value>(&doc).is_ok(),
+            "{}",
+            doc
+        );
+    }
 
     /// The differential law: whatever tree a `Serialize` impl produces, the
     /// direct printers write what the `Value` tree's printers write.
@@ -197,6 +246,19 @@ fn numbers_print_and_parse_at_the_edges() {
         from_str::<Tree>("-9223372036854775809").is_err(),
         "i64::MIN - 1"
     );
+    // The grammar's corners that are numbers (its refusals are with the
+    // other malformed documents).
+    for (text, n) in [
+        ("0", Content::U64(0)),
+        ("10", Content::U64(10)),
+        ("-0.0", Content::F64(-0.0)),
+        ("0.5", Content::F64(0.5)),
+        ("0e0", Content::F64(0.0)),
+        ("1e+2", Content::F64(100.0)),
+        ("-12.5E-1", Content::F64(-1.25)),
+    ] {
+        assert_eq!(from_str::<Tree>(text).unwrap().0, n, "{text}");
+    }
     assert!(from_str::<Tree>("1.2.3").is_err());
     assert!(from_str::<Tree>("-").is_err());
 }
@@ -231,6 +293,11 @@ fn strings_print_and_parse_every_escape() {
         r#""\u12g4""#,
         r#""\ud83d""#,
         r#""\ud83dx""#,
+        // A sign is not a hex digit, and a high surrogate pairs only with a
+        // low one.
+        r#""\u+041""#,
+        r#""\ud83d\ud83d""#,
+        r#""\ud83d\u0041""#,
         r#""open"#,
         r#""open\"#,
     ] {
@@ -289,11 +356,134 @@ fn malformed_documents_are_refused() {
         "[] x",
         "\u{feff}[]",
         "'a'",
+        // Numbers by the JSON grammar: no leading zero, a digit on both
+        // sides of the point.
+        "01",
+        "-01",
+        "00",
+        "[01]",
+        r#"{"a":00}"#,
+        "1.",
+        "-.5",
+        ".5",
+        "1.e5",
+        "1e",
+        "1e+",
+        "+1",
     ] {
         assert!(from_str::<Tree>(bad).is_err(), "{bad:?} must not parse");
     }
     let spaced: Tree = from_str(" \t\r\n[ 1 , { \"a\" : null } ] \n").unwrap();
     assert_eq!(to_string(&spaced).unwrap(), r#"[1,{"a":null}]"#);
+}
+
+#[derive(Debug, Default, PartialEq, Serialize, Deserialize)]
+struct Rules {
+    n: u64,
+    f: f64,
+    maybe: Option<u32>,
+    #[serde(default)]
+    listed: Vec<i64>,
+    #[serde(skip)]
+    local: u8,
+    kind: Kind,
+}
+
+#[derive(Debug, Default, PartialEq, Serialize, Deserialize)]
+enum Kind {
+    #[default]
+    Unit,
+    New(u64),
+    Pair(u8, String),
+    Named {
+        x: i32,
+    },
+}
+
+#[test]
+fn typed_reads_keep_the_rules_of_the_tree() {
+    let rules = |doc: &str| from_str::<Rules>(doc);
+    let read = |doc: &str| rules(doc).unwrap_or_else(|e| panic!("{doc}: {e}"));
+    // An integer token fills an `f64`; a missing `Option` is `None`, a
+    // missing `#[serde(default)]` field its default, a skipped field is
+    // never read; unknown keys are skipped, whatever they hold.
+    let plain = read(r#"{"n":1,"f":2,"kind":"Unit","local":9,"zz":{"a":[1,{"b":null}]}}"#);
+    assert_eq!(
+        plain,
+        Rules {
+            n: 1,
+            f: 2.0,
+            ..Rules::default()
+        }
+    );
+    let zero = read(r#"{"n":0,"f":-0,"kind":"Unit"}"#);
+    assert_eq!(zero.f.to_bits(), 0.0f64.to_bits(), "`-0` is an integer");
+    assert_eq!(read(r#"{"n":0,"f":-1,"kind":"Unit"}"#).f, -1.0);
+    // A repeated key takes its last value, and only the last one has to fit.
+    let repeated = read(r#"{"n":"x","n":5,"f":[],"f":0.5,"kind":{"New":true},"kind":"Unit"}"#);
+    assert_eq!((repeated.n, repeated.f), (5, 0.5));
+    // A whole round trip, with every field set.
+    let full = Rules {
+        n: u64::MAX,
+        f: -1.5e-300,
+        maybe: Some(7),
+        listed: vec![i64::MIN, 0, 3],
+        local: 0,
+        kind: Kind::Pair(255, "p\"q".to_owned()),
+    };
+    assert_eq!(read(&to_string(&full).unwrap()), full);
+
+    let kind = |doc: &str| from_str::<Kind>(doc);
+    for (doc, want) in [
+        (r#""Unit""#, Kind::Unit),
+        (r#"{"New":3}"#, Kind::New(3)),
+        (r#"{"New":1,"New":2}"#, Kind::New(2)),
+        (r#"{"New":"x","New":2}"#, Kind::New(2)),
+        (r#"{"Pair":[1,"s"]}"#, Kind::Pair(1, "s".to_owned())),
+        (r#"{"Pair":[1,"s",true]}"#, Kind::Pair(1, "s".to_owned())),
+        (r#"{"Named":{"x":-4,"y":0}}"#, Kind::Named { x: -4 }),
+    ] {
+        assert_eq!(kind(doc).unwrap_or_else(|e| panic!("{doc}: {e}")), want);
+    }
+    for doc in [
+        r#""Nope""#,
+        r#"{"Unit":null}"#,
+        r#"{"Nope":1}"#,
+        "{}",
+        r#"{"New":1,"Unit":null}"#,
+        r#"{"New":1,"Named":{"x":1},"New":1}"#,
+        r#"{"New":1,"New":"x"}"#,
+        r#"{"Pair":[1]}"#,
+        r#"{"Named":{}}"#,
+        "7",
+        "[]",
+        "null",
+    ] {
+        assert!(kind(doc).is_err(), "{doc} must not read as a Kind");
+    }
+    for doc in [
+        // Missing, ill-typed or out of range.
+        r#"{"f":1,"kind":"Unit"}"#,
+        r#"{"n":-1,"f":1,"kind":"Unit"}"#,
+        r#"{"n":1.0,"f":1,"kind":"Unit"}"#,
+        r#"{"n":1,"f":"1","kind":"Unit"}"#,
+        r#"{"n":1,"f":1,"kind":"Unit","maybe":-1}"#,
+        r#"{"n":1,"f":1,"kind":"Unit","maybe":4294967296}"#,
+        r#"{"n":1,"f":1,"kind":"Unit","listed":[1,"2"]}"#,
+        r#"{"n":5,"n":"x","f":1,"kind":"Unit"}"#,
+        r#"[1]"#,
+        // A number no integer type holds is refused, even unread.
+        r#"{"n":18446744073709551616,"f":1,"kind":"Unit"}"#,
+        r#"{"n":1,"f":1,"kind":"Unit","zz":18446744073709551616}"#,
+        r#"{"n":1,"f":1,"kind":"Unit","zz":[-9223372036854775809]}"#,
+        // Malformed after the last field, or inside a skipped one.
+        r#"{"n":1,"f":1,"kind":"Unit","zz":[1,]}"#,
+        r#"{"n":1,"f":1,"kind":"Unit","zz":"\x"}"#,
+        r#"{"n":1,"f":1,"kind":"Unit",}"#,
+        r#"{"n":1,"f":1,"kind":"Unit"} x"#,
+    ] {
+        assert!(rules(doc).is_err(), "{doc} must not read as Rules");
+    }
 }
 
 // ---- recursion and time bounds -----------------------------------------------
@@ -321,6 +511,25 @@ fn nesting_is_capped_with_an_ordinary_error() {
     // holds, so only the parser's cap stands between it and the stack.
     let hostile = "[".repeat(1 << 20);
     assert!(from_str::<Value>(&hostile).is_err());
+    // The same nest read into a type: skipped inside an unknown field, or
+    // met where a known field's value should be, at the top and one struct
+    // down. Skipping counts levels as reading does.
+    for doc in [
+        format!(r#"{{"unknown":{hostile}"#),
+        format!(r#"{{"epochs":{hostile}"#),
+        format!(r#"{{"outcome":{{"rank_errors":{hostile}"#),
+        format!(r#"{{"divergences":{hostile}"#),
+    ] {
+        let err = from_str::<SubtreeResult>(&doc).expect_err("refused");
+        assert!(err.to_string().contains("128"), "{err}");
+    }
+    let balanced = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    let err = from_str::<SubtreeResult>(&format!(r#"{{"unknown":{}}}"#, balanced(128)))
+        .expect_err("129 levels with the object around them");
+    assert!(err.to_string().contains("128"), "{err}");
+    let err = from_str::<SubtreeResult>(&format!(r#"{{"unknown":{}}}"#, balanced(127)))
+        .expect_err("128 levels parse, but the fields are missing");
+    assert!(err.to_string().contains("missing field"), "{err}");
     let path = std::env::temp_dir().join(format!("dampi-hostile-journal-{}", std::process::id()));
     let frame = dampi::core::frame::head_frame(0, hostile.as_bytes()).unwrap();
     std::fs::write(&path, frame).unwrap();
@@ -396,4 +605,97 @@ fn committed_artifacts_round_trip_to_the_same_bytes() {
         }
     }
     assert_eq!(answers, 5, "one pinned answer per benchmark workload");
+}
+
+// ---- what campaigns write ----------------------------------------------------
+
+/// A replay-cache entry, field for field (the cache's own type is private).
+#[derive(Serialize, Deserialize)]
+struct CacheEntry {
+    version: u32,
+    program: u64,
+    plan: u64,
+    schedule: u64,
+    result: SubtreeResult,
+}
+
+/// A journal record, field for field; `source` is a unit variant's name.
+#[derive(Serialize, Deserialize)]
+struct JournalRecord {
+    version: u32,
+    source: String,
+    result: SubtreeResult,
+}
+
+/// The JSON after the schedule digest in every frame of the log at `path`.
+fn logged_json(path: &Path) -> Vec<String> {
+    use dampi::core::frame;
+    let log = std::fs::File::open(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let mut frames = Vec::new();
+    frame::scan_log(&log, |f| frames.push(f)).unwrap();
+    frames
+        .iter()
+        .map(|f| {
+            let payload = frame::read_frame_at(&log, f.offset, f.len)
+                .unwrap()
+                .unwrap();
+            String::from_utf8(payload[frame::LOG_HEAD_LEN..].to_vec()).unwrap()
+        })
+        .collect()
+}
+
+/// Decoded into its type and printed again, `json` is the same bytes.
+fn reprints<T: Serialize + Deserialize>(json: &str, what: &str) {
+    let typed: T = from_str(json).unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert_eq!(to_string(&typed).unwrap(), json, "{what}");
+}
+
+#[test]
+fn cache_entries_and_journal_records_reprint_to_their_bytes() {
+    use dampi::core::cache::plan_digest;
+    use dampi::core::{DampiConfig, DampiVerifier, ReplayCache};
+    use dampi::mpi::{MatchPolicy, MpiProgram, SimConfig};
+    use dampi::workloads::matmul::{Matmul, MatmulParams};
+    use dampi::workloads::patterns;
+    use std::sync::Arc;
+
+    let matmul_ack = Matmul::new(MatmulParams {
+        rounds_per_slave: 1,
+        ack_results: true,
+        ..MatmulParams::default()
+    });
+    let campaigns: [(&str, &dyn MpiProgram, usize); 2] = [
+        ("racers", &patterns::symmetric_racers(), 4),
+        ("matmul_ack", &matmul_ack, 7),
+    ];
+    for (name, program, np) in campaigns {
+        let dir = std::env::temp_dir().join(format!("dampi-reprint-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let journal = dir.join("journal");
+        let cache = ReplayCache::open(&dir.join("cache"), 1, plan_digest(None), false).unwrap();
+        let sim = SimConfig::new(np)
+            .with_policy(MatchPolicy::LowestRank)
+            .with_deterministic(true);
+        let report =
+            DampiVerifier::with_config(sim, DampiConfig::default().with_journal(journal.clone()))
+                .with_cache(Arc::new(cache))
+                .verify(program);
+        let keyspace = std::fs::read_dir(dir.join("cache"))
+            .unwrap()
+            .next()
+            .unwrap()
+            .unwrap();
+        let entries = logged_json(&keyspace.path().join("entries"));
+        let records = logged_json(&journal);
+        assert_eq!(entries.len() as u64, report.interleavings, "{name}");
+        assert_eq!(records.len() as u64, report.interleavings, "{name}");
+        for (n, json) in entries.iter().enumerate() {
+            reprints::<CacheEntry>(json, &format!("{name} cache entry {n}"));
+        }
+        for (n, json) in records.iter().enumerate() {
+            reprints::<JournalRecord>(json, &format!("{name} journal record {n}"));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
