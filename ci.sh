@@ -45,9 +45,12 @@ cargo test -q --offline
 # timeout, and `wakeups` a stray park or notify, not a steady failure; the
 # journal's racers kill-and-resume a mis-served record, since `--jobs 4`
 # speculation and worker timing vary from run to run; the ISP driver-parity
-# tests likewise, and free-running ISP replays race besides.
+# tests likewise, and free-running ISP replays race besides. In the
+# free-running collective-mismatch case either rank may enter first.
 for _ in $(seq 20); do
   cargo test -q --offline --test cross_tool native_bias_masks_what_verifiers_find > /dev/null
+  cargo test -q --offline --test cross_tool \
+      a_free_against_a_max_allreduce_is_a_mismatch_free_running > /dev/null
   cargo test -q --offline -p dampi-workloads --lib \
       alternate_schedule_deadlock_hidden_natively_under_bias > /dev/null
   cargo test -q --offline -p dampi-analysis --test workloads \

@@ -212,8 +212,8 @@ impl IspScheduler {
     /// A rank is entering a collective: deposit its pre-collective vector.
     /// When the last member deposits, every contributor merges the
     /// elementwise maximum — one all-to-all exchange whatever the
-    /// operation, matching the runtime's rendezvous and DAMPI's
-    /// `clock_allmax`. Must be called *before* the rank enters the
+    /// operation, matching the runtime's rendezvous and the clock words
+    /// DAMPI rides on it. Must be called *before* the rank enters the
     /// underlying collective so contributions are pre-collective values.
     pub fn on_collective(&self, world_rank: usize, comm: Comm, comm_size: usize) {
         let mut g = self.inner.lock();

@@ -13,7 +13,9 @@ use std::sync::Arc;
 use bytes::Bytes;
 use dampi_mpi::matching::ProbeInfo;
 use dampi_mpi::proc_api::{Completed, Completion, Mpi, Status};
-use dampi_mpi::{CollOutcome, CollSig, Comm, Contribution, Request, Result, Tag, ANY_SOURCE};
+use dampi_mpi::{
+    CollOutcome, CollSig, Comm, Contribution, Request, Result, Rider, Tag, ANY_SOURCE,
+};
 
 use super::sched::IspScheduler;
 use crate::decisions::DecisionSet;
@@ -85,8 +87,9 @@ impl<M: Mpi> IspLayer<M> {
     /// post-collective sends against pre-collective wildcard receives, and
     /// the scheduler then proposes matches the runtime cannot realize —
     /// surfacing as phantom deadlocks on clean programs (fuzz seed 66). The
-    /// DAMPI layer applies the same strengthening (`clock_allmax`); both
-    /// sides must agree or differential fuzzing diverges.
+    /// DAMPI layer applies the same strengthening (the clock words it
+    /// rides on each collective); both sides must agree or differential
+    /// fuzzing diverges.
     fn report_collective(&mut self, comm: Comm) -> Result<()> {
         self.transact()?;
         let size = self.inner.comm_size(comm)?;
@@ -203,24 +206,10 @@ impl<M: Mpi> Mpi for IspLayer<M> {
         comm: Comm,
         sig: CollSig,
         contribution: Contribution,
+        rider: &mut Rider,
     ) -> Result<CollOutcome> {
         self.report_collective(comm)?;
-        self.inner.collective(comm, sig, contribution)
-    }
-
-    fn comm_dup(&mut self, comm: Comm) -> Result<Comm> {
-        self.report_collective(comm)?;
-        self.inner.comm_dup(comm)
-    }
-
-    fn comm_split(&mut self, comm: Comm, color: i64, key: i64) -> Result<Option<Comm>> {
-        self.report_collective(comm)?;
-        self.inner.comm_split(comm, color, key)
-    }
-
-    fn comm_free(&mut self, comm: Comm) -> Result<()> {
-        self.report_collective(comm)?;
-        self.inner.comm_free(comm)
+        self.inner.collective(comm, sig, contribution, rider)
     }
 
     fn shadow_world(&mut self) -> Result<Comm> {

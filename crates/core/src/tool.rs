@@ -19,8 +19,11 @@
 //!   when its flag is true (§II-E).
 //! * **Collectives** — the clock is exchanged all-to-all (max) for every
 //!   collective, matching the simulated runtime's rendezvous semantics
-//!   (see `clock_allmax`; the paper's per-dataflow exchange of §II-E
-//!   would under-order this runtime's collectives).
+//!   (see `merge_collective_clock`; the paper's per-dataflow exchange of
+//!   §II-E would under-order this runtime's collectives). The exchange, and
+//!   the shadow of each communicator the application creates or frees,
+//!   ride the application's own rendezvous (`Rider`): the tool holds none
+//!   of its own but the finalize barrier.
 //! * **`MPI_Pcontrol`** — brackets loop-iteration-abstraction regions
 //!   (§III-B1).
 //!
@@ -34,8 +37,8 @@ use dampi_clocks::{ClockMode, ClockStamp};
 use dampi_mpi::matching::ProbeInfo;
 use dampi_mpi::proc_api::{Completed, Completion, Mpi, Status};
 use dampi_mpi::{
-    CollOutcome, CollSig, Comm, Contribution, MpiError, ReduceOp, Request, Result, Tag, ANY_SOURCE,
-    ANY_TAG,
+    CollOutcome, CollSig, Comm, Contribution, MpiError, Request, Result, Rider, Shadow, Tag,
+    ANY_SOURCE, ANY_TAG,
 };
 
 use crate::clock::AnyClock;
@@ -464,28 +467,25 @@ impl<M: Mpi> DampiLayer<M> {
         }
     }
 
-    /// Clock exchange for every collective: all-to-all max.
+    /// Merge the clock words a collective's members max-combined.
     ///
-    /// The paper (§II-E) exchanges clocks along each collective's
-    /// *dataflow* (root-to-all for bcast/scatter, all-to-root for
-    /// reduce/gather), which is sound for real MPI where a non-root
-    /// gather may return before other participants enter. This
-    /// simulator's collectives are a full rendezvous — every rank's exit
-    /// happens-after every rank's entry — so the causal model must carry
-    /// the matching all-to-all edges. Tracking only the dataflow edges
-    /// under-orders post-collective sends against pre-collective
-    /// wildcard receives, and the verifier then forces replays the
-    /// runtime cannot realize, which surface as phantom deadlocks on
-    /// clean programs (found by `dampi-cli fuzz`, seed 66).
-    fn clock_allmax(&mut self, comm: Comm) -> Result<()> {
-        let words = AnyClock::stamp_words(&self.xmit_stamp());
-        let merged = self.inner.allreduce_u64(comm, words, ReduceOp::Max)?;
-        let stamp = AnyClock::stamp_from_words(self.ctx.clock_mode, &merged);
+    /// Every collective exchanges clocks all-to-all. The paper (§II-E)
+    /// exchanges them along each collective's *dataflow* (root-to-all for
+    /// bcast/scatter, all-to-root for reduce/gather), which is sound for
+    /// real MPI where a non-root gather may return before other
+    /// participants enter. This simulator's collectives are a full
+    /// rendezvous — every rank's exit happens-after every rank's entry — so
+    /// the causal model must carry the matching all-to-all edges. Tracking
+    /// only the dataflow edges under-orders post-collective sends against
+    /// pre-collective wildcard receives, and the verifier then forces
+    /// replays the runtime cannot realize, which surface as phantom
+    /// deadlocks on clean programs (found by `dampi-cli fuzz`, seed 66).
+    fn merge_collective_clock(&mut self, words: &[u64]) {
+        let stamp = AnyClock::stamp_from_words(self.ctx.clock_mode, words);
         self.clock.merge(&stamp);
         if self.ctx.deferred_clock {
             self.xmit.merge(&stamp);
         }
-        Ok(())
     }
 
     fn adjust_probe(&self, info: ProbeInfo) -> ProbeInfo {
@@ -623,54 +623,35 @@ impl<M: Mpi> Mpi for DampiLayer<M> {
         comm: Comm,
         sig: CollSig,
         contribution: Contribution,
+        rider: &mut Rider,
     ) -> Result<CollOutcome> {
         self.transmit_guard();
-        let out = self.inner.collective(comm, sig, contribution)?;
-        self.clock_allmax(comm)?;
-        Ok(out)
-    }
-
-    fn comm_dup(&mut self, comm: Comm) -> Result<Comm> {
-        self.transmit_guard();
-        let app = self.inner.comm_dup(comm)?;
-        self.known_comms.insert(app);
+        // The clock exchange and the shadow communicators (§II-D: one for
+        // each communicator of the program, made where there is collective
+        // context) ride the application's own rendezvous.
+        rider.clock = AnyClock::stamp_words(&self.xmit_stamp());
         if self.ctx.piggyback == PiggybackMechanism::SeparateMessage {
-            // §II-D: a shadow piggyback communicator for each existing
-            // communicator in the program, created where we have collective
-            // context.
-            let sh = self.inner.comm_dup(comm)?;
-            self.shadow.insert(app, sh);
+            rider.shadow = match sig {
+                CollSig::CommDup | CollSig::CommSplit => Shadow::Create,
+                CollSig::CommFree => self
+                    .shadow
+                    .get(&comm)
+                    .map_or(Shadow::None, |&sh| Shadow::Free(sh)),
+                _ => Shadow::None,
+            };
         }
-        self.clock_allmax(comm)?;
-        Ok(app)
-    }
-
-    fn comm_split(&mut self, comm: Comm, color: i64, key: i64) -> Result<Option<Comm>> {
-        self.transmit_guard();
-        let app = self.inner.comm_split(comm, color, key)?;
-        if let Some(a) = app {
-            self.known_comms.insert(a);
-        }
-        if self.ctx.piggyback == PiggybackMechanism::SeparateMessage {
-            let sh = self.inner.comm_split(comm, color, key)?;
-            if let (Some(a), Some(s)) = (app, sh) {
-                self.shadow.insert(a, s);
+        let out = self.inner.collective(comm, sig, contribution, rider)?;
+        self.merge_collective_clock(&rider.clock);
+        if let CollOutcome::Comm(app) = out {
+            self.known_comms.insert(app);
+            if let Shadow::Created(Some(sh)) = rider.shadow {
+                self.shadow.insert(app, sh);
             }
+        } else if sig == CollSig::CommFree {
+            self.known_comms.remove(&comm);
+            self.shadow.remove(&comm);
         }
-        self.clock_allmax(comm)?;
-        Ok(app)
-    }
-
-    fn comm_free(&mut self, comm: Comm) -> Result<()> {
-        self.transmit_guard();
-        // Exchange on the communicator while it is still alive, then free
-        // the shadow and the app communicator.
-        self.clock_allmax(comm)?;
-        self.known_comms.remove(&comm);
-        if let Some(sh) = self.shadow.remove(&comm) {
-            self.inner.comm_free(sh)?;
-        }
-        self.inner.comm_free(comm)
+        Ok(out)
     }
 
     fn shadow_world(&mut self) -> Result<Comm> {

@@ -7,11 +7,16 @@
 //! its per-rank outcome. Calling mismatched collectives concurrently on one
 //! communicator is detected and reported as an error — itself a useful MPI
 //! verification check.
+//!
+//! A tool layer rides the application's rendezvous instead of holding its
+//! own ([`Rider`]): its clock words are max-combined over the members, and
+//! the shadow twin of a communicator is created or freed with it.
 
 use std::collections::HashMap;
 
 use bytes::Bytes;
 
+use crate::comm::Comm;
 use crate::error::{MpiError, Result};
 
 /// Reduction operator for `reduce`/`allreduce`.
@@ -134,16 +139,6 @@ impl CollSig {
             _ => None,
         }
     }
-
-    /// True for the communicator-management collectives, which the typed
-    /// `comm_dup`/`comm_split`/`comm_free` own and the runtime combines.
-    #[must_use]
-    pub fn is_comm_management(self) -> bool {
-        matches!(
-            self,
-            CollSig::CommDup | CollSig::CommSplit | CollSig::CommFree
-        )
-    }
 }
 
 /// Per-rank input to a collective.
@@ -167,6 +162,47 @@ pub enum Contribution {
         /// Key: ordering of ranks within the new communicator.
         key: i64,
     },
+}
+
+/// The tool's shadow twin of the communicator a collective creates or
+/// frees (DAMPI's piggyback communicator, paper §II-D).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Shadow {
+    /// No twin rides.
+    #[default]
+    None,
+    /// `comm_dup`/`comm_split`: create a twin as well, with the same group.
+    Create,
+    /// What [`Shadow::Create`] left the caller: its twin (`None` for a
+    /// split's undefined colour).
+    Created(Option<Comm>),
+    /// `comm_free`: free this twin as well.
+    Free(Comm),
+}
+
+/// What a tool layer adds to a collective call: the rendezvous it would
+/// otherwise hold of its own, ridden on the application's one. Each
+/// ridden part stands for one rendezvous of its own and is charged (and,
+/// under the turn token, scheduled) as that rendezvous was.
+///
+/// Every member must present the same shape: as many clock words, and the
+/// same [`Shadow`] request.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Rider {
+    /// This rank's clock words going in (empty: no clock rides); their
+    /// elementwise maximum over the members coming out.
+    pub clock: Vec<u64>,
+    /// The twin to create or free with the communicator.
+    pub shadow: Shadow,
+}
+
+/// What a collective publishes for its riders besides the outcomes.
+#[derive(Debug, Default)]
+pub struct Ridden {
+    /// The members' clock words, max-combined (empty if none rode).
+    pub clock: Vec<u64>,
+    /// Each member's twin, by comm rank (empty if none was created).
+    pub twins: Vec<Option<Comm>>,
 }
 
 /// Per-rank result of a collective.
@@ -338,12 +374,16 @@ pub struct CollSlot {
     arrived: Vec<Option<Contribution>>,
     narrived: usize,
     max_vt: f64,
+    /// The entrants' rider: clock words max-combined so far, and the first
+    /// entrant's shadow request.
+    rider: Rider,
     results: HashMap<u64, Pending>,
 }
 
 #[derive(Debug)]
 struct Pending {
     outcomes: Vec<Option<CollOutcome>>,
+    ridden: Ridden,
     remaining: usize,
     vt: f64,
     /// Error to report to every participant (mismatch detected at combine).
@@ -361,6 +401,7 @@ impl CollSlot {
             arrived: vec![None; size],
             narrived: 0,
             max_vt: 0.0,
+            rider: Rider::default(),
             results: HashMap::new(),
         }
     }
@@ -371,19 +412,35 @@ impl CollSlot {
         self.generation
     }
 
-    /// Deposit a contribution. Returns `(generation, is_last)`; when
-    /// `is_last` the caller must immediately combine via
-    /// [`CollSlot::take_contributions`] + [`CollSlot::finish`].
+    /// Deposit a contribution and this rank's rider (its clock words are
+    /// taken). Returns `(generation, is_last)`; when `is_last` the caller
+    /// must immediately combine via [`CollSlot::take_contributions`] +
+    /// [`CollSlot::finish`].
     pub fn enter(
         &mut self,
         comm_rank: usize,
         sig: CollSig,
         contribution: Contribution,
+        rider: &mut Rider,
         vt: f64,
     ) -> Result<(u64, bool)> {
         match self.sig {
-            None => self.sig = Some(sig),
-            Some(existing) if existing == sig => {}
+            None => {
+                self.sig = Some(sig);
+                self.rider.clock = std::mem::take(&mut rider.clock);
+                self.rider.shadow = rider.shadow;
+            }
+            Some(existing) if existing == sig => {
+                if rider.clock.len() != self.rider.clock.len() || rider.shadow != self.rider.shadow
+                {
+                    return Err(MpiError::ToolProtocol {
+                        detail: format!("members of one {} carry different riders", sig.name()),
+                    });
+                }
+                for (max, word) in self.rider.clock.iter_mut().zip(&rider.clock) {
+                    *max = (*max).max(*word);
+                }
+            }
             Some(existing) => {
                 return Err(MpiError::CollectiveMismatch {
                     detail: format!("rank called {sig:?} while others are in {existing:?}"),
@@ -416,36 +473,48 @@ impl CollSlot {
         (sig, contribs, vt)
     }
 
-    /// Publish per-rank outcomes (or a shared error) for `gen`.
+    /// Last entrant, after [`CollSlot::take_contributions`]: the entrants'
+    /// rider (clock words max-combined), resetting it for the next
+    /// generation.
+    pub fn take_rider(&mut self) -> Rider {
+        std::mem::take(&mut self.rider)
+    }
+
+    /// Publish per-rank outcomes (or a shared error) for `gen`, with what
+    /// the riders get back.
     pub fn finish(
         &mut self,
         gen: u64,
         outcomes: std::result::Result<Vec<CollOutcome>, MpiError>,
         vt: f64,
+        ridden: Ridden,
     ) {
         assert_eq!(gen, self.generation, "finishing a stale generation");
         self.generation += 1;
-        let pending = match outcomes {
-            Ok(o) => Pending {
-                outcomes: o.into_iter().map(Some).collect(),
-                remaining: self.size,
-                vt,
-                error: None,
-            },
-            Err(e) => Pending {
-                outcomes: vec![None; self.size],
-                remaining: self.size,
-                vt,
-                error: Some(e),
-            },
+        let (outcomes, error) = match outcomes {
+            Ok(o) => (o.into_iter().map(Some).collect(), None),
+            Err(e) => (vec![None; self.size], Some(e)),
+        };
+        let pending = Pending {
+            outcomes,
+            ridden,
+            remaining: self.size,
+            vt,
+            error,
         };
         self.results.insert(gen, pending);
     }
 
     /// Poll for the outcome of generation `gen` for `comm_rank`. Returns
-    /// `Some((outcome, vt))` once published; the entry is reclaimed after
-    /// the last rank takes its outcome.
-    pub fn try_take(&mut self, gen: u64, comm_rank: usize) -> Option<(Result<CollOutcome>, f64)> {
+    /// `Some((outcome, vt))` once published, and hands `rider` the merged
+    /// clock and the rank's twin; the entry is reclaimed after the last
+    /// rank takes its outcome.
+    pub fn try_take(
+        &mut self,
+        gen: u64,
+        comm_rank: usize,
+        rider: &mut Rider,
+    ) -> Option<(Result<CollOutcome>, f64)> {
         let pending = self.results.get_mut(&gen)?;
         let out = match &pending.error {
             Some(e) => Err(e.clone()),
@@ -453,6 +522,12 @@ impl CollSlot {
                 .take()
                 .expect("rank took its collective outcome twice")),
         };
+        if out.is_ok() {
+            rider.clock.clone_from(&pending.ridden.clock);
+            if let Some(twin) = pending.ridden.twins.get(comm_rank) {
+                rider.shadow = Shadow::Created(*twin);
+            }
+        }
         let vt = pending.vt;
         pending.remaining -= 1;
         if pending.remaining == 0 {
@@ -465,6 +540,10 @@ impl CollSlot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn rider() -> Rider {
+        Rider::default()
+    }
 
     fn bytes(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
@@ -599,11 +678,11 @@ mod tests {
     fn slot_rendezvous_lifecycle() {
         let mut slot = CollSlot::new(2);
         let (gen, last) = slot
-            .enter(0, CollSig::Barrier, Contribution::None, 1.0)
+            .enter(0, CollSig::Barrier, Contribution::None, &mut rider(), 1.0)
             .unwrap();
         assert!(!last);
         let (gen2, last) = slot
-            .enter(1, CollSig::Barrier, Contribution::None, 3.0)
+            .enter(1, CollSig::Barrier, Contribution::None, &mut rider(), 3.0)
             .unwrap();
         assert_eq!(gen, gen2);
         assert!(last);
@@ -611,13 +690,13 @@ mod tests {
         assert_eq!(sig, CollSig::Barrier);
         assert_eq!(contribs.len(), 2);
         assert!((max_vt - 3.0).abs() < 1e-12);
-        slot.finish(gen, combine(sig, &contribs), 3.5);
-        let (out, vt) = slot.try_take(gen, 0).unwrap();
+        slot.finish(gen, combine(sig, &contribs), 3.5, Ridden::default());
+        let (out, vt) = slot.try_take(gen, 0, &mut rider()).unwrap();
         assert!(matches!(out.unwrap(), CollOutcome::None));
         assert!((vt - 3.5).abs() < 1e-12);
-        let _ = slot.try_take(gen, 1).unwrap();
+        let _ = slot.try_take(gen, 1, &mut rider()).unwrap();
         // Entry reclaimed after last take.
-        assert!(slot.try_take(gen, 0).is_none());
+        assert!(slot.try_take(gen, 0, &mut rider()).is_none());
         // Next generation proceeds.
         assert_eq!(slot.generation(), gen + 1);
     }
@@ -625,10 +704,16 @@ mod tests {
     #[test]
     fn slot_detects_mismatched_collectives() {
         let mut slot = CollSlot::new(2);
-        slot.enter(0, CollSig::Barrier, Contribution::None, 0.0)
+        slot.enter(0, CollSig::Barrier, Contribution::None, &mut rider(), 0.0)
             .unwrap();
         let err = slot
-            .enter(1, CollSig::Bcast { root: 0 }, Contribution::None, 0.0)
+            .enter(
+                1,
+                CollSig::Bcast { root: 0 },
+                Contribution::None,
+                &mut rider(),
+                0.0,
+            )
             .unwrap_err();
         assert!(matches!(err, MpiError::CollectiveMismatch { .. }));
     }
@@ -640,6 +725,7 @@ mod tests {
             0,
             CollSig::Bcast { root: 0 },
             Contribution::Bytes(bytes("x")),
+            &mut rider(),
             0.0,
         )
         .unwrap();
@@ -648,10 +734,48 @@ mod tests {
                 1,
                 CollSig::Bcast { root: 1 },
                 Contribution::Bytes(bytes("y")),
+                &mut rider(),
                 0.0,
             )
             .unwrap_err();
         assert!(matches!(err, MpiError::CollectiveMismatch { .. }));
+    }
+
+    #[test]
+    fn slot_max_combines_rider_clocks_and_refuses_mixed_riders() {
+        let mut slot = CollSlot::new(3);
+        let mut riders = [vec![3, 1], vec![2, 9], vec![1]].map(|clock| Rider {
+            clock,
+            shadow: Shadow::None,
+        });
+        let (gen, _) = slot
+            .enter(0, CollSig::Barrier, Contribution::None, &mut riders[0], 0.0)
+            .unwrap();
+        slot.enter(1, CollSig::Barrier, Contribution::None, &mut riders[1], 0.0)
+            .unwrap();
+        let err = slot
+            .enter(2, CollSig::Barrier, Contribution::None, &mut riders[2], 0.0)
+            .unwrap_err();
+        assert!(matches!(err, MpiError::ToolProtocol { .. }), "{err:?}");
+        assert_eq!(slot.take_rider().clock, vec![3, 9]);
+        slot.finish(
+            gen,
+            Ok(vec![CollOutcome::None; 3]),
+            0.0,
+            Ridden {
+                clock: vec![3, 9],
+                twins: Vec::new(),
+            },
+        );
+        let mut back = rider();
+        slot.try_take(gen, 1, &mut back).unwrap().0.unwrap();
+        assert_eq!(
+            back,
+            Rider {
+                clock: vec![3, 9],
+                shadow: Shadow::None
+            }
+        );
     }
 
     #[test]
@@ -662,6 +786,7 @@ mod tests {
                 0,
                 CollSig::AllreduceU64 { op: ReduceOp::Sum },
                 Contribution::U64s(vec![1]),
+                &mut rider(),
                 0.0,
             )
             .unwrap();
@@ -669,13 +794,14 @@ mod tests {
             1,
             CollSig::AllreduceU64 { op: ReduceOp::Sum },
             Contribution::U64s(vec![1, 2]),
+            &mut rider(),
             0.0,
         )
         .unwrap();
         let (sig, contribs, vt) = slot.take_contributions();
-        slot.finish(gen, combine(sig, &contribs), vt);
-        let (out0, _) = slot.try_take(gen, 0).unwrap();
-        let (out1, _) = slot.try_take(gen, 1).unwrap();
+        slot.finish(gen, combine(sig, &contribs), vt, Ridden::default());
+        let (out0, _) = slot.try_take(gen, 0, &mut rider()).unwrap();
+        let (out1, _) = slot.try_take(gen, 1, &mut rider()).unwrap();
         assert!(out0.is_err());
         assert!(out1.is_err());
     }

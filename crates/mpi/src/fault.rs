@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::collective::{CollOutcome, CollSig, Contribution};
+use crate::collective::{CollOutcome, CollSig, Contribution, Rider};
 use crate::comm::Comm;
 use crate::error::Result;
 use crate::matching::ProbeInfo;
@@ -381,23 +381,12 @@ impl<M: Mpi> Mpi for FaultLayer<M> {
         comm: Comm,
         sig: CollSig,
         contribution: Contribution,
+        rider: &mut Rider,
     ) -> Result<CollOutcome> {
         self.op_event()?;
-        self.inner.collective(comm, sig, contribution)
+        self.inner.collective(comm, sig, contribution, rider)
     }
 
-    fn comm_dup(&mut self, comm: Comm) -> Result<Comm> {
-        self.op_event()?;
-        self.inner.comm_dup(comm)
-    }
-    fn comm_split(&mut self, comm: Comm, color: i64, key: i64) -> Result<Option<Comm>> {
-        self.op_event()?;
-        self.inner.comm_split(comm, color, key)
-    }
-    fn comm_free(&mut self, comm: Comm) -> Result<()> {
-        self.op_event()?;
-        self.inner.comm_free(comm)
-    }
     fn shadow_world(&mut self) -> Result<Comm> {
         // A tool's first MPI operation: injection site 0 of every rank.
         self.op_event()?;

@@ -3,10 +3,11 @@
 //! A *layer* is just an [`Mpi`] implementation that owns an inner [`Mpi`]
 //! and forwards (possibly rewritten) calls downward — the simulator analog
 //! of a PnMPI module providing `MPI_f` and calling `PMPI_f`. A layer
-//! implements the nineteen required primitives only — among them the three
+//! implements the sixteen required primitives only — among them the three
 //! waists [`Mpi::collective`], [`Mpi::complete`] and [`Mpi::probe_for`] — and
-//! inherits every typed collective, completion and probe call as a provided
-//! method. This module provides two reference layers:
+//! inherits every typed collective (communicator management included),
+//! completion and probe call as a provided method. This module provides two
+//! reference layers:
 //!
 //! * [`PassthroughLayer`] — forwards everything unchanged; the identity
 //!   tool, useful in tests and for measuring interposition overhead floors.
@@ -21,7 +22,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::collective::{CollOutcome, CollSig, Contribution};
+use crate::collective::{CollOutcome, CollSig, Contribution, Rider};
 use crate::comm::Comm;
 use crate::error::Result;
 use crate::matching::ProbeInfo;
@@ -92,17 +93,9 @@ impl<M: Mpi> Mpi for PassthroughLayer<M> {
         comm: Comm,
         sig: CollSig,
         contribution: Contribution,
+        rider: &mut Rider,
     ) -> Result<CollOutcome> {
-        self.inner.collective(comm, sig, contribution)
-    }
-    fn comm_dup(&mut self, comm: Comm) -> Result<Comm> {
-        self.inner.comm_dup(comm)
-    }
-    fn comm_split(&mut self, comm: Comm, color: i64, key: i64) -> Result<Option<Comm>> {
-        self.inner.comm_split(comm, color, key)
-    }
-    fn comm_free(&mut self, comm: Comm) -> Result<()> {
-        self.inner.comm_free(comm)
+        self.inner.collective(comm, sig, contribution, rider)
     }
     fn shadow_world(&mut self) -> Result<Comm> {
         self.inner.shadow_world()
@@ -198,21 +191,10 @@ impl<M: Mpi> Mpi for StatsLayer<M> {
         comm: Comm,
         sig: CollSig,
         contribution: Contribution,
+        rider: &mut Rider,
     ) -> Result<CollOutcome> {
         self.tally(OpClass::Collective);
-        self.inner.collective(comm, sig, contribution)
-    }
-    fn comm_dup(&mut self, comm: Comm) -> Result<Comm> {
-        self.tally(OpClass::Collective);
-        self.inner.comm_dup(comm)
-    }
-    fn comm_split(&mut self, comm: Comm, color: i64, key: i64) -> Result<Option<Comm>> {
-        self.tally(OpClass::Collective);
-        self.inner.comm_split(comm, color, key)
-    }
-    fn comm_free(&mut self, comm: Comm) -> Result<()> {
-        self.tally(OpClass::Collective);
-        self.inner.comm_free(comm)
+        self.inner.collective(comm, sig, contribution, rider)
     }
     fn shadow_world(&mut self) -> Result<Comm> {
         self.inner.shadow_world()

@@ -52,7 +52,7 @@ pub mod trace;
 pub mod types;
 pub mod vtime;
 
-pub use collective::{CollOutcome, CollSig, Contribution, ReduceOp};
+pub use collective::{CollOutcome, CollSig, Contribution, ReduceOp, Rider, Shadow};
 pub use comm::Comm;
 pub use envelope::Envelope;
 pub use error::{MpiError, Result};

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::collective::{CollOutcome, CollSig, Contribution, ReduceOp};
+use crate::collective::{CollOutcome, CollSig, Contribution, ReduceOp, Rider};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
 use crate::matching::ProbeInfo;
@@ -113,17 +113,16 @@ impl IntoIterator for Completed {
 
 /// The MPI interface available to verified programs and tool layers.
 ///
-/// Nineteen methods are required. Everything else is provided in terms of
+/// Sixteen methods are required. Everything else is provided in terms of
 /// three waists, so a tool layer states each behaviour once and intercepts
-/// every typed call derived from it: the ten data collectives (`barrier` …
-/// `alltoall`) go through [`Mpi::collective`], the five completion calls
-/// (`wait`, `test`, `waitany`, `testany`, `waitsome`) through
+/// every typed call derived from it: every collective — the ten data
+/// collectives (`barrier` … `alltoall`) and `comm_dup`/`comm_split`/
+/// `comm_free` — goes through [`Mpi::collective`], the five completion
+/// calls (`wait`, `test`, `waitany`, `testany`, `waitsome`) through
 /// [`Mpi::complete`], and `probe`/`iprobe` through [`Mpi::probe_for`]. The
 /// blocking conveniences (`send`, `recv`, `waitall`, `sendrecv`) are built
-/// from those. `comm_dup`/`comm_split`/`comm_free` stay primitives: layers
-/// treat each of the three differently. [`Mpi::shadow_world`] and
-/// [`Mpi::release_shadow_world`] are for tool layers, not programs: every
-/// layer forwards them.
+/// from those. [`Mpi::shadow_world`] and [`Mpi::release_shadow_world`] are
+/// for tool layers, not programs: every layer forwards them.
 #[allow(clippy::too_many_arguments)]
 pub trait Mpi: Send {
     /// This process's world rank.
@@ -163,24 +162,22 @@ pub trait Mpi: Send {
         blocking: bool,
     ) -> Result<Option<ProbeInfo>>;
 
-    /// The one entry point of every data collective: deposit this rank's
+    /// The one entry point of every collective: deposit this rank's
     /// `contribution` to the `sig` rendezvous on `comm` and leave with its
-    /// per-rank outcome. The typed collectives below are all derived from
-    /// it, so a tool layer implements its collective behaviour here once.
+    /// per-rank outcome. The typed collectives and the three communicator
+    /// operations below are all derived from it, so a tool layer implements
+    /// its collective behaviour here once. `rider` is what a tool layer
+    /// adds to the call instead of holding rendezvous of its own (its clock
+    /// words, a shadow twin to create or free); programs pass it empty, and
+    /// every layer forwards it.
     fn collective(
         &mut self,
         comm: Comm,
         sig: CollSig,
         contribution: Contribution,
+        rider: &mut Rider,
     ) -> Result<CollOutcome>;
 
-    /// `MPI_Comm_dup` (collective over `comm`).
-    fn comm_dup(&mut self, comm: Comm) -> Result<Comm>;
-    /// `MPI_Comm_split` (collective): negative `color` means
-    /// `MPI_UNDEFINED` and yields `None`.
-    fn comm_split(&mut self, comm: Comm, color: i64, key: i64) -> Result<Option<Comm>>;
-    /// `MPI_Comm_free` (collective over `comm`).
-    fn comm_free(&mut self, comm: Comm) -> Result<()>;
     /// The tool's private duplicate of `MPI_COMM_WORLD` (DAMPI's piggyback
     /// communicator, set up inside `MPI_Init`). **Not collective**: a world
     /// has one, the first rank to ask creates it, and no rank waits for
@@ -287,7 +284,7 @@ pub trait Mpi: Send {
     /// `MPI_Barrier`.
     fn barrier(&mut self, comm: Comm) -> Result<()> {
         let sig = CollSig::Barrier;
-        match self.collective(comm, sig, Contribution::None)? {
+        match self.collective(comm, sig, Contribution::None, &mut Rider::default())? {
             CollOutcome::None => Ok(()),
             other => Err(unexpected_outcome(sig, &other)),
         }
@@ -301,7 +298,7 @@ pub trait Mpi: Send {
         } else {
             Contribution::None
         };
-        match self.collective(comm, sig, contribution)? {
+        match self.collective(comm, sig, contribution, &mut Rider::default())? {
             CollOutcome::Bytes(b) => Ok(b),
             other => Err(unexpected_outcome(sig, &other)),
         }
@@ -316,7 +313,7 @@ pub trait Mpi: Send {
         op: ReduceOp,
     ) -> Result<Option<Vec<u64>>> {
         let sig = CollSig::ReduceU64 { root, op };
-        match self.collective(comm, sig, Contribution::U64s(value))? {
+        match self.collective(comm, sig, Contribution::U64s(value), &mut Rider::default())? {
             CollOutcome::U64s(v) => Ok(Some(v)),
             CollOutcome::None => Ok(None),
             other => Err(unexpected_outcome(sig, &other)),
@@ -326,7 +323,7 @@ pub trait Mpi: Send {
     /// `MPI_Allreduce` on u64 vectors.
     fn allreduce_u64(&mut self, comm: Comm, value: Vec<u64>, op: ReduceOp) -> Result<Vec<u64>> {
         let sig = CollSig::AllreduceU64 { op };
-        match self.collective(comm, sig, Contribution::U64s(value))? {
+        match self.collective(comm, sig, Contribution::U64s(value), &mut Rider::default())? {
             CollOutcome::U64s(v) => Ok(v),
             other => Err(unexpected_outcome(sig, &other)),
         }
@@ -341,7 +338,7 @@ pub trait Mpi: Send {
         op: ReduceOp,
     ) -> Result<Option<Vec<f64>>> {
         let sig = CollSig::ReduceF64 { root, op };
-        match self.collective(comm, sig, Contribution::F64s(value))? {
+        match self.collective(comm, sig, Contribution::F64s(value), &mut Rider::default())? {
             CollOutcome::F64s(v) => Ok(Some(v)),
             CollOutcome::None => Ok(None),
             other => Err(unexpected_outcome(sig, &other)),
@@ -351,7 +348,7 @@ pub trait Mpi: Send {
     /// `MPI_Allreduce` on f64 vectors.
     fn allreduce_f64(&mut self, comm: Comm, value: Vec<f64>, op: ReduceOp) -> Result<Vec<f64>> {
         let sig = CollSig::AllreduceF64 { op };
-        match self.collective(comm, sig, Contribution::F64s(value))? {
+        match self.collective(comm, sig, Contribution::F64s(value), &mut Rider::default())? {
             CollOutcome::F64s(v) => Ok(v),
             other => Err(unexpected_outcome(sig, &other)),
         }
@@ -361,7 +358,7 @@ pub trait Mpi: Send {
     /// order.
     fn gather(&mut self, comm: Comm, root: usize, data: Bytes) -> Result<Option<Vec<Bytes>>> {
         let sig = CollSig::Gather { root };
-        match self.collective(comm, sig, Contribution::Bytes(data))? {
+        match self.collective(comm, sig, Contribution::Bytes(data), &mut Rider::default())? {
             CollOutcome::BytesVec(v) => Ok(Some(v)),
             CollOutcome::None => Ok(None),
             other => Err(unexpected_outcome(sig, &other)),
@@ -371,7 +368,7 @@ pub trait Mpi: Send {
     /// `MPI_Allgather`.
     fn allgather(&mut self, comm: Comm, data: Bytes) -> Result<Vec<Bytes>> {
         let sig = CollSig::Allgather;
-        match self.collective(comm, sig, Contribution::Bytes(data))? {
+        match self.collective(comm, sig, Contribution::Bytes(data), &mut Rider::default())? {
             CollOutcome::BytesVec(v) => Ok(v),
             other => Err(unexpected_outcome(sig, &other)),
         }
@@ -385,7 +382,7 @@ pub trait Mpi: Send {
         } else {
             Contribution::None
         };
-        match self.collective(comm, sig, contribution)? {
+        match self.collective(comm, sig, contribution, &mut Rider::default())? {
             CollOutcome::Bytes(b) => Ok(b),
             other => Err(unexpected_outcome(sig, &other)),
         }
@@ -394,8 +391,43 @@ pub trait Mpi: Send {
     /// `MPI_Alltoall`.
     fn alltoall(&mut self, comm: Comm, data: Vec<Bytes>) -> Result<Vec<Bytes>> {
         let sig = CollSig::Alltoall;
-        match self.collective(comm, sig, Contribution::BytesVec(data))? {
+        match self.collective(
+            comm,
+            sig,
+            Contribution::BytesVec(data),
+            &mut Rider::default(),
+        )? {
             CollOutcome::BytesVec(v) => Ok(v),
+            other => Err(unexpected_outcome(sig, &other)),
+        }
+    }
+
+    /// `MPI_Comm_dup` (collective over `comm`).
+    fn comm_dup(&mut self, comm: Comm) -> Result<Comm> {
+        let sig = CollSig::CommDup;
+        match self.collective(comm, sig, Contribution::None, &mut Rider::default())? {
+            CollOutcome::Comm(c) => Ok(c),
+            other => Err(unexpected_outcome(sig, &other)),
+        }
+    }
+
+    /// `MPI_Comm_split` (collective): negative `color` means
+    /// `MPI_UNDEFINED` and yields `None`.
+    fn comm_split(&mut self, comm: Comm, color: i64, key: i64) -> Result<Option<Comm>> {
+        let sig = CollSig::CommSplit;
+        let contribution = Contribution::Split { color, key };
+        match self.collective(comm, sig, contribution, &mut Rider::default())? {
+            CollOutcome::Comm(c) => Ok(Some(c)),
+            CollOutcome::NoComm => Ok(None),
+            other => Err(unexpected_outcome(sig, &other)),
+        }
+    }
+
+    /// `MPI_Comm_free` (collective over `comm`).
+    fn comm_free(&mut self, comm: Comm) -> Result<()> {
+        let sig = CollSig::CommFree;
+        match self.collective(comm, sig, Contribution::None, &mut Rider::default())? {
+            CollOutcome::None => Ok(()),
             other => Err(unexpected_outcome(sig, &other)),
         }
     }
@@ -420,7 +452,7 @@ fn root_data<T>(sig: CollSig, data: Option<T>) -> Result<T> {
 
 /// A collective left the rendezvous with an outcome its typed wrapper cannot
 /// unpack: a broken layer below, never a program error.
-pub(crate) fn unexpected_outcome(sig: CollSig, got: &CollOutcome) -> MpiError {
+fn unexpected_outcome(sig: CollSig, got: &CollOutcome) -> MpiError {
     MpiError::ToolProtocol {
         detail: format!("{} returned {got:?}", sig.name()),
     }
@@ -500,28 +532,10 @@ impl Mpi for Pmpi {
         comm: Comm,
         sig: CollSig,
         contribution: Contribution,
+        rider: &mut Rider,
     ) -> Result<CollOutcome> {
-        // Communicator management has typed methods with their own checks
-        // (tool shadow comms, the MPI_COMM_WORLD refusal): keep it off the
-        // data waist so nothing reaches the runtime around them.
-        if sig.is_comm_management() {
-            return Err(MpiError::ToolProtocol {
-                detail: format!("{} is not a data collective", sig.name()),
-            });
-        }
-        self.world.collective(self.rank, comm, sig, contribution)
-    }
-
-    fn comm_dup(&mut self, comm: Comm) -> Result<Comm> {
-        self.world.op_comm_dup(self.rank, comm)
-    }
-
-    fn comm_split(&mut self, comm: Comm, color: i64, key: i64) -> Result<Option<Comm>> {
-        self.world.op_comm_split(self.rank, comm, color, key)
-    }
-
-    fn comm_free(&mut self, comm: Comm) -> Result<()> {
-        self.world.op_comm_free(self.rank, comm)
+        self.world
+            .collective(self.rank, comm, sig, contribution, rider)
     }
 
     fn shadow_world(&mut self) -> Result<Comm> {

@@ -23,7 +23,9 @@
 //!   it; a finishing rank wakes nobody;
 //! - under the turn token ([`SimConfig::deterministic`]) only the rank
 //!   that holds the turn is ever woken: an event just clears the flag, and
-//!   the holder's hand-off wakes the next holder;
+//!   the holder's hand-off wakes the next holder. A hand-off that reaches
+//!   a rank owing a collective's ridden rendezvous enters it for the rank
+//!   instead, and moves on (`Fused`);
 //! - a fatal error wakes everyone;
 //! - a notify clears the rank's `parked` flag, so a park gets at most one.
 //!
@@ -58,14 +60,16 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use crate::collective::{combine, CollOutcome, CollSig, CollSlot, Contribution};
+use crate::collective::{
+    combine, CollOutcome, CollSig, CollSlot, Contribution, Ridden, Rider, Shadow,
+};
 use crate::comm::{Comm, CommInfo};
 use crate::envelope::Envelope;
 use crate::error::{MpiError, Result};
 use crate::leak::{CommLeak, LeakReport};
 use crate::matching::{Delivery, MatchEngine, MatchPolicy, ProbeInfo};
 use crate::pool::{self, RankBody, POOLED_WORLD_MAX, RANK_STACK_SIZE};
-use crate::proc_api::{unexpected_outcome, Completed, Completion, Mpi, Pmpi, Status};
+use crate::proc_api::{Completed, Completion, Mpi, Pmpi, Status};
 use crate::program::{MpiProgram, RunOutcome, RuntimeCensus};
 use crate::request::{ReqKind, ReqState, Request, RequestEntry, RequestTable};
 use crate::types::{source_matches, tag_matches, Tag, ANY_SOURCE};
@@ -208,6 +212,9 @@ struct CommEntry {
     info: CommInfo,
     engine: MatchEngine,
     coll: CollSlot,
+    /// The collective on this communicator whose first rendezvous has
+    /// completed while the ridden ones are still being entered.
+    fused: Option<Fused>,
 }
 
 impl CommEntry {
@@ -217,6 +224,86 @@ impl CommEntry {
             info,
             engine: MatchEngine::new(size),
             coll: CollSlot::new(size),
+            fused: None,
+        }
+    }
+}
+
+/// One of the rendezvous a collective call stands for: the application's
+/// own and each one a [`Rider`] adds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Stage {
+    /// The application's operation: its data, or its new communicators.
+    Primary,
+    /// The tool's clock exchange: changes nothing but time.
+    Clock,
+    /// Create the tool's shadow twins.
+    Twin,
+    /// Free `comms[idx]`: the twin, then the application's communicator.
+    Free(usize),
+}
+
+/// A collective call that stands for several rendezvous, in their order.
+/// The data is combined at the first; the ones after it carry none. Under
+/// the turn token they are entered one member at a time as the turn
+/// reaches it ([`World::pass_turn`]), so the schedule, the communicator
+/// ids and the virtual time are those of separate rendezvous.
+struct Fused {
+    gen: u64,
+    /// The stages in order: `stages[..len]`.
+    stages: [Stage; 3],
+    len: usize,
+    /// Stages completed so far.
+    done: usize,
+    /// Members that have entered stage `done`.
+    entered: usize,
+    /// Virtual time at which the last completed stage released its members.
+    vt: f64,
+    outcomes: Vec<CollOutcome>,
+    ridden: Ridden,
+    /// A split's colours, for its twins: `(colour, comm ranks in key order)`.
+    colours: Option<Vec<(i64, Vec<usize>)>>,
+}
+
+impl Fused {
+    /// The stages of a `sig` call on `comms[idx]` carrying `rider`, in the
+    /// order the separate rendezvous were held; the first completed at `vt`.
+    fn plan(gen: u64, vt: f64, sig: CollSig, rider: Rider, idx: usize) -> Self {
+        let mut fused = Self {
+            gen,
+            stages: [Stage::Primary; 3],
+            len: 0,
+            done: 1,
+            entered: 0,
+            vt,
+            outcomes: Vec::new(),
+            ridden: Ridden {
+                clock: rider.clock,
+                twins: Vec::new(),
+            },
+            colours: None,
+        };
+        let clock = !fused.ridden.clock.is_empty();
+        if sig == CollSig::CommFree {
+            // Clocks are exchanged while the communicator is alive, then
+            // the twin is freed, then the communicator.
+            fused.then(clock, Stage::Clock);
+            if let Shadow::Free(twin) = rider.shadow {
+                fused.then(true, Stage::Free(twin.0 as usize));
+            }
+            fused.then(true, Stage::Free(idx));
+        } else {
+            fused.then(true, Stage::Primary);
+            fused.then(rider.shadow == Shadow::Create, Stage::Twin);
+            fused.then(clock, Stage::Clock);
+        }
+        fused
+    }
+
+    fn then(&mut self, held: bool, stage: Stage) {
+        if held {
+            self.stages[self.len] = stage;
+            self.len += 1;
         }
     }
 }
@@ -265,6 +352,9 @@ struct Shared {
     /// Holder of the execution turn under deterministic scheduling
     /// ([`SimConfig::deterministic`]); unused otherwise.
     turn: usize,
+    /// `owes[r]`: the communicator whose [`Fused`] collective `r` is to
+    /// enter the next rendezvous of when the turn reaches it.
+    owes: Vec<Option<usize>>,
     /// The tool's shadow of `MPI_COMM_WORLD` once a rank has asked for it
     /// ([`World::op_shadow_world`]), and how many ranks have released it.
     world_shadow: Option<(Comm, usize)>,
@@ -356,6 +446,7 @@ impl World {
             nfinished: 0,
             fatal: None,
             turn: 0,
+            owes: vec![None; n],
             world_shadow: None,
         };
         let deadline = cfg
@@ -560,18 +651,35 @@ impl World {
     /// — so the token never returns to a rank that cannot act. If no rank
     /// is eligible the token stays put; the caller's deadlock check owns
     /// that case.
+    ///
+    /// A rank that owes a [`Fused`] collective its next rendezvous is not
+    /// woken: it enters that rendezvous here, where it would have entered
+    /// a separate one on its turn, and the scan goes on from it. Only the
+    /// entrant that completes the last rendezvous is handed the turn, as
+    /// it would have left holding it.
     fn pass_turn(&self, g: &mut Shared, from: usize) {
         if !self.cfg.deterministic || g.turn != from || g.fatal.is_some() {
             return;
         }
         let n = self.cfg.nprocs;
-        for off in 1..n {
+        let mut from = from;
+        let mut off = 1;
+        while off < n {
             let r = (from + off) % n;
-            if !g.finished[r] && !g.blocked[r] {
-                g.census.turn_passes += 1;
-                self.give_turn(g, r);
-                return;
+            off += 1;
+            if g.finished[r] || g.blocked[r] {
+                continue;
             }
+            if let Some(idx) = g.owes[r] {
+                g.turn = r;
+                if !self.fused_entry(g, idx, r) {
+                    (from, off) = (r, 1);
+                    continue;
+                }
+            }
+            g.census.turn_passes += 1;
+            self.give_turn(g, r);
+            return;
         }
     }
 
@@ -642,10 +750,15 @@ impl World {
                 return Err(err);
             }
             // No deadlock, so some other rank is runnable: hand it the
-            // turn (no-op outside deterministic mode). On timeout of the
+            // turn (no-op outside deterministic mode). The hand-off may
+            // complete a fused collective this rank is in and bring the
+            // turn straight back; otherwise park. On timeout of the
             // bounded wait the loop re-enters `guard`, which trips the
             // watchdog and unwinds every rank.
             self.pass_turn(&mut g, rank);
+            if self.cfg.deterministic && g.turn == rank && !g.blocked[rank] {
+                continue;
+            }
             g = self.park(g, rank, &mut idle);
         }
     }
@@ -944,19 +1057,21 @@ impl World {
 
     // ---- collectives ------------------------------------------------------
 
-    /// Shared rendezvous path for every collective operation: the bottom
-    /// of [`Mpi::collective`](crate::proc_api::Mpi::collective) and of the
-    /// three communicator-management operations below.
+    /// The bottom of [`Mpi::collective`](crate::proc_api::Mpi::collective):
+    /// the one rendezvous path of every collective, communicator management
+    /// included. What `rider` adds rides the same rendezvous ([`Fused`]).
     pub(crate) fn collective(
         &self,
         rank: usize,
         comm: Comm,
         sig: CollSig,
         contribution: Contribution,
+        rider: &mut Rider,
     ) -> Result<CollOutcome> {
         let (gen, idx, crank) = {
             let mut g = self.enter_guarded(rank)?;
             let (idx, crank) = Self::resolve(&g, comm, rank)?;
+            Self::check_rider(&g, rank, comm, sig, rider)?;
             let size = g.comms[idx].info.size();
             if let Some(root) = sig.root().filter(|&root| root >= size) {
                 return Err(MpiError::InvalidRank {
@@ -967,7 +1082,7 @@ impl World {
             g.vt[rank] += self.cfg.vtime.send_overhead;
             self.check_vt_budget(&mut g, rank)?;
             let vt = g.vt[rank];
-            let (gen, last) = match g.comms[idx].coll.enter(crank, sig, contribution, vt) {
+            let (gen, last) = match g.comms[idx].coll.enter(crank, sig, contribution, rider, vt) {
                 Ok(v) => v,
                 Err(e) => {
                     // Mismatched collective: a program bug that would hang
@@ -978,30 +1093,189 @@ impl World {
                 }
             };
             if last {
-                let (sig, contribs, max_vt) = g.comms[idx].coll.take_contributions();
-                let result_vt = max_vt + self.cfg.vtime.collective_cost(size);
-                let outcomes = if sig.is_comm_management() {
-                    self.comm_management(&mut g, idx, sig, &contribs)
-                } else {
-                    combine(sig, &contribs)
-                };
-                g.comms[idx].coll.finish(gen, outcomes, result_vt);
-                let waiting = Wait::Collective { comm: idx, gen };
-                for i in 0..size {
-                    let m = g.comms[idx].info.group[i];
-                    self.unblock_if(&mut g, m, |wait, _| wait == waiting);
-                }
+                self.complete_first(&mut g, idx, gen, rank);
             }
             (gen, idx, crank)
         };
         let wait = Wait::Collective { comm: idx, gen };
         let (outcome, vt) = self.block_on(rank, wait, &[], |s| {
-            s.comms[idx].coll.try_take(gen, crank).map(Ok)
+            s.comms[idx].coll.try_take(gen, crank, rider).map(Ok)
         })?;
         let mut g = self.lock();
         g.vt[rank] = g.vt[rank].max(vt);
         self.check_vt_budget(&mut g, rank)?;
         outcome
+    }
+
+    /// Refuse what no rendezvous may carry: freeing `MPI_COMM_WORLD`, and
+    /// a twin request the operation has no use for.
+    fn check_rider(s: &Shared, rank: usize, comm: Comm, sig: CollSig, rider: &Rider) -> Result<()> {
+        let refuse = |detail: String| Err(MpiError::ToolProtocol { detail });
+        match (sig, rider.shadow) {
+            (CollSig::CommFree, _) if comm == Comm::WORLD => {
+                refuse("cannot free MPI_COMM_WORLD".to_owned())
+            }
+            (CollSig::CommFree, Shadow::Free(twin)) if twin == Comm::WORLD || twin == comm => {
+                refuse(format!("{twin:?} is no shadow twin of {comm:?}"))
+            }
+            (CollSig::CommFree, Shadow::Free(twin)) => Self::resolve(s, twin, rank).map(drop),
+            (_, Shadow::None) | (CollSig::CommDup | CollSig::CommSplit, Shadow::Create) => Ok(()),
+            (_, shadow) => refuse(format!("{} cannot carry {shadow:?}", sig.name())),
+        }
+    }
+
+    /// The last entrant of a collective's first rendezvous: combine, then
+    /// run the ridden rendezvous. Free-running, they complete at once.
+    /// Under the turn token every other member now owes the next one, and
+    /// the last entrant enters it first, as it did holding the turn.
+    fn complete_first(&self, s: &mut Shared, idx: usize, gen: u64, rank: usize) {
+        let (sig, contribs, max_vt) = s.comms[idx].coll.take_contributions();
+        let vt = max_vt + self.cfg.vtime.collective_cost(contribs.len());
+        let mut fused = Fused::plan(gen, vt, sig, s.comms[idx].coll.take_rider(), idx);
+        if let Err(e) = self.first_stage(s, idx, sig, &contribs, &mut fused) {
+            s.comms[idx].coll.finish(gen, Err(e), vt, Ridden::default());
+            self.unblock_members(s, idx, gen);
+            return;
+        }
+        if !self.cfg.deterministic || fused.done == fused.len {
+            while fused.done < fused.len {
+                self.next_stage(s, idx, &mut fused);
+            }
+            self.publish(s, idx, fused);
+            return;
+        }
+        self.release(s, idx, rank, &fused);
+        s.comms[idx].fused = Some(fused);
+        self.fused_entry(s, idx, rank);
+    }
+
+    /// Combine the first rendezvous of a collective and do what completing
+    /// it does to the comm table.
+    fn first_stage(
+        &self,
+        s: &mut Shared,
+        idx: usize,
+        sig: CollSig,
+        contribs: &[Contribution],
+        fused: &mut Fused,
+    ) -> Result<()> {
+        let n = contribs.len();
+        fused.outcomes = match sig {
+            CollSig::CommFree => vec![CollOutcome::None; n],
+            CollSig::CommDup => vec![CollOutcome::Comm(self.push_dup(s, idx)); n],
+            CollSig::CommSplit => {
+                let colours = split_colours(contribs)?;
+                let outcomes = self.push_split(s, idx, &colours);
+                fused.colours = Some(colours);
+                outcomes
+            }
+            _ => combine(sig, contribs)?,
+        };
+        self.run_stage(s, idx, fused.stages[0], fused);
+        Ok(())
+    }
+
+    /// Do what completing `stage` does to the comm table.
+    fn run_stage(&self, s: &mut Shared, idx: usize, stage: Stage, fused: &mut Fused) {
+        match stage {
+            Stage::Primary | Stage::Clock => {}
+            Stage::Twin => {
+                fused.ridden.twins = match &fused.colours {
+                    None => vec![Some(self.push_dup(s, idx)); fused.outcomes.len()],
+                    Some(colours) => self
+                        .push_split(s, idx, colours)
+                        .into_iter()
+                        .map(|o| match o {
+                            CollOutcome::Comm(c) => Some(c),
+                            _ => None,
+                        })
+                        .collect(),
+                };
+            }
+            Stage::Free(freed) => s.comms[freed].info.freed = true,
+        }
+    }
+
+    /// Complete the next ridden rendezvous of `fused`: every member entered
+    /// at the time the last one left (`+ send_overhead`), and it cost
+    /// `collective_cost`, two additions in that order.
+    fn next_stage(&self, s: &mut Shared, idx: usize, fused: &mut Fused) {
+        let size = fused.outcomes.len();
+        fused.vt = (fused.vt + self.cfg.vtime.send_overhead) + self.cfg.vtime.collective_cost(size);
+        let stage = fused.stages[fused.done];
+        fused.done += 1;
+        self.run_stage(s, idx, stage, fused);
+    }
+
+    /// `rank` enters the next ridden rendezvous of the collective on
+    /// `comms[idx]`. Returns true when that completed the call; `rank`
+    /// then leaves first. Otherwise it is blocked in the rendezvous, or, if
+    /// it completed one with more to come, in the next, which it entered
+    /// first.
+    fn fused_entry(&self, s: &mut Shared, idx: usize, rank: usize) -> bool {
+        s.owes[rank] = None;
+        let mut fused = s.comms[idx]
+            .fused
+            .take()
+            .expect("a member owes a fused call");
+        loop {
+            s.vt[rank] += self.cfg.vtime.send_overhead;
+            fused.entered += 1;
+            if fused.entered < fused.outcomes.len() {
+                s.blocked[rank] = true;
+                s.nblocked += 1;
+                s.waits[rank] = Wait::Collective {
+                    comm: idx,
+                    gen: fused.gen,
+                };
+                s.comms[idx].fused = Some(fused);
+                return false;
+            }
+            fused.entered = 0;
+            self.next_stage(s, idx, &mut fused);
+            self.release(s, idx, rank, &fused);
+            if fused.done == fused.len {
+                self.publish(s, idx, fused);
+                return true;
+            }
+        }
+    }
+
+    /// A rendezvous of `fused` completed with `rank` its last entrant: every
+    /// member leaves it at `fused.vt`, and while more follow, every other
+    /// member owes the next one.
+    fn release(&self, s: &mut Shared, idx: usize, rank: usize, fused: &Fused) {
+        let more = fused.done < fused.len;
+        for i in 0..fused.outcomes.len() {
+            let m = s.comms[idx].info.group[i];
+            s.vt[m] = s.vt[m].max(fused.vt);
+            if more && m != rank {
+                Self::clear_blocked(s, m);
+                s.owes[m] = Some(idx);
+            }
+        }
+    }
+
+    /// Publish a collective's outcomes and release its members.
+    fn publish(&self, s: &mut Shared, idx: usize, fused: Fused) {
+        let Fused {
+            gen,
+            vt,
+            outcomes,
+            ridden,
+            ..
+        } = fused;
+        s.comms[idx].coll.finish(gen, Ok(outcomes), vt, ridden);
+        self.unblock_members(s, idx, gen);
+    }
+
+    /// Wake the members of `comms[idx]` waiting on generation `gen`.
+    fn unblock_members(&self, s: &mut Shared, idx: usize, gen: u64) {
+        let waiting = Wait::Collective { comm: idx, gen };
+        for i in 0..s.comms[idx].info.size() {
+            let m = s.comms[idx].info.group[i];
+            self.unblock_if(s, m, |wait, _| wait == waiting);
+        }
     }
 
     /// Append a duplicate of `comms[parent_idx]` to the comm table.
@@ -1018,106 +1292,31 @@ impl World {
         id
     }
 
-    /// Combine communicator-management collectives; owns the comm table.
-    fn comm_management(
+    /// Append one communicator per colour of a split of `comms[parent_idx]`;
+    /// each comm rank's outcome.
+    fn push_split(
         &self,
         s: &mut Shared,
         parent_idx: usize,
-        sig: CollSig,
-        contribs: &[Contribution],
-    ) -> std::result::Result<Vec<CollOutcome>, MpiError> {
-        let n = contribs.len();
-        match sig {
-            CollSig::CommDup => Ok(vec![CollOutcome::Comm(self.push_dup(s, parent_idx)); n]),
-            CollSig::CommSplit => {
-                let parent_group = s.comms[parent_idx].info.group.clone();
-                let parent_label = s.comms[parent_idx].info.label.clone();
-                // Collect (color, key, comm rank) triples.
-                let mut triples: Vec<(i64, i64, usize)> = Vec::with_capacity(n);
-                for (crank, c) in contribs.iter().enumerate() {
-                    match c {
-                        Contribution::Split { color, key } => triples.push((*color, *key, crank)),
-                        _ => {
-                            return Err(MpiError::CollectiveMismatch {
-                                detail: "comm_split got a non-split contribution".to_owned(),
-                            })
-                        }
-                    }
-                }
-                let mut colors: Vec<i64> =
-                    triples.iter().map(|t| t.0).filter(|&c| c >= 0).collect();
-                colors.sort_unstable();
-                colors.dedup();
-                let mut outcomes = vec![CollOutcome::NoComm; n];
-                for color in colors {
-                    let mut members: Vec<(i64, usize)> = triples
-                        .iter()
-                        .filter(|t| t.0 == color)
-                        .map(|t| (t.1, t.2))
-                        .collect();
-                    members.sort_unstable();
-                    let group: Vec<usize> = members
-                        .iter()
-                        .map(|&(_, crank)| parent_group[crank])
-                        .collect();
-                    let id = Comm(s.comms.len() as u32);
-                    let info = CommInfo::derived(
-                        id,
-                        group,
-                        self.cfg.nprocs,
-                        format!("split(color={color}) of {parent_label}"),
-                    );
-                    s.comms.push(CommEntry::new(info));
-                    for &(_, crank) in &members {
-                        outcomes[crank] = CollOutcome::Comm(id);
-                    }
-                }
-                Ok(outcomes)
+        colours: &[(i64, Vec<usize>)],
+    ) -> Vec<CollOutcome> {
+        let parent = &s.comms[parent_idx].info;
+        let (parent_group, parent_label) = (parent.group.clone(), parent.label.clone());
+        let mut outcomes = vec![CollOutcome::NoComm; parent_group.len()];
+        for (colour, members) in colours {
+            let id = Comm(s.comms.len() as u32);
+            let info = CommInfo::derived(
+                id,
+                members.iter().map(|&crank| parent_group[crank]).collect(),
+                self.cfg.nprocs,
+                format!("split(color={colour}) of {parent_label}"),
+            );
+            s.comms.push(CommEntry::new(info));
+            for &crank in members {
+                outcomes[crank] = CollOutcome::Comm(id);
             }
-            CollSig::CommFree => {
-                s.comms[parent_idx].info.freed = true;
-                Ok(vec![CollOutcome::None; n])
-            }
-            _ => unreachable!("comm_management called for a data collective"),
         }
-    }
-
-    pub(crate) fn op_comm_dup(&self, rank: usize, comm: Comm) -> Result<Comm> {
-        match self.collective(rank, comm, CollSig::CommDup, Contribution::None)? {
-            CollOutcome::Comm(c) => Ok(c),
-            other => Err(unexpected_outcome(CollSig::CommDup, &other)),
-        }
-    }
-
-    pub(crate) fn op_comm_split(
-        &self,
-        rank: usize,
-        comm: Comm,
-        color: i64,
-        key: i64,
-    ) -> Result<Option<Comm>> {
-        match self.collective(
-            rank,
-            comm,
-            CollSig::CommSplit,
-            Contribution::Split { color, key },
-        )? {
-            CollOutcome::Comm(c) => Ok(Some(c)),
-            CollOutcome::NoComm => Ok(None),
-            other => Err(unexpected_outcome(CollSig::CommSplit, &other)),
-        }
-    }
-
-    pub(crate) fn op_comm_free(&self, rank: usize, comm: Comm) -> Result<()> {
-        if comm == Comm::WORLD {
-            return Err(MpiError::ToolProtocol {
-                detail: "cannot free MPI_COMM_WORLD".to_owned(),
-            });
-        }
-        match self.collective(rank, comm, CollSig::CommFree, Contribution::None)? {
-            CollOutcome::None => Ok(()),
-            other => Err(unexpected_outcome(CollSig::CommFree, &other)),
-        }
+        outcomes
     }
 
     // ---- the tool's shadow of MPI_COMM_WORLD -------------------------------
@@ -1254,6 +1453,32 @@ impl World {
     fn census(&self) -> RuntimeCensus {
         self.lock().census
     }
+}
+
+/// The colours of a `comm_split`, ascending, each with its members' comm
+/// ranks ordered by `(key, comm rank)`; negative colours join none.
+fn split_colours(contribs: &[Contribution]) -> Result<Vec<(i64, Vec<usize>)>> {
+    let mut triples: Vec<(i64, i64, usize)> = Vec::with_capacity(contribs.len());
+    for (crank, c) in contribs.iter().enumerate() {
+        match c {
+            Contribution::Split { color, key } => triples.push((*color, *key, crank)),
+            _ => {
+                return Err(MpiError::CollectiveMismatch {
+                    detail: "comm_split got a non-split contribution".to_owned(),
+                })
+            }
+        }
+    }
+    triples.retain(|t| t.0 >= 0);
+    triples.sort_unstable();
+    let mut colours: Vec<(i64, Vec<usize>)> = Vec::new();
+    for (colour, _, crank) in triples {
+        match colours.last_mut() {
+            Some((c, members)) if *c == colour => members.push(crank),
+            _ => colours.push((colour, vec![crank])),
+        }
+    }
+    Ok(colours)
 }
 
 /// Factory building each rank's interposition stack on top of the runtime

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::collective::{CollOutcome, CollSig, Contribution};
+use crate::collective::{CollOutcome, CollSig, Contribution, Rider};
 use crate::comm::Comm;
 use crate::error::Result;
 use crate::matching::ProbeInfo;
@@ -275,35 +275,45 @@ impl<M: Mpi> Mpi for TraceLayer<M> {
         comm: Comm,
         sig: CollSig,
         contribution: Contribution,
+        rider: &mut Rider,
     ) -> Result<CollOutcome> {
-        self.record(TraceOp::Collective {
-            comm: comm.0,
-            name: sig.name().into(),
-        });
-        self.inner.collective(comm, sig, contribution)
-    }
-    fn comm_dup(&mut self, comm: Comm) -> Result<Comm> {
-        let result = self.inner.comm_dup(comm)?;
-        self.record(TraceOp::CommDup {
-            parent: comm.0,
-            result: result.0,
-        });
-        Ok(result)
-    }
-    fn comm_split(&mut self, comm: Comm, color: i64, key: i64) -> Result<Option<Comm>> {
-        let result = self.inner.comm_split(comm, color, key)?;
-        self.record(TraceOp::CommSplit {
-            parent: comm.0,
-            color,
-            member: result.is_some(),
-            key,
-            result: result.map(|c| c.0),
-        });
-        Ok(result)
-    }
-    fn comm_free(&mut self, comm: Comm) -> Result<()> {
-        self.record(TraceOp::CommFree { comm: comm.0 });
-        self.inner.comm_free(comm)
+        let parent = comm.0;
+        // A new communicator is recorded with its result, once it has one.
+        let made = |out: &CollOutcome| match out {
+            CollOutcome::Comm(c) => Some(c.0),
+            _ => None,
+        };
+        match (sig, &contribution) {
+            (CollSig::CommDup, _) => {
+                let out = self.inner.collective(comm, sig, contribution, rider)?;
+                if let Some(result) = made(&out) {
+                    self.record(TraceOp::CommDup { parent, result });
+                }
+                Ok(out)
+            }
+            (CollSig::CommSplit, &Contribution::Split { color, key }) => {
+                let out = self.inner.collective(comm, sig, contribution, rider)?;
+                let result = made(&out);
+                self.record(TraceOp::CommSplit {
+                    parent,
+                    color,
+                    member: result.is_some(),
+                    key,
+                    result,
+                });
+                Ok(out)
+            }
+            _ => {
+                self.record(match sig {
+                    CollSig::CommFree => TraceOp::CommFree { comm: parent },
+                    _ => TraceOp::Collective {
+                        comm: parent,
+                        name: sig.name().into(),
+                    },
+                });
+                self.inner.collective(comm, sig, contribution, rider)
+            }
+        }
     }
     fn shadow_world(&mut self) -> Result<Comm> {
         self.inner.shadow_world()

@@ -14,7 +14,7 @@ use dampi_mpi::matching::ProbeInfo;
 use dampi_mpi::pool::{idle_threads, POOLED_WORLD_MAX};
 use dampi_mpi::{
     run_native, run_with_layers, CollOutcome, CollSig, Comm, Completed, Completion, Contribution,
-    FnProgram, Mpi, MpiError, ReduceOp, ReplayBudget, Request, Result, SimConfig, Tag,
+    FnProgram, Mpi, MpiError, ReduceOp, ReplayBudget, Request, Result, Rider, SimConfig, Tag,
 };
 
 /// The pool is process-wide and these tests assert on which threads it
@@ -98,17 +98,9 @@ impl<M: Mpi> Mpi for PanicsInFinalize<M> {
         comm: Comm,
         sig: CollSig,
         contribution: Contribution,
+        rider: &mut Rider,
     ) -> Result<CollOutcome> {
-        self.inner.collective(comm, sig, contribution)
-    }
-    fn comm_dup(&mut self, comm: Comm) -> Result<Comm> {
-        self.inner.comm_dup(comm)
-    }
-    fn comm_split(&mut self, comm: Comm, color: i64, key: i64) -> Result<Option<Comm>> {
-        self.inner.comm_split(comm, color, key)
-    }
-    fn comm_free(&mut self, comm: Comm) -> Result<()> {
-        self.inner.comm_free(comm)
+        self.inner.collective(comm, sig, contribution, rider)
     }
     fn shadow_world(&mut self) -> Result<Comm> {
         self.inner.shadow_world()

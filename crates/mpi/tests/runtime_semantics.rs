@@ -1354,7 +1354,7 @@ mod waists {
     use dampi_mpi::matching::ProbeInfo;
     use dampi_mpi::{
         CollOutcome, CollSig, Completed, Completion, Contribution, Mpi, PassthroughLayer, Request,
-        Result, Tag,
+        Result, Rider, Tag,
     };
 
     /// One waist call as a layer sees it.
@@ -1426,18 +1426,10 @@ mod waists {
             comm: Comm,
             sig: CollSig,
             contribution: Contribution,
+            rider: &mut Rider,
         ) -> Result<CollOutcome> {
             self.saw(Seen::Collective(sig));
-            self.inner.collective(comm, sig, contribution)
-        }
-        fn comm_dup(&mut self, comm: Comm) -> Result<Comm> {
-            self.inner.comm_dup(comm)
-        }
-        fn comm_split(&mut self, comm: Comm, color: i64, key: i64) -> Result<Option<Comm>> {
-            self.inner.comm_split(comm, color, key)
-        }
-        fn comm_free(&mut self, comm: Comm) -> Result<()> {
-            self.inner.comm_free(comm)
+            self.inner.collective(comm, sig, contribution, rider)
         }
         fn shadow_world(&mut self) -> Result<Comm> {
             self.inner.shadow_world()
@@ -1669,18 +1661,38 @@ mod waists {
     }
 
     #[test]
-    fn comm_management_stays_off_the_data_waist() {
+    fn comm_management_is_on_the_one_waist() {
+        // The communicator operations are collectives like the others: a
+        // layer sees them at `Mpi::collective`, and the runtime still
+        // refuses to free MPI_COMM_WORLD, before any rank waits.
+        let upper = new_log(2);
+        let lower = new_log(2);
         let prog = FnProgram(|mpi: &mut dyn Mpi| {
-            for sig in [CollSig::CommDup, CollSig::CommSplit, CollSig::CommFree] {
-                let err = mpi
-                    .collective(Comm::WORLD, sig, Contribution::None)
-                    .unwrap_err();
-                assert!(matches!(err, MpiError::ToolProtocol { .. }), "{err:?}");
+            let err = mpi.comm_free(Comm::WORLD).unwrap_err();
+            assert!(matches!(err, MpiError::ToolProtocol { .. }), "{err:?}");
+            let dup = mpi.comm_dup(Comm::WORLD)?;
+            let half = mpi.comm_split(dup, 0, 0)?.expect("a colour");
+            mpi.comm_free(half)?;
+            let none = Contribution::None;
+            match mpi.collective(dup, CollSig::CommFree, none, &mut Rider::default())? {
+                CollOutcome::None => Ok(()),
+                other => panic!("comm_free returned {other:?}"),
             }
-            mpi.barrier(Comm::WORLD)
         });
-        let out = run_native(&cfg(2), &prog);
+        let out = run_with_layers(&cfg(2), &prog, &recording_stack(&upper, &lower));
         assert!(out.succeeded(), "{:?}", out.rank_errors);
-        assert!(out.leaks.is_clean());
+        assert!(out.leaks.is_clean(), "{:?}", out.leaks);
+        let each = [
+            CollSig::CommFree,
+            CollSig::CommDup,
+            CollSig::CommSplit,
+            CollSig::CommFree,
+            CollSig::CommFree,
+        ]
+        .map(Seen::Collective)
+        .to_vec();
+        for log in [&upper, &lower] {
+            assert_eq!(*log.lock().unwrap(), vec![each.clone(); 2]);
+        }
     }
 }

@@ -1,8 +1,10 @@
 //! Cross-crate integration: the DAMPI and ISP verifiers against the full
 //! workload suite.
 
-use dampi::core::{DampiConfig, DampiVerifier, MixingBound, ToolStack};
-use dampi::mpi::{MatchPolicy, MpiError, SimConfig};
+use dampi::core::{DampiConfig, DampiVerifier, DecisionSet, MixingBound, ToolStack};
+use dampi::mpi::{
+    run_native, Comm, FnProgram, MatchPolicy, Mpi, MpiError, ReduceOp, RunOutcome, SimConfig,
+};
 use dampi::workloads::adlb::{Adlb, AdlbParams};
 use dampi::workloads::matmul::{Matmul, MatmulParams};
 use dampi::workloads::patterns;
@@ -129,7 +131,7 @@ fn native_bias_masks_what_verifiers_find() {
         let sim = SimConfig::new(3)
             .with_policy(policy)
             .with_deterministic(true);
-        let native = dampi::mpi::run_native(&sim, &patterns::fig3());
+        let native = run_native(&sim, &patterns::fig3());
         assert!(native.succeeded(), "bias should mask the bug natively");
     }
     let sim = SimConfig::new(3).with_policy(MatchPolicy::LowestRank);
@@ -141,6 +143,52 @@ fn native_bias_masks_what_verifiers_find() {
         .verify(&patterns::fig3())
         .errors
         .is_empty());
+}
+
+/// Rank 0 frees a communicator while rank 1 max-reduces on it: natively
+/// a collective mismatch on both ranks, and so under both tools. DAMPI used
+/// to open `comm_free` with its own max-allreduce on the communicator; that
+/// paired silently with rank 1's, and both ranks ended deadlocked in the
+/// rendezvous that followed.
+fn free_against_max_allreduce(deterministic: bool) {
+    let program = FnProgram(|mpi: &mut dyn Mpi| {
+        let c = mpi.comm_dup(Comm::WORLD)?;
+        if mpi.world_rank() == 0 {
+            mpi.comm_free(c)
+        } else {
+            mpi.allreduce_u64(c, vec![5], ReduceOp::Max).map(drop)
+        }
+    });
+    let sim = SimConfig::new(2).with_deterministic(deterministic);
+    let self_run = |v: DampiVerifier| -> RunOutcome {
+        v.instrumented_run(&program, &DecisionSet::self_run())
+            .outcome
+    };
+    let runs = [
+        ("native", run_native(&sim, &program)),
+        ("dampi", self_run(DampiVerifier::new(sim.clone()))),
+        ("isp", self_run(isp_verifier(sim.clone()))),
+    ];
+    for (tool, out) in runs {
+        assert!(
+            out.rank_errors
+                .iter()
+                .all(|e| matches!(e, Some(MpiError::CollectiveMismatch { .. }))),
+            "{tool}, deterministic {deterministic}: {:?}",
+            out.rank_errors
+        );
+    }
+}
+
+#[test]
+fn a_free_against_a_max_allreduce_is_a_mismatch_free_running() {
+    // Either rank may enter first here.
+    free_against_max_allreduce(false);
+}
+
+#[test]
+fn a_free_against_a_max_allreduce_is_a_mismatch_on_the_turn_token() {
+    free_against_max_allreduce(true);
 }
 
 #[test]

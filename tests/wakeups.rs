@@ -49,14 +49,17 @@ fn matmul() -> Matmul {
 
 #[test]
 fn adlb_on_the_turn_token_wakes_each_holder_once() {
+    // 84 while DAMPI's clock exchange was a rendezvous of its own after
+    // every collective; it now rides the application's.
     let c = census(16, true, &adlb());
-    assert_eq!(c.turn_passes, 84, "{c:?}");
+    assert_eq!(c.turn_passes, 70, "{c:?}");
 }
 
 #[test]
 fn matmul_on_the_turn_token_wakes_each_holder_once() {
+    // 34 with the clock exchange a rendezvous of its own.
     let c = census(7, true, &matmul());
-    assert_eq!(c.turn_passes, 34, "{c:?}");
+    assert_eq!(c.turn_passes, 29, "{c:?}");
 }
 
 #[test]
