@@ -43,10 +43,11 @@ cargo test -q --offline
 # take those runs on the cooperative scheduler and must pass every time.
 # The `lost_wakeup` cases would show a missed wake-up as a rare watchdog
 # timeout, and `wakeups` a stray park or notify, not a steady failure; the
-# journal's racers kill-and-resume a mis-served record, since `--jobs 4`
-# speculation and worker timing vary from run to run; the ISP driver-parity
-# tests likewise, and free-running ISP replays race besides. In the
-# free-running collective-mismatch case either rank may enter first.
+# journal's racers kill-and-resume and the CLI's pruned racers cut at every
+# commit a mis-served record, since `--jobs 4` speculation and worker timing
+# vary from run to run; the ISP driver-parity tests likewise, and
+# free-running ISP replays race besides. In the free-running
+# collective-mismatch case either rank may enter first.
 for _ in $(seq 20); do
   cargo test -q --offline --test cross_tool native_bias_masks_what_verifiers_find > /dev/null
   cargo test -q --offline --test cross_tool \
@@ -58,6 +59,7 @@ for _ in $(seq 20); do
   cargo test -q --offline -p dampi-mpi --test runtime_semantics lost_wakeup > /dev/null
   cargo test -q --offline --test wakeups > /dev/null
   cargo test -q --offline -p dampi-core --test journal racers_killed_at_every_commit > /dev/null
+  cargo test -q --offline --test cli racers_pruned_and_cut_at_every_commit > /dev/null
   cargo test -q --offline --test isp_drivers > /dev/null
   cargo test -q --offline --test cli isp > /dev/null
 done

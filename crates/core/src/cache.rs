@@ -22,10 +22,11 @@
 //! On disk a keyspace is one directory, `<root>/<program>-<plan>`, holding
 //! one file, `entries`: an append-only [`crate::frame`] log with one frame
 //! per stored result. A frame's payload is the 8-byte schedule digest
-//! followed by the entry's JSON. [`ReplayCache::open`] reads the log once,
-//! through a fixed-size buffer, checking every frame, and keeps only where
-//! each schedule's latest frame sits — `schedule → (offset, len)`, no entry
-//! bytes. From then on
+//! followed by the entry's JSON — a [`crate::journal`] record is the same
+//! entry plus the commit's source. [`ReplayCache::open`] reads the log
+//! once, through a fixed-size buffer, checking every frame, and keeps only
+//! where each schedule's latest frame sits — `schedule → (offset, len)`,
+//! no entry bytes. From then on
 //!
 //! * a **miss** is a lookup in that index: no system call;
 //! * a **hit** is one positional read of the frame, checked again in full —
@@ -68,6 +69,7 @@ use crate::decisions::DecisionSet;
 use crate::executor::AttemptReport;
 use crate::frame::{self, FRAME_HEADER_LEN, LOG_HEAD_LEN};
 use crate::prune::PrunePlan;
+use crate::scheduler::Source;
 use crate::shard::protocol::SubtreeResult;
 
 /// Version of the on-disk entry layout. Bump on any change to the entry
@@ -79,15 +81,71 @@ pub const CACHE_SCHEMA_VERSION: u32 = 2;
 /// The one file in a keyspace directory.
 const LOG_NAME: &str = "entries";
 
-/// One stored entry: the full key (so a hash collision or a misfiled entry
-/// is detected, not trusted) plus the stored result.
+/// One stored result under its full key, so that a hash collision, a
+/// misfiled entry or another campaign's record is detected, not trusted.
+/// Only a journal record says where its result came from.
 #[derive(Debug, serde::Serialize, serde::Deserialize)]
-struct CacheEntry {
+pub(crate) struct Entry {
     version: u32,
     program: u64,
     plan: u64,
     schedule: u64,
-    result: SubtreeResult,
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub(crate) source: Option<Source>,
+    pub(crate) result: SubtreeResult,
+}
+
+/// What every entry of one log is stored under: its format version, the
+/// program's config digest and the prune plan's digest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Key {
+    pub(crate) version: u32,
+    pub(crate) program: u64,
+    pub(crate) plan: u64,
+}
+
+/// Why a frame's entry is not served.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Refused {
+    /// Not whole JSON, of another version, or another schedule's.
+    Damaged,
+    /// Another campaign's: the part of the key that differs.
+    Foreign(&'static str),
+}
+
+impl Key {
+    /// The frame holding `result` as `schedule`'s entry under this key.
+    pub(crate) fn frame(
+        self,
+        schedule: u64,
+        source: Option<Source>,
+        result: SubtreeResult,
+    ) -> io::Result<Vec<u8>> {
+        let entry = Entry {
+            version: self.version,
+            program: self.program,
+            plan: self.plan,
+            schedule,
+            source,
+            result,
+        };
+        let json = serde_json::to_string(&entry).map_err(io::Error::other)?;
+        frame::head_frame(schedule, json.as_bytes())
+    }
+
+    /// The entry in a frame's payload, if every part of it says it is
+    /// `schedule`'s under this key.
+    pub(crate) fn decode(self, schedule: u64, payload: &[u8]) -> Result<Entry, Refused> {
+        let json = payload.strip_prefix(&schedule.to_le_bytes()[..]);
+        let json = json.and_then(|json| std::str::from_utf8(json).ok());
+        match json.and_then(|json| serde_json::from_str::<Entry>(json).ok()) {
+            Some(e) if e.version != self.version || e.schedule != schedule => Err(Refused::Damaged),
+            Some(e) if e.program != self.program => Err(Refused::Foreign("config")),
+            Some(e) if e.plan != self.plan => Err(Refused::Foreign("plan")),
+            Some(e) => Ok(e),
+            None => Err(Refused::Damaged),
+        }
+    }
 }
 
 /// Digest of a schedule: FNV-1a over a canonical byte encoding of the
@@ -166,8 +224,7 @@ struct LogState {
 /// unchanged.
 #[derive(Debug)]
 pub struct ReplayCache {
-    program: u64,
-    plan: u64,
+    key: Key,
     readonly: bool,
     /// The keyspace's log; `None` on a read-only handle whose keyspace
     /// nobody has written yet.
@@ -232,8 +289,11 @@ impl ReplayCache {
         damaged.retain(|schedule| !index.contains_key(schedule));
         let stale = damaged.len() as u64 + u64::from(torn.is_some());
         Ok(Self {
-            program,
-            plan,
+            key: Key {
+                version: CACHE_SCHEMA_VERSION,
+                program,
+                plan,
+            },
             readonly,
             log,
             state: Mutex::new(LogState {
@@ -280,7 +340,7 @@ impl ReplayCache {
         // A read that fails outright says nothing about the entry: a miss
         // for this commit, and the entry stays.
         let payload = frame::read_frame_at(log, placed.offset, placed.len).ok()?;
-        let entry = payload.and_then(|p| self.decode(schedule, &p));
+        let entry = payload.and_then(|p| self.key.decode(schedule, &p).ok());
         if entry.is_none() {
             self.stale.fetch_add(1, Ordering::Relaxed);
             let mut state = self.state.lock();
@@ -288,22 +348,7 @@ impl ReplayCache {
                 state.index.remove(&schedule);
             }
         }
-        entry
-    }
-
-    /// The result inside a frame's payload, if every part of its key says it
-    /// is the entry for `schedule` in this keyspace at this schema version.
-    fn decode(&self, schedule: u64, payload: &[u8]) -> Option<AttemptReport> {
-        let (head, json) = payload.split_at_checked(LOG_HEAD_LEN)?;
-        if head != schedule.to_le_bytes() {
-            return None;
-        }
-        let entry: CacheEntry = serde_json::from_str(std::str::from_utf8(json).ok()?).ok()?;
-        (entry.version == CACHE_SCHEMA_VERSION
-            && entry.program == self.program
-            && entry.plan == self.plan
-            && entry.schedule == schedule)
-            .then(|| entry.result.into())
+        entry.map(|e| e.result.into())
     }
 
     /// Serialize `rep` for storage under `decisions`' digest. Returns
@@ -319,24 +364,10 @@ impl ReplayCache {
         if self.readonly || crate::scheduler::timeout_of(&rep.res.outcome).is_some() {
             return None;
         }
-        let entry = CacheEntry {
-            version: CACHE_SCHEMA_VERSION,
-            program: self.program,
-            plan: self.plan,
-            schedule: schedule_digest(decisions),
-            result: SubtreeResult {
-                outcome: rep.res.outcome.clone(),
-                epochs: rep.res.epochs.clone(),
-                stats: rep.res.stats,
-                attempt_makespans: rep.attempt_makespans.clone(),
-                divergences: rep.divergences,
-                retries: rep.retries,
-            },
-        };
-        let json = serde_json::to_string(&entry).expect("cache entries serialize");
+        let schedule = schedule_digest(decisions);
         Some(PendingStore {
-            schedule: entry.schedule,
-            frame: frame::head_frame(entry.schedule, json.as_bytes()).ok()?,
+            schedule,
+            frame: self.key.frame(schedule, None, rep.clone().into()).ok()?,
         })
     }
 

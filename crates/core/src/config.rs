@@ -189,8 +189,8 @@ pub struct DampiConfig {
     /// Backoff schedule between divergence retries (exponential with
     /// deterministic jitter, capped).
     pub retry_backoff: RetryBackoff,
-    /// When set, append every commit to this journal file;
-    /// `verify_resumed` continues from it.
+    /// When set, append every commit to this journal file; a
+    /// [`crate::scheduler::Start`] naming it continues from it.
     pub journal: Option<PathBuf>,
     /// Worker threads replaying frontier forks concurrently. `1` (the
     /// default) is the sequential walk; any `N` produces a bit-identical

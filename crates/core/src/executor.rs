@@ -22,6 +22,7 @@ use crate::scheduler::{ExploreOptions, RunResult};
 /// One schedule's execution including divergence retries: the final
 /// attempt's result (the one the walk uses) plus the cost of every
 /// attempt, in order.
+#[derive(Clone)]
 pub(crate) struct AttemptReport {
     pub(crate) res: RunResult,
     /// Simulated makespan of each attempt, first to last.

@@ -7,11 +7,10 @@
 //! commits, in the order it commits them. So the journal keeps those results
 //! and nothing else: a [`crate::frame`] log with one frame per commit,
 //! appended with one `write` and made durable with one `fdatasync` before
-//! the walk commits the next. A frame's payload is the commit's 8-byte
-//! [`schedule_digest`], as in the replay cache's log, followed by the JSON
-//! record `{version, source, result}`: where the result came from (a cache
-//! hit, an execution, a quarantine) and the [`SubtreeResult`] itself — the
-//! payload shard results and cache entries carry.
+//! the walk commits the next. A frame is a [`crate::cache`] entry — the
+//! commit's 8-byte [`schedule_digest`], its key and its [`SubtreeResult`] —
+//! plus where the result came from: a cache hit, an execution or a
+//! quarantine.
 //!
 //! `dampi-cli verify --resume <journal>` starts the campaign over and serves
 //! it from the log: at each commit turn the top of the frontier is answered
@@ -20,46 +19,49 @@
 //! exactly as the uninterrupted campaign derived them, so a resumed campaign
 //! finishes with the same report. The first record that names another
 //! schedule ends serving: the walk goes on live, and the log is cut at that
-//! record. Records are keyed by schedule alone, not by program: resuming
-//! another program's journal is not detected (nor was it before).
+//! record. A `GUIDED_RUN` is a function of its prefix for one program, tool
+//! and prune plan only: a journal whose first record has another config or
+//! plan digest is refused, naming which, and a later one ends serving.
 //!
 //! Damage costs replays, never correctness, as in [`crate::cache`]: the
 //! records end at a torn tail or at the first damaged frame, and what would
 //! have followed re-executes. Only the first frame is held to more: a
 //! non-empty file whose first frame is not a journal record of this version
-//! is refused, so an old snapshot journal, a cache log or garbage is an
-//! error, never a silent restart.
+//! is refused, so an old journal, a cache log or garbage is an error, never
+//! a silent restart.
 
 use std::fs::File;
 use std::io::{self, Write};
 use std::os::unix::fs::{FileExt, MetadataExt};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-use serde::{Deserialize, Serialize};
-
-use crate::cache::schedule_digest;
+use crate::cache::{plan_digest, schedule_digest, Entry, Key, Refused};
 use crate::decisions::DecisionSet;
 use crate::executor::AttemptReport;
 use crate::frame::{self, LogFrame, FRAME_HEADER_LEN, LOG_HEAD_LEN};
+use crate::prune::PrunePlan;
 use crate::scheduler::Source;
 use crate::shard::protocol::SubtreeResult;
 
 /// Journal format version; bumped on incompatible record changes. Versions
-/// 1 and 2 were whole-frontier snapshots; they are not read.
-pub const JOURNAL_VERSION: u32 = 3;
+/// 1–3 (snapshots, then records keyed by schedule alone) are not read.
+pub const JOURNAL_VERSION: u32 = 4;
 
-/// One commit, as a frame of the log holds it after the schedule digest.
-#[derive(Serialize, Deserialize)]
-struct Record {
-    version: u32,
-    source: Source,
-    result: SubtreeResult,
+/// The key of a campaign's journal records.
+pub(crate) fn key(config_digest: u64, plan: Option<&PrunePlan>) -> Key {
+    Key {
+        version: JOURNAL_VERSION,
+        program: config_digest,
+        plan: plan_digest(plan),
+    }
 }
 
 /// A journal opened to resume from: the records of its log, served in
 /// commit order.
 #[derive(Debug)]
 pub struct ExplorationJournal {
+    /// The file it was loaded from: a resumed campaign appends to it.
+    pub(crate) path: PathBuf,
     log: File,
     /// Every whole, intact frame from the start of the log up to the first
     /// one that is not.
@@ -71,7 +73,7 @@ pub struct ExplorationJournal {
 impl ExplorationJournal {
     /// Index the journal log at `path` with one checksum scan. Fails when
     /// the file is non-empty and its first frame is missing or is not a
-    /// journal record of [`JOURNAL_VERSION`].
+    /// journal record of [`JOURNAL_VERSION`], of any campaign.
     pub fn load(path: &Path) -> io::Result<Self> {
         let log = File::open(path)?;
         let mut records = Vec::new();
@@ -83,12 +85,13 @@ impl ExplorationJournal {
             }
         })?;
         let journal = Self {
+            path: path.to_path_buf(),
             log,
             records,
             served: 0,
         };
-        let first = journal.records.first().and_then(|f| journal.read(f));
-        if first.is_none() && journal.log.metadata()?.len() > 0 {
+        let damaged = |f| matches!(journal.entry(key(0, None), f), Err(Refused::Damaged));
+        if journal.records.first().is_none_or(damaged) && journal.log.metadata()?.len() > 0 {
             return Err(io::Error::other(format!(
                 "{} is not a version-{JOURNAL_VERSION} exploration journal",
                 path.display()
@@ -115,16 +118,29 @@ impl ExplorationJournal {
         self.records.len()
     }
 
+    /// Refuse another campaign's journal, one whose first record is not
+    /// under `key`: an [`io::ErrorKind::InvalidData`] naming what differs.
+    pub(crate) fn check(&self, key: Key) -> io::Result<()> {
+        match self.records.first().map(|f| self.entry(key, f)) {
+            Some(Err(Refused::Foreign(part))) => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{} was written under another {part}", self.path.display()),
+            )),
+            _ => Ok(()),
+        }
+    }
+
     /// The next record's result and source, if that record is the commit of
-    /// `decisions` and reads back whole.
-    pub(crate) fn serve(&mut self, decisions: &DecisionSet) -> Option<(AttemptReport, Source)> {
+    /// `ds` under `key` and reads back whole.
+    pub(crate) fn serve(&mut self, key: Key, ds: &DecisionSet) -> Option<(AttemptReport, Source)> {
         let f = self.records.get(self.served)?;
-        if f.head != schedule_digest(decisions).to_le_bytes() {
+        if f.head != schedule_digest(ds).to_le_bytes() {
             return None;
         }
-        let record = self.read(f)?;
+        let entry = self.entry(key, f).ok()?;
+        let source = entry.source?;
         self.served += 1;
-        Some((record.result.into(), record.source))
+        Some((entry.result.into(), source))
     }
 
     /// Where the log stops being this campaign's: the first record not
@@ -141,13 +157,12 @@ impl ExplorationJournal {
             .map_or(0, |f| f.offset + FRAME_HEADER_LEN as u64 + u64::from(f.len))
     }
 
-    /// The record in frame `f`, if it reads back whole and is of this
-    /// version.
-    fn read(&self, f: &LogFrame) -> Option<Record> {
-        let payload = frame::read_frame_at(&self.log, f.offset, f.len).ok()??;
-        let json = std::str::from_utf8(payload.strip_prefix(&f.head[..])?).ok()?;
-        let record: Record = serde_json::from_str(json).ok()?;
-        (record.version == JOURNAL_VERSION).then_some(record)
+    /// The entry in frame `f`, checked against `key` and the schedule
+    /// digest the frame is headed by.
+    fn entry(&self, key: Key, f: &LogFrame) -> Result<Entry, Refused> {
+        let payload = frame::read_frame_at(&self.log, f.offset, f.len);
+        let payload = payload.ok().flatten().ok_or(Refused::Damaged)?;
+        key.decode(u64::from_le_bytes(f.head), &payload)
     }
 
     /// Whether `path` names the file this journal was loaded from.
@@ -164,8 +179,7 @@ impl ExplorationJournal {
 /// file it was loaded from, its torn tail cut off, or to a copy of its
 /// records when `path` names another file.
 pub(crate) fn open_log(path: &Path, from: Option<&ExplorationJournal>) -> io::Result<File> {
-    let in_place = from.is_some_and(|j| j.is_at(path));
-    if let (Some(j), false) = (from, in_place) {
+    if let Some(j) = from.filter(|j| !j.is_at(path)) {
         j.save(path)?;
     }
     let log = File::options().append(true).create(true).open(path)?;
@@ -176,11 +190,12 @@ pub(crate) fn open_log(path: &Path, from: Option<&ExplorationJournal>) -> io::Re
     Ok(log)
 }
 
-/// Append one commit to `log` and make it durable: one `write`, one
-/// `fdatasync`. A write that fails part-way leaves a torn frame, where a
-/// later resume's records end.
+/// Append one commit to `log` under `key` and make it durable: one
+/// `write`, one `fdatasync`. A write that fails part-way leaves a torn
+/// frame, where a later resume's records end.
 pub(crate) fn append(
     mut log: &File,
+    key: Key,
     decisions: &DecisionSet,
     source: Source,
     rep: AttemptReport,
@@ -190,13 +205,7 @@ pub(crate) fn append(
     // keeps them in the order the walk reads them, so that a frame is a
     // function of its schedule alone.
     result.epochs.sort_by_key(|e| (e.clock, e.rank));
-    let record = Record {
-        version: JOURNAL_VERSION,
-        source,
-        result,
-    };
-    let json = serde_json::to_string(&record).map_err(io::Error::other)?;
-    let frame = frame::head_frame(schedule_digest(decisions), json.as_bytes())?;
+    let frame = key.frame(schedule_digest(decisions), Some(source), result)?;
     log.write_all(&frame)?;
     log.sync_data()
 }
@@ -255,12 +264,20 @@ mod tests {
         })
     }
 
+    /// The key the test logs are written under.
+    const KEY: Key = Key {
+        version: JOURNAL_VERSION,
+        program: 7,
+        plan: 0,
+    };
+
     /// A fresh log at `path` holding the commits of `schedule(0..n)`.
     fn write_log(path: &Path, n: usize) -> Vec<u8> {
         let log = open_log(path, None).unwrap();
         for i in 0..n {
             append(
                 &log,
+                KEY,
                 &schedule(i),
                 Source::Executed,
                 report(i as f64 + 0.25),
@@ -275,10 +292,11 @@ mod tests {
         frame::head_frame(schedule_digest(&schedule(i)), json.as_bytes()).unwrap()
     }
 
-    /// A record's JSON at format `version`.
-    fn record_json(version: u32) -> String {
-        let result = serde_json::to_string(&SubtreeResult::from(report(1.0))).unwrap();
-        format!(r#"{{"version":{version},"source":"Executed","result":{result}}}"#)
+    /// The frame of `schedule(i)`'s record at format `version`.
+    fn record_frame(i: usize, version: u32) -> Vec<u8> {
+        let (at, result) = (schedule_digest(&schedule(i)), report(1.0).into());
+        let key = Key { version, ..KEY };
+        key.frame(at, Some(Source::Executed), result).unwrap()
     }
 
     #[test]
@@ -287,16 +305,16 @@ mod tests {
         write_log(&path, 3);
         let mut j = ExplorationJournal::load(&path).unwrap();
         assert_eq!(j.commits(), 3);
-        assert!(j.serve(&schedule(1)).is_none(), "only the next record");
+        assert!(j.serve(KEY, &schedule(1)).is_none(), "only the next record");
         for i in 0..3 {
-            let (rep, source) = j.serve(&schedule(i)).expect("record");
+            let (rep, source) = j.serve(KEY, &schedule(i)).expect("record");
             assert_eq!(source, Source::Executed);
             assert_eq!(
                 rep.res.outcome.makespan.to_bits(),
                 (i as f64 + 0.25).to_bits()
             );
         }
-        assert!(j.serve(&schedule(3)).is_none(), "records exhausted");
+        assert!(j.serve(KEY, &schedule(3)).is_none(), "records exhausted");
         assert_eq!(j.unserved(), std::fs::metadata(&path).unwrap().len());
         std::fs::remove_file(&path).ok();
     }
@@ -304,9 +322,9 @@ mod tests {
     #[test]
     fn version_mismatch_is_rejected() {
         let path = tmp("bad-version");
-        std::fs::write(&path, frame_of(0, &record_json(JOURNAL_VERSION + 1))).unwrap();
+        std::fs::write(&path, record_frame(0, JOURNAL_VERSION + 1)).unwrap();
         assert!(ExplorationJournal::load(&path).is_err());
-        std::fs::write(&path, frame_of(0, &record_json(JOURNAL_VERSION))).unwrap();
+        std::fs::write(&path, record_frame(0, JOURNAL_VERSION)).unwrap();
         assert_eq!(ExplorationJournal::load(&path).unwrap().commits(), 1);
         std::fs::remove_file(&path).ok();
     }
@@ -318,12 +336,12 @@ mod tests {
         let path = tmp("future-version");
         let mut bytes = write_log(&path, 1);
         let second = bytes.len() as u64;
-        bytes.extend(frame_of(1, &record_json(JOURNAL_VERSION + 1)));
+        bytes.extend(record_frame(1, JOURNAL_VERSION + 1));
         std::fs::write(&path, &bytes).unwrap();
         let mut j = ExplorationJournal::load(&path).unwrap();
         assert_eq!(j.commits(), 2, "the frame is whole and intact");
-        assert!(j.serve(&schedule(0)).is_some());
-        assert!(j.serve(&schedule(1)).is_none());
+        assert!(j.serve(KEY, &schedule(0)).is_some());
+        assert!(j.serve(KEY, &schedule(1)).is_none());
         assert_eq!(j.unserved(), second);
         std::fs::remove_file(&path).ok();
     }
@@ -379,16 +397,16 @@ mod tests {
             std::fs::read(&path).unwrap() == whole,
             "the torn tail is cut"
         );
-        assert!(j.serve(&schedule(0)).is_some());
+        assert!(j.serve(KEY, &schedule(0)).is_some());
         // The walk went elsewhere at the second commit.
-        assert!(j.serve(&schedule(9)).is_none());
+        assert!(j.serve(KEY, &schedule(9)).is_none());
         assert_eq!(j.unserved(), second);
         log.set_len(j.unserved()).unwrap();
-        append(&log, &schedule(9), Source::Hit, report(9.0)).unwrap();
+        append(&log, KEY, &schedule(9), Source::Hit, report(9.0)).unwrap();
         let mut j = ExplorationJournal::load(&path).unwrap();
         assert_eq!(j.commits(), 2);
-        assert!(j.serve(&schedule(0)).is_some());
-        let (_, source) = j.serve(&schedule(9)).expect("the new record");
+        assert!(j.serve(KEY, &schedule(0)).is_some());
+        let (_, source) = j.serve(KEY, &schedule(9)).expect("the new record");
         assert_eq!(source, Source::Hit);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), j.unserved());
         std::fs::remove_file(&path).ok();
@@ -407,7 +425,7 @@ mod tests {
             "the torn tail stays behind"
         );
         let log = open_log(&copy, Some(&j)).unwrap();
-        append(&log, &schedule(2), Source::Executed, report(2.0)).unwrap();
+        append(&log, KEY, &schedule(2), Source::Executed, report(2.0)).unwrap();
         assert_eq!(ExplorationJournal::load(&copy).unwrap().commits(), 3);
         assert!(
             std::fs::read(&path).unwrap() == torn,

@@ -32,7 +32,7 @@ use dampi_mpi::program::RunOutcome;
 use dampi_mpi::MpiError;
 
 use crate::bounds::MixingBound;
-use crate::cache::ReplayCache;
+use crate::cache::{Key, ReplayCache};
 use crate::config::RetryBackoff;
 use crate::decisions::{DecisionSet, EpochDecision};
 use crate::epoch::{EpochRecord, ToolRunStats};
@@ -193,23 +193,21 @@ pub struct Exploration {
     pub cache_misses: u64,
 }
 
-/// Where an exploration begins. One per campaign, moved once: boxing the
-/// free run would save nothing.
-#[allow(clippy::large_enum_variant)]
-pub enum Start {
-    /// From nothing: the initial `SELF_RUN` is the first thing executed.
-    Fresh,
-    /// From a free run that already executed. It is committed as the
-    /// campaign's `SELF_RUN` — the `--prune-static` path: the prune plan
-    /// was derived from exactly that run, so the root frontier being
-    /// pruned is the frontier that run produced, not a re-execution that
-    /// might have scheduled differently.
-    FirstRun(RunResult),
-    /// From a journal (see [`crate::journal`]): the walk starts as
-    /// [`Start::Fresh`] and commits the journal's records before anything
-    /// executes, so the completed campaign matches an uninterrupted one
-    /// under any executor.
-    Resume(ExplorationJournal),
+/// Where an exploration begins, and whose it is. The default is a fresh
+/// campaign: its initial `SELF_RUN` is the first thing executed.
+#[derive(Default)]
+pub struct Start {
+    /// A free run that already executed, committed as the `SELF_RUN` unless
+    /// the journal serves the root — the `--prune-static` path: the plan
+    /// was derived from exactly that run, so the root frontier it prunes is
+    /// the one that run produced, not a re-execution's.
+    pub first_run: Option<RunResult>,
+    /// A journal to resume from (see [`crate::journal`]): the walk commits
+    /// its records before anything executes, and appends to it.
+    pub journal: Option<ExplorationJournal>,
+    /// Digest of the verification config. With the prune plan's digest it
+    /// keys the journal's records; every shard worker's `Hello` echoes it.
+    pub config_digest: u64,
 }
 
 /// Per-commit prune accounting returned by [`push_forks`]: how many forks
@@ -257,24 +255,27 @@ pub fn explore_parallel<F>(run: F, opts: &ExploreOptions) -> Exploration
 where
     F: Fn(&DecisionSet) -> RunResult + Sync,
 {
-    explore_from(&run, opts, Start::Fresh)
+    explore_from(&run, opts, Start::default()).expect(IN_PROCESS)
 }
 
 /// In-process exploration from any [`Start`]: `opts.jobs` picks the
-/// executor.
-pub(crate) fn explore_from<F>(run: &F, opts: &ExploreOptions, start: Start) -> Exploration
+/// executor. Fails when the start's journal is another campaign's.
+pub(crate) fn explore_from<F>(
+    run: &F,
+    opts: &ExploreOptions,
+    start: Start,
+) -> io::Result<Exploration>
 where
     F: Fn(&DecisionSet) -> RunResult + Sync,
 {
-    let out = if opts.jobs <= 1 {
+    if opts.jobs <= 1 {
         drive(opts, &mut Inline::new(|ds| run(ds), opts), start)
     } else {
         ThreadPool::scoped(run, opts, opts.jobs, |pool| drive(opts, pool, start))
-    };
-    out.expect(IN_PROCESS)
+    }
 }
 
-const IN_PROCESS: &str = "in-process executors fail only when a replay worker panicked";
+pub(crate) const IN_PROCESS: &str = "in-process executors fail only when a replay worker panicked";
 
 /// A result waiting for its commit turn.
 struct Ready {
@@ -310,12 +311,10 @@ pub(crate) fn drive(
     exec: &mut dyn Executor,
     start: Start,
 ) -> io::Result<Exploration> {
-    let (mut first_run, mut records) = match start {
-        Start::Fresh => (None, None),
-        Start::FirstRun(run) => (Some(run), None),
-        Start::Resume(journal) => (None, Some(journal)),
-    };
-    let mut w = Walk::new(opts, records.as_ref());
+    let (mut first_run, mut records) = (start.first_run, start.journal);
+    let key = journal::key(start.config_digest, opts.prune.as_deref());
+    records.as_ref().map_or(Ok(()), |j| j.check(key))?;
+    let mut w = Walk::new(opts, key, records.as_ref());
     // Nothing is submitted yet, so the idle count is the executor's width.
     w.begin(exec.idle(), records.is_some());
     w.stack.push(Fork::new(DecisionSet::self_run(), None));
@@ -354,7 +353,8 @@ pub(crate) fn drive(
         if let Some(j) = &mut records {
             // While records remain the top is served from them, and nothing
             // below it is speculated on.
-            if let Some((rep, source)) = j.serve(&w.stack.last().expect("non-empty").decisions) {
+            let top = &w.stack.last().expect("non-empty").decisions;
+            if let Some((rep, source)) = j.serve(key, top) {
                 started();
                 let fork = w.stack.pop().expect("non-empty");
                 w.commit(&fork, Ready { rep, source }, true);
@@ -363,7 +363,7 @@ pub(crate) fn drive(
             // The walk has left the journal: the rest of it is not this
             // campaign's. Best-effort: records left behind only end a later
             // resume's serving there.
-            if let Some(log) = &w.log {
+            if let Some((log, _)) = &w.log {
                 let _ = log.set_len(j.unserved());
             }
             records = None;
@@ -455,19 +455,21 @@ struct Walk<'a> {
     visited: HashSet<u64>,
     stack: Vec<Fork>,
     seen_errors: HashSet<(usize, String)>,
-    /// The journal every commit is appended to.
-    log: Option<File>,
+    /// The journal every commit is appended to, and the key it is under.
+    log: Option<(File, Key)>,
 }
 
 impl<'a> Walk<'a> {
-    /// A walk journaling to `opts.checkpoint`, continuing `resumed`'s log
-    /// when there is one. A journal that cannot be opened must not kill a
+    /// A walk journaling under `key` to `opts.checkpoint`, else to
+    /// `resumed`'s own log. A journal that cannot be opened must not kill a
     /// healthy campaign: it runs unjournaled.
-    fn new(opts: &'a ExploreOptions, resumed: Option<&ExplorationJournal>) -> Self {
-        let log = opts.checkpoint.as_deref().and_then(|path| {
+    fn new(opts: &'a ExploreOptions, key: Key, resumed: Option<&ExplorationJournal>) -> Self {
+        let path = opts.checkpoint.as_deref();
+        let log = path.or(resumed.map(|j| j.path.as_path())).and_then(|path| {
             journal::open_log(path, resumed)
                 .inspect_err(|e| eprintln!("dampi: journal {} unusable: {e}", path.display()))
                 .ok()
+                .map(|log| (log, key))
         });
         Self {
             opts,
@@ -691,11 +693,11 @@ impl<'a> Walk<'a> {
     /// failed append must not kill a healthy campaign: a resume only
     /// re-executes from that commit on.
     fn journal(&self, fork: &Fork, source: Source, rep: AttemptReport) {
-        let Some(log) = &self.log else {
+        let Some((log, key)) = &self.log else {
             return;
         };
         let t0 = Instant::now();
-        if let Err(e) = journal::append(log, &fork.decisions, source, rep) {
+        if let Err(e) = journal::append(log, *key, &fork.decisions, source, rep) {
             eprintln!("dampi: journal append failed: {e}");
         }
         let latency = t0.elapsed();
@@ -1593,7 +1595,7 @@ mod tests {
                     let (o, m, j) = observed("scripted", max);
                     let mut exec = Scripted::new(model_run(), &o, width, order);
                     exec.losses = losses;
-                    let ex = drive(&o, &mut exec, Start::Fresh).expect("scripted campaign");
+                    let ex = drive(&o, &mut exec, Start::default()).expect("scripted campaign");
                     assert_equiv(&inline, &ex);
                     assert_ledger_balances(&m, &ex);
                     // Speculation is never journaled, budget or not.
@@ -1618,7 +1620,7 @@ mod tests {
         let (o, m, j) = observed("q-scripted", Some(1_000_000));
         let mut exec = Scripted::new(model_run(), &o, 4, Order::Reverse);
         exec.poison = is_poison;
-        let ex = drive(&o, &mut exec, Start::Fresh).expect("scripted campaign");
+        let ex = drive(&o, &mut exec, Start::default()).expect("scripted campaign");
         assert_equiv(&inline, &ex);
         assert_eq!(ex.timeouts[0].detail, inline.timeouts[0].detail);
         assert_eq!((inline.quarantined, ex.quarantined), (0, 1));
@@ -1637,14 +1639,14 @@ mod tests {
         let (o, _, full_j) = observed("r-full", Some(1_000_000));
         let mut exec = Scripted::new(model_run(), &o, 4, Order::Reverse);
         exec.poison = is_poison;
-        let full = drive(&o, &mut exec, Start::Fresh).expect("scripted campaign");
+        let full = drive(&o, &mut exec, Start::default()).expect("scripted campaign");
         let full_bytes = std::fs::read(&full_j).expect("journal");
         assert_eq!(full.quarantined, 1);
         for cut in 1..full.interleavings {
             let (o, _, j) = observed("r-cut", Some(cut));
             let mut exec = Scripted::new(model_run(), &o, 3, Order::Interleaved);
             exec.poison = is_poison;
-            let partial = drive(&o, &mut exec, Start::Fresh).expect("partial campaign");
+            let partial = drive(&o, &mut exec, Start::default()).expect("partial campaign");
             let journal = ExplorationJournal::load(&j).expect("journal");
             assert_eq!(journal.commits() as u64, cut);
 
@@ -1658,7 +1660,11 @@ mod tests {
             if partial.quarantined == 0 {
                 exec.poison = is_poison;
             }
-            let resumed = drive(&o, &mut exec, Start::Resume(journal)).expect("resumed");
+            let start = Start {
+                journal: Some(journal),
+                ..Start::default()
+            };
+            let resumed = drive(&o, &mut exec, start).expect("resumed");
             assert_equiv(&full, &resumed);
             assert_eq!(resumed.quarantined, 1, "cut {cut}");
             assert_ledger_balances(&m, &resumed);
@@ -1679,7 +1685,11 @@ mod tests {
         let fresh = explore(model_run(), &o);
         let first = model_run()(&DecisionSet::self_run());
         let mut exec = Scripted::new(model_run(), &o, 2, Order::TopLast);
-        let ex = drive(&o, &mut exec, Start::FirstRun(first)).expect("scripted campaign");
+        let start = Start {
+            first_run: Some(first),
+            ..Start::default()
+        };
+        let ex = drive(&o, &mut exec, start).expect("scripted campaign");
         assert_equiv(&fresh, &ex);
         let root = DecisionSet::self_run().signature();
         assert!(!exec.accepted.contains(&root));

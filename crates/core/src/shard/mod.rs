@@ -69,9 +69,6 @@ pub struct ShardOptions {
     /// Backoff schedule before a lost subtree is dispatched again (seeded
     /// by the subtree signature).
     pub redispatch_backoff: RetryBackoff,
-    /// Digest of the verification config; every worker `Hello` must echo
-    /// it or the campaign aborts rather than merge diverging results.
-    pub config_digest: u64,
     /// Chaos plan armed into one worker (tests and `--worker-fault`).
     pub fault: Option<WorkerFaultPlan>,
     /// Which slot receives [`ShardOptions::fault`] (its generation 0
@@ -98,7 +95,6 @@ impl Default for ShardOptions {
                 jitter: 0.5,
             },
             redispatch_backoff: RetryBackoff::default(),
-            config_digest: 0,
             fault: None,
             fault_slot: 0,
             drain: None,

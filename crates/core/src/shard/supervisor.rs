@@ -247,12 +247,8 @@ pub struct InProcessLauncher {
     pub heartbeat_interval: Duration,
     /// Digest echoed in the worker `Hello`.
     pub config_digest: u64,
-    /// Worker-side divergence retry budget (mirror of the supervisor's
-    /// [`ExploreOptions::divergence_retries`] for replay parity).
-    pub divergence_retries: u32,
-    /// Worker-side retry backoff (mirror of
-    /// [`ExploreOptions::retry_backoff`]).
-    pub retry_backoff: crate::config::RetryBackoff,
+    /// The supervisor's divergence retries and backoff, for replay parity.
+    opts: ExploreOptions,
 }
 
 impl InProcessLauncher {
@@ -266,8 +262,11 @@ impl InProcessLauncher {
             run,
             heartbeat_interval: Duration::from_millis(20),
             config_digest: 0,
-            divergence_retries: opts.divergence_retries,
-            retry_backoff: opts.retry_backoff,
+            opts: ExploreOptions {
+                divergence_retries: opts.divergence_retries,
+                retry_backoff: opts.retry_backoff,
+                ..ExploreOptions::default()
+            },
         }
     }
 }
@@ -308,18 +307,10 @@ impl WorkerLauncher for InProcessLauncher {
             hard_exit: false,
             cancel: Arc::clone(&cancel),
         };
-        let divergence_retries = self.divergence_retries;
-        let retry_backoff = self.retry_backoff;
+        let opts = self.opts.clone();
         std::thread::Builder::new()
             .name(format!("dampi-shard-worker-{slot}"))
             .spawn(move || {
-                let opts = ExploreOptions {
-                    divergence_retries,
-                    retry_backoff,
-                    metrics: None,
-                    trace: None,
-                    ..ExploreOptions::default()
-                };
                 let _ = run_worker(job_rx, res_tx, &cfg, &opts, |ds| (run)(ds));
             })?;
         Ok(SpawnedWorker {
@@ -376,6 +367,8 @@ struct ProcessFleet<'a> {
     launcher: &'a dyn WorkerLauncher,
     opts: &'a ExploreOptions,
     shard: &'a ShardOptions,
+    /// What every worker `Hello` must echo (see `on_msg`).
+    config_digest: u64,
     lease_cfg: LeaseConfig,
     tx: crossbeam::channel::Sender<Signal>,
     rx: crossbeam::channel::Receiver<Signal>,
@@ -397,6 +390,7 @@ impl<'a> ProcessFleet<'a> {
         launcher: &'a dyn WorkerLauncher,
         opts: &'a ExploreOptions,
         shard: &'a ShardOptions,
+        config_digest: u64,
     ) -> io::Result<Self> {
         let (tx, rx) = crossbeam::channel::unbounded::<Signal>();
         {
@@ -416,6 +410,7 @@ impl<'a> ProcessFleet<'a> {
             launcher,
             opts,
             shard,
+            config_digest,
             lease_cfg: LeaseConfig {
                 heartbeat_timeout: shard.heartbeat_timeout,
                 lease: shard.lease,
@@ -609,11 +604,11 @@ impl<'a> ProcessFleet<'a> {
                          {PROTOCOL_VERSION}"
                     )));
                 }
-                if config_digest != self.shard.config_digest {
+                if config_digest != self.config_digest {
                     return Err(io::Error::other(format!(
                         "worker {slot} config digest {config_digest:#018x} does not match \
                          supervisor digest {:#018x}; refusing to merge diverging results",
-                        self.shard.config_digest
+                        self.config_digest
                     )));
                 }
                 Ok(())
@@ -810,18 +805,15 @@ fn tick_interval(shard: &ShardOptions) -> Duration {
 ///
 /// Fails when the initial fleet cannot spawn, when a worker's `Hello`
 /// reveals a protocol or config mismatch, or when every slot exhausts its
-/// restart budget with work still outstanding.
+/// restart budget with work still outstanding; and as `drive` does.
 pub(crate) fn explore_sharded_from(
     launcher: &dyn WorkerLauncher,
     opts: &ExploreOptions,
     shard: &ShardOptions,
     start: Start,
 ) -> io::Result<Exploration> {
-    drive(
-        opts,
-        &mut ProcessFleet::spawn(launcher, opts, shard)?,
-        start,
-    )
+    let mut fleet = ProcessFleet::spawn(launcher, opts, shard, start.config_digest)?;
+    drive(opts, &mut fleet, start)
 }
 
 #[cfg(test)]

@@ -12,7 +12,6 @@
 //! runs under changes.
 
 use std::io;
-use std::path::Path;
 use std::sync::Arc;
 
 use dampi_clocks::ClockMode;
@@ -27,7 +26,6 @@ use crate::config::{DampiConfig, ToolStack};
 use crate::decisions::DecisionSet;
 use crate::epoch::TraceCollector;
 use crate::isp::{IspLayer, IspScheduler};
-use crate::journal::ExplorationJournal;
 use crate::metrics::{CampaignMetrics, CampaignTrace};
 use crate::prune::PrunePlan;
 use crate::report::VerificationReport;
@@ -47,7 +45,7 @@ pub struct DampiVerifier {
     /// set (testing the verifier's own fault tolerance).
     pub fault_plan: Option<Arc<FaultPlan>>,
     /// Campaign metrics sink observing [`Self::verify`] /
-    /// [`Self::verify_resumed`] (see [`crate::metrics`]).
+    /// [`Self::verify_from`] (see [`crate::metrics`]).
     pub metrics: Option<Arc<CampaignMetrics>>,
     /// Campaign trace (JSONL event stream) observing explorations.
     pub trace: Option<Arc<CampaignTrace>>,
@@ -63,15 +61,7 @@ impl DampiVerifier {
     /// Verifier with default DAMPI configuration.
     #[must_use]
     pub fn new(sim: SimConfig) -> Self {
-        Self {
-            sim,
-            cfg: DampiConfig::default(),
-            fault_plan: None,
-            metrics: None,
-            trace: None,
-            prune: None,
-            cache: None,
-        }
+        Self::with_config(sim, DampiConfig::default())
     }
 
     /// Verifier with an explicit configuration.
@@ -294,99 +284,56 @@ impl DampiVerifier {
     /// deterministic, so the report is identical to a sequential run.
     #[must_use]
     pub fn verify(&self, program: &dyn MpiProgram) -> VerificationReport {
-        self.verify_from(program, Start::Fresh)
+        self.verify_from(program, Start::default())
+            .expect(scheduler::IN_PROCESS)
     }
 
     /// Full verification that reuses an already-executed free run (e.g.
     /// the one [`Self::traced_run`] fed to the static analysis) as the
-    /// campaign's `SELF_RUN` — see [`Start::FirstRun`].
+    /// campaign's `SELF_RUN` — see [`Start::first_run`].
     #[must_use]
     pub fn verify_with_first_run(
         &self,
         program: &dyn MpiProgram,
         first: RunResult,
     ) -> VerificationReport {
-        self.verify_from(program, Start::FirstRun(first))
+        let start = Start {
+            first_run: Some(first),
+            ..Start::default()
+        };
+        self.verify_from(program, start)
+            .expect(scheduler::IN_PROCESS)
     }
 
-    /// Continue an interrupted campaign from an exploration journal (see
-    /// [`crate::journal`]). Its commits keep being appended to the same
-    /// file unless the configuration names a different one, so a campaign
-    /// can be killed and resumed any number of times.
-    pub fn verify_resumed(
+    /// In-process verification from any [`Start`]: a journal in it resumes
+    /// an interrupted campaign (see [`crate::journal`]).
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidData`] when its journal is another campaign's.
+    pub fn verify_from(
         &self,
         program: &dyn MpiProgram,
-        journal_path: &Path,
+        start: Start,
     ) -> io::Result<VerificationReport> {
-        let journal = ExplorationJournal::load(journal_path)?;
-        Ok(self
-            .journaling_to(journal_path)
-            .verify_from(program, Start::Resume(journal)))
-    }
-
-    /// In-process verification from any [`Start`].
-    #[must_use]
-    pub fn verify_from(&self, program: &dyn MpiProgram, start: Start) -> VerificationReport {
         let ex = scheduler::explore_from(
             &|ds| self.instrumented_run(program, ds),
             &self.explore_options(),
             start,
-        );
-        self.report_from(program.name(), ex)
+        )?;
+        Ok(self.report_from(program.name(), ex))
     }
 
-    /// Full verification sharded across worker processes (or in-process
+    /// [`Self::verify_from`] sharded across worker processes (or in-process
     /// stand-ins) spawned by `launcher`, with the fault tolerance described
-    /// in [`crate::shard`]: lost workers are respawned, their subtrees
-    /// re-dispatched, and poison subtrees quarantined as honest timeout
-    /// records. A completed sharded campaign's report is byte-identical to
-    /// [`Self::verify`]'s.
+    /// in [`crate::shard`]; its report and journal are byte-identical to the
+    /// in-process campaign's. The supervisor commits [`Start::first_run`]
+    /// and consults the prune plan itself, so workers need neither.
     ///
     /// # Errors
     ///
-    /// Fails when the worker fleet cannot be spawned or permanently dies
-    /// with work outstanding (see [`crate::shard`]).
-    pub fn verify_sharded(
-        &self,
-        program: &dyn MpiProgram,
-        launcher: &dyn WorkerLauncher,
-        shard: &ShardOptions,
-    ) -> io::Result<VerificationReport> {
-        self.verify_sharded_from(program, launcher, shard, Start::Fresh)
-    }
-
-    /// [`Self::verify_sharded`] continuing from a journal — including one
-    /// written by a drained (SIGTERM'd) sharded campaign or by a plain
-    /// `--jobs` run; the formats are identical.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the journal cannot be loaded or the worker fleet fails
-    /// permanently (see [`crate::shard`]).
-    pub fn verify_sharded_resumed(
-        &self,
-        program: &dyn MpiProgram,
-        launcher: &dyn WorkerLauncher,
-        shard: &ShardOptions,
-        journal_path: &Path,
-    ) -> io::Result<VerificationReport> {
-        let journal = ExplorationJournal::load(journal_path)?;
-        self.journaling_to(journal_path).verify_sharded_from(
-            program,
-            launcher,
-            shard,
-            Start::Resume(journal),
-        )
-    }
-
-    /// Sharded verification from any [`Start`]. A [`Start::FirstRun`] is
-    /// committed by the supervisor and never dispatched, and the prune
-    /// plan is consulted only on the supervisor's commit path, so workers
-    /// need neither.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::verify_sharded`].
+    /// As [`Self::verify_from`], and when the worker fleet cannot be
+    /// spawned or permanently dies with work outstanding.
     pub fn verify_sharded_from(
         &self,
         program: &dyn MpiProgram,
@@ -397,14 +344,6 @@ impl DampiVerifier {
         let ex =
             crate::shard::explore_sharded_from(launcher, &self.explore_options(), shard, start)?;
         Ok(self.report_from(program.name(), ex))
-    }
-
-    /// This verifier, journaling to `path` unless the configuration already
-    /// names a journal.
-    fn journaling_to(&self, path: &Path) -> Self {
-        let mut v = self.clone();
-        v.cfg.journal.get_or_insert_with(|| path.to_path_buf());
-        v
     }
 
     fn report_from(&self, program: &str, ex: scheduler::Exploration) -> VerificationReport {

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use dampi_core::cache::plan_digest;
 use dampi_core::frame::{FRAME_HEADER_LEN, LOG_HEAD_LEN};
-use dampi_core::scheduler::{ExploreOptions, RunResult};
+use dampi_core::scheduler::{ExploreOptions, RunResult, Start};
 use dampi_core::shard::{InProcessLauncher, ShardOptions};
 use dampi_core::{
     CampaignMetrics, DampiConfig, DampiVerifier, DecisionSet, PrunePlan, ReplayCache,
@@ -80,7 +80,7 @@ fn run_racers_journaled(
             shards,
             ..ShardOptions::default()
         };
-        v.verify_sharded(prog.as_ref(), &launcher, &opts)
+        v.verify_sharded_from(prog.as_ref(), &launcher, &opts, Start::default())
             .expect("clean sharded campaign")
     } else {
         verifier.verify(&patterns::symmetric_racers())

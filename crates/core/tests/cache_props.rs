@@ -12,7 +12,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use dampi_core::cache::plan_digest;
-use dampi_core::{CampaignMetrics, DampiConfig, DampiVerifier, ReplayCache};
+use dampi_core::scheduler::Start;
+use dampi_core::{CampaignMetrics, DampiConfig, DampiVerifier, ExplorationJournal, ReplayCache};
 use dampi_mpi::program::MpiProgram;
 use dampi_mpi::{MatchPolicy, SimConfig};
 use dampi_workloads::matmul::{Matmul, MatmulParams};
@@ -173,7 +174,13 @@ proptest! {
         )
         .with_metrics(m.clone())
         .with_cache(Arc::clone(&cache))
-        .verify_resumed(prog.as_ref(), &journal)
+        .verify_from(
+            prog.as_ref(),
+            Start {
+                journal: Some(ExplorationJournal::load(&journal).expect("journal loads")),
+                ..Start::default()
+            },
+        )
         .expect("resume");
         prop_assert_eq!(
             resumed.to_json().to_string(),

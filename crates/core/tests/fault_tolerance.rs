@@ -9,11 +9,12 @@
 //! same result an uninterrupted campaign produces.
 
 use std::collections::BTreeSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
 use dampi_core::cache::plan_digest;
+use dampi_core::scheduler::Start;
 use dampi_core::{
     CampaignMetrics, DampiConfig, DampiVerifier, DecisionSet, ExplorationJournal, PrunePlan,
     ReplayCache, RetryBackoff, VerificationReport,
@@ -22,6 +23,15 @@ use dampi_mpi::fault::{FaultAction, FaultPlan, FaultRule};
 use dampi_mpi::{Comm, MatchPolicy, MpiError, ReplayBudget, SimConfig};
 use dampi_workloads::matmul::{Matmul, MatmulParams};
 use dampi_workloads::patterns;
+
+/// A campaign resumed from the journal at `path`.
+fn resuming(path: &Path) -> Start {
+    let journal = ExplorationJournal::load(path).expect("journal loads");
+    Start {
+        journal: Some(journal),
+        ..Start::default()
+    }
+}
 
 /// Fresh journal path in a per-test temp dir (no collisions across tests).
 fn journal_path(name: &str) -> PathBuf {
@@ -73,7 +83,7 @@ fn resumed_campaign_matches_uninterrupted_run() {
     // Resume with the interruption lifted: the completed campaign must be
     // indistinguishable from the uninterrupted one.
     let resumed = DampiVerifier::new(sim)
-        .verify_resumed(&prog, &path)
+        .verify_from(&prog, resuming(&path))
         .expect("resume");
     assert_eq!(resumed.interleavings, uninterrupted.interleavings);
     assert_eq!(error_set(&resumed), error_set(&uninterrupted));
@@ -109,7 +119,7 @@ fn resumed_campaign_recovers_the_error_set() {
     assert!(partial.errors.is_empty(), "interrupted before any replay");
 
     let resumed = DampiVerifier::new(sim)
-        .verify_resumed(&prog, &path)
+        .verify_from(&prog, resuming(&path))
         .expect("resume");
     assert_eq!(resumed.interleavings, uninterrupted.interleavings);
     assert_eq!(error_set(&resumed), error_set(&uninterrupted));
@@ -312,7 +322,7 @@ fn parallel_campaign_killed_mid_flight_resumes_to_sequential_result() {
     assert_eq!(journal.commits(), 3, "speculation is never journaled");
 
     let resumed = DampiVerifier::with_config(sim, DampiConfig::default().with_jobs(4))
-        .verify_resumed(&prog, &path)
+        .verify_from(&prog, resuming(&path))
         .expect("resume");
     assert_eq!(resumed.interleavings, sequential.interleavings);
     assert_eq!(error_set(&resumed), error_set(&sequential));
@@ -389,7 +399,7 @@ fn resumed_pruned_and_cached_campaigns_match_at_every_cut() {
                 v = v.with_cache(Arc::new(cache));
             }
             let report = if resume {
-                v.verify_resumed(&prog, &path).expect("resume")
+                v.verify_from(&prog, resuming(&path)).expect("resume")
             } else {
                 v.verify(&prog)
             };

@@ -8,10 +8,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dampi_core::cache::plan_digest;
-use dampi_core::scheduler::{ExploreOptions, RunResult};
+use dampi_core::scheduler::{ExploreOptions, RunResult, Start};
 use dampi_core::shard::{InProcessLauncher, ShardOptions};
 use dampi_core::{
-    DampiConfig, DampiVerifier, DecisionSet, ExplorationJournal, ReplayCache, VerificationReport,
+    DampiConfig, DampiVerifier, DecisionSet, ExplorationJournal, PrunePlan, ReplayCache,
+    VerificationReport,
 };
 use dampi_mpi::program::MpiProgram;
 use dampi_mpi::{MatchPolicy, SimConfig};
@@ -56,12 +57,14 @@ fn campaign(
         cfg = cfg.with_jobs(jobs);
     }
     let v = Arc::new(DampiVerifier::with_config(sim.clone(), cfg));
+    let start = Start {
+        journal: resume
+            .then(|| ExplorationJournal::load(journal))
+            .transpose()?,
+        ..Start::default()
+    };
     let Driver::Shards(shards) = driver else {
-        return if resume {
-            v.verify_resumed(prog.as_ref(), journal)
-        } else {
-            Ok(v.verify(prog.as_ref()))
-        };
+        return v.verify_from(prog.as_ref(), start);
     };
     let (vr, pr) = (Arc::clone(&v), Arc::clone(prog));
     let run: Arc<dyn Fn(&DecisionSet) -> RunResult + Send + Sync> =
@@ -71,11 +74,7 @@ fn campaign(
         shards,
         ..ShardOptions::default()
     };
-    if resume {
-        v.verify_sharded_resumed(prog.as_ref(), &launcher, &opts, journal)
-    } else {
-        v.verify_sharded(prog.as_ref(), &launcher, &opts)
-    }
+    v.verify_sharded_from(prog.as_ref(), &launcher, &opts, start)
 }
 
 fn racers() -> (Arc<dyn MpiProgram>, SimConfig) {
@@ -157,7 +156,13 @@ fn a_journal_torn_at_any_byte_resumes_or_is_refused() {
     let first_end = offsets.get(1).copied().unwrap_or(whole.len());
     for cut in 0..=whole.len() {
         std::fs::write(&j, &whole[..cut]).expect("write");
-        let resumed = verifier(DampiConfig::default()).verify_resumed(prog.as_ref(), &j);
+        let resumed = ExplorationJournal::load(&j).and_then(|journal| {
+            let start = Start {
+                journal: Some(journal),
+                ..Start::default()
+            };
+            verifier(DampiConfig::default()).verify_from(prog.as_ref(), start)
+        });
         if cut > 0 && cut < first_end {
             assert!(resumed.is_err(), "cut {cut} is inside the first frame");
             continue;
@@ -170,6 +175,158 @@ fn a_journal_torn_at_any_byte_resumes_or_is_refused() {
             "cut {cut}: the torn tail is cut and re-appended"
         );
     }
+    let _ = std::fs::remove_file(j);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn a_journalled_warm_matmul_ack_campaign_is_one_frame_per_commit() {
+    // The `matmul_ack_warm` benchmark's program (np=7, 6 slaves x 1 task)
+    // on the cooperative scheduler, its cache warm: every commit is a hit,
+    // and the journal holds one record per commit.
+    let program = Matmul::new(MatmulParams {
+        rounds_per_slave: 1,
+        ack_results: true,
+        ..MatmulParams::default()
+    });
+    let sim = SimConfig::new(7)
+        .with_policy(MatchPolicy::LowestRank)
+        .with_deterministic(true);
+    let dir = tmp_journal("matmul-ack-cache");
+    let cache = Arc::new(ReplayCache::open(&dir, 1, plan_digest(None), false).expect("cache"));
+    let cold = DampiVerifier::new(sim.clone())
+        .with_cache(Arc::clone(&cache))
+        .verify(&program);
+    let j = tmp_journal("matmul-ack");
+    let warm = DampiVerifier::with_config(sim, DampiConfig::default().with_journal(j.clone()))
+        .with_cache(cache)
+        .verify(&program);
+    assert_eq!(warm.to_json(), cold.to_json());
+    let commits = ExplorationJournal::load(&j).expect("journal").commits();
+    let bytes = std::fs::metadata(&j).expect("journal written").len();
+    let _ = std::fs::remove_file(&j);
+    let _ = std::fs::remove_dir_all(&dir);
+    // Keyed by schedule alone (version 3), the records took 1 118 677 bytes;
+    // the key costs each about 52.
+    assert_eq!(
+        (commits, bytes),
+        (720, 1_156_412),
+        "commits and bytes of the journal"
+    );
+}
+
+#[test]
+fn a_journal_written_without_a_plan_is_refused_under_one() {
+    let (prog, sim) = racers();
+    let j = tmp_journal("planless");
+    let cfg = DampiConfig::default().with_journal(j.clone());
+    let _ = DampiVerifier::with_config(sim.clone(), cfg).verify(prog.as_ref());
+    let written = std::fs::read(&j).expect("journal written");
+    let plan = PrunePlan {
+        orbits: vec![[1, 3].into()],
+        ..PrunePlan::default()
+    };
+    let start = Start {
+        journal: Some(ExplorationJournal::load(&j).expect("journal loads")),
+        ..Start::default()
+    };
+    let refused = DampiVerifier::new(sim)
+        .with_prune_plan(plan)
+        .verify_from(prog.as_ref(), start)
+        .expect_err("another plan's journal");
+    assert_eq!(refused.kind(), std::io::ErrorKind::InvalidData);
+    assert!(refused.to_string().contains("another plan"), "{refused}");
+    assert!(
+        std::fs::read(&j).expect("journal") == written,
+        "a refused journal is left as it was"
+    );
+    let _ = std::fs::remove_file(j);
+}
+
+#[test]
+fn a_record_of_another_campaign_ends_serving_where_it_stands() {
+    // The root record of this campaign, then the records of the same walk
+    // under another config digest: the resume serves the root, refuses the
+    // rest as if damaged, and re-executes from there.
+    let (prog, sim) = racers();
+    let journaled = |config_digest: u64| {
+        let j = tmp_journal(&format!("config-{config_digest}"));
+        let cfg = DampiConfig::default().with_journal(j.clone());
+        let start = Start {
+            config_digest,
+            ..Start::default()
+        };
+        let v = DampiVerifier::with_config(sim.clone(), cfg);
+        let report = v.verify_from(prog.as_ref(), start).expect("fresh campaign");
+        let bytes = std::fs::read(&j).expect("journal written");
+        let _ = std::fs::remove_file(j);
+        (report.to_json().to_string(), bytes)
+    };
+    let (base, ours) = journaled(0);
+    let (_, theirs) = journaled(1);
+    let second = |bytes: &[u8]| {
+        let mut offsets = Vec::new();
+        dampi_core::frame::scan_log(bytes, |f| offsets.push(f.offset as usize)).expect("scan");
+        offsets[1]
+    };
+    let j = tmp_journal("spliced");
+    std::fs::write(
+        &j,
+        [&ours[..second(&ours)], &theirs[second(&theirs)..]].concat(),
+    )
+    .unwrap();
+    let start = Start {
+        journal: Some(ExplorationJournal::load(&j).expect("journal loads")),
+        ..Start::default()
+    };
+    let resumed = DampiVerifier::new(sim).verify_from(prog.as_ref(), start);
+    assert_eq!(resumed.expect("resumed").to_json().to_string(), base);
+    assert!(
+        std::fs::read(&j).unwrap() == ours,
+        "the foreign records are cut"
+    );
+    let _ = std::fs::remove_file(j);
+}
+
+#[test]
+fn old_journals_and_cache_logs_are_refused() {
+    let (prog, sim) = racers();
+    let dir = tmp_journal("old-cache");
+    let cache = Arc::new(ReplayCache::open(&dir, 1, plan_digest(None), false).expect("cache"));
+    let j = tmp_journal("v4");
+    let cfg = DampiConfig::default().with_journal(j.clone());
+    let _ = DampiVerifier::with_config(sim, cfg)
+        .with_cache(cache)
+        .verify(prog.as_ref());
+    let keyspace = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap();
+    assert!(ExplorationJournal::load(&keyspace.path().join("entries")).is_err());
+    // A version-3 record was keyed by schedule alone.
+    let log = std::fs::File::open(&j).unwrap();
+    let mut first = None;
+    dampi_core::frame::scan_log(&log, |f| {
+        first.get_or_insert(f);
+    })
+    .unwrap();
+    let f = first.expect("a record");
+    let payload = dampi_core::frame::read_frame_at(&log, f.offset, f.len)
+        .unwrap()
+        .unwrap();
+    let (head, json) = payload.split_at(dampi_core::frame::LOG_HEAD_LEN);
+    let mut record: serde_json::Value =
+        serde_json::from_str(std::str::from_utf8(json).unwrap()).unwrap();
+    let fields = record.as_object_mut().unwrap();
+    for key in ["program", "plan", "schedule"] {
+        fields.remove(key);
+    }
+    fields.insert("version".into(), serde_json::json!(3));
+    let v3 = serde_json::to_string(&record).unwrap();
+    let head = u64::from_le_bytes(head.try_into().unwrap());
+    std::fs::write(
+        &j,
+        dampi_core::frame::head_frame(head, v3.as_bytes()).unwrap(),
+    )
+    .unwrap();
+    assert!(ExplorationJournal::load(&j).is_err());
     let _ = std::fs::remove_file(j);
     let _ = std::fs::remove_dir_all(dir);
 }

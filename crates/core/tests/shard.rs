@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use dampi_core::prune::PrunePlan;
 use dampi_core::scheduler::{ExploreOptions, RunResult, Start};
 use dampi_core::shard::{InProcessLauncher, ShardOptions};
-use dampi_core::{DampiConfig, DampiVerifier, DecisionSet};
+use dampi_core::{DampiConfig, DampiVerifier, DecisionSet, ExplorationJournal};
 use dampi_mpi::fault::{WorkerFaultKind, WorkerFaultPlan};
 use dampi_mpi::program::MpiProgram;
 use dampi_mpi::{MatchPolicy, SimConfig};
@@ -75,7 +75,7 @@ fn sharded_report_and_journal_match_unsharded() {
         ..ShardOptions::default()
     };
     let sharded = v
-        .verify_sharded(prog.as_ref(), &launcher, &opts)
+        .verify_sharded_from(prog.as_ref(), &launcher, &opts, Start::default())
         .expect("clean sharded campaign");
 
     assert_eq!(
@@ -115,7 +115,15 @@ fn pruned_sharded_campaign_matches_pruned_unsharded() {
         ..ShardOptions::default()
     };
     let sharded = v
-        .verify_sharded_from(prog.as_ref(), &launcher, &opts, Start::FirstRun(first))
+        .verify_sharded_from(
+            prog.as_ref(),
+            &launcher,
+            &opts,
+            Start {
+                first_run: Some(first),
+                ..Start::default()
+            },
+        )
         .expect("clean sharded campaign");
 
     assert_eq!(base.to_json().to_string(), sharded.to_json().to_string());
@@ -151,7 +159,7 @@ fn fleet_recovers_from_every_fault_kind() {
             persistent: false,
         });
         let sharded = v
-            .verify_sharded(prog.as_ref(), &launcher, &opts)
+            .verify_sharded_from(prog.as_ref(), &launcher, &opts, Start::default())
             .unwrap_or_else(|e| panic!("campaign under {kind:?} failed: {e}"));
         assert_eq!(
             base.to_json().to_string(),
@@ -188,7 +196,7 @@ fn poison_subtree_quarantines_with_honest_partial_coverage() {
         persistent: true,
     });
     let report = v
-        .verify_sharded(prog.as_ref(), &launcher, &opts)
+        .verify_sharded_from(prog.as_ref(), &launcher, &opts, Start::default())
         .expect("quarantine must terminate the campaign, not kill it");
     assert_eq!(report.quarantined, 1, "root subtree quarantined");
     assert_eq!(report.timeouts.len(), 1, "quarantine is a timeout record");
@@ -234,7 +242,7 @@ fn drain_checkpoint_resume_converges() {
     };
     opts.drain = Some(Arc::clone(&drain));
     let partial = v
-        .verify_sharded(prog.as_ref(), &launcher, &opts)
+        .verify_sharded_from(prog.as_ref(), &launcher, &opts, Start::default())
         .expect("drained campaign");
     assert!(partial.drained, "pre-set flag must drain the campaign");
     assert!(
@@ -245,7 +253,15 @@ fn drain_checkpoint_resume_converges() {
 
     opts.drain = None;
     let resumed = v
-        .verify_sharded_resumed(prog.as_ref(), &launcher, &opts, &shard_j)
+        .verify_sharded_from(
+            prog.as_ref(),
+            &launcher,
+            &opts,
+            Start {
+                journal: Some(ExplorationJournal::load(&shard_j).expect("journal loads")),
+                ..Start::default()
+            },
+        )
         .expect("resumed campaign");
     assert!(!resumed.drained);
     assert_eq!(resumed.interleavings, base.interleavings);
@@ -318,7 +334,7 @@ proptest! {
         opts.fault = Some(WorkerFaultPlan { kind, nth_job, persistent });
         opts.fault_slot = slot_sel as usize % shards;
         let sharded = v
-            .verify_sharded(prog.as_ref(), &launcher, &opts)
+            .verify_sharded_from(prog.as_ref(), &launcher, &opts, Start::default())
             .expect("chaos campaign must still complete");
 
         prop_assert_eq!(base_json, &sharded.to_json().to_string());

@@ -9,7 +9,8 @@
 //!
 //! Run with: `cargo run --example fault_tolerance`
 
-use dampi::core::{DampiConfig, DampiVerifier};
+use dampi::core::scheduler::Start;
+use dampi::core::{DampiConfig, DampiVerifier, ExplorationJournal};
 use dampi::mpi::fault::{FaultAction, FaultPlan, FaultRule};
 use dampi::mpi::{MatchPolicy, ReplayBudget, SimConfig};
 use dampi::workloads::patterns;
@@ -68,9 +69,14 @@ fn main() {
         interrupted.interleavings,
         interrupted.errors.len()
     );
+    // The resumed campaign appends to the journal it came from.
+    let start = Start {
+        journal: Some(ExplorationJournal::load(&journal).expect("journal loads")),
+        ..Start::default()
+    };
     let resumed = DampiVerifier::new(sim())
-        .verify_resumed(&patterns::fig3(), &journal)
-        .expect("journal loads");
+        .verify_from(&patterns::fig3(), start)
+        .expect("the journal is this campaign's");
     println!("=== resumed campaign ===\n{resumed}");
     let _ = std::fs::remove_file(&journal);
 }

@@ -263,7 +263,7 @@ flag_table! {
         "print a live progress line (replays/sec, frontier, ETA)";
     PruneStatic = "--prune-static", Switch, "", V,
         "run the static pre-analysis first and prune the frontier (same error set, fewer replays)",
-        conflicts: &[F::Resume], isp_lacks: Some(PLAN);
+        isp_lacks: Some(PLAN);
     Protocol = "--protocol", Text, "SPEC", VA,
         "session-protocol spec (path or committed name): adds the L006–L008 conformance \
          lints; verify also prunes the alternates it rules out",
@@ -330,6 +330,7 @@ fn fail(f: F, why: impl fmt::Display) -> String {
 
 /// One subcommand's parsed command line: each row's explicit value, if any,
 /// checked and in canonical form (a switch's is empty).
+#[derive(Clone)]
 struct Parsed {
     cmd: Cmd,
     explicit: Vec<Option<String>>,
@@ -475,6 +476,25 @@ fn semantic_args(name: &str, p: &Parsed) -> Vec<String> {
 
 fn config_digest(name: &str, p: &Parsed) -> u64 {
     dampi::mpi::fnv1a64(semantic_args(name, p).join("\u{1f}").as_bytes())
+}
+
+/// [`config_digest`] at the default `--max`: the journal's key and every
+/// worker's `Hello`. A budget decides where a campaign stops, not what a
+/// commit holds, so one cut by `--max` resumes under any other. (`--cache`
+/// keyspaces keep the budget in their digest, so existing stores stay warm.)
+fn campaign_digest(name: &str, p: &Parsed) -> u64 {
+    let mut unbudgeted = p.clone();
+    unbudgeted.explicit[F::Max as usize] = None;
+    config_digest(name, &unbudgeted)
+}
+
+/// The `error:` line of a campaign that could not run: a refused journal
+/// names `--resume`.
+fn campaign_failed(e: std::io::Error) -> String {
+    match e.kind() {
+        std::io::ErrorKind::InvalidData => fail(F::Resume, e),
+        _ => format!("campaign failed: {e}"),
+    }
 }
 
 /// The simulator and tool configuration the semantic flags describe: the one
@@ -729,12 +749,15 @@ fn cmd_verify(name: &str, p: &Parsed) -> Result<ExitCode, String> {
         }),
     };
     cfg = cfg.with_jobs(jobs);
-    // A resumed campaign keeps appending to the journal it came from unless
-    // --journal names another.
-    let resume = p.path(F::Resume);
-    if let Some(path) = p.path(F::Journal).or_else(|| resume.clone()) {
+    if let Some(path) = p.path(F::Journal) {
         cfg = cfg.with_journal(path);
     }
+    let journal = p.path(F::Resume).map(|j| ExplorationJournal::load(&j));
+    let mut start = Start {
+        journal: journal.transpose().map_err(|e| fail(F::Resume, e))?,
+        config_digest: campaign_digest(name, p),
+        first_run: None,
+    };
     let mut verifier = DampiVerifier::with_config(sim, cfg);
     // Observability is opt-in: the metrics arc exists iff a snapshot file
     // or live progress was requested, so the default path stays untouched.
@@ -746,12 +769,12 @@ fn cmd_verify(name: &str, p: &Parsed) -> Result<ExitCode, String> {
         let trace = CampaignTrace::to_file(&path).map_err(|e| fail(F::Trace, e))?;
         verifier = verifier.with_trace(trace);
     }
-    let mut prune_run = None;
     if p.given(F::PruneStatic) {
         let spec = load_protocol(p)?;
         // The traced free run feeds the static analysis *and* becomes the
         // campaign's SELF_RUN, so the plan prunes exactly the frontier
-        // that run produced.
+        // that run produced. A resumed campaign takes it again: if the
+        // plan it gives is not the journal's, the journal is refused.
         let (events, run) = verifier.traced_run(prog);
         let analysis =
             dampi::analysis::analyze_with_protocol(prog.name(), np, &events, &run, spec.as_ref())
@@ -781,7 +804,7 @@ fn cmd_verify(name: &str, p: &Parsed) -> Result<ExitCode, String> {
             plan.oblivious_receives.len()
         );
         verifier = verifier.with_prune_plan(plan);
-        prune_run = Some(run);
+        start.first_run = Some(run);
     }
     if let Some(dir) = p.path(F::Cache) {
         // Keyed after the prune plan is installed: a different plan is a
@@ -814,19 +837,9 @@ fn cmd_verify(name: &str, p: &Parsed) -> Result<ExitCode, String> {
         });
         (stop_tx, handle)
     });
-    // --resume and --prune-static exclude each other (the plan is keyed to
-    // a fresh free run, not the journaled one), so the campaign has exactly
-    // one starting point under any executor.
-    let start = match (&resume, prune_run) {
-        (Some(journal), _) => {
-            Start::Resume(ExplorationJournal::load(journal).map_err(|e| fail(F::Resume, e))?)
-        }
-        (None, Some(run)) => Start::FirstRun(run),
-        (None, None) => Start::Fresh,
-    };
     let report = match shards {
         Some(shards) => run_sharded(name, prog, &verifier, shards, p, start)?,
-        None => verifier.verify_from(prog, start),
+        None => verifier.verify_from(prog, start).map_err(campaign_failed)?,
     };
     if let Some((stop_tx, handle)) = progress_reporter {
         let _ = stop_tx.send(());
@@ -860,7 +873,7 @@ fn run_worker_mode(
     };
     let wcfg = shard::WorkerConfig {
         heartbeat_interval: Duration::from_millis(p.req(F::WorkerBeatMs)),
-        config_digest: config_digest(name, p),
+        config_digest: campaign_digest(name, p),
         fault: fault_plan(p)?,
         hard_exit: true,
         cancel: Arc::new(AtomicBool::new(false)),
@@ -886,7 +899,6 @@ fn run_sharded(
     let defaults = ShardOptions::default();
     let mut opts = ShardOptions {
         shards,
-        config_digest: config_digest(name, p),
         fault: fault_plan(p)?,
         heartbeat_timeout: p
             .secs(F::HeartbeatTimeout)
@@ -900,8 +912,7 @@ fn run_sharded(
     {
         opts.drain = Some(drain::install_sigterm());
     }
-    let failed = |e: std::io::Error| format!("sharded campaign failed: {e}");
-    let exe = std::env::current_exe().map_err(failed)?;
+    let exe = std::env::current_exe().map_err(campaign_failed)?;
     // Beacons at a quarter of the silence threshold: three beats can be
     // lost to scheduling noise before the detector fires.
     let beat_ms = (opts.heartbeat_timeout.as_millis() as u64 / 4).clamp(10, 500);
@@ -922,7 +933,7 @@ fn run_sharded(
     });
     verifier
         .verify_sharded_from(prog, &launcher, &opts, start)
-        .map_err(failed)
+        .map_err(campaign_failed)
 }
 
 fn cmd_analyze(name: &str, p: &Parsed) -> Result<ExitCode, String> {

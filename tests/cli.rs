@@ -773,3 +773,107 @@ fn fuzz_protocol_templates_answer_every_seed_through_out() {
     let planted = lines.iter().filter(|v| !v["expected"].is_null()).count();
     assert_eq!(planted, 12);
 }
+
+#[test]
+fn a_journal_of_another_campaign_is_refused_naming_what_differs() {
+    // A journal's records carry the config digest and the prune plan's
+    // digest: resumed under another workload, tool, semantic flag or plan,
+    // it is refused before anything runs, and left as it was.
+    let dir = std::env::temp_dir().join(format!("dampi-cli-foreign-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("racers.journal");
+    let out = cli()
+        .args(["verify", "racers", "--np", "4", "--journal"])
+        .arg(&journal)
+        .output()
+        .expect("run dampi-cli");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let written = std::fs::read(&journal).expect("journal written");
+    for (line, part) in [
+        ("matmul --np 4", "config"),
+        ("racers --np 4 --isp", "config"),
+        ("racers --np 4 --clock vector", "config"),
+        ("racers --np 4 --prune-static", "plan"),
+    ] {
+        let out = cli()
+            .arg("verify")
+            .args(line.split_whitespace())
+            .arg("--resume")
+            .arg(&journal)
+            .output()
+            .expect("run dampi-cli");
+        assert_eq!(out.status.code(), Some(1), "{line}: {out:?}");
+        assert!(out.stdout.is_empty(), "{line}: nothing ran: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let errors: Vec<&str> = err.lines().filter(|l| l.starts_with("error: ")).collect();
+        assert_eq!(errors.len(), 1, "{line}: {err}");
+        assert!(
+            errors[0].contains("--resume") && errors[0].contains(&format!("another {part}")),
+            "{line}: {err}"
+        );
+        assert!(
+            std::fs::read(&journal).unwrap() == written,
+            "{line}: a refused journal is left as it was"
+        );
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Cut a pruned campaign after every commit with `--max`, under each
+/// driver, and resume it with the same flags: the report and the journal
+/// are the uninterrupted `--jobs 1` campaign's, byte for byte.
+fn pruned_and_cut_at_every_commit_resumes_under_every_driver(tag: &str, workload: &str) {
+    let dir = std::env::temp_dir().join(format!("dampi-cli-cut-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("campaign.journal");
+    let run = |flags: &str, journal_flag: &str| {
+        let out = cli()
+            .arg("verify")
+            .args(workload.split_whitespace())
+            .args(flags.split_whitespace())
+            .args(["--json", journal_flag])
+            .arg(&journal)
+            .output()
+            .expect("run dampi-cli");
+        assert!(matches!(out.status.code(), Some(0 | 2)), "{flags}: {out:?}");
+        let report = String::from_utf8_lossy(&out.stdout).into_owned();
+        (out.status.code(), report, std::fs::read(&journal).unwrap())
+    };
+    let _ = std::fs::remove_file(&journal);
+    let base = run("--jobs 1", "--journal");
+    let json: serde_json::Value = serde_json::from_str(&base.1).expect("report");
+    let total = json["interleavings"].as_u64().expect("interleavings");
+    assert!(total >= 1, "{}", base.1);
+    for driver in ["--jobs 1", "--jobs 4", "--shards 2"] {
+        for cut in 1..=total {
+            let _ = std::fs::remove_file(&journal);
+            let (_, partial, _) = run(&format!("{driver} --max {cut}"), "--journal");
+            let partial: serde_json::Value = serde_json::from_str(&partial).expect("report");
+            assert_eq!(partial["interleavings"].as_u64(), Some(cut), "{driver}");
+            let resumed = run(driver, "--resume");
+            assert_eq!(resumed.0, base.0, "{driver} cut {cut}: exit status");
+            assert_eq!(resumed.1, base.1, "{driver} cut {cut}: report");
+            assert!(
+                resumed.2 == base.2,
+                "{driver} cut {cut}: journal bytes differ"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn racers_pruned_and_cut_at_every_commit_resumes_under_every_driver() {
+    pruned_and_cut_at_every_commit_resumes_under_every_driver(
+        "racers",
+        "racers --np 4 --prune-static",
+    );
+}
+
+#[test]
+fn protocol_pruned_and_cut_at_every_commit_resumes_under_every_driver() {
+    pruned_and_cut_at_every_commit_resumes_under_every_driver(
+        "stages",
+        "ordered_stages --np 3 --prune-static --protocol ordered_stages",
+    );
+}

@@ -9,10 +9,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dampi::core::cache::plan_digest;
-use dampi::core::scheduler::{ExploreOptions, RunResult};
+use dampi::core::scheduler::{ExploreOptions, RunResult, Start};
 use dampi::core::shard::{InProcessLauncher, ShardOptions};
 use dampi::core::{
-    CampaignMetrics, ClockMode, DampiConfig, DampiVerifier, DecisionSet, ReplayCache, ToolStack,
+    CampaignMetrics, ClockMode, DampiConfig, DampiVerifier, DecisionSet, ExplorationJournal,
+    ReplayCache, ToolStack,
 };
 use dampi::fuzz::{generate, GenParams};
 use dampi::mpi::fault::{WorkerFaultKind, WorkerFaultPlan};
@@ -62,7 +63,7 @@ impl Campaign {
             }),
             ..ShardOptions::default()
         };
-        let report = v.verify_sharded(self.prog.as_ref(), &launcher, &opts);
+        let report = v.verify_sharded_from(self.prog.as_ref(), &launcher, &opts, Start::default());
         let report = report.expect("the fleet survives one kill");
         report.to_json().to_string()
     }
@@ -106,8 +107,13 @@ fn every_driver_gives_the_inline_report(c: &Campaign, interleavings: u64, errors
         let cfg = DampiConfig::default().with_journal(j.clone());
         let partial = c.verifier(cfg.clone().with_max_interleavings(cut));
         assert_eq!(partial.verify(c.prog.as_ref()).interleavings, cut);
-        let resumed = c.verifier(cfg).verify_resumed(c.prog.as_ref(), &j);
-        let resumed = resumed.expect("journal loads").to_json().to_string();
+        let journal = ExplorationJournal::load(&j).expect("journal loads");
+        let start = Start {
+            journal: Some(journal),
+            ..Start::default()
+        };
+        let resumed = c.verifier(cfg).verify_from(c.prog.as_ref(), start);
+        let resumed = resumed.expect("resume").to_json().to_string();
         assert_eq!(resumed, base, "resumed after commit {cut}");
         let _ = std::fs::remove_file(j);
     }

@@ -619,10 +619,14 @@ struct CacheEntry {
     result: SubtreeResult,
 }
 
-/// A journal record, field for field; `source` is a unit variant's name.
+/// A journal record, field for field: a cache entry and the `source` of its
+/// result, a unit variant's name.
 #[derive(Serialize, Deserialize)]
 struct JournalRecord {
     version: u32,
+    program: u64,
+    plan: u64,
+    schedule: u64,
     source: String,
     result: SubtreeResult,
 }
