@@ -66,7 +66,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use parking_lot::Mutex;
 
 use crate::decisions::DecisionSet;
-use crate::executor::AttemptReport;
 use crate::frame::{self, FRAME_HEADER_LEN, LOG_HEAD_LEN};
 use crate::prune::PrunePlan;
 use crate::scheduler::Source;
@@ -84,15 +83,39 @@ const LOG_NAME: &str = "entries";
 /// One stored result under its full key, so that a hash collision, a
 /// misfiled entry or another campaign's record is detected, not trusted.
 /// Only a journal record says where its result came from.
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, serde::Deserialize)]
 pub(crate) struct Entry {
     version: u32,
     program: u64,
     plan: u64,
     schedule: u64,
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    #[serde(default)]
     pub(crate) source: Option<Source>,
     pub(crate) result: SubtreeResult,
+}
+
+/// An [`Entry`] as written: the same keys in the same order, the result
+/// borrowed from the commit, `source` left out when there is none.
+struct EntryRef<'a> {
+    key: Key,
+    schedule: u64,
+    source: Option<Source>,
+    result: &'a SubtreeResult,
+}
+
+impl serde::Serialize for EntryRef<'_> {
+    fn to_content(&self) -> serde::Content {
+        let mut m = Vec::with_capacity(6);
+        m.push(("version".to_owned(), self.key.version.to_content()));
+        m.push(("program".to_owned(), self.key.program.to_content()));
+        m.push(("plan".to_owned(), self.key.plan.to_content()));
+        m.push(("schedule".to_owned(), self.schedule.to_content()));
+        if let Some(source) = self.source {
+            m.push(("source".to_owned(), source.to_content()));
+        }
+        m.push(("result".to_owned(), self.result.to_content()));
+        serde::Content::Map(m)
+    }
 }
 
 /// What every entry of one log is stored under: its format version, the
@@ -119,12 +142,10 @@ impl Key {
         self,
         schedule: u64,
         source: Option<Source>,
-        result: SubtreeResult,
+        result: &SubtreeResult,
     ) -> io::Result<Vec<u8>> {
-        let entry = Entry {
-            version: self.version,
-            program: self.program,
-            plan: self.plan,
+        let entry = EntryRef {
+            key: self,
             schedule,
             source,
             result,
@@ -333,7 +354,7 @@ impl ReplayCache {
     /// fully-valid entry is a miss; a frame that is there but invalid is
     /// additionally counted stale and forgotten, so one bad write costs one
     /// replay, once.
-    pub(crate) fn lookup(&self, decisions: &DecisionSet) -> Option<AttemptReport> {
+    pub(crate) fn lookup(&self, decisions: &DecisionSet) -> Option<SubtreeResult> {
         let schedule = schedule_digest(decisions);
         let log = self.log.as_ref()?;
         let placed = *self.state.lock().index.get(&schedule)?;
@@ -348,7 +369,7 @@ impl ReplayCache {
                 state.index.remove(&schedule);
             }
         }
-        entry.map(|e| e.result.into())
+        entry.map(|e| e.result)
     }
 
     /// Serialize `rep` for storage under `decisions`' digest. Returns
@@ -359,15 +380,15 @@ impl ReplayCache {
     pub(crate) fn prepare(
         &self,
         decisions: &DecisionSet,
-        rep: &AttemptReport,
+        rep: &SubtreeResult,
     ) -> Option<PendingStore> {
-        if self.readonly || crate::scheduler::timeout_of(&rep.res.outcome).is_some() {
+        if self.readonly || crate::scheduler::timeout_of(&rep.outcome).is_some() {
             return None;
         }
         let schedule = schedule_digest(decisions);
         Some(PendingStore {
             schedule,
-            frame: self.key.frame(schedule, None, rep.clone().into()).ok()?,
+            frame: self.key.frame(schedule, None, rep).ok()?,
         })
     }
 
@@ -415,7 +436,6 @@ mod tests {
     use super::*;
     use crate::decisions::EpochDecision;
     use crate::epoch::ToolRunStats;
-    use crate::scheduler::RunResult;
     use dampi_mpi::program::RunOutcome;
     use std::path::PathBuf;
 
@@ -437,21 +457,19 @@ mod tests {
         DecisionSet::guided(7, ds)
     }
 
-    fn report() -> AttemptReport {
-        AttemptReport {
-            res: RunResult {
-                outcome: RunOutcome {
-                    rank_errors: Vec::new(),
-                    leaks: dampi_mpi::LeakReport::default(),
-                    fatal: None,
-                    per_rank_vt: vec![1.25, 0.75],
-                    wall_elapsed: std::time::Duration::ZERO,
-                    makespan: 1.25,
-                    census: Default::default(),
-                },
-                epochs: Vec::new(),
-                stats: ToolRunStats::default(),
+    fn report() -> SubtreeResult {
+        SubtreeResult {
+            outcome: RunOutcome {
+                rank_errors: Vec::new(),
+                leaks: dampi_mpi::LeakReport::default(),
+                fatal: None,
+                per_rank_vt: vec![1.25, 0.75],
+                wall_elapsed: std::time::Duration::ZERO,
+                makespan: 1.25,
+                census: Default::default(),
             },
+            epochs: Vec::new(),
+            stats: ToolRunStats::default(),
             attempt_makespans: vec![1.25, 0.5],
             divergences: 1,
             retries: 1,
@@ -534,7 +552,7 @@ mod tests {
         assert_eq!(got.attempt_makespans, rep.attempt_makespans);
         assert_eq!(got.divergences, 1);
         assert_eq!(got.retries, 1);
-        assert_eq!(got.res.outcome.makespan.to_bits(), 1.25f64.to_bits());
+        assert_eq!(got.outcome.makespan.to_bits(), 1.25f64.to_bits());
         assert_eq!(c.stale_count(), 0);
         assert_eq!(c.entries().unwrap(), 1);
         let _ = fs::remove_dir_all(&root);
@@ -666,7 +684,7 @@ mod tests {
         });
         let c = ReplayCache::open(&root, 1, 0, true).unwrap();
         let rep = c.lookup(&schedule(1)).expect("served");
-        assert_eq!(rep.res.outcome.wall_elapsed, std::time::Duration::ZERO);
+        assert_eq!(rep.outcome.wall_elapsed, std::time::Duration::ZERO);
         assert_eq!(c.stale_count(), 0);
         let _ = fs::remove_dir_all(&root);
     }
@@ -848,7 +866,7 @@ mod tests {
         let root = tmpdir("timeout");
         let c = ReplayCache::open(&root, 5, 0, false).unwrap();
         let mut rep = report();
-        rep.res.outcome.fatal = Some(dampi_mpi::MpiError::ReplayTimeout {
+        rep.outcome.fatal = Some(dampi_mpi::MpiError::ReplayTimeout {
             detail: "wall budget".into(),
         });
         assert!(

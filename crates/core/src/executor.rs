@@ -9,73 +9,17 @@
 use std::collections::HashSet;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
-
-use dampi_mpi::program::RunOutcome;
-use dampi_mpi::MpiError;
+use std::time::Instant;
 
 use crate::decisions::DecisionSet;
-use crate::epoch::ToolRunStats;
 use crate::metrics::CampaignEvent;
 use crate::scheduler::{ExploreOptions, RunResult};
-
-/// One schedule's execution including divergence retries: the final
-/// attempt's result (the one the walk uses) plus the cost of every
-/// attempt, in order.
-#[derive(Clone)]
-pub(crate) struct AttemptReport {
-    pub(crate) res: RunResult,
-    /// Simulated makespan of each attempt, first to last.
-    pub(crate) attempt_makespans: Vec<f64>,
-    /// Guided-lookup misses summed over all attempts.
-    pub(crate) divergences: u64,
-    /// Number of re-executions after a divergence.
-    pub(crate) retries: u64,
-}
-
-impl AttemptReport {
-    /// A single attempt, not retried.
-    pub(crate) fn single(res: RunResult) -> Self {
-        Self {
-            attempt_makespans: vec![res.outcome.makespan],
-            divergences: res.stats.divergences,
-            retries: 0,
-            res,
-        }
-    }
-
-    /// The synthetic result for a quarantined subtree: shaped exactly like
-    /// a watchdog timeout so it flows through the existing partial-coverage
-    /// reporting ([`crate::scheduler::Exploration::timeouts`] → the
-    /// report's warning block). No forks are pushed (the subtree was never
-    /// explored) and no virtual time is added (`attempt_makespans` is
-    /// empty — adding `0.0` would perturb the bitwise total).
-    pub(crate) fn quarantined(detail: String) -> Self {
-        Self {
-            res: RunResult {
-                outcome: RunOutcome {
-                    rank_errors: Vec::new(),
-                    leaks: dampi_mpi::LeakReport::default(),
-                    fatal: Some(MpiError::ReplayTimeout { detail }),
-                    per_rank_vt: Vec::new(),
-                    wall_elapsed: Duration::ZERO,
-                    makespan: 0.0,
-                    census: Default::default(),
-                },
-                epochs: Vec::new(),
-                stats: ToolRunStats::default(),
-            },
-            attempt_makespans: Vec::new(),
-            divergences: 0,
-            retries: 0,
-        }
-    }
-}
+use crate::shard::protocol::SubtreeResult;
 
 /// What [`Executor::next`] can report.
 pub(crate) enum Event {
     /// The schedule with this signature finished executing.
-    Completed(u64, Box<AttemptReport>),
+    Completed(u64, Box<SubtreeResult>),
     /// The executor lost this schedule (and counted it aborted) once too
     /// often and gives up on it for the stated reason; the driver commits
     /// it as an honest timeout record, counted as one more start.
@@ -113,15 +57,13 @@ pub(crate) fn execute_with_retry<F>(
     run: &mut F,
     decisions: &DecisionSet,
     opts: &ExploreOptions,
-) -> AttemptReport
+) -> SubtreeResult
 where
     F: FnMut(&DecisionSet) -> RunResult,
 {
-    let mut rep = AttemptReport::single(run(decisions));
+    let mut rep = SubtreeResult::single(run(decisions));
     let mut attempt: u32 = 0;
-    while !decisions.is_self_run()
-        && rep.res.stats.divergences > 0
-        && attempt < opts.divergence_retries
+    while !decisions.is_self_run() && rep.stats.divergences > 0 && attempt < opts.divergence_retries
     {
         // The schedule's signature seeds the jitter, so a replay's retry
         // timing is a pure function of its identity — sharded campaigns
@@ -135,7 +77,7 @@ where
         let res = run(decisions);
         rep.attempt_makespans.push(res.outcome.makespan);
         rep.divergences += res.stats.divergences;
-        rep.res = res;
+        (rep.outcome, rep.epochs, rep.stats) = (res.outcome, res.epochs, res.stats);
     }
     rep
 }
@@ -147,7 +89,7 @@ fn execute_timed<F>(
     sig: u64,
     decisions: &DecisionSet,
     opts: &ExploreOptions,
-) -> AttemptReport
+) -> SubtreeResult
 where
     F: FnMut(&DecisionSet) -> RunResult,
 {
@@ -220,7 +162,7 @@ where
 pub(crate) struct ThreadPool {
     jobs: usize,
     job_tx: crossbeam::channel::Sender<(u64, DecisionSet)>,
-    res_rx: crossbeam::channel::Receiver<(u64, AttemptReport)>,
+    res_rx: crossbeam::channel::Receiver<(u64, SubtreeResult)>,
     in_flight: HashSet<u64>,
 }
 
@@ -239,7 +181,7 @@ impl ThreadPool {
         F: Fn(&DecisionSet) -> RunResult + Sync,
     {
         let (job_tx, job_rx) = crossbeam::channel::unbounded::<(u64, DecisionSet)>();
-        let (res_tx, res_rx) = crossbeam::channel::unbounded::<(u64, AttemptReport)>();
+        let (res_tx, res_rx) = crossbeam::channel::unbounded::<(u64, SubtreeResult)>();
         let cancel = AtomicBool::new(false);
         crossbeam::thread::scope(|scope| {
             for wid in 0..jobs {

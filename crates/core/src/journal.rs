@@ -37,7 +37,6 @@ use std::path::{Path, PathBuf};
 
 use crate::cache::{plan_digest, schedule_digest, Entry, Key, Refused};
 use crate::decisions::DecisionSet;
-use crate::executor::AttemptReport;
 use crate::frame::{self, LogFrame, FRAME_HEADER_LEN, LOG_HEAD_LEN};
 use crate::prune::PrunePlan;
 use crate::scheduler::Source;
@@ -132,7 +131,7 @@ impl ExplorationJournal {
 
     /// The next record's result and source, if that record is the commit of
     /// `ds` under `key` and reads back whole.
-    pub(crate) fn serve(&mut self, key: Key, ds: &DecisionSet) -> Option<(AttemptReport, Source)> {
+    pub(crate) fn serve(&mut self, key: Key, ds: &DecisionSet) -> Option<(SubtreeResult, Source)> {
         let f = self.records.get(self.served)?;
         if f.head != schedule_digest(ds).to_le_bytes() {
             return None;
@@ -140,7 +139,7 @@ impl ExplorationJournal {
         let entry = self.entry(key, f).ok()?;
         let source = entry.source?;
         self.served += 1;
-        Some((entry.result.into(), source))
+        Some((entry.result, source))
     }
 
     /// Where the log stops being this campaign's: the first record not
@@ -192,19 +191,15 @@ pub(crate) fn open_log(path: &Path, from: Option<&ExplorationJournal>) -> io::Re
 
 /// Append one commit to `log` under `key` and make it durable: one
 /// `write`, one `fdatasync`. A write that fails part-way leaves a torn
-/// frame, where a later resume's records end.
+/// frame, where a later resume's records end. The commit has put `result`'s
+/// epochs in walk order, so a frame is a function of its schedule alone.
 pub(crate) fn append(
     mut log: &File,
     key: Key,
     decisions: &DecisionSet,
     source: Source,
-    rep: AttemptReport,
+    result: &SubtreeResult,
 ) -> io::Result<()> {
-    let mut result = SubtreeResult::from(rep);
-    // Ranks hand in their epoch logs in the order they finalize; the record
-    // keeps them in the order the walk reads them, so that a frame is a
-    // function of its schedule alone.
-    result.epochs.sort_by_key(|e| (e.clock, e.rank));
     let frame = key.frame(schedule_digest(decisions), Some(source), result)?;
     log.write_all(&frame)?;
     log.sync_data()
@@ -248,8 +243,8 @@ mod tests {
         )
     }
 
-    fn report(makespan: f64) -> AttemptReport {
-        AttemptReport::single(RunResult {
+    fn report(makespan: f64) -> SubtreeResult {
+        SubtreeResult::single(RunResult {
             outcome: RunOutcome {
                 rank_errors: vec![None, None],
                 leaks: dampi_mpi::LeakReport::default(),
@@ -280,7 +275,7 @@ mod tests {
                 KEY,
                 &schedule(i),
                 Source::Executed,
-                report(i as f64 + 0.25),
+                &report(i as f64 + 0.25),
             )
             .unwrap();
         }
@@ -294,9 +289,9 @@ mod tests {
 
     /// The frame of `schedule(i)`'s record at format `version`.
     fn record_frame(i: usize, version: u32) -> Vec<u8> {
-        let (at, result) = (schedule_digest(&schedule(i)), report(1.0).into());
+        let at = schedule_digest(&schedule(i));
         let key = Key { version, ..KEY };
-        key.frame(at, Some(Source::Executed), result).unwrap()
+        key.frame(at, Some(Source::Executed), &report(1.0)).unwrap()
     }
 
     #[test]
@@ -309,10 +304,7 @@ mod tests {
         for i in 0..3 {
             let (rep, source) = j.serve(KEY, &schedule(i)).expect("record");
             assert_eq!(source, Source::Executed);
-            assert_eq!(
-                rep.res.outcome.makespan.to_bits(),
-                (i as f64 + 0.25).to_bits()
-            );
+            assert_eq!(rep.outcome.makespan.to_bits(), (i as f64 + 0.25).to_bits());
         }
         assert!(j.serve(KEY, &schedule(3)).is_none(), "records exhausted");
         assert_eq!(j.unserved(), std::fs::metadata(&path).unwrap().len());
@@ -402,7 +394,7 @@ mod tests {
         assert!(j.serve(KEY, &schedule(9)).is_none());
         assert_eq!(j.unserved(), second);
         log.set_len(j.unserved()).unwrap();
-        append(&log, KEY, &schedule(9), Source::Hit, report(9.0)).unwrap();
+        append(&log, KEY, &schedule(9), Source::Hit, &report(9.0)).unwrap();
         let mut j = ExplorationJournal::load(&path).unwrap();
         assert_eq!(j.commits(), 2);
         assert!(j.serve(KEY, &schedule(0)).is_some());
@@ -425,7 +417,7 @@ mod tests {
             "the torn tail stays behind"
         );
         let log = open_log(&copy, Some(&j)).unwrap();
-        append(&log, KEY, &schedule(2), Source::Executed, report(2.0)).unwrap();
+        append(&log, KEY, &schedule(2), Source::Executed, &report(2.0)).unwrap();
         assert_eq!(ExplorationJournal::load(&copy).unwrap().commits(), 3);
         assert!(
             std::fs::read(&path).unwrap() == torn,

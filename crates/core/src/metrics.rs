@@ -5,9 +5,10 @@
 //! module provides the instrumentation layer every perf PR is judged with:
 //!
 //! * [`CampaignMetrics`] — cheap atomic counters and fixed-bucket
-//!   histograms, shared by the scheduler walk, the replay workers, and the
-//!   CLI's live progress reporter. When no sink is installed the
-//!   exploration pays only an `Option` check per replay.
+//!   histograms of what depends on timing, shared by the scheduler walk,
+//!   the replay workers, and the CLI's live progress reporter. What does
+//!   not depend on timing it does not count: it renders it from the
+//!   finished [`Exploration`].
 //! * [`CampaignTrace`] — a schema-versioned JSONL event stream (the
 //!   [`dampi_mpi::trace`] event-writer pattern lifted to campaign
 //!   granularity): one line per replay start/commit, journal append, timeout,
@@ -18,10 +19,10 @@
 //! Metrics come in two classes, kept in separate sections of the exported
 //! snapshot:
 //!
-//! * **Semantic** (`"semantic"`, deterministic): quantities defined by the
-//!   exploration itself — interleaving counts, epoch-tree depth/width,
-//!   error sets, late-message classification totals, piggyback wire bytes.
-//!   These are updated exclusively from the walk's commit path, which the
+//! * **Semantic** (`"semantic"`, deterministic): a rendering of the
+//!   finished [`Exploration`] — interleaving counts, epoch-tree depth/width,
+//!   error sets, late-message classification totals, piggyback wire bytes,
+//!   prune counters. The walk tallies them on its commit path, which the
 //!   parallel driver executes in exactly the sequential order (see
 //!   [`crate::scheduler`]), so the serialized `semantic` object is
 //!   **byte-identical** for `--jobs 1` and `--jobs N`.
@@ -31,18 +32,18 @@
 //!   write latency, per-replay wall latency. These depend on thread timing
 //!   and differ run to run.
 //!
-//! Beside them sit the replay-cache ledger (`"cache"`) and the runtime
-//! census (`"runtime"`): parks, wakes, turn passes and spurious wakes
-//! summed over the committed replays this process executed. Cache hits and
-//! shard workers' results count zero there, and free-running counts
-//! follow thread timing, so neither section is semantic.
+//! Beside them sit the replay-cache ledger (`"cache"`, whose hits and
+//! misses are the exploration's too) and the runtime census (`"runtime"`):
+//! parks, wakes, turn passes and spurious wakes summed over the committed
+//! replays this process executed. Cache hits and shard workers' results
+//! count zero there, and free-running counts follow thread timing, so
+//! neither section is semantic.
 //!
 //! The [`CampaignTrace`] is wall-clock-ordered by construction (events are
 //! appended as they happen across threads) and is therefore *not*
 //! deterministic across worker counts; its per-event payloads for commit
 //! events are.
 
-use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,7 +54,6 @@ use dampi_mpi::RuntimeCensus;
 use parking_lot::Mutex;
 use serde::Serialize;
 
-use crate::epoch::ToolRunStats;
 use crate::scheduler::Exploration;
 
 /// Version of the metrics snapshot schema (the `"schema"` key). 3 added
@@ -145,139 +145,7 @@ impl FixedHistogram {
     }
 }
 
-// ---- Semantic metrics ------------------------------------------------------
-
-/// Deterministic, commit-ordered campaign quantities. Updated only by the
-/// walk's commit path, which runs in the identical order for any `--jobs`
-/// value; see the module docs for the determinism contract.
-#[derive(Debug, Default, Clone)]
-pub struct SemanticMetrics {
-    /// Forks pushed onto the frontier across the campaign.
-    pub forks_discovered: u64,
-    /// Largest frontier ever observed (after a commit's fork pushes).
-    pub frontier_peak: u64,
-    /// Frontier size after the most recent commit.
-    pub frontier_size: u64,
-    /// Deepest committed replay (number of forced decisions; the initial
-    /// `SELF_RUN` has depth 0).
-    pub tree_depth_max: u64,
-    /// Committed replays per decision depth — the epoch tree's width
-    /// profile.
-    pub replays_by_depth: BTreeMap<u64, u64>,
-    /// Tool-stat sums over every committed run (final attempt of each).
-    pub wildcards: u64,
-    /// Messages analyzed by `FindPotentialMatches` across committed runs.
-    pub messages_analyzed: u64,
-    /// Of those, messages classified *late* (potential alternate matches).
-    pub late_messages: u64,
-    /// Piggyback messages generated across committed runs.
-    pub pb_messages: u64,
-    /// Piggyback wire bytes across committed runs (grows with world size
-    /// under vector clocks — the §II-C scalability argument, measured).
-    pub pb_wire_bytes: u64,
-    /// Unreceived messages drained and analyzed at finalize.
-    pub drained_messages: u64,
-    /// §V unsafe-pattern monitor alerts across committed runs.
-    pub unsafe_alerts: u64,
-    /// Frontier alternates dropped by the static prune plan across
-    /// committed runs (see `dampi_core::prune`).
-    pub alternates_pruned: u64,
-    /// Committed epoch instances the static analysis proved deterministic
-    /// (singleton feasible sender set — no branching possible).
-    pub wildcards_deterministic: u64,
-    /// Frontier alternates dropped only by the fixed-point positional
-    /// refinement (disjoint from `alternates_pruned`).
-    pub refined_alternates_pruned: u64,
-    /// Committed epoch instances only the refinement fixed point proved
-    /// deterministic (disjoint from `wildcards_deterministic`).
-    pub refined_wildcards_deterministic: u64,
-    /// Frontier alternates dropped because the protocol's local type
-    /// forbids their sender at that receive state (plan v3, disjoint from
-    /// the envelope/refinement counters).
-    pub protocol_alternates_pruned: u64,
-    /// Committed epoch instances whose wildcard the protocol proved
-    /// deterministic (the local type admits exactly one sender role).
-    pub protocol_wildcards_deterministic: u64,
-}
-
-impl SemanticMetrics {
-    fn absorb_commit(&mut self, oc: &ObservedCommit, frontier: usize) {
-        self.forks_discovered += oc.forks_pushed as u64;
-        self.frontier_size = frontier as u64;
-        self.frontier_peak = self.frontier_peak.max(frontier as u64);
-        self.tree_depth_max = self.tree_depth_max.max(oc.depth as u64);
-        *self.replays_by_depth.entry(oc.depth as u64).or_insert(0) += 1;
-        self.wildcards += oc.stats.wildcards;
-        self.messages_analyzed += oc.stats.messages_analyzed;
-        self.late_messages += oc.stats.late_messages;
-        self.pb_messages += oc.stats.pb_messages;
-        self.pb_wire_bytes += oc.stats.pb_wire_bytes;
-        self.drained_messages += oc.stats.drained_messages;
-        self.unsafe_alerts += oc.stats.unsafe_alerts;
-        self.alternates_pruned += oc.alternates_pruned;
-        self.wildcards_deterministic += oc.wildcards_deterministic;
-        self.refined_alternates_pruned += oc.refined_alternates_pruned;
-        self.refined_wildcards_deterministic += oc.refined_wildcards_deterministic;
-        self.protocol_alternates_pruned += oc.protocol_alternates_pruned;
-        self.protocol_wildcards_deterministic += oc.protocol_wildcards_deterministic;
-    }
-}
-
-/// What the walk reports to the sinks when it commits one replay.
-#[derive(Debug, Clone, Copy)]
-pub struct ObservedCommit {
-    /// 1-based interleaving number.
-    pub interleaving: u64,
-    /// Forced-decision count of the committed schedule (0 = `SELF_RUN`).
-    pub depth: usize,
-    /// Forks this commit pushed onto the frontier.
-    pub forks_pushed: usize,
-    /// Distinct new errors this commit contributed.
-    pub new_errors: usize,
-    /// Simulated makespan of the final attempt.
-    pub makespan: f64,
-    /// Execution attempts (1 + divergence retries).
-    pub attempts: u64,
-    /// Final attempt's tool stats.
-    pub stats: ToolRunStats,
-    /// Watchdog detail when the replay was killed over budget.
-    pub timed_out: bool,
-    /// Frontier alternates the static prune plan dropped at this commit.
-    pub alternates_pruned: u64,
-    /// Epoch instances in this commit the plan proved deterministic.
-    pub wildcards_deterministic: u64,
-    /// Alternates dropped at this commit by the refinement fixed point
-    /// alone (disjoint from `alternates_pruned`).
-    pub refined_alternates_pruned: u64,
-    /// Epoch instances only the refinement proved deterministic.
-    pub refined_wildcards_deterministic: u64,
-    /// Alternates dropped at this commit because the protocol forbids
-    /// their sender (disjoint from the other prune counters).
-    pub protocol_alternates_pruned: u64,
-    /// Epoch instances the protocol proved deterministic at this commit.
-    pub protocol_wildcards_deterministic: u64,
-    /// Park/wake counts of the final attempt, when this process executed
-    /// it. A cache hit or a shard worker's result carries zeros: the
-    /// census is never serialized (`RunOutcome::census`).
-    pub census: RuntimeCensus,
-}
-
 // ---- Campaign metrics ------------------------------------------------------
-
-/// Aggregated end-of-campaign numbers copied from the final
-/// [`Exploration`] (deterministic — they are the exploration's own
-/// fields).
-#[derive(Debug, Default, Clone)]
-struct FinalMetrics {
-    interleavings: u64,
-    errors: Vec<(u64, usize, String)>,
-    divergences: u64,
-    retries: u64,
-    timeouts: u64,
-    total_virtual_time: f64,
-    budget_exhausted: bool,
-    finished: bool,
-}
 
 /// The campaign metrics sink. One instance observes one exploration; share
 /// it via [`Arc`] between the verifier, the CLI progress reporter, and the
@@ -297,7 +165,7 @@ pub struct CampaignMetrics {
     /// Commits whose replay had already completed speculatively before the
     /// fork reached the top of the frontier (latency fully hidden).
     speculation_hits: AtomicU64,
-    /// Worker-pool size of the exploration (0 = sequential).
+    /// Worker-pool size of the exploration (1 = sequential).
     workers: AtomicU64,
     /// Wall-clock nanoseconds workers spent executing replays.
     worker_busy_ns: AtomicU64,
@@ -326,26 +194,22 @@ pub struct CampaignMetrics {
     cache_enabled: AtomicU64,
     /// 1 when the attached cache was opened read-only.
     cache_readonly: AtomicU64,
-    /// Commits satisfied from the persistent replay cache (counted on the
-    /// deterministic commit path only, so the tally is identical at any
-    /// `--jobs`/`--shards` setting).
-    cache_hits: AtomicU64,
-    /// Commits that had to execute (or quarantine) because the cache had
-    /// no valid entry. `hits + misses == replays_committed` exactly.
-    cache_misses: AtomicU64,
     /// Cache entries successfully written after a miss committed.
     cache_stores: AtomicU64,
     /// On-disk entries rejected as corrupt/stale by the cache handle.
     cache_stale: AtomicU64,
     /// Campaign wall-clock epoch.
     start: Instant,
-    semantic: Mutex<SemanticMetrics>,
+    /// Frontier size after the latest commit.
+    frontier: AtomicU64,
     /// Park/wake counts summed over the committed replays this process
     /// executed (the final attempt of each). Cache hits and shard results
     /// add zeros, and free-running counts depend on thread scheduling, so
     /// the sums stay out of the semantic section.
     runtime: Mutex<RuntimeCensus>,
-    fin: Mutex<FinalMetrics>,
+    /// The `semantic` section and the cache's `[hits, misses]`, rendered
+    /// from the finished exploration by [`Self::on_finish`].
+    fin: Mutex<Option<(serde_json::Value, [u64; 2])>>,
 }
 
 impl Default for CampaignMetrics {
@@ -367,14 +231,12 @@ impl Default for CampaignMetrics {
             quarantined: AtomicU64::new(0),
             cache_enabled: AtomicU64::new(0),
             cache_readonly: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
             cache_stores: AtomicU64::new(0),
             cache_stale: AtomicU64::new(0),
             start: Instant::now(),
-            semantic: Mutex::new(SemanticMetrics::default()),
+            frontier: AtomicU64::new(0),
             runtime: Mutex::new(RuntimeCensus::default()),
-            fin: Mutex::new(FinalMetrics::default()),
+            fin: Mutex::new(None),
         }
     }
 }
@@ -415,11 +277,14 @@ impl CampaignMetrics {
         self.workers.store(workers as u64, Ordering::Relaxed);
     }
 
-    /// The walk committed one replay with `frontier` forks now pending.
-    pub fn on_commit(&self, oc: &ObservedCommit, frontier: usize) {
+    /// The walk committed one replay with `frontier` forks now pending;
+    /// `census` is its final attempt's park/wake counts when this process
+    /// executed it (a cache hit or a shard worker's result carries zeros:
+    /// the census is never serialized).
+    pub fn on_commit(&self, frontier: usize, census: RuntimeCensus) {
         self.committed.fetch_add(1, Ordering::Relaxed);
-        self.semantic.lock().absorb_commit(oc, frontier);
-        *self.runtime.lock() += oc.census;
+        self.frontier.store(frontier as u64, Ordering::Relaxed);
+        *self.runtime.lock() += census;
     }
 
     /// A commit's result had already completed speculatively.
@@ -464,16 +329,6 @@ impl CampaignMetrics {
             .store(u64::from(readonly), Ordering::Relaxed);
     }
 
-    /// A commit was satisfied from the persistent replay cache.
-    pub fn on_cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A commit executed (or quarantined) because the cache missed.
-    pub fn on_cache_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// A missed result was written back to the cache.
     pub fn on_cache_store(&self) {
         self.cache_stores.fetch_add(1, Ordering::Relaxed);
@@ -491,21 +346,10 @@ impl CampaignMetrics {
             .record(u64::try_from(latency.as_micros()).unwrap_or(u64::MAX));
     }
 
-    /// The exploration ended; copy its deterministic aggregates.
+    /// The exploration ended: render its `semantic` section and its cache
+    /// hits and misses.
     pub fn on_finish(&self, ex: &Exploration) {
-        let mut f = self.fin.lock();
-        f.interleavings = ex.interleavings;
-        f.errors = ex
-            .errors
-            .iter()
-            .map(|e| (e.interleaving, e.rank, e.error.to_string()))
-            .collect();
-        f.divergences = ex.divergences;
-        f.retries = ex.retries;
-        f.timeouts = ex.timeouts.len() as u64;
-        f.total_virtual_time = ex.total_virtual_time;
-        f.budget_exhausted = ex.budget_exhausted;
-        f.finished = true;
+        *self.fin.lock() = Some((render_semantic(ex), [ex.cache_hits, ex.cache_misses]));
     }
 
     /// Live counters for a progress display (safe to call mid-campaign).
@@ -514,7 +358,7 @@ impl CampaignMetrics {
         ProgressSnapshot {
             committed: self.committed.load(Ordering::Relaxed),
             started: self.started.load(Ordering::Relaxed),
-            frontier: self.semantic.lock().frontier_size,
+            frontier: self.frontier.load(Ordering::Relaxed),
             elapsed: self.start.elapsed(),
         }
     }
@@ -550,60 +394,15 @@ impl CampaignMetrics {
         clock_mode: &str,
         jobs: usize,
     ) -> serde_json::Value {
-        let s = self.semantic.lock().clone();
-        let f = self.fin.lock().clone();
-        let errors: Vec<serde_json::Value> = f
-            .errors
-            .iter()
-            .map(|(interleaving, rank, message)| {
-                serde_json::json!({
-                    "interleaving": interleaving,
-                    "rank": rank,
-                    "message": message,
-                })
-            })
-            .collect();
-        let by_depth: serde_json::Map<String, serde_json::Value> = s
-            .replays_by_depth
-            .iter()
-            .map(|(d, n)| (d.to_string(), serde_json::json!(n)))
-            .collect();
-        let late_rate = if s.messages_analyzed > 0 {
-            s.late_messages as f64 / s.messages_analyzed as f64
-        } else {
-            0.0
-        };
+        let fin = self.fin.lock().clone();
+        let finished = fin.is_some();
+        let (mut semantic, [hits, misses]) =
+            fin.unwrap_or_else(|| (render_semantic(&Exploration::default()), [0, 0]));
+        if let Some(mode) = semantic.get_mut("clock_mode") {
+            *mode = serde_json::json!(clock_mode);
+        }
         let elapsed = self.start.elapsed().as_secs_f64();
         let committed = self.committed();
-        let semantic = serde_json::json!({
-            "clock_mode": clock_mode,
-            "interleavings": f.interleavings,
-            "errors": errors,
-            "divergences": f.divergences,
-            "retries": f.retries,
-            "timeouts": f.timeouts,
-            "budget_exhausted": f.budget_exhausted,
-            "total_virtual_time_s": f.total_virtual_time,
-            "forks_discovered": s.forks_discovered,
-            "frontier_peak": s.frontier_peak,
-            "frontier_final": s.frontier_size,
-            "tree_depth_max": s.tree_depth_max,
-            "replays_by_depth": serde_json::Value::Object(by_depth),
-            "wildcards": s.wildcards,
-            "messages_analyzed": s.messages_analyzed,
-            "late_messages": s.late_messages,
-            "late_message_rate": late_rate,
-            "pb_messages": s.pb_messages,
-            "pb_wire_bytes": s.pb_wire_bytes,
-            "drained_messages": s.drained_messages,
-            "unsafe_alerts": s.unsafe_alerts,
-            "alternates_pruned": s.alternates_pruned,
-            "wildcards_deterministic": s.wildcards_deterministic,
-            "refined_alternates_pruned": s.refined_alternates_pruned,
-            "refined_wildcards_deterministic": s.refined_wildcards_deterministic,
-            "protocol_alternates_pruned": s.protocol_alternates_pruned,
-            "protocol_wildcards_deterministic": s.protocol_wildcards_deterministic,
-        });
         let shard = serde_json::json!({
             "workers_spawned": self.workers_spawned.load(Ordering::Relaxed),
             "workers_lost": self.workers_lost.load(Ordering::Relaxed),
@@ -614,8 +413,8 @@ impl CampaignMetrics {
         let cache = serde_json::json!({
             "enabled": self.cache_enabled.load(Ordering::Relaxed) == 1,
             "readonly": self.cache_readonly.load(Ordering::Relaxed) == 1,
-            "hits": self.cache_hits.load(Ordering::Relaxed),
-            "misses": self.cache_misses.load(Ordering::Relaxed),
+            "hits": hits,
+            "misses": misses,
             "stores": self.cache_stores.load(Ordering::Relaxed),
             "stale": self.cache_stale.load(Ordering::Relaxed),
         });
@@ -646,13 +445,69 @@ impl CampaignMetrics {
             "program": program,
             "nprocs": nprocs,
             "jobs": jobs,
-            "finished": f.finished,
+            "finished": finished,
             "semantic": semantic,
             "wall_clock": wall_clock,
             "cache": cache,
             "runtime": runtime,
         })
     }
+}
+
+/// The `semantic` section of a snapshot: the exploration's deterministic
+/// tallies. `clock_mode` leads it, filled in by [`CampaignMetrics::snapshot`].
+fn render_semantic(ex: &Exploration) -> serde_json::Value {
+    let errors: Vec<serde_json::Value> = ex
+        .errors
+        .iter()
+        .map(|e| {
+            serde_json::json!({
+                "interleaving": e.interleaving,
+                "rank": e.rank,
+                "message": e.error.to_string(),
+            })
+        })
+        .collect();
+    let by_depth: serde_json::Map<String, serde_json::Value> = ex
+        .replays_by_depth
+        .iter()
+        .map(|(d, n)| (d.to_string(), serde_json::json!(n)))
+        .collect();
+    let s = &ex.run_stats;
+    let late_rate = if s.messages_analyzed > 0 {
+        s.late_messages as f64 / s.messages_analyzed as f64
+    } else {
+        0.0
+    };
+    serde_json::json!({
+        "clock_mode": serde_json::Value::Null,
+        "interleavings": ex.interleavings,
+        "errors": errors,
+        "divergences": ex.divergences,
+        "retries": ex.retries,
+        "timeouts": ex.timeouts.len() as u64,
+        "budget_exhausted": ex.budget_exhausted,
+        "total_virtual_time_s": ex.total_virtual_time,
+        "forks_discovered": ex.forks_discovered,
+        "frontier_peak": ex.frontier_peak,
+        "frontier_final": ex.frontier_final,
+        "tree_depth_max": ex.tree_depth_max,
+        "replays_by_depth": serde_json::Value::Object(by_depth),
+        "wildcards": s.wildcards,
+        "messages_analyzed": s.messages_analyzed,
+        "late_messages": s.late_messages,
+        "late_message_rate": late_rate,
+        "pb_messages": s.pb_messages,
+        "pb_wire_bytes": s.pb_wire_bytes,
+        "drained_messages": s.drained_messages,
+        "unsafe_alerts": s.unsafe_alerts,
+        "alternates_pruned": ex.alternates_pruned,
+        "wildcards_deterministic": ex.wildcards_deterministic,
+        "refined_alternates_pruned": ex.refined_alternates_pruned,
+        "refined_wildcards_deterministic": ex.refined_wildcards_deterministic,
+        "protocol_alternates_pruned": ex.protocol_alternates_pruned,
+        "protocol_wildcards_deterministic": ex.protocol_wildcards_deterministic,
+    })
 }
 
 /// Live counters read by a progress display.
@@ -889,6 +744,8 @@ impl Write for SharedBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::epoch::ToolRunStats;
+    use std::collections::BTreeMap;
 
     #[test]
     fn histogram_buckets_and_overflow() {
@@ -912,80 +769,54 @@ mod tests {
     }
 
     #[test]
-    fn commit_updates_semantic_counters() {
+    fn semantic_section_renders_the_exploration() {
         let m = CampaignMetrics::new();
-        let stats = ToolRunStats {
-            wildcards: 3,
-            late_messages: 2,
-            messages_analyzed: 5,
-            pb_messages: 7,
-            pb_wire_bytes: 168,
-            ..Default::default()
+        let census = RuntimeCensus {
+            parks: 5,
+            wakes: 4,
+            turn_passes: 6,
+            spurious_wakes: 1,
         };
-        m.on_commit(
-            &ObservedCommit {
-                interleaving: 1,
-                depth: 0,
-                forks_pushed: 4,
-                new_errors: 0,
-                makespan: 0.5,
-                attempts: 1,
-                stats,
-                timed_out: false,
-                alternates_pruned: 2,
-                wildcards_deterministic: 1,
-                refined_alternates_pruned: 3,
-                refined_wildcards_deterministic: 1,
-                protocol_alternates_pruned: 2,
-                protocol_wildcards_deterministic: 1,
-                census: RuntimeCensus {
-                    parks: 5,
-                    wakes: 4,
-                    turn_passes: 6,
-                    spurious_wakes: 1,
-                },
+        m.on_commit(4, census);
+        // A cache hit: nothing executed here.
+        m.on_commit(3, RuntimeCensus::default());
+        assert_eq!((m.committed(), m.progress().frontier), (2, 3));
+        m.on_finish(&Exploration {
+            interleavings: 2,
+            forks_discovered: 4,
+            frontier_peak: 4,
+            frontier_final: 3,
+            tree_depth_max: 1,
+            replays_by_depth: BTreeMap::from([(0, 1), (1, 1)]),
+            run_stats: ToolRunStats {
+                wildcards: 6,
+                late_messages: 1,
+                messages_analyzed: 4,
+                pb_wire_bytes: 336,
+                ..Default::default()
             },
-            4,
-        );
-        m.on_commit(
-            &ObservedCommit {
-                interleaving: 2,
-                depth: 1,
-                forks_pushed: 0,
-                new_errors: 1,
-                makespan: 0.5,
-                attempts: 1,
-                stats,
-                timed_out: false,
-                alternates_pruned: 0,
-                wildcards_deterministic: 1,
-                refined_alternates_pruned: 1,
-                refined_wildcards_deterministic: 0,
-                protocol_alternates_pruned: 0,
-                protocol_wildcards_deterministic: 1,
-                // A cache hit: nothing executed here.
-                census: RuntimeCensus::default(),
-            },
-            3,
-        );
-        let s = m.semantic.lock().clone();
-        assert_eq!(s.forks_discovered, 4);
-        assert_eq!(s.frontier_peak, 4);
-        assert_eq!(s.frontier_size, 3);
-        assert_eq!(s.tree_depth_max, 1);
-        assert_eq!(s.replays_by_depth[&0], 1);
-        assert_eq!(s.replays_by_depth[&1], 1);
-        assert_eq!(s.wildcards, 6);
-        assert_eq!(s.pb_wire_bytes, 336);
-        assert_eq!(s.alternates_pruned, 2);
-        assert_eq!(s.wildcards_deterministic, 2);
-        assert_eq!(s.refined_alternates_pruned, 4);
-        assert_eq!(s.refined_wildcards_deterministic, 1);
-        assert_eq!(s.protocol_alternates_pruned, 2);
-        assert_eq!(s.protocol_wildcards_deterministic, 2);
-        assert_eq!(m.committed(), 2);
-        m.on_finish(&Exploration::default());
+            alternates_pruned: 2,
+            protocol_wildcards_deterministic: 2,
+            cache_hits: 1,
+            cache_misses: 1,
+            ..Exploration::default()
+        });
         let j = m.snapshot("demo", 4, "lamport", 1);
+        let s = &j["semantic"];
+        assert_eq!(s["clock_mode"], "lamport");
+        assert_eq!(s["interleavings"], 2);
+        assert_eq!(s["forks_discovered"], 4);
+        assert_eq!(s["frontier_peak"], 4);
+        assert_eq!(s["frontier_final"], 3);
+        assert_eq!(s["tree_depth_max"], 1);
+        assert_eq!(s["replays_by_depth"], serde_json::json!({"0": 1, "1": 1}));
+        assert_eq!(s["wildcards"], 6);
+        assert_eq!(s["late_message_rate"].as_f64(), Some(0.25));
+        assert_eq!(s["pb_wire_bytes"], 336);
+        assert_eq!(s["alternates_pruned"], 2);
+        assert_eq!(s["protocol_wildcards_deterministic"], 2);
+        assert_eq!(j["cache"]["hits"], 1);
+        assert_eq!(j["cache"]["misses"], 1);
         assert_eq!(
             j["runtime"],
             serde_json::json!({"parks": 5, "wakes": 4, "turn_passes": 6, "spurious_wakes": 1})

@@ -36,11 +36,12 @@ use crate::cache::{Key, ReplayCache};
 use crate::config::RetryBackoff;
 use crate::decisions::{DecisionSet, EpochDecision};
 use crate::epoch::{EpochRecord, ToolRunStats};
-use crate::executor::{AttemptReport, Event, Executor, Inline, ThreadPool};
+use crate::executor::{Event, Executor, Inline, ThreadPool};
 use crate::journal::{self, ExplorationJournal};
-use crate::metrics::{CampaignEvent, CampaignMetrics, CampaignTrace, ObservedCommit};
+use crate::metrics::{CampaignEvent, CampaignMetrics, CampaignTrace};
 use crate::prune::PrunePlan;
 use crate::report::{FoundError, ReplayTimeoutRecord};
+use crate::shard::protocol::SubtreeResult;
 
 /// What one execution produced, as the scheduler sees it.
 #[derive(Clone)]
@@ -82,9 +83,9 @@ pub struct ExploreOptions {
     /// is deterministic regardless of completion order, so any value
     /// produces the same exploration.
     pub jobs: usize,
-    /// Campaign metrics sink (see [`crate::metrics`]). Semantic counters
-    /// are updated only on the commit path, so they are identical for any
-    /// `jobs` value; `None` costs the walk nothing.
+    /// Campaign metrics sink (see [`crate::metrics`]): the timing-dependent
+    /// counters, with a `semantic` section rendered from the finished
+    /// [`Exploration`]. `None` costs the walk its `Option` checks.
     pub metrics: Option<Arc<CampaignMetrics>>,
     /// Span-style campaign trace (JSONL events, wall-clock ordered).
     pub trace: Option<Arc<CampaignTrace>>,
@@ -191,6 +192,21 @@ pub struct Exploration {
     /// had no valid entry. With a cache attached,
     /// `cache_hits + cache_misses` equals the committed count exactly.
     pub cache_misses: u64,
+    /// Forks pushed onto the frontier across the campaign.
+    pub forks_discovered: u64,
+    /// Largest frontier after any commit's fork pushes.
+    pub frontier_peak: u64,
+    /// Frontier size after the last commit.
+    pub frontier_final: u64,
+    /// Deepest committed replay: its number of forced decisions (the
+    /// initial `SELF_RUN` has depth 0).
+    pub tree_depth_max: u64,
+    /// Committed replays per decision depth — the epoch tree's width
+    /// profile.
+    pub replays_by_depth: BTreeMap<u64, u64>,
+    /// Tool stats summed over every committed run (the final attempt of
+    /// each).
+    pub run_stats: ToolRunStats,
 }
 
 /// Where an exploration begins, and whose it is. The default is a fresh
@@ -208,19 +224,6 @@ pub struct Start {
     /// Digest of the verification config. With the prune plan's digest it
     /// keys the journal's records; every shard worker's `Hello` echoes it.
     pub config_digest: u64,
-}
-
-/// Per-commit prune accounting returned by [`push_forks`]: how many forks
-/// the plan dropped and how many committed epochs it proved deterministic,
-/// split by which analysis pass supplied the fact.
-#[derive(Debug, Clone, Copy, Default)]
-struct ForkStats {
-    pruned: u64,
-    deterministic: u64,
-    refined_pruned: u64,
-    refined_deterministic: u64,
-    protocol_pruned: u64,
-    protocol_deterministic: u64,
 }
 
 struct Fork {
@@ -279,7 +282,7 @@ pub(crate) const IN_PROCESS: &str = "in-process executors fail only when a repla
 
 /// A result waiting for its commit turn.
 struct Ready {
-    rep: AttemptReport,
+    rep: SubtreeResult,
     source: Source,
 }
 
@@ -390,7 +393,7 @@ pub(crate) fn drive(
                 Some(rep) => Some((rep, Source::Hit)),
                 None if fork.decisions.is_self_run() => first_run
                     .take()
-                    .map(|run| (AttemptReport::single(run), Source::Executed)),
+                    .map(|run| (SubtreeResult::single(run), Source::Executed)),
                 None => None,
             };
             if let Some((rep, source)) = in_hand {
@@ -420,7 +423,7 @@ pub(crate) fn drive(
             Event::Completed(sig, rep) => (sig, *rep, Source::Executed),
             Event::Quarantined(sig, reason) => {
                 started(); // the synthetic commit's dispatch
-                (sig, AttemptReport::quarantined(reason), Source::Quarantined)
+                (sig, SubtreeResult::quarantined(reason), Source::Quarantined)
             }
             Event::Wake => continue,
             Event::Drain => {
@@ -496,36 +499,35 @@ impl<'a> Walk<'a> {
     }
 
     /// Commit one result in walk order, then record it: in the journal, and
-    /// — a miss — in the cache, serialized before the commit consumes it
-    /// and written after, so the store only ever holds results the walk
-    /// absorbed. A result `served` from the journal being resumed is
-    /// recorded nowhere. The initial `SELF_RUN` is the commit of the empty
-    /// decision set.
+    /// — a miss — in the cache, serialized before the commit and written
+    /// after, so the store only ever holds results the walk absorbed. A
+    /// result `served` from the journal being resumed is recorded nowhere.
+    /// The initial `SELF_RUN` is the commit of the empty decision set.
     fn commit(&mut self, fork: &Fork, r: Ready, served: bool) {
-        let Ready { rep, source } = r;
+        let Ready { mut rep, source } = r;
+        // Ranks hand in their epoch logs in the order they finalize. From
+        // here on the result holds them in the order the walk reads them, so
+        // its forks, its journal record and its cache entry are a function
+        // of the schedule alone. The sort is stable on the walk's key.
+        rep.epochs.sort_by_key(|e| (e.clock, e.rank));
         let pending = match &self.opts.cache {
             Some(c) if source != Source::Hit && !served => c.prepare(&fork.decisions, &rep),
             _ => None,
         };
         self.note_cache(source == Source::Hit, fork.sig);
-        let attempts = rep.retries + 1;
         self.absorb_cost(&rep);
-        let res = &rep.res;
         self.ex.interleavings += 1;
         let interleaving = self.ex.interleavings;
         let errors_before = self.ex.errors.len();
         let stack_before = self.stack.len();
-        let makespan = res.outcome.makespan;
-        let census = res.outcome.census;
-        let stats = res.stats;
         let provenance = if fork.decisions.is_self_run() {
-            self.ex.first_run_stats = stats;
-            self.ex.first_run_makespan = makespan;
+            self.ex.first_run_stats = rep.stats;
+            self.ex.first_run_makespan = rep.outcome.makespan;
             // Leak checking happens at MPI_Finalize; a run that aborted or
             // deadlocked never reached it, so its leftover resources are
             // teardown debris, not application leaks.
-            if res.outcome.succeeded() {
-                self.ex.first_run_leaks = res.outcome.leaks.clone();
+            if rep.outcome.succeeded() {
+                self.ex.first_run_leaks = rep.outcome.leaks.clone();
             }
             Provenance::Root
         } else {
@@ -536,13 +538,15 @@ impl<'a> Walk<'a> {
         absorb_errors(
             &mut self.ex,
             &mut self.seen_errors,
-            &res.outcome,
+            &rep.outcome,
             interleaving,
             &fork.decisions,
         );
-        absorb_discoveries(&mut self.ex, &res.epochs);
-        let mut pruned = ForkStats::default();
-        let timed_out = if let Some(detail) = timeout_of(&res.outcome) {
+        absorb_discoveries(&mut self.ex, &rep.epochs);
+        self.ex.run_stats.merge(&rep.stats);
+        let timeout = timeout_of(&rep.outcome);
+        let timed_out = timeout.is_some();
+        if let Some(detail) = timeout {
             // A killed replay's epoch log is truncated; forking from it
             // would schedule prefixes the run never confirmed. Record the
             // partial coverage honestly and keep walking the rest of the
@@ -552,45 +556,43 @@ impl<'a> Walk<'a> {
                 detail,
                 decisions: fork.decisions.clone(),
             });
-            true
         } else {
-            pruned = push_forks(
+            push_forks(
                 &mut self.stack,
                 &mut self.visited,
-                &res.epochs,
+                &mut self.ex,
+                &rep.epochs,
                 provenance,
                 self.opts,
             );
-            false
-        };
-        self.ex.alternates_pruned += pruned.pruned;
-        self.ex.wildcards_deterministic += pruned.deterministic;
-        self.ex.refined_alternates_pruned += pruned.refined_pruned;
-        self.ex.refined_wildcards_deterministic += pruned.refined_deterministic;
-        self.ex.protocol_alternates_pruned += pruned.protocol_pruned;
-        self.ex.protocol_wildcards_deterministic += pruned.protocol_deterministic;
-        self.observe(ObservedCommit {
-            interleaving,
-            depth: fork.decisions.decisions.len(),
-            forks_pushed: self.stack.len() - stack_before,
-            new_errors: self.ex.errors.len() - errors_before,
-            makespan,
-            attempts,
-            stats,
-            timed_out,
-            alternates_pruned: pruned.pruned,
-            wildcards_deterministic: pruned.deterministic,
-            refined_alternates_pruned: pruned.refined_pruned,
-            refined_wildcards_deterministic: pruned.refined_deterministic,
-            protocol_alternates_pruned: pruned.protocol_pruned,
-            protocol_wildcards_deterministic: pruned.protocol_deterministic,
-            census,
-        });
+        }
+        let depth = fork.decisions.decisions.len();
+        let (forks_pushed, frontier) = (self.stack.len() - stack_before, self.stack.len());
+        self.ex.forks_discovered += forks_pushed as u64;
+        self.ex.frontier_final = frontier as u64;
+        self.ex.frontier_peak = self.ex.frontier_peak.max(frontier as u64);
+        self.ex.tree_depth_max = self.ex.tree_depth_max.max(depth as u64);
+        *self.ex.replays_by_depth.entry(depth as u64).or_insert(0) += 1;
+        if let Some(m) = &self.opts.metrics {
+            m.on_commit(frontier, rep.outcome.census);
+        }
+        if let Some(t) = &self.opts.trace {
+            t.emit(CampaignEvent::ReplayCommit {
+                interleaving,
+                depth,
+                forks_pushed,
+                frontier,
+                new_errors: self.ex.errors.len() - errors_before,
+                makespan_s: rep.outcome.makespan,
+                attempts: rep.retries + 1,
+                timed_out,
+            });
+        }
         if source == Source::Quarantined {
             self.ex.quarantined += 1;
         }
         if !served {
-            self.journal(fork, source, rep);
+            self.journal(fork, source, &rep);
         }
         if let (Some(c), Some(p)) = (&self.opts.cache, pending) {
             if c.commit_store(&p) {
@@ -611,37 +613,11 @@ impl<'a> Walk<'a> {
         }
         if hit {
             self.ex.cache_hits += 1;
-            if let Some(m) = &self.opts.metrics {
-                m.on_cache_hit();
-            }
             if let Some(t) = &self.opts.trace {
                 t.emit(CampaignEvent::CacheHit { signature });
             }
         } else {
             self.ex.cache_misses += 1;
-            if let Some(m) = &self.opts.metrics {
-                m.on_cache_miss();
-            }
-        }
-    }
-
-    /// Report one committed replay to the observability sinks. No-ops (two
-    /// `Option` checks) when no sink is installed.
-    fn observe(&self, oc: ObservedCommit) {
-        if let Some(m) = &self.opts.metrics {
-            m.on_commit(&oc, self.stack.len());
-        }
-        if let Some(t) = &self.opts.trace {
-            t.emit(CampaignEvent::ReplayCommit {
-                interleaving: oc.interleaving,
-                depth: oc.depth,
-                forks_pushed: oc.forks_pushed,
-                frontier: self.stack.len(),
-                new_errors: oc.new_errors,
-                makespan_s: oc.makespan,
-                attempts: oc.attempts,
-                timed_out: oc.timed_out,
-            });
         }
     }
 
@@ -681,7 +657,7 @@ impl<'a> Walk<'a> {
     /// Account a replay's execution cost. Makespans are added one attempt
     /// at a time, in attempt order, so parallel totals are bitwise equal
     /// to sequential ones.
-    fn absorb_cost(&mut self, rep: &AttemptReport) {
+    fn absorb_cost(&mut self, rep: &SubtreeResult) {
         for m in &rep.attempt_makespans {
             self.ex.total_virtual_time += m;
         }
@@ -692,7 +668,7 @@ impl<'a> Walk<'a> {
     /// Append one commit to the journal, if the campaign keeps one. A
     /// failed append must not kill a healthy campaign: a resume only
     /// re-executes from that commit on.
-    fn journal(&self, fork: &Fork, source: Source, rep: AttemptReport) {
+    fn journal(&self, fork: &Fork, source: Source, rep: &SubtreeResult) {
         let Some((log, key)) = &self.log else {
             return;
         };
@@ -761,33 +737,30 @@ fn absorb_discoveries(ex: &mut Exploration, epochs: &[EpochRecord]) {
     }
 }
 
-/// Sort this run's epochs canonically and push a fork for every unexplored
-/// alternate inside the mixing window. Returns how many alternates the
-/// static prune plan dropped and how many committed epoch instances the
-/// plan proved deterministic, split per analysis pass — all fold into the
-/// semantic metrics on the commit path, so they are identical for any
-/// `jobs` value.
+/// Push a fork for every unexplored alternate inside the mixing window of
+/// this run's `epochs`, which the commit has put in walk order. The static
+/// prune plan's drops and the committed epoch instances it proved
+/// deterministic are added to `ex`'s counters, per analysis pass — on the
+/// commit path, so they are identical for any `jobs` value.
 fn push_forks(
     stack: &mut Vec<Fork>,
     visited: &mut HashSet<u64>,
+    ex: &mut Exploration,
     epochs: &[EpochRecord],
     provenance: Provenance,
     opts: &ExploreOptions,
-) -> ForkStats {
+) {
     let plan = opts.prune.as_deref();
     let at_root = matches!(provenance, Root);
-    let mut stats = ForkStats::default();
-    let mut eps: Vec<&EpochRecord> = epochs.iter().collect();
-    eps.sort_by_key(|e| (e.clock, e.rank));
-    for (i, e) in eps.iter().enumerate() {
+    for (i, e) in epochs.iter().enumerate() {
         if let Some(p) = plan {
             if !e.guided {
                 if p.deterministic.contains(&(e.rank, e.clock)) {
-                    stats.deterministic += 1;
+                    ex.wildcards_deterministic += 1;
                 } else if p.refined_deterministic.contains(&(e.rank, e.clock)) {
-                    stats.refined_deterministic += 1;
+                    ex.refined_wildcards_deterministic += 1;
                 } else if p.protocol_deterministic.contains(&(e.rank, e.clock)) {
-                    stats.protocol_deterministic += 1;
+                    ex.protocol_wildcards_deterministic += 1;
                 }
             }
         }
@@ -822,7 +795,7 @@ fn push_forks(
         let fixed: BTreeSet<usize> = plan
             .filter(|p| !p.orbits.is_empty())
             .map(|_| {
-                let mut f: BTreeSet<usize> = eps
+                let mut f: BTreeSet<usize> = epochs
                     .iter()
                     .enumerate()
                     .filter(|&(j, p)| j < i || (j > i && p.guided))
@@ -838,15 +811,15 @@ fn push_forks(
         for alt in e.unexplored_alternates() {
             if let Some(p) = plan {
                 if at_root && p.infeasible.contains(&(e.rank, e.clock, alt)) {
-                    stats.pruned += 1;
+                    ex.alternates_pruned += 1;
                     continue;
                 }
                 if at_root && p.refined_infeasible.contains(&(e.rank, e.clock, alt)) {
-                    stats.refined_pruned += 1;
+                    ex.refined_alternates_pruned += 1;
                     continue;
                 }
                 if at_root && p.protocol_infeasible.contains(&(e.rank, e.clock, alt)) {
-                    stats.protocol_pruned += 1;
+                    ex.protocol_alternates_pruned += 1;
                     continue;
                 }
                 let symmetric = !fixed.contains(&alt)
@@ -854,14 +827,14 @@ fn push_forks(
                         .iter()
                         .any(|&b| !fixed.contains(&b) && p.interchangeable(alt, b));
                 if symmetric {
-                    stats.pruned += 1;
+                    ex.alternates_pruned += 1;
                     continue;
                 }
             }
             covered.push(alt);
             // The forced prefix: every earlier epoch keeps the match it had
             // in this run; the branch point takes the alternate.
-            let mut decisions: Vec<EpochDecision> = eps[..i]
+            let mut decisions: Vec<EpochDecision> = epochs[..i]
                 .iter()
                 .filter_map(|p| {
                     p.matched_src.map(|m| EpochDecision {
@@ -882,7 +855,6 @@ fn push_forks(
             }
         }
     }
-    stats
 }
 
 #[cfg(test)]

@@ -17,11 +17,13 @@ pub use crate::frame::{
     checksum, read_frame, write_frame, write_frame_with_checksum, MAX_FRAME_LEN,
 };
 
+use std::time::Duration;
+
 use dampi_mpi::program::RunOutcome;
+use dampi_mpi::MpiError;
 
 use crate::decisions::DecisionSet;
 use crate::epoch::{EpochRecord, ToolRunStats};
-use crate::executor::AttemptReport;
 use crate::scheduler::RunResult;
 
 /// Protocol version, checked in the `Hello` handshake. Bumped on any
@@ -74,15 +76,16 @@ pub enum FromWorker {
     },
 }
 
-/// A replay's complete product, shipped back to the supervisor. Carries
-/// the same information [`crate::scheduler`]'s in-process workers hand the
-/// coordinator: the final attempt's result plus the cost of every attempt,
-/// so the deterministic commit path absorbs identical numbers either way.
+/// A replay's complete product: the final attempt's result plus the cost of
+/// every attempt. It is the one shape a result has from the executor that
+/// ran it — in process or in a worker, across the wire — through the walk's
+/// commit to the replay cache and the journal.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct SubtreeResult {
     /// Runtime outcome of the final attempt.
     pub outcome: RunOutcome,
-    /// Epoch log of the final attempt.
+    /// Epoch log of the final attempt. In walk order, `(clock, rank)`, from
+    /// its commit on.
     pub epochs: Vec<EpochRecord>,
     /// Tool stats of the final attempt.
     pub stats: ToolRunStats,
@@ -96,11 +99,41 @@ pub struct SubtreeResult {
 }
 
 impl SubtreeResult {
-    /// Rebuild the `#[serde(skip)]` lookup indices of every decision set
-    /// that crossed the wire.
-    pub(crate) fn rebuild_indices(&mut self) {
-        // EpochRecords carry no DecisionSet; nothing to rebuild today.
-        // Kept as the single chokepoint should the result ever grow one.
+    /// A single attempt, not retried.
+    pub(crate) fn single(res: RunResult) -> Self {
+        Self {
+            attempt_makespans: vec![res.outcome.makespan],
+            divergences: res.stats.divergences,
+            retries: 0,
+            outcome: res.outcome,
+            epochs: res.epochs,
+            stats: res.stats,
+        }
+    }
+
+    /// The synthetic result for a quarantined subtree: shaped exactly like
+    /// a watchdog timeout so it flows through the existing partial-coverage
+    /// reporting ([`crate::scheduler::Exploration::timeouts`] → the
+    /// report's warning block). No forks are pushed (the subtree was never
+    /// explored) and no virtual time is added (`attempt_makespans` is
+    /// empty — adding `0.0` would perturb the bitwise total).
+    pub(crate) fn quarantined(detail: String) -> Self {
+        Self {
+            outcome: RunOutcome {
+                rank_errors: Vec::new(),
+                leaks: dampi_mpi::LeakReport::default(),
+                fatal: Some(MpiError::ReplayTimeout { detail }),
+                per_rank_vt: Vec::new(),
+                wall_elapsed: Duration::ZERO,
+                makespan: 0.0,
+                census: Default::default(),
+            },
+            epochs: Vec::new(),
+            stats: ToolRunStats::default(),
+            attempt_makespans: Vec::new(),
+            divergences: 0,
+            retries: 0,
+        }
     }
 }
 
@@ -120,36 +153,6 @@ pub fn recv_msg<R: Read, T: serde::Deserialize>(r: &mut R) -> io::Result<Option<
     serde_json::from_str(text)
         .map(Some)
         .map_err(io::Error::other)
-}
-
-/// [`SubtreeResult`] → the driver's attempt report shape.
-impl From<SubtreeResult> for AttemptReport {
-    fn from(mut r: SubtreeResult) -> Self {
-        r.rebuild_indices();
-        Self {
-            res: RunResult {
-                outcome: r.outcome,
-                epochs: r.epochs,
-                stats: r.stats,
-            },
-            attempt_makespans: r.attempt_makespans,
-            divergences: r.divergences,
-            retries: r.retries,
-        }
-    }
-}
-
-impl From<AttemptReport> for SubtreeResult {
-    fn from(rep: AttemptReport) -> Self {
-        Self {
-            outcome: rep.res.outcome,
-            epochs: rep.res.epochs,
-            stats: rep.res.stats,
-            attempt_makespans: rep.attempt_makespans,
-            divergences: rep.divergences,
-            retries: rep.retries,
-        }
-    }
 }
 
 #[cfg(test)]

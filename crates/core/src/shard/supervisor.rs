@@ -623,8 +623,7 @@ impl<'a> ProcessFleet<'a> {
                         m.on_executed(t0.elapsed());
                     }
                     self.in_flight.remove(&sig);
-                    self.outbox
-                        .push_back(Event::Completed(sig, Box::new((*result).into())));
+                    self.outbox.push_back(Event::Completed(sig, result));
                 }
                 Ok(())
             }

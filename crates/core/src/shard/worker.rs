@@ -182,7 +182,7 @@ where
             &mut *writer.lock(),
             &FromWorker::Result {
                 sig,
-                result: Box::new(rep.into()),
+                result: Box::new(rep),
             },
         )?;
     }
@@ -244,7 +244,7 @@ where
             let rep = execute_with_retry(run, decisions, opts);
             let msg = FromWorker::Result {
                 sig,
-                result: Box::new(rep.into()),
+                result: Box::new(rep),
             };
             if let Ok(json) = serde_json::to_string(&msg) {
                 let bytes = json.as_bytes();

@@ -395,3 +395,50 @@ fn a_log_torn_anywhere_in_its_last_frame_costs_one_replay() {
     }
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// Each schedule's `result` in a cache or journal log, as the bytes it
+/// was written as: an entry's last key is its result.
+fn results_by_schedule(log: &[u8]) -> std::collections::BTreeMap<u64, String> {
+    let mut out = std::collections::BTreeMap::new();
+    dampi_core::frame::scan_log(log, |f| {
+        let at = f.offset as usize + FRAME_HEADER_LEN;
+        let json = std::str::from_utf8(&log[at + LOG_HEAD_LEN..at + f.len as usize]).unwrap();
+        let (_, result) = json
+            .split_once(r#""result":"#)
+            .expect("an entry has a result");
+        out.insert(u64::from_le_bytes(f.head), result.to_owned());
+    })
+    .expect("scan");
+    out
+}
+
+#[test]
+fn a_cache_entry_and_its_journal_record_hold_the_same_result() {
+    // One turn-token racers campaign writing both logs: each commit's result
+    // reaches both in walk order, whatever order its ranks finalized in.
+    let (dir, journal) = (tmp_path("walk-order"), tmp_path("walk-order-journal"));
+    let verifier = DampiVerifier::with_config(
+        SimConfig::new(4)
+            .with_policy(MatchPolicy::LowestRank)
+            .with_deterministic(true),
+        DampiConfig::default()
+            .with_jobs(1)
+            .with_journal(journal.clone()),
+    )
+    .with_cache(open(&dir, false));
+    let report = verifier.verify(&patterns::symmetric_racers());
+    let cached = results_by_schedule(&std::fs::read(log_path(&dir)).unwrap());
+    let journaled = results_by_schedule(&std::fs::read(&journal).unwrap());
+    assert_eq!(cached.len() as u64, report.interleavings);
+    assert_eq!(
+        cached.keys().collect::<Vec<_>>(),
+        journaled.keys().collect::<Vec<_>>()
+    );
+    let differing = cached
+        .iter()
+        .filter(|&(schedule, result)| journaled[schedule] != *result)
+        .count();
+    assert_eq!(differing, 0, "of {} schedules", cached.len());
+    let _ = std::fs::remove_dir_all(dir);
+    let _ = std::fs::remove_file(journal);
+}

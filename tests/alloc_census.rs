@@ -171,6 +171,7 @@ fn a_warm_matmul_ack_campaign_allocates_little_per_commit() {
         n as f64 / commits as f64
     );
     assert_eq!(commits, 720);
-    // With the decode through a `Content` tree: 127 937 (177.7 per commit).
-    assert_eq!(n, 17_777, "allocations in a warm campaign of 720 commits");
+    // With the decode through a `Content` tree: 127 937 (177.7 per commit);
+    // with a sorted copy of each commit's epoch references: 17 777.
+    assert_eq!(n, 17_058, "allocations in a warm campaign of 720 commits");
 }

@@ -167,11 +167,13 @@ fn verify_metrics_snapshot_is_deterministic_across_jobs() {
     // only `wall_clock` may differ.
     let dir = std::env::temp_dir().join("dampi-cli-metrics-test");
     std::fs::create_dir_all(&dir).unwrap();
-    let run = |jobs: &str, file: &str| {
+    let trace = dir.join("m4.trace.jsonl");
+    let run = |jobs: &str, file: &str, extra: &[&str]| {
         let path = dir.join(file);
         let out = cli()
             .args(["verify", "racers", "--np", "4", "--jobs", jobs, "--metrics"])
             .arg(&path)
+            .args(extra)
             .output()
             .expect("run dampi-cli");
         assert!(out.status.success(), "{out:?}");
@@ -186,9 +188,20 @@ fn verify_metrics_snapshot_is_deterministic_across_jobs() {
             serde_json::to_string(v.get("semantic").unwrap()).unwrap(),
         )
     };
-    let (p1, sem1) = run("1", "m1.json");
-    let (p4, sem4) = run("4", "m4.json");
+    let (p1, sem1) = run("1", "m1.json", &[]);
+    let (p4, sem4) = run("4", "m4.json", &["--trace", trace.to_str().unwrap()]);
     assert_eq!(sem1, sem4, "semantic metrics must not depend on --jobs");
+    // The traced run streams schema-versioned JSONL beside its snapshot.
+    let lines = std::fs::read_to_string(&trace).unwrap();
+    assert!(lines.lines().count() > 0, "an empty trace");
+    for line in lines.lines() {
+        let v: serde_json::Value = serde_json::from_str(line).expect("a JSON line");
+        assert_eq!(
+            v.get("v").and_then(serde_json::Value::as_u64),
+            Some(u64::from(dampi::core::TRACE_SCHEMA_VERSION)),
+            "{line}"
+        );
+    }
     // The runtime census rides beside it: every replay's finalize barrier
     // parks its first entrants.
     let snapshot: serde_json::Value =
@@ -239,9 +252,85 @@ fn verify_metrics_snapshot_is_deterministic_across_jobs() {
     assert!(!out.status.success(), "{out:?}");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("runtime: wakes"), "{err}");
-    for p in [p1, p4, broken] {
+    for p in [p1, p4, broken, trace] {
         std::fs::remove_file(p).ok();
     }
+}
+
+/// The `semantic` and `cache` sections of one `verify … --metrics` run, as
+/// compact JSON.
+fn metrics_sections(args: &str, path: &std::path::Path) -> (String, String) {
+    let out = cli()
+        .args(args.split_whitespace())
+        .arg("--metrics")
+        .arg(path)
+        .output()
+        .expect("run dampi-cli");
+    assert!(out.status.success(), "{args}: {out:?}");
+    let v: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let section = |k: &str| serde_json::to_string(v.get(k).expect(k)).unwrap();
+    (section("semantic"), section("cache"))
+}
+
+#[test]
+fn verify_metrics_semantic_and_cache_sections_are_pinned() {
+    // Literals of campaigns whose sections repeat under free-running ranks:
+    // a pruned ordered_stages cold then warm through one cache, and pruned
+    // racers. Every field of both sections, byte for byte.
+    let dir = std::env::temp_dir().join(format!("dampi-cli-pinned-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let m = dir.join("m.json");
+    let stages = format!(
+        "verify ordered_stages --np 3 --prune-static --protocol ordered_stages --cache {}",
+        dir.join("cache").display()
+    );
+    let stages_semantic = concat!(
+        r#"{"clock_mode":"lamport","interleavings":1,"errors":[],"divergences":0,"#,
+        r#""retries":0,"timeouts":0,"budget_exhausted":false,"#,
+        r#""total_virtual_time_s":7.2649e-5,"forks_discovered":0,"frontier_peak":0,"#,
+        r#""frontier_final":0,"tree_depth_max":0,"replays_by_depth":{"0":1},"#,
+        r#""wildcards":2,"messages_analyzed":3,"late_messages":2,"#,
+        r#""late_message_rate":0.6666666666666666,"pb_messages":3,"pb_wire_bytes":72,"#,
+        r#""drained_messages":0,"unsafe_alerts":0,"alternates_pruned":0,"#,
+        r#""wildcards_deterministic":0,"refined_alternates_pruned":0,"#,
+        r#""refined_wildcards_deterministic":1,"protocol_alternates_pruned":1,"#,
+        r#""protocol_wildcards_deterministic":1}"#
+    );
+    let cold = metrics_sections(&stages, &m);
+    assert_eq!(cold.0, stages_semantic, "cold");
+    assert_eq!(
+        cold.1,
+        r#"{"enabled":true,"readonly":false,"hits":0,"misses":1,"stores":1,"stale":0}"#
+    );
+    let warm = metrics_sections(&stages, &m);
+    assert_eq!(warm.0, stages_semantic, "warm");
+    assert_eq!(
+        warm.1,
+        r#"{"enabled":true,"readonly":false,"hits":1,"misses":0,"stores":0,"stale":0}"#
+    );
+    let racers = metrics_sections("verify racers --np 4 --prune-static", &m);
+    assert_eq!(
+        racers.0,
+        concat!(
+            r#"{"clock_mode":"lamport","interleavings":2,"errors":[],"divergences":0,"#,
+            r#""retries":0,"timeouts":0,"budget_exhausted":false,"#,
+            r#""total_virtual_time_s":0.000183875,"forks_discovered":1,"frontier_peak":1,"#,
+            r#""frontier_final":0,"tree_depth_max":2,"replays_by_depth":{"0":1,"2":1},"#,
+            r#""wildcards":8,"messages_analyzed":8,"late_messages":8,"#,
+            r#""late_message_rate":1.0,"pb_messages":8,"pb_wire_bytes":192,"#,
+            r#""drained_messages":0,"unsafe_alerts":0,"alternates_pruned":1,"#,
+            r#""wildcards_deterministic":0,"refined_alternates_pruned":0,"#,
+            r#""refined_wildcards_deterministic":4,"protocol_alternates_pruned":0,"#,
+            r#""protocol_wildcards_deterministic":0}"#
+        )
+    );
+    assert_eq!(
+        racers.1,
+        r#"{"enabled":false,"readonly":false,"hits":0,"misses":0,"stores":0,"stale":0}"#
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
