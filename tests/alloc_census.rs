@@ -6,19 +6,24 @@
 //!
 //! * decoding one replay-cache entry of the np=7 `matmul_ack` campaign (the
 //!   `matmul_ack_warm` benchmark's program), the cache hit's per-commit
-//!   decode;
+//!   decode, and encoding one, what every cache store, journal append and
+//!   shard frame pays;
+//! * a whole cold `matmul_ack` campaign at `--jobs 1`, on its calling
+//!   thread (the rank threads' allocations are theirs, not counted);
 //! * a whole warm `matmul_ack` campaign at `--jobs 1`, every commit a cache
 //!   hit, which runs on the calling thread alone.
 //!
-//! Both campaigns run on the cooperative scheduler, so every count repeats
-//! exactly. A perf change to these paths claims its count delta here first.
+//! Every campaign runs on the cooperative scheduler, and one at a time with
+//! the process's rank-thread pool already holding its threads, so every
+//! count repeats exactly. A perf change to these paths claims its count
+//! delta here first.
 //! `cargo test --offline --test alloc_census -- --nocapture` prints them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::fs::File;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use dampi::core::cache::plan_digest;
 use dampi::core::frame::{self, LOG_HEAD_LEN};
@@ -69,6 +74,13 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTING: Counting = Counting;
 
+/// Held by every test of this binary: a campaign that ran beside the one
+/// counted could take the pooled rank threads it would have found idle.
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    static CAMPAIGNS: Mutex<()> = Mutex::new(());
+    CAMPAIGNS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// `f`'s result and the allocations it made on this thread.
 fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.with(Cell::get);
@@ -78,8 +90,8 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
 
 /// The entry a cache frame holds after its schedule digest (the cache's
 /// own type is private; this one has its fields, in its order). Decoded
-/// to be counted, never read.
-#[derive(serde::Deserialize)]
+/// and encoded to be counted, never read.
+#[derive(serde::Serialize, serde::Deserialize)]
 #[allow(dead_code)]
 struct CacheEntry {
     version: u32,
@@ -135,6 +147,7 @@ fn entries(dir: &Path) -> Vec<String> {
 
 #[test]
 fn a_matmul_ack_cache_hit_decodes_in_few_allocations() {
+    let _campaign = one_at_a_time();
     let dir = scratch("decode");
     let (program, sim) = matmul_ack();
     let cold = cached(&dir, &sim).verify(&program);
@@ -157,7 +170,58 @@ fn a_matmul_ack_cache_hit_decodes_in_few_allocations() {
 }
 
 #[test]
+fn a_matmul_ack_cache_entry_encodes_in_few_allocations() {
+    let _campaign = one_at_a_time();
+    let dir = scratch("encode");
+    let (program, sim) = matmul_ack();
+    let cold = cached(&dir, &sim).verify(&program);
+    assert_eq!(cold.interleavings, 720);
+    let entries = entries(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    let counts: Vec<u64> = entries
+        .iter()
+        .map(|json| {
+            let entry: CacheEntry = serde_json::from_str(json).unwrap();
+            let (printed, n) = allocations(|| serde_json::to_string(&entry).unwrap());
+            assert_eq!(&printed, json);
+            n
+        })
+        .collect();
+    let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
+    eprintln!(
+        "encode one entry: {} allocations ({} bytes of JSON); over all 720: {min}..={max}",
+        counts[0],
+        entries[0].len()
+    );
+    assert_eq!((*min, *max), (135, 135), "allocations to encode one entry");
+}
+
+#[test]
+fn a_cold_matmul_ack_campaign_allocates_on_its_calling_thread() {
+    let _campaign = one_at_a_time();
+    let dir = scratch("cold");
+    let (program, sim) = matmul_ack();
+    // The pool spawns the threads a run finds missing, on the calling
+    // thread: one run first, so that none are.
+    dampi::mpi::run_native(&sim, &program);
+    let verifier = cached(&dir, &sim);
+    let (cold, n) = allocations(|| verifier.verify(&program));
+    let _ = std::fs::remove_dir_all(&dir);
+    let commits = cold.interleavings;
+    eprintln!(
+        "cold campaign: {n} calling-thread allocations over {commits} commits, {:.1} per commit",
+        n as f64 / commits as f64
+    );
+    assert_eq!(commits, 720);
+    assert_eq!(
+        n, 129_391,
+        "calling-thread allocations in a cold campaign of 720 commits"
+    );
+}
+
+#[test]
 fn a_warm_matmul_ack_campaign_allocates_little_per_commit() {
+    let _campaign = one_at_a_time();
     let dir = scratch("warm");
     let (program, sim) = matmul_ack();
     let cold = cached(&dir, &sim).verify(&program);
