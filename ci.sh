@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI gate: format, unsafe/waist greps, build, full test suite, lints-as-errors,
-# docs, one paper-printer smoke, then one release-binary smoke (64 seeds of
+# docs (the vendored JSON codec's format, lints and docs by name too), one
+# paper-printer smoke, then one release-binary smoke (64 seeds of
 # the fuzz corpus). Every other CLI contract — the metrics snapshot through
 # `metrics-lint` at `--jobs 1` and `4` included — is a `cargo test` in
 # `tests/cli.rs`; nothing here needs python3. Nothing here reads a wall clock: `benchmark/` measures.
@@ -65,6 +66,13 @@ for _ in $(seq 20); do
 done
 cargo clippy --offline --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
+# The vendored JSON codec by name: every cache entry, journal record, shard
+# frame and report goes through it. Its three crates are the only workspace
+# members under `vendor/` (clippy lints members only), so these run from
+# the workspace and no `Cargo.lock` appears under `vendor/`.
+rustfmt --check --edition 2021 vendor/serde*/src/lib.rs
+cargo clippy --offline -p serde -p serde_derive -p serde_json -- -D warnings
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -p serde -p serde_json
 # Printer smoke: the paper-figure printers are plain `fn main()`s that print
 # counts and virtual time; Fig. 8's cells are pinned by `cargo test`
 # (`fig8_matmul_interleavings_under_bounded_mixing`), this checks the bench

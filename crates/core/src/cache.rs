@@ -104,17 +104,23 @@ struct EntryRef<'a> {
 }
 
 impl serde::Serialize for EntryRef<'_> {
-    fn to_content(&self) -> serde::Content {
-        let mut m = Vec::with_capacity(6);
-        m.push(("version".to_owned(), self.key.version.to_content()));
-        m.push(("program".to_owned(), self.key.program.to_content()));
-        m.push(("plan".to_owned(), self.key.plan.to_content()));
-        m.push(("schedule".to_owned(), self.schedule.to_content()));
+    fn serialize(&self, s: &mut dyn serde::Serializer) {
+        s.map();
+        s.key("version");
+        self.key.version.serialize(s);
+        s.key("program");
+        self.key.program.serialize(s);
+        s.key("plan");
+        self.key.plan.serialize(s);
+        s.key("schedule");
+        self.schedule.serialize(s);
         if let Some(source) = self.source {
-            m.push(("source".to_owned(), source.to_content()));
+            s.key("source");
+            source.serialize(s);
         }
-        m.push(("result".to_owned(), self.result.to_content()));
-        serde::Content::Map(m)
+        s.key("result");
+        self.result.serialize(s);
+        s.end();
     }
 }
 

@@ -193,7 +193,8 @@ fn a_matmul_ack_cache_entry_encodes_in_few_allocations() {
         counts[0],
         entries[0].len()
     );
-    assert_eq!((*min, *max), (135, 135), "allocations to encode one entry");
+    // Through a `Content` tree, the encode made 135.
+    assert_eq!((*min, *max), (10, 10), "allocations to encode one entry");
 }
 
 #[test]
@@ -213,8 +214,9 @@ fn a_cold_matmul_ack_campaign_allocates_on_its_calling_thread() {
         n as f64 / commits as f64
     );
     assert_eq!(commits, 720);
+    // With every entry encoded through a `Content` tree: 129 391.
     assert_eq!(
-        n, 129_391,
+        n, 39_391,
         "calling-thread allocations in a cold campaign of 720 commits"
     );
 }

@@ -1,36 +1,116 @@
 //! The vendored JSON codec, tested where tier-1 runs (`vendor/` is outside
 //! the workspace). `serde_json::from_str` reads text straight into the
-//! target type through one parser (`Value` and this file's `Tree` are
-//! types like any other), and `to_string`/`to_string_pretty` print straight
-//! from a `serde::Content` tree; the older route through a
-//! `serde_json::Value` tree (`to_value`, `Value`'s `Display`) is the
-//! reference the printers are held to, byte for byte. Journals, reports,
-//! `plan_digest`, config digests and cache keyspace names all hash or
-//! compare these bytes.
+//! target type through one parser, and `to_string`/`to_string_pretty` print
+//! straight from it through one printer (`Value` and this file's `Tree` are
+//! types like any other both ways). `Value`'s `Display` is an independent
+//! printer, the reference the printer is held to, byte for byte; `to_value`
+//! is the printer's text parsed. The printer relies on a contract it does
+//! not check (`serde::Serializer`'s), so this file checks it on what the
+//! workspace really writes. Journals, reports, `plan_digest`, config digests
+//! and cache keyspace names all hash or compare these bytes.
 
+use std::collections::BTreeSet;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
 use dampi::core::shard::protocol::SubtreeResult;
 use proptest::prelude::*;
 use proptest::TestRng;
-use serde::{Content, DeError, Deserialize, Deserializer, Serialize};
+use serde::{DeError, Deserialize, Deserializer, Num, Serialize, Serializer, Token};
 use serde_json::{from_str, to_string, to_string_pretty, to_value, Value};
 
-/// A `Content` tree as its own (de)serializable type, so the public API can
-/// be driven with arbitrary trees. It reads as a `Value` does.
+/// A JSON-shaped tree: this file's stand-in for whatever a `Serialize` impl
+/// writes.
+#[derive(Debug, Clone, PartialEq)]
+enum Content {
+    Null,
+    Bool(bool),
+    U64(u64),
+    I64(i64),
+    F64(f64),
+    Str(String),
+    Seq(Vec<Content>),
+    Map(Vec<(String, Content)>),
+}
+
+/// A [`Content`] tree as its own (de)serializable type, so the public API
+/// can be driven with arbitrary trees: written through the push API, and
+/// read as a `Value` is.
 #[derive(Debug, Clone, PartialEq)]
 struct Tree(Content);
 
+impl Serialize for Content {
+    fn serialize(&self, s: &mut dyn Serializer) {
+        match self {
+            Content::Null => s.null(),
+            Content::Bool(b) => s.bool(*b),
+            Content::U64(n) => s.number(Num::U64(*n)),
+            Content::I64(n) => s.number(Num::I64(*n)),
+            Content::F64(n) => s.number(Num::F64(*n)),
+            Content::Str(v) => s.str(v),
+            Content::Seq(items) => {
+                s.seq();
+                items.iter().for_each(|item| item.serialize(s));
+                s.end();
+            }
+            Content::Map(entries) => {
+                s.map();
+                for (k, v) in entries {
+                    s.key(k);
+                    v.serialize(s);
+                }
+                s.end();
+            }
+        }
+    }
+}
+
+impl Deserialize for Content {
+    fn deserialize(d: &mut dyn Deserializer<'_>) -> Result<Self, DeError> {
+        Ok(match d.peek()? {
+            Token::Null => d.skip().map(|()| Content::Null)?,
+            Token::Bool => Content::Bool(d.bool()?),
+            Token::Number => match d.number()? {
+                Num::U64(n) => Content::U64(n),
+                Num::I64(n) => Content::I64(n),
+                Num::F64(n) => Content::F64(n),
+            },
+            Token::Str => Content::Str(d.str()?.into_owned()),
+            Token::Seq => {
+                let mut items = Vec::new();
+                d.seq()?;
+                while d.next_item()? {
+                    items.push(Self::deserialize(d)?);
+                }
+                Content::Seq(items)
+            }
+            Token::Map => {
+                // As `Value` has it: a repeated key keeps its first place
+                // and takes the last value.
+                let mut entries: Vec<(String, Content)> = Vec::new();
+                d.map()?;
+                while let Some(key) = d.next_key()? {
+                    let value = Self::deserialize(d)?;
+                    match entries.iter_mut().find(|(k, _)| *k == key) {
+                        Some((_, old)) => *old = value,
+                        None => entries.push((key.into_owned(), value)),
+                    }
+                }
+                Content::Map(entries)
+            }
+        })
+    }
+}
+
 impl Serialize for Tree {
-    fn to_content(&self) -> Content {
-        self.0.clone()
+    fn serialize(&self, s: &mut dyn Serializer) {
+        self.0.serialize(s);
     }
 }
 
 impl Deserialize for Tree {
     fn deserialize(d: &mut dyn Deserializer<'_>) -> Result<Self, DeError> {
-        Value::deserialize(d).map(|v| Self(v.to_content()))
+        Content::deserialize(d).map(Self)
     }
 }
 
@@ -64,10 +144,11 @@ fn any_string(rng: &mut TestRng) -> String {
         .collect()
 }
 
-/// Random `Content`. `canonical` keeps to trees the printer's output parses
-/// back to exactly: finite floats, `I64` only below zero (the parser reads
-/// `5` as `U64`), no key twice in one map. Without it, every tree a
-/// `Serialize` impl could hand the printer is fair game.
+/// Random `Content`, never a key twice in one map (`serde::Serializer`'s
+/// contract). `canonical` keeps to trees the printer's output parses back
+/// to exactly: finite floats, `I64` only below zero (the parser reads `5`
+/// as `U64`). Without it, every tree a `Serialize` impl may write is fair
+/// game.
 struct AnyContent {
     canonical: bool,
 }
@@ -109,7 +190,7 @@ impl AnyContent {
                         0 => any_string(rng),
                         _ => ["a", "b", "key"][(rng.next_u64() % 3) as usize].to_owned(),
                     };
-                    if self.canonical && entries.iter().any(|(k, _)| *k == key) {
+                    if entries.iter().any(|(k, _)| *k == key) {
                         continue;
                     }
                     entries.push((key, self.tree(rng, depth - 1)));
@@ -176,8 +257,8 @@ proptest! {
         );
     }
 
-    /// The differential law: whatever tree a `Serialize` impl produces, the
-    /// direct printers write what the `Value` tree's printers write.
+    /// The differential law: whatever tree a `Serialize` impl writes, the
+    /// printer writes what `Value`'s printer writes for it.
     #[test]
     fn direct_printers_match_the_value_tree_printers(c in AnyContent { canonical: false }) {
         assert_prints_like_value(&Tree(c), "random tree");
@@ -264,6 +345,18 @@ fn numbers_print_and_parse_at_the_edges() {
 }
 
 #[test]
+fn a_value_equals_a_number_only_when_it_holds_it() {
+    // `to_value` of a non-finite float is `null`, as it prints.
+    assert_eq!(to_value(&f64::NAN), Value::Null);
+    assert_ne!(Value::Null, f64::NAN);
+    assert_ne!(Value::Null, f64::INFINITY);
+    assert_eq!(from_str::<Value>("-1.5").unwrap(), -1.5);
+    assert_eq!(from_str::<Value>("7").unwrap(), 7u32);
+    assert_ne!(from_str::<Value>("7").unwrap(), 8u32);
+    assert_eq!(from_str::<Value>("true").unwrap(), true);
+}
+
+#[test]
 fn strings_print_and_parse_every_escape() {
     // What the printer escapes, and how.
     let raw = "q\" b\\ n\n r\r t\t b\u{8} f\u{c} nul\u{0} us\u{1f} del\u{7f} /";
@@ -320,17 +413,6 @@ fn a_repeated_key_keeps_its_first_place_and_its_last_value() {
         r#"{"a":3,"b":{"b":6},"c":4}"#,
         "the parser resolves repeats"
     );
-    let repeated = Tree(Content::Map(vec![
-        ("a".to_owned(), Content::U64(1)),
-        ("b".to_owned(), Content::U64(2)),
-        ("a".to_owned(), Content::U64(3)),
-    ]));
-    assert_eq!(
-        to_string(&repeated).unwrap(),
-        r#"{"a":3,"b":2}"#,
-        "and so does the printer, as `Value` would"
-    );
-    assert_prints_like_value(&repeated, "repeated key");
 }
 
 #[test]
@@ -702,4 +784,278 @@ fn cache_entries_and_journal_records_reprint_to_their_bytes() {
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+// ---- the contract the printer relies on ----------------------------------------
+
+/// A `Serializer` that prints nothing and holds its caller to the contract
+/// `serde::Serializer` states and the printer does not check: a `key` only
+/// inside a map, exactly one value after it, never the same key twice in one
+/// map, every `seq`/`map` closed by `end` — and one value in all.
+struct Checked<'a> {
+    what: &'a str,
+    /// Every sequence and map open, the innermost last.
+    open: Vec<Open>,
+    /// Values written at the top level.
+    values: usize,
+}
+
+enum Open {
+    Seq,
+    /// A map: its keys so far, and whether the last one waits for its value.
+    Map {
+        keys: BTreeSet<String>,
+        due: bool,
+    },
+}
+
+impl Checked<'_> {
+    /// Walk `value` through the checker; a breach panics, naming `what`.
+    fn walk<T: Serialize + ?Sized>(value: &T, what: &str) {
+        let mut c = Checked {
+            what,
+            open: Vec::new(),
+            values: 0,
+        };
+        value.serialize(&mut c);
+        assert!(c.open.is_empty(), "{what}: {} left open", c.open.len());
+        assert_eq!(c.values, 1, "{what}: one value in all");
+    }
+
+    fn value(&mut self) {
+        match self.open.last_mut() {
+            None => self.values += 1,
+            Some(Open::Seq) => {}
+            Some(Open::Map { due, .. }) => {
+                assert!(
+                    std::mem::take(due),
+                    "{}: a map value with no key",
+                    self.what
+                )
+            }
+        }
+    }
+}
+
+impl Serializer for Checked<'_> {
+    fn null(&mut self) {
+        self.value();
+    }
+
+    fn bool(&mut self, _: bool) {
+        self.value();
+    }
+
+    fn number(&mut self, _: Num) {
+        self.value();
+    }
+
+    fn str(&mut self, _: &str) {
+        self.value();
+    }
+
+    fn seq(&mut self) {
+        self.value();
+        self.open.push(Open::Seq);
+    }
+
+    fn map(&mut self) {
+        self.value();
+        self.open.push(Open::Map {
+            keys: BTreeSet::new(),
+            due: false,
+        });
+    }
+
+    fn key(&mut self, k: &str) {
+        let what = self.what;
+        let Some(Open::Map { keys, due }) = self.open.last_mut() else {
+            panic!("{what}: key `{k}` outside a map");
+        };
+        assert!(!*due, "{what}: key `{k}` where a value was due");
+        assert!(
+            keys.insert(k.to_owned()),
+            "{what}: key `{k}` twice in one map"
+        );
+        *due = true;
+    }
+
+    fn end(&mut self) {
+        match self.open.pop() {
+            None => panic!("{}: `end` with nothing open", self.what),
+            Some(Open::Map { due: true, .. }) => panic!("{}: a key with no value", self.what),
+            Some(_) => {}
+        }
+    }
+}
+
+/// Something written by hand.
+type Writer = fn(&mut dyn Serializer);
+
+/// A writer by hand, to show the checker refuses what breaks the contract.
+struct Writes(Writer);
+
+impl Serialize for Writes {
+    fn serialize(&self, s: &mut dyn Serializer) {
+        (self.0)(s);
+    }
+}
+
+#[test]
+fn the_contract_checker_refuses_every_breach() {
+    Checked::walk(&Tree(Content::Map(Vec::new())), "an empty map");
+    let breaches: [(&str, Writer); 8] = [
+        ("a repeated key", |s| {
+            s.map();
+            s.key("a");
+            s.null();
+            s.key("a");
+            s.null();
+            s.end();
+        }),
+        ("a key in a sequence", |s| {
+            s.seq();
+            s.key("a");
+            s.null();
+            s.end();
+        }),
+        ("a key at the top", |s| {
+            s.key("a");
+            s.null();
+        }),
+        ("two values after a key", |s| {
+            s.map();
+            s.key("a");
+            s.null();
+            s.null();
+            s.end();
+        }),
+        ("a key with no value", |s| {
+            s.map();
+            s.key("a");
+            s.end();
+        }),
+        ("a map left open", |s| {
+            s.map();
+        }),
+        ("an `end` too many", |s| {
+            s.seq();
+            s.end();
+            s.end();
+        }),
+        ("two values at the top", |s| {
+            s.null();
+            s.null();
+        }),
+    ];
+    for (what, write) in breaches {
+        let caught = std::panic::catch_unwind(|| Checked::walk(&Writes(write), what));
+        assert!(caught.is_err(), "{what} passed the checker");
+    }
+}
+
+#[test]
+fn what_the_workspace_writes_keeps_the_serializer_contract() {
+    use dampi::analysis::analyze_program;
+    use dampi::core::cache::plan_digest;
+    use dampi::core::metrics::{CampaignEvent, TraceRecord};
+    use dampi::core::{CampaignMetrics, DampiConfig, DampiVerifier, ReplayCache};
+    use dampi::core::{METRICS_SCHEMA_VERSION, TRACE_SCHEMA_VERSION};
+    use dampi::fuzz::Verdict;
+    use dampi::mpi::{MatchPolicy, SimConfig};
+    use dampi::workloads::patterns;
+    use std::sync::Arc;
+
+    // A campaign that finds fig3's bug, with a cache, a journal and metrics.
+    let dir = std::env::temp_dir().join(format!("dampi-contract-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("journal");
+    let cache = ReplayCache::open(&dir.join("cache"), 1, plan_digest(None), false).unwrap();
+    let metrics = CampaignMetrics::new();
+    let sim = |np| {
+        SimConfig::new(np)
+            .with_policy(MatchPolicy::LowestRank)
+            .with_deterministic(true)
+    };
+    let report =
+        DampiVerifier::with_config(sim(3), DampiConfig::default().with_journal(journal.clone()))
+            .with_cache(Arc::new(cache))
+            .with_metrics(metrics.clone())
+            .verify(&patterns::fig3());
+    assert!(!report.errors.is_empty(), "fig3 finds its bug");
+    let keyspace = std::fs::read_dir(dir.join("cache"))
+        .unwrap()
+        .next()
+        .unwrap()
+        .unwrap();
+    let entries = logged_json(&keyspace.path().join("entries"));
+    let records = logged_json(&journal);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(!entries.is_empty() && !records.is_empty());
+
+    // `SubtreeResult`, cache entries and journal records (the cache writes
+    // these types' bytes: `cache_entries_and_journal_records_reprint_to_their_bytes`).
+    for json in &entries {
+        let entry: CacheEntry = from_str(json).unwrap();
+        Checked::walk(&entry, "cache entry");
+        Checked::walk(&entry.result, "SubtreeResult");
+    }
+    for json in &records {
+        Checked::walk(&from_str::<JournalRecord>(json).unwrap(), "journal record");
+    }
+
+    // The `--json` report, and what it is built from.
+    Checked::walk(&report.to_json(), "VerificationReport");
+    for e in &report.errors {
+        Checked::walk(&e.error, "MpiError");
+        Checked::walk(&e.decisions, "DecisionSet");
+    }
+
+    // The analyzer's report and the prune plan it carries.
+    let analysis = analyze_program(&DampiVerifier::new(sim(4)), &patterns::symmetric_racers());
+    assert!(!analysis.plan.orbits.is_empty(), "racers has orbits");
+    Checked::walk(&analysis.to_json(), "AnalysisReport");
+    Checked::walk(&analysis.plan, "PrunePlan");
+
+    // Fuzz verdicts, as the corpus holds them.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let corpus = std::fs::read_to_string(root.join("corpus/fuzz_verdicts.jsonl")).unwrap();
+    for line in corpus.lines().take(16) {
+        Checked::walk(&from_str::<Verdict>(line).unwrap(), "fuzz verdict");
+    }
+
+    // Trace records and the `--metrics` snapshot.
+    let events = [
+        CampaignEvent::CampaignStart {
+            jobs: 1,
+            resumed: false,
+        },
+        CampaignEvent::ReplayCommit {
+            interleaving: 2,
+            depth: 1,
+            forks_pushed: 0,
+            frontier: 0,
+            new_errors: 1,
+            makespan_s: 1.5e-5,
+            attempts: 1,
+            timed_out: false,
+        },
+        CampaignEvent::WorkerLost {
+            slot: 0,
+            reason: "heartbeat \"timeout\"".to_owned(),
+        },
+    ];
+    for event in events {
+        let record = TraceRecord {
+            v: TRACE_SCHEMA_VERSION,
+            t_us: 7,
+            event,
+        };
+        Checked::walk(&record, "trace record");
+    }
+    let snapshot = metrics.snapshot("fig3", 3, "lamport", 1);
+    assert_eq!(snapshot["schema"], METRICS_SCHEMA_VERSION);
+    assert_eq!(snapshot["finished"], true);
+    Checked::walk(&snapshot, "metrics snapshot");
 }
