@@ -210,6 +210,28 @@ fn verify_metrics_snapshot_is_deterministic_across_jobs() {
         .as_u64()
         .expect("runtime.parks");
     assert!(parks > 0, "{}", snapshot["runtime"]);
+    // The wall-clock counters that repeat at `--jobs 1`: the dispatch
+    // ledger, the pool width, both histograms' counts and the idle fleet.
+    let wall = &snapshot["wall_clock"];
+    let counters = serde_json::json!({
+        "replays_started": wall["replays_started"],
+        "replays_committed": wall["replays_committed"],
+        "replays_aborted": wall["replays_aborted"],
+        "speculation_hits": wall["speculation_hits"],
+        "workers": wall["workers"],
+        "replay_wall_us.count": wall["replay_wall_us"]["count"],
+        "journal_write_us.count": wall["journal_write_us"]["count"],
+        "shard": wall["shard"],
+    });
+    assert_eq!(
+        serde_json::to_string(&counters).unwrap(),
+        concat!(
+            r#"{"replays_started":4,"replays_committed":4,"replays_aborted":0,"#,
+            r#""speculation_hits":0,"workers":1,"replay_wall_us.count":4,"#,
+            r#""journal_write_us.count":0,"shard":{"workers_spawned":0,"workers_lost":0,"#,
+            r#""workers_restarted":0,"subtrees_redispatched":0,"quarantined":0}}"#
+        )
+    );
     // The lint binary agrees, including the cross-file determinism check.
     let out = lint()
         .args([
