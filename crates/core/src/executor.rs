@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use crate::decisions::DecisionSet;
-use crate::metrics::CampaignEvent;
+use crate::metrics::{emit, nanos, observed, CampaignEvent};
 use crate::scheduler::{ExploreOptions, RunResult};
 use crate::shard::protocol::SubtreeResult;
 
@@ -20,9 +20,9 @@ use crate::shard::protocol::SubtreeResult;
 pub(crate) enum Event {
     /// The schedule with this signature finished executing.
     Completed(u64, Box<SubtreeResult>),
-    /// The executor lost this schedule (and counted it aborted) once too
+    /// The executor lost this schedule (and reported it aborted) once too
     /// often and gives up on it for the stated reason; the driver commits
-    /// it as an honest timeout record, counted as one more start.
+    /// it as an honest timeout record, after one more `Dispatched`.
     Quarantined(u64, String),
     /// Nothing completed, but `submit` may now accept what it refused
     /// before (a backoff expired, a worker came back).
@@ -34,9 +34,9 @@ pub(crate) enum Event {
 /// A place to run replays. Signatures identify submissions: the visited
 /// set admits each decision prefix onto the frontier exactly once.
 ///
-/// The driver counts `replays_started` once per accepted `submit`. An
-/// executor that loses an accepted submission (a worker died) counts it
-/// aborted, stops counting it in `in_flight`, and the driver submits it
+/// The driver reports one `Dispatched` event per accepted `submit`. An
+/// executor that loses an accepted submission (a worker died) reports it
+/// `Aborted`, stops counting it in `in_flight`, and the driver submits it
 /// again.
 pub(crate) trait Executor {
     /// Submissions the executor would start right now. Asked before
@@ -82,8 +82,8 @@ where
     rep
 }
 
-/// [`execute_with_retry`] plus the in-process observability: the trace
-/// `ReplayStart` event and the wall-clock replay span.
+/// [`execute_with_retry`] between the `ReplayStart` and `ReplayExecuted`
+/// events, the latter carrying the replay's wall time.
 fn execute_timed<F>(
     run: &mut F,
     sig: u64,
@@ -93,13 +93,14 @@ fn execute_timed<F>(
 where
     F: FnMut(&DecisionSet) -> RunResult,
 {
-    if let Some(t) = &opts.trace {
-        t.emit(CampaignEvent::ReplayStart { signature: sig });
-    }
-    let t0 = opts.metrics.as_ref().map(|_| Instant::now());
+    emit(opts, || CampaignEvent::ReplayStart { signature: sig });
+    let t0 = observed(opts).then(Instant::now);
     let rep = execute_with_retry(run, decisions, opts);
-    if let (Some(m), Some(t0)) = (&opts.metrics, t0) {
-        m.on_executed(t0.elapsed());
+    if let Some(t0) = t0 {
+        emit(opts, || CampaignEvent::ReplayExecuted {
+            signature: sig,
+            wall_ns: nanos(t0.elapsed()),
+        });
     }
     rep
 }
@@ -190,12 +191,14 @@ impl ThreadPool {
                     .builder()
                     .name(format!("dampi-explore-{wid}"))
                     .spawn(move |_| loop {
-                        let idle0 = opts.metrics.as_ref().map(|_| Instant::now());
+                        let idle0 = observed(opts).then(Instant::now);
                         let Ok((sig, decisions)) = job_rx.recv() else {
                             break;
                         };
-                        if let (Some(m), Some(t0)) = (&opts.metrics, idle0) {
-                            m.on_worker_idle(t0.elapsed());
+                        if let Some(t0) = idle0 {
+                            emit(opts, || CampaignEvent::WorkerIdle {
+                                idle_ns: nanos(t0.elapsed()),
+                            });
                         }
                         if cancel.load(Ordering::Relaxed) {
                             continue; // drain without running

@@ -1,18 +1,20 @@
-//! Campaign observability: counters, histograms, and a span-style trace.
+//! Campaign observability: one event stream, and the metrics fold over it.
 //!
 //! A long verification campaign (paper §IV: thousands of replays) must not
-//! be a black box between launch and the final [`VerificationReport`](crate::report::VerificationReport). This
-//! module provides the instrumentation layer every perf PR is judged with:
+//! be a black box between launch and the final [`VerificationReport`](crate::report::VerificationReport).
+//! Everything a campaign reports about itself is a [`CampaignEvent`]. The
+//! driver, the in-process executors and the shard supervisor state each
+//! fact once, through a crate-private helper that stamps it into one
+//! [`TraceRecord`] and hands that record to whichever sinks are attached;
+//! with none attached it builds no event and reads no clock.
 //!
-//! * [`CampaignMetrics`] — cheap atomic counters and fixed-bucket
-//!   histograms of what depends on timing, shared by the scheduler walk,
-//!   the replay workers, and the CLI's live progress reporter. What does
-//!   not depend on timing it does not count: it renders it from the
-//!   finished [`Exploration`].
-//! * [`CampaignTrace`] — a schema-versioned JSONL event stream (the
+//! * [`CampaignTrace`] appends it as one schema-versioned JSONL line (the
 //!   [`dampi_mpi::trace`] event-writer pattern lifted to campaign
-//!   granularity): one line per replay start/commit, journal append, timeout,
-//!   and campaign boundary.
+//!   granularity).
+//! * [`CampaignMetrics`] folds it into the tally behind the `--metrics`
+//!   snapshot. [`CampaignMetrics::from_trace`] runs the same fold over a
+//!   saved trace, so a trace reproduces the snapshot of the run that wrote
+//!   it. The fold only adds, so the order it sees records in is immaterial.
 //!
 //! # Determinism contract
 //!
@@ -20,17 +22,18 @@
 //! snapshot:
 //!
 //! * **Semantic** (`"semantic"`, deterministic): a rendering of the
-//!   finished [`Exploration`] — interleaving counts, epoch-tree depth/width,
-//!   error sets, late-message classification totals, piggyback wire bytes,
-//!   prune counters. The walk tallies them on its commit path, which the
-//!   parallel driver executes in exactly the sequential order (see
-//!   [`crate::scheduler`]), so the serialized `semantic` object is
-//!   **byte-identical** for `--jobs 1` and `--jobs N`.
+//!   finished [`Exploration`], carried by `CampaignEnd` — interleaving
+//!   counts, epoch-tree depth/width, error sets, late-message
+//!   classification totals, piggyback wire bytes, prune counters. The walk
+//!   tallies them on its commit path, which the parallel driver executes in
+//!   exactly the sequential order (see [`crate::scheduler`]), so the
+//!   serialized `semantic` object is **byte-identical** for `--jobs 1` and
+//!   `--jobs N`.
 //! * **Wall-clock** (`"wall_clock"`, explicitly marked
 //!   `"deterministic": false`): scheduling and timing facts — replays
 //!   started/aborted, speculation hits, worker busy/idle time, journal
-//!   write latency, per-replay wall latency. These depend on thread timing
-//!   and differ run to run.
+//!   write latency, per-replay wall latency, and `wall_s`, the `t_us` of
+//!   `CampaignEnd`. These depend on thread timing and differ run to run.
 //!
 //! Beside them sit the replay-cache ledger (`"cache"`, whose hits and
 //! misses are the exploration's too) and the runtime census (`"runtime"`):
@@ -39,44 +42,49 @@
 //! count zero there, and free-running counts follow thread timing, so
 //! neither section is semantic.
 //!
-//! The [`CampaignTrace`] is wall-clock-ordered by construction (events are
-//! appended as they happen across threads) and is therefore *not*
-//! deterministic across worker counts; its per-event payloads for commit
-//! events are.
+//! The trace is in wall-clock order across threads, so it is *not*
+//! deterministic across worker counts; its commit events' payloads are.
 
-use std::io::{self, Write};
+use std::io::{self, BufRead, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dampi_mpi::RuntimeCensus;
 use parking_lot::Mutex;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
-use crate::scheduler::Exploration;
+use crate::scheduler::{Exploration, ExploreOptions};
 
 /// Version of the metrics snapshot schema (the `"schema"` key). 3 added
 /// the `runtime` section.
 pub const METRICS_SCHEMA_VERSION: u32 = 3;
 
 /// Version of the campaign-trace JSONL schema (the `"v"` key on every
-/// line).
-pub const TRACE_SCHEMA_VERSION: u32 = 1;
+/// line). 2 made the trace carry every fact the metrics snapshot is folded
+/// from: `Dispatched`, `ReplayExecuted`, `WorkerIdle` and `Aborted`, the
+/// census and cache store on `ReplayCommit`, the cache mode on
+/// `CampaignStart`, and the rendered sections on `CampaignEnd`.
+pub const TRACE_SCHEMA_VERSION: u32 = 2;
 
 // ---- Fixed-bucket histogram -----------------------------------------------
 
-/// Lock-free fixed-bucket histogram: `record` is one atomic increment per
-/// bucket plus two for the running sum/count, cheap enough for hot paths.
-#[derive(Debug)]
+/// Fixed-bucket histogram: one counter per bucket and a running sum.
+#[derive(Debug, Clone)]
 pub struct FixedHistogram {
     /// Inclusive upper bounds, ascending; values above the last bound land
     /// in the overflow bucket.
     bounds: Vec<u64>,
     /// One counter per bound plus the overflow bucket.
-    counts: Vec<AtomicU64>,
-    sum: AtomicU64,
-    count: AtomicU64,
+    counts: Vec<u64>,
+    sum: u64,
+}
+
+/// Microsecond-latency buckets (1µs .. 10s), for I/O and replay latencies.
+impl Default for FixedHistogram {
+    fn default() -> Self {
+        Self::new(&[1, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000])
+    }
 }
 
 impl FixedHistogram {
@@ -89,41 +97,20 @@ impl FixedHistogram {
         );
         Self {
             bounds: bounds.to_vec(),
-            counts: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-            sum: AtomicU64::new(0),
-            count: AtomicU64::new(0),
+            counts: vec![0; bounds.len() + 1],
+            sum: 0,
         }
     }
 
-    /// Microsecond-latency buckets (1µs .. 10s), the default for I/O and
-    /// replay latencies.
-    #[must_use]
-    pub fn latency_us() -> Self {
-        Self::new(&[1, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000])
-    }
-
     /// Record one observation.
-    pub fn record(&self, value: u64) {
+    pub fn record(&mut self, value: u64) {
         let idx = self
             .bounds
             .iter()
             .position(|&b| value <= b)
             .unwrap_or(self.bounds.len());
-        self.counts[idx].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Number of observations recorded.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all observations.
-    #[must_use]
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
+        self.counts[idx] += 1;
+        self.sum = self.sum.saturating_add(value);
     }
 
     /// JSON snapshot: `{"buckets": [{"le": bound, "n": count}, ...],
@@ -134,109 +121,64 @@ impl FixedHistogram {
             .bounds
             .iter()
             .zip(&self.counts)
-            .map(|(le, n)| serde_json::json!({"le": le, "n": n.load(Ordering::Relaxed)}))
+            .map(|(le, n)| serde_json::json!({"le": le, "n": n}))
             .collect();
         serde_json::json!({
             "buckets": buckets,
-            "overflow": self.counts[self.bounds.len()].load(Ordering::Relaxed),
-            "count": self.count(),
-            "sum": self.sum(),
+            "overflow": self.counts[self.bounds.len()],
+            "count": self.counts.iter().sum::<u64>(),
+            "sum": self.sum,
         })
     }
 }
 
 // ---- Campaign metrics ------------------------------------------------------
 
-/// The campaign metrics sink. One instance observes one exploration; share
-/// it via [`Arc`] between the verifier, the CLI progress reporter, and the
-/// snapshot writer. All methods take `&self` and are thread-safe.
+/// The campaign metrics sink: a fold over one campaign's
+/// [`TraceRecord`]s. Share it via [`Arc`] between the verifier, the CLI
+/// progress reporter, and the snapshot writer. All methods take `&self`
+/// and are thread-safe.
 #[derive(Debug)]
 pub struct CampaignMetrics {
-    /// Replays dispatched for execution (root + every job handed to a
-    /// worker or popped by the sequential walk). Wall-clock-dependent
-    /// under `--jobs N`: speculation dispatches ahead of the commit order.
-    started: AtomicU64,
-    /// Replays committed (mirror of the semantic interleaving count, kept
-    /// atomic so the progress reporter can read it without locking).
-    committed: AtomicU64,
-    /// Replays dispatched but never committed: speculation past a
-    /// budget/stop boundary, cancelled or still in flight at shutdown.
-    aborted: AtomicU64,
-    /// Commits whose replay had already completed speculatively before the
-    /// fork reached the top of the frontier (latency fully hidden).
-    speculation_hits: AtomicU64,
-    /// Worker-pool size of the exploration (1 = sequential).
-    workers: AtomicU64,
-    /// Wall-clock nanoseconds workers spent executing replays.
-    worker_busy_ns: AtomicU64,
-    /// Wall-clock nanoseconds workers spent waiting for work.
-    worker_idle_ns: AtomicU64,
-    /// Per-replay wall latency (execution only, µs).
-    replay_wall_us: FixedHistogram,
-    /// Journal append latency, write and `fdatasync` (µs).
-    journal_write_us: FixedHistogram,
-    /// Worker processes (or in-process stand-ins) spawned by the shard
-    /// supervisor, initial fleet and restarts included. Zero outside
-    /// `--shards` runs.
-    workers_spawned: AtomicU64,
-    /// Workers declared lost (crash, silence past the heartbeat timeout,
-    /// wedged past the lease, or a corrupt result frame).
-    workers_lost: AtomicU64,
-    /// Lost workers successfully replaced (`workers_restarted <=
-    /// workers_lost`; the difference is slots that exhausted their restart
-    /// budget).
-    workers_restarted: AtomicU64,
-    /// Subtrees dispatched again after their worker was lost (attempt 2+).
-    subtrees_redispatched: AtomicU64,
-    /// Subtrees quarantined after exhausting their dispatch attempts.
-    quarantined: AtomicU64,
-    /// 1 when a persistent replay cache was attached to the campaign.
-    cache_enabled: AtomicU64,
-    /// 1 when the attached cache was opened read-only.
-    cache_readonly: AtomicU64,
-    /// Cache entries successfully written after a miss committed.
-    cache_stores: AtomicU64,
-    /// On-disk entries rejected as corrupt/stale by the cache handle.
-    cache_stale: AtomicU64,
-    /// Campaign wall-clock epoch.
+    /// Creation time: the epoch of records stamped for this sink alone,
+    /// and of [`ProgressSnapshot::elapsed`].
     start: Instant,
+    tally: Mutex<Tally>,
+}
+
+/// What the fold has counted so far: one field per snapshot counter, each a
+/// count or a sum of the [`CampaignEvent`]s that carry it.
+#[derive(Debug, Default)]
+struct Tally {
+    started: u64,
+    committed: u64,
+    aborted: u64,
+    speculation_hits: u64,
+    workers: u64,
+    worker_busy_ns: u64,
+    worker_idle_ns: u64,
+    replay_wall_us: FixedHistogram,
+    journal_write_us: FixedHistogram,
+    workers_spawned: u64,
+    workers_lost: u64,
+    workers_restarted: u64,
+    subtrees_redispatched: u64,
+    quarantined: u64,
+    /// `Some(readonly)` when a persistent replay cache was attached.
+    cache: Option<bool>,
+    cache_stores: u64,
     /// Frontier size after the latest commit.
-    frontier: AtomicU64,
-    /// Park/wake counts summed over the committed replays this process
-    /// executed (the final attempt of each). Cache hits and shard results
-    /// add zeros, and free-running counts depend on thread scheduling, so
-    /// the sums stay out of the semantic section.
-    runtime: Mutex<RuntimeCensus>,
-    /// The `semantic` section and the cache's `[hits, misses]`, rendered
-    /// from the finished exploration by [`Self::on_finish`].
-    fin: Mutex<Option<(serde_json::Value, [u64; 2])>>,
+    frontier: u64,
+    runtime: RuntimeCensus,
+    /// The `CampaignEnd` record, once folded in.
+    end: Option<TraceRecord>,
 }
 
 impl Default for CampaignMetrics {
     fn default() -> Self {
         Self {
-            started: AtomicU64::new(0),
-            committed: AtomicU64::new(0),
-            aborted: AtomicU64::new(0),
-            speculation_hits: AtomicU64::new(0),
-            workers: AtomicU64::new(0),
-            worker_busy_ns: AtomicU64::new(0),
-            worker_idle_ns: AtomicU64::new(0),
-            replay_wall_us: FixedHistogram::latency_us(),
-            journal_write_us: FixedHistogram::latency_us(),
-            workers_spawned: AtomicU64::new(0),
-            workers_lost: AtomicU64::new(0),
-            workers_restarted: AtomicU64::new(0),
-            subtrees_redispatched: AtomicU64::new(0),
-            quarantined: AtomicU64::new(0),
-            cache_enabled: AtomicU64::new(0),
-            cache_readonly: AtomicU64::new(0),
-            cache_stores: AtomicU64::new(0),
-            cache_stale: AtomicU64::new(0),
             start: Instant::now(),
-            frontier: AtomicU64::new(0),
-            runtime: Mutex::new(RuntimeCensus::default()),
-            fin: Mutex::new(None),
+            tally: Mutex::default(),
         }
     }
 }
@@ -248,144 +190,106 @@ impl CampaignMetrics {
         Arc::new(Self::default())
     }
 
-    /// One schedule was dispatched for execution.
-    pub fn on_started(&self) {
-        self.started.fetch_add(1, Ordering::Relaxed);
+    /// The fold of a saved JSONL trace: the sink that observed the campaign
+    /// which wrote it, snapshot for snapshot. Refuses a line that is not a
+    /// record of this [`TRACE_SCHEMA_VERSION`].
+    pub fn from_trace(trace: impl BufRead) -> io::Result<Self> {
+        let m = Self::default();
+        for (n, line) in trace.lines().enumerate() {
+            let bad =
+                |e: &dyn std::fmt::Display| io::Error::other(format!("trace line {}: {e}", n + 1));
+            let rec: TraceRecord = serde_json::from_str(&line?).map_err(|e| bad(&e))?;
+            if rec.v != TRACE_SCHEMA_VERSION {
+                return Err(bad(&format_args!(
+                    "schema v{}, not v{TRACE_SCHEMA_VERSION}",
+                    rec.v
+                )));
+            }
+            m.record(&rec);
+        }
+        Ok(m)
     }
 
-    /// One replay finished executing (wall latency of the execution
-    /// itself, all attempts included).
-    pub fn on_executed(&self, wall: Duration) {
-        let us = u64::try_from(wall.as_micros()).unwrap_or(u64::MAX);
-        self.replay_wall_us.record(us);
-        self.worker_busy_ns.fetch_add(
-            u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX),
-            Ordering::Relaxed,
-        );
-    }
-
-    /// A worker spent `idle` blocked waiting for work.
-    pub fn on_worker_idle(&self, idle: Duration) {
-        self.worker_idle_ns.fetch_add(
-            u64::try_from(idle.as_nanos()).unwrap_or(u64::MAX),
-            Ordering::Relaxed,
-        );
-    }
-
-    /// Record the worker-pool size.
-    pub fn on_pool(&self, workers: usize) {
-        self.workers.store(workers as u64, Ordering::Relaxed);
-    }
-
-    /// The walk committed one replay with `frontier` forks now pending;
-    /// `census` is its final attempt's park/wake counts when this process
-    /// executed it (a cache hit or a shard worker's result carries zeros:
-    /// the census is never serialized).
-    pub fn on_commit(&self, frontier: usize, census: RuntimeCensus) {
-        self.committed.fetch_add(1, Ordering::Relaxed);
-        self.frontier.store(frontier as u64, Ordering::Relaxed);
-        *self.runtime.lock() += census;
-    }
-
-    /// A commit's result had already completed speculatively.
-    pub fn on_speculation_hit(&self) {
-        self.speculation_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `n` dispatched replays were discarded without committing.
-    pub fn on_aborted(&self, n: u64) {
-        self.aborted.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// The shard supervisor spawned a worker (initial fleet or restart).
-    pub fn on_worker_spawned(&self) {
-        self.workers_spawned.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The shard supervisor declared a worker lost.
-    pub fn on_worker_lost(&self) {
-        self.workers_lost.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A lost worker's slot was successfully respawned.
-    pub fn on_worker_restarted(&self) {
-        self.workers_restarted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A subtree was dispatched again after its worker was lost.
-    pub fn on_subtree_redispatched(&self) {
-        self.subtrees_redispatched.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A subtree was quarantined after exhausting its dispatch attempts.
-    pub fn on_quarantined(&self) {
-        self.quarantined.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A persistent replay cache is attached to this campaign.
-    pub fn on_cache_enabled(&self, readonly: bool) {
-        self.cache_enabled.store(1, Ordering::Relaxed);
-        self.cache_readonly
-            .store(u64::from(readonly), Ordering::Relaxed);
-    }
-
-    /// A missed result was written back to the cache.
-    pub fn on_cache_store(&self) {
-        self.cache_stores.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record the cache handle's total stale-entry count (idempotent
-    /// store, called once at campaign end).
-    pub fn on_cache_stale(&self, total: u64) {
-        self.cache_stale.store(total, Ordering::Relaxed);
-    }
-
-    /// One commit was appended to the journal.
-    pub fn on_checkpoint(&self, latency: Duration) {
-        self.journal_write_us
-            .record(u64::try_from(latency.as_micros()).unwrap_or(u64::MAX));
-    }
-
-    /// The exploration ended: render its `semantic` section and its cache
-    /// hits and misses.
-    pub fn on_finish(&self, ex: &Exploration) {
-        *self.fin.lock() = Some((render_semantic(ex), [ex.cache_hits, ex.cache_misses]));
+    /// Fold one record in.
+    pub fn record(&self, rec: &TraceRecord) {
+        use CampaignEvent as E;
+        let mut t = self.tally.lock();
+        match &rec.event {
+            E::CampaignStart { jobs, readonly, .. } => {
+                t.workers = *jobs as u64;
+                t.cache = *readonly;
+            }
+            E::Dispatched { .. } => t.started += 1,
+            E::ReplayExecuted { wall_ns, .. } => {
+                t.replay_wall_us.record(wall_ns / 1_000);
+                t.worker_busy_ns = t.worker_busy_ns.saturating_add(*wall_ns);
+            }
+            E::WorkerIdle { idle_ns } => {
+                t.worker_idle_ns = t.worker_idle_ns.saturating_add(*idle_ns);
+            }
+            E::ReplayCommit {
+                frontier,
+                census,
+                speculated,
+                stored,
+                ..
+            } => {
+                t.committed += 1;
+                t.frontier = *frontier as u64;
+                t.runtime += *census;
+                t.speculation_hits += u64::from(*speculated);
+                t.cache_stores += u64::from(*stored);
+            }
+            E::Checkpoint { latency_us, .. } => t.journal_write_us.record(*latency_us),
+            E::Aborted { n } => t.aborted += n,
+            E::WorkerSpawned { generation, .. } => {
+                t.workers_spawned += 1;
+                t.workers_restarted += u64::from(*generation > 0);
+            }
+            E::WorkerLost { .. } => t.workers_lost += 1,
+            E::SubtreeRedispatched { .. } => t.subtrees_redispatched += 1,
+            E::SubtreeQuarantined { .. } => t.quarantined += 1,
+            E::CampaignEnd { .. } => t.end = Some(rec.clone()),
+            E::ReplayStart { .. } | E::CacheHit { .. } | E::CampaignDrained { .. } => {}
+        }
     }
 
     /// Live counters for a progress display (safe to call mid-campaign).
     #[must_use]
     pub fn progress(&self) -> ProgressSnapshot {
+        let t = self.tally.lock();
         ProgressSnapshot {
-            committed: self.committed.load(Ordering::Relaxed),
-            started: self.started.load(Ordering::Relaxed),
-            frontier: self.frontier.load(Ordering::Relaxed),
+            committed: t.committed,
+            started: t.started,
+            frontier: t.frontier,
             elapsed: self.start.elapsed(),
         }
     }
 
-    /// Replays committed so far (lock-free).
+    /// Replays committed so far.
     #[must_use]
     pub fn committed(&self) -> u64 {
-        self.committed.load(Ordering::Relaxed)
+        self.tally.lock().committed
     }
 
-    /// Replays dispatched so far (lock-free).
+    /// Replays dispatched so far.
     #[must_use]
     pub fn started(&self) -> u64 {
-        self.started.load(Ordering::Relaxed)
+        self.tally.lock().started
     }
 
     /// Replays dispatched but never committed (final after the
     /// exploration returns).
     #[must_use]
     pub fn aborted(&self) -> u64 {
-        self.aborted.load(Ordering::Relaxed)
+        self.tally.lock().aborted
     }
 
     /// End-of-campaign snapshot as schema-versioned JSON. The `semantic`
     /// section is byte-identical across `--jobs` values; the `wall_clock`
     /// section is explicitly marked non-deterministic. Call after the
-    /// exploration returns ([`Self::on_finish`] has run).
+    /// exploration returns (its `CampaignEnd` is folded in); before that,
+    /// `finished` is false and `wall_s` is 0.
     #[must_use]
     pub fn snapshot(
         &self,
@@ -394,31 +298,42 @@ impl CampaignMetrics {
         clock_mode: &str,
         jobs: usize,
     ) -> serde_json::Value {
-        let fin = self.fin.lock().clone();
-        let finished = fin.is_some();
-        let (mut semantic, [hits, misses]) =
-            fin.unwrap_or_else(|| (render_semantic(&Exploration::default()), [0, 0]));
+        let t = self.tally.lock();
+        let (mut semantic, wall_us, [hits, misses, stale]) = match &t.end {
+            Some(TraceRecord {
+                t_us,
+                event:
+                    CampaignEvent::CampaignEnd {
+                        semantic,
+                        hits,
+                        misses,
+                        stale,
+                        ..
+                    },
+                ..
+            }) => (semantic.clone(), *t_us, [*hits, *misses, *stale]),
+            _ => (render_semantic(&Exploration::default()), 0, [0; 3]),
+        };
         if let Some(mode) = semantic.get_mut("clock_mode") {
             *mode = serde_json::json!(clock_mode);
         }
-        let elapsed = self.start.elapsed().as_secs_f64();
-        let committed = self.committed();
+        let wall_s = wall_us as f64 / 1e6;
         let shard = serde_json::json!({
-            "workers_spawned": self.workers_spawned.load(Ordering::Relaxed),
-            "workers_lost": self.workers_lost.load(Ordering::Relaxed),
-            "workers_restarted": self.workers_restarted.load(Ordering::Relaxed),
-            "subtrees_redispatched": self.subtrees_redispatched.load(Ordering::Relaxed),
-            "quarantined": self.quarantined.load(Ordering::Relaxed),
+            "workers_spawned": t.workers_spawned,
+            "workers_lost": t.workers_lost,
+            "workers_restarted": t.workers_restarted,
+            "subtrees_redispatched": t.subtrees_redispatched,
+            "quarantined": t.quarantined,
         });
         let cache = serde_json::json!({
-            "enabled": self.cache_enabled.load(Ordering::Relaxed) == 1,
-            "readonly": self.cache_readonly.load(Ordering::Relaxed) == 1,
+            "enabled": t.cache.is_some(),
+            "readonly": t.cache == Some(true),
             "hits": hits,
             "misses": misses,
-            "stores": self.cache_stores.load(Ordering::Relaxed),
-            "stale": self.cache_stale.load(Ordering::Relaxed),
+            "stores": t.cache_stores,
+            "stale": stale,
         });
-        let rt = *self.runtime.lock();
+        let rt = t.runtime;
         let runtime = serde_json::json!({
             "parks": rt.parks,
             "wakes": rt.wakes,
@@ -427,17 +342,17 @@ impl CampaignMetrics {
         });
         let wall_clock = serde_json::json!({
             "deterministic": false,
-            "wall_s": elapsed,
-            "replays_per_s": if elapsed > 0.0 { committed as f64 / elapsed } else { 0.0 },
-            "replays_started": self.started(),
-            "replays_committed": committed,
-            "replays_aborted": self.aborted(),
-            "speculation_hits": self.speculation_hits.load(Ordering::Relaxed),
-            "workers": self.workers.load(Ordering::Relaxed),
-            "worker_busy_s": self.worker_busy_ns.load(Ordering::Relaxed) as f64 / 1e9,
-            "worker_idle_s": self.worker_idle_ns.load(Ordering::Relaxed) as f64 / 1e9,
-            "replay_wall_us": self.replay_wall_us.to_json(),
-            "journal_write_us": self.journal_write_us.to_json(),
+            "wall_s": wall_s,
+            "replays_per_s": if wall_s > 0.0 { t.committed as f64 / wall_s } else { 0.0 },
+            "replays_started": t.started,
+            "replays_committed": t.committed,
+            "replays_aborted": t.aborted,
+            "speculation_hits": t.speculation_hits,
+            "workers": t.workers,
+            "worker_busy_s": t.worker_busy_ns as f64 / 1e9,
+            "worker_idle_s": t.worker_idle_ns as f64 / 1e9,
+            "replay_wall_us": t.replay_wall_us.to_json(),
+            "journal_write_us": t.journal_write_us.to_json(),
             "shard": shard,
         });
         serde_json::json!({
@@ -445,7 +360,7 @@ impl CampaignMetrics {
             "program": program,
             "nprocs": nprocs,
             "jobs": jobs,
-            "finished": finished,
+            "finished": t.end.is_some(),
             "semantic": semantic,
             "wall_clock": wall_clock,
             "cache": cache,
@@ -456,7 +371,7 @@ impl CampaignMetrics {
 
 /// The `semantic` section of a snapshot: the exploration's deterministic
 /// tallies. `clock_mode` leads it, filled in by [`CampaignMetrics::snapshot`].
-fn render_semantic(ex: &Exploration) -> serde_json::Value {
+pub(crate) fn render_semantic(ex: &Exploration) -> serde_json::Value {
     let errors: Vec<serde_json::Value> = ex
         .errors
         .iter()
@@ -548,10 +463,10 @@ impl ProgressSnapshot {
     }
 }
 
-// ---- Campaign trace --------------------------------------------------------
+// ---- Campaign events -------------------------------------------------------
 
 /// One campaign event, serialized as the JSONL line payload.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum CampaignEvent {
     /// The exploration began.
     CampaignStart {
@@ -559,13 +474,36 @@ pub enum CampaignEvent {
         jobs: usize,
         /// True when continuing from a journal.
         resumed: bool,
+        /// `Some(readonly)` when a persistent replay cache is attached.
+        readonly: Option<bool>,
+    },
+    /// The driver dispatched a schedule: handed it to the executor, served
+    /// it from the journal, or found its result in hand (a cache hit or a
+    /// pre-executed root). Each one later commits or is `Aborted`.
+    Dispatched {
+        /// Decision-prefix signature of the schedule.
+        signature: u64,
     },
     /// A replay began executing (wall-clock order, any worker).
     ReplayStart {
         /// Decision-prefix signature of the schedule.
         signature: u64,
     },
-    /// The walk committed a replay (commit order — deterministic payload).
+    /// A replay finished executing, divergence retries included.
+    ReplayExecuted {
+        /// Decision-prefix signature of the schedule.
+        signature: u64,
+        /// Wall-clock nanoseconds from start to result.
+        wall_ns: u64,
+    },
+    /// A pool worker waited this long for its next job.
+    WorkerIdle {
+        /// Wall-clock nanoseconds spent waiting.
+        idle_ns: u64,
+    },
+    /// The walk committed a replay (commit order — deterministic payload
+    /// except `census` and `speculated`). Closes its commit: the commit's
+    /// `CacheHit` and `Checkpoint` come before it.
     ReplayCommit {
         /// 1-based interleaving number.
         interleaving: u64,
@@ -584,6 +522,14 @@ pub enum CampaignEvent {
         /// True when the watchdog killed the replay (subtree not
         /// expanded).
         timed_out: bool,
+        /// Park/wake counts of the final attempt when this process
+        /// executed it; zeros for a cache hit or a shard worker's result.
+        census: RuntimeCensus,
+        /// True when the result had completed speculatively, before the
+        /// driver waited for it.
+        speculated: bool,
+        /// True when the result was written to the replay cache.
+        stored: bool,
     },
     /// A commit was satisfied from the persistent replay cache — no
     /// replay was spawned for this schedule (hence no `ReplayStart`).
@@ -598,8 +544,15 @@ pub enum CampaignEvent {
         /// Frontier size after the commit.
         frontier: usize,
     },
+    /// Dispatched schedules that will never commit: speculation discarded
+    /// at the campaign's end, or a submission lost with its worker.
+    Aborted {
+        /// How many.
+        n: u64,
+    },
     /// The shard supervisor spawned a worker into a slot (`generation`
-    /// counts incarnations of the slot, 0 = initial fleet).
+    /// counts incarnations of the slot, 0 = initial fleet, so a spawn of
+    /// generation 1 or more is a restart).
     WorkerSpawned {
         /// Supervisor slot index.
         slot: usize,
@@ -635,7 +588,7 @@ pub enum CampaignEvent {
         /// Forks left unexplored; resuming the journal explores them.
         frontier: usize,
     },
-    /// The exploration ended.
+    /// The exploration ended. Its `t_us` is the snapshot's `wall_s`.
     CampaignEnd {
         /// Total interleavings executed.
         interleavings: u64,
@@ -643,22 +596,72 @@ pub enum CampaignEvent {
         errors: usize,
         /// True when the interleaving budget stopped the walk.
         budget_exhausted: bool,
+        /// The snapshot's `semantic` section, `clock_mode` left null.
+        semantic: serde_json::Value,
+        /// Commits served from the replay cache.
+        hits: u64,
+        /// Commits the replay cache could not serve (0 without a cache).
+        misses: u64,
+        /// Cache entries rejected as corrupt or stale, not yet reported by
+        /// an earlier campaign on the same handle.
+        stale: u64,
     },
 }
 
-/// One JSONL line: schema version, microseconds since campaign start, and
+/// One JSONL line: schema version, microseconds since the sink opened, and
 /// the event payload.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TraceRecord {
     /// Trace schema version ([`TRACE_SCHEMA_VERSION`]).
     pub v: u32,
-    /// Microseconds since the trace was opened (wall clock).
+    /// Microseconds since the trace was opened (wall clock); without a
+    /// trace, since the metrics sink was created.
     pub t_us: u64,
     /// The event.
     pub event: CampaignEvent,
 }
 
-/// Append-only JSONL sink for [`CampaignEvent`]s. Thread-safe; writes are
+/// Report one campaign fact: stamp it once and hand the same record to
+/// every sink `opts` carries. With none attached, `event` is never called
+/// and no clock is read.
+pub(crate) fn emit(opts: &ExploreOptions, event: impl FnOnce() -> CampaignEvent) {
+    let epoch = match (&opts.trace, &opts.metrics) {
+        (Some(t), _) => t.start,
+        (None, Some(m)) => m.start,
+        (None, None) => return,
+    };
+    let event = event();
+    let rec = TraceRecord {
+        v: TRACE_SCHEMA_VERSION,
+        t_us: micros(epoch.elapsed()),
+        event,
+    };
+    if let Some(m) = &opts.metrics {
+        m.record(&rec);
+    }
+    if let Some(t) = &opts.trace {
+        t.record(&rec);
+    }
+}
+
+/// Is any sink observing the campaign? Timing sites read a clock only then.
+pub(crate) fn observed(opts: &ExploreOptions) -> bool {
+    opts.metrics.is_some() || opts.trace.is_some()
+}
+
+/// A duration in whole microseconds, saturating.
+pub(crate) fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
+/// A duration in nanoseconds, saturating.
+pub(crate) fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+// ---- Campaign trace --------------------------------------------------------
+
+/// Append-only JSONL sink for [`TraceRecord`]s. Thread-safe; writes are
 /// line-atomic under an internal lock.
 pub struct CampaignTrace {
     start: Instant,
@@ -695,16 +698,11 @@ impl CampaignTrace {
         (Self::to_writer(Box::new(writer)), buf)
     }
 
-    /// Append one event as a JSONL line. Errors are swallowed after a
-    /// best-effort stderr note — tracing must never kill a healthy
-    /// campaign.
-    pub fn emit(&self, event: CampaignEvent) {
-        let rec = TraceRecord {
-            v: TRACE_SCHEMA_VERSION,
-            t_us: u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX),
-            event,
-        };
-        let line = match serde_json::to_string(&rec) {
+    /// Append one record as a JSONL line; a `CampaignEnd` also flushes.
+    /// Errors are swallowed after a best-effort stderr note — tracing must
+    /// never kill a healthy campaign.
+    pub fn record(&self, rec: &TraceRecord) {
+        let line = match serde_json::to_string(rec) {
             Ok(l) => l,
             Err(e) => {
                 eprintln!("dampi: trace serialize failed: {e}");
@@ -715,11 +713,9 @@ impl CampaignTrace {
         if let Err(e) = writeln!(g, "{line}") {
             eprintln!("dampi: trace write failed: {e}");
         }
-    }
-
-    /// Flush buffered lines to the underlying writer.
-    pub fn flush(&self) {
-        let _ = self.sink.lock().flush();
+        if matches!(rec.event, CampaignEvent::CampaignEnd { .. }) {
+            let _ = g.flush();
+        }
     }
 }
 
@@ -747,16 +743,54 @@ mod tests {
     use crate::epoch::ToolRunStats;
     use std::collections::BTreeMap;
 
+    fn rec(t_us: u64, event: CampaignEvent) -> TraceRecord {
+        TraceRecord {
+            v: TRACE_SCHEMA_VERSION,
+            t_us,
+            event,
+        }
+    }
+
+    fn commit(frontier: usize, census: RuntimeCensus) -> CampaignEvent {
+        CampaignEvent::ReplayCommit {
+            interleaving: 1,
+            depth: 0,
+            forks_pushed: 0,
+            frontier,
+            new_errors: 0,
+            makespan_s: 1.0,
+            attempts: 1,
+            timed_out: false,
+            census,
+            speculated: false,
+            stored: false,
+        }
+    }
+
+    fn end(ex: &Exploration) -> CampaignEvent {
+        CampaignEvent::CampaignEnd {
+            interleavings: ex.interleavings,
+            errors: ex.errors.len(),
+            budget_exhausted: ex.budget_exhausted,
+            semantic: render_semantic(ex),
+            hits: ex.cache_hits,
+            misses: ex.cache_misses,
+            stale: 0,
+        }
+    }
+
     #[test]
     fn histogram_buckets_and_overflow() {
-        let h = FixedHistogram::new(&[10, 100]);
+        let mut h = FixedHistogram::new(&[10, 100]);
         h.record(5);
         h.record(10);
         h.record(50);
         h.record(1_000);
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.sum(), 1_065);
         let j = h.to_json();
+        assert_eq!(
+            (j["count"].as_u64(), j["sum"].as_u64()),
+            (Some(4), Some(1_065))
+        );
         assert_eq!(j["buckets"][0]["n"], 2, "{j:?}");
         assert_eq!(j["buckets"][1]["n"], 1);
         assert_eq!(j["overflow"], 1);
@@ -777,30 +811,33 @@ mod tests {
             turn_passes: 6,
             spurious_wakes: 1,
         };
-        m.on_commit(4, census);
+        m.record(&rec(1, commit(4, census)));
         // A cache hit: nothing executed here.
-        m.on_commit(3, RuntimeCensus::default());
+        m.record(&rec(2, commit(3, RuntimeCensus::default())));
         assert_eq!((m.committed(), m.progress().frontier), (2, 3));
-        m.on_finish(&Exploration {
-            interleavings: 2,
-            forks_discovered: 4,
-            frontier_peak: 4,
-            frontier_final: 3,
-            tree_depth_max: 1,
-            replays_by_depth: BTreeMap::from([(0, 1), (1, 1)]),
-            run_stats: ToolRunStats {
-                wildcards: 6,
-                late_messages: 1,
-                messages_analyzed: 4,
-                pb_wire_bytes: 336,
-                ..Default::default()
-            },
-            alternates_pruned: 2,
-            protocol_wildcards_deterministic: 2,
-            cache_hits: 1,
-            cache_misses: 1,
-            ..Exploration::default()
-        });
+        m.record(&rec(
+            3,
+            end(&Exploration {
+                interleavings: 2,
+                forks_discovered: 4,
+                frontier_peak: 4,
+                frontier_final: 3,
+                tree_depth_max: 1,
+                replays_by_depth: BTreeMap::from([(0, 1), (1, 1)]),
+                run_stats: ToolRunStats {
+                    wildcards: 6,
+                    late_messages: 1,
+                    messages_analyzed: 4,
+                    pb_wire_bytes: 336,
+                    ..Default::default()
+                },
+                alternates_pruned: 2,
+                protocol_wildcards_deterministic: 2,
+                cache_hits: 1,
+                cache_misses: 1,
+                ..Exploration::default()
+            }),
+        ));
         let j = m.snapshot("demo", 4, "lamport", 1);
         let s = &j["semantic"];
         assert_eq!(s["clock_mode"], "lamport");
@@ -830,29 +867,40 @@ mod tests {
     #[test]
     fn snapshot_has_schema_and_sections() {
         let m = CampaignMetrics::new();
-        m.on_started();
-        m.on_finish(&Exploration::default());
+        m.record(&rec(1, CampaignEvent::Dispatched { signature: 0 }));
+        m.record(&rec(250_000, end(&Exploration::default())));
         let j = m.snapshot("demo", 4, "lamport", 2);
         assert_eq!(j["schema"], METRICS_SCHEMA_VERSION);
         assert_eq!(j["semantic"]["clock_mode"], "lamport");
         assert_eq!(j["wall_clock"]["deterministic"], false);
         assert_eq!(j["wall_clock"]["replays_started"], 1);
+        assert_eq!(j["wall_clock"]["wall_s"], 0.25, "CampaignEnd's t_us");
         assert_eq!(j["finished"], true);
     }
 
     #[test]
     fn trace_emits_schema_versioned_jsonl() {
         let (trace, buf) = CampaignTrace::to_shared_buffer();
-        trace.emit(CampaignEvent::CampaignStart {
-            jobs: 2,
-            resumed: false,
-        });
-        trace.emit(CampaignEvent::CampaignEnd {
-            interleavings: 7,
-            errors: 1,
-            budget_exhausted: false,
-        });
-        trace.flush();
+        trace.record(&rec(
+            0,
+            CampaignEvent::CampaignStart {
+                jobs: 2,
+                resumed: false,
+                readonly: None,
+            },
+        ));
+        trace.record(&rec(
+            1,
+            CampaignEvent::CampaignEnd {
+                interleavings: 7,
+                errors: 1,
+                budget_exhausted: false,
+                semantic: serde_json::Value::Null,
+                hits: 0,
+                misses: 0,
+                stale: 0,
+            },
+        ));
         let text = String::from_utf8(buf.lock().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);

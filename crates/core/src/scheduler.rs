@@ -38,7 +38,9 @@ use crate::decisions::{DecisionSet, EpochDecision};
 use crate::epoch::{EpochRecord, ToolRunStats};
 use crate::executor::{Event, Executor, Inline, ThreadPool};
 use crate::journal::{self, ExplorationJournal};
-use crate::metrics::{CampaignEvent, CampaignMetrics, CampaignTrace};
+use crate::metrics::{
+    emit, micros, observed, render_semantic, CampaignEvent, CampaignMetrics, CampaignTrace,
+};
 use crate::prune::PrunePlan;
 use crate::report::{FoundError, ReplayTimeoutRecord};
 use crate::shard::protocol::SubtreeResult;
@@ -300,7 +302,7 @@ pub(crate) enum Source {
 }
 
 /// The exploration loop. It alone owns the [`Walk`], the replay cache, the
-/// journal and the metrics/trace hooks; `exec` only runs replays. Each
+/// journal and the campaign events; `exec` only runs replays. Each
 /// turn commits every result that is next in depth-first order, offers the
 /// new top of the frontier to the executor (unconditionally) and deeper
 /// entries as speculation (bounded by idle workers and the remaining
@@ -319,13 +321,13 @@ pub(crate) fn drive(
     records.as_ref().map_or(Ok(()), |j| j.check(key))?;
     let mut w = Walk::new(opts, key, records.as_ref());
     // Nothing is submitted yet, so the idle count is the executor's width.
-    w.begin(exec.idle(), records.is_some());
+    emit(opts, || CampaignEvent::CampaignStart {
+        jobs: exec.idle(),
+        resumed: records.is_some(),
+        readonly: opts.cache.as_ref().map(|c| c.readonly()),
+    });
     w.stack.push(Fork::new(DecisionSet::self_run(), None));
-    let started = || {
-        if let Some(m) = &opts.metrics {
-            m.on_started();
-        }
-    };
+    let dispatched = |signature| emit(opts, || CampaignEvent::Dispatched { signature });
     // Results completed ahead of their commit turn, by signature.
     let mut ready: HashMap<u64, Ready> = HashMap::new();
     // Schedules the cache has already missed on — probed at most once
@@ -341,13 +343,9 @@ pub(crate) fn drive(
                 break;
             };
             let fork = w.stack.pop().expect("top checked");
-            if r.source == Source::Executed && waited != Some(fork.sig) {
-                if let Some(m) = &opts.metrics {
-                    m.on_speculation_hit();
-                }
-            }
+            let speculated = r.source == Source::Executed && waited != Some(fork.sig);
             waited = None;
-            w.commit(&fork, r, false);
+            w.commit(&fork, r, false, speculated);
         }
         if w.halted() || w.stack.is_empty() {
             break;
@@ -358,9 +356,9 @@ pub(crate) fn drive(
             // below it is speculated on.
             let top = &w.stack.last().expect("non-empty").decisions;
             if let Some((rep, source)) = j.serve(key, top) {
-                started();
                 let fork = w.stack.pop().expect("non-empty");
-                w.commit(&fork, Ready { rep, source }, true);
+                dispatched(fork.sig);
+                w.commit(&fork, Ready { rep, source }, true, false);
                 continue;
             }
             // The walk has left the journal: the rest of it is not this
@@ -399,7 +397,7 @@ pub(crate) fn drive(
             if let Some((rep, source)) = in_hand {
                 // A result in hand counts as dispatched: the ledger
                 // `started == committed + aborted` covers it too.
-                started();
+                dispatched(fork.sig);
                 ready.insert(fork.sig, Ready { rep, source });
                 if depth == 0 {
                     break; // commit it before looking any deeper
@@ -410,7 +408,7 @@ pub(crate) fn drive(
                 probed_miss.insert(fork.sig);
             }
             if exec.submit(fork.sig, &fork.decisions) {
-                started();
+                dispatched(fork.sig);
                 flying += 1;
             }
         }
@@ -422,18 +420,16 @@ pub(crate) fn drive(
         let (sig, rep, source) = match exec.next()? {
             Event::Completed(sig, rep) => (sig, *rep, Source::Executed),
             Event::Quarantined(sig, reason) => {
-                started(); // the synthetic commit's dispatch
+                dispatched(sig); // the synthetic commit's dispatch
                 (sig, SubtreeResult::quarantined(reason), Source::Quarantined)
             }
             Event::Wake => continue,
             Event::Drain => {
                 // Every commit is already in the journal.
                 w.ex.drained = true;
-                if let Some(t) = &opts.trace {
-                    t.emit(CampaignEvent::CampaignDrained {
-                        frontier: w.stack.len(),
-                    });
-                }
+                emit(opts, || CampaignEvent::CampaignDrained {
+                    frontier: w.stack.len(),
+                });
                 break;
             }
         };
@@ -442,8 +438,9 @@ pub(crate) fn drive(
     // Every accepted submission is, at this point, exactly one of:
     // committed, completed-but-uncommitted (ready), or still in flight. The
     // latter two were started and will never commit.
-    if let Some(m) = &opts.metrics {
-        m.on_aborted((exec.in_flight() + ready.len()) as u64);
+    let n = (exec.in_flight() + ready.len()) as u64;
+    if n > 0 {
+        emit(opts, || CampaignEvent::Aborted { n });
     }
     Ok(w.finish())
 }
@@ -502,8 +499,10 @@ impl<'a> Walk<'a> {
     /// — a miss — in the cache, serialized before the commit and written
     /// after, so the store only ever holds results the walk absorbed. A
     /// result `served` from the journal being resumed is recorded nowhere.
-    /// The initial `SELF_RUN` is the commit of the empty decision set.
-    fn commit(&mut self, fork: &Fork, r: Ready, served: bool) {
+    /// The initial `SELF_RUN` is the commit of the empty decision set. Its
+    /// `ReplayCommit` event closes the commit; `speculated` says the result
+    /// was ready before the driver waited for it.
+    fn commit(&mut self, fork: &Fork, r: Ready, served: bool, speculated: bool) {
         let Ready { mut rep, source } = r;
         // Ranks hand in their epoch logs in the order they finalize. From
         // here on the result holds them in the order the walk reads them, so
@@ -573,34 +572,29 @@ impl<'a> Walk<'a> {
         self.ex.frontier_peak = self.ex.frontier_peak.max(frontier as u64);
         self.ex.tree_depth_max = self.ex.tree_depth_max.max(depth as u64);
         *self.ex.replays_by_depth.entry(depth as u64).or_insert(0) += 1;
-        if let Some(m) = &self.opts.metrics {
-            m.on_commit(frontier, rep.outcome.census);
-        }
-        if let Some(t) = &self.opts.trace {
-            t.emit(CampaignEvent::ReplayCommit {
-                interleaving,
-                depth,
-                forks_pushed,
-                frontier,
-                new_errors: self.ex.errors.len() - errors_before,
-                makespan_s: rep.outcome.makespan,
-                attempts: rep.retries + 1,
-                timed_out,
-            });
-        }
         if source == Source::Quarantined {
             self.ex.quarantined += 1;
         }
         if !served {
             self.journal(fork, source, &rep);
         }
-        if let (Some(c), Some(p)) = (&self.opts.cache, pending) {
-            if c.commit_store(&p) {
-                if let Some(m) = &self.opts.metrics {
-                    m.on_cache_store();
-                }
-            }
-        }
+        let stored = match (&self.opts.cache, pending) {
+            (Some(c), Some(p)) => c.commit_store(&p),
+            _ => false,
+        };
+        emit(self.opts, || CampaignEvent::ReplayCommit {
+            interleaving,
+            depth,
+            forks_pushed,
+            frontier,
+            new_errors: self.ex.errors.len() - errors_before,
+            makespan_s: rep.outcome.makespan,
+            attempts: rep.retries + 1,
+            timed_out,
+            census: rep.outcome.census,
+            speculated,
+            stored,
+        });
     }
 
     /// Account one commit's cache disposition: every commit is exactly one
@@ -613,44 +607,29 @@ impl<'a> Walk<'a> {
         }
         if hit {
             self.ex.cache_hits += 1;
-            if let Some(t) = &self.opts.trace {
-                t.emit(CampaignEvent::CacheHit { signature });
-            }
+            emit(self.opts, || CampaignEvent::CacheHit { signature });
         } else {
             self.ex.cache_misses += 1;
         }
     }
 
-    /// Announce the campaign to the sinks.
-    fn begin(&self, jobs: usize, resumed: bool) {
-        if let Some(m) = &self.opts.metrics {
-            m.on_pool(jobs);
-            if let Some(c) = &self.opts.cache {
-                m.on_cache_enabled(c.readonly());
-            }
-        }
-        if let Some(t) = &self.opts.trace {
-            t.emit(CampaignEvent::CampaignStart { jobs, resumed });
-        }
-    }
-
-    /// Close out the walk: final sink updates, then surrender the
+    /// Close out the walk: announce its end, then surrender the
     /// exploration.
     fn finish(self) -> Exploration {
-        if let Some(m) = &self.opts.metrics {
-            if let Some(c) = &self.opts.cache {
-                m.on_cache_stale(c.take_unreported_stale());
-            }
-            m.on_finish(&self.ex);
-        }
-        if let Some(t) = &self.opts.trace {
-            t.emit(CampaignEvent::CampaignEnd {
-                interleavings: self.ex.interleavings,
-                errors: self.ex.errors.len(),
-                budget_exhausted: self.ex.budget_exhausted,
-            });
-            t.flush();
-        }
+        let ex = &self.ex;
+        emit(self.opts, || CampaignEvent::CampaignEnd {
+            interleavings: ex.interleavings,
+            errors: ex.errors.len(),
+            budget_exhausted: ex.budget_exhausted,
+            semantic: render_semantic(ex),
+            hits: ex.cache_hits,
+            misses: ex.cache_misses,
+            stale: self
+                .opts
+                .cache
+                .as_ref()
+                .map_or(0, |c| c.take_unreported_stale()),
+        });
         self.ex
     }
 
@@ -672,17 +651,13 @@ impl<'a> Walk<'a> {
         let Some((log, key)) = &self.log else {
             return;
         };
-        let t0 = Instant::now();
+        let t0 = observed(self.opts).then(Instant::now);
         if let Err(e) = journal::append(log, *key, &fork.decisions, source, rep) {
             eprintln!("dampi: journal append failed: {e}");
         }
-        let latency = t0.elapsed();
-        if let Some(m) = &self.opts.metrics {
-            m.on_checkpoint(latency);
-        }
-        if let Some(t) = &self.opts.trace {
-            t.emit(CampaignEvent::Checkpoint {
-                latency_us: u64::try_from(latency.as_micros()).unwrap_or(u64::MAX),
+        if let Some(t0) = t0 {
+            emit(self.opts, || CampaignEvent::Checkpoint {
+                latency_us: micros(t0.elapsed()),
                 frontier: self.stack.len(),
             });
         }
@@ -1471,9 +1446,7 @@ mod tests {
             if *lost < self.losses || poisoned {
                 // Either way the accepted submission is gone: aborted.
                 *lost += 1;
-                if let Some(m) = &self.opts.metrics {
-                    m.on_aborted(1);
-                }
+                emit(self.opts, || CampaignEvent::Aborted { n: 1 });
                 return Ok(if poisoned {
                     Event::Quarantined(sig, "poison".into())
                 } else {

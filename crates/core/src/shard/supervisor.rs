@@ -39,7 +39,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::decisions::DecisionSet;
 use crate::executor::{Event, Executor};
-use crate::metrics::CampaignEvent;
+use crate::metrics::{emit, nanos, CampaignEvent};
 use crate::scheduler::{drive, Exploration, ExploreOptions, RunResult, Start};
 
 use super::lease::{LeaseConfig, SlotHealth, Verdict};
@@ -350,10 +350,8 @@ struct Slot {
     gen: u64,
     handle: Option<Box<dyn WorkerHandle>>,
     health: SlotHealth,
-    /// Signature of the in-flight job, if any.
-    busy: Option<u64>,
-    /// When the in-flight job was dispatched (observability only).
-    dispatched_at: Option<Instant>,
+    /// Signature of the in-flight job, if any, and when it was dispatched.
+    busy: Option<(u64, Instant)>,
     restarts: u32,
     /// When the next respawn attempt is due.
     respawn_at: Option<Instant>,
@@ -423,7 +421,6 @@ impl<'a> ProcessFleet<'a> {
                     handle: None,
                     health: SlotHealth::new(Instant::now()),
                     busy: None,
-                    dispatched_at: None,
                     restarts: 0,
                     respawn_at: None,
                     dead: false,
@@ -452,17 +449,11 @@ impl<'a> ProcessFleet<'a> {
         s.handle = Some(spawned.handle);
         s.health = SlotHealth::new(Instant::now());
         s.busy = None;
-        s.dispatched_at = None;
         s.respawn_at = None;
-        if let Some(m) = &self.opts.metrics {
-            m.on_worker_spawned();
-        }
-        if let Some(t) = &self.opts.trace {
-            t.emit(CampaignEvent::WorkerSpawned {
-                slot: i,
-                generation: gen,
-            });
-        }
+        emit(self.opts, || CampaignEvent::WorkerSpawned {
+            slot: i,
+            generation: gen,
+        });
         Ok(())
     }
 
@@ -480,7 +471,6 @@ impl<'a> ProcessFleet<'a> {
             }
             s.gen += 1;
             s.health.on_idle();
-            s.dispatched_at = None;
             if s.restarts >= self.shard.max_restarts_per_slot {
                 s.dead = true;
                 s.respawn_at = None;
@@ -489,37 +479,25 @@ impl<'a> ProcessFleet<'a> {
                 s.respawn_at =
                     Some(now + self.shard.respawn_backoff.delay(s.restarts - 1, i as u64));
             }
-            s.busy.take()
+            s.busy.take().map(|(sig, _)| sig)
         };
-        if let Some(m) = &self.opts.metrics {
-            m.on_worker_lost();
-        }
-        if let Some(t) = &self.opts.trace {
-            t.emit(CampaignEvent::WorkerLost {
-                slot: i,
-                reason: reason.to_string(),
-            });
-        }
+        emit(self.opts, || CampaignEvent::WorkerLost {
+            slot: i,
+            reason: reason.to_string(),
+        });
         let Some(sig) = lost_sig else { return };
         self.in_flight.remove(&sig);
-        if let Some(m) = &self.opts.metrics {
-            m.on_aborted(1);
-        }
+        emit(self.opts, || CampaignEvent::Aborted { n: 1 });
         let att = self.attempts.get(&sig).copied().unwrap_or(0);
         if att >= self.shard.max_attempts {
             self.outbox.push_back(Event::Quarantined(
                 sig,
                 format!("subtree lost with its worker {att} times; last loss: {reason}"),
             ));
-            if let Some(m) = &self.opts.metrics {
-                m.on_quarantined();
-            }
-            if let Some(t) = &self.opts.trace {
-                t.emit(CampaignEvent::SubtreeQuarantined {
-                    signature: sig,
-                    attempts: att,
-                });
-            }
+            emit(self.opts, || CampaignEvent::SubtreeQuarantined {
+                signature: sig,
+                attempts: att,
+            });
         } else {
             self.deferred.insert(
                 sig,
@@ -560,22 +538,15 @@ impl<'a> ProcessFleet<'a> {
                 continue;
             }
             self.slots[i].respawn_at = None;
-            match self.spawn_slot(i) {
-                Ok(()) => {
-                    if let Some(m) = &self.opts.metrics {
-                        m.on_worker_restarted();
-                    }
-                }
-                Err(e) => {
-                    eprintln!("dampi: shard worker {i} respawn failed: {e}");
-                    let s = &mut self.slots[i];
-                    if s.restarts >= self.shard.max_restarts_per_slot {
-                        s.dead = true;
-                    } else {
-                        s.restarts += 1;
-                        s.respawn_at =
-                            Some(now + self.shard.respawn_backoff.delay(s.restarts - 1, i as u64));
-                    }
+            if let Err(e) = self.spawn_slot(i) {
+                eprintln!("dampi: shard worker {i} respawn failed: {e}");
+                let s = &mut self.slots[i];
+                if s.restarts >= self.shard.max_restarts_per_slot {
+                    s.dead = true;
+                } else {
+                    s.restarts += 1;
+                    s.respawn_at =
+                        Some(now + self.shard.respawn_backoff.delay(s.restarts - 1, i as u64));
                 }
             }
         }
@@ -615,13 +586,14 @@ impl<'a> ProcessFleet<'a> {
             }
             FromWorker::Heartbeat { .. } => Ok(()),
             FromWorker::Result { sig, result } => {
-                if self.slots[slot].busy == Some(sig) {
-                    let s = &mut self.slots[slot];
+                let s = &mut self.slots[slot];
+                if let Some((_, t0)) = s.busy.filter(|&(busy, _)| busy == sig) {
                     s.busy = None;
                     s.health.on_idle();
-                    if let (Some(m), Some(t0)) = (&self.opts.metrics, s.dispatched_at.take()) {
-                        m.on_executed(t0.elapsed());
-                    }
+                    emit(self.opts, || CampaignEvent::ReplayExecuted {
+                        signature: sig,
+                        wall_ns: nanos(t0.elapsed()),
+                    });
                     self.in_flight.remove(&sig);
                     self.outbox.push_back(Event::Completed(sig, result));
                 }
@@ -654,8 +626,7 @@ impl<'a> ProcessFleet<'a> {
                 Ok(()) => {
                     {
                         let s = &mut self.slots[i];
-                        s.busy = Some(sig);
-                        s.dispatched_at = Some(now);
+                        s.busy = Some((sig, now));
                         s.health.on_dispatch(now, self.lease_cfg.lease);
                     }
                     self.in_flight.insert(sig, i);
@@ -663,19 +634,12 @@ impl<'a> ProcessFleet<'a> {
                     let att = self.attempts.entry(sig).or_insert(0);
                     *att += 1;
                     let att = *att;
-                    if let Some(t) = &self.opts.trace {
-                        t.emit(CampaignEvent::ReplayStart { signature: sig });
-                    }
+                    emit(self.opts, || CampaignEvent::ReplayStart { signature: sig });
                     if att > 1 {
-                        if let Some(m) = &self.opts.metrics {
-                            m.on_subtree_redispatched();
-                        }
-                        if let Some(t) = &self.opts.trace {
-                            t.emit(CampaignEvent::SubtreeRedispatched {
-                                signature: sig,
-                                attempt: att,
-                            });
-                        }
+                        emit(self.opts, || CampaignEvent::SubtreeRedispatched {
+                            signature: sig,
+                            attempt: att,
+                        });
                     }
                     return true;
                 }

@@ -114,12 +114,14 @@ fn sequential_walk_matches_parallel_semantics() {
 fn every_dispatched_replay_is_committed_or_aborted() {
     // A budget mid-frontier forces the coordinator to cancel in-flight and
     // cached work: those dispatches must land in `aborted`, keeping the
-    // ledger exact.
+    // ledger exact. The saved trace folds back to the same snapshot.
     let m = CampaignMetrics::new();
+    let (trace, buf) = CampaignTrace::to_shared_buffer();
     let opts = ExploreOptions {
         jobs: 4,
         max_interleavings: Some(5),
         metrics: Some(m.clone()),
+        trace: Some(trace),
         retry_backoff: dampi_core::RetryBackoff::ZERO,
         ..ExploreOptions::default()
     };
@@ -134,6 +136,11 @@ fn every_dispatched_replay_is_committed_or_aborted() {
         m.committed(),
         m.aborted()
     );
+    let refold = CampaignMetrics::from_trace(&buf.lock()[..]).expect("a v2 trace");
+    let snapshot = |m: &CampaignMetrics| {
+        serde_json::to_string(&m.snapshot("model", 1, "lamport", 4)).expect("serializes")
+    };
+    assert_eq!(snapshot(&refold), snapshot(&m));
 }
 
 #[test]

@@ -41,7 +41,7 @@ pub struct RankError {
 /// How often one run's rank threads parked and woke, counted under the
 /// world lock. Unlike virtual time these depend on thread scheduling in a
 /// free-running world; under the turn token they repeat exactly.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct RuntimeCensus {
     /// Times a rank waited on its condvar. (A park that found notifies of
     /// its own to send sends them instead and does not count.)

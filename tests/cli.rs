@@ -160,6 +160,23 @@ fn lint() -> Command {
     Command::new(env!("CARGO_BIN_EXE_metrics-lint"))
 }
 
+/// Assert that the `--trace` a run saved folds back to its `--metrics` file,
+/// byte for byte as the CLI prints it, `wall_clock` included.
+fn assert_trace_refolds(trace: &std::path::Path, metrics: &std::path::Path) {
+    let live = std::fs::read_to_string(metrics).unwrap();
+    let v: serde_json::Value = serde_json::from_str(&live).unwrap();
+    let saved = std::io::BufReader::new(std::fs::File::open(trace).unwrap());
+    let refold = dampi::core::CampaignMetrics::from_trace(saved).expect("a v2 trace");
+    let snap = refold.snapshot(
+        v["program"].as_str().unwrap(),
+        v["nprocs"].as_u64().unwrap() as usize,
+        v["semantic"]["clock_mode"].as_str().unwrap(),
+        v["jobs"].as_u64().unwrap() as usize,
+    );
+    let refolded = serde_json::to_string_pretty(&snap).unwrap() + "\n";
+    assert_eq!(refolded, live, "{}", trace.display());
+}
+
 #[test]
 fn verify_metrics_snapshot_is_deterministic_across_jobs() {
     // The observability acceptance check: the `semantic` section of the
@@ -167,7 +184,7 @@ fn verify_metrics_snapshot_is_deterministic_across_jobs() {
     // only `wall_clock` may differ.
     let dir = std::env::temp_dir().join("dampi-cli-metrics-test");
     std::fs::create_dir_all(&dir).unwrap();
-    let trace = dir.join("m4.trace.jsonl");
+    let (trace1, trace) = (dir.join("m1.trace.jsonl"), dir.join("m4.trace.jsonl"));
     let run = |jobs: &str, file: &str, extra: &[&str]| {
         let path = dir.join(file);
         let out = cli()
@@ -188,7 +205,7 @@ fn verify_metrics_snapshot_is_deterministic_across_jobs() {
             serde_json::to_string(v.get("semantic").unwrap()).unwrap(),
         )
     };
-    let (p1, sem1) = run("1", "m1.json", &[]);
+    let (p1, sem1) = run("1", "m1.json", &["--trace", trace1.to_str().unwrap()]);
     let (p4, sem4) = run("4", "m4.json", &["--trace", trace.to_str().unwrap()]);
     assert_eq!(sem1, sem4, "semantic metrics must not depend on --jobs");
     // The traced run streams schema-versioned JSONL beside its snapshot.
@@ -202,6 +219,9 @@ fn verify_metrics_snapshot_is_deterministic_across_jobs() {
             "{line}"
         );
     }
+    // Each saved trace folds back to its run's snapshot.
+    assert_trace_refolds(&trace1, &p1);
+    assert_trace_refolds(&trace, &p4);
     // The runtime census rides beside it: every replay's finalize barrier
     // parks its first entrants.
     let snapshot: serde_json::Value =
@@ -274,7 +294,7 @@ fn verify_metrics_snapshot_is_deterministic_across_jobs() {
     assert!(!out.status.success(), "{out:?}");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("runtime: wakes"), "{err}");
-    for p in [p1, p4, broken, trace] {
+    for p in [p1, p4, broken, trace1, trace] {
         std::fs::remove_file(p).ok();
     }
 }
@@ -488,7 +508,7 @@ fn verify_trace_streams_schema_versioned_jsonl() {
     for l in &lines {
         assert_eq!(
             l.get("v").and_then(serde_json::Value::as_u64),
-            Some(1),
+            Some(u64::from(dampi::core::TRACE_SCHEMA_VERSION)),
             "{l:?}"
         );
     }
@@ -773,12 +793,14 @@ fn verify_is_one_campaign_under_threads_worker_processes_and_chaos() {
     // derives: the report and the checkpoint journal are the `--jobs 1`
     // bytes under every executor, clean or with a worker killed
     // mid-campaign (the supervisor re-dispatches the lost subtree through
-    // the same in-order commit path).
+    // the same in-order commit path). Each run's trace folds back to its
+    // metrics snapshot, worker losses, respawns and redispatches included.
     let dir = std::env::temp_dir().join(format!("dampi-cli-executors-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let run = |tag: &str, workload: &str, driver: &str| {
         let journal = dir.join(format!("{tag}.journal"));
         let metrics = dir.join(format!("{tag}.metrics.json"));
+        let trace = dir.join(format!("{tag}.trace.jsonl"));
         let out = cli()
             .arg("verify")
             .args(workload.split_whitespace().chain(driver.split_whitespace()))
@@ -787,8 +809,11 @@ fn verify_is_one_campaign_under_threads_worker_processes_and_chaos() {
             .arg(&journal)
             .arg("--metrics")
             .arg(&metrics)
+            .arg("--trace")
+            .arg(&trace)
             .output()
             .expect("run dampi-cli");
+        assert_trace_refolds(&trace, &metrics);
         let report = String::from_utf8_lossy(&out.stdout).into_owned();
         let json: serde_json::Value =
             serde_json::from_str(&report).unwrap_or_else(|e| panic!("{tag}: {e}: {out:?}"));

@@ -959,20 +959,22 @@ fn what_the_workspace_writes_keeps_the_serializer_contract() {
     use dampi::analysis::analyze_program;
     use dampi::core::cache::plan_digest;
     use dampi::core::metrics::{CampaignEvent, TraceRecord};
-    use dampi::core::{CampaignMetrics, DampiConfig, DampiVerifier, ReplayCache};
+    use dampi::core::{CampaignMetrics, CampaignTrace, DampiConfig, DampiVerifier, ReplayCache};
     use dampi::core::{METRICS_SCHEMA_VERSION, TRACE_SCHEMA_VERSION};
     use dampi::fuzz::Verdict;
     use dampi::mpi::{MatchPolicy, SimConfig};
     use dampi::workloads::patterns;
     use std::sync::Arc;
 
-    // A campaign that finds fig3's bug, with a cache, a journal and metrics.
+    // A campaign that finds fig3's bug, with a cache, a journal, metrics
+    // and a trace.
     let dir = std::env::temp_dir().join(format!("dampi-contract-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let journal = dir.join("journal");
     let cache = ReplayCache::open(&dir.join("cache"), 1, plan_digest(None), false).unwrap();
     let metrics = CampaignMetrics::new();
+    let (trace, traced) = CampaignTrace::to_shared_buffer();
     let sim = |np| {
         SimConfig::new(np)
             .with_policy(MatchPolicy::LowestRank)
@@ -982,6 +984,7 @@ fn what_the_workspace_writes_keeps_the_serializer_contract() {
         DampiVerifier::with_config(sim(3), DampiConfig::default().with_journal(journal.clone()))
             .with_cache(Arc::new(cache))
             .with_metrics(metrics.clone())
+            .with_trace(trace)
             .verify(&patterns::fig3());
     assert!(!report.errors.is_empty(), "fig3 finds its bug");
     let keyspace = std::fs::read_dir(dir.join("cache"))
@@ -1025,35 +1028,22 @@ fn what_the_workspace_writes_keeps_the_serializer_contract() {
         Checked::walk(&from_str::<Verdict>(line).unwrap(), "fuzz verdict");
     }
 
-    // Trace records and the `--metrics` snapshot.
-    let events = [
-        CampaignEvent::CampaignStart {
-            jobs: 1,
-            resumed: false,
-        },
-        CampaignEvent::ReplayCommit {
-            interleaving: 2,
-            depth: 1,
-            forks_pushed: 0,
-            frontier: 0,
-            new_errors: 1,
-            makespan_s: 1.5e-5,
-            attempts: 1,
-            timed_out: false,
-        },
-        CampaignEvent::WorkerLost {
+    // Trace records (the campaign's, and a fleet event it had no cause to
+    // write) and the `--metrics` snapshot.
+    let lines = String::from_utf8(traced.lock().clone()).unwrap();
+    assert!(lines.contains("\"CampaignEnd\""), "{lines}");
+    for line in lines.lines() {
+        Checked::walk(&from_str::<TraceRecord>(line).unwrap(), "trace record");
+    }
+    let lost = TraceRecord {
+        v: TRACE_SCHEMA_VERSION,
+        t_us: 7,
+        event: CampaignEvent::WorkerLost {
             slot: 0,
             reason: "heartbeat \"timeout\"".to_owned(),
         },
-    ];
-    for event in events {
-        let record = TraceRecord {
-            v: TRACE_SCHEMA_VERSION,
-            t_us: 7,
-            event,
-        };
-        Checked::walk(&record, "trace record");
-    }
+    };
+    Checked::walk(&lost, "trace record");
     let snapshot = metrics.snapshot("fig3", 3, "lamport", 1);
     assert_eq!(snapshot["schema"], METRICS_SCHEMA_VERSION);
     assert_eq!(snapshot["finished"], true);
