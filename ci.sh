@@ -2,9 +2,9 @@
 # CI gate: format, unsafe/waist greps, build, full test suite, lints-as-errors,
 # docs (the vendored JSON codec's format, lints and docs by name too), one
 # paper-printer smoke, then one release-binary smoke (64 seeds of
-# the fuzz corpus). Every other CLI contract — the metrics snapshot through
-# `metrics-lint` at `--jobs 1` and `4` included — is a `cargo test` in
-# `tests/cli.rs`; nothing here needs python3. Nothing here reads a wall clock: `benchmark/` measures.
+# the fuzz corpus). Every other CLI contract — the metrics snapshot at
+# `--jobs 1` and `4`, refolded from its trace with its ledger checked,
+# included — is a `cargo test` in `tests/cli.rs`; nothing here needs python3. Nothing here reads a wall clock: `benchmark/` measures.
 # Tier-1 is `cargo test -q`, which `default-members` makes the whole
 # workspace. Pass --offline (default here) since the build is vendored.
 set -euo pipefail

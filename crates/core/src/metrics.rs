@@ -14,7 +14,13 @@
 //! * [`CampaignMetrics`] folds it into the tally behind the `--metrics`
 //!   snapshot. [`CampaignMetrics::from_trace`] runs the same fold over a
 //!   saved trace, so a trace reproduces the snapshot of the run that wrote
-//!   it. The fold only adds, so the order it sees records in is immaterial.
+//!   it. Most of the fold adds, so the order it sees those records in is
+//!   immaterial. The pool width, cache mode, frontier and end record are
+//!   last-write instead; they are order-safe because the driver thread
+//!   alone emits `CampaignStart`, `ReplayCommit` and `CampaignEnd`.
+//! * [`CampaignMetrics::check`] states the ledger's relations once
+//!   (`replays_started == committed + aborted`, the fleet, cache and census
+//!   bounds), and `from_trace` refuses a finished trace that breaks one.
 //!
 //! # Determinism contract
 //!
@@ -69,46 +75,27 @@ pub const TRACE_SCHEMA_VERSION: u32 = 2;
 
 // ---- Fixed-bucket histogram -----------------------------------------------
 
-/// Fixed-bucket histogram: one counter per bucket and a running sum.
-#[derive(Debug, Clone)]
+/// Inclusive upper bounds of the microsecond-latency buckets (1µs .. 10s),
+/// for I/O and replay latencies; values above the last land in the overflow
+/// bucket.
+const BOUNDS: [u64; 8] = [1, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000];
+
+/// Fixed-bucket histogram over `BOUNDS`: one counter per bucket and a
+/// running sum.
+#[derive(Debug, Clone, Default)]
 pub struct FixedHistogram {
-    /// Inclusive upper bounds, ascending; values above the last bound land
-    /// in the overflow bucket.
-    bounds: Vec<u64>,
     /// One counter per bound plus the overflow bucket.
-    counts: Vec<u64>,
+    counts: [u64; BOUNDS.len() + 1],
     sum: u64,
 }
 
-/// Microsecond-latency buckets (1µs .. 10s), for I/O and replay latencies.
-impl Default for FixedHistogram {
-    fn default() -> Self {
-        Self::new(&[1, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000])
-    }
-}
-
 impl FixedHistogram {
-    /// Histogram over the given inclusive upper bounds (must be ascending).
-    #[must_use]
-    pub fn new(bounds: &[u64]) -> Self {
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must ascend"
-        );
-        Self {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            sum: 0,
-        }
-    }
-
     /// Record one observation.
     pub fn record(&mut self, value: u64) {
-        let idx = self
-            .bounds
+        let idx = BOUNDS
             .iter()
             .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
+            .unwrap_or(BOUNDS.len());
         self.counts[idx] += 1;
         self.sum = self.sum.saturating_add(value);
     }
@@ -117,15 +104,14 @@ impl FixedHistogram {
     /// "overflow": n, "count": c, "sum": s}`.
     #[must_use]
     pub fn to_json(&self) -> serde_json::Value {
-        let buckets: Vec<serde_json::Value> = self
-            .bounds
+        let buckets: Vec<serde_json::Value> = BOUNDS
             .iter()
             .zip(&self.counts)
             .map(|(le, n)| serde_json::json!({"le": le, "n": n}))
             .collect();
         serde_json::json!({
             "buckets": buckets,
-            "overflow": self.counts[self.bounds.len()],
+            "overflow": self.counts[BOUNDS.len()],
             "count": self.counts.iter().sum::<u64>(),
             "sum": self.sum,
         })
@@ -174,6 +160,28 @@ struct Tally {
     end: Option<TraceRecord>,
 }
 
+impl Tally {
+    /// The folded `CampaignEnd`: its `t_us`, its `semantic` section and its
+    /// cache ledger `[hits, misses, stale]`.
+    fn ended(&self) -> Option<(u64, &serde_json::Value, [u64; 3])> {
+        match &self.end {
+            Some(TraceRecord {
+                t_us,
+                event:
+                    CampaignEvent::CampaignEnd {
+                        semantic,
+                        hits,
+                        misses,
+                        stale,
+                        ..
+                    },
+                ..
+            }) => Some((*t_us, semantic, [*hits, *misses, *stale])),
+            _ => None,
+        }
+    }
+}
+
 impl Default for CampaignMetrics {
     fn default() -> Self {
         Self {
@@ -192,7 +200,9 @@ impl CampaignMetrics {
 
     /// The fold of a saved JSONL trace: the sink that observed the campaign
     /// which wrote it, snapshot for snapshot. Refuses a line that is not a
-    /// record of this [`TRACE_SCHEMA_VERSION`].
+    /// record of this [`TRACE_SCHEMA_VERSION`], and a trace that holds a
+    /// `CampaignEnd` but fails [`check`](Self::check). A trace with none (a
+    /// killed campaign) is not checked.
     pub fn from_trace(trace: impl BufRead) -> io::Result<Self> {
         let m = Self::default();
         for (n, line) in trace.lines().enumerate() {
@@ -206,6 +216,10 @@ impl CampaignMetrics {
                 )));
             }
             m.record(&rec);
+        }
+        if m.tally.lock().end.is_some() {
+            m.check()
+                .map_err(|e| io::Error::other(format!("trace ledger: {e}")))?;
         }
         Ok(m)
     }
@@ -260,29 +274,67 @@ impl CampaignMetrics {
         let t = self.tally.lock();
         ProgressSnapshot {
             committed: t.committed,
-            started: t.started,
             frontier: t.frontier,
             elapsed: self.start.elapsed(),
         }
     }
 
-    /// Replays committed so far.
-    #[must_use]
-    pub fn committed(&self) -> u64 {
-        self.tally.lock().committed
-    }
-
-    /// Replays dispatched so far.
-    #[must_use]
-    pub fn started(&self) -> u64 {
-        self.tally.lock().started
-    }
-
-    /// Replays dispatched but never committed (final after the
-    /// exploration returns).
-    #[must_use]
-    pub fn aborted(&self) -> u64 {
-        self.tally.lock().aborted
+    /// The ledger's relations, each a fact of every finished campaign:
+    /// every dispatch was committed or aborted; a lost worker had been
+    /// spawned and a restart answers a loss; a cache tallied each commit as
+    /// one hit or one miss and stored only misses, and without a cache
+    /// nothing is tallied; a park got at most one wake and a spurious wake
+    /// is a wake; a campaign the cache served entirely ran no replay here.
+    /// `Err` names the first relation that fails.
+    pub fn check(&self) -> Result<(), String> {
+        macro_rules! holds {
+            ($ok:expr, $($relation:tt)+) => {
+                if !$ok {
+                    return Err(format!($($relation)+));
+                }
+            };
+        }
+        let t = self.tally.lock();
+        let (started, committed, aborted) = (t.started, t.committed, t.aborted);
+        holds!(
+            started == committed + aborted,
+            "replays_started {started} != replays_committed {committed} + replays_aborted {aborted}"
+        );
+        let (spawned, lost, restarted) = (t.workers_spawned, t.workers_lost, t.workers_restarted);
+        holds!(
+            lost <= spawned,
+            "workers_lost {lost} > workers_spawned {spawned}"
+        );
+        holds!(
+            restarted <= lost,
+            "workers_restarted {restarted} > workers_lost {lost}"
+        );
+        let [hits, misses, stale] = t.ended().map_or([0; 3], |(_, _, ledger)| ledger);
+        let stores = t.cache_stores;
+        let rt = t.runtime;
+        if t.cache.is_some() {
+            holds!(
+                hits + misses == committed,
+                "cache: hits {hits} + misses {misses} != replays_committed {committed}"
+            );
+            holds!(stores <= misses, "cache: stores {stores} > misses {misses}");
+            holds!(
+                misses > 0 || rt == RuntimeCensus::default(),
+                "runtime: {rt:?} from a campaign the cache served entirely"
+            );
+        } else {
+            holds!(
+                [hits, misses, stores, stale] == [0; 4],
+                "cache disabled but hits {hits}, misses {misses}, stores {stores}, stale {stale}"
+            );
+        }
+        let (parks, wakes, spurious) = (rt.parks, rt.wakes, rt.spurious_wakes);
+        holds!(wakes <= parks, "runtime: wakes {wakes} > parks {parks}");
+        holds!(
+            spurious <= wakes,
+            "runtime: spurious_wakes {spurious} > wakes {wakes}"
+        );
+        Ok(())
     }
 
     /// End-of-campaign snapshot as schema-versioned JSON. The `semantic`
@@ -299,20 +351,9 @@ impl CampaignMetrics {
         jobs: usize,
     ) -> serde_json::Value {
         let t = self.tally.lock();
-        let (mut semantic, wall_us, [hits, misses, stale]) = match &t.end {
-            Some(TraceRecord {
-                t_us,
-                event:
-                    CampaignEvent::CampaignEnd {
-                        semantic,
-                        hits,
-                        misses,
-                        stale,
-                        ..
-                    },
-                ..
-            }) => (semantic.clone(), *t_us, [*hits, *misses, *stale]),
-            _ => (render_semantic(&Exploration::default()), 0, [0; 3]),
+        let (mut semantic, wall_us, [hits, misses, stale]) = match t.ended() {
+            Some((t_us, semantic, ledger)) => (semantic.clone(), t_us, ledger),
+            None => (render_semantic(&Exploration::default()), 0, [0; 3]),
         };
         if let Some(mode) = semantic.get_mut("clock_mode") {
             *mode = serde_json::json!(clock_mode);
@@ -430,8 +471,6 @@ pub(crate) fn render_semantic(ex: &Exploration) -> serde_json::Value {
 pub struct ProgressSnapshot {
     /// Replays committed so far.
     pub committed: u64,
-    /// Replays dispatched so far.
-    pub started: u64,
     /// Frontier size after the latest commit.
     pub frontier: u64,
     /// Wall-clock time since the sink was created.
@@ -453,13 +492,12 @@ impl ProgressSnapshot {
     /// Estimated seconds to exhaust the remaining interleaving budget at
     /// the current rate (an upper bound — the frontier may drain first).
     #[must_use]
-    pub fn eta_s(&self, max_interleavings: Option<u64>) -> Option<f64> {
-        let max = max_interleavings?;
+    pub fn eta_s(&self, max_interleavings: u64) -> Option<f64> {
         let rate = self.rate();
         if rate <= 0.0 {
             return None;
         }
-        Some(max.saturating_sub(self.committed) as f64 / rate)
+        Some(max_interleavings.saturating_sub(self.committed) as f64 / rate)
     }
 }
 
@@ -588,7 +626,8 @@ pub enum CampaignEvent {
         /// Forks left unexplored; resuming the journal explores them.
         frontier: usize,
     },
-    /// The exploration ended. Its `t_us` is the snapshot's `wall_s`.
+    /// The exploration ended and its executor stopped, so this is a
+    /// finished trace's last record. Its `t_us` is the snapshot's `wall_s`.
     CampaignEnd {
         /// Total interleavings executed.
         interleavings: u64,
@@ -781,25 +820,27 @@ mod tests {
 
     #[test]
     fn histogram_buckets_and_overflow() {
-        let mut h = FixedHistogram::new(&[10, 100]);
-        h.record(5);
-        h.record(10);
-        h.record(50);
-        h.record(1_000);
+        let mut h = FixedHistogram::default();
+        for value in [0, 1, 5, 10, 50, 20_000_000] {
+            h.record(value);
+        }
         let j = h.to_json();
         assert_eq!(
             (j["count"].as_u64(), j["sum"].as_u64()),
-            (Some(4), Some(1_065))
+            (Some(6), Some(20_000_066))
         );
-        assert_eq!(j["buckets"][0]["n"], 2, "{j:?}");
-        assert_eq!(j["buckets"][1]["n"], 1);
+        assert_eq!(
+            j["buckets"][0],
+            serde_json::json!({"le": 1, "n": 2}),
+            "{j:?}"
+        );
+        assert_eq!(j["buckets"][1], serde_json::json!({"le": 10, "n": 2}));
+        assert_eq!(j["buckets"][2], serde_json::json!({"le": 100, "n": 1}));
+        assert_eq!(
+            j["buckets"][7],
+            serde_json::json!({"le": 10_000_000, "n": 0})
+        );
         assert_eq!(j["overflow"], 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "ascend")]
-    fn histogram_rejects_unsorted_bounds() {
-        let _ = FixedHistogram::new(&[10, 10]);
     }
 
     #[test]
@@ -814,7 +855,8 @@ mod tests {
         m.record(&rec(1, commit(4, census)));
         // A cache hit: nothing executed here.
         m.record(&rec(2, commit(3, RuntimeCensus::default())));
-        assert_eq!((m.committed(), m.progress().frontier), (2, 3));
+        let p = m.progress();
+        assert_eq!((p.committed, p.frontier), (2, 3));
         m.record(&rec(
             3,
             end(&Exploration {
@@ -868,7 +910,9 @@ mod tests {
     fn snapshot_has_schema_and_sections() {
         let m = CampaignMetrics::new();
         m.record(&rec(1, CampaignEvent::Dispatched { signature: 0 }));
+        m.record(&rec(2, CampaignEvent::Aborted { n: 1 }));
         m.record(&rec(250_000, end(&Exploration::default())));
+        assert_eq!(m.check(), Ok(()));
         let j = m.snapshot("demo", 4, "lamport", 2);
         assert_eq!(j["schema"], METRICS_SCHEMA_VERSION);
         assert_eq!(j["semantic"]["clock_mode"], "lamport");
@@ -916,13 +960,80 @@ mod tests {
     fn eta_uses_remaining_budget() {
         let p = ProgressSnapshot {
             committed: 50,
-            started: 60,
             frontier: 10,
             elapsed: Duration::from_secs(10),
         };
         assert!((p.rate() - 5.0).abs() < 1e-9);
-        let eta = p.eta_s(Some(100)).unwrap();
+        let eta = p.eta_s(100).unwrap();
         assert!((eta - 10.0).abs() < 1e-9, "{eta}");
-        assert!(p.eta_s(None).is_none());
+    }
+
+    #[test]
+    fn from_trace_refuses_a_finished_ledger_that_does_not_balance() {
+        use CampaignEvent as E;
+        let start = |readonly| E::CampaignStart {
+            jobs: 1,
+            resumed: false,
+            readonly,
+        };
+        let dispatched = || E::Dispatched { signature: 1 };
+        let one = || commit(0, RuntimeCensus::default());
+        // The end of a campaign whose cache served `hits` commits.
+        let finish = |cache_hits| {
+            end(&Exploration {
+                cache_hits,
+                ..Exploration::default()
+            })
+        };
+        let census = RuntimeCensus {
+            parks: 1,
+            wakes: 2,
+            ..RuntimeCensus::default()
+        };
+        let lost = E::WorkerLost {
+            slot: 0,
+            reason: "heartbeat".into(),
+        };
+        let mut stored = one();
+        if let E::ReplayCommit { stored, .. } = &mut stored {
+            *stored = true;
+        }
+        // Each stream breaks one relation, and the refusal names it.
+        let cases: [(&str, Vec<E>); 5] = [
+            (
+                "replays_started",
+                vec![start(None), dispatched(), finish(0)],
+            ),
+            (
+                "wakes 2 > parks 1",
+                vec![start(None), dispatched(), commit(0, census), finish(0)],
+            ),
+            (
+                "cache disabled but hits 1",
+                vec![start(None), dispatched(), one(), finish(1)],
+            ),
+            (
+                "workers_lost 1 > workers_spawned 0",
+                vec![start(None), lost, finish(0)],
+            ),
+            (
+                "stores 1 > misses 0",
+                vec![start(Some(false)), dispatched(), stored, finish(1)],
+            ),
+        ];
+        for (relation, events) in cases {
+            let mut text = String::new();
+            for (t_us, event) in events.into_iter().enumerate() {
+                text += &serde_json::to_string(&rec(t_us as u64, event)).unwrap();
+                text.push('\n');
+            }
+            let err = CampaignMetrics::from_trace(text.as_bytes())
+                .expect_err(relation)
+                .to_string();
+            assert!(err.contains(relation), "{relation}: {err}");
+        }
+        // A killed campaign's trace has no `CampaignEnd`: it is not checked.
+        let killed = serde_json::to_string(&rec(0, E::Dispatched { signature: 1 })).unwrap();
+        assert!(CampaignMetrics::from_trace(killed.as_bytes()).is_ok());
     }
 }

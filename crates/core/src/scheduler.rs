@@ -273,11 +273,28 @@ pub(crate) fn explore_from<F>(
 where
     F: Fn(&DecisionSet) -> RunResult + Sync,
 {
-    if opts.jobs <= 1 {
+    let ex = if opts.jobs <= 1 {
         drive(opts, &mut Inline::new(|ds| run(ds), opts), start)
     } else {
         ThreadPool::scoped(run, opts, opts.jobs, |pool| drive(opts, pool, start))
-    }
+    }?;
+    Ok(end_campaign(opts, ex))
+}
+
+/// Announce the end of a campaign whose executor has stopped, so nothing a
+/// worker still reports about discarded speculation can follow
+/// `CampaignEnd`, and its `t_us` covers that drain.
+pub(crate) fn end_campaign(opts: &ExploreOptions, ex: Exploration) -> Exploration {
+    emit(opts, || CampaignEvent::CampaignEnd {
+        interleavings: ex.interleavings,
+        errors: ex.errors.len(),
+        budget_exhausted: ex.budget_exhausted,
+        semantic: render_semantic(&ex),
+        hits: ex.cache_hits,
+        misses: ex.cache_misses,
+        stale: opts.cache.as_ref().map_or(0, |c| c.take_unreported_stale()),
+    });
+    ex
 }
 
 pub(crate) const IN_PROCESS: &str = "in-process executors fail only when a replay worker panicked";
@@ -302,11 +319,13 @@ pub(crate) enum Source {
 }
 
 /// The exploration loop. It alone owns the [`Walk`], the replay cache, the
-/// journal and the campaign events; `exec` only runs replays. Each
-/// turn commits every result that is next in depth-first order, offers the
-/// new top of the frontier to the executor (unconditionally) and deeper
-/// entries as speculation (bounded by idle workers and the remaining
-/// interleaving budget), then blocks for one event. Because commit order —
+/// journal and the campaign events (all but `CampaignEnd`, which its caller
+/// emits through [`end_campaign`] once `exec` has stopped); `exec` only
+/// runs replays. Each turn commits every result that is next in
+/// depth-first order, offers the new top of the frontier to the executor
+/// (unconditionally) and deeper entries as speculation (bounded by idle
+/// workers and the remaining interleaving budget), then blocks for one
+/// event. Because commit order —
 /// not completion order — drives every state change, the exploration does
 /// not depend on the executor; speculation past a budget/stop boundary is
 /// discarded, never committed. A resumed campaign first serves each top
@@ -442,7 +461,7 @@ pub(crate) fn drive(
     if n > 0 {
         emit(opts, || CampaignEvent::Aborted { n });
     }
-    Ok(w.finish())
+    Ok(w.ex)
 }
 
 /// Mutable exploration state. Every state transition goes through
@@ -611,26 +630,6 @@ impl<'a> Walk<'a> {
         } else {
             self.ex.cache_misses += 1;
         }
-    }
-
-    /// Close out the walk: announce its end, then surrender the
-    /// exploration.
-    fn finish(self) -> Exploration {
-        let ex = &self.ex;
-        emit(self.opts, || CampaignEvent::CampaignEnd {
-            interleavings: ex.interleavings,
-            errors: ex.errors.len(),
-            budget_exhausted: ex.budget_exhausted,
-            semantic: render_semantic(ex),
-            hits: ex.cache_hits,
-            misses: ex.cache_misses,
-            stale: self
-                .opts
-                .cache
-                .as_ref()
-                .map_or(0, |c| c.take_unreported_stale()),
-        });
-        self.ex
     }
 
     /// Account a replay's execution cost. Makespans are added one attempt
@@ -1508,15 +1507,8 @@ mod tests {
     }
 
     fn assert_ledger_balances(m: &CampaignMetrics, ex: &Exploration) {
-        assert_eq!(m.committed(), ex.interleavings);
-        assert_eq!(
-            m.started(),
-            m.committed() + m.aborted(),
-            "started {} committed {} aborted {}",
-            m.started(),
-            m.committed(),
-            m.aborted()
-        );
+        assert_eq!(m.progress().committed, ex.interleavings);
+        assert_eq!(m.check(), Ok(()));
     }
 
     /// The in-order-commit argument, checked without relying on thread
@@ -1528,7 +1520,9 @@ mod tests {
             let (o, m, inline_j) = observed("inline", max);
             let inline = explore(model_run(), &o);
             assert_ledger_balances(&m, &inline);
-            assert_eq!(m.aborted(), 0, "the inline executor never speculates");
+            let aborted =
+                m.snapshot("model", 1, "lamport", 1)["wall_clock"]["replays_aborted"].clone();
+            assert_eq!(aborted, 0, "the inline executor never speculates");
             let inline_bytes = std::fs::read(&inline_j).expect("inline journal");
             if !inline.budget_exhausted {
                 assert_eq!(inline.errors.len(), 1);

@@ -40,7 +40,7 @@ use parking_lot::{Condvar, Mutex};
 use crate::decisions::DecisionSet;
 use crate::executor::{Event, Executor};
 use crate::metrics::{emit, nanos, CampaignEvent};
-use crate::scheduler::{drive, Exploration, ExploreOptions, RunResult, Start};
+use crate::scheduler::{drive, end_campaign, Exploration, ExploreOptions, RunResult, Start};
 
 use super::lease::{LeaseConfig, SlotHealth, Verdict};
 use super::protocol::{recv_msg, FromWorker, ToWorker, PROTOCOL_VERSION};
@@ -776,7 +776,9 @@ pub(crate) fn explore_sharded_from(
     start: Start,
 ) -> io::Result<Exploration> {
     let mut fleet = ProcessFleet::spawn(launcher, opts, shard, start.config_digest)?;
-    drive(opts, &mut fleet, start)
+    let ex = drive(opts, &mut fleet, start)?;
+    drop(fleet);
+    Ok(end_campaign(opts, ex))
 }
 
 #[cfg(test)]

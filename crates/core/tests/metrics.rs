@@ -114,7 +114,18 @@ fn sequential_walk_matches_parallel_semantics() {
 fn every_dispatched_replay_is_committed_or_aborted() {
     // A budget mid-frontier forces the coordinator to cancel in-flight and
     // cached work: those dispatches must land in `aborted`, keeping the
-    // ledger exact. The saved trace folds back to the same snapshot.
+    // ledger exact. The schedule forcing source 1 at epoch 1 is slow: it is
+    // speculated on right after the root, and the budget cuts the walk
+    // while it still runs. The campaign ends only once it has stopped, so
+    // `CampaignEnd` is the trace's last record. The saved trace folds back
+    // to the same snapshot.
+    let model = model_run(vec![3, 3, 3]);
+    let slow = |ds: &DecisionSet| {
+        if ds.decisions.len() == 2 && ds.lookup(0, 1) == Some(1) {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        model(ds)
+    };
     let m = CampaignMetrics::new();
     let (trace, buf) = CampaignTrace::to_shared_buffer();
     let opts = ExploreOptions {
@@ -125,18 +136,14 @@ fn every_dispatched_replay_is_committed_or_aborted() {
         retry_backoff: dampi_core::RetryBackoff::ZERO,
         ..ExploreOptions::default()
     };
-    let ex = explore_parallel(model_run(vec![3, 3, 3]), &opts);
+    let ex = explore_parallel(slow, &opts);
     assert!(ex.budget_exhausted);
-    assert_eq!(m.committed(), ex.interleavings);
-    assert_eq!(
-        m.started(),
-        m.committed() + m.aborted(),
-        "dispatch ledger must balance: started {} committed {} aborted {}",
-        m.started(),
-        m.committed(),
-        m.aborted()
-    );
-    let refold = CampaignMetrics::from_trace(&buf.lock()[..]).expect("a v2 trace");
+    assert_eq!(m.progress().committed, ex.interleavings);
+    assert_eq!(m.check(), Ok(()));
+    let text = String::from_utf8(buf.lock().clone()).expect("utf8 trace");
+    let last = text.lines().last().expect("a trace");
+    assert!(last.contains("\"CampaignEnd\""), "last record: {last}");
+    let refold = CampaignMetrics::from_trace(text.as_bytes()).expect("a balanced v2 trace");
     let snapshot = |m: &CampaignMetrics| {
         serde_json::to_string(&m.snapshot("model", 1, "lamport", 4)).expect("serializes")
     };

@@ -825,7 +825,7 @@ fn cmd_verify(name: &str, p: &Parsed) -> Result<ExitCode, String> {
             while stop_rx.recv_timeout(Duration::from_millis(500)).is_err() {
                 let p = m.progress();
                 let eta = p
-                    .eta_s(Some(max))
+                    .eta_s(max)
                     .map_or_else(|| "?".to_owned(), |s| format!("{s:.0}s"));
                 eprintln!(
                     "progress: {} replays committed ({:.1}/s), frontier {}, eta {eta}",

@@ -156,17 +156,15 @@ fn verify_prune_static_composes_with_shards() {
     assert_eq!(field(&report, "interleavings"), Some(1));
 }
 
-fn lint() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_metrics-lint"))
-}
-
 /// Assert that the `--trace` a run saved folds back to its `--metrics` file,
-/// byte for byte as the CLI prints it, `wall_clock` included.
+/// byte for byte as the CLI prints it, `wall_clock` included. The refold
+/// checks the campaign's ledger (`CampaignMetrics::check`) on the way.
 fn assert_trace_refolds(trace: &std::path::Path, metrics: &std::path::Path) {
     let live = std::fs::read_to_string(metrics).unwrap();
     let v: serde_json::Value = serde_json::from_str(&live).unwrap();
     let saved = std::io::BufReader::new(std::fs::File::open(trace).unwrap());
-    let refold = dampi::core::CampaignMetrics::from_trace(saved).expect("a v2 trace");
+    let refold = dampi::core::CampaignMetrics::from_trace(saved)
+        .unwrap_or_else(|e| panic!("{}: {e}", trace.display()));
     let snap = refold.snapshot(
         v["program"].as_str().unwrap(),
         v["nprocs"].as_u64().unwrap() as usize,
@@ -252,49 +250,7 @@ fn verify_metrics_snapshot_is_deterministic_across_jobs() {
             r#""workers_restarted":0,"subtrees_redispatched":0,"quarantined":0}}"#
         )
     );
-    // The lint binary agrees, including the cross-file determinism check.
-    let out = lint()
-        .args([
-            p1.to_str().unwrap(),
-            p4.to_str().unwrap(),
-            "--expect-semantic-match",
-        ])
-        .output()
-        .expect("run metrics-lint");
-    assert!(out.status.success(), "{out:?}");
-    // And it rejects a snapshot whose ledger doesn't balance.
-    let broken = dir.join("broken.json");
-    let text = std::fs::read_to_string(&p1).unwrap();
-    let mut v: serde_json::Value = serde_json::from_str(&text).unwrap();
-    let wall = v
-        .as_object_mut()
-        .unwrap()
-        .get_mut("wall_clock")
-        .unwrap()
-        .as_object_mut()
-        .unwrap();
-    wall.insert("replays_started".into(), serde_json::json!(999));
-    std::fs::write(&broken, serde_json::to_string(&v).unwrap()).unwrap();
-    let out = lint().arg(&broken).output().expect("run metrics-lint");
-    assert!(!out.status.success(), "{out:?}");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("replays_started"), "{err}");
-    // Nor one whose census counts more wakes than parks.
-    let mut v: serde_json::Value = serde_json::from_str(&text).unwrap();
-    let runtime = v
-        .as_object_mut()
-        .unwrap()
-        .get_mut("runtime")
-        .unwrap()
-        .as_object_mut()
-        .unwrap();
-    runtime.insert("wakes".into(), serde_json::json!(parks + 1));
-    std::fs::write(&broken, serde_json::to_string(&v).unwrap()).unwrap();
-    let out = lint().arg(&broken).output().expect("run metrics-lint");
-    assert!(!out.status.success(), "{out:?}");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("runtime: wakes"), "{err}");
-    for p in [p1, p4, broken, trace1, trace] {
+    for p in [p1, p4, trace1, trace] {
         std::fs::remove_file(p).ok();
     }
 }
@@ -385,6 +341,7 @@ fn verify_cache_contract_holds_as_counts_under_every_driver() {
     std::fs::create_dir_all(&dir).unwrap();
     let run = |tag: &str, np: &str, driver: [&str; 2]| {
         let metrics = dir.join(format!("{tag}.metrics.json"));
+        let trace = dir.join(format!("{tag}.trace.jsonl"));
         let out = cli()
             .args(["verify", "matmul", "--np", np, "--max", "400", "--json"])
             .args(driver)
@@ -392,9 +349,12 @@ fn verify_cache_contract_holds_as_counts_under_every_driver() {
             .arg(dir.join("store"))
             .arg("--metrics")
             .arg(&metrics)
+            .arg("--trace")
+            .arg(&trace)
             .output()
             .expect("run dampi-cli");
         assert!(out.status.success(), "{tag}: {out:?}");
+        assert_trace_refolds(&trace, &metrics);
         let snapshot: serde_json::Value =
             serde_json::from_str(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
         let count = |section: &str, key: &str| {
@@ -411,7 +371,7 @@ fn verify_cache_contract_holds_as_counts_under_every_driver() {
             String::from_utf8_lossy(&out.stdout).into_owned(),
             ledger,
             committed,
-            metrics,
+            serde_json::to_string(&snapshot["semantic"]).unwrap(),
         )
     };
     // Every keyspace under the store: its one file's length, and how many
@@ -440,31 +400,24 @@ fn verify_cache_contract_holds_as_counts_under_every_driver() {
         }
         found
     };
-    let (cold, ledger, replays, cold_metrics) = run("cold", "4", ["--jobs", "1"]);
+    let (cold, ledger, replays, cold_semantic) = run("cold", "4", ["--jobs", "1"]);
     assert_eq!(ledger, [0, replays, replays, 0], "cold: {replays} replays");
     let stored = keyspaces();
     assert_eq!(stored.len(), 1);
     assert_eq!(stored[0].1 as u64, replays, "one entry per replay");
-    let mut snapshots = vec![cold_metrics];
     for (tag, driver) in [
         ("warm-j1", ["--jobs", "1"]),
         ("warm-j4", ["--jobs", "4"]),
         ("warm-s2", ["--shards", "2"]),
     ] {
-        let (warm, ledger, committed, metrics) = run(tag, "4", driver);
+        let (warm, ledger, committed, semantic) = run(tag, "4", driver);
         assert_eq!(ledger, [committed, 0, 0, 0], "{tag}");
         assert_eq!(committed, replays, "{tag}");
         assert_eq!(warm, cold, "{tag}: warm report must be byte-identical");
+        assert_eq!(semantic, cold_semantic, "{tag}: semantic metrics");
         assert_eq!(keyspaces(), stored, "{tag}: nothing re-stored");
-        snapshots.push(metrics);
     }
-    let out = lint()
-        .args(&snapshots)
-        .arg("--expect-semantic-match")
-        .output()
-        .expect("run metrics-lint");
-    assert!(out.status.success(), "{out:?}");
-    let (_, ledger, flipped, metrics) = run("flip", "5", ["--jobs", "1"]);
+    let (_, ledger, flipped, _) = run("flip", "5", ["--jobs", "1"]);
     assert_eq!(ledger, [0, flipped, flipped, 0], "--np flip: full miss");
     let mut entries: Vec<usize> = keyspaces().into_iter().map(|(_, n)| n).collect();
     entries.sort_unstable();
@@ -474,8 +427,6 @@ fn verify_cache_contract_holds_as_counts_under_every_driver() {
         entries, expect,
         "the flip stored into a keyspace of its own"
     );
-    let out = lint().arg(&metrics).output().expect("run metrics-lint");
-    assert!(out.status.success(), "{out:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -546,20 +497,24 @@ fn verify_rejects_observability_flags_with_isp() {
         );
     }
     // The driver's flags are the driver's, whatever the tool: an ISP
-    // campaign's metrics snapshot lints clean and names ISP's clocks.
+    // campaign's trace refolds to its snapshot, ledger checked, and the
+    // snapshot names ISP's clocks.
     let path = std::env::temp_dir().join(format!("dampi-cli-isp-{}.json", std::process::id()));
+    let trace = path.with_extension("trace.jsonl");
     let out = cli()
         .args("verify racers --np 4 --isp --jobs 2 --metrics".split_whitespace())
         .arg(&path)
+        .arg("--trace")
+        .arg(&trace)
         .output()
         .expect("run dampi-cli");
     assert!(out.status.success(), "{out:?}");
-    let out = lint().arg(&path).output().expect("run metrics-lint");
-    assert!(out.status.success(), "{out:?}");
+    assert_trace_refolds(&trace, &path);
     let snapshot: serde_json::Value =
         serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
     assert_eq!(snapshot["semantic"]["clock_mode"], "vector", "{snapshot}");
     std::fs::remove_file(path).ok();
+    std::fs::remove_file(trace).ok();
 }
 
 #[test]
@@ -635,7 +590,7 @@ fn fuzz_prefix_regenerates_the_committed_corpus() {
 }
 
 /// `analyze <workload> --np <np> [--protocol <spec>] --json`: the exit code
-/// and the report, once `metrics-lint --analysis` has accepted its schema.
+/// and the report.
 fn analyze(workload: &str, np: &str, protocol: Option<&str>) -> (Option<i32>, serde_json::Value) {
     let mut cmd = cli();
     cmd.args(["analyze", workload, "--np", np, "--json"]);
@@ -643,18 +598,6 @@ fn analyze(workload: &str, np: &str, protocol: Option<&str>) -> (Option<i32>, se
         cmd.args(["--protocol", spec]);
     }
     let out = cmd.output().expect("run dampi-cli");
-    let path = std::env::temp_dir().join(format!(
-        "dampi-cli-analyze-{}-{workload}.json",
-        std::process::id()
-    ));
-    std::fs::write(&path, &out.stdout).unwrap();
-    let linted = lint()
-        .arg("--analysis")
-        .arg(&path)
-        .output()
-        .expect("run metrics-lint");
-    std::fs::remove_file(&path).ok();
-    assert!(linted.status.success(), "{workload}: {linted:?}");
     let report =
         serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).expect("analyzer JSON");
     (out.status.code(), report)
@@ -701,10 +644,10 @@ fn analyze_answers_are_schema_clean_and_exact() {
             None => assert_eq!(code, Some(0), "{ctx}"),
         }
         let p = &r["protocol"];
+        let nprocs = r["nprocs"].as_u64().expect("nprocs") as usize;
         match (protocol, lints) {
             (None, _) => assert!(p.is_null(), "no --protocol, no block: {ctx}"),
             (Some(_), None) => {
-                let nprocs = r["nprocs"].as_u64().expect("nprocs") as usize;
                 assert_eq!(p["rank_status"], json!(vec!["conformant"; nprocs]), "{ctx}");
                 for lint in ["l006", "l007", "l008"] {
                     assert_eq!(p[lint], 0, "{ctx}");
@@ -712,6 +655,13 @@ fn analyze_answers_are_schema_clean_and_exact() {
             }
             (Some(_), Some(_)) => {
                 assert_eq!(r["lints"][0]["ranks"], json!([0]), "{ctx}");
+                // The block counts each conformance lint the list holds.
+                for (key, id) in [("l006", "L006"), ("l007", "L007"), ("l008", "L008")] {
+                    let listed = ids.iter().filter(|i| **i == id).count();
+                    assert_eq!(p[key], listed, "{key}: {ctx}");
+                }
+                let status = p["rank_status"].as_array().expect("rank_status");
+                assert_eq!(status.len(), nprocs, "{ctx}");
                 // Non-conformant runs contribute no pruning facts.
                 assert_eq!(r["protocol_deterministic_wildcards"], json!([]), "{ctx}");
                 assert_eq!(r["protocol_infeasible_alternates"], json!([]), "{ctx}");
@@ -853,12 +803,12 @@ fn verify_is_one_campaign_under_threads_worker_processes_and_chaos() {
         fleet["subtrees_redispatched"].as_u64() >= Some(1),
         "{fleet}"
     );
-    let out = lint()
-        .args(&snapshots[1..])
-        .arg("--expect-semantic-match")
-        .output()
-        .expect("run metrics-lint");
-    assert!(out.status.success(), "{out:?}");
+    let semantic = |metrics: &std::path::Path| {
+        let v: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(metrics).unwrap()).unwrap();
+        serde_json::to_string(&v["semantic"]).unwrap()
+    };
+    assert_eq!(semantic(&snapshots[1]), semantic(&snapshots[2]), "killed");
     // A bug report crosses the process boundary intact (exit 2). Task-pool
     // workloads fold wall-clock into their virtual time, so across
     // *separate* campaigns they get count and error-set equality, not bytes.
