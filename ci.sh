@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # CI gate: format, unsafe/waist greps, build, full test suite, lints-as-errors,
-# docs (the vendored JSON codec's format, lints and docs by name too), one
-# paper-printer smoke, then one release-binary smoke (64 seeds of
-# the fuzz corpus). Every other CLI contract — the metrics snapshot at
-# `--jobs 1` and `4`, refolded from its trace with its ledger checked,
-# included — is a `cargo test` in `tests/cli.rs`; nothing here needs python3. Nothing here reads a wall clock: `benchmark/` measures.
+# docs (the vendored JSON codec's format, lints and docs by name too), then
+# one release-binary smoke (64 seeds of the fuzz corpus). Every other CLI
+# contract — the metrics snapshot at `--jobs 1` and `4`, refolded from its
+# trace with its ledger checked, included — is a `cargo test` in
+# `tests/cli.rs`, and every cell of the paper's figures and tables one in
+# `tests/paper.rs`; nothing here needs python3. Nothing here reads a wall
+# clock: `benchmark/` measures.
 # Tier-1 is `cargo test -q`, which `default-members` makes the whole
 # workspace. Pass --offline (default here) since the build is vendored.
 set -euo pipefail
@@ -73,11 +75,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 rustfmt --check --edition 2021 vendor/serde*/src/lib.rs
 cargo clippy --offline -p serde -p serde_derive -p serde_json -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -p serde -p serde_json
-# Printer smoke: the paper-figure printers are plain `fn main()`s that print
-# counts and virtual time; Fig. 8's cells are pinned by `cargo test`
-# (`fig8_matmul_interleavings_under_bounded_mixing`), this checks the bench
-# target itself still builds and runs.
-DAMPI_BENCH_FAST=1 cargo bench --offline -p dampi-bench --bench fig8_bounded_matmul
 # Fuzz smoke: `tests/cli.rs` regenerates 32 seeds of the committed corpus
 # and scans all 256 verdicts; the release build affords 64.
 ./target/release/dampi-cli fuzz --seed 0 --count 64 | cmp - <(head -64 corpus/fuzz_verdicts.jsonl)

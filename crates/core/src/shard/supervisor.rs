@@ -28,14 +28,13 @@
 //! `started == committed + aborted` survives any kill schedule.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dampi_mpi::fault::WorkerFaultPlan;
-use parking_lot::{Condvar, Mutex};
 
 use crate::decisions::DecisionSet;
 use crate::executor::{Event, Executor};
@@ -162,85 +161,12 @@ impl Drop for ProcessHandle {
 
 // ---- In-process launcher (hermetic fault-injection tests) ------------------
 
-/// A byte pipe over a shared deque — the in-memory stand-in for the
-/// stdin/stdout pair, so the full framed protocol (checksums, torn frames,
-/// EOF semantics) is exercised even in-process.
-#[derive(Default)]
-struct PipeInner {
-    buf: VecDeque<u8>,
-    write_closed: bool,
-    read_closed: bool,
-}
-
-type PipeShared = Arc<(Mutex<PipeInner>, Condvar)>;
-
-pub(crate) struct PipeReader(PipeShared);
-pub(crate) struct PipeWriter(PipeShared);
-
-pub(crate) fn pipe() -> (PipeWriter, PipeReader) {
-    let shared: PipeShared = Arc::new((Mutex::new(PipeInner::default()), Condvar::new()));
-    (PipeWriter(Arc::clone(&shared)), PipeReader(shared))
-}
-
-impl Read for PipeReader {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if buf.is_empty() {
-            return Ok(0);
-        }
-        let (m, cv) = &*self.0;
-        let mut g = m.lock();
-        while g.buf.is_empty() && !g.write_closed {
-            cv.wait(&mut g);
-        }
-        if g.buf.is_empty() {
-            return Ok(0); // EOF: writer gone and nothing buffered
-        }
-        let n = buf.len().min(g.buf.len());
-        for slot in buf.iter_mut().take(n) {
-            *slot = g.buf.pop_front().expect("len checked");
-        }
-        Ok(n)
-    }
-}
-
-impl Drop for PipeReader {
-    fn drop(&mut self) {
-        let (m, cv) = &*self.0;
-        m.lock().read_closed = true;
-        cv.notify_all();
-    }
-}
-
-impl Write for PipeWriter {
-    fn write(&mut self, data: &[u8]) -> io::Result<usize> {
-        let (m, cv) = &*self.0;
-        let mut g = m.lock();
-        if g.read_closed {
-            return Err(io::Error::from(io::ErrorKind::BrokenPipe));
-        }
-        g.buf.extend(data);
-        cv.notify_all();
-        Ok(data.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-impl Drop for PipeWriter {
-    fn drop(&mut self) {
-        let (m, cv) = &*self.0;
-        m.lock().write_closed = true;
-        cv.notify_all();
-    }
-}
-
 /// Runs workers as threads inside the supervisor's own process, speaking
-/// the real wire protocol over in-memory pipes. This is how the
-/// supervisor's whole failure matrix — kills, stalls, wedges, corrupt
-/// frames, exit-before-ack — is tested without fork/exec, deterministically
-/// enough for proptest kill schedules.
+/// the real wire protocol over anonymous pipes (`std::io::pipe`), so
+/// checksums, torn frames and EOF behave as between processes. This is
+/// how the supervisor's whole failure matrix — kills, stalls, wedges,
+/// corrupt frames, exit-before-ack — is tested without fork/exec,
+/// deterministically enough for proptest kill schedules.
 pub struct InProcessLauncher {
     run: Arc<dyn Fn(&DecisionSet) -> RunResult + Send + Sync>,
     /// Beacon period for spawned workers.
@@ -272,7 +198,7 @@ impl InProcessLauncher {
 }
 
 struct InProcessHandle {
-    writer: Option<PipeWriter>,
+    writer: Option<io::PipeWriter>,
     cancel: Arc<AtomicBool>,
 }
 
@@ -296,8 +222,8 @@ impl WorkerHandle for InProcessHandle {
 
 impl WorkerLauncher for InProcessLauncher {
     fn spawn(&self, slot: usize, fault: Option<WorkerFaultPlan>) -> io::Result<SpawnedWorker> {
-        let (job_tx, job_rx) = pipe();
-        let (res_tx, res_rx) = pipe();
+        let (job_rx, job_tx) = io::pipe()?;
+        let (res_rx, res_tx) = io::pipe()?;
         let cancel = Arc::new(AtomicBool::new(false));
         let run = Arc::clone(&self.run);
         let cfg = WorkerConfig {
@@ -784,39 +710,6 @@ pub(crate) fn explore_sharded_from(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pipe_roundtrip_and_eof() {
-        let (mut w, mut r) = pipe();
-        w.write_all(b"abc").unwrap();
-        let mut buf = [0u8; 2];
-        r.read_exact(&mut buf).unwrap();
-        assert_eq!(&buf, b"ab");
-        drop(w);
-        let mut rest = Vec::new();
-        r.read_to_end(&mut rest).unwrap();
-        assert_eq!(rest, b"c");
-    }
-
-    #[test]
-    fn pipe_write_after_reader_drop_is_broken() {
-        let (mut w, r) = pipe();
-        drop(r);
-        assert_eq!(w.write(b"x").unwrap_err().kind(), io::ErrorKind::BrokenPipe);
-    }
-
-    #[test]
-    fn pipe_read_blocks_until_data() {
-        let (mut w, mut r) = pipe();
-        let t = std::thread::spawn(move || {
-            let mut buf = [0u8; 5];
-            r.read_exact(&mut buf).unwrap();
-            buf
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        w.write_all(b"hello").unwrap();
-        assert_eq!(&t.join().unwrap(), b"hello");
-    }
 
     #[test]
     fn tick_interval_clamps() {

@@ -1,6 +1,6 @@
 //! Process-sharding robustness tests, run hermetically with the
 //! in-process launcher: supervisor and "workers" are threads talking over
-//! in-memory pipes, so every chaos scenario (kills, wedges, corrupt
+//! anonymous pipes, so every chaos scenario (kills, wedges, corrupt
 //! frames) runs in milliseconds with no real processes.
 //!
 //! The load-bearing property throughout: a sharded campaign's report and

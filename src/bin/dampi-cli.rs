@@ -14,11 +14,11 @@ use std::time::Duration;
 use dampi::core::scheduler::{ExploreOptions, Start};
 use dampi::core::shard::{self, ProcessWorkerLauncher, ShardOptions};
 use dampi::core::{
-    CampaignMetrics, CampaignTrace, ClockMode, DampiConfig, DampiVerifier, DecisionSet,
-    ExplorationJournal, MixingBound, ReplayCache, ToolStack, VerificationReport,
+    CampaignMetrics, CampaignTrace, ClockMode, DampiConfig, DampiVerifier, ExplorationJournal,
+    MixingBound, ReplayCache, ToolStack, VerificationReport,
 };
 use dampi::mpi::fault::WorkerFaultPlan;
-use dampi::mpi::{run_native, MatchPolicy, MpiProgram, ReplayBudget, SimConfig};
+use dampi::mpi::{MatchPolicy, MpiProgram, ReplayBudget, SimConfig};
 use dampi::workloads::adlb::{Adlb, AdlbParams};
 use dampi::workloads::matmul::{Matmul, MatmulParams};
 use dampi::workloads::parmetis::{Parmetis, ParmetisParams};
@@ -963,33 +963,24 @@ fn cmd_overhead(p: &Parsed) -> ExitCode {
         "{:<14} {:>9} {:>9} {:>7} {:>7}",
         "program", "slowdown", "R*", "C-leak", "R-leak"
     );
+    // On the turn token, so every row repeats from run to run.
+    let verifier = DampiVerifier::new(SimConfig::new(np).with_deterministic(true));
+    let yes_no = |b: bool| if b { "Yes" } else { "No" };
     for (name, prog) in registry(np) {
-        let sim = SimConfig::new(np);
-        let native = run_native(&sim, prog.as_ref());
+        let (slowdown, native, inst) = verifier.slowdown(prog.as_ref());
         if !native.succeeded() {
             println!("{name:<14} (native run fails: intentional-bug workload, skipped)");
             continue;
         }
-        let inst =
-            DampiVerifier::new(sim).instrumented_run(prog.as_ref(), &DecisionSet::self_run());
         if !inst.outcome.succeeded() {
             println!("{name:<14} (instrumented run fails, skipped)");
             continue;
         }
         println!(
-            "{name:<14} {:>8.2}x {:>9} {:>7} {:>7}",
-            inst.outcome.makespan / native.makespan.max(1e-12),
+            "{name:<14} {slowdown:>8.2}x {:>9} {:>7} {:>7}",
             inst.stats.wildcards,
-            if inst.outcome.leaks.has_comm_leak() {
-                "Yes"
-            } else {
-                "No"
-            },
-            if inst.outcome.leaks.has_request_leak() {
-                "Yes"
-            } else {
-                "No"
-            },
+            yes_no(inst.outcome.leaks.has_comm_leak()),
+            yes_no(inst.outcome.leaks.has_request_leak()),
         );
     }
     ExitCode::SUCCESS

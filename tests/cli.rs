@@ -83,6 +83,55 @@ fn usage_on_no_args() {
 }
 
 #[test]
+fn overhead_at_np_8_is_pinned() {
+    // Table II's columns for every registered workload. The runs are on
+    // the turn token, so each row repeats from run to run.
+    let out = cli()
+        .args(["overhead", "--np", "8"])
+        .output()
+        .expect("run dampi-cli");
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "\
+program         slowdown        R*  C-leak  R-leak
+matmul             3.08x        14      No      No
+parmetis           1.10x         0     Yes      No
+adlb              27.45x        39      No      No
+fig3               4.91x         2      No      No
+racers             4.68x         4      No      No
+fig4               3.90x         4      No      No
+fig10              4.03x         2      No      No
+deadlock           7.45x         2      No      No
+leaky              6.47x         1     Yes     Yes
+collective_mismatch (native run fails: intentional-bug workload, skipped)
+request_leak      27.50x         0      No     Yes
+stuck_wildcard (native run fails: intentional-bug workload, skipped)
+matmul_ack         3.08x        14      No      No
+protocol_demo      4.65x         2      No      No
+protocol_order_bug     4.41x         2      No      No
+protocol_peer_bug     4.41x         2      No      No
+protocol_short_bug     4.35x         1      No      No
+ordered_stages     4.38x         2      No      No
+bt                 1.20x         0     Yes      No
+cg                 1.07x         0      No      No
+dt                 1.02x         0      No      No
+ep                 1.02x         0      No      No
+ft                 1.02x         0     Yes      No
+is                 1.04x         0      No      No
+lu                 1.98x        20      No      No
+mg                 1.14x         0      No      No
+104.milc          11.06x       400     Yes      No
+107.leslie3d       1.07x         0      No      No
+113.gemsfdtd       1.09x         0     Yes      No
+126.lammps         1.64x         0      No      No
+130.socorro        1.13x         0      No      No
+137.lu             1.02x        14     Yes      No
+"
+    );
+}
+
+#[test]
 fn k_bound_flag_parses() {
     let out = cli()
         .args(["verify", "matmul", "--np", "4", "--k", "0", "--max", "200"])

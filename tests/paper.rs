@@ -13,6 +13,7 @@
 use std::sync::Arc;
 
 use dampi::core::pb::stamp_wire_bytes;
+use dampi::core::scheduler::RunResult;
 use dampi::core::{
     ClockMode, DampiConfig, DampiVerifier, DecisionSet, MixingBound, PiggybackMechanism, ToolStack,
 };
@@ -35,13 +36,18 @@ fn parmetis(np: usize) -> Parmetis {
     Parmetis::new(ParmetisParams::nominal(np, 0.1))
 }
 
-/// The instrumented/native virtual-time ratio of one self-run, both runs
-/// required to succeed.
-fn slowdown(verifier: &DampiVerifier, program: &dyn MpiProgram) -> f64 {
+/// The instrumented/native virtual-time ratio of one self-run and the
+/// instrumented run, both runs required to succeed.
+fn slowdown(verifier: &DampiVerifier, program: &dyn MpiProgram) -> (f64, RunResult) {
     let (ratio, native, inst) = verifier.slowdown(program);
-    assert!(native.succeeded(), "{:?}", native.fatal);
-    assert!(inst.outcome.succeeded(), "{:?}", inst.outcome.fatal);
-    ratio
+    assert!(native.succeeded(), "{}: {:?}", program.name(), native.fatal);
+    assert!(
+        inst.outcome.succeeded(),
+        "{}: {:?}",
+        program.name(),
+        inst.outcome.fatal
+    );
+    (ratio, inst)
 }
 
 /// The virtual time of one self-run under `cfg`.
@@ -51,15 +57,6 @@ fn makespan(np: usize, cfg: DampiConfig, program: &dyn MpiProgram) -> f64 {
         .outcome;
     assert!(out.succeeded(), "{:?}", out.fatal);
     out.makespan
-}
-
-/// A replay count as a table shows it: `>n` when the budget ran out.
-fn count(interleavings: u64, capped: bool) -> String {
-    if capped {
-        format!(">{interleavings}")
-    } else {
-        interleavings.to_string()
-    }
 }
 
 fn yes_no(b: bool) -> &'static str {
@@ -198,9 +195,7 @@ fn table2_dampi_overhead_at_np_64() {
     let rows: Vec<String> = programs
         .iter()
         .map(|(name, prog)| {
-            let (ratio, native, inst) = verifier.slowdown(prog.as_ref());
-            assert!(native.succeeded(), "{name}: {:?}", native.fatal);
-            assert!(inst.outcome.succeeded(), "{name}: {:?}", inst.outcome.fatal);
+            let (ratio, inst) = slowdown(&verifier, prog.as_ref());
             if ratio > worst.1 {
                 worst = (name, ratio);
             }
@@ -309,8 +304,8 @@ fn fig8_matmul_interleavings_under_bounded_mixing() {
 }
 
 /// Fig. 9: interleavings DAMPI explores for ADLB (one server, three seed
-/// items) at np 4 and 8 under mixing bounds k = 0, 1, 2, capped at 2000
-/// replays a cell. Counts grow with np and with k; every schedule passes
+/// items) at np 4 and 8 under mixing bounds k = 0, 1, 2, each within a
+/// budget of 2000 replays. Counts grow with np and with k; every schedule passes
 /// ADLB's own accounting.
 #[test]
 fn fig9_adlb_interleavings_under_bounded_mixing() {
@@ -331,7 +326,8 @@ fn fig9_adlb_interleavings_under_bounded_mixing() {
                         .with_max_interleavings(2_000);
                     let report = DampiVerifier::with_config(sim(np), cfg).verify(&prog);
                     assert!(report.errors.is_empty(), "ADLB must verify clean: {report}");
-                    count(report.interleavings, report.budget_exhausted)
+                    assert!(!report.budget_exhausted, "{report}");
+                    report.interleavings.to_string()
                 })
                 .collect();
             format!("{np} {}", cells.join(" "))
@@ -378,7 +374,7 @@ fn ablation_clock_mode() {
         .map(|np| {
             let slow = |mode| {
                 let cfg = DampiConfig::default().with_clock_mode(mode);
-                slowdown(&DampiVerifier::with_config(sim(np), cfg), &prog)
+                slowdown(&DampiVerifier::with_config(sim(np), cfg), &prog).0
             };
             format!(
                 "{np} {} {} {:.2}x {:.2}x",
