@@ -7,8 +7,8 @@
 //! Fig. 8's is on the cooperative turn-token scheduler
 //! (`SimConfig::with_deterministic`), so each cell repeats from run to
 //! run. One row is one line: its cells in column order, space separated.
-//! EXPERIMENTS.md sets these cells beside the paper's. Table II and Fig. 5's
-//! DAMPI column at any np are `dampi-cli overhead --np N`.
+//! EXPERIMENTS.md sets these cells beside the paper's. Table II, and
+//! Fig. 5's DAMPI column, at any np are `dampi-cli overhead --np N`.
 
 use std::sync::Arc;
 
