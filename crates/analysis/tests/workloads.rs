@@ -183,11 +183,9 @@ fn matmul_content_mode_stays_unmerged() {
 
 #[test]
 fn adlb_oblivious_merges_beyond_exact() {
-    // Free-running ranks race for the task-pool server, so which worker is
-    // dealt which item floats, and the strict merge with it. On the turn
-    // token the trace is a function of the program and the match policy,
-    // so the numbers are pinned. The containment invariant is checked on
-    // every run: the oblivious grouping refines the exact one.
+    // The trace is a function of the program and the match policy, so the
+    // numbers are pinned. The containment invariant is checked on every
+    // run: the oblivious grouping refines the exact one.
     use std::collections::BTreeSet;
 
     use dampi_analysis::{passes, TraceModel};
@@ -197,9 +195,7 @@ fn adlb_oblivious_merges_beyond_exact() {
     let prog = Adlb::new(AdlbParams::default());
     let verifier = |policy: MatchPolicy, k: u32| {
         DampiVerifier::with_config(
-            SimConfig::new(16)
-                .with_policy(policy)
-                .with_deterministic(true),
+            SimConfig::new(16).with_policy(policy),
             DampiConfig::default().with_bound(MixingBound::K(k)),
         )
     };

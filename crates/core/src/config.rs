@@ -5,7 +5,6 @@ use std::time::Duration;
 
 use crate::bounds::MixingBound;
 use dampi_clocks::ClockMode;
-use dampi_mpi::runtime::SimConfig;
 
 /// How clock stamps travel with messages (paper §II-D; mechanisms from
 /// Schulz et al. \[15\]).
@@ -61,8 +60,9 @@ pub struct RetryBackoff {
 }
 
 impl RetryBackoff {
-    /// No waiting at all — for tests that exercise retry *logic* without
-    /// sleeping.
+    /// No waiting at all: the divergence-retry default. A sleep can only
+    /// help a retry whose outcome depends on timing, and a replay on the
+    /// turn token diverges identically however long it waited.
     pub const ZERO: RetryBackoff = RetryBackoff {
         base: Duration::ZERO,
         cap: Duration::ZERO,
@@ -76,21 +76,6 @@ impl RetryBackoff {
             base: d,
             cap: d,
             jitter: 0.0,
-        }
-    }
-
-    /// The schedule to use for divergence retries of replays on `sim`:
-    /// `self`, except [`Self::ZERO`] under
-    /// [`SimConfig::deterministic`]. The sleep exists so an OS-thread race
-    /// can fall the other way on the next attempt; on the cooperative
-    /// scheduler there is no timing to wait out — the retry diverges
-    /// identically however long it waited.
-    #[must_use]
-    pub fn for_sim(self, sim: &SimConfig) -> Self {
-        if sim.deterministic {
-            Self::ZERO
-        } else {
-            self
         }
     }
 
@@ -213,7 +198,7 @@ impl Default for DampiConfig {
             branch_on_guided: false,
             deferred_clock_sync: false,
             divergence_retries: 2,
-            retry_backoff: RetryBackoff::default(),
+            retry_backoff: RetryBackoff::ZERO,
             journal: None,
             jobs: 1,
         }

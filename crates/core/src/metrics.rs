@@ -45,8 +45,8 @@
 //! misses are the exploration's too) and the runtime census (`"runtime"`):
 //! parks, wakes, turn passes and spurious wakes summed over the committed
 //! replays this process executed. Cache hits and shard workers' results
-//! count zero there, and free-running counts follow thread timing, so
-//! neither section is semantic.
+//! count zero there, and parks and wakes follow thread timing, so neither
+//! section is semantic.
 //!
 //! The trace is in wall-clock order across threads, so it is *not*
 //! deterministic across worker counts; its commit events' payloads are.

@@ -70,12 +70,12 @@ pub struct ExploreOptions {
     /// Branch on alternates discovered for already-guided epochs.
     pub branch_on_guided: bool,
     /// Re-run a diverging guided replay up to this many extra times before
-    /// accepting the divergent result (a replay on a loaded machine can
-    /// miss its decisions transiently; the retry is the cheap fix).
+    /// accepting the divergent result. On the turn token a retry diverges
+    /// as its first attempt did.
     pub divergence_retries: u32,
     /// Backoff schedule between divergence retries: exponential with
-    /// deterministic jitter and a cap (see [`RetryBackoff`]).
-    /// `RetryBackoff::ZERO` retries immediately (the unit-test setting).
+    /// deterministic jitter and a cap (see [`RetryBackoff`]). The default,
+    /// `RetryBackoff::ZERO`, retries immediately.
     pub retry_backoff: RetryBackoff,
     /// When set, append every commit to a journal log at this path (see
     /// [`crate::journal`]) so a killed campaign can resume.
@@ -111,7 +111,7 @@ impl Default for ExploreOptions {
             stop_on_first_error: false,
             branch_on_guided: false,
             divergence_retries: 2,
-            retry_backoff: RetryBackoff::default(),
+            retry_backoff: RetryBackoff::ZERO,
             checkpoint: None,
             jobs: 1,
             metrics: None,

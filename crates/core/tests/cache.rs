@@ -418,9 +418,7 @@ fn a_cache_entry_and_its_journal_record_hold_the_same_result() {
     // reaches both in walk order, whatever order its ranks finalized in.
     let (dir, journal) = (tmp_path("walk-order"), tmp_path("walk-order-journal"));
     let verifier = DampiVerifier::with_config(
-        SimConfig::new(4)
-            .with_policy(MatchPolicy::LowestRank)
-            .with_deterministic(true),
+        SimConfig::new(4).with_policy(MatchPolicy::LowestRank),
         DampiConfig::default()
             .with_jobs(1)
             .with_journal(journal.clone()),

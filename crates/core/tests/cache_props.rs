@@ -30,10 +30,7 @@ fn tmp_path(tag: &str) -> PathBuf {
 
 /// The workload matrix: each entry is (program, nprocs) with real
 /// wildcard nondeterminism so the frontier has subtrees worth caching,
-/// constructed fresh per campaign. Only in-process-stable workloads
-/// qualify: `fig4_cross_coupled`'s free run is timing-sensitive (its
-/// cross-coupled wildcards resolve differently under thread-pool load,
-/// cache or no cache), which would make any off-vs-on comparison vacuous.
+/// constructed fresh per campaign.
 fn workload(ix: usize) -> (Box<dyn MpiProgram>, usize) {
     match ix {
         0 => (Box::new(patterns::fig3()), 3),

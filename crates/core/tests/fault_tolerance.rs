@@ -367,7 +367,7 @@ fn resumed_pruned_and_cached_campaigns_match_at_every_cut() {
         task_cost: 0.0,
         ..Default::default()
     });
-    let sim = SimConfig::new(4).with_deterministic(true);
+    let sim = SimConfig::new(4);
     let root = DampiVerifier::new(sim.clone()).instrumented_run(&prog, &DecisionSet::self_run());
     let infeasible = root
         .epochs

@@ -127,10 +127,8 @@ fn racers_killed_at_every_commit_resumes_under_every_driver() {
 
 #[test]
 fn matmul_killed_at_every_tenth_commit_resumes_under_every_driver() {
-    // Free-running task-pool ranks race for the master, so two campaigns
-    // commit different outcomes; the turn-token scheduler makes them one.
     let prog: Arc<dyn MpiProgram> = Arc::new(Matmul::new(MatmulParams::default()));
-    let sim = SimConfig::new(4).with_deterministic(true);
+    let sim = SimConfig::new(4);
     killed_and_resumed_under_every_driver(&prog, &sim, 10);
 }
 
@@ -181,17 +179,15 @@ fn a_journal_torn_at_any_byte_resumes_or_is_refused() {
 
 #[test]
 fn a_journalled_warm_matmul_ack_campaign_is_one_frame_per_commit() {
-    // The `matmul_ack_warm` benchmark's program (np=7, 6 slaves x 1 task)
-    // on the cooperative scheduler, its cache warm: every commit is a hit,
+    // The `matmul_ack_warm` benchmark's program (np=7, 6 slaves x 1 task),
+    // its cache warm: every commit is a hit,
     // and the journal holds one record per commit.
     let program = Matmul::new(MatmulParams {
         rounds_per_slave: 1,
         ack_results: true,
         ..MatmulParams::default()
     });
-    let sim = SimConfig::new(7)
-        .with_policy(MatchPolicy::LowestRank)
-        .with_deterministic(true);
+    let sim = SimConfig::new(7).with_policy(MatchPolicy::LowestRank);
     let dir = tmp_journal("matmul-ack-cache");
     let cache = Arc::new(ReplayCache::open(&dir, 1, plan_digest(None), false).expect("cache"));
     let cold = DampiVerifier::new(sim.clone())

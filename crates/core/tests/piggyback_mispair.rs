@@ -112,9 +112,7 @@ mod waitsome_out_of_posting_order {
         });
         // The turn token runs rank 2, then 0, then 1: both messages are
         // queued before rank 1 posts its receives.
-        let sim = SimConfig::new(3)
-            .with_policy(MatchPolicy::LowestRank)
-            .with_deterministic(true);
+        let sim = SimConfig::new(3).with_policy(MatchPolicy::LowestRank);
         let cfg = DampiConfig::default()
             .with_clock_mode(ClockMode::Lamport)
             .with_piggyback(pb);

@@ -210,10 +210,9 @@ fn poison_subtree_quarantines_with_honest_partial_coverage() {
 }
 
 /// Drain mid-campaign via the SIGTERM flag, then resume from the
-/// checkpoint: the union must converge to the unsharded result. ADLB's
-/// free run folds wall-clock into its virtual time, so two independent
-/// campaigns are not bit-identical — the byte-parity claims live in the
-/// deterministic racers tests above; here we check the semantic fields.
+/// checkpoint: the union must converge to the unsharded result. The
+/// byte-parity claims live in the racers tests above; here we check the
+/// semantic fields.
 #[test]
 fn drain_checkpoint_resume_converges() {
     let prog: Arc<dyn MpiProgram> = Arc::new(Adlb::new(AdlbParams::default()));

@@ -193,9 +193,7 @@ fn dampi_report(
     pb: PiggybackMechanism,
     max: u64,
 ) -> VerificationReport {
-    let sim = SimConfig::new(spec.nprocs)
-        .with_policy(MatchPolicy::LowestRank)
-        .with_deterministic(true);
+    let sim = SimConfig::new(spec.nprocs).with_policy(MatchPolicy::LowestRank);
     let cfg = DampiConfig::default()
         .with_tool(tool)
         .with_clock_mode(mode)

@@ -148,9 +148,7 @@ const MAX_INTERLEAVINGS: u64 = 800;
 
 /// Vector-mode DAMPI, or ISP (whose clocks are vectors regardless).
 fn report(spec: &GenSpec, tool: ToolStack) -> VerificationReport {
-    let sim = SimConfig::new(spec.nprocs)
-        .with_policy(MatchPolicy::LowestRank)
-        .with_deterministic(true);
+    let sim = SimConfig::new(spec.nprocs).with_policy(MatchPolicy::LowestRank);
     let cfg = DampiConfig::default()
         .with_tool(tool)
         .with_clock_mode(ClockMode::Vector)

@@ -305,8 +305,7 @@ enum Drain {
 }
 
 /// Every slave sends one message, then rank 0 drains them through `how`.
-/// The barrier in between queues every message first, so each poll hits
-/// and the cooperative scheduler never meets a spin.
+/// The barrier in between queues every message first, so each poll hits.
 fn drain_program(how: Drain) -> impl dampi_mpi::MpiProgram {
     FnProgram(move |mpi: &mut dyn Mpi| {
         let (w, n) = (Comm::WORLD, mpi.world_size());
@@ -366,9 +365,7 @@ fn drain_program(how: Drain) -> impl dampi_mpi::MpiProgram {
 fn every_completion_and_probe_call_explores_the_same_space() {
     use dampi_core::{DampiConfig, PiggybackMechanism, VerificationReport};
     fn sim() -> SimConfig {
-        SimConfig::new(4)
-            .with_deterministic(true)
-            .with_policy(MatchPolicy::LowestRank)
+        SimConfig::new(4).with_policy(MatchPolicy::LowestRank)
     }
     let dampi = |piggyback| {
         let cfg = DampiConfig::default().with_piggyback(piggyback);

@@ -39,8 +39,9 @@ pub struct RankError {
 }
 
 /// How often one run's rank threads parked and woke, counted under the
-/// world lock. Unlike virtual time these depend on thread scheduling in a
-/// free-running world; under the turn token they repeat exactly.
+/// world lock. The turn passes repeat exactly, like virtual time; the parks
+/// and wakes depend on whether a rank had reached its park before its turn
+/// came, which is thread timing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct RuntimeCensus {
     /// Times a rank waited on its condvar. (A park that found notifies of
@@ -48,9 +49,9 @@ pub struct RuntimeCensus {
     pub parks: u64,
     /// Condvar notifies sent: at most one per park.
     pub wakes: u64,
-    /// Times a rank that blocked or finished handed the deterministic turn
-    /// token on. (The one hand-off `Mpi::shadow_world` makes to the last
-    /// rank at start-up is not a pass.)
+    /// Times a rank that blocked, finished or polled in vain handed the
+    /// turn token on. (The one hand-off `Mpi::shadow_world` makes to the
+    /// last rank at start-up is not a pass.)
     pub turn_passes: u64,
     /// Parks that followed a notify after which the rank found nothing to
     /// do: neither its wait satisfied nor the turn handed to it.

@@ -9,23 +9,34 @@
 //! wider worlds spawn scoped threads. All shared state sits behind one
 //! mutex, and a rank that cannot make progress parks on its *own* condvar.
 //!
+//! Exactly one rank executes runtime calls at a time: the holder of a
+//! round-robin turn token. Every call that reads or advances simulated
+//! state waits for the turn (`now` and `compute` included, so whatever a
+//! tool layer does after its first call of an operation happens in turn
+//! order too), and the turn passes to the next unfinished, unblocked rank
+//! when its holder blocks, finishes, or polls fruitlessly twice without
+//! changing shared state in between (a `test`, `testany` or `iprobe` spin
+//! loop; the poller stays eligible). Message arrival order, and so every
+//! wildcard's candidate set, is a function of the program and the forced
+//! replay prefix, never of OS thread timing: a replay reproduces its
+//! parent up to the guided epoch, and a campaign repeats byte for byte.
+//!
 //! A notify is a futex syscall and, on one CPU, two context switches, so
-//! a rank is woken only when it can act. One set of rules serves both
-//! scheduler modes:
+//! a rank is woken only when it can act:
 //! - a rank that blocks records in `Shared::waits` what it waits for:
 //!   some of its own requests, a blocking probe's `(comm, src, tag)`, or a
 //!   collective generation;
-//! - an event clears a rank's `blocked` flag, and wakes it, only if it can
-//!   satisfy that record. A completed request wakes its owner if the owner
-//!   waits on it (a rendezvous sender included); a queued, unmatched
-//!   message wakes its destination if that is in a matching blocking
-//!   probe; the last entrant of a collective wakes the members waiting on
-//!   it; a finishing rank wakes nobody;
-//! - under the turn token ([`SimConfig::deterministic`]) only the rank
-//!   that holds the turn is ever woken: an event just clears the flag, and
-//!   the holder's hand-off wakes the next holder. A hand-off that reaches
-//!   a rank owing a collective's ridden rendezvous enters it for the rank
-//!   instead, and moves on (`Fused`);
+//! - an event clears a rank's `blocked` flag, which makes it eligible for
+//!   the turn again, only if it can satisfy that record. A completed
+//!   request unblocks its owner if the owner waits on it (a rendezvous
+//!   sender included); a queued, unmatched message unblocks its
+//!   destination if that is in a matching blocking probe; the last entrant
+//!   of a collective unblocks the members waiting on it; a finishing rank
+//!   unblocks nobody;
+//! - only the rank that holds the turn is ever woken: the holder's
+//!   hand-off wakes the next holder. A hand-off that reaches a rank owing
+//!   a collective's ridden rendezvous enters it for the rank instead, and
+//!   moves on (`Fused`);
 //! - a fatal error wakes everyone;
 //! - a notify clears the rank's `parked` flag, so a park gets at most one.
 //!
@@ -133,26 +144,9 @@ pub struct SimConfig {
     /// under eager buffering ("unsafe" sends per the MPI standard)
     /// deadlock when run with `Some(0)`.
     pub eager_limit: Option<usize>,
-    /// Per-replay watchdog budgets (wall clock and virtual time).
+    /// Per-replay watchdog budgets (wall clock and virtual time). Only the
+    /// wall clock stops a loop polling for a message nobody sends.
     pub budget: ReplayBudget,
-    /// Deterministic cooperative scheduling. When set, exactly one
-    /// runnable rank executes runtime calls at a time (every call that
-    /// reads or advances simulated state, `now` and `compute` included, so
-    /// whatever a tool layer does after its first call of an operation
-    /// happens in turn order too): a round-robin turn token passes to the
-    /// next unfinished, unblocked rank whenever the holder blocks or
-    /// finishes. Message arrival order — and therefore
-    /// every wildcard-match candidate set in the *unconstrained* part of a
-    /// run — becomes a pure function of the program and the forced replay
-    /// prefix instead of an OS thread-scheduling race. Exhaustive
-    /// (vector-clock/ISP) exploration is insensitive to this choice; the
-    /// schedule-relative Lamport analysis is not, so differential fuzzing
-    /// requires it. Off by default: free-threaded runs exercise the racy
-    /// arrival orders real MPI exhibits. Caveat: a rank that busy-waits on
-    /// nonblocking calls (`test`/`iprobe` spin loops) without ever
-    /// blocking never yields the token; only the wall-clock watchdog can
-    /// reclaim such a run.
-    pub deterministic: bool,
 }
 
 impl SimConfig {
@@ -166,7 +160,6 @@ impl SimConfig {
             vtime: VTimeParams::default(),
             eager_limit: None,
             budget: ReplayBudget::default(),
-            deterministic: false,
         }
     }
 
@@ -199,11 +192,11 @@ impl SimConfig {
         self
     }
 
-    /// Builder-style: toggle deterministic cooperative scheduling (see
-    /// [`SimConfig::deterministic`]).
+    /// Every world runs on the turn token; `true` is the only value.
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_deterministic(mut self, deterministic: bool) -> Self {
-        self.deterministic = deterministic;
+    pub fn with_deterministic(self, deterministic: bool) -> Self {
+        assert!(deterministic, "every world runs on the turn token");
         self
     }
 }
@@ -244,10 +237,10 @@ enum Stage {
 }
 
 /// A collective call that stands for several rendezvous, in their order.
-/// The data is combined at the first; the ones after it carry none. Under
-/// the turn token they are entered one member at a time as the turn
-/// reaches it ([`World::pass_turn`]), so the schedule, the communicator
-/// ids and the virtual time are those of separate rendezvous.
+/// The data is combined at the first; the ones after it carry none. They
+/// are entered one member at a time as the turn reaches it
+/// ([`World::pass_turn`]), so the schedule, the communicator ids and the
+/// virtual time are those of separate rendezvous.
 struct Fused {
     gen: u64,
     /// The stages in order: `stages[..len]`.
@@ -349,9 +342,11 @@ struct Shared {
     finished: Vec<bool>,
     nfinished: usize,
     fatal: Option<MpiError>,
-    /// Holder of the execution turn under deterministic scheduling
-    /// ([`SimConfig::deterministic`]); unused otherwise.
+    /// Holder of the execution turn.
     turn: usize,
+    /// The holder has polled fruitlessly since it took the turn or last
+    /// changed shared state: its next fruitless poll passes the turn.
+    polled: bool,
     /// `owes[r]`: the communicator whose [`Fused`] collective `r` is to
     /// enter the next rendezvous of when the turn reaches it.
     owes: Vec<Option<usize>>,
@@ -412,9 +407,8 @@ struct Due<'w> {
     /// A lone pending rank, the common case: taken without the list's
     /// buffer.
     one: Option<usize>,
-    /// Several pending ranks (a fatal error, or a collective completing in
-    /// a free-running world) take the list's buffer with them; the next
-    /// wake re-grows it.
+    /// Several pending ranks (a fatal error wakes every parked one) take
+    /// the list's buffer with them; the next wake re-grows it.
     many: Vec<usize>,
 }
 
@@ -446,6 +440,7 @@ impl World {
             nfinished: 0,
             fatal: None,
             turn: 0,
+            polled: false,
             owes: vec![None; n],
             world_shadow: None,
         };
@@ -550,31 +545,37 @@ impl World {
         }
     }
 
-    /// Lock shared state and — in deterministic mode — park until `rank`
-    /// holds the execution turn. Once the world has a fatal error the turn
-    /// discipline is abandoned so every rank can unwind concurrently.
+    /// Lock shared state and park until `rank` holds the execution turn.
+    /// Once the world has a fatal error the turn discipline is abandoned so
+    /// every rank can unwind concurrently.
     fn enter(&self, rank: usize) -> Locked<'_> {
         let mut g = self.lock();
-        if self.cfg.deterministic {
-            let mut idle = false;
-            while g.fatal.is_none() && g.turn != rank {
-                if self.guard(&mut g).is_some() {
-                    break; // watchdog tripped: fatal is now set
-                }
-                g = self.park(g, rank, &mut idle);
+        let mut idle = false;
+        while g.fatal.is_none() && g.turn != rank {
+            if self.guard(&mut g).is_some() {
+                break; // watchdog tripped: fatal is now set
             }
+            g = self.park(g, rank, &mut idle);
         }
         g
     }
 
     /// [`Self::enter`], then the fatal-or-watchdog check every operation
     /// that does not block starts with.
-    fn enter_guarded(&self, rank: usize) -> Result<Locked<'_>> {
+    fn enter_polling(&self, rank: usize) -> Result<Locked<'_>> {
         let mut g = self.enter(rank);
         match self.guard(&mut g) {
             Some(f) => Err(f),
             None => Ok(g),
         }
+    }
+
+    /// [`Self::enter_polling`] for an operation that changes shared state:
+    /// the holder's fruitless polls start over.
+    fn enter_guarded(&self, rank: usize) -> Result<Locked<'_>> {
+        let mut g = self.enter_polling(rank)?;
+        g.polled = false;
+        Ok(g)
     }
 
     /// Wait on `rank`'s condvar, bounded by the wall-clock deadline when
@@ -611,20 +612,20 @@ impl World {
         }
         debug_assert!(g.pending.is_empty(), "a wake outlived its lock");
         let notified = !std::mem::replace(&mut g.parked[rank], false);
-        *idle = notified && !(self.cfg.deterministic && g.turn == rank);
+        *idle = notified && g.turn != rank;
         g
     }
 
-    /// Wake `rank` if it is parked and may act now: under the turn token
-    /// only the holder may, until the world turns fatal. Callers hold the
-    /// state lock, and a rank records what it waits for and parks under
-    /// that lock, so a rank found not parked here cannot miss the event.
+    /// Wake `rank` if it is parked and may act now: only the turn holder
+    /// may, until the world turns fatal. Callers hold the state lock, and a
+    /// rank records what it waits for and parks under that lock, so a rank
+    /// found not parked here cannot miss the event.
     ///
     /// The wake is recorded, not sent: clearing `parked` makes it the
     /// park's one wake, and the rank joins `Shared::pending`, which the
     /// lock guard notifies once the mutex is released ([`Locked`]).
     fn wake(&self, s: &mut Shared, rank: usize) {
-        let may_act = !self.cfg.deterministic || s.turn == rank || s.fatal.is_some();
+        let may_act = s.turn == rank || s.fatal.is_some();
         if s.parked[rank] && may_act {
             s.parked[rank] = false;
             s.census.wakes += 1;
@@ -639,18 +640,19 @@ impl World {
         }
     }
 
-    /// Deterministic mode: make `to` the turn holder and wake it.
+    /// Make `to` the turn holder and wake it.
     fn give_turn(&self, s: &mut Shared, to: usize) {
         s.turn = to;
+        s.polled = false;
         self.wake(s, to);
     }
 
-    /// Deterministic mode: hand the execution turn from `from` to the next
-    /// runnable (unfinished, not logically blocked) rank, round-robin. The
-    /// caller must have made `from` ineligible first — blocked or finished
-    /// — so the token never returns to a rank that cannot act. If no rank
-    /// is eligible the token stays put; the caller's deadlock check owns
-    /// that case.
+    /// Hand the execution turn from `from` to the next runnable
+    /// (unfinished, not logically blocked) rank, round-robin. `from` is
+    /// blocked or finished, so the token never returns to a rank that
+    /// cannot act, or it polled in vain and stays eligible for the next
+    /// round. If no other rank is eligible the token stays put: a blocked
+    /// caller's deadlock check owns that case.
     ///
     /// A rank that owes a [`Fused`] collective its next rendezvous is not
     /// woken: it enters that rendezvous here, where it would have entered
@@ -658,7 +660,7 @@ impl World {
     /// entrant that completes the last rendezvous is handed the turn, as
     /// it would have left holding it.
     fn pass_turn(&self, g: &mut Shared, from: usize) {
-        if !self.cfg.deterministic || g.turn != from || g.fatal.is_some() {
+        if g.turn != from || g.fatal.is_some() {
             return;
         }
         let n = self.cfg.nprocs;
@@ -703,16 +705,12 @@ impl World {
         let mut g = self.lock();
         let mut idle = false;
         loop {
-            // Deterministic mode: only the turn holder may evaluate its
-            // predicate (evaluation can consume state — complete a request,
-            // take a collective outcome), so park until the token arrives.
-            // A fatal error suspends the discipline: every rank proceeds to
-            // the unwind paths below.
-            if self.cfg.deterministic
-                && g.fatal.is_none()
-                && g.turn != rank
-                && self.guard(&mut g).is_none()
-            {
+            // Only the turn holder may evaluate its predicate (evaluation
+            // can consume state — complete a request, take a collective
+            // outcome), so park until the token arrives. A fatal error
+            // suspends the discipline: every rank proceeds to the unwind
+            // paths below.
+            if g.fatal.is_none() && g.turn != rank && self.guard(&mut g).is_none() {
                 g = self.park(g, rank, &mut idle);
                 continue;
             }
@@ -721,6 +719,7 @@ impl World {
             // operations that would still have to wait observe the abort.
             if let Some(out) = ready(&mut g) {
                 Self::clear_blocked(&mut g, rank);
+                g.polled = false;
                 return out;
             }
             if let Some(f) = self.guard(&mut g) {
@@ -750,13 +749,12 @@ impl World {
                 return Err(err);
             }
             // No deadlock, so some other rank is runnable: hand it the
-            // turn (no-op outside deterministic mode). The hand-off may
-            // complete a fused collective this rank is in and bring the
-            // turn straight back; otherwise park. On timeout of the
-            // bounded wait the loop re-enters `guard`, which trips the
-            // watchdog and unwinds every rank.
+            // turn. The hand-off may complete a fused collective this rank
+            // is in and bring the turn straight back; otherwise park. On
+            // timeout of the bounded wait the loop re-enters `guard`, which
+            // trips the watchdog and unwinds every rank.
             self.pass_turn(&mut g, rank);
-            if self.cfg.deterministic && g.turn == rank && !g.blocked[rank] {
+            if g.turn == rank && !g.blocked[rank] {
                 continue;
             }
             g = self.park(g, rank, &mut idle);
@@ -967,6 +965,11 @@ impl World {
     /// Run `ready` as one operation of `rank`: through [`Self::block_on`]
     /// on `wait` until it yields when `blocking`, else once. Polling checks
     /// the guard *first* so that spin loops observe the watchdog.
+    ///
+    /// A fruitless poll by a holder that already polled in vain since it
+    /// took the turn or last changed shared state passes the turn, and the
+    /// rank stays eligible: a spin loop lets the ranks it waits for run,
+    /// while a single poll (the tool's own, say) costs no hand-off.
     fn attempt<T>(
         &self,
         rank: usize,
@@ -978,8 +981,14 @@ impl World {
         if blocking {
             return self.block_on(rank, wait, reqs, ready).map(Some);
         }
-        let mut g = self.enter_guarded(rank)?;
-        ready(&mut g).transpose()
+        let mut g = self.enter_polling(rank)?;
+        let out = ready(&mut g).transpose();
+        if !matches!(out, Ok(None)) {
+            g.polled = false;
+        } else if std::mem::replace(&mut g.polled, true) {
+            self.pass_turn(&mut g, rank);
+        }
+        out
     }
 
     /// Consume the complete requests among `reqs` that `how` asks for into
@@ -1125,9 +1134,8 @@ impl World {
     }
 
     /// The last entrant of a collective's first rendezvous: combine, then
-    /// run the ridden rendezvous. Free-running, they complete at once.
-    /// Under the turn token every other member now owes the next one, and
-    /// the last entrant enters it first, as it did holding the turn.
+    /// run the ridden rendezvous. Every other member now owes the next one,
+    /// and the last entrant enters it first, as it did holding the turn.
     fn complete_first(&self, s: &mut Shared, idx: usize, gen: u64, rank: usize) {
         let (sig, contribs, max_vt) = s.comms[idx].coll.take_contributions();
         let vt = max_vt + self.cfg.vtime.collective_cost(contribs.len());
@@ -1137,10 +1145,7 @@ impl World {
             self.unblock_members(s, idx, gen);
             return;
         }
-        if !self.cfg.deterministic || fused.done == fused.len {
-            while fused.done < fused.len {
-                self.next_stage(s, idx, &mut fused);
-            }
+        if fused.done == fused.len {
             self.publish(s, idx, fused);
             return;
         }
@@ -1339,12 +1344,12 @@ impl World {
     ///
     /// This stands in for the `comm_dup(WORLD)` rendezvous every rank used
     /// to open its run with, and keeps what that rendezvous decided besides
-    /// the communicator. It left the deterministic turn with its last
-    /// entrant, rank `np - 1`: the creating call hands the turn there. It
-    /// let a rank it had admitted leave with its communicator even when the
-    /// world had turned fatal meanwhile, to fail at its next operation: so
-    /// this is [`Self::enter`], not [`Self::enter_guarded`]. And it cost
-    /// virtual time ([`Self::charge_world_rendezvous`]).
+    /// the communicator. It left the turn with its last entrant, rank
+    /// `np - 1`: the creating call hands the turn there. It let a rank it
+    /// had admitted leave with its communicator even when the world had
+    /// turned fatal meanwhile, to fail at its next operation: so this is
+    /// [`Self::enter`], not [`Self::enter_guarded`]. And it cost virtual
+    /// time ([`Self::charge_world_rendezvous`]).
     pub(crate) fn op_shadow_world(&self, rank: usize) -> Result<Comm> {
         let mut g = self.enter(rank);
         let shadow = match g.world_shadow {
@@ -1352,7 +1357,7 @@ impl World {
             None => {
                 let shadow = self.push_dup(&mut g, Comm::WORLD.0 as usize);
                 g.world_shadow = Some((shadow, 0));
-                if self.cfg.deterministic && g.fatal.is_none() {
+                if g.fatal.is_none() {
                     self.give_turn(&mut g, self.cfg.nprocs - 1);
                 }
                 shadow

@@ -948,7 +948,7 @@ fn deterministic_turn_covers_now_and_compute() {
             }
             Ok(())
         });
-        let out = run_native(&cfg(2).with_deterministic(true), &prog);
+        let out = run_native(&cfg(2), &prog);
         assert!(out.succeeded(), "{:?}", out.rank_errors);
         assert_eq!(*order.lock().unwrap(), [0, 1], "compute: {use_compute}");
     }
@@ -957,33 +957,24 @@ fn deterministic_turn_covers_now_and_compute() {
 mod lost_wakeup {
     //! The runtime wakes a blocked rank only for an event that satisfies
     //! what it recorded it waits for. Each case here is one way a wait gets
-    //! satisfied, run on free-running threads and on the turn token under a
-    //! wall-clock budget: a missed wake-up fails as `ReplayTimeout` instead
-    //! of hanging the suite.
+    //! satisfied, run under a wall-clock budget: a missed wake-up fails as
+    //! `ReplayTimeout` instead of hanging the suite.
 
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
     use super::*;
     use dampi_mpi::{Mpi, ReplayBudget, Result};
 
-    fn sim(np: usize, deterministic: bool) -> SimConfig {
+    fn sim(np: usize) -> SimConfig {
         let budget = ReplayBudget::unlimited().with_max_wall_clock(Duration::from_secs(10));
-        cfg(np)
-            .with_deterministic(deterministic)
-            .with_budget(budget)
+        cfg(np).with_budget(budget)
     }
 
-    fn both_modes(np: usize, eager_limit: Option<usize>, prog: &dyn MpiProgram) {
-        for deterministic in [false, true] {
-            let out = run_native(&sim(np, deterministic).with_eager_limit(eager_limit), prog);
-            assert!(
-                out.succeeded(),
-                "deterministic {deterministic}: {:?} {:?}",
-                out.fatal,
-                out.rank_errors
-            );
-            assert!(out.leaks.is_clean(), "{:?}", out.leaks);
-        }
+    fn runs_clean(np: usize, eager_limit: Option<usize>, prog: &dyn MpiProgram) {
+        let out = run_native(&sim(np).with_eager_limit(eager_limit), prog);
+        assert!(out.succeeded(), "{:?} {:?}", out.fatal, out.rank_errors);
+        assert!(out.leaks.is_clean(), "{:?}", out.leaks);
     }
 
     /// Once the world is fatal, a rank whose wake was lost still unwinds
@@ -1028,7 +1019,7 @@ mod lost_wakeup {
             }
             Ok(())
         });
-        both_modes(3, None, &prog);
+        runs_clean(3, None, &prog);
     }
 
     #[test]
@@ -1056,7 +1047,7 @@ mod lost_wakeup {
             }
             Ok(())
         });
-        both_modes(3, None, &prog);
+        runs_clean(3, None, &prog);
     }
 
     #[test]
@@ -1087,12 +1078,13 @@ mod lost_wakeup {
             }
             Ok(())
         });
-        both_modes(3, None, &prog);
+        runs_clean(3, None, &prog);
     }
 
     #[test]
     fn iprobe_spin_then_blocking_recv() {
-        // A bounded spin: on the turn token an unbounded one never yields.
+        // A bounded spin: its second fruitless poll hands the sender the
+        // turn.
         let prog = FnProgram(|mpi: &mut dyn Mpi| {
             let w = Comm::WORLD;
             if mpi.world_rank() == 0 {
@@ -1110,7 +1102,35 @@ mod lost_wakeup {
             }
             Ok(())
         });
-        both_modes(2, None, &prog);
+        runs_clean(2, None, &prog);
+    }
+
+    #[test]
+    fn a_spinning_rank_hands_the_turn_over_on_its_second_fruitless_poll() {
+        // Rank 0 holds the turn first. Its first fruitless poll keeps it,
+        // and so does the next after `compute` changed shared state; the
+        // one after that passes it to rank 1, which sends, finishes and
+        // passes it back. The fourth poll finds the message.
+        let polls = AtomicUsize::new(0);
+        let prog = FnProgram(|mpi: &mut dyn Mpi| {
+            let w = Comm::WORLD;
+            if mpi.world_rank() == 0 {
+                let poll = |mpi: &mut dyn Mpi| {
+                    polls.fetch_add(1, Ordering::SeqCst);
+                    mpi.iprobe(w, 1, 3)
+                };
+                assert!(poll(mpi)?.is_none());
+                mpi.compute(1e-6)?;
+                while poll(mpi)?.is_none() {}
+                mpi.recv(w, 1, 3).map(drop)
+            } else {
+                mpi.send(w, 0, 3, bts(b"late"))
+            }
+        });
+        let out = run_native(&sim(2), &prog);
+        assert!(out.succeeded(), "{:?} {:?}", out.fatal, out.rank_errors);
+        assert_eq!(polls.load(Ordering::SeqCst), 4);
+        assert_eq!(out.census.turn_passes, 2, "{:?}", out.census);
     }
 
     #[test]
@@ -1138,7 +1158,7 @@ mod lost_wakeup {
             }
             Ok(())
         });
-        both_modes(3, Some(0), &prog);
+        runs_clean(3, Some(0), &prog);
     }
 
     #[test]
@@ -1152,7 +1172,7 @@ mod lost_wakeup {
             assert_eq!(sum, vec![6]);
             mpi.barrier(Comm::WORLD)
         });
-        both_modes(4, None, &prog);
+        runs_clean(4, None, &prog);
     }
 
     #[test]
@@ -1168,21 +1188,18 @@ mod lost_wakeup {
                 mpi.recv(Comm::WORLD, 0, 0).map(drop)
             }
         });
-        for deterministic in [false, true] {
-            let budget = ReplayBudget::unlimited().with_max_wall_clock(Duration::from_millis(20));
-            let sim = cfg(3).with_deterministic(deterministic).with_budget(budget);
-            let out = run_native(&sim, &prog);
+        let budget = ReplayBudget::unlimited().with_max_wall_clock(Duration::from_millis(20));
+        let out = run_native(&cfg(3).with_budget(budget), &prog);
+        assert!(
+            matches!(out.fatal, Some(MpiError::ReplayTimeout { .. })),
+            "{:?}",
+            out.fatal
+        );
+        for (rank, err) in out.rank_errors.iter().enumerate() {
             assert!(
-                matches!(out.fatal, Some(MpiError::ReplayTimeout { .. })),
-                "deterministic {deterministic}: {:?}",
-                out.fatal
+                matches!(err, Some(MpiError::ReplayTimeout { .. })),
+                "rank {rank}: {err:?}"
             );
-            for (rank, err) in out.rank_errors.iter().enumerate() {
-                assert!(
-                    matches!(err, Some(MpiError::ReplayTimeout { .. })),
-                    "rank {rank}: {err:?}"
-                );
-            }
         }
     }
 
@@ -1207,21 +1224,13 @@ mod lost_wakeup {
             }
             Ok(())
         });
-        for deterministic in [false, true] {
-            let out = run_native(&sim(2, deterministic), &prog);
-            assert!(
-                out.succeeded(),
-                "deterministic {deterministic}: {:?}",
-                out.fatal
-            );
-            let c = out.census;
-            assert!(c.wakes <= c.parks, "deterministic {deterministic}: {c:?}");
-            if deterministic {
-                assert!(c.turn_passes >= 2 * ROUND_TRIPS as u64, "{c:?}");
-                assert!(c.parks <= c.turn_passes + 1, "{c:?}");
-                assert_eq!(c.spurious_wakes, 0, "{c:?}");
-            }
-        }
+        let out = run_native(&sim(2), &prog);
+        assert!(out.succeeded(), "{:?}", out.fatal);
+        let c = out.census;
+        assert!(c.wakes <= c.parks, "{c:?}");
+        assert!(c.turn_passes >= 2 * ROUND_TRIPS as u64, "{c:?}");
+        assert!(c.parks <= c.turn_passes + 1, "{c:?}");
+        assert_eq!(c.spurious_wakes, 0, "{c:?}");
     }
 
     #[test]
@@ -1240,36 +1249,31 @@ mod lost_wakeup {
                 for src in 1..n {
                     wait_go(mpi, src as i32)?;
                 }
-                // Free-running, the others' barrier entry is a race: give
-                // it the time to park.
-                std::thread::sleep(Duration::from_millis(5));
                 if mismatch {
                     return mpi.bcast(Comm::WORLD, 0, Some(bts(b"x"))).map(drop);
                 }
                 assert_eq!(n, 1, "rank 0's user assert");
                 Ok(())
             });
-            for deterministic in [false, true] {
-                let out = run_native(&sim(4, deterministic), &prog);
-                let what = format!("mismatch {mismatch}, deterministic {deterministic}");
-                assert_prompt(&out, &what);
-                let fatal = out.fatal.clone().expect(&what);
-                if mismatch {
-                    assert!(
-                        matches!(fatal, MpiError::CollectiveMismatch { .. }),
-                        "{what}: {fatal:?}"
-                    );
-                } else {
-                    assert_eq!(fatal, MpiError::Aborted { by_rank: 0 }, "{what}");
-                    assert!(
-                        matches!(out.rank_errors[0], Some(MpiError::Panicked { .. })),
-                        "{what}: {:?}",
-                        out.rank_errors[0]
-                    );
-                }
-                for (rank, err) in out.rank_errors.iter().enumerate().skip(1) {
-                    assert_eq!(err.as_ref(), Some(&fatal), "{what}: rank {rank}");
-                }
+            let out = run_native(&sim(4), &prog);
+            let what = format!("mismatch {mismatch}");
+            assert_prompt(&out, &what);
+            let fatal = out.fatal.clone().expect(&what);
+            if mismatch {
+                assert!(
+                    matches!(fatal, MpiError::CollectiveMismatch { .. }),
+                    "{what}: {fatal:?}"
+                );
+            } else {
+                assert_eq!(fatal, MpiError::Aborted { by_rank: 0 }, "{what}");
+                assert!(
+                    matches!(out.rank_errors[0], Some(MpiError::Panicked { .. })),
+                    "{what}: {:?}",
+                    out.rank_errors[0]
+                );
+            }
+            for (rank, err) in out.rank_errors.iter().enumerate().skip(1) {
+                assert_eq!(err.as_ref(), Some(&fatal), "{what}: rank {rank}");
             }
         }
     }
@@ -1287,21 +1291,11 @@ mod lost_wakeup {
         let deadlock = MpiError::Deadlock {
             blocked_ranks: (0..np).collect(),
         };
-        for deterministic in [false, true] {
-            let out = run_native(&sim(np, deterministic), &prog);
-            assert_prompt(&out, &format!("deterministic {deterministic}"));
-            assert_eq!(
-                out.fatal.as_ref(),
-                Some(&deadlock),
-                "deterministic {deterministic}"
-            );
-            for (rank, err) in out.rank_errors.iter().enumerate() {
-                assert_eq!(
-                    err.as_ref(),
-                    Some(&deadlock),
-                    "deterministic {deterministic}: rank {rank}"
-                );
-            }
+        let out = run_native(&sim(np), &prog);
+        assert_prompt(&out, "ring");
+        assert_eq!(out.fatal.as_ref(), Some(&deadlock));
+        for (rank, err) in out.rank_errors.iter().enumerate() {
+            assert_eq!(err.as_ref(), Some(&deadlock), "rank {rank}");
         }
     }
 
@@ -1323,23 +1317,16 @@ mod lost_wakeup {
                 _ => mpi.send(w, 0, 2, bts(b"b")),
             }
         });
-        for deterministic in [false, true] {
-            let out = run_native(&sim(3, deterministic), &prog);
-            assert_prompt(&out, &format!("deterministic {deterministic}"));
-            let deadlock = MpiError::Deadlock {
-                blocked_ranks: vec![0, 1],
-            };
-            assert_eq!(
-                out.fatal,
-                Some(deadlock.clone()),
-                "deterministic {deterministic}"
-            );
-            assert_eq!(
-                out.rank_errors,
-                [Some(deadlock.clone()), Some(deadlock), None],
-                "deterministic {deterministic}"
-            );
-        }
+        let out = run_native(&sim(3), &prog);
+        assert_prompt(&out, "unawaited");
+        let deadlock = MpiError::Deadlock {
+            blocked_ranks: vec![0, 1],
+        };
+        assert_eq!(out.fatal, Some(deadlock.clone()));
+        assert_eq!(
+            out.rank_errors,
+            [Some(deadlock.clone()), Some(deadlock), None]
+        );
     }
 }
 

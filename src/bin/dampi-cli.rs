@@ -868,7 +868,7 @@ fn run_worker_mode(
     // else in ExploreOptions is supervisor-side state a worker never has.
     let opts = ExploreOptions {
         divergence_retries: cfg.divergence_retries,
-        retry_backoff: cfg.retry_backoff.for_sim(&sim),
+        retry_backoff: cfg.retry_backoff,
         ..ExploreOptions::default()
     };
     let wcfg = shard::WorkerConfig {
@@ -963,8 +963,7 @@ fn cmd_overhead(p: &Parsed) -> ExitCode {
         "{:<14} {:>9} {:>9} {:>7} {:>7}",
         "program", "slowdown", "R*", "C-leak", "R-leak"
     );
-    // On the turn token, so every row repeats from run to run.
-    let verifier = DampiVerifier::new(SimConfig::new(np).with_deterministic(true));
+    let verifier = DampiVerifier::new(SimConfig::new(np));
     let yes_no = |b: bool| if b { "Yes" } else { "No" };
     for (name, prog) in registry(np) {
         let (slowdown, native, inst) = verifier.slowdown(prog.as_ref());

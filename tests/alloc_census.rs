@@ -116,9 +116,7 @@ fn matmul_ack() -> (Matmul, SimConfig) {
         ack_results: true,
         ..MatmulParams::default()
     });
-    let sim = SimConfig::new(7)
-        .with_policy(MatchPolicy::LowestRank)
-        .with_deterministic(true);
+    let sim = SimConfig::new(7).with_policy(MatchPolicy::LowestRank);
     (program, sim)
 }
 

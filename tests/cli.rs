@@ -322,9 +322,9 @@ fn metrics_sections(args: &str, path: &std::path::Path) -> (String, String) {
 
 #[test]
 fn verify_metrics_semantic_and_cache_sections_are_pinned() {
-    // Literals of campaigns whose sections repeat under free-running ranks:
-    // a pruned ordered_stages cold then warm through one cache, and pruned
-    // racers. Every field of both sections, byte for byte.
+    // Literals of two campaigns: a pruned ordered_stages cold then warm
+    // through one cache, and pruned racers. Every field of both sections,
+    // byte for byte.
     let dir = std::env::temp_dir().join(format!("dampi-cli-pinned-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -574,9 +574,7 @@ fn verify_rejects_zero_jobs_and_isp_with_jobs() {
         .expect("run dampi-cli");
     assert!(!out.status.success(), "{out:?}");
     // ISP with `--jobs` or `--shards` used to be refused too; it is now one
-    // campaign under every executor. Free-running ISP replays race, so
-    // separate campaigns are compared by what their barriers pin: the
-    // count, the errors and the coverage.
+    // campaign under every executor: the same report, byte for byte.
     for (workload, exit) in [("racers --np 4", Some(0)), ("fig3 --np 3", Some(2))] {
         let run = |driver: &str| {
             let out = cli()
@@ -592,7 +590,7 @@ fn verify_rejects_zero_jobs_and_isp_with_jobs() {
             // No piggyback anywhere: every replay, the workers' too, ran ISP.
             assert_eq!(report["pb_messages"], 0, "{workload} {driver}");
             assert_eq!(report["clock_mode"], "vector", "{workload} {driver}");
-            ["interleavings", "errors", "discovered"].map(|k| report[k].clone())
+            String::from_utf8(out.stdout).unwrap()
         };
         let seq = run("--jobs 1");
         for driver in ["--jobs 2", "--shards 2"] {
@@ -787,6 +785,34 @@ fn refused_command_lines_name_the_flag_and_never_panic() {
 }
 
 #[test]
+fn task_pool_campaigns_repeat_byte_for_byte_across_processes_and_executors() {
+    // Workers race for the master's tasks, so only a schedule that thread
+    // timing does not decide makes these reports repeat: two processes at
+    // `--jobs 1`, `--jobs 4` and `--shards 2` print the same bytes, under
+    // DAMPI and under ISP.
+    for workload in ["matmul", "adlb --max 300"] {
+        for tool in ["", "--isp"] {
+            let run = |driver: &str| {
+                let out = cli()
+                    .arg("verify")
+                    .args(workload.split_whitespace())
+                    .args(tool.split_whitespace())
+                    .args(driver.split_whitespace())
+                    .arg("--json")
+                    .output()
+                    .expect("run dampi-cli");
+                assert_eq!(out.status.code(), Some(0), "{workload} {tool} {driver}");
+                String::from_utf8(out.stdout).unwrap()
+            };
+            let first = run("--jobs 1");
+            for driver in ["--jobs 1", "--jobs 4", "--shards 2"] {
+                assert_eq!(run(driver), first, "{workload} {tool} {driver}");
+            }
+        }
+    }
+}
+
+#[test]
 fn verify_is_one_campaign_under_threads_worker_processes_and_chaos() {
     // Real `--worker` processes, spawned with the argv the flag table
     // derives: the report and the checkpoint journal are the `--jobs 1`
@@ -858,21 +884,21 @@ fn verify_is_one_campaign_under_threads_worker_processes_and_chaos() {
         serde_json::to_string(&v["semantic"]).unwrap()
     };
     assert_eq!(semantic(&snapshots[1]), semantic(&snapshots[2]), "killed");
-    // A bug report crosses the process boundary intact (exit 2). Task-pool
-    // workloads fold wall-clock into their virtual time, so across
-    // *separate* campaigns they get count and error-set equality, not bytes.
+    // A bug report crosses the process boundary intact (exit 2), and every
+    // row's report and journal are the `--jobs 1` bytes.
     let rows = [
         ("f3", "fig3 --np 3", Some(2)),
         ("mm", "matmul", Some(0)),
         ("ad", "adlb --max 300", Some(0)),
     ];
     for (tag, workload, exit) in rows {
-        let (code, _, threads, ..) = run(&format!("{tag}.j1"), workload, "--jobs 1");
-        let (sharded_code, _, sharded, ..) = run(&format!("{tag}.s2"), workload, "--shards 2");
+        let (code, seq, json, journal, _) = run(&format!("{tag}.j1"), workload, "--jobs 1");
+        let (sharded_code, sharded, _, sharded_journal, _) =
+            run(&format!("{tag}.s2"), workload, "--shards 2");
         assert_eq!((code, sharded_code), (exit, exit), "{tag}");
-        assert_eq!(sharded["errors"], threads["errors"], "{tag}");
-        assert_eq!(sharded["interleavings"], threads["interleavings"], "{tag}");
-        let found = threads["errors"] != serde_json::json!([]);
+        assert_eq!(sharded, seq, "{tag}");
+        assert_eq!(sharded_journal, journal, "{tag}");
+        let found = json["errors"] != serde_json::json!([]);
         assert_eq!(found, exit == Some(2), "{tag}");
     }
     // Poison-subtree quarantine: a one-slot fleet whose worker dies on every

@@ -123,14 +123,9 @@ fn dampi_repro_schedule_replays_under_isp() {
 #[test]
 fn native_bias_masks_what_verifiers_find() {
     // The paper's motivating claim, end to end: across biased policies the
-    // native run stays green while both verifiers flag the bug. The native
-    // legs run on the cooperative scheduler so that the bias asserted is
-    // the match policy's: free-running, which of rank 1's and rank 2's
-    // sends reaches the matcher first is an OS-thread race.
+    // native run stays green while both verifiers flag the bug.
     for policy in [MatchPolicy::LowestRank, MatchPolicy::ArrivalOrder] {
-        let sim = SimConfig::new(3)
-            .with_policy(policy)
-            .with_deterministic(true);
+        let sim = SimConfig::new(3).with_policy(policy);
         let native = run_native(&sim, &patterns::fig3());
         assert!(native.succeeded(), "bias should mask the bug natively");
     }
@@ -150,7 +145,8 @@ fn native_bias_masks_what_verifiers_find() {
 /// to open `comm_free` with its own max-allreduce on the communicator; that
 /// paired silently with rank 1's, and both ranks ended deadlocked in the
 /// rendezvous that followed.
-fn free_against_max_allreduce(deterministic: bool) {
+#[test]
+fn a_free_against_a_max_allreduce_is_a_mismatch_on_the_turn_token() {
     let program = FnProgram(|mpi: &mut dyn Mpi| {
         let c = mpi.comm_dup(Comm::WORLD)?;
         if mpi.world_rank() == 0 {
@@ -159,7 +155,7 @@ fn free_against_max_allreduce(deterministic: bool) {
             mpi.allreduce_u64(c, vec![5], ReduceOp::Max).map(drop)
         }
     });
-    let sim = SimConfig::new(2).with_deterministic(deterministic);
+    let sim = SimConfig::new(2);
     let self_run = |v: DampiVerifier| -> RunOutcome {
         v.instrumented_run(&program, &DecisionSet::self_run())
             .outcome
@@ -174,21 +170,10 @@ fn free_against_max_allreduce(deterministic: bool) {
             out.rank_errors
                 .iter()
                 .all(|e| matches!(e, Some(MpiError::CollectiveMismatch { .. }))),
-            "{tool}, deterministic {deterministic}: {:?}",
+            "{tool}: {:?}",
             out.rank_errors
         );
     }
-}
-
-#[test]
-fn a_free_against_a_max_allreduce_is_a_mismatch_free_running() {
-    // Either rank may enter first here.
-    free_against_max_allreduce(false);
-}
-
-#[test]
-fn a_free_against_a_max_allreduce_is_a_mismatch_on_the_turn_token() {
-    free_against_max_allreduce(true);
 }
 
 #[test]

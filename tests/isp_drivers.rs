@@ -35,9 +35,7 @@ struct Campaign {
 
 impl Campaign {
     fn verifier(&self, cfg: DampiConfig) -> DampiVerifier {
-        let sim = SimConfig::new(self.np)
-            .with_policy(MatchPolicy::LowestRank)
-            .with_deterministic(true);
+        let sim = SimConfig::new(self.np).with_policy(MatchPolicy::LowestRank);
         DampiVerifier::with_config(sim, cfg.with_tool(ToolStack::Isp))
     }
 

@@ -760,9 +760,7 @@ fn cache_entries_and_journal_records_reprint_to_their_bytes() {
         std::fs::create_dir_all(&dir).unwrap();
         let journal = dir.join("journal");
         let cache = ReplayCache::open(&dir.join("cache"), 1, plan_digest(None), false).unwrap();
-        let sim = SimConfig::new(np)
-            .with_policy(MatchPolicy::LowestRank)
-            .with_deterministic(true);
+        let sim = SimConfig::new(np).with_policy(MatchPolicy::LowestRank);
         let report =
             DampiVerifier::with_config(sim, DampiConfig::default().with_journal(journal.clone()))
                 .with_cache(Arc::new(cache))
@@ -975,11 +973,7 @@ fn what_the_workspace_writes_keeps_the_serializer_contract() {
     let cache = ReplayCache::open(&dir.join("cache"), 1, plan_digest(None), false).unwrap();
     let metrics = CampaignMetrics::new();
     let (trace, traced) = CampaignTrace::to_shared_buffer();
-    let sim = |np| {
-        SimConfig::new(np)
-            .with_policy(MatchPolicy::LowestRank)
-            .with_deterministic(true)
-    };
+    let sim = |np| SimConfig::new(np).with_policy(MatchPolicy::LowestRank);
     let report =
         DampiVerifier::with_config(sim(3), DampiConfig::default().with_journal(journal.clone()))
             .with_cache(Arc::new(cache))

@@ -3,12 +3,11 @@
 //!
 //! Each test runs one artifact at a size that fits a test run and asserts
 //! every cell it would print against a literal: counts exactly, virtual
-//! times and ratios at the precision the table shows. Every run but
-//! Fig. 8's is on the cooperative turn-token scheduler
-//! (`SimConfig::with_deterministic`), so each cell repeats from run to
-//! run. One row is one line: its cells in column order, space separated.
-//! EXPERIMENTS.md sets these cells beside the paper's. Table II, and
-//! Fig. 5's DAMPI column, at any np are `dampi-cli overhead --np N`.
+//! times and ratios at the precision the table shows. The runtime's turn
+//! token makes each cell repeat from run to run. One row is one line: its
+//! cells in column order, space separated. EXPERIMENTS.md sets these
+//! cells beside the paper's. Table II, and Fig. 5's DAMPI column, at any
+//! np are `dampi-cli overhead --np N`.
 
 use std::sync::Arc;
 
@@ -25,11 +24,6 @@ use dampi::workloads::matmul::{Matmul, MatmulParams};
 use dampi::workloads::parmetis::{Parmetis, ParmetisParams};
 use dampi::workloads::spec::{Lammps, Milc};
 use dampi::workloads::{nas, patterns, spec};
-
-/// `np` ranks on the turn token.
-fn sim(np: usize) -> SimConfig {
-    SimConfig::new(np).with_deterministic(true)
-}
 
 /// A ParMETIS kernel at a tenth of the paper's scale.
 fn parmetis(np: usize) -> Parmetis {
@@ -52,7 +46,7 @@ fn slowdown(verifier: &DampiVerifier, program: &dyn MpiProgram) -> (f64, RunResu
 
 /// The virtual time of one self-run under `cfg`.
 fn makespan(np: usize, cfg: DampiConfig, program: &dyn MpiProgram) -> f64 {
-    let out = DampiVerifier::with_config(sim(np), cfg)
+    let out = DampiVerifier::with_config(SimConfig::new(np), cfg)
         .instrumented_run(program, &DecisionSet::self_run())
         .outcome;
     assert!(out.succeeded(), "{:?}", out.fatal);
@@ -76,7 +70,7 @@ fn fig5_parmetis_dampi_vs_isp() {
         .into_iter()
         .map(|np| {
             let prog = parmetis(np);
-            let native = run_native(&sim(np), &prog);
+            let native = run_native(&SimConfig::new(np), &prog);
             assert!(native.succeeded(), "{:?}", native.fatal);
             let native = native.makespan;
             let dampi = makespan(np, DampiConfig::default(), &prog);
@@ -120,7 +114,7 @@ fn table1_parmetis_operation_census() {
         .map(|&np| {
             let collector = StatsCollector::new();
             let c = Arc::clone(&collector);
-            let out = run_with_layers(&sim(np), &parmetis(np), &move |_, pmpi| {
+            let out = run_with_layers(&SimConfig::new(np), &parmetis(np), &move |_, pmpi| {
                 Ok(Box::new(StatsLayer::new(pmpi, Arc::clone(&c))))
             });
             assert!(out.succeeded(), "{:?}", out.fatal);
@@ -190,7 +184,7 @@ fn table2_dampi_overhead_at_np_64() {
     )];
     programs.extend(spec::all_nominal());
     programs.extend(nas::all_nominal());
-    let verifier = DampiVerifier::new(sim(np));
+    let verifier = DampiVerifier::new(SimConfig::new(np));
     let mut worst = ("", 0.0f64);
     let rows: Vec<String> = programs
         .iter()
@@ -246,7 +240,7 @@ fn fig6_matmul_time_to_explore_n_interleavings() {
         let cfg = DampiConfig::default()
             .with_tool(tool)
             .with_max_interleavings(budget);
-        let report = DampiVerifier::with_config(sim(8), cfg).verify(&prog);
+        let report = DampiVerifier::with_config(SimConfig::new(8), cfg).verify(&prog);
         assert_eq!(
             report.interleavings, budget,
             "matmul has enough interleavings"
@@ -267,9 +261,9 @@ fn fig6_matmul_time_to_explore_n_interleavings() {
 #[test]
 fn fig8_matmul_interleavings_under_bounded_mixing() {
     // Fig. 8 as a checked answer: the cells for its matmul (n=8, one round
-    // per slave, free-running ranks) at np 2-6. The unbounded column is
-    // the (np-1)! match orders; k=0 is 1 + the alternates of the free run;
-    // k=1 and k=2 lie between.
+    // per slave) at np 2-6. The unbounded column is the (np-1)! match
+    // orders; k=0 is 1 + the alternates of the free run; k=1 and k=2 lie
+    // between.
     let prog = Matmul::new(MatmulParams {
         n: 8,
         rounds_per_slave: 1,
@@ -324,7 +318,7 @@ fn fig9_adlb_interleavings_under_bounded_mixing() {
                     let cfg = DampiConfig::default()
                         .with_bound(MixingBound::K(k))
                         .with_max_interleavings(2_000);
-                    let report = DampiVerifier::with_config(sim(np), cfg).verify(&prog);
+                    let report = DampiVerifier::with_config(SimConfig::new(np), cfg).verify(&prog);
                     assert!(report.errors.is_empty(), "ADLB must verify clean: {report}");
                     assert!(!report.budget_exhausted, "{report}");
                     report.interleavings.to_string()
@@ -343,7 +337,7 @@ fn fig9_adlb_interleavings_under_bounded_mixing() {
 fn ablation_piggyback_mechanism() {
     let np = 64;
     let prog = Lammps::nominal();
-    let native = run_native(&sim(np), &prog).makespan;
+    let native = run_native(&SimConfig::new(np), &prog).makespan;
     let rows: Vec<String> = [
         ("separate-message", PiggybackMechanism::SeparateMessage),
         ("payload-packing", PiggybackMechanism::PayloadPacking),
@@ -374,7 +368,7 @@ fn ablation_clock_mode() {
         .map(|np| {
             let slow = |mode| {
                 let cfg = DampiConfig::default().with_clock_mode(mode);
-                slowdown(&DampiVerifier::with_config(sim(np), cfg), &prog).0
+                slowdown(&DampiVerifier::with_config(SimConfig::new(np), cfg), &prog).0
             };
             format!(
                 "{np} {} {} {:.2}x {:.2}x",
@@ -406,12 +400,12 @@ fn ablation_native_bias_against_dampi_coverage() {
     ]
     .into_iter()
     .map(|(name, policy)| {
-        let out = run_native(&sim(3).with_policy(policy), &patterns::fig3());
+        let out = run_native(&SimConfig::new(3).with_policy(policy), &patterns::fig3());
         format!("native-{name} {}", yes_no(!out.succeeded()))
     })
     .collect();
-    let report =
-        DampiVerifier::new(sim(3).with_policy(MatchPolicy::LowestRank)).verify(&patterns::fig3());
+    let report = DampiVerifier::new(SimConfig::new(3).with_policy(MatchPolicy::LowestRank))
+        .verify(&patterns::fig3());
     rows.push(format!(
         "DAMPI {} {}",
         yes_no(!report.errors.is_empty()),
@@ -444,7 +438,7 @@ fn ablation_branch_on_guided_epochs() {
         .map(|branch| {
             let mut cfg = DampiConfig::default().with_max_interleavings(50_000);
             cfg.branch_on_guided = branch;
-            DampiVerifier::with_config(sim(5), cfg)
+            DampiVerifier::with_config(SimConfig::new(5), cfg)
                 .verify(&prog)
                 .interleavings
         })

@@ -278,8 +278,7 @@ fn virtual_time_is_bit_identical() {
         ),
     ];
     for (piggyback, matmul_bits, parmetis_bits) in pinned {
-        // Matmul's free run depends on arrival order: take the turn token's.
-        let v = verifier(lowest(7).with_deterministic(true), piggyback);
+        let v = verifier(lowest(7), piggyback);
         let got = free_run(&v, &matmul).makespan.to_bits();
         assert_eq!(got, matmul_bits, "matmul {piggyback:?}: {got:#x}");
         let v = verifier(lowest(16), piggyback);
@@ -291,13 +290,11 @@ fn virtual_time_is_bit_identical() {
 #[test]
 fn a_deterministic_run_still_starts_with_the_last_rank() {
     // The init rendezvous left the turn with its last entrant, so every
-    // deterministic separate-message run starts rank np-1, then 0, 1, …
+    // separate-message run starts rank np-1, then 0, 1, …
     // Adlb's server (rank 0) therefore hears from rank 15 first; were
     // rank 0 to start, the free run would match differently and the k=1
     // campaign built on it would change.
-    let sim = SimConfig::new(16)
-        .with_policy(MatchPolicy::LowestRank)
-        .with_deterministic(true);
+    let sim = SimConfig::new(16).with_policy(MatchPolicy::LowestRank);
     let program = Adlb::new(AdlbParams {
         seed_items: 2,
         ..AdlbParams::default()
@@ -347,8 +344,8 @@ fn a_rank_still_gets_its_shadow_while_the_world_is_torn_down() {
 type Log = Arc<Mutex<Vec<(usize, &'static str, u64)>>>;
 
 /// Sits above `DampiLayer` and logs which rank enters which application
-/// call. `now` first waits for the turn, so under the turn token the log is
-/// the order in which ranks act.
+/// call. `now` first waits for the turn, so the log is the order in which
+/// ranks act.
 struct Recorder<M: Mpi> {
     inner: M,
     log: Log,
@@ -490,9 +487,7 @@ struct Exact {
 /// One turn-token DAMPI self-run of [`collectives_and_communicators`] on
 /// [`NP`] ranks.
 fn exact_self_run(piggyback: PiggybackMechanism) -> Exact {
-    let sim = SimConfig::new(NP)
-        .with_policy(MatchPolicy::LowestRank)
-        .with_deterministic(true);
+    let sim = SimConfig::new(NP).with_policy(MatchPolicy::LowestRank);
     let collector = TraceCollector::new();
     let ctx = Arc::new(DampiCtx {
         decisions: DecisionSet::self_run(),
