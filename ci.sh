@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI gate: format, unsafe/waist greps, build, full test suite, a 20x loop
-# over the four tests whose outcome could vary with replay-worker timing,
-# lints-as-errors, docs (the vendored JSON codec's format, lints and docs by
-# name too), then one release-binary smoke (64 seeds of the fuzz corpus). Every other CLI
+# over the tests whose outcome could vary with park/wake or replay-worker
+# timing, lints-as-errors, docs (the vendored JSON codec's format, lints
+# and docs by name too), then one release-binary smoke (64 seeds of the
+# fuzz corpus). Every other CLI
 # contract — the metrics snapshot at `--jobs 1` and `4`, refolded from its
 # trace with its ledger checked, included — is a `cargo test` in
 # `tests/cli.rs`, and every cell of the paper's figures and tables one in
@@ -42,14 +43,18 @@ found="$(grep -rlE 'fn (waitany|testany|waitsome|iprobe)\(' --include='*.rs' cra
 [ "$found" = crates/mpi/src/proc_api.rs ] || { echo "ci: typed completion/probe calls overridden in: $found" >&2; exit 1; }
 cargo build --release --offline --workspace
 cargo test -q --offline
-# Flake guard: every replay runs on the runtime's turn token, so no rank
-# thread's timing reaches a result. What still varies from run to run is
-# which replay worker finishes first: `--jobs 4` speculation and worker
-# processes. These four would show a mis-served or mis-ordered commit only
-# now and then: the journal's racers kill-and-resume, the CLI's pruned
-# racers cut at every commit, the ISP driver-parity tests and the CLI's ISP
-# cases.
+# Flake guard: every replay runs on the runtime's turn token, so message
+# matching no longer follows rank-thread timing. Two things still vary
+# from run to run. Parks and wakes do: a lost notify shows as a rare
+# watchdog timeout in a `lost_wakeup` case, a stray park or notify in
+# `wakeups`. And which replay worker finishes first does (`--jobs 4`
+# speculation, worker processes): the journal's racers kill-and-resume,
+# the CLI's pruned racers cut at every commit, the ISP driver-parity tests
+# and the CLI's ISP cases would show a mis-served or mis-ordered commit
+# only now and then.
 for _ in $(seq 20); do
+  cargo test -q --offline -p dampi-mpi --test runtime_semantics lost_wakeup > /dev/null
+  cargo test -q --offline --test wakeups > /dev/null
   cargo test -q --offline -p dampi-core --test journal racers_killed_at_every_commit > /dev/null
   cargo test -q --offline --test cli racers_pruned_and_cut_at_every_commit > /dev/null
   cargo test -q --offline --test isp_drivers > /dev/null

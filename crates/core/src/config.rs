@@ -169,7 +169,8 @@ pub struct DampiConfig {
     /// work and ships the monitor instead.
     pub deferred_clock_sync: bool,
     /// Extra attempts for a guided replay that diverges from its Epoch
-    /// Decisions before the divergent result is accepted.
+    /// Decisions before the divergent result is accepted. `0` by default:
+    /// on the turn token a retry diverges as its first attempt did.
     pub divergence_retries: u32,
     /// Backoff schedule between divergence retries (exponential with
     /// deterministic jitter, capped).
@@ -197,7 +198,7 @@ impl Default for DampiConfig {
             piggyback: PiggybackMechanism::SeparateMessage,
             branch_on_guided: false,
             deferred_clock_sync: false,
-            divergence_retries: 2,
+            divergence_retries: 0,
             retry_backoff: RetryBackoff::ZERO,
             journal: None,
             jobs: 1,

@@ -70,8 +70,8 @@ pub struct ExploreOptions {
     /// Branch on alternates discovered for already-guided epochs.
     pub branch_on_guided: bool,
     /// Re-run a diverging guided replay up to this many extra times before
-    /// accepting the divergent result. On the turn token a retry diverges
-    /// as its first attempt did.
+    /// accepting the divergent result. `0` by default: on the turn token a
+    /// retry diverges as its first attempt did.
     pub divergence_retries: u32,
     /// Backoff schedule between divergence retries: exponential with
     /// deterministic jitter and a cap (see [`RetryBackoff`]). The default,
@@ -110,7 +110,7 @@ impl Default for ExploreOptions {
             max_interleavings: Some(100_000),
             stop_on_first_error: false,
             branch_on_guided: false,
-            divergence_retries: 2,
+            divergence_retries: 0,
             retry_backoff: RetryBackoff::ZERO,
             checkpoint: None,
             jobs: 1,
@@ -888,6 +888,7 @@ mod tests {
         ExploreOptions {
             bound,
             max_interleavings: Some(1_000_000),
+            divergence_retries: 2,
             retry_backoff: RetryBackoff::ZERO,
             ..ExploreOptions::default()
         }

@@ -243,6 +243,7 @@ fn diverging_replay_is_retried_with_bounded_backoff() {
         })
         .guided_only();
     let cfg = DampiConfig {
+        divergence_retries: 2,
         retry_backoff: RetryBackoff::constant(Duration::from_millis(1)),
         ..DampiConfig::default()
     };

@@ -15,8 +15,9 @@
 //! tool layer does after its first call of an operation happens in turn
 //! order too), and the turn passes to the next unfinished, unblocked rank
 //! when its holder blocks, finishes, or polls fruitlessly twice without
-//! changing shared state in between (a `test`, `testany` or `iprobe` spin
-//! loop; the poller stays eligible). Message arrival order, and so every
+//! changing state another rank can see in between (a `test`, `testany` or
+//! `iprobe` spin loop, with or without `compute` in it; the poller stays
+//! eligible). Message arrival order, and so every
 //! wildcard's candidate set, is a function of the program and the forced
 //! replay prefix, never of OS thread timing: a replay reproduces its
 //! parent up to the guided epoch, and a campaign repeats byte for byte.
@@ -345,7 +346,8 @@ struct Shared {
     /// Holder of the execution turn.
     turn: usize,
     /// The holder has polled fruitlessly since it took the turn or last
-    /// changed shared state: its next fruitless poll passes the turn.
+    /// changed state another rank can see: its next fruitless poll passes
+    /// the turn.
     polled: bool,
     /// `owes[r]`: the communicator whose [`Fused`] collective `r` is to
     /// enter the next rendezvous of when the turn reaches it.
@@ -570,8 +572,8 @@ impl World {
         }
     }
 
-    /// [`Self::enter_polling`] for an operation that changes shared state:
-    /// the holder's fruitless polls start over.
+    /// [`Self::enter_polling`] for an operation that changes state another
+    /// rank can see: the holder's fruitless polls start over.
     fn enter_guarded(&self, rank: usize) -> Result<Locked<'_>> {
         let mut g = self.enter_polling(rank)?;
         g.polled = false;
@@ -811,8 +813,10 @@ impl World {
         self.enter(rank).vt[rank]
     }
 
+    /// Only the caller's own clock moves, which no other rank's wait can
+    /// observe, so a `test`/`compute` spin loop still passes the turn.
     pub(crate) fn op_compute(&self, rank: usize, seconds: f64) -> Result<()> {
-        let mut g = self.enter_guarded(rank)?;
+        let mut g = self.enter_polling(rank)?;
         g.vt[rank] += seconds.max(0.0);
         self.check_vt_budget(&mut g, rank)
     }
@@ -967,9 +971,10 @@ impl World {
     /// the guard *first* so that spin loops observe the watchdog.
     ///
     /// A fruitless poll by a holder that already polled in vain since it
-    /// took the turn or last changed shared state passes the turn, and the
-    /// rank stays eligible: a spin loop lets the ranks it waits for run,
-    /// while a single poll (the tool's own, say) costs no hand-off.
+    /// took the turn or last changed state another rank can see passes the
+    /// turn, and the rank stays eligible: a spin loop lets the ranks it
+    /// waits for run, while a single poll (the tool's own, say) costs no
+    /// hand-off.
     fn attempt<T>(
         &self,
         rank: usize,

@@ -1107,10 +1107,10 @@ mod lost_wakeup {
 
     #[test]
     fn a_spinning_rank_hands_the_turn_over_on_its_second_fruitless_poll() {
-        // Rank 0 holds the turn first. Its first fruitless poll keeps it,
-        // and so does the next after `compute` changed shared state; the
-        // one after that passes it to rank 1, which sends, finishes and
-        // passes it back. The fourth poll finds the message.
+        // Rank 0 holds the turn first. Its first fruitless poll keeps it.
+        // `compute` moves only rank 0's own clock, so the next poll passes
+        // the turn to rank 1, which sends, finishes and passes it back.
+        // The third poll finds the message.
         let polls = AtomicUsize::new(0);
         let prog = FnProgram(|mpi: &mut dyn Mpi| {
             let w = Comm::WORLD;
@@ -1129,8 +1129,40 @@ mod lost_wakeup {
         });
         let out = run_native(&sim(2), &prog);
         assert!(out.succeeded(), "{:?} {:?}", out.fatal, out.rank_errors);
-        assert_eq!(polls.load(Ordering::SeqCst), 4);
+        assert_eq!(polls.load(Ordering::SeqCst), 3);
         assert_eq!(out.census.turn_passes, 2, "{:?}", out.census);
+    }
+
+    #[test]
+    fn a_spin_loop_that_computes_between_polls_lets_the_sender_run() {
+        // The overlap idiom: poll, do some work, poll again. Rank 1 sends
+        // only after a blocking exchange with rank 2, so rank 0 must hand
+        // the turn over from inside its loop, on `test` and on `iprobe`.
+        let prog = FnProgram(|mpi: &mut dyn Mpi| {
+            let w = Comm::WORLD;
+            match mpi.world_rank() {
+                0 => {
+                    let r = mpi.irecv(w, 1, 3)?;
+                    while mpi.test(r)?.is_none() {
+                        mpi.compute(1e-6)?;
+                    }
+                    while mpi.iprobe(w, 2, 4)?.is_none() {
+                        mpi.compute(1e-6)?;
+                    }
+                    mpi.recv(w, 2, 4).map(drop)
+                }
+                1 => {
+                    wait_go(mpi, 2)?;
+                    mpi.send(w, 0, 3, bts(b"late"))
+                }
+                _ => {
+                    go(mpi, 1)?;
+                    mpi.compute(1e-3)?;
+                    mpi.send(w, 0, 4, bts(b"later"))
+                }
+            }
+        });
+        runs_clean(3, None, &prog);
     }
 
     #[test]

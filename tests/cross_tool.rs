@@ -190,3 +190,46 @@ fn leaky_program_reported_by_both_tools() {
     let i = isp_verifier(SimConfig::new(2)).verify(&patterns::leaky_program());
     assert!(i.leaks.has_comm_leak() && i.leaks.has_request_leak(), "{i}");
 }
+
+/// A rank spinning on `test` for a wildcard receive, with and without
+/// `compute` between its polls, verifies under both tools. `IspLayer`
+/// charges its scheduler exchange with `compute` before every operation,
+/// so its spin loops always compute between polls; a `compute` that reset
+/// the runtime's poll state kept the spinner on the turn for good.
+#[test]
+fn a_polling_wildcard_receive_verifies_under_both_tools() {
+    use dampi::mpi::{ReplayBudget, ANY_SOURCE};
+    use std::time::Duration;
+
+    for work in [0.0, 1e-6] {
+        let program = FnProgram(|mpi: &mut dyn Mpi| {
+            let w = Comm::WORLD;
+            if mpi.world_rank() == 0 {
+                for _ in 1..mpi.world_size() {
+                    let r = mpi.irecv(w, ANY_SOURCE, 3)?;
+                    while mpi.test(r)?.is_none() {
+                        if work > 0.0 {
+                            mpi.compute(work)?;
+                        }
+                    }
+                }
+                Ok(())
+            } else {
+                mpi.compute(1e-3)?;
+                mpi.send(w, 0, 3, Default::default())
+            }
+        });
+        let budget = ReplayBudget::unlimited().with_max_wall_clock(Duration::from_secs(10));
+        let sim = SimConfig::new(3).with_budget(budget);
+        let d = DampiVerifier::new(sim.clone()).verify(&program);
+        let i = isp_verifier(sim).verify(&program);
+        for r in [&d, &i] {
+            assert!(
+                r.errors.is_empty() && r.timeouts.is_empty(),
+                "compute {work}: {r}"
+            );
+        }
+        assert_eq!(d.interleavings, 2, "compute {work}: {d}");
+        assert_eq!(i.interleavings, 2, "compute {work}: {i}");
+    }
+}
