@@ -37,10 +37,13 @@ if [ "$(grep -c 'allow(unsafe_code)' crates/mpi/src/lib.rs)" -ne 1 ]; then
   echo "ci: dampi-mpi must allow unsafe_code on exactly one module (pool)" >&2
   exit 1
 fi
-# Waist gate: the typed completion and probe calls are provided by the `Mpi`
-# trait over `complete`/`probe_for`; no implementor restates one.
-found="$(grep -rlE 'fn (waitany|testany|waitsome|iprobe)\(' --include='*.rs' crates src tests examples)"
-[ "$found" = crates/mpi/src/proc_api.rs ] || { echo "ci: typed completion/probe calls overridden in: $found" >&2; exit 1; }
+# Waist gate: the `Mpi` trait provides the typed completion and probe calls
+# over `complete`/`probe_for`, and the six rank-local queries over `pmpi`;
+# no implementor restates one. The query names are anchored at a bare
+# `fn`, so an inherent `pub fn now` (the central clock's) does not match.
+found="$(grep -rlE 'fn (waitany|testany|waitsome|iprobe)\(|^[[:space:]]*fn (world_rank|world_size|comm_rank|comm_size|translate_rank|now)\(' \
+    --include='*.rs' crates src tests examples)"
+[ "$found" = crates/mpi/src/proc_api.rs ] || { echo "ci: provided Mpi calls overridden in: $found" >&2; exit 1; }
 cargo build --release --offline --workspace
 cargo test -q --offline
 # Flake guard: every replay runs on the runtime's turn token, so message

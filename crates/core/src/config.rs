@@ -126,8 +126,8 @@ pub enum ToolStack {
     /// ISP's centralized baseline ([`crate::isp`]): every MPI call is a
     /// synchronous transaction with one scheduler that keeps exact vector
     /// clocks. The DAMPI-layer knobs (`clock_mode`, `piggyback`,
-    /// `monitor_unsafe_pattern`, `deferred_clock_sync`) configure nothing
-    /// here, and the report's clock mode is [`ClockMode::Vector`].
+    /// `deferred_clock_sync`) configure nothing here, and the report's
+    /// clock mode is [`ClockMode::Vector`].
     Isp,
 }
 
@@ -150,9 +150,6 @@ pub struct DampiConfig {
     pub max_interleavings: Option<u64>,
     /// Stop the depth-first walk at the first program bug found.
     pub stop_on_first_error: bool,
-    /// Run the §V unsafe-pattern monitor (clock transmitted between a
-    /// wildcard `Irecv` and its `Wait`/`Test`).
-    pub monitor_unsafe_pattern: bool,
     /// Piggyback transport mechanism.
     pub piggyback: PiggybackMechanism,
     /// Also branch on alternates discovered for *guided* (already-forced)
@@ -194,7 +191,6 @@ impl Default for DampiConfig {
             honor_regions: true,
             max_interleavings: Some(100_000),
             stop_on_first_error: false,
-            monitor_unsafe_pattern: true,
             piggyback: PiggybackMechanism::SeparateMessage,
             branch_on_guided: false,
             deferred_clock_sync: false,

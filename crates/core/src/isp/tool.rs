@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use dampi_mpi::matching::ProbeInfo;
-use dampi_mpi::proc_api::{Completed, Completion, Mpi, Status};
+use dampi_mpi::proc_api::{Completed, Completion, Mpi, Pmpi, Status};
 use dampi_mpi::{
     CollOutcome, CollSig, Comm, Contribution, Request, Result, Rider, Tag, ANY_SOURCE,
 };
@@ -117,23 +117,8 @@ impl<M: Mpi> IspLayer<M> {
 }
 
 impl<M: Mpi> Mpi for IspLayer<M> {
-    fn world_rank(&self) -> usize {
-        self.inner.world_rank()
-    }
-    fn world_size(&self) -> usize {
-        self.inner.world_size()
-    }
-    fn comm_rank(&self, comm: Comm) -> Result<usize> {
-        self.inner.comm_rank(comm)
-    }
-    fn comm_size(&self, comm: Comm) -> Result<usize> {
-        self.inner.comm_size(comm)
-    }
-    fn translate_rank(&self, comm: Comm, comm_rank: usize) -> Result<usize> {
-        self.inner.translate_rank(comm, comm_rank)
-    }
-    fn now(&self) -> f64 {
-        self.inner.now()
+    fn pmpi(&self) -> &Pmpi {
+        self.inner.pmpi()
     }
 
     fn isend(&mut self, comm: Comm, dest: i32, tag: Tag, data: Bytes) -> Result<Request> {

@@ -21,38 +21,23 @@ use dampi_mpi::Request;
 pub struct UnsafePatternMonitor {
     pending: HashSet<Request>,
     alerts: u64,
-    enabled: bool,
 }
 
 impl UnsafePatternMonitor {
-    /// New monitor; `enabled = false` makes every call a no-op.
-    #[must_use]
-    pub fn new(enabled: bool) -> Self {
-        Self {
-            pending: HashSet::new(),
-            alerts: 0,
-            enabled,
-        }
-    }
-
     /// A wildcard receive was posted.
     pub fn nd_posted(&mut self, req: Request) {
-        if self.enabled {
-            self.pending.insert(req);
-        }
+        self.pending.insert(req);
     }
 
     /// A wildcard receive completed (via wait or successful test).
     pub fn nd_completed(&mut self, req: Request) {
-        if self.enabled {
-            self.pending.remove(&req);
-        }
+        self.pending.remove(&req);
     }
 
     /// The rank is about to transmit its clock (send or collective).
     /// Returns `true` — and counts an alert — when the pattern is live.
     pub fn clock_transmitted(&mut self) -> bool {
-        if self.enabled && !self.pending.is_empty() {
+        if !self.pending.is_empty() {
             self.alerts += 1;
             true
         } else {
@@ -79,7 +64,7 @@ mod tests {
 
     #[test]
     fn quiet_without_pending_nd() {
-        let mut m = UnsafePatternMonitor::new(true);
+        let mut m = UnsafePatternMonitor::default();
         assert!(!m.clock_transmitted());
         assert_eq!(m.alerts(), 0);
     }
@@ -87,7 +72,7 @@ mod tests {
     #[test]
     fn fig10_pattern_detected() {
         // Irecv(*) ... Barrier (clock transmission) ... Wait — alert.
-        let mut m = UnsafePatternMonitor::new(true);
+        let mut m = UnsafePatternMonitor::default();
         m.nd_posted(Request(1));
         assert!(m.clock_transmitted());
         m.nd_completed(Request(1));
@@ -98,7 +83,7 @@ mod tests {
     #[test]
     fn safe_order_raises_nothing() {
         // Irecv(*) ... Wait ... Barrier — no alert.
-        let mut m = UnsafePatternMonitor::new(true);
+        let mut m = UnsafePatternMonitor::default();
         m.nd_posted(Request(1));
         m.nd_completed(Request(1));
         assert!(!m.clock_transmitted());
@@ -107,21 +92,12 @@ mod tests {
 
     #[test]
     fn multiple_pending_counted_once_per_transmission() {
-        let mut m = UnsafePatternMonitor::new(true);
+        let mut m = UnsafePatternMonitor::default();
         m.nd_posted(Request(1));
         m.nd_posted(Request(2));
         assert_eq!(m.pending_count(), 2);
         assert!(m.clock_transmitted());
         assert!(m.clock_transmitted());
         assert_eq!(m.alerts(), 2);
-    }
-
-    #[test]
-    fn disabled_monitor_is_inert() {
-        let mut m = UnsafePatternMonitor::new(false);
-        m.nd_posted(Request(1));
-        assert!(!m.clock_transmitted());
-        assert_eq!(m.alerts(), 0);
-        assert_eq!(m.pending_count(), 0);
     }
 }

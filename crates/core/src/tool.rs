@@ -35,7 +35,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use dampi_clocks::{ClockMode, ClockStamp};
 use dampi_mpi::matching::ProbeInfo;
-use dampi_mpi::proc_api::{Completed, Completion, Mpi, Status};
+use dampi_mpi::proc_api::{Completed, Completion, Mpi, Pmpi, Status};
 use dampi_mpi::{
     CollOutcome, CollSig, Comm, Contribution, MpiError, Request, Result, Rider, Shadow, Tag,
     ANY_SOURCE, ANY_TAG,
@@ -65,8 +65,6 @@ pub struct DampiCtx {
     pub clock_mode: ClockMode,
     /// Piggyback transport.
     pub piggyback: PiggybackMechanism,
-    /// Run the §V monitor.
-    pub monitor: bool,
     /// Virtual CPU seconds charged per late message analyzed.
     pub analysis_cost: f64,
     /// §V paired-clock fix: keep a separate transmittal clock that only
@@ -162,7 +160,7 @@ impl<M: Mpi> DampiLayer<M> {
             ready: HashMap::new(),
             shadow,
             region_depth: 0,
-            monitor: UnsafePatternMonitor::new(ctx.monitor),
+            monitor: UnsafePatternMonitor::default(),
             stats: ToolRunStats::default(),
             submitted: false,
             ctx,
@@ -502,27 +500,8 @@ impl<M: Mpi> DampiLayer<M> {
 }
 
 impl<M: Mpi> Mpi for DampiLayer<M> {
-    fn world_rank(&self) -> usize {
-        self.inner.world_rank()
-    }
-
-    fn world_size(&self) -> usize {
-        self.inner.world_size()
-    }
-
-    fn comm_rank(&self, comm: Comm) -> Result<usize> {
-        self.inner.comm_rank(comm)
-    }
-
-    fn comm_size(&self, comm: Comm) -> Result<usize> {
-        self.inner.comm_size(comm)
-    }
-    fn translate_rank(&self, comm: Comm, comm_rank: usize) -> Result<usize> {
-        self.inner.translate_rank(comm, comm_rank)
-    }
-
-    fn now(&self) -> f64 {
-        self.inner.now()
+    fn pmpi(&self) -> &Pmpi {
+        self.inner.pmpi()
     }
 
     fn isend(&mut self, comm: Comm, dest: i32, tag: Tag, data: Bytes) -> Result<Request> {

@@ -127,7 +127,6 @@ impl DampiVerifier {
             collector: Arc::clone(&collector),
             clock_mode: self.cfg.clock_mode,
             piggyback: self.cfg.piggyback,
-            monitor: self.cfg.monitor_unsafe_pattern,
             analysis_cost: self.sim.vtime.dampi_analysis,
             deferred_clock: self.cfg.deferred_clock_sync,
         });

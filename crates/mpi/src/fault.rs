@@ -7,8 +7,7 @@
 //! *survive* these — record what happened, report partial coverage
 //! honestly, and keep exploring the remaining frontier. [`FaultLayer`]
 //! makes such failures reproducible in-process: it sits *below* the DAMPI
-//! tool layer (closest to [`Pmpi`](crate::proc_api::Pmpi)), so an
-//! injected fault hits both
+//! tool layer (closest to [`Pmpi`]), so an injected fault hits both
 //! application traffic and the tool's own piggyback messages on the shadow
 //! communicator.
 //!
@@ -27,7 +26,7 @@ use crate::collective::{CollOutcome, CollSig, Contribution, Rider};
 use crate::comm::Comm;
 use crate::error::Result;
 use crate::matching::ProbeInfo;
-use crate::proc_api::{Completed, Completion, Mpi};
+use crate::proc_api::{Completed, Completion, Mpi, Pmpi};
 use crate::request::Request;
 use crate::types::Tag;
 
@@ -304,23 +303,8 @@ impl<M: Mpi> FaultLayer<M> {
 }
 
 impl<M: Mpi> Mpi for FaultLayer<M> {
-    fn world_rank(&self) -> usize {
-        self.inner.world_rank()
-    }
-    fn world_size(&self) -> usize {
-        self.inner.world_size()
-    }
-    fn comm_rank(&self, comm: Comm) -> Result<usize> {
-        self.inner.comm_rank(comm)
-    }
-    fn comm_size(&self, comm: Comm) -> Result<usize> {
-        self.inner.comm_size(comm)
-    }
-    fn translate_rank(&self, comm: Comm, comm_rank: usize) -> Result<usize> {
-        self.inner.translate_rank(comm, comm_rank)
-    }
-    fn now(&self) -> f64 {
-        self.inner.now()
+    fn pmpi(&self) -> &Pmpi {
+        self.inner.pmpi()
     }
 
     fn isend(&mut self, comm: Comm, dest: i32, tag: Tag, data: Bytes) -> Result<Request> {

@@ -57,7 +57,7 @@ pub use comm::Comm;
 pub use envelope::Envelope;
 pub use error::{MpiError, Result};
 pub use fault::{FaultAction, FaultLayer, FaultPlan, FaultRule};
-pub use interpose::{LayerFactory, PassthroughLayer};
+pub use interpose::LayerFactory;
 pub use leak::LeakReport;
 pub use matching::MatchPolicy;
 pub use proc_api::{Completed, Completion, Mpi, Pmpi, Status};

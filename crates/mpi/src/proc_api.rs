@@ -113,31 +113,65 @@ impl IntoIterator for Completed {
 
 /// The MPI interface available to verified programs and tool layers.
 ///
-/// Sixteen methods are required. Everything else is provided in terms of
-/// three waists, so a tool layer states each behaviour once and intercepts
-/// every typed call derived from it: every collective — the ten data
-/// collectives (`barrier` … `alltoall`) and `comm_dup`/`comm_split`/
-/// `comm_free` — goes through [`Mpi::collective`], the five completion
-/// calls (`wait`, `test`, `waitany`, `testany`, `waitsome`) through
-/// [`Mpi::complete`], and `probe`/`iprobe` through [`Mpi::probe_for`]. The
-/// blocking conveniences (`send`, `recv`, `waitall`, `sendrecv`) are built
-/// from those. [`Mpi::shadow_world`] and [`Mpi::release_shadow_world`] are
-/// for tool layers, not programs: every layer forwards them.
+/// Eleven methods are required: [`Mpi::pmpi`] and the ten operations a
+/// tool layer may intercept. Everything else is provided. The six
+/// rank-local queries (`world_rank`, `world_size`, `comm_rank`,
+/// `comm_size`, `translate_rank`, `now`) read the bottom handle directly,
+/// since no layer rewrites them. Every other call is built on three waists,
+/// so a tool layer states each behaviour once and intercepts every typed
+/// call derived from it: every collective — the ten data collectives
+/// (`barrier` … `alltoall`) and `comm_dup`/`comm_split`/`comm_free` — goes
+/// through [`Mpi::collective`], the five completion calls (`wait`, `test`,
+/// `waitany`, `testany`, `waitsome`) through [`Mpi::complete`], and
+/// `probe`/`iprobe` through [`Mpi::probe_for`]. The blocking conveniences
+/// (`send`, `recv`, `waitall`, `sendrecv`) are built from those.
+/// [`Mpi::shadow_world`] and [`Mpi::release_shadow_world`] are for tool
+/// layers, not programs: every layer forwards them.
 #[allow(clippy::too_many_arguments)]
 pub trait Mpi: Send {
+    /// The bottom of this stack, which the rank-local queries read. A layer
+    /// returns its inner layer's `pmpi()`. The borrow is shared and every
+    /// operation takes `&mut self`, so a layer can read the bottom handle
+    /// but cannot send through it past the layers below:
+    ///
+    /// ```compile_fail,E0596
+    /// use bytes::Bytes;
+    /// use dampi_mpi::{Comm, Mpi, Pmpi, Request, Result};
+    ///
+    /// fn skip_the_layers_below<M: Mpi>(layer: &mut M) -> Result<Request> {
+    ///     layer.pmpi().isend(Comm::WORLD, 0, 0, Bytes::new())
+    /// }
+    /// ```
+    fn pmpi(&self) -> &Pmpi;
+
     /// This process's world rank.
-    fn world_rank(&self) -> usize;
+    fn world_rank(&self) -> usize {
+        self.pmpi().rank
+    }
     /// Number of processes in the world.
-    fn world_size(&self) -> usize;
+    fn world_size(&self) -> usize {
+        self.pmpi().world.nprocs()
+    }
     /// This process's rank within `comm`.
-    fn comm_rank(&self, comm: Comm) -> Result<usize>;
+    fn comm_rank(&self, comm: Comm) -> Result<usize> {
+        let pmpi = self.pmpi();
+        pmpi.world.op_comm_rank(pmpi.rank, comm)
+    }
     /// Size of `comm`'s group.
-    fn comm_size(&self, comm: Comm) -> Result<usize>;
+    fn comm_size(&self, comm: Comm) -> Result<usize> {
+        let pmpi = self.pmpi();
+        pmpi.world.op_comm_size(pmpi.rank, comm)
+    }
     /// Translate a rank of `comm`'s group to its world rank (the analog of
     /// `MPI_Group_translate_ranks` against the world group).
-    fn translate_rank(&self, comm: Comm, comm_rank: usize) -> Result<usize>;
+    fn translate_rank(&self, comm: Comm, comm_rank: usize) -> Result<usize> {
+        self.pmpi().world.op_translate_rank(comm, comm_rank)
+    }
     /// This rank's current virtual time (simulated seconds).
-    fn now(&self) -> f64;
+    fn now(&self) -> f64 {
+        let pmpi = self.pmpi();
+        pmpi.world.op_now(pmpi.rank)
+    }
 
     /// Nonblocking send (`MPI_Isend`); eager, so the request is complete on
     /// creation but must still be waited to be reclaimed.
@@ -481,28 +515,8 @@ impl Pmpi {
 }
 
 impl Mpi for Pmpi {
-    fn world_rank(&self) -> usize {
-        self.rank
-    }
-
-    fn world_size(&self) -> usize {
-        self.world.nprocs()
-    }
-
-    fn comm_rank(&self, comm: Comm) -> Result<usize> {
-        self.world.op_comm_rank(self.rank, comm)
-    }
-
-    fn comm_size(&self, comm: Comm) -> Result<usize> {
-        self.world.op_comm_size(self.rank, comm)
-    }
-
-    fn translate_rank(&self, comm: Comm, comm_rank: usize) -> Result<usize> {
-        self.world.op_translate_rank(comm, comm_rank)
-    }
-
-    fn now(&self) -> f64 {
-        self.world.op_now(self.rank)
+    fn pmpi(&self) -> &Pmpi {
+        self
     }
 
     fn isend(&mut self, comm: Comm, dest: i32, tag: Tag, data: Bytes) -> Result<Request> {

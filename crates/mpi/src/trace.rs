@@ -17,7 +17,7 @@ use crate::collective::{CollOutcome, CollSig, Contribution, Rider};
 use crate::comm::Comm;
 use crate::error::Result;
 use crate::matching::ProbeInfo;
-use crate::proc_api::{Completed, Completion, Mpi};
+use crate::proc_api::{Completed, Completion, Mpi, Pmpi};
 use crate::request::Request;
 use crate::types::{fnv1a64, Tag};
 
@@ -193,23 +193,8 @@ impl<M: Mpi> TraceLayer<M> {
 }
 
 impl<M: Mpi> Mpi for TraceLayer<M> {
-    fn world_rank(&self) -> usize {
-        self.inner.world_rank()
-    }
-    fn world_size(&self) -> usize {
-        self.inner.world_size()
-    }
-    fn comm_rank(&self, comm: Comm) -> Result<usize> {
-        self.inner.comm_rank(comm)
-    }
-    fn comm_size(&self, comm: Comm) -> Result<usize> {
-        self.inner.comm_size(comm)
-    }
-    fn translate_rank(&self, comm: Comm, comm_rank: usize) -> Result<usize> {
-        self.inner.translate_rank(comm, comm_rank)
-    }
-    fn now(&self) -> f64 {
-        self.inner.now()
+    fn pmpi(&self) -> &Pmpi {
+        self.inner.pmpi()
     }
     fn isend(&mut self, comm: Comm, dest: i32, tag: Tag, data: Bytes) -> Result<Request> {
         self.record(TraceOp::Isend {

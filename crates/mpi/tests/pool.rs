@@ -14,7 +14,7 @@ use dampi_mpi::matching::ProbeInfo;
 use dampi_mpi::pool::{idle_threads, POOLED_WORLD_MAX};
 use dampi_mpi::{
     run_native, run_with_layers, CollOutcome, CollSig, Comm, Completed, Completion, Contribution,
-    FnProgram, Mpi, MpiError, ReduceOp, ReplayBudget, Request, Result, Rider, SimConfig, Tag,
+    FnProgram, Mpi, MpiError, Pmpi, ReduceOp, ReplayBudget, Request, Result, Rider, SimConfig, Tag,
 };
 
 /// The pool is process-wide and these tests assert on which threads it
@@ -57,23 +57,8 @@ struct PanicsInFinalize<M: Mpi> {
 }
 
 impl<M: Mpi> Mpi for PanicsInFinalize<M> {
-    fn world_rank(&self) -> usize {
-        self.inner.world_rank()
-    }
-    fn world_size(&self) -> usize {
-        self.inner.world_size()
-    }
-    fn comm_rank(&self, comm: Comm) -> Result<usize> {
-        self.inner.comm_rank(comm)
-    }
-    fn comm_size(&self, comm: Comm) -> Result<usize> {
-        self.inner.comm_size(comm)
-    }
-    fn translate_rank(&self, comm: Comm, comm_rank: usize) -> Result<usize> {
-        self.inner.translate_rank(comm, comm_rank)
-    }
-    fn now(&self) -> f64 {
-        self.inner.now()
+    fn pmpi(&self) -> &Pmpi {
+        self.inner.pmpi()
     }
     fn isend(&mut self, comm: Comm, dest: i32, tag: Tag, data: Bytes) -> Result<Request> {
         self.inner.isend(comm, dest, tag, data)

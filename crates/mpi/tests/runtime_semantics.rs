@@ -496,20 +496,6 @@ fn stats_layer_counts_application_ops() {
 }
 
 #[test]
-fn passthrough_layer_is_transparent() {
-    use dampi_mpi::PassthroughLayer;
-    let prog = FnProgram(|mpi: &mut dyn dampi_mpi::Mpi| {
-        let sum = mpi.allreduce_u64(Comm::WORLD, vec![1], ReduceOp::Sum)?;
-        assert_eq!(sum[0], mpi.world_size() as u64);
-        Ok(())
-    });
-    let out = run_with_layers(&cfg(4), &prog, &|_, pmpi| {
-        Ok(Box::new(PassthroughLayer::new(PassthroughLayer::new(pmpi))))
-    });
-    assert!(out.succeeded());
-}
-
-#[test]
 fn invalid_rank_rejected() {
     let prog = FnProgram(|mpi: &mut dyn dampi_mpi::Mpi| {
         if mpi.world_rank() == 0 {
@@ -1372,8 +1358,7 @@ mod waists {
     use super::*;
     use dampi_mpi::matching::ProbeInfo;
     use dampi_mpi::{
-        CollOutcome, CollSig, Completed, Completion, Contribution, Mpi, PassthroughLayer, Request,
-        Result, Rider, Tag,
+        CollOutcome, CollSig, Completed, Completion, Contribution, Mpi, Request, Result, Rider, Tag,
     };
 
     /// One waist call as a layer sees it.
@@ -1402,23 +1387,8 @@ mod waists {
     }
 
     impl<M: Mpi> Mpi for Recording<M> {
-        fn world_rank(&self) -> usize {
-            self.inner.world_rank()
-        }
-        fn world_size(&self) -> usize {
-            self.inner.world_size()
-        }
-        fn comm_rank(&self, comm: Comm) -> Result<usize> {
-            self.inner.comm_rank(comm)
-        }
-        fn comm_size(&self, comm: Comm) -> Result<usize> {
-            self.inner.comm_size(comm)
-        }
-        fn translate_rank(&self, comm: Comm, comm_rank: usize) -> Result<usize> {
-            self.inner.translate_rank(comm, comm_rank)
-        }
-        fn now(&self) -> f64 {
-            self.inner.now()
+        fn pmpi(&self) -> &Pmpi {
+            self.inner.pmpi()
         }
         fn isend(&mut self, comm: Comm, dest: i32, tag: Tag, data: Bytes) -> Result<Request> {
             self.inner.isend(comm, dest, tag, data)
@@ -1471,7 +1441,7 @@ mod waists {
         Arc::new(Mutex::new(vec![Vec::new(); np]))
     }
 
-    /// Layer factory: a `Recording` above and one below a `PassthroughLayer`.
+    /// Layer factory: one `Recording` directly on another.
     fn recording_stack<'a>(
         upper: &'a SeenLog,
         lower: &'a SeenLog,
@@ -1482,7 +1452,7 @@ mod waists {
                 log: Arc::clone(lower),
             };
             Ok(Box::new(Recording {
-                inner: PassthroughLayer::new(lower),
+                inner: lower,
                 log: Arc::clone(upper),
             }))
         }

@@ -23,8 +23,8 @@ use dampi::mpi::leak::CommLeak;
 use dampi::mpi::matching::ProbeInfo;
 use dampi::mpi::{
     run_with_layers, CollOutcome, CollSig, Comm, Completed, Completion, Contribution, FnProgram,
-    MatchPolicy, Mpi, MpiProgram, ReduceOp, Request, Result, Rider, RunOutcome, SimConfig, Tag,
-    ANY_SOURCE,
+    MatchPolicy, Mpi, MpiProgram, Pmpi, ReduceOp, Request, Result, Rider, RunOutcome, SimConfig,
+    Tag, ANY_SOURCE,
 };
 use dampi::workloads::adlb::{Adlb, AdlbParams};
 use dampi::workloads::matmul::{Matmul, MatmulParams};
@@ -48,23 +48,8 @@ impl<M: Mpi> Counting<M> {
 }
 
 impl<M: Mpi> Mpi for Counting<M> {
-    fn world_rank(&self) -> usize {
-        self.inner.world_rank()
-    }
-    fn world_size(&self) -> usize {
-        self.inner.world_size()
-    }
-    fn comm_rank(&self, comm: Comm) -> Result<usize> {
-        self.inner.comm_rank(comm)
-    }
-    fn comm_size(&self, comm: Comm) -> Result<usize> {
-        self.inner.comm_size(comm)
-    }
-    fn translate_rank(&self, comm: Comm, comm_rank: usize) -> Result<usize> {
-        self.inner.translate_rank(comm, comm_rank)
-    }
-    fn now(&self) -> f64 {
-        self.inner.now()
+    fn pmpi(&self) -> &Pmpi {
+        self.inner.pmpi()
     }
     fn isend(&mut self, comm: Comm, dest: i32, tag: Tag, data: Bytes) -> Result<Request> {
         self.inner.isend(comm, dest, tag, data)
@@ -128,7 +113,6 @@ fn calls_per_rank(
         collector: TraceCollector::new(),
         clock_mode: ClockMode::Lamport,
         piggyback,
-        monitor: false,
         analysis_cost: sim.vtime.dampi_analysis,
         deferred_clock: false,
     });
@@ -367,23 +351,8 @@ impl<M: Mpi> Recorder<M> {
 }
 
 impl<M: Mpi> Mpi for Recorder<M> {
-    fn world_rank(&self) -> usize {
-        self.inner.world_rank()
-    }
-    fn world_size(&self) -> usize {
-        self.inner.world_size()
-    }
-    fn comm_rank(&self, comm: Comm) -> Result<usize> {
-        self.inner.comm_rank(comm)
-    }
-    fn comm_size(&self, comm: Comm) -> Result<usize> {
-        self.inner.comm_size(comm)
-    }
-    fn translate_rank(&self, comm: Comm, comm_rank: usize) -> Result<usize> {
-        self.inner.translate_rank(comm, comm_rank)
-    }
-    fn now(&self) -> f64 {
-        self.inner.now()
+    fn pmpi(&self) -> &Pmpi {
+        self.inner.pmpi()
     }
     fn isend(&mut self, comm: Comm, dest: i32, tag: Tag, data: Bytes) -> Result<Request> {
         self.saw("isend");
@@ -494,7 +463,6 @@ fn exact_self_run(piggyback: PiggybackMechanism) -> Exact {
         collector: Arc::clone(&collector),
         clock_mode: ClockMode::Lamport,
         piggyback,
-        monitor: false,
         analysis_cost: sim.vtime.dampi_analysis,
         deferred_clock: false,
     });
