@@ -11,7 +11,7 @@ use dampi_core::report::VerificationReport;
 use dampi_core::DampiVerifier;
 use dampi_mpi::envelope::codec;
 use dampi_mpi::proc_api::user_assert;
-use dampi_mpi::program::FnProgram;
+use dampi_mpi::program::AsyncFnProgram;
 use dampi_mpi::{Comm, MatchPolicy, Mpi, SimConfig, ANY_SOURCE, ANY_TAG};
 use proptest::prelude::*;
 
@@ -68,18 +68,18 @@ fn build(nprocs: usize, raw_sends: &[Vec<(u8, u64)>], raw_recvs: &[(u8, usize, u
 
 fn program(
     sc: &Scenario,
-) -> FnProgram<impl Fn(&mut dyn Mpi) -> dampi_mpi::Result<()> + Send + Sync> {
+) -> AsyncFnProgram<impl AsyncFn(&mut dyn Mpi) -> dampi_mpi::Result<()> + Send + Sync> {
     let sc = sc.clone();
-    FnProgram(move |mpi: &mut dyn Mpi| {
+    AsyncFnProgram(async move |mpi: &mut dyn Mpi| {
         let me = mpi.world_rank();
         if me == 0 {
             for spec in &sc.recvs {
                 match *spec {
                     RecvSpec::Named(src, tag) => {
-                        let _ = mpi.recv(Comm::WORLD, src as i32, tag)?;
+                        let _ = mpi.recv(Comm::WORLD, src as i32, tag).await?;
                     }
                     RecvSpec::Wild(tag, poison) => {
-                        let (_, data) = mpi.recv(Comm::WORLD, ANY_SOURCE, tag)?;
+                        let (_, data) = mpi.recv(Comm::WORLD, ANY_SOURCE, tag).await?;
                         if let Some(p) = poison {
                             user_assert(
                                 data.len() != 8 || codec::decode_u64(&data) != p,
@@ -91,7 +91,8 @@ fn program(
             }
         } else if let Some(msgs) = sc.sends.get(me - 1) {
             for &(tag, val) in msgs {
-                mpi.send(Comm::WORLD, 0, tag, codec::encode_u64(val))?;
+                mpi.send(Comm::WORLD, 0, tag, codec::encode_u64(val))
+                    .await?;
             }
         }
         Ok(())

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use dampi_mpi::matching::ProbeInfo;
-use dampi_mpi::proc_api::{Completed, Completion, Mpi, Pmpi, Status};
+use dampi_mpi::proc_api::{Completed, Completion, Mpi, Pmpi, Status, Waist};
 use dampi_mpi::{
     CollOutcome, CollSig, Comm, Contribution, Request, Result, Rider, Tag, ANY_SOURCE,
 };
@@ -156,13 +156,15 @@ impl<M: Mpi> Mpi for IspLayer<M> {
         }
     }
 
-    fn complete(&mut self, reqs: &[Request], how: Completion) -> Result<Completed> {
-        self.transact()?;
-        let done = self.inner.complete(reqs, how)?;
-        for (idx, status, _) in done.iter() {
-            self.after_recv_complete(reqs[*idx], status)?;
-        }
-        Ok(done)
+    fn complete<'a>(&'a mut self, reqs: &'a [Request], how: Completion) -> Waist<'a, Completed> {
+        Box::pin(async move {
+            self.transact()?;
+            let done = self.inner.complete(reqs, how).await?;
+            for (idx, status, _) in done.iter() {
+                self.after_recv_complete(reqs[*idx], status)?;
+            }
+            Ok(done)
+        })
     }
 
     fn probe_for(
@@ -171,33 +173,37 @@ impl<M: Mpi> Mpi for IspLayer<M> {
         src: i32,
         tag: Tag,
         blocking: bool,
-    ) -> Result<Option<ProbeInfo>> {
-        self.transact()?;
-        if src != ANY_SOURCE {
-            return self.inner.probe_for(comm, src, tag, blocking);
-        }
-        let (post_src, guided) = self.nd_source();
-        let hit = self.inner.probe_for(comm, post_src, tag, blocking)?;
-        if let Some(info) = hit {
-            self.sched
-                .on_nd_post(self.rank, comm, tag, NdKind::Probe, guided, Some(info.src));
-            self.nd_counter += 1;
-        }
-        Ok(hit)
+    ) -> Waist<'_, Option<ProbeInfo>> {
+        Box::pin(async move {
+            self.transact()?;
+            if src != ANY_SOURCE {
+                return self.inner.probe_for(comm, src, tag, blocking).await;
+            }
+            let (post_src, guided) = self.nd_source();
+            let hit = self.inner.probe_for(comm, post_src, tag, blocking).await?;
+            if let Some(info) = hit {
+                self.sched
+                    .on_nd_post(self.rank, comm, tag, NdKind::Probe, guided, Some(info.src));
+                self.nd_counter += 1;
+            }
+            Ok(hit)
+        })
     }
 
-    fn collective(
-        &mut self,
+    fn collective<'a>(
+        &'a mut self,
         comm: Comm,
         sig: CollSig,
         contribution: Contribution,
-        rider: &mut Rider,
-    ) -> Result<CollOutcome> {
-        self.report_collective(comm)?;
-        self.inner.collective(comm, sig, contribution, rider)
+        rider: &'a mut Rider,
+    ) -> Waist<'a, CollOutcome> {
+        Box::pin(async move {
+            self.report_collective(comm)?;
+            self.inner.collective(comm, sig, contribution, rider).await
+        })
     }
 
-    fn shadow_world(&mut self) -> Result<Comm> {
+    fn shadow_world(&mut self) -> Waist<'_, Comm> {
         self.inner.shadow_world()
     }
 
@@ -213,10 +219,12 @@ impl<M: Mpi> Mpi for IspLayer<M> {
         self.inner.compute(seconds)
     }
 
-    fn finalize(&mut self) -> Result<()> {
-        // One last transaction: the tool detaches from the scheduler.
-        self.transact()?;
-        self.sched.report_divergences(self.divergences);
-        self.inner.finalize()
+    fn finalize(&mut self) -> Waist<'_, ()> {
+        Box::pin(async move {
+            // One last transaction: the tool detaches from the scheduler.
+            self.transact()?;
+            self.sched.report_divergences(self.divergences);
+            self.inner.finalize().await
+        })
     }
 }

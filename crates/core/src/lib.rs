@@ -31,27 +31,27 @@
 //!
 //! ```
 //! use dampi_core::verifier::DampiVerifier;
-//! use dampi_mpi::{FnProgram, MatchPolicy, SimConfig, Comm, ANY_SOURCE};
+//! use dampi_mpi::{AsyncFnProgram, MatchPolicy, SimConfig, Comm, ANY_SOURCE};
 //! use bytes::Bytes;
 //!
 //! // Paper Fig. 3: the error only manifests if P2's send matches. The
 //! // barrier (as in the paper's figure) guarantees both sends are visible
 //! // to the wildcard, so the alternate-match analysis is deterministic.
-//! let prog = FnProgram(|mpi: &mut dyn dampi_mpi::Mpi| {
+//! let prog = AsyncFnProgram(async |mpi: &mut dyn dampi_mpi::Mpi| {
 //!     match mpi.world_rank() {
 //!         0 => {
-//!             mpi.send(Comm::WORLD, 1, 22, Bytes::from_static(b"\x16"))?;
-//!             mpi.barrier(Comm::WORLD)?;
+//!             mpi.send(Comm::WORLD, 1, 22, Bytes::from_static(b"\x16")).await?;
+//!             mpi.barrier(Comm::WORLD).await?;
 //!         }
 //!         2 => {
-//!             mpi.send(Comm::WORLD, 1, 22, Bytes::from_static(b"\x21"))?;
-//!             mpi.barrier(Comm::WORLD)?;
+//!             mpi.send(Comm::WORLD, 1, 22, Bytes::from_static(b"\x21")).await?;
+//!             mpi.barrier(Comm::WORLD).await?;
 //!         }
 //!         _ => {
-//!             mpi.barrier(Comm::WORLD)?;
-//!             let (_, x) = mpi.recv(Comm::WORLD, ANY_SOURCE, 22)?;
+//!             mpi.barrier(Comm::WORLD).await?;
+//!             let (_, x) = mpi.recv(Comm::WORLD, ANY_SOURCE, 22).await?;
 //!             dampi_mpi::proc_api::user_assert(x[0] != 0x21, "x == 33")?;
-//!             let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 22)?; // drain
+//!             let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 22).await?; // drain
 //!         }
 //!     }
 //!     Ok(())

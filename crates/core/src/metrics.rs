@@ -43,9 +43,8 @@
 //!
 //! Beside them sit the replay-cache ledger (`"cache"`, whose hits and
 //! misses are the exploration's too) and the runtime census (`"runtime"`):
-//! parks, wakes, turn passes and spurious wakes summed over the committed
-//! replays this process executed. Cache hits and shard workers' results
-//! count zero there, and parks and wakes follow thread timing, so neither
+//! turn passes summed over the committed replays this process executed.
+//! Cache hits and shard workers' results count zero there, so neither
 //! section is semantic.
 //!
 //! The trace is in wall-clock order across threads, so it is *not*
@@ -63,15 +62,17 @@ use serde::{Deserialize, Serialize};
 use crate::scheduler::{Exploration, ExploreOptions};
 
 /// Version of the metrics snapshot schema (the `"schema"` key). 3 added
-/// the `runtime` section.
-pub const METRICS_SCHEMA_VERSION: u32 = 3;
+/// the `runtime` section; 4 left it only `turn_passes`, since ranks no
+/// longer park.
+pub const METRICS_SCHEMA_VERSION: u32 = 4;
 
 /// Version of the campaign-trace JSONL schema (the `"v"` key on every
 /// line). 2 made the trace carry every fact the metrics snapshot is folded
 /// from: `Dispatched`, `ReplayExecuted`, `WorkerIdle` and `Aborted`, the
 /// census and cache store on `ReplayCommit`, the cache mode on
-/// `CampaignStart`, and the rendered sections on `CampaignEnd`.
-pub const TRACE_SCHEMA_VERSION: u32 = 2;
+/// `CampaignStart`, and the rendered sections on `CampaignEnd`. 3 cut the
+/// census to its turn passes.
+pub const TRACE_SCHEMA_VERSION: u32 = 3;
 
 // ---- Fixed-bucket histogram -----------------------------------------------
 
@@ -283,8 +284,8 @@ impl CampaignMetrics {
     /// every dispatch was committed or aborted; a lost worker had been
     /// spawned and a restart answers a loss; a cache tallied each commit as
     /// one hit or one miss and stored only misses, and without a cache
-    /// nothing is tallied; a park got at most one wake and a spurious wake
-    /// is a wake; a campaign the cache served entirely ran no replay here.
+    /// nothing is tallied; a campaign the cache served entirely ran no
+    /// replay here.
     /// `Err` names the first relation that fails.
     pub fn check(&self) -> Result<(), String> {
         macro_rules! holds {
@@ -328,12 +329,6 @@ impl CampaignMetrics {
                 "cache disabled but hits {hits}, misses {misses}, stores {stores}, stale {stale}"
             );
         }
-        let (parks, wakes, spurious) = (rt.parks, rt.wakes, rt.spurious_wakes);
-        holds!(wakes <= parks, "runtime: wakes {wakes} > parks {parks}");
-        holds!(
-            spurious <= wakes,
-            "runtime: spurious_wakes {spurious} > wakes {wakes}"
-        );
         Ok(())
     }
 
@@ -376,10 +371,7 @@ impl CampaignMetrics {
         });
         let rt = t.runtime;
         let runtime = serde_json::json!({
-            "parks": rt.parks,
-            "wakes": rt.wakes,
             "turn_passes": rt.turn_passes,
-            "spurious_wakes": rt.spurious_wakes,
         });
         let wall_clock = serde_json::json!({
             "deterministic": false,
@@ -846,12 +838,7 @@ mod tests {
     #[test]
     fn semantic_section_renders_the_exploration() {
         let m = CampaignMetrics::new();
-        let census = RuntimeCensus {
-            parks: 5,
-            wakes: 4,
-            turn_passes: 6,
-            spurious_wakes: 1,
-        };
+        let census = RuntimeCensus { turn_passes: 6 };
         m.record(&rec(1, commit(4, census)));
         // A cache hit: nothing executed here.
         m.record(&rec(2, commit(3, RuntimeCensus::default())));
@@ -896,12 +883,9 @@ mod tests {
         assert_eq!(s["protocol_wildcards_deterministic"], 2);
         assert_eq!(j["cache"]["hits"], 1);
         assert_eq!(j["cache"]["misses"], 1);
-        assert_eq!(
-            j["runtime"],
-            serde_json::json!({"parks": 5, "wakes": 4, "turn_passes": 6, "spurious_wakes": 1})
-        );
+        assert_eq!(j["runtime"], serde_json::json!({"turn_passes": 6}));
         assert!(
-            j["semantic"].get("parks").is_none(),
+            j["semantic"].get("turn_passes").is_none(),
             "census is not semantic"
         );
     }
@@ -985,11 +969,7 @@ mod tests {
                 ..Exploration::default()
             })
         };
-        let census = RuntimeCensus {
-            parks: 1,
-            wakes: 2,
-            ..RuntimeCensus::default()
-        };
+        let census = RuntimeCensus { turn_passes: 1 };
         let lost = E::WorkerLost {
             slot: 0,
             reason: "heartbeat".into(),
@@ -1005,8 +985,13 @@ mod tests {
                 vec![start(None), dispatched(), finish(0)],
             ),
             (
-                "wakes 2 > parks 1",
-                vec![start(None), dispatched(), commit(0, census), finish(0)],
+                "from a campaign the cache served entirely",
+                vec![
+                    start(Some(false)),
+                    dispatched(),
+                    commit(0, census),
+                    finish(1),
+                ],
             ),
             (
                 "cache disabled but hits 1",

@@ -285,6 +285,7 @@ impl VerificationReport {
 fn error_kind(e: &MpiError) -> &'static str {
     match e {
         MpiError::Deadlock { .. } => "deadlock",
+        MpiError::Livelock { .. } => "livelock",
         MpiError::Aborted { .. } => "aborted",
         MpiError::InvalidRank { .. } => "invalid-rank",
         MpiError::InvalidComm => "invalid-comm",

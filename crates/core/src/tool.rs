@@ -35,7 +35,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use dampi_clocks::{ClockMode, ClockStamp};
 use dampi_mpi::matching::ProbeInfo;
-use dampi_mpi::proc_api::{Completed, Completion, Mpi, Pmpi, Status};
+use dampi_mpi::proc_api::{Completed, Completion, Mpi, Pmpi, Status, Waist};
 use dampi_mpi::{
     CollOutcome, CollSig, Comm, Contribution, MpiError, Request, Result, Rider, Shadow, Tag,
     ANY_SOURCE, ANY_TAG,
@@ -137,12 +137,12 @@ impl<M: Mpi> DampiLayer<M> {
     /// separate-message mode it obtains the world shadow communicator from
     /// [`Mpi::shadow_world`], which waits for no other rank: a replay starts
     /// without a rendezvous.
-    pub fn new(mut inner: M, ctx: Arc<DampiCtx>) -> Result<Self> {
+    pub async fn new(mut inner: M, ctx: Arc<DampiCtx>) -> Result<Self> {
         let rank = inner.world_rank();
         let nprocs = inner.world_size();
         let mut shadow = BTreeMap::new();
         if ctx.piggyback == PiggybackMechanism::SeparateMessage {
-            shadow.insert(Comm::WORLD, inner.shadow_world()?);
+            shadow.insert(Comm::WORLD, inner.shadow_world().await?);
         }
         let guided = !ctx.decisions.is_self_run();
         Ok(Self {
@@ -165,6 +165,12 @@ impl<M: Mpi> DampiLayer<M> {
             submitted: false,
             ctx,
         })
+    }
+
+    /// The layer below, for the typed calls `dyn Mpi` derives from the
+    /// waists.
+    fn lower(&mut self) -> &mut dyn Mpi {
+        &mut self.inner
     }
 
     /// Current clock (exposed for tests and diagnostics).
@@ -291,9 +297,12 @@ impl<M: Mpi> DampiLayer<M> {
 
     /// Consume one piggyback stamp from the shadow stream of the source
     /// and tag a completed receive actually matched.
-    fn take_pb_stamp(&mut self, comm: Comm, status: Status) -> Result<ClockStamp> {
+    async fn take_pb_stamp(&mut self, comm: Comm, status: Status) -> Result<ClockStamp> {
         let shadow = self.shadow_of(comm)?;
-        let (_, pbdata) = self.inner.recv(shadow, status.source as i32, status.tag)?;
+        let (_, pbdata) = self
+            .lower()
+            .recv(shadow, status.source as i32, status.tag)
+            .await?;
         Ok(pb::decode_stamp(&pbdata).0)
     }
 
@@ -312,7 +321,7 @@ impl<M: Mpi> DampiLayer<M> {
     /// provably shares no stream with any already-matched payload, or the
     /// matcher would have picked it first), consume its piggyback, and
     /// park the result in `ready` for the application's own wait/test.
-    fn settle_earlier(&mut self, comm: Comm, before_seq: u64) -> Result<()> {
+    async fn settle_earlier(&mut self, comm: Comm, before_seq: u64) -> Result<()> {
         let earlier: Vec<(u64, Request)> = self
             .posted_recvs
             .range(..before_seq)
@@ -320,9 +329,9 @@ impl<M: Mpi> DampiLayer<M> {
             .map(|(s, (r, _))| (*s, *r))
             .collect();
         for (seq, req) in earlier {
-            if let Some((status, data)) = self.inner.test(req)? {
+            if let Some((status, data)) = self.lower().test(req).await? {
                 self.posted_recvs.remove(&seq);
-                let stamp = self.take_pb_stamp(comm, status)?;
+                let stamp = self.take_pb_stamp(comm, status).await?;
                 self.ready.insert(req, (status, data, stamp));
             }
         }
@@ -335,7 +344,7 @@ impl<M: Mpi> DampiLayer<M> {
     /// caller's index-order claims. The whole batch leaves `posted_recvs`
     /// first: `settle_earlier` must not `test` a request the runtime no
     /// longer knows.
-    fn settle_batch(&mut self, reqs: &[Request], done: &Completed) -> Result<()> {
+    async fn settle_batch(&mut self, reqs: &[Request], done: &Completed) -> Result<()> {
         let mut batch = Vec::new();
         for (i, status, data) in done.iter() {
             if let Some(ReqMeta::RecvSep { comm, seq, .. }) = self.meta.get(&reqs[*i]) {
@@ -345,8 +354,8 @@ impl<M: Mpi> DampiLayer<M> {
         }
         batch.sort_unstable_by_key(|(seq, ..)| *seq);
         for (seq, comm, req, status, data) in batch {
-            self.settle_earlier(comm, seq)?;
-            let stamp = self.take_pb_stamp(comm, status)?;
+            self.settle_earlier(comm, seq).await?;
+            let stamp = self.take_pb_stamp(comm, status).await?;
             self.ready.insert(req, (status, data, stamp));
         }
         Ok(())
@@ -439,10 +448,15 @@ impl<M: Mpi> DampiLayer<M> {
 
     /// Post-completion processing of one request the runtime just completed;
     /// leaves the application's payload in `data`.
-    fn after_completion(&mut self, req: Request, status: Status, data: &mut Bytes) -> Result<()> {
+    async fn after_completion(
+        &mut self,
+        req: Request,
+        status: Status,
+        data: &mut Bytes,
+    ) -> Result<()> {
         match self.meta.remove(&req) {
             None | Some(ReqMeta::SendPacked) => Ok(()),
-            Some(ReqMeta::SendPb(pb)) => self.inner.wait(pb).map(drop),
+            Some(ReqMeta::SendPb(pb)) => self.lower().wait(pb).await.map(drop),
             Some(ReqMeta::RecvSep {
                 comm,
                 epoch_idx,
@@ -453,8 +467,8 @@ impl<M: Mpi> DampiLayer<M> {
                 // received deterministically — after settling every
                 // earlier-posted completed receive on this communicator,
                 // so the shadow stream is consumed in posting order.
-                self.settle_earlier(comm, seq)?;
-                let stamp = self.take_pb_stamp(comm, status)?;
+                self.settle_earlier(comm, seq).await?;
+                let stamp = self.take_pb_stamp(comm, status).await?;
                 self.finish_recv(req, status, epoch_idx, comm, &stamp)
             }
             Some(ReqMeta::RecvPacked { comm, epoch_idx }) => {
@@ -537,41 +551,43 @@ impl<M: Mpi> Mpi for DampiLayer<M> {
         Ok(req)
     }
 
-    fn complete(&mut self, reqs: &[Request], how: Completion) -> Result<Completed> {
-        if self.ready.is_empty() || !reqs.iter().any(|r| self.ready.contains_key(r)) {
-            let mut done = self.inner.complete(reqs, how)?;
-            if how.takes_all() {
-                self.settle_batch(reqs, &done)?;
+    fn complete<'a>(&'a mut self, reqs: &'a [Request], how: Completion) -> Waist<'a, Completed> {
+        Box::pin(async move {
+            if self.ready.is_empty() || !reqs.iter().any(|r| self.ready.contains_key(r)) {
+                let mut done = self.inner.complete(reqs, how).await?;
+                if how.takes_all() {
+                    self.settle_batch(reqs, &done).await?;
+                }
+                for (i, status, data) in done.iter_mut() {
+                    if self.ready.is_empty() || self.claim_ready(reqs[*i])?.is_none() {
+                        self.after_completion(reqs[*i], *status, data).await?;
+                    }
+                }
+                return Ok(done);
             }
-            for (i, status, data) in done.iter_mut() {
-                if self.ready.is_empty() || self.claim_ready(reqs[*i])?.is_none() {
-                    self.after_completion(reqs[*i], *status, data)?;
+            // A request force-completed by piggyback sequencing is
+            // immediately available, but the runtime no longer knows it:
+            // mirror the runtime's index-order scan across the mix of parked
+            // and live requests.
+            let mut done = Completed::default();
+            for (i, r) in reqs.iter().enumerate() {
+                let (status, data) = match self.claim_ready(*r)? {
+                    Some(parked) => parked,
+                    None => match self.lower().test(*r).await? {
+                        Some((status, mut data)) => {
+                            self.after_completion(*r, status, &mut data).await?;
+                            (status, data)
+                        }
+                        None => continue,
+                    },
+                };
+                done.push((i, status, data));
+                if !how.takes_all() {
+                    break;
                 }
             }
-            return Ok(done);
-        }
-        // A request force-completed by piggyback sequencing is immediately
-        // available, but the runtime no longer knows it: mirror the
-        // runtime's index-order scan across the mix of parked and live
-        // requests.
-        let mut done = Completed::default();
-        for (i, r) in reqs.iter().enumerate() {
-            let (status, data) = match self.claim_ready(*r)? {
-                Some(parked) => parked,
-                None => match self.inner.test(*r)? {
-                    Some((status, mut data)) => {
-                        self.after_completion(*r, status, &mut data)?;
-                        (status, data)
-                    }
-                    None => continue,
-                },
-            };
-            done.push((i, status, data));
-            if !how.takes_all() {
-                break;
-            }
-        }
-        Ok(done)
+            Ok(done)
+        })
     }
 
     fn probe_for(
@@ -580,30 +596,32 @@ impl<M: Mpi> Mpi for DampiLayer<M> {
         src: i32,
         tag: Tag,
         blocking: bool,
-    ) -> Result<Option<ProbeInfo>> {
-        let hit = if src == ANY_SOURCE {
-            let (post_src, guided_flag) = self.nd_source();
-            let hit = self.inner.probe_for(comm, post_src, tag, blocking)?;
-            // §II-E: only record when the flag says a message is ready.
-            if let Some(info) = hit {
-                self.record_epoch(comm, tag, NdKind::Probe, guided_flag, Some(info.src));
-                // A probe commits its match immediately: synchronize now.
-                self.sync_clocks();
-            }
-            hit
-        } else {
-            self.inner.probe_for(comm, src, tag, blocking)?
-        };
-        Ok(hit.map(|info| self.adjust_probe(info)))
+    ) -> Waist<'_, Option<ProbeInfo>> {
+        Box::pin(async move {
+            let hit = if src == ANY_SOURCE {
+                let (post_src, guided_flag) = self.nd_source();
+                let hit = self.inner.probe_for(comm, post_src, tag, blocking).await?;
+                // §II-E: only record when the flag says a message is ready.
+                if let Some(info) = hit {
+                    self.record_epoch(comm, tag, NdKind::Probe, guided_flag, Some(info.src));
+                    // A probe commits its match immediately: synchronize now.
+                    self.sync_clocks();
+                }
+                hit
+            } else {
+                self.inner.probe_for(comm, src, tag, blocking).await?
+            };
+            Ok(hit.map(|info| self.adjust_probe(info)))
+        })
     }
 
-    fn collective(
-        &mut self,
+    fn collective<'a>(
+        &'a mut self,
         comm: Comm,
         sig: CollSig,
         contribution: Contribution,
-        rider: &mut Rider,
-    ) -> Result<CollOutcome> {
+        rider: &'a mut Rider,
+    ) -> Waist<'a, CollOutcome> {
         self.transmit_guard();
         // The clock exchange and the shadow communicators (§II-D: one for
         // each communicator of the program, made where there is collective
@@ -619,21 +637,26 @@ impl<M: Mpi> Mpi for DampiLayer<M> {
                 _ => Shadow::None,
             };
         }
-        let out = self.inner.collective(comm, sig, contribution, rider)?;
-        self.merge_collective_clock(&rider.clock);
-        if let CollOutcome::Comm(app) = out {
-            self.known_comms.insert(app);
-            if let Shadow::Created(Some(sh)) = rider.shadow {
-                self.shadow.insert(app, sh);
+        Box::pin(async move {
+            let out = self
+                .inner
+                .collective(comm, sig, contribution, rider)
+                .await?;
+            self.merge_collective_clock(&rider.clock);
+            if let CollOutcome::Comm(app) = out {
+                self.known_comms.insert(app);
+                if let Shadow::Created(Some(sh)) = rider.shadow {
+                    self.shadow.insert(app, sh);
+                }
+            } else if sig == CollSig::CommFree {
+                self.known_comms.remove(&comm);
+                self.shadow.remove(&comm);
             }
-        } else if sig == CollSig::CommFree {
-            self.known_comms.remove(&comm);
-            self.shadow.remove(&comm);
-        }
-        Ok(out)
+            Ok(out)
+        })
     }
 
-    fn shadow_world(&mut self) -> Result<Comm> {
+    fn shadow_world(&mut self) -> Waist<'_, Comm> {
         self.inner.shadow_world()
     }
 
@@ -654,38 +677,43 @@ impl<M: Mpi> Mpi for DampiLayer<M> {
         self.inner.compute(seconds)
     }
 
-    fn finalize(&mut self) -> Result<()> {
-        // Sends that never matched a receive still *impinge* on their
-        // destination and are potential matches for its epochs (§II-B, and
-        // the paper's Fig. 3, where the alternate sender's message is never
-        // received in the SELF_RUN). Synchronize so every pre-finalize send
-        // has arrived, then drain and analyze pending messages.
-        self.inner.barrier(Comm::WORLD)?;
-        let comms: Vec<Comm> = self.known_comms.iter().copied().collect();
-        for comm in comms {
-            while let Some(info) = self.inner.iprobe(comm, ANY_SOURCE, ANY_TAG)? {
-                let (status, data) = self.inner.recv(comm, info.src as i32, info.tag)?;
-                let stamp = match self.ctx.piggyback {
-                    PiggybackMechanism::SeparateMessage => self.take_pb_stamp(comm, status)?,
-                    PiggybackMechanism::PayloadPacking => pb::unpack(&data).0,
-                };
-                self.ingest(&stamp, info.src, info.tag, comm, None)?;
-                self.stats.drained_messages += 1;
+    fn finalize(&mut self) -> Waist<'_, ()> {
+        Box::pin(async move {
+            // Sends that never matched a receive still *impinge* on their
+            // destination and are potential matches for its epochs (§II-B,
+            // and the paper's Fig. 3, where the alternate sender's message
+            // is never received in the SELF_RUN). Synchronize so every
+            // pre-finalize send has arrived, then drain and analyze pending
+            // messages.
+            self.lower().barrier(Comm::WORLD).await?;
+            let comms: Vec<Comm> = self.known_comms.iter().copied().collect();
+            for comm in comms {
+                while let Some(info) = self.lower().iprobe(comm, ANY_SOURCE, ANY_TAG).await? {
+                    let (status, data) = self.lower().recv(comm, info.src as i32, info.tag).await?;
+                    let stamp = match self.ctx.piggyback {
+                        PiggybackMechanism::SeparateMessage => {
+                            self.take_pb_stamp(comm, status).await?
+                        }
+                        PiggybackMechanism::PayloadPacking => pb::unpack(&data).0,
+                    };
+                    self.ingest(&stamp, info.src, info.tag, comm, None)?;
+                    self.stats.drained_messages += 1;
+                }
             }
-        }
-        // Give up the remaining shadow communicators so tool-created ones
-        // never pollute the application's C-leak census: the world's by
-        // release, then those of communicators the application leaked by a
-        // collective free (deterministic order — every rank iterates the
-        // same BTreeMap keys).
-        if let Some(sh) = self.shadow.remove(&Comm::WORLD) {
-            self.inner.release_shadow_world(sh)?;
-        }
-        for sh in std::mem::take(&mut self.shadow).into_values() {
-            self.inner.comm_free(sh)?;
-        }
-        self.submit_trace();
-        self.inner.finalize()
+            // Give up the remaining shadow communicators so tool-created
+            // ones never pollute the application's C-leak census: the
+            // world's by release, then those of communicators the
+            // application leaked by a collective free (deterministic order
+            // — every rank iterates the same BTreeMap keys).
+            if let Some(sh) = self.shadow.remove(&Comm::WORLD) {
+                self.inner.release_shadow_world(sh)?;
+            }
+            for sh in std::mem::take(&mut self.shadow).into_values() {
+                self.lower().comm_free(sh).await?;
+            }
+            self.submit_trace();
+            self.inner.finalize().await
+        })
     }
 }
 

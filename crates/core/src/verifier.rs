@@ -17,7 +17,7 @@ use std::sync::Arc;
 use dampi_clocks::ClockMode;
 use dampi_mpi::fault::{FaultLayer, FaultPlan};
 use dampi_mpi::program::{MpiProgram, RunOutcome};
-use dampi_mpi::runtime::{run_with_layers, SimConfig};
+use dampi_mpi::runtime::{ready_stack, run_with_layers, SimConfig};
 use dampi_mpi::trace::{TraceCollector as EventTraceCollector, TraceEvent, TraceLayer};
 use dampi_mpi::Mpi;
 
@@ -153,14 +153,16 @@ impl DampiVerifier {
                     // communicator (`shadow_world`, operation 0 of every
                     // rank); a failure there is this rank's error, not a
                     // harness panic.
-                    let layer: Box<dyn Mpi> = match plan {
-                        Some(plan) => Box::new(DampiLayer::new(
-                            FaultLayer::new(pmpi, Arc::clone(plan)),
-                            ctx,
-                        )?),
-                        None => Box::new(DampiLayer::new(pmpi, ctx)?),
-                    };
-                    Ok(layer)
+                    Box::pin(async move {
+                        let layer: Box<dyn Mpi> = match plan {
+                            Some(plan) => Box::new(
+                                DampiLayer::new(FaultLayer::new(pmpi, Arc::clone(plan)), ctx)
+                                    .await?,
+                            ),
+                            None => Box::new(DampiLayer::new(pmpi, ctx).await?),
+                        };
+                        Ok(layer)
+                    })
                 });
                 (outcome, collector.take())
             }
@@ -169,15 +171,14 @@ impl DampiVerifier {
                 let ds = Arc::new(decisions.clone());
                 let outcome = run_with_layers(&self.sim, program, &|_rank, pmpi| {
                     let (sched, ds) = (Arc::clone(&sched), Arc::clone(&ds));
-                    let layer: Box<dyn Mpi> = match plan {
-                        Some(plan) => Box::new(IspLayer::new(
+                    match plan {
+                        Some(plan) => ready_stack(IspLayer::new(
                             FaultLayer::new(pmpi, Arc::clone(plan)),
                             sched,
                             ds,
                         )),
-                        None => Box::new(IspLayer::new(pmpi, sched, ds)),
-                    };
-                    Ok(layer)
+                        None => ready_stack(IspLayer::new(pmpi, sched, ds)),
+                    }
                 });
                 (outcome, sched.collect())
             }
@@ -203,11 +204,12 @@ impl DampiVerifier {
         let ev2 = Arc::clone(&events);
         let outcome = run_with_layers(&self.sim, program, &|_rank, pmpi| {
             let ctx = Arc::clone(&ctx);
-            let layer: Box<dyn Mpi> = Box::new(TraceLayer::new(
-                DampiLayer::new(pmpi, ctx)?,
-                Arc::clone(&ev2),
-            ));
-            Ok(layer)
+            let ev2 = Arc::clone(&ev2);
+            Box::pin(async move {
+                let layer: Box<dyn Mpi> =
+                    Box::new(TraceLayer::new(DampiLayer::new(pmpi, ctx).await?, ev2));
+                Ok(layer)
+            })
         });
         let (epochs, stats) = collector.take();
         (

@@ -67,7 +67,7 @@ mod waitsome_out_of_posting_order {
 
     use bytes::Bytes;
     use dampi_core::{ClockMode, DampiConfig, DampiVerifier, DecisionSet, PiggybackMechanism};
-    use dampi_mpi::{Comm, FnProgram, MatchPolicy, Mpi, SimConfig, Status, ANY_SOURCE};
+    use dampi_mpi::{AsyncFnProgram, Comm, MatchPolicy, Mpi, SimConfig, Status, ANY_SOURCE};
 
     /// What rank 1 saw: each receive's status and payload in posting
     /// order, and its Lamport clock afterwards (the id of its next epoch).
@@ -76,17 +76,17 @@ mod waitsome_out_of_posting_order {
 
     fn run(pb: PiggybackMechanism, reversed: bool) -> Seen {
         let got = Mutex::new(Vec::new());
-        let prog = FnProgram(|mpi: &mut dyn Mpi| {
+        let prog = AsyncFnProgram(async |mpi: &mut dyn Mpi| {
             let w = Comm::WORLD;
             match mpi.world_rank() {
                 // Two wildcard receives tick rank 0's clock between its
                 // sends, so the two stamps on the stream differ.
                 0 => {
-                    mpi.recv(w, ANY_SOURCE, 1)?;
-                    mpi.send(w, 1, 7, Bytes::from_static(b"first"))?;
-                    mpi.recv(w, ANY_SOURCE, 1)?;
-                    mpi.send(w, 1, 7, Bytes::from_static(b"second"))?;
-                    mpi.send(w, 1, 8, Bytes::new())?;
+                    mpi.recv(w, ANY_SOURCE, 1).await?;
+                    mpi.send(w, 1, 7, Bytes::from_static(b"first")).await?;
+                    mpi.recv(w, ANY_SOURCE, 1).await?;
+                    mpi.send(w, 1, 7, Bytes::from_static(b"second")).await?;
+                    mpi.send(w, 1, 8, Bytes::new()).await?;
                 }
                 1 => {
                     let posted = [mpi.irecv(w, 0, 7)?, mpi.irecv(w, 0, 7)?];
@@ -95,17 +95,17 @@ mod waitsome_out_of_posting_order {
                     } else {
                         posted
                     };
-                    let mut done = mpi.waitsome(&list)?;
+                    let mut done = mpi.waitsome(&list).await?;
                     assert_eq!(done.len(), 2, "both messages were queued");
                     if reversed {
                         done.reverse();
                     }
                     *got.lock().unwrap() = done.into_iter().map(|(_, s, d)| (s, d)).collect();
-                    mpi.recv(w, ANY_SOURCE, 8)?;
+                    mpi.recv(w, ANY_SOURCE, 8).await?;
                 }
                 _ => {
-                    mpi.send(w, 0, 1, Bytes::new())?;
-                    mpi.send(w, 0, 1, Bytes::new())?;
+                    mpi.send(w, 0, 1, Bytes::new()).await?;
+                    mpi.send(w, 0, 1, Bytes::new()).await?;
                 }
             }
             Ok(())

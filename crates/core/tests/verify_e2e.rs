@@ -6,7 +6,7 @@ use dampi_core::tool::{PCONTROL_LOOP_BEGIN, PCONTROL_LOOP_END};
 use dampi_core::{ClockMode, DampiConfig, DampiVerifier, MixingBound, PiggybackMechanism};
 use dampi_mpi::envelope::codec;
 use dampi_mpi::proc_api::user_assert;
-use dampi_mpi::{Comm, FnProgram, MatchPolicy, Mpi, MpiError, SimConfig, ANY_SOURCE, ANY_TAG};
+use dampi_mpi::{AsyncFnProgram, Comm, MatchPolicy, Mpi, MpiError, SimConfig, ANY_SOURCE, ANY_TAG};
 
 fn verifier(n: usize) -> DampiVerifier {
     DampiVerifier::new(SimConfig::new(n))
@@ -21,24 +21,25 @@ fn with_cfg(n: usize, cfg: DampiConfig) -> DampiVerifier {
 /// `LowestRank` match policy model a *biased native runtime* that always
 /// lets P0 win — the situation where conventional testing masks the bug
 /// and only DAMPI's guided replay exposes it (paper §I).
-fn fig3_program() -> FnProgram<impl Fn(&mut dyn Mpi) -> dampi_mpi::Result<()> + Send + Sync> {
-    FnProgram(|mpi: &mut dyn Mpi| {
+fn fig3_program(
+) -> AsyncFnProgram<impl AsyncFn(&mut dyn Mpi) -> dampi_mpi::Result<()> + Send + Sync> {
+    AsyncFnProgram(async |mpi: &mut dyn Mpi| {
         match mpi.world_rank() {
             0 => {
-                mpi.send(Comm::WORLD, 1, 0, codec::encode_u64(22))?;
-                mpi.barrier(Comm::WORLD)?;
+                mpi.send(Comm::WORLD, 1, 0, codec::encode_u64(22)).await?;
+                mpi.barrier(Comm::WORLD).await?;
             }
             2 => {
-                mpi.send(Comm::WORLD, 1, 0, codec::encode_u64(33))?;
-                mpi.barrier(Comm::WORLD)?;
+                mpi.send(Comm::WORLD, 1, 0, codec::encode_u64(33)).await?;
+                mpi.barrier(Comm::WORLD).await?;
             }
             _ => {
-                mpi.barrier(Comm::WORLD)?;
-                let (_, data) = mpi.recv(Comm::WORLD, ANY_SOURCE, 0)?;
+                mpi.barrier(Comm::WORLD).await?;
+                let (_, data) = mpi.recv(Comm::WORLD, ANY_SOURCE, 0).await?;
                 let x = codec::decode_u64(&data);
                 user_assert(x != 33, "x == 33")?;
                 // Consume the other message so the run stays clean.
-                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 0)?;
+                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 0).await?;
             }
         }
         Ok(())
@@ -69,12 +70,12 @@ fn fig3_bug_found_by_replay() {
 fn fig3_bug_found_even_without_second_receive() {
     // The unmatched message is only seen by the finalize-time drain:
     // exactly the paper's Fig. 3 as written.
-    let prog = FnProgram(|mpi: &mut dyn Mpi| {
+    let prog = AsyncFnProgram(async |mpi: &mut dyn Mpi| {
         match mpi.world_rank() {
-            0 => mpi.send(Comm::WORLD, 1, 0, codec::encode_u64(22))?,
-            2 => mpi.send(Comm::WORLD, 1, 0, codec::encode_u64(33))?,
+            0 => mpi.send(Comm::WORLD, 1, 0, codec::encode_u64(22)).await?,
+            2 => mpi.send(Comm::WORLD, 1, 0, codec::encode_u64(33)).await?,
             _ => {
-                let (_, data) = mpi.recv(Comm::WORLD, ANY_SOURCE, 0)?;
+                let (_, data) = mpi.recv(Comm::WORLD, ANY_SOURCE, 0).await?;
                 user_assert(codec::decode_u64(&data) != 33, "x == 33")?;
             }
         }
@@ -86,13 +87,14 @@ fn fig3_bug_found_even_without_second_receive() {
 
 #[test]
 fn deterministic_program_needs_one_interleaving() {
-    let prog = FnProgram(|mpi: &mut dyn Mpi| {
+    let prog = AsyncFnProgram(async |mpi: &mut dyn Mpi| {
         if mpi.world_rank() == 0 {
-            mpi.send(Comm::WORLD, 1, 0, Bytes::from_static(b"d"))?;
+            mpi.send(Comm::WORLD, 1, 0, Bytes::from_static(b"d"))
+                .await?;
         } else if mpi.world_rank() == 1 {
-            let _ = mpi.recv(Comm::WORLD, 0, 0)?;
+            let _ = mpi.recv(Comm::WORLD, 0, 0).await?;
         }
-        mpi.barrier(Comm::WORLD)?;
+        mpi.barrier(Comm::WORLD).await?;
         Ok(())
     });
     let report = verifier(4).verify(&prog);
@@ -108,10 +110,10 @@ fn master_slave_covers_all_match_orders() {
     // what DAMPI covers: each epoch must discover every slave as a
     // potential match.
     let slaves = 3usize;
-    let prog = FnProgram(move |mpi: &mut dyn Mpi| {
+    let prog = AsyncFnProgram(async move |mpi: &mut dyn Mpi| {
         if mpi.world_rank() == 0 {
             for _ in 0..slaves {
-                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 1)?;
+                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 1).await?;
             }
         } else {
             mpi.send(
@@ -119,7 +121,8 @@ fn master_slave_covers_all_match_orders() {
                 0,
                 1,
                 codec::encode_u64(mpi.world_rank() as u64),
-            )?;
+            )
+            .await?;
         }
         Ok(())
     });
@@ -136,13 +139,13 @@ fn master_slave_covers_all_match_orders() {
 fn bounded_mixing_reduces_interleavings_on_real_program() {
     let slaves = 3usize;
     let make = move || {
-        FnProgram(move |mpi: &mut dyn Mpi| {
+        AsyncFnProgram(async move |mpi: &mut dyn Mpi| {
             if mpi.world_rank() == 0 {
                 for _ in 0..slaves {
-                    let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 1)?;
+                    let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 1).await?;
                 }
             } else {
-                mpi.send(Comm::WORLD, 0, 1, codec::encode_u64(1))?;
+                mpi.send(Comm::WORLD, 0, 1, codec::encode_u64(1)).await?;
             }
             Ok(())
         })
@@ -168,15 +171,15 @@ fn bounded_mixing_reduces_interleavings_on_real_program() {
 #[test]
 fn loop_region_abstraction_suppresses_branching() {
     let slaves = 3usize;
-    let prog = FnProgram(move |mpi: &mut dyn Mpi| {
+    let prog = AsyncFnProgram(async move |mpi: &mut dyn Mpi| {
         if mpi.world_rank() == 0 {
             mpi.pcontrol(PCONTROL_LOOP_BEGIN)?;
             for _ in 0..slaves {
-                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 1)?;
+                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 1).await?;
             }
             mpi.pcontrol(PCONTROL_LOOP_END)?;
         } else {
-            mpi.send(Comm::WORLD, 0, 1, codec::encode_u64(1))?;
+            mpi.send(Comm::WORLD, 0, 1, codec::encode_u64(1)).await?;
         }
         Ok(())
     });
@@ -195,25 +198,30 @@ fn loop_region_abstraction_suppresses_branching() {
 /// P1: Irecv(*)    ... Isend(to:1)  (rank 2's send)
 /// P2: Irecv(*)    ... Isend(to:2)  (rank 1's send)
 /// P3: Isend(to:2) ... Isend(to:1)
-fn fig4_program() -> FnProgram<impl Fn(&mut dyn Mpi) -> dampi_mpi::Result<()> + Send + Sync> {
-    FnProgram(|mpi: &mut dyn Mpi| {
+fn fig4_program(
+) -> AsyncFnProgram<impl AsyncFn(&mut dyn Mpi) -> dampi_mpi::Result<()> + Send + Sync> {
+    AsyncFnProgram(async |mpi: &mut dyn Mpi| {
         match mpi.world_rank() {
             0 => {
-                mpi.send(Comm::WORLD, 1, 0, Bytes::from_static(b"p0"))?;
+                mpi.send(Comm::WORLD, 1, 0, Bytes::from_static(b"p0"))
+                    .await?;
             }
             1 => {
-                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 0)?;
-                mpi.send(Comm::WORLD, 2, 0, Bytes::from_static(b"p1"))?;
+                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 0).await?;
+                mpi.send(Comm::WORLD, 2, 0, Bytes::from_static(b"p1"))
+                    .await?;
                 // Consume the second message that may arrive (from P2/P3).
-                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 0)?;
+                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 0).await?;
             }
             2 => {
-                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 0)?;
-                mpi.send(Comm::WORLD, 1, 0, Bytes::from_static(b"p2"))?;
-                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 0)?;
+                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 0).await?;
+                mpi.send(Comm::WORLD, 1, 0, Bytes::from_static(b"p2"))
+                    .await?;
+                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 0).await?;
             }
             3 => {
-                mpi.send(Comm::WORLD, 2, 0, Bytes::from_static(b"p3"))?;
+                mpi.send(Comm::WORLD, 2, 0, Bytes::from_static(b"p3"))
+                    .await?;
             }
             _ => unreachable!(),
         }
@@ -279,20 +287,20 @@ fn fig4_lamport_misses_cross_coupled_match_vector_finds_it() {
 /// must flag the clock transmission that happens before the Wait.
 #[test]
 fn fig10_unsafe_pattern_monitor_fires() {
-    let prog = FnProgram(|mpi: &mut dyn Mpi| {
+    let prog = AsyncFnProgram(async |mpi: &mut dyn Mpi| {
         match mpi.world_rank() {
             0 => {
-                mpi.send(Comm::WORLD, 1, 0, codec::encode_u64(22))?;
-                mpi.barrier(Comm::WORLD)?;
+                mpi.send(Comm::WORLD, 1, 0, codec::encode_u64(22)).await?;
+                mpi.barrier(Comm::WORLD).await?;
             }
             1 => {
                 let req = mpi.irecv(Comm::WORLD, ANY_SOURCE, 0)?;
-                mpi.barrier(Comm::WORLD)?; // transmits the clock: unsafe
-                let _ = mpi.wait(req)?;
+                mpi.barrier(Comm::WORLD).await?; // transmits the clock: unsafe
+                let _ = mpi.wait(req).await?;
             }
             _ => {
-                mpi.barrier(Comm::WORLD)?;
-                mpi.send(Comm::WORLD, 1, 0, codec::encode_u64(33))?;
+                mpi.barrier(Comm::WORLD).await?;
+                mpi.send(Comm::WORLD, 1, 0, codec::encode_u64(33)).await?;
             }
         }
         Ok(())
@@ -306,18 +314,18 @@ fn fig10_unsafe_pattern_monitor_fires() {
 
 #[test]
 fn safe_pattern_raises_no_alert() {
-    let prog = FnProgram(|mpi: &mut dyn Mpi| {
+    let prog = AsyncFnProgram(async |mpi: &mut dyn Mpi| {
         match mpi.world_rank() {
             0 => {
-                mpi.send(Comm::WORLD, 1, 0, codec::encode_u64(22))?;
-                mpi.barrier(Comm::WORLD)?;
+                mpi.send(Comm::WORLD, 1, 0, codec::encode_u64(22)).await?;
+                mpi.barrier(Comm::WORLD).await?;
             }
             1 => {
-                let (_, _) = mpi.recv(Comm::WORLD, ANY_SOURCE, 0)?; // completed first
-                mpi.barrier(Comm::WORLD)?;
+                let (_, _) = mpi.recv(Comm::WORLD, ANY_SOURCE, 0).await?; // completed first
+                mpi.barrier(Comm::WORLD).await?;
             }
             _ => {
-                mpi.barrier(Comm::WORLD)?;
+                mpi.barrier(Comm::WORLD).await?;
             }
         }
         Ok(())
@@ -332,17 +340,17 @@ fn deadlock_in_alternate_interleaving_found() {
     // 2, it then (incorrectly) receives from rank 0 only — but rank 0
     // already sent its single message, which was consumed as the first:
     // hence a deadlock exists in the schedule where rank 2 wins first.
-    let prog = FnProgram(|mpi: &mut dyn Mpi| {
+    let prog = AsyncFnProgram(async |mpi: &mut dyn Mpi| {
         match mpi.world_rank() {
-            0 => mpi.send(Comm::WORLD, 1, 0, codec::encode_u64(0))?,
-            2 => mpi.send(Comm::WORLD, 1, 0, codec::encode_u64(2))?,
+            0 => mpi.send(Comm::WORLD, 1, 0, codec::encode_u64(0)).await?,
+            2 => mpi.send(Comm::WORLD, 1, 0, codec::encode_u64(2)).await?,
             _ => {
-                let (st, _) = mpi.recv(Comm::WORLD, ANY_SOURCE, 0)?;
+                let (st, _) = mpi.recv(Comm::WORLD, ANY_SOURCE, 0).await?;
                 if st.source == 2 {
                     // Bug: expects another message from rank 2.
-                    let _ = mpi.recv(Comm::WORLD, 2, 0)?;
+                    let _ = mpi.recv(Comm::WORLD, 2, 0).await?;
                 } else {
-                    let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 0)?;
+                    let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 0).await?;
                 }
             }
         }
@@ -358,12 +366,13 @@ fn deadlock_in_alternate_interleaving_found() {
 
 #[test]
 fn leaks_reported_through_verifier() {
-    let prog = FnProgram(|mpi: &mut dyn Mpi| {
-        let _leak = mpi.comm_dup(Comm::WORLD)?;
+    let prog = AsyncFnProgram(async |mpi: &mut dyn Mpi| {
+        let _leak = mpi.comm_dup(Comm::WORLD).await?;
         if mpi.world_rank() == 0 {
             let _req_leak = mpi.irecv(Comm::WORLD, ANY_SOURCE, 5)?;
         } else if mpi.world_rank() == 1 {
-            mpi.send(Comm::WORLD, 0, 5, Bytes::from_static(b"x"))?;
+            mpi.send(Comm::WORLD, 0, 5, Bytes::from_static(b"x"))
+                .await?;
         }
         Ok(())
     });
@@ -394,19 +403,20 @@ fn vector_mode_full_session() {
 
 #[test]
 fn wildcard_probe_is_an_epoch() {
-    let prog = FnProgram(|mpi: &mut dyn Mpi| {
+    let prog = AsyncFnProgram(async |mpi: &mut dyn Mpi| {
         if mpi.world_rank() == 0 {
-            let info = mpi.probe(Comm::WORLD, ANY_SOURCE, ANY_TAG)?;
-            let _ = mpi.recv(Comm::WORLD, info.src as i32, info.tag)?;
-            let info = mpi.probe(Comm::WORLD, ANY_SOURCE, ANY_TAG)?;
-            let _ = mpi.recv(Comm::WORLD, info.src as i32, info.tag)?;
+            let info = mpi.probe(Comm::WORLD, ANY_SOURCE, ANY_TAG).await?;
+            let _ = mpi.recv(Comm::WORLD, info.src as i32, info.tag).await?;
+            let info = mpi.probe(Comm::WORLD, ANY_SOURCE, ANY_TAG).await?;
+            let _ = mpi.recv(Comm::WORLD, info.src as i32, info.tag).await?;
         } else {
             mpi.send(
                 Comm::WORLD,
                 0,
                 mpi.world_rank() as i32,
                 codec::encode_u64(7),
-            )?;
+            )
+            .await?;
         }
         Ok(())
     });
@@ -422,13 +432,13 @@ fn coverage_is_schedule_independent() {
     // agree on symmetric programs where all sends are mutually concurrent.
     let slaves = 3usize;
     let make = move || {
-        FnProgram(move |mpi: &mut dyn Mpi| {
+        AsyncFnProgram(async move |mpi: &mut dyn Mpi| {
             if mpi.world_rank() == 0 {
                 for _ in 0..slaves {
-                    let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 1)?;
+                    let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 1).await?;
                 }
             } else {
-                mpi.send(Comm::WORLD, 0, 1, codec::encode_u64(1))?;
+                mpi.send(Comm::WORLD, 0, 1, codec::encode_u64(1)).await?;
             }
             Ok(())
         })
@@ -442,13 +452,13 @@ fn coverage_is_schedule_independent() {
 #[test]
 fn max_interleavings_budget_respected() {
     let slaves = 4usize;
-    let prog = FnProgram(move |mpi: &mut dyn Mpi| {
+    let prog = AsyncFnProgram(async move |mpi: &mut dyn Mpi| {
         if mpi.world_rank() == 0 {
             for _ in 0..slaves {
-                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 1)?;
+                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 1).await?;
             }
         } else {
-            mpi.send(Comm::WORLD, 0, 1, codec::encode_u64(1))?;
+            mpi.send(Comm::WORLD, 0, 1, codec::encode_u64(1)).await?;
         }
         Ok(())
     });
@@ -469,17 +479,17 @@ fn stop_on_first_error_short_circuits() {
 
 #[test]
 fn overhead_run_reports_slowdown() {
-    let prog = FnProgram(|mpi: &mut dyn Mpi| {
+    let prog = AsyncFnProgram(async |mpi: &mut dyn Mpi| {
         let n = mpi.world_size();
         if mpi.world_rank() == 0 {
             for _ in 1..n {
-                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 0)?;
+                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 0).await?;
             }
         } else {
             mpi.compute(1e-4)?;
-            mpi.send(Comm::WORLD, 0, 0, codec::encode_u64(1))?;
+            mpi.send(Comm::WORLD, 0, 0, codec::encode_u64(1)).await?;
         }
-        mpi.barrier(Comm::WORLD)?;
+        mpi.barrier(Comm::WORLD).await?;
         Ok(())
     });
     let v = verifier(8);
@@ -523,22 +533,22 @@ fn decisions_roundtrip_through_file_reproduce_bug() {
 #[test]
 fn fig10_bug_found_with_deferred_clock_sync() {
     let prog = || {
-        FnProgram(|mpi: &mut dyn Mpi| {
+        AsyncFnProgram(async |mpi: &mut dyn Mpi| {
             match mpi.world_rank() {
                 0 => {
-                    mpi.send(Comm::WORLD, 1, 22, codec::encode_u64(22))?;
-                    mpi.barrier(Comm::WORLD)?;
+                    mpi.send(Comm::WORLD, 1, 22, codec::encode_u64(22)).await?;
+                    mpi.barrier(Comm::WORLD).await?;
                 }
                 1 => {
                     let req = mpi.irecv(Comm::WORLD, ANY_SOURCE, 22)?;
-                    mpi.barrier(Comm::WORLD)?;
-                    let (_, data) = mpi.wait(req)?;
+                    mpi.barrier(Comm::WORLD).await?;
+                    let (_, data) = mpi.wait(req).await?;
                     user_assert(codec::decode_u64(&data) != 33, "x == 33")?;
-                    let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 22)?;
+                    let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 22).await?;
                 }
                 _ => {
-                    mpi.barrier(Comm::WORLD)?;
-                    mpi.send(Comm::WORLD, 1, 22, codec::encode_u64(33))?;
+                    mpi.barrier(Comm::WORLD).await?;
+                    mpi.send(Comm::WORLD, 1, 22, codec::encode_u64(33)).await?;
                 }
             }
             Ok(())
@@ -570,19 +580,19 @@ fn fig10_bug_found_with_deferred_clock_sync() {
 /// second (guided = false), re-discovering its alternates.
 #[test]
 fn guided_mode_reverts_past_the_horizon() {
-    let prog = FnProgram(|mpi: &mut dyn Mpi| {
+    let prog = AsyncFnProgram(async |mpi: &mut dyn Mpi| {
         if mpi.world_rank() == 0 {
             // Phase 1: one wildcard receive (epoch clock 0).
-            let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 1)?;
-            let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 1)?;
-            mpi.barrier(Comm::WORLD)?;
+            let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 1).await?;
+            let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 1).await?;
+            mpi.barrier(Comm::WORLD).await?;
             // Phase 2: two more wildcard receives, clocks past the horizon.
-            let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 2)?;
-            let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 2)?;
+            let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 2).await?;
+            let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 2).await?;
         } else {
-            mpi.send(Comm::WORLD, 0, 1, codec::encode_u64(1))?;
-            mpi.barrier(Comm::WORLD)?;
-            mpi.send(Comm::WORLD, 0, 2, codec::encode_u64(2))?;
+            mpi.send(Comm::WORLD, 0, 1, codec::encode_u64(1)).await?;
+            mpi.barrier(Comm::WORLD).await?;
+            mpi.send(Comm::WORLD, 0, 2, codec::encode_u64(2)).await?;
         }
         Ok(())
     });

@@ -4,7 +4,7 @@
 
 use dampi_core::{DampiConfig, DampiVerifier, MixingBound};
 use dampi_mpi::envelope::codec;
-use dampi_mpi::{Comm, FnProgram, Mpi, SimConfig, ANY_SOURCE};
+use dampi_mpi::{AsyncFnProgram, Comm, Mpi, SimConfig, ANY_SOURCE};
 use proptest::prelude::*;
 
 /// A master that receives `msgs_per_slave * slaves` messages via wildcard
@@ -13,12 +13,12 @@ use proptest::prelude::*;
 fn master_slave(
     slaves: usize,
     msgs_per_slave: usize,
-) -> FnProgram<impl Fn(&mut dyn Mpi) -> dampi_mpi::Result<()> + Send + Sync> {
-    FnProgram(move |mpi: &mut dyn Mpi| {
+) -> AsyncFnProgram<impl AsyncFn(&mut dyn Mpi) -> dampi_mpi::Result<()> + Send + Sync> {
+    AsyncFnProgram(async move |mpi: &mut dyn Mpi| {
         if mpi.world_rank() == 0 {
             let mut total = 0u64;
             for _ in 0..slaves * msgs_per_slave {
-                let (_, data) = mpi.recv(Comm::WORLD, ANY_SOURCE, 1)?;
+                let (_, data) = mpi.recv(Comm::WORLD, ANY_SOURCE, 1).await?;
                 total += codec::decode_u64(&data);
             }
             // Order-independent checksum: catches data corruption under
@@ -35,7 +35,8 @@ fn master_slave(
                     0,
                     1,
                     codec::encode_u64(mpi.world_rank() as u64),
-                )?;
+                )
+                .await?;
             }
         }
         Ok(())

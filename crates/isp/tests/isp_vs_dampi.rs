@@ -4,7 +4,7 @@
 use dampi_core::{DampiConfig, DampiVerifier, ToolStack};
 use dampi_mpi::envelope::codec;
 use dampi_mpi::proc_api::user_assert;
-use dampi_mpi::{Comm, FnProgram, MatchPolicy, Mpi, MpiError, SimConfig, ANY_SOURCE};
+use dampi_mpi::{AsyncFnProgram, Comm, MatchPolicy, Mpi, MpiError, SimConfig, ANY_SOURCE};
 use dampi_workloads::matmul::{Matmul, MatmulParams};
 use dampi_workloads::parmetis::{Parmetis, ParmetisParams};
 use dampi_workloads::patterns;
@@ -72,14 +72,14 @@ fn isp_is_complete_on_the_cross_coupled_pattern() {
 
 #[test]
 fn isp_and_dampi_agree_on_clean_programs() {
-    let prog = FnProgram(|mpi: &mut dyn Mpi| {
+    let prog = AsyncFnProgram(async |mpi: &mut dyn Mpi| {
         let n = mpi.world_size();
         if mpi.world_rank() == 0 {
             for _ in 1..n {
-                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 1)?;
+                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 1).await?;
             }
         } else {
-            mpi.send(Comm::WORLD, 0, 1, codec::encode_u64(7))?;
+            mpi.send(Comm::WORLD, 0, 1, codec::encode_u64(7)).await?;
         }
         Ok(())
     });
@@ -212,12 +212,12 @@ fn isp_guided_replay_reproduces_bug() {
 
 #[test]
 fn isp_counts_wildcards() {
-    let prog = FnProgram(|mpi: &mut dyn Mpi| {
+    let prog = AsyncFnProgram(async |mpi: &mut dyn Mpi| {
         if mpi.world_rank() == 0 {
-            let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 0)?;
-            let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 0)?;
+            let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 0).await?;
+            let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 0).await?;
         } else {
-            mpi.send(Comm::WORLD, 0, 0, codec::encode_u64(1))?;
+            mpi.send(Comm::WORLD, 0, 0, codec::encode_u64(1)).await?;
         }
         user_assert(true, "fine")?;
         Ok(())
@@ -245,7 +245,7 @@ fn isp_handles_waitsome_completions() {
     use dampi_mpi::envelope::codec;
     // Master uses waitsome over wildcard receives: the ISP layer must
     // report each completion to the central scheduler.
-    let prog = FnProgram(|mpi: &mut dyn Mpi| {
+    let prog = AsyncFnProgram(async |mpi: &mut dyn Mpi| {
         let n = mpi.world_size();
         if mpi.world_rank() == 0 {
             let reqs: Vec<_> = (1..n)
@@ -253,7 +253,7 @@ fn isp_handles_waitsome_completions() {
                 .collect::<dampi_mpi::Result<_>>()?;
             let mut remaining = reqs;
             while !remaining.is_empty() {
-                let done = mpi.waitsome(&remaining)?;
+                let done = mpi.waitsome(&remaining).await?;
                 let taken: Vec<usize> = done.iter().map(|(i, _, _)| *i).collect();
                 remaining = remaining
                     .into_iter()
@@ -263,7 +263,7 @@ fn isp_handles_waitsome_completions() {
                     .collect();
             }
         } else {
-            mpi.send(Comm::WORLD, 0, 0, codec::encode_u64(9))?;
+            mpi.send(Comm::WORLD, 0, 0, codec::encode_u64(9)).await?;
         }
         Ok(())
     });
@@ -277,12 +277,13 @@ fn isp_handles_waitsome_completions() {
 
 #[test]
 fn isp_probe_epochs_counted() {
-    let prog = FnProgram(|mpi: &mut dyn Mpi| {
+    let prog = AsyncFnProgram(async |mpi: &mut dyn Mpi| {
         if mpi.world_rank() == 0 {
-            let info = mpi.probe(Comm::WORLD, ANY_SOURCE, 0)?;
-            let _ = mpi.recv(Comm::WORLD, info.src as i32, 0)?;
+            let info = mpi.probe(Comm::WORLD, ANY_SOURCE, 0).await?;
+            let _ = mpi.recv(Comm::WORLD, info.src as i32, 0).await?;
         } else {
-            mpi.send(Comm::WORLD, 0, 0, dampi_mpi::envelope::codec::encode_u64(1))?;
+            mpi.send(Comm::WORLD, 0, 0, dampi_mpi::envelope::codec::encode_u64(1))
+                .await?;
         }
         Ok(())
     });
@@ -307,24 +308,24 @@ enum Drain {
 /// Every slave sends one message, then rank 0 drains them through `how`.
 /// The barrier in between queues every message first, so each poll hits.
 fn drain_program(how: Drain) -> impl dampi_mpi::MpiProgram {
-    FnProgram(move |mpi: &mut dyn Mpi| {
+    AsyncFnProgram(async move |mpi: &mut dyn Mpi| {
         let (w, n) = (Comm::WORLD, mpi.world_size());
         if mpi.world_rank() != 0 {
-            mpi.send(w, 0, 0, codec::encode_u64(7))?;
-            return mpi.barrier(w);
+            mpi.send(w, 0, 0, codec::encode_u64(7)).await?;
+            return mpi.barrier(w).await;
         }
-        mpi.barrier(w)?;
+        mpi.barrier(w).await?;
         if matches!(how, Drain::Probe | Drain::IprobeSpin) {
             for _ in 1..n {
                 let info = loop {
                     if how == Drain::Probe {
-                        break mpi.probe(w, ANY_SOURCE, 0)?;
+                        break mpi.probe(w, ANY_SOURCE, 0).await?;
                     }
-                    if let Some(info) = mpi.iprobe(w, ANY_SOURCE, 0)? {
+                    if let Some(info) = mpi.iprobe(w, ANY_SOURCE, 0).await? {
                         break info;
                     }
                 };
-                mpi.recv(w, info.src as i32, 0)?;
+                mpi.recv(w, info.src as i32, 0).await?;
             }
             return Ok(());
         }
@@ -334,23 +335,23 @@ fn drain_program(how: Drain) -> impl dampi_mpi::MpiProgram {
         // Completing the last-posted receive first makes DAMPI's
         // separate-message mode settle the earlier ones out of the runtime
         // and park them: `how` then has to claim parked completions.
-        mpi.wait(rest.pop().expect("np > 1"))?;
+        mpi.wait(rest.pop().expect("np > 1")).await?;
         while !rest.is_empty() {
             match how {
-                Drain::Wait => drop(mpi.wait(rest.remove(0))?),
+                Drain::Wait => drop(mpi.wait(rest.remove(0)).await?),
                 Drain::Test => {
-                    if mpi.test(rest[0])?.is_some() {
+                    if mpi.test(rest[0]).await?.is_some() {
                         rest.remove(0);
                     }
                 }
-                Drain::Waitany => drop(rest.remove(mpi.waitany(&rest)?.0)),
+                Drain::Waitany => drop(rest.remove(mpi.waitany(&rest).await?.0)),
                 Drain::Testany => {
-                    if let Some((idx, ..)) = mpi.testany(&rest)? {
+                    if let Some((idx, ..)) = mpi.testany(&rest).await? {
                         rest.remove(idx);
                     }
                 }
                 Drain::Waitsome => {
-                    for (idx, ..) in mpi.waitsome(&rest)?.iter().rev() {
+                    for (idx, ..) in mpi.waitsome(&rest).await?.iter().rev() {
                         rest.remove(*idx);
                     }
                 }

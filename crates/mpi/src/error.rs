@@ -14,6 +14,14 @@ pub enum MpiError {
         /// World ranks that were blocked when the deadlock was declared.
         blocked_ranks: Vec<usize>,
     },
+    /// Every live rank is blocked or polling in vain, and no rank has
+    /// changed shared state for [`crate::runtime::SPIN_YIELDS`] of the
+    /// pollers' turns — a poll loop waiting for something no rank will
+    /// ever do.
+    Livelock {
+        /// World ranks that were polling when the livelock was declared.
+        polling_ranks: Vec<usize>,
+    },
     /// Another rank aborted (program error or panic), tearing down the job —
     /// the simulator analog of `MPI_Abort`.
     Aborted {
@@ -73,6 +81,12 @@ impl fmt::Display for MpiError {
             MpiError::Deadlock { blocked_ranks } => {
                 write!(f, "deadlock: all live ranks blocked {blocked_ranks:?}")
             }
+            MpiError::Livelock { polling_ranks } => {
+                write!(
+                    f,
+                    "livelock: ranks {polling_ranks:?} poll for what no rank sends"
+                )
+            }
             MpiError::Aborted { by_rank } => write!(f, "job aborted by rank {by_rank}"),
             MpiError::InvalidRank { rank, comm_size } => {
                 write!(
@@ -106,6 +120,7 @@ impl MpiError {
         matches!(
             self,
             MpiError::Deadlock { .. }
+                | MpiError::Livelock { .. }
                 | MpiError::UserAssert { .. }
                 | MpiError::Panicked { .. }
                 | MpiError::CollectiveMismatch { .. }

@@ -26,7 +26,7 @@ use crate::collective::{CollOutcome, CollSig, Contribution, Rider};
 use crate::comm::Comm;
 use crate::error::Result;
 use crate::matching::ProbeInfo;
-use crate::proc_api::{Completed, Completion, Mpi, Pmpi};
+use crate::proc_api::{Completed, Completion, Mpi, Pmpi, Waist};
 use crate::request::Request;
 use crate::types::Tag;
 
@@ -43,8 +43,9 @@ pub enum FaultAction {
     /// reaches any posted receive. The receiver blocks (deadlock or
     /// watchdog timeout) or analyzes without it (partial coverage).
     DropSend,
-    /// Send the matched message twice (the duplicate is sent first and its
-    /// request completed immediately, so the leak census stays clean).
+    /// Send the matched message twice (the duplicate is sent first; its
+    /// request is completed at the rank's next completion, probe,
+    /// collective or finalize, so a clean run's leak census stays clean).
     DuplicateSend,
     /// Charge `seconds` of virtual time before the matched send — a slow
     /// link on one message.
@@ -248,6 +249,9 @@ pub struct FaultLayer<M: Mpi> {
     send_counts: Vec<u64>,
     /// Faults actually fired on this rank (diagnostics).
     fired: u64,
+    /// Duplicate sends not yet completed: `isend` cannot wait, so the
+    /// next waist this layer forwards completes them first.
+    duplicates: Vec<Request>,
 }
 
 impl<M: Mpi> FaultLayer<M> {
@@ -262,6 +266,7 @@ impl<M: Mpi> FaultLayer<M> {
             ops: 0,
             send_counts,
             fired: 0,
+            duplicates: Vec::new(),
         }
     }
 
@@ -269,6 +274,15 @@ impl<M: Mpi> FaultLayer<M> {
     #[must_use]
     pub fn faults_fired(&self) -> u64 {
         self.fired
+    }
+
+    /// Complete the duplicate sends posted since the last waist.
+    async fn complete_duplicates(&mut self) -> Result<()> {
+        if !self.duplicates.is_empty() {
+            let duplicates = std::mem::take(&mut self.duplicates);
+            self.inner.waitall(&duplicates).await?;
+        }
+        Ok(())
     }
 
     /// Operation-indexed faults (`Crash`, `Livelock`): called on every MPI
@@ -328,7 +342,7 @@ impl<M: Mpi> Mpi for FaultLayer<M> {
                 }
                 FaultAction::DuplicateSend => {
                     let dup = self.inner.isend(comm, dest, tag, data.clone())?;
-                    self.inner.wait(dup)?;
+                    self.duplicates.push(dup);
                     return self.inner.isend(comm, dest, tag, data);
                 }
                 FaultAction::DelaySend { seconds } => {
@@ -345,9 +359,12 @@ impl<M: Mpi> Mpi for FaultLayer<M> {
         self.op_event()?;
         self.inner.irecv(comm, src, tag)
     }
-    fn complete(&mut self, reqs: &[Request], how: Completion) -> Result<Completed> {
-        self.op_event()?;
-        self.inner.complete(reqs, how)
+    fn complete<'a>(&'a mut self, reqs: &'a [Request], how: Completion) -> Waist<'a, Completed> {
+        Box::pin(async move {
+            self.op_event()?;
+            self.complete_duplicates().await?;
+            self.inner.complete(reqs, how).await
+        })
     }
     fn probe_for(
         &mut self,
@@ -355,26 +372,34 @@ impl<M: Mpi> Mpi for FaultLayer<M> {
         src: i32,
         tag: Tag,
         blocking: bool,
-    ) -> Result<Option<ProbeInfo>> {
-        self.op_event()?;
-        self.inner.probe_for(comm, src, tag, blocking)
+    ) -> Waist<'_, Option<ProbeInfo>> {
+        Box::pin(async move {
+            self.op_event()?;
+            self.complete_duplicates().await?;
+            self.inner.probe_for(comm, src, tag, blocking).await
+        })
     }
 
-    fn collective(
-        &mut self,
+    fn collective<'a>(
+        &'a mut self,
         comm: Comm,
         sig: CollSig,
         contribution: Contribution,
-        rider: &mut Rider,
-    ) -> Result<CollOutcome> {
-        self.op_event()?;
-        self.inner.collective(comm, sig, contribution, rider)
+        rider: &'a mut Rider,
+    ) -> Waist<'a, CollOutcome> {
+        Box::pin(async move {
+            self.op_event()?;
+            self.complete_duplicates().await?;
+            self.inner.collective(comm, sig, contribution, rider).await
+        })
     }
 
-    fn shadow_world(&mut self) -> Result<Comm> {
+    fn shadow_world(&mut self) -> Waist<'_, Comm> {
         // A tool's first MPI operation: injection site 0 of every rank.
-        self.op_event()?;
-        self.inner.shadow_world()
+        Box::pin(async move {
+            self.op_event()?;
+            self.inner.shadow_world().await
+        })
     }
     fn release_shadow_world(&mut self, shadow: Comm) -> Result<()> {
         self.op_event()?;
@@ -389,18 +414,21 @@ impl<M: Mpi> Mpi for FaultLayer<M> {
         self.op_event()?;
         self.inner.compute(seconds)
     }
-    fn finalize(&mut self) -> Result<()> {
+    fn finalize(&mut self) -> Waist<'_, ()> {
         // Teardown is never an injection site: finalize must stay
         // fault-free so a clean run's leak census is trustworthy.
-        self.inner.finalize()
+        Box::pin(async move {
+            self.complete_duplicates().await?;
+            self.inner.finalize().await
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::FnProgram;
-    use crate::runtime::{run_with_layers, ReplayBudget, SimConfig};
+    use crate::program::AsyncFnProgram;
+    use crate::runtime::{ready_stack, run_with_layers, ReplayBudget, SimConfig};
     use crate::types::ANY_SOURCE;
     use crate::MpiError;
     use std::time::Duration;
@@ -412,25 +440,25 @@ mod tests {
     fn faulted(
         plan: FaultPlan,
         cfg: SimConfig,
-        prog: impl Fn(&mut dyn Mpi) -> Result<()> + Send + Sync,
+        prog: impl AsyncFn(&mut dyn Mpi) -> Result<()> + Send + Sync,
     ) -> crate::program::RunOutcome {
         let plan = Arc::new(plan);
-        run_with_layers(&cfg, &FnProgram(prog), &move |_, pmpi| {
-            Ok(Box::new(FaultLayer::new(pmpi, Arc::clone(&plan))))
+        run_with_layers(&cfg, &AsyncFnProgram(prog), &move |_, pmpi| {
+            ready_stack(FaultLayer::new(pmpi, Arc::clone(&plan)))
         })
     }
 
     #[test]
     fn empty_plan_is_transparent() {
-        let out = faulted(FaultPlan::new(), SimConfig::new(2), |mpi| {
+        let out = faulted(FaultPlan::new(), SimConfig::new(2), async |mpi| {
             if mpi.world_rank() == 0 {
-                mpi.send(Comm::WORLD, 1, 7, bts(b"hi"))?;
+                mpi.send(Comm::WORLD, 1, 7, bts(b"hi")).await?;
             } else {
-                let (st, data) = mpi.recv(Comm::WORLD, ANY_SOURCE, 7)?;
+                let (st, data) = mpi.recv(Comm::WORLD, ANY_SOURCE, 7).await?;
                 assert_eq!(st.source, 0);
                 assert_eq!(&data[..], b"hi");
             }
-            mpi.barrier(Comm::WORLD)
+            mpi.barrier(Comm::WORLD).await
         });
         assert!(out.succeeded(), "{:?}", out.rank_errors);
     }
@@ -445,11 +473,11 @@ mod tests {
         });
         let cfg = SimConfig::new(2)
             .with_budget(ReplayBudget::default().with_max_wall_clock(Duration::from_millis(200)));
-        let out = faulted(plan, cfg, |mpi| {
+        let out = faulted(plan, cfg, async |mpi| {
             if mpi.world_rank() == 0 {
-                mpi.send(Comm::WORLD, 1, 7, bts(b"hi"))?;
+                mpi.send(Comm::WORLD, 1, 7, bts(b"hi")).await?;
             } else {
-                mpi.recv(Comm::WORLD, 0, 7)?;
+                mpi.recv(Comm::WORLD, 0, 7).await?;
             }
             Ok(())
         });
@@ -480,12 +508,12 @@ mod tests {
             nth: 0,
             action: FaultAction::DuplicateSend,
         });
-        let out = faulted(plan, SimConfig::new(2), |mpi| {
+        let out = faulted(plan, SimConfig::new(2), async |mpi| {
             if mpi.world_rank() == 0 {
-                mpi.send(Comm::WORLD, 1, 7, bts(b"x"))?;
+                mpi.send(Comm::WORLD, 1, 7, bts(b"x")).await?;
             } else {
-                let (a, _) = mpi.recv(Comm::WORLD, ANY_SOURCE, 7)?;
-                let (b, _) = mpi.recv(Comm::WORLD, ANY_SOURCE, 7)?;
+                let (a, _) = mpi.recv(Comm::WORLD, ANY_SOURCE, 7).await?;
+                let (b, _) = mpi.recv(Comm::WORLD, ANY_SOURCE, 7).await?;
                 assert_eq!((a.source, b.source), (0, 0));
             }
             Ok(())
@@ -501,11 +529,11 @@ mod tests {
             nth: 0,
             action: FaultAction::DelaySend { seconds: 5.0 },
         });
-        let out = faulted(plan, SimConfig::new(2), |mpi| {
+        let out = faulted(plan, SimConfig::new(2), async |mpi| {
             if mpi.world_rank() == 0 {
-                mpi.send(Comm::WORLD, 1, 7, bts(b"x"))?;
+                mpi.send(Comm::WORLD, 1, 7, bts(b"x")).await?;
             } else {
-                mpi.recv(Comm::WORLD, 0, 7)?;
+                mpi.recv(Comm::WORLD, 0, 7).await?;
             }
             Ok(())
         });
@@ -523,11 +551,11 @@ mod tests {
                 message: "simulated rank failure".into(),
             },
         });
-        let out = faulted(plan, SimConfig::new(2), |mpi| {
+        let out = faulted(plan, SimConfig::new(2), async |mpi| {
             if mpi.world_rank() == 0 {
-                mpi.send(Comm::WORLD, 1, 7, bts(b"x"))?;
+                mpi.send(Comm::WORLD, 1, 7, bts(b"x")).await?;
             } else {
-                mpi.recv(Comm::WORLD, 0, 7)?;
+                mpi.recv(Comm::WORLD, 0, 7).await?;
             }
             Ok(())
         });
@@ -550,11 +578,11 @@ mod tests {
         });
         let cfg =
             SimConfig::new(2).with_budget(ReplayBudget::default().with_max_virtual_time(10.0));
-        let out = faulted(plan, cfg, |mpi| {
+        let out = faulted(plan, cfg, async |mpi| {
             if mpi.world_rank() == 0 {
-                mpi.send(Comm::WORLD, 1, 7, bts(b"x"))?;
+                mpi.send(Comm::WORLD, 1, 7, bts(b"x")).await?;
             } else {
-                mpi.recv(Comm::WORLD, 0, 7)?;
+                mpi.recv(Comm::WORLD, 0, 7).await?;
             }
             Ok(())
         });

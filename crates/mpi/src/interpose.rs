@@ -7,7 +7,10 @@
 //! the rank-local queries the bottom handle, and the ten operations, among
 //! them the three waists [`Mpi::collective`], [`Mpi::complete`] and
 //! [`Mpi::probe_for`]. It inherits every typed collective (communicator
-//! management included), completion and probe call as a provided method.
+//! management included), completion and probe call, each an `async` method
+//! of `dyn Mpi` built on a waist. A layer whose code all runs before the
+//! call returns the inner layer's future as is; one with code after it
+//! boxes `async move { … self.inner.op(…).await … }`.
 //! This module provides one reference layer, [`StatsLayer`], which counts
 //! the application's communication operations in the paper's Table I
 //! classification, excluding any traffic layers below it generate.
@@ -23,13 +26,13 @@ use crate::collective::{CollOutcome, CollSig, Contribution, Rider};
 use crate::comm::Comm;
 use crate::error::Result;
 use crate::matching::ProbeInfo;
-use crate::proc_api::{Completed, Completion, Mpi, Pmpi, Status};
+use crate::proc_api::{Completed, Completion, Mpi, Pmpi, Status, Waist};
 use crate::request::Request;
 use crate::stats::{OpClass, OpStats, StatsCollector};
 use crate::types::Tag;
 
 /// Factory alias re-exported for tool crates.
-pub use crate::runtime::LayerFactory;
+pub use crate::runtime::{LayerFactory, StackFuture};
 
 /// Counts application-level communication operations (Table I census).
 ///
@@ -68,11 +71,11 @@ impl<M: Mpi> Mpi for StatsLayer<M> {
         self.tally(OpClass::SendRecv);
         self.inner.irecv(comm, src, tag)
     }
-    fn complete(&mut self, reqs: &[Request], how: Completion) -> Result<Completed> {
+    fn complete<'a>(&'a mut self, reqs: &'a [Request], how: Completion) -> Waist<'a, Completed> {
         self.tally(OpClass::Wait);
         self.inner.complete(reqs, how)
     }
-    fn waitall(&mut self, reqs: &[Request]) -> Result<Vec<(Status, Bytes)>> {
+    fn waitall<'a>(&'a mut self, reqs: &'a [Request]) -> Waist<'a, Vec<(Status, Bytes)>> {
         // MPI_Waitall is a single call; count it once (Table I counts
         // calls, not completed requests) and let the lower layers expand.
         self.tally(OpClass::Wait);
@@ -84,21 +87,21 @@ impl<M: Mpi> Mpi for StatsLayer<M> {
         src: i32,
         tag: Tag,
         blocking: bool,
-    ) -> Result<Option<ProbeInfo>> {
+    ) -> Waist<'_, Option<ProbeInfo>> {
         self.tally(OpClass::SendRecv);
         self.inner.probe_for(comm, src, tag, blocking)
     }
-    fn collective(
-        &mut self,
+    fn collective<'a>(
+        &'a mut self,
         comm: Comm,
         sig: CollSig,
         contribution: Contribution,
-        rider: &mut Rider,
-    ) -> Result<CollOutcome> {
+        rider: &'a mut Rider,
+    ) -> Waist<'a, CollOutcome> {
         self.tally(OpClass::Collective);
         self.inner.collective(comm, sig, contribution, rider)
     }
-    fn shadow_world(&mut self) -> Result<Comm> {
+    fn shadow_world(&mut self) -> Waist<'_, Comm> {
         self.inner.shadow_world()
     }
     fn release_shadow_world(&mut self, shadow: Comm) -> Result<()> {
@@ -110,7 +113,7 @@ impl<M: Mpi> Mpi for StatsLayer<M> {
     fn compute(&mut self, seconds: f64) -> Result<()> {
         self.inner.compute(seconds)
     }
-    fn finalize(&mut self) -> Result<()> {
+    fn finalize(&mut self) -> Waist<'_, ()> {
         self.collector.submit(self.inner.world_rank(), self.local);
         self.inner.finalize()
     }

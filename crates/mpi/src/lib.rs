@@ -5,11 +5,11 @@
 //! production MPI interposition story, so this crate provides the closest
 //! synthetic equivalent that exercises the same code paths:
 //!
-//! * **Ranks are OS threads** (reused from run to run, see [`pool`])
-//!   executing real Rust programs against the
-//!   [`Mpi`] trait — the program-facing MPI-2-era API (point-to-point with
-//!   wildcard receives and probes, requests, blocking collectives,
-//!   communicator management).
+//! * **Ranks are futures** polled in turn order on the calling thread (see
+//!   [`runtime`]), executing real Rust programs against the [`Mpi`] trait —
+//!   the program-facing MPI-2-era API (point-to-point with wildcard
+//!   receives and probes, requests, blocking collectives, communicator
+//!   management).
 //! * **Message matching** follows the MPI standard: per-communicator
 //!   unexpected/posted queues, tag matching, `ANY_SOURCE`/`ANY_TAG`
 //!   wildcards, and the non-overtaking rule (messages between the same pair
@@ -25,12 +25,11 @@
 //!   seconds* without a 1024-node cluster. This is what regenerates the
 //!   shape of the paper's Fig. 5/6 and Table II.
 //! * **Error detection substrate**: deadlock detection (all live ranks
-//!   blocked inside the runtime), communicator leaks and request leaks at
+//!   blocked inside the runtime), livelock detection (all live ranks
+//!   blocked or polling in vain), communicator leaks and request leaks at
 //!   finalize, collective-call mismatches, and rank aborts.
 
-// `pool` erases one lifetime to lend a caller's borrows to threads that
-// outlive the call; it is the only module allowed to contain `unsafe`.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod collective;
@@ -41,8 +40,6 @@ pub mod fault;
 pub mod interpose;
 pub mod leak;
 pub mod matching;
-#[allow(unsafe_code)]
-pub mod pool;
 pub mod proc_api;
 pub mod program;
 pub mod request;
@@ -57,13 +54,17 @@ pub use comm::Comm;
 pub use envelope::Envelope;
 pub use error::{MpiError, Result};
 pub use fault::{FaultAction, FaultLayer, FaultPlan, FaultRule};
-pub use interpose::LayerFactory;
+pub use interpose::{LayerFactory, StackFuture};
 pub use leak::LeakReport;
 pub use matching::MatchPolicy;
-pub use proc_api::{Completed, Completion, Mpi, Pmpi, Status};
-pub use program::{FnProgram, MpiProgram, RankError, RunOutcome, RuntimeCensus};
+pub use proc_api::{Completed, Completion, Mpi, Pmpi, Status, Waist};
+pub use program::{
+    AsyncFnProgram, FnProgram, MpiProgram, RankBody, RankError, RunOutcome, RuntimeCensus,
+};
 pub use request::Request;
-pub use runtime::{run_native, run_with_layers, ReplayBudget, SimConfig, World};
+pub use runtime::{
+    ready_stack, run_native, run_with_layers, ReplayBudget, SimConfig, World, SPIN_YIELDS,
+};
 pub use stats::{OpClass, OpStats};
 pub use types::{fnv1a64, fnv1a64_extend, Tag, ANY_SOURCE, ANY_TAG, FNV1A64_EMPTY};
 pub use vtime::VTimeParams;

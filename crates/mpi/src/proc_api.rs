@@ -7,7 +7,9 @@
 //! and each layer decides what to forward downward, ultimately reaching the
 //! runtime through [`Pmpi`].
 
-use std::sync::Arc;
+use std::future::Future;
+use std::pin::Pin;
+use std::rc::Rc;
 
 use bytes::Bytes;
 
@@ -111,6 +113,12 @@ impl IntoIterator for Completed {
     }
 }
 
+/// What a waist returns: a boxed future, polled only while its rank holds
+/// the turn. One allocation per call, and one type for every layer, so
+/// [`Mpi`] stays object-safe and no program × layer pair monomorphises a
+/// future of its own.
+pub type Waist<'a, T> = Pin<Box<dyn Future<Output = Result<T>> + 'a>>;
+
 /// The MPI interface available to verified programs and tool layers.
 ///
 /// Eleven methods are required: [`Mpi::pmpi`] and the ten operations a
@@ -124,11 +132,18 @@ impl IntoIterator for Completed {
 /// through [`Mpi::collective`], the five completion calls (`wait`, `test`,
 /// `waitany`, `testany`, `waitsome`) through [`Mpi::complete`], and
 /// `probe`/`iprobe` through [`Mpi::probe_for`]. The blocking conveniences
-/// (`send`, `recv`, `waitall`, `sendrecv`) are built from those.
+/// (`send`, `recv`, `sendrecv`) are built from those, and `waitall` may be
+/// intercepted as one call.
 /// [`Mpi::shadow_world`] and [`Mpi::release_shadow_world`] are for tool
 /// layers, not programs: every layer forwards them.
+///
+/// The calls that can hand the turn to another rank — the three waists,
+/// `waitall`, `shadow_world` and `finalize` — return a [`Waist`] future; a
+/// layer wraps its pre/post code around `self.inner.op(..).await`. The
+/// typed calls derived from them are `async` methods of `dyn Mpi`. The rest
+/// are synchronous: only the turn holder ever runs, so they never wait.
 #[allow(clippy::too_many_arguments)]
-pub trait Mpi: Send {
+pub trait Mpi {
     /// The bottom of this stack, which the rank-local queries read. A layer
     /// returns its inner layer's `pmpi()`. The borrow is shared and every
     /// operation takes `&mut self`, so a layer can read the bottom handle
@@ -183,7 +198,7 @@ pub trait Mpi: Send {
     /// requests among `reqs` that `how` asks for. The five typed calls below
     /// are derived from it, so a tool layer implements its completion
     /// behaviour here once. Blocking modes never return empty.
-    fn complete(&mut self, reqs: &[Request], how: Completion) -> Result<Completed>;
+    fn complete<'a>(&'a mut self, reqs: &'a [Request], how: Completion) -> Waist<'a, Completed>;
     /// The one entry point of `probe`/`iprobe`: report a matchable message
     /// without receiving it, waiting for one when `blocking` (which then
     /// never returns `None`). `src` may be wildcard (also non-deterministic,
@@ -194,7 +209,7 @@ pub trait Mpi: Send {
         src: i32,
         tag: Tag,
         blocking: bool,
-    ) -> Result<Option<ProbeInfo>>;
+    ) -> Waist<'_, Option<ProbeInfo>>;
 
     /// The one entry point of every collective: deposit this rank's
     /// `contribution` to the `sig` rendezvous on `comm` and leave with its
@@ -204,19 +219,19 @@ pub trait Mpi: Send {
     /// adds to the call instead of holding rendezvous of its own (its clock
     /// words, a shadow twin to create or free); programs pass it empty, and
     /// every layer forwards it.
-    fn collective(
-        &mut self,
+    fn collective<'a>(
+        &'a mut self,
         comm: Comm,
         sig: CollSig,
         contribution: Contribution,
-        rider: &mut Rider,
-    ) -> Result<CollOutcome>;
+        rider: &'a mut Rider,
+    ) -> Waist<'a, CollOutcome>;
 
     /// The tool's private duplicate of `MPI_COMM_WORLD` (DAMPI's piggyback
     /// communicator, set up inside `MPI_Init`). **Not collective**: a world
     /// has one, the first rank to ask creates it, and no rank waits for
     /// another. Each caller is charged the virtual time of a `comm_dup`.
-    fn shadow_world(&mut self) -> Result<Comm>;
+    fn shadow_world(&mut self) -> Waist<'_, Comm>;
     /// Give back this rank's hold on the communicator [`Mpi::shadow_world`]
     /// returned. Not collective either: the communicator is freed once
     /// every rank of the world has released it.
@@ -230,76 +245,97 @@ pub trait Mpi: Send {
     fn compute(&mut self, seconds: f64) -> Result<()>;
     /// `MPI_Finalize`-time hook; tool layers flush their logs here. Called
     /// once by the run harness after the program returns successfully.
-    fn finalize(&mut self) -> Result<()>;
+    fn finalize(&mut self) -> Waist<'_, ()>;
 
+    /// `MPI_Waitall`: wait for every request, in order.
+    fn waitall<'a>(&'a mut self, reqs: &'a [Request]) -> Waist<'a, Vec<(Status, Bytes)>> {
+        Box::pin(async move {
+            let mut out = Vec::with_capacity(reqs.len());
+            for req in reqs {
+                let done = self.complete(std::slice::from_ref(req), Completion::WaitAny);
+                let (_, status, data) = blocking_hit(done.await?)?;
+                out.push((status, data));
+            }
+            Ok(out)
+        })
+    }
+}
+
+/// The typed calls a program makes, each derived from a waist of the
+/// stack it is handed. A layer generic over its inner `M: Mpi` reaches them
+/// through `&mut self.inner as &mut dyn Mpi`.
+impl dyn Mpi + '_ {
     /// Block until `req` completes (`MPI_Wait`); consumes the request.
-    fn wait(&mut self, req: Request) -> Result<(Status, Bytes)> {
-        let (_, status, data) = blocking_hit(self.complete(&[req], Completion::WaitAny)?)?;
+    pub async fn wait(&mut self, req: Request) -> Result<(Status, Bytes)> {
+        let done = self.complete(&[req], Completion::WaitAny).await?;
+        let (_, status, data) = blocking_hit(done)?;
         Ok((status, data))
     }
 
     /// Poll `req` (`MPI_Test`); consumes the request when complete.
-    fn test(&mut self, req: Request) -> Result<Option<(Status, Bytes)>> {
-        let done = self
-            .complete(&[req], Completion::TestAny)?
+    pub async fn test(&mut self, req: Request) -> Result<Option<(Status, Bytes)>> {
+        let done = self.complete(&[req], Completion::TestAny).await?;
+        Ok(done
             .into_iter()
-            .next();
-        Ok(done.map(|(_, status, data)| (status, data)))
+            .next()
+            .map(|(_, status, data)| (status, data)))
     }
 
     /// Block until any of `reqs` completes (`MPI_Waitany`); returns its
     /// index and consumes only that request.
-    fn waitany(&mut self, reqs: &[Request]) -> Result<(usize, Status, Bytes)> {
-        blocking_hit(self.complete(reqs, Completion::WaitAny)?)
+    pub async fn waitany(&mut self, reqs: &[Request]) -> Result<(usize, Status, Bytes)> {
+        blocking_hit(self.complete(reqs, Completion::WaitAny).await?)
     }
 
     /// Poll any of `reqs` (`MPI_Testany`); consumes the completed request.
-    fn testany(&mut self, reqs: &[Request]) -> Result<Option<(usize, Status, Bytes)>> {
-        Ok(self.complete(reqs, Completion::TestAny)?.into_iter().next())
+    pub async fn testany(&mut self, reqs: &[Request]) -> Result<Option<(usize, Status, Bytes)>> {
+        Ok(self
+            .complete(reqs, Completion::TestAny)
+            .await?
+            .into_iter()
+            .next())
     }
 
     /// Block until at least one of `reqs` completes (`MPI_Waitsome`);
     /// returns and consumes every request complete at that moment.
-    fn waitsome(&mut self, reqs: &[Request]) -> Result<Vec<(usize, Status, Bytes)>> {
+    pub async fn waitsome(&mut self, reqs: &[Request]) -> Result<Vec<(usize, Status, Bytes)>> {
         Ok(self
-            .complete(reqs, Completion::WaitSome)?
+            .complete(reqs, Completion::WaitSome)
+            .await?
             .into_iter()
             .collect())
     }
 
     /// Blocking probe (`MPI_Probe`).
-    fn probe(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<ProbeInfo> {
-        self.probe_for(comm, src, tag, true)?
+    pub async fn probe(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<ProbeInfo> {
+        self.probe_for(comm, src, tag, true)
+            .await?
             .ok_or_else(|| MpiError::ToolProtocol {
                 detail: "blocking probe returned no message".to_owned(),
             })
     }
 
     /// Nonblocking probe (`MPI_Iprobe`).
-    fn iprobe(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<Option<ProbeInfo>> {
-        self.probe_for(comm, src, tag, false)
+    pub async fn iprobe(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<Option<ProbeInfo>> {
+        self.probe_for(comm, src, tag, false).await
     }
 
     /// Blocking send (`MPI_Send`).
-    fn send(&mut self, comm: Comm, dest: i32, tag: Tag, data: Bytes) -> Result<()> {
+    pub async fn send(&mut self, comm: Comm, dest: i32, tag: Tag, data: Bytes) -> Result<()> {
         let r = self.isend(comm, dest, tag, data)?;
-        self.wait(r)?;
+        self.wait(r).await?;
         Ok(())
     }
 
     /// Blocking receive (`MPI_Recv`).
-    fn recv(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<(Status, Bytes)> {
+    pub async fn recv(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<(Status, Bytes)> {
         let r = self.irecv(comm, src, tag)?;
-        self.wait(r)
-    }
-
-    /// `MPI_Waitall`: wait for every request, in order.
-    fn waitall(&mut self, reqs: &[Request]) -> Result<Vec<(Status, Bytes)>> {
-        reqs.iter().map(|r| self.wait(*r)).collect()
+        self.wait(r).await
     }
 
     /// `MPI_Sendrecv`: concurrent send and receive, completing both.
-    fn sendrecv(
+    #[allow(clippy::too_many_arguments)]
+    pub async fn sendrecv(
         &mut self,
         comm: Comm,
         dest: i32,
@@ -310,36 +346,48 @@ pub trait Mpi: Send {
     ) -> Result<(Status, Bytes)> {
         let rr = self.irecv(comm, src, recv_tag)?;
         let sr = self.isend(comm, dest, send_tag, data)?;
-        let out = self.wait(rr)?;
-        self.wait(sr)?;
+        let out = self.wait(rr).await?;
+        self.wait(sr).await?;
         Ok(out)
     }
 
+    /// Run one typed collective: the [`Mpi::collective`] waist with an
+    /// empty rider.
+    async fn typed(
+        &mut self,
+        comm: Comm,
+        sig: CollSig,
+        contribution: Contribution,
+    ) -> Result<CollOutcome> {
+        self.collective(comm, sig, contribution, &mut Rider::default())
+            .await
+    }
+
     /// `MPI_Barrier`.
-    fn barrier(&mut self, comm: Comm) -> Result<()> {
+    pub async fn barrier(&mut self, comm: Comm) -> Result<()> {
         let sig = CollSig::Barrier;
-        match self.collective(comm, sig, Contribution::None, &mut Rider::default())? {
+        match self.typed(comm, sig, Contribution::None).await? {
             CollOutcome::None => Ok(()),
             other => Err(unexpected_outcome(sig, &other)),
         }
     }
 
     /// `MPI_Bcast`: root passes `Some(data)`, everyone receives it.
-    fn bcast(&mut self, comm: Comm, root: usize, data: Option<Bytes>) -> Result<Bytes> {
+    pub async fn bcast(&mut self, comm: Comm, root: usize, data: Option<Bytes>) -> Result<Bytes> {
         let sig = CollSig::Bcast { root };
         let contribution = if self.comm_rank(comm)? == root {
             Contribution::Bytes(root_data(sig, data)?)
         } else {
             Contribution::None
         };
-        match self.collective(comm, sig, contribution, &mut Rider::default())? {
+        match self.typed(comm, sig, contribution).await? {
             CollOutcome::Bytes(b) => Ok(b),
             other => Err(unexpected_outcome(sig, &other)),
         }
     }
 
     /// `MPI_Reduce` on u64 vectors; only root receives `Some`.
-    fn reduce_u64(
+    pub async fn reduce_u64(
         &mut self,
         comm: Comm,
         root: usize,
@@ -347,7 +395,7 @@ pub trait Mpi: Send {
         op: ReduceOp,
     ) -> Result<Option<Vec<u64>>> {
         let sig = CollSig::ReduceU64 { root, op };
-        match self.collective(comm, sig, Contribution::U64s(value), &mut Rider::default())? {
+        match self.typed(comm, sig, Contribution::U64s(value)).await? {
             CollOutcome::U64s(v) => Ok(Some(v)),
             CollOutcome::None => Ok(None),
             other => Err(unexpected_outcome(sig, &other)),
@@ -355,16 +403,21 @@ pub trait Mpi: Send {
     }
 
     /// `MPI_Allreduce` on u64 vectors.
-    fn allreduce_u64(&mut self, comm: Comm, value: Vec<u64>, op: ReduceOp) -> Result<Vec<u64>> {
+    pub async fn allreduce_u64(
+        &mut self,
+        comm: Comm,
+        value: Vec<u64>,
+        op: ReduceOp,
+    ) -> Result<Vec<u64>> {
         let sig = CollSig::AllreduceU64 { op };
-        match self.collective(comm, sig, Contribution::U64s(value), &mut Rider::default())? {
+        match self.typed(comm, sig, Contribution::U64s(value)).await? {
             CollOutcome::U64s(v) => Ok(v),
             other => Err(unexpected_outcome(sig, &other)),
         }
     }
 
     /// `MPI_Reduce` on f64 vectors; only root receives `Some`.
-    fn reduce_f64(
+    pub async fn reduce_f64(
         &mut self,
         comm: Comm,
         root: usize,
@@ -372,7 +425,7 @@ pub trait Mpi: Send {
         op: ReduceOp,
     ) -> Result<Option<Vec<f64>>> {
         let sig = CollSig::ReduceF64 { root, op };
-        match self.collective(comm, sig, Contribution::F64s(value), &mut Rider::default())? {
+        match self.typed(comm, sig, Contribution::F64s(value)).await? {
             CollOutcome::F64s(v) => Ok(Some(v)),
             CollOutcome::None => Ok(None),
             other => Err(unexpected_outcome(sig, &other)),
@@ -380,9 +433,14 @@ pub trait Mpi: Send {
     }
 
     /// `MPI_Allreduce` on f64 vectors.
-    fn allreduce_f64(&mut self, comm: Comm, value: Vec<f64>, op: ReduceOp) -> Result<Vec<f64>> {
+    pub async fn allreduce_f64(
+        &mut self,
+        comm: Comm,
+        value: Vec<f64>,
+        op: ReduceOp,
+    ) -> Result<Vec<f64>> {
         let sig = CollSig::AllreduceF64 { op };
-        match self.collective(comm, sig, Contribution::F64s(value), &mut Rider::default())? {
+        match self.typed(comm, sig, Contribution::F64s(value)).await? {
             CollOutcome::F64s(v) => Ok(v),
             other => Err(unexpected_outcome(sig, &other)),
         }
@@ -390,9 +448,14 @@ pub trait Mpi: Send {
 
     /// `MPI_Gather` to `root`, which receives all contributions in comm-rank
     /// order.
-    fn gather(&mut self, comm: Comm, root: usize, data: Bytes) -> Result<Option<Vec<Bytes>>> {
+    pub async fn gather(
+        &mut self,
+        comm: Comm,
+        root: usize,
+        data: Bytes,
+    ) -> Result<Option<Vec<Bytes>>> {
         let sig = CollSig::Gather { root };
-        match self.collective(comm, sig, Contribution::Bytes(data), &mut Rider::default())? {
+        match self.typed(comm, sig, Contribution::Bytes(data)).await? {
             CollOutcome::BytesVec(v) => Ok(Some(v)),
             CollOutcome::None => Ok(None),
             other => Err(unexpected_outcome(sig, &other)),
@@ -400,46 +463,46 @@ pub trait Mpi: Send {
     }
 
     /// `MPI_Allgather`.
-    fn allgather(&mut self, comm: Comm, data: Bytes) -> Result<Vec<Bytes>> {
+    pub async fn allgather(&mut self, comm: Comm, data: Bytes) -> Result<Vec<Bytes>> {
         let sig = CollSig::Allgather;
-        match self.collective(comm, sig, Contribution::Bytes(data), &mut Rider::default())? {
+        match self.typed(comm, sig, Contribution::Bytes(data)).await? {
             CollOutcome::BytesVec(v) => Ok(v),
             other => Err(unexpected_outcome(sig, &other)),
         }
     }
 
     /// `MPI_Scatter` from `root`, which passes one payload per rank.
-    fn scatter(&mut self, comm: Comm, root: usize, data: Option<Vec<Bytes>>) -> Result<Bytes> {
+    pub async fn scatter(
+        &mut self,
+        comm: Comm,
+        root: usize,
+        data: Option<Vec<Bytes>>,
+    ) -> Result<Bytes> {
         let sig = CollSig::Scatter { root };
         let contribution = if self.comm_rank(comm)? == root {
             Contribution::BytesVec(root_data(sig, data)?)
         } else {
             Contribution::None
         };
-        match self.collective(comm, sig, contribution, &mut Rider::default())? {
+        match self.typed(comm, sig, contribution).await? {
             CollOutcome::Bytes(b) => Ok(b),
             other => Err(unexpected_outcome(sig, &other)),
         }
     }
 
     /// `MPI_Alltoall`.
-    fn alltoall(&mut self, comm: Comm, data: Vec<Bytes>) -> Result<Vec<Bytes>> {
+    pub async fn alltoall(&mut self, comm: Comm, data: Vec<Bytes>) -> Result<Vec<Bytes>> {
         let sig = CollSig::Alltoall;
-        match self.collective(
-            comm,
-            sig,
-            Contribution::BytesVec(data),
-            &mut Rider::default(),
-        )? {
+        match self.typed(comm, sig, Contribution::BytesVec(data)).await? {
             CollOutcome::BytesVec(v) => Ok(v),
             other => Err(unexpected_outcome(sig, &other)),
         }
     }
 
     /// `MPI_Comm_dup` (collective over `comm`).
-    fn comm_dup(&mut self, comm: Comm) -> Result<Comm> {
+    pub async fn comm_dup(&mut self, comm: Comm) -> Result<Comm> {
         let sig = CollSig::CommDup;
-        match self.collective(comm, sig, Contribution::None, &mut Rider::default())? {
+        match self.typed(comm, sig, Contribution::None).await? {
             CollOutcome::Comm(c) => Ok(c),
             other => Err(unexpected_outcome(sig, &other)),
         }
@@ -447,10 +510,10 @@ pub trait Mpi: Send {
 
     /// `MPI_Comm_split` (collective): negative `color` means
     /// `MPI_UNDEFINED` and yields `None`.
-    fn comm_split(&mut self, comm: Comm, color: i64, key: i64) -> Result<Option<Comm>> {
+    pub async fn comm_split(&mut self, comm: Comm, color: i64, key: i64) -> Result<Option<Comm>> {
         let sig = CollSig::CommSplit;
         let contribution = Contribution::Split { color, key };
-        match self.collective(comm, sig, contribution, &mut Rider::default())? {
+        match self.typed(comm, sig, contribution).await? {
             CollOutcome::Comm(c) => Ok(Some(c)),
             CollOutcome::NoComm => Ok(None),
             other => Err(unexpected_outcome(sig, &other)),
@@ -458,9 +521,9 @@ pub trait Mpi: Send {
     }
 
     /// `MPI_Comm_free` (collective over `comm`).
-    fn comm_free(&mut self, comm: Comm) -> Result<()> {
+    pub async fn comm_free(&mut self, comm: Comm) -> Result<()> {
         let sig = CollSig::CommFree;
-        match self.collective(comm, sig, Contribution::None, &mut Rider::default())? {
+        match self.typed(comm, sig, Contribution::None).await? {
             CollOutcome::None => Ok(()),
             other => Err(unexpected_outcome(sig, &other)),
         }
@@ -495,7 +558,7 @@ fn unexpected_outcome(sig: CollSig, got: &CollOutcome) -> MpiError {
 /// The bottom of the interposition stack: direct access to the simulated
 /// runtime, analogous to calling `PMPI_*` functions.
 pub struct Pmpi {
-    world: Arc<World>,
+    world: Rc<World>,
     rank: usize,
 }
 
@@ -503,13 +566,13 @@ impl Pmpi {
     /// Handle for `rank` on `world`. Normally constructed by the run
     /// harness and passed to the layer factory.
     #[must_use]
-    pub fn new(world: Arc<World>, rank: usize) -> Self {
+    pub fn new(world: Rc<World>, rank: usize) -> Self {
         Self { world, rank }
     }
 
     /// The world this handle belongs to.
     #[must_use]
-    pub fn world(&self) -> &Arc<World> {
+    pub fn world(&self) -> &Rc<World> {
         &self.world
     }
 }
@@ -527,8 +590,8 @@ impl Mpi for Pmpi {
         self.world.op_irecv(self.rank, comm, src, tag)
     }
 
-    fn complete(&mut self, reqs: &[Request], how: Completion) -> Result<Completed> {
-        self.world.op_complete(self.rank, reqs, how)
+    fn complete<'a>(&'a mut self, reqs: &'a [Request], how: Completion) -> Waist<'a, Completed> {
+        Box::pin(self.world.op_complete(self.rank, reqs, how))
     }
 
     fn probe_for(
@@ -537,23 +600,25 @@ impl Mpi for Pmpi {
         src: i32,
         tag: Tag,
         blocking: bool,
-    ) -> Result<Option<ProbeInfo>> {
-        self.world.op_probe(self.rank, comm, src, tag, blocking)
+    ) -> Waist<'_, Option<ProbeInfo>> {
+        Box::pin(self.world.op_probe(self.rank, comm, src, tag, blocking))
     }
 
-    fn collective(
-        &mut self,
+    fn collective<'a>(
+        &'a mut self,
         comm: Comm,
         sig: CollSig,
         contribution: Contribution,
-        rider: &mut Rider,
-    ) -> Result<CollOutcome> {
-        self.world
-            .collective(self.rank, comm, sig, contribution, rider)
+        rider: &'a mut Rider,
+    ) -> Waist<'a, CollOutcome> {
+        Box::pin(
+            self.world
+                .collective(self.rank, comm, sig, contribution, rider),
+        )
     }
 
-    fn shadow_world(&mut self) -> Result<Comm> {
-        self.world.op_shadow_world(self.rank)
+    fn shadow_world(&mut self) -> Waist<'_, Comm> {
+        Box::pin(self.world.op_shadow_world(self.rank))
     }
 
     fn release_shadow_world(&mut self, shadow: Comm) -> Result<()> {
@@ -569,8 +634,8 @@ impl Mpi for Pmpi {
         self.world.op_compute(self.rank, seconds)
     }
 
-    fn finalize(&mut self) -> Result<()> {
-        Ok(())
+    fn finalize(&mut self) -> Waist<'_, ()> {
+        Box::pin(std::future::ready(Ok(())))
     }
 }
 

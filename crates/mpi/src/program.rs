@@ -1,15 +1,25 @@
 //! Program abstraction and run outcomes.
 
+use std::future::Future;
+use std::pin::Pin;
+
 use crate::error::{MpiError, Result};
 use crate::leak::LeakReport;
 use crate::proc_api::Mpi;
 
+/// What [`MpiProgram::run`] returns: one rank's program body as a boxed
+/// future, polled by the run harness while the rank holds the turn.
+pub type RankBody<'a> = Pin<Box<dyn Future<Output = Result<()>> + 'a>>;
+
 /// An MPI program under verification: executed once per rank, against the
-/// rank's own interposition stack. Must be `Sync` because every rank thread
-/// shares one instance (like a compiled SPMD binary).
+/// rank's own interposition stack. Must be `Sync` because every replay
+/// worker shares one instance (like a compiled SPMD binary).
+///
+/// The body is a future because its blocking calls are: a program is an
+/// `async fn` whose MPI calls `.await`, boxed once per rank.
 pub trait MpiProgram: Send + Sync {
     /// Program body for one rank; `mpi.world_rank()` distinguishes roles.
-    fn run(&self, mpi: &mut dyn Mpi) -> Result<()>;
+    fn run<'a>(&'a self, mpi: &'a mut dyn Mpi) -> RankBody<'a>;
 
     /// Optional human-readable name used in reports.
     fn name(&self) -> &str {
@@ -17,15 +27,30 @@ pub trait MpiProgram: Send + Sync {
     }
 }
 
-/// Adapter: any `Fn(&mut dyn Mpi) -> Result<()>` is a program.
+/// Adapter: any `Fn(&mut dyn Mpi) -> Result<()>` is a program. It cannot
+/// `.await`, so it makes only the calls that never wait (`isend`, `irecv`,
+/// `compute`, the queries); a closure that blocks is an
+/// [`AsyncFnProgram`].
 pub struct FnProgram<F>(pub F);
 
 impl<F> MpiProgram for FnProgram<F>
 where
     F: Fn(&mut dyn Mpi) -> Result<()> + Send + Sync,
 {
-    fn run(&self, mpi: &mut dyn Mpi) -> Result<()> {
-        (self.0)(mpi)
+    fn run<'a>(&'a self, mpi: &'a mut dyn Mpi) -> RankBody<'a> {
+        Box::pin(async move { (self.0)(mpi) })
+    }
+}
+
+/// Adapter: any `async` closure over `&mut dyn Mpi` is a program.
+pub struct AsyncFnProgram<F>(pub F);
+
+impl<F> MpiProgram for AsyncFnProgram<F>
+where
+    F: AsyncFn(&mut dyn Mpi) -> Result<()> + Send + Sync,
+{
+    fn run<'a>(&'a self, mpi: &'a mut dyn Mpi) -> RankBody<'a> {
+        Box::pin((self.0)(mpi))
     }
 }
 
@@ -38,32 +63,19 @@ pub struct RankError {
     pub error: MpiError,
 }
 
-/// How often one run's rank threads parked and woke, counted under the
-/// world lock. The turn passes repeat exactly, like virtual time; the parks
-/// and wakes depend on whether a rank had reached its park before its turn
-/// came, which is thread timing.
+/// How often one run handed the turn on. Like virtual time, the count
+/// repeats exactly from run to run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct RuntimeCensus {
-    /// Times a rank waited on its condvar. (A park that found notifies of
-    /// its own to send sends them instead and does not count.)
-    pub parks: u64,
-    /// Condvar notifies sent: at most one per park.
-    pub wakes: u64,
     /// Times a rank that blocked, finished or polled in vain handed the
     /// turn token on. (The one hand-off `Mpi::shadow_world` makes to the
     /// last rank at start-up is not a pass.)
     pub turn_passes: u64,
-    /// Parks that followed a notify after which the rank found nothing to
-    /// do: neither its wait satisfied nor the turn handed to it.
-    pub spurious_wakes: u64,
 }
 
 impl std::ops::AddAssign for RuntimeCensus {
     fn add_assign(&mut self, other: Self) {
-        self.parks += other.parks;
-        self.wakes += other.wakes;
         self.turn_passes += other.turn_passes;
-        self.spurious_wakes += other.spurious_wakes;
     }
 }
 
@@ -89,8 +101,8 @@ pub struct RunOutcome {
     pub wall_elapsed: std::time::Duration,
     /// Simulated makespan: max over ranks of final virtual time.
     pub makespan: f64,
-    /// Park/wake counts of this run. Observability only, like
-    /// `wall_elapsed`, and never serialized either.
+    /// Turn passes of this run. Observability only, like `wall_elapsed`,
+    /// and never serialized either.
     #[serde(skip)]
     pub census: RuntimeCensus,
 }
@@ -122,16 +134,17 @@ impl RunOutcome {
                 _ => None,
             })
             .collect();
-        // Every rank blocked in the same cycle reports the same deadlock:
-        // keep one representative *per distinct blocked-rank set*. Two
-        // independent cycles (disjoint blocked sets) are two bugs, not one.
-        let mut seen_cycles: Vec<Vec<usize>> = Vec::new();
+        // Every rank blocked in the same cycle reports the same deadlock
+        // (or livelock): keep one representative *per distinct rank set*.
+        // Two independent cycles (disjoint blocked sets) are two bugs, not
+        // one.
+        let mut seen_cycles: Vec<MpiError> = Vec::new();
         bugs.retain(|b| match &b.error {
-            MpiError::Deadlock { blocked_ranks } => {
-                if seen_cycles.contains(blocked_ranks) {
+            MpiError::Deadlock { .. } | MpiError::Livelock { .. } => {
+                if seen_cycles.contains(&b.error) {
                     false
                 } else {
-                    seen_cycles.push(blocked_ranks.clone());
+                    seen_cycles.push(b.error.clone());
                     true
                 }
             }

@@ -121,7 +121,7 @@ impl RequestTable {
     }
 
     /// Complete a pending rendezvous send (its message was matched by a
-    /// receive). Returns the owning rank to wake.
+    /// receive). Returns the owning rank, whose wait it may satisfy.
     pub fn complete_send(&mut self, req_id: u64) -> usize {
         let entry = self
             .entries

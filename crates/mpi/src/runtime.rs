@@ -1,76 +1,64 @@
-//! The simulated-world runtime: rank threads, blocking, progress, deadlock
-//! detection, collectives, communicator management, and the run harness.
+//! The simulated-world runtime: the rank kernel, blocking, progress,
+//! deadlock and livelock detection, collectives, communicator management,
+//! and the run harness.
 //!
-//! Every rank runs on an OS thread of its own for the length of one run.
-//! The threads are reused from run to run: worlds of up to
-//! [`POOLED_WORLD_MAX`] ranks check theirs out of the process-wide
-//! [`pool`] (a replay campaign re-executes the program
-//! hundreds of times, and spawn + join was a third of a small replay);
-//! wider worlds spawn scoped threads. All shared state sits behind one
-//! mutex, and a rank that cannot make progress parks on its *own* condvar.
+//! A run executes on the calling thread. Each rank's whole lifecycle — its
+//! layer factory, `program.run` and `finalize` — is one future, and
+//! [`run_with_layers`] polls the future of the rank holding the
+//! round-robin turn token, with a no-op waker: no rank is ever woken, the
+//! kernel just polls whoever holds the turn next. A rank's future returns
+//! `Pending` when the rank blocks, yields on a fruitless poll, or hands the
+//! turn on, and `Ready` when the rank has finished; the turn then moves
+//! on. All shared state sits in one `RefCell`, borrowed by one runtime
+//! call at a time and never across an `.await`.
 //!
-//! Exactly one rank executes runtime calls at a time: the holder of a
-//! round-robin turn token. Every call that reads or advances simulated
-//! state waits for the turn (`now` and `compute` included, so whatever a
-//! tool layer does after its first call of an operation happens in turn
-//! order too), and the turn passes to the next unfinished, unblocked rank
-//! when its holder blocks, finishes, or polls fruitlessly twice without
-//! changing state another rank can see in between (a `test`, `testany` or
-//! `iprobe` spin loop, with or without `compute` in it; the poller stays
-//! eligible). Message arrival order, and so every
-//! wildcard's candidate set, is a function of the program and the forced
-//! replay prefix, never of OS thread timing: a replay reproduces its
-//! parent up to the guided epoch, and a campaign repeats byte for byte.
+//! Exactly one rank executes runtime calls at a time: the turn holder,
+//! because it is the only one polled. The turn passes to the next
+//! unfinished, unblocked rank when its holder blocks, finishes, or polls
+//! fruitlessly twice without changing state another rank can see in
+//! between (a `test`, `testany` or `iprobe` spin loop, with or without
+//! `compute` in it; the poller stays eligible). Message arrival order, and
+//! so every wildcard's candidate set, is a function of the program and the
+//! forced replay prefix: a replay reproduces its parent up to the guided
+//! epoch, and a campaign repeats byte for byte.
 //!
-//! A notify is a futex syscall and, on one CPU, two context switches, so
-//! a rank is woken only when it can act:
-//! - a rank that blocks records in `Shared::waits` what it waits for:
-//!   some of its own requests, a blocking probe's `(comm, src, tag)`, or a
-//!   collective generation;
-//! - an event clears a rank's `blocked` flag, which makes it eligible for
-//!   the turn again, only if it can satisfy that record. A completed
-//!   request unblocks its owner if the owner waits on it (a rendezvous
-//!   sender included); a queued, unmatched message unblocks its
-//!   destination if that is in a matching blocking probe; the last entrant
-//!   of a collective unblocks the members waiting on it; a finishing rank
-//!   unblocks nobody;
-//! - only the rank that holds the turn is ever woken: the holder's
-//!   hand-off wakes the next holder. A hand-off that reaches a rank owing
-//!   a collective's ridden rendezvous enters it for the rank instead, and
-//!   moves on (`Fused`);
-//! - a fatal error wakes everyone;
-//! - a notify clears the rank's `parked` flag, so a park gets at most one.
+//! Only the calls that can hand the turn on are futures: the waists
+//! (`complete`, `probe_for`, `collective`), `shadow_world` and
+//! `finalize`. `isend`, `irecv`, `compute`, `pcontrol` and the queries run
+//! to completion, since their caller already holds the turn.
 //!
-//! No notify is sent under the lock. On one CPU a rank notified by a
-//! thread that still holds the mutex preempts it, blocks re-acquiring the
-//! mutex inside its condvar wait and switches back: three context switches
-//! for one hand-off. So `World::wake` only records the rank in
-//! `Shared::pending`, and the lock guard (`World::lock`) sends the
-//! notifies after it releases the mutex; `World::park` flushes the same
-//! way before it sleeps. Invariant: `pending` is empty whenever the mutex
-//! is free (checked on every acquisition in debug builds). No wake is
-//! lost: a pending rank set its `parked` flag and entered its condvar wait
-//! under the mutex, which that wait releases atomically, so a notify sent
-//! after the notifier unlocks still finds it waiting. A notify can arrive
-//! stale only if the rank's bounded wait (a wall-clock
-//! [`ReplayBudget`]) timed out in between; it then ends a later wait
-//! early, and that wait's loop re-checks and parks again.
+//! A rank that blocks records in `Shared::waits` what it waits for: some of
+//! its own requests, a blocking probe's `(comm, src, tag)`, or a collective
+//! generation. An event clears a rank's `blocked` flag, which makes it
+//! eligible for the turn again, only if it can satisfy that record. A
+//! completed request unblocks its owner if the owner waits on it (a
+//! rendezvous sender included); a queued, unmatched message unblocks its
+//! destination if that is in a matching blocking probe; the last entrant
+//! of a collective unblocks the members waiting on it; a finishing rank
+//! unblocks nobody. A hand-off that reaches a rank owing a collective's
+//! ridden rendezvous enters it for the rank instead, and moves on
+//! (`Fused`).
 //!
-//! [`RunOutcome::census`] counts the parks that waited, notifies, turn
-//! passes and notifies that found nothing to do.
+//! [`RunOutcome::census`] counts the turn passes.
 //!
 //! Deadlock is declared exactly when every unfinished rank is blocked
 //! inside the runtime: state then can only change through another rank's
 //! action, and there is none left to act — the classical "all live
-//! processes blocked" criterion.
+//! processes blocked" criterion. Livelock is its polling twin: every
+//! unfinished rank is blocked or has yielded [`SPIN_YIELDS`] fruitless
+//! polls, and no rank has changed shared state meanwhile. A fatal error
+//! (deadlock, livelock, abort, watchdog) suspends the turn: the kernel
+//! polls every unfinished rank in rank order until each has unwound.
 
-use std::ops::{Deref, DerefMut};
+use std::cell::{RefCell, RefMut};
+use std::future::{poll_fn, Future};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::pin::Pin;
+use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::collective::{
     combine, CollOutcome, CollSig, CollSlot, Contribution, Ridden, Rider, Shadow,
@@ -80,12 +68,18 @@ use crate::envelope::Envelope;
 use crate::error::{MpiError, Result};
 use crate::leak::{CommLeak, LeakReport};
 use crate::matching::{Delivery, MatchEngine, MatchPolicy, ProbeInfo};
-use crate::pool::{self, RankBody, POOLED_WORLD_MAX, RANK_STACK_SIZE};
 use crate::proc_api::{Completed, Completion, Mpi, Pmpi, Status};
 use crate::program::{MpiProgram, RunOutcome, RuntimeCensus};
 use crate::request::{ReqKind, ReqState, Request, RequestEntry, RequestTable};
 use crate::types::{source_matches, tag_matches, Tag, ANY_SOURCE};
 use crate::vtime::VTimeParams;
+
+/// Fruitless-poll yields after which a rank counts as spinning, if no rank
+/// has changed shared state since its first. A rank yields on every
+/// second fruitless poll, so this is 2 048 polls that found nothing. A
+/// tool's own polls (DAMPI's finalize drain tests one communicator each)
+/// stay far below it; a single yield would be one of those.
+pub const SPIN_YIELDS: u32 = 1024;
 
 /// Per-replay watchdog budgets (§ fault-tolerant exploration).
 ///
@@ -130,7 +124,7 @@ impl ReplayBudget {
 /// Configuration of a simulated world.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Number of MPI processes (rank threads).
+    /// Number of MPI processes (ranks).
     pub nprocs: usize,
     /// Wildcard-receive resolution policy of the "native" runtime.
     pub policy: MatchPolicy,
@@ -304,7 +298,7 @@ impl Fused {
 
 /// What a blocked rank waits for: the events that can let it proceed.
 /// Waiting for the execution turn needs no record, since `Shared::turn`
-/// names the one rank the token wakes.
+/// names the one rank the kernel polls.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Wait {
     /// Completion of one of the requests in `Shared::wait_reqs`.
@@ -330,15 +324,6 @@ struct Shared {
     /// The requests of a [`Wait::Requests`] record: one buffer per rank,
     /// reused from wait to wait.
     wait_reqs: Vec<Vec<Request>>,
-    /// Ranks waiting on their condvar right now, not yet woken: set in
-    /// [`World::park`], cleared by [`World::wake`] (or by the park itself
-    /// when it times out). Only these are ever notified, since notifying a
-    /// condvar is a syscall even with no waiter.
-    parked: Vec<bool>,
-    /// Ranks woken while the lock is held, notified once it is released
-    /// ([`Locked`]). Empty whenever the mutex is free; at most one entry
-    /// per rank.
-    pending: Vec<usize>,
     census: RuntimeCensus,
     finished: Vec<bool>,
     nfinished: usize,
@@ -349,6 +334,15 @@ struct Shared {
     /// changed state another rank can see: its next fruitless poll passes
     /// the turn.
     polled: bool,
+    /// Bumped whenever a rank changes state another rank can see; the
+    /// yields of [`Self::spins`] count within one epoch.
+    epoch: u64,
+    /// `spins[r]`: the epoch of `r`'s last fruitless-poll yield and how many
+    /// it has made in that epoch.
+    spins: Vec<(u64, u32)>,
+    /// Unfinished, unblocked ranks that reached [`SPIN_YIELDS`] in the
+    /// current epoch.
+    nspinning: usize,
     /// `owes[r]`: the communicator whose [`Fused`] collective `r` is to
     /// enter the next rendezvous of when the turn reaches it.
     owes: Vec<Option<usize>>,
@@ -357,75 +351,80 @@ struct Shared {
     world_shadow: Option<(Comm, usize)>,
 }
 
+impl Shared {
+    /// The holder changed state another rank can see: its fruitless polls
+    /// start over, and so does every rank's spin count.
+    fn changed(&mut self) {
+        self.polled = false;
+        self.touch();
+    }
+
+    /// Shared state changed: every rank's spin count starts over.
+    fn touch(&mut self) {
+        self.epoch += 1;
+        self.nspinning = 0;
+    }
+
+    /// Is `rank` counted in `nspinning`?
+    fn spinning(&self, rank: usize) -> bool {
+        self.spins[rank] == (self.epoch, SPIN_YIELDS)
+    }
+
+    /// `rank` blocks or finishes: it no longer counts as spinning.
+    fn stop_spinning(&mut self, rank: usize) {
+        if self.spinning(rank) {
+            self.nspinning -= 1;
+        }
+        self.spins[rank] = (0, 0);
+    }
+
+    /// Every unfinished rank is blocked, or blocked or spinning with at
+    /// least one spinning: the world can no longer change.
+    fn stalled(&self, nprocs: usize) -> Option<MpiError> {
+        let live = nprocs - self.nfinished;
+        if live == 0 || self.nblocked + self.nspinning < live {
+            return None;
+        }
+        let ranks = |pick: &dyn Fn(usize) -> bool| (0..nprocs).filter(|&r| pick(r)).collect();
+        Some(if self.nspinning == 0 {
+            MpiError::Deadlock {
+                blocked_ranks: ranks(&|r| self.blocked[r]),
+            }
+        } else {
+            MpiError::Livelock {
+                polling_ranks: ranks(&|r| self.spinning(r)),
+            }
+        })
+    }
+}
+
 /// A simulated MPI world. Construct with [`World::new`], then execute
 /// programs with [`run_native`] / [`run_with_layers`] (which build the
-/// world internally) or drive ranks manually through [`Pmpi`] handles.
+/// world internally and poll its ranks).
 pub struct World {
     cfg: SimConfig,
-    state: Mutex<Shared>,
-    /// One condvar per rank for targeted wakeups; all bound to `state`.
-    cvs: Vec<Condvar>,
+    state: RefCell<Shared>,
     /// Wall-clock watchdog deadline for this run (from the replay budget).
     deadline: Option<Instant>,
 }
 
-/// The state lock, held; every [`World`] entry point takes it through
-/// [`World::lock`]. Dropping it releases the mutex and then notifies the
-/// ranks woken while it was held.
-struct Locked<'w> {
-    // Fields drop in declaration order: `guard` releases the mutex, then
-    // `due` sends the notifies that `Drop for Locked` moved into it.
-    guard: MutexGuard<'w, Shared>,
-    due: Due<'w>,
-}
-
-impl Drop for Locked<'_> {
-    fn drop(&mut self) {
-        let pending = &mut self.guard.pending;
-        if pending.len() > 1 {
-            self.due.many = std::mem::take(pending);
+/// Returns `Pending` once, then `Ready`: a rank that handed the turn on
+/// suspends until the kernel polls it as the holder again.
+fn yield_turn() -> impl Future<Output = ()> {
+    let mut yielded = false;
+    poll_fn(move |_| {
+        if std::mem::replace(&mut yielded, true) {
+            Poll::Ready(())
         } else {
-            self.due.one = pending.pop();
+            Poll::Pending
         }
-    }
-}
-
-impl Deref for Locked<'_> {
-    type Target = Shared;
-    fn deref(&self) -> &Shared {
-        &self.guard
-    }
-}
-
-impl DerefMut for Locked<'_> {
-    fn deref_mut(&mut self) -> &mut Shared {
-        &mut self.guard
-    }
-}
-
-/// Notifies owed to ranks woken under the lock; sent on drop.
-struct Due<'w> {
-    cvs: &'w [Condvar],
-    /// A lone pending rank, the common case: taken without the list's
-    /// buffer.
-    one: Option<usize>,
-    /// Several pending ranks (a fatal error wakes every parked one) take
-    /// the list's buffer with them; the next wake re-grows it.
-    many: Vec<usize>,
-}
-
-impl Drop for Due<'_> {
-    fn drop(&mut self) {
-        for &rank in self.one.iter().chain(&self.many) {
-            self.cvs[rank].notify_one();
-        }
-    }
+    })
 }
 
 impl World {
     /// Create a world with `COMM_WORLD` over `cfg.nprocs` ranks.
     #[must_use]
-    pub fn new(cfg: SimConfig) -> Arc<Self> {
+    pub fn new(cfg: SimConfig) -> Rc<Self> {
         let n = cfg.nprocs;
         let shared = Shared {
             comms: vec![CommEntry::new(CommInfo::world(n))],
@@ -435,14 +434,15 @@ impl World {
             nblocked: 0,
             waits: vec![Wait::Requests; n],
             wait_reqs: vec![Vec::new(); n],
-            parked: vec![false; n],
-            pending: Vec::with_capacity(n),
             census: RuntimeCensus::default(),
             finished: vec![false; n],
             nfinished: 0,
             fatal: None,
             turn: 0,
             polled: false,
+            epoch: 1,
+            spins: vec![(0, 0); n],
+            nspinning: 0,
             owes: vec![None; n],
             world_shadow: None,
         };
@@ -450,10 +450,9 @@ impl World {
             .budget
             .max_wall_clock
             .map(|limit| Instant::now() + limit);
-        Arc::new(Self {
+        Rc::new(Self {
             cfg,
-            state: Mutex::new(shared),
-            cvs: (0..n).map(|_| Condvar::new()).collect(),
+            state: RefCell::new(shared),
             deadline,
         })
     }
@@ -489,20 +488,18 @@ impl World {
         s.fatal.clone()
     }
 
-    /// Declare a watchdog timeout as the world's fatal error and wake every
-    /// rank. An earlier fatal (first cause) wins.
+    /// Declare a watchdog timeout as the world's fatal error. An earlier
+    /// fatal (first cause) wins.
     fn trip_timeout(&self, s: &mut Shared, detail: String) -> MpiError {
-        if s.fatal.is_none() {
-            s.fatal = Some(MpiError::ReplayTimeout { detail });
-            self.wake_all(s);
-        }
-        s.fatal.clone().expect("fatal just set")
+        s.fatal
+            .get_or_insert(MpiError::ReplayTimeout { detail })
+            .clone()
     }
 
     /// Fatal-or-watchdog check. An existing fatal error wins; otherwise the
-    /// wall-clock deadline is consulted here — on every runtime entry — so
-    /// even non-blocking spin loops (`iprobe`/`test` livelocks) observe the
-    /// watchdog, not just ranks parked in `block_on`.
+    /// wall-clock deadline is consulted here — on every runtime entry, the
+    /// one watchdog there is — so even non-blocking spin loops
+    /// (`iprobe`/`test` livelocks) observe it.
     fn guard(&self, s: &mut Shared) -> Option<MpiError> {
         if let Some(f) = Self::fatal_err(s) {
             return Some(f);
@@ -532,39 +529,26 @@ impl World {
         Ok(())
     }
 
-    /// Lock shared state. Dropping the guard releases the mutex, then sends
-    /// the notifies [`Self::wake`] recorded meanwhile.
-    fn lock(&self) -> Locked<'_> {
-        let guard = self.state.lock();
-        debug_assert!(guard.pending.is_empty(), "a wake outlived its lock");
-        Locked {
-            guard,
-            due: Due {
-                cvs: &self.cvs,
-                one: None,
-                many: Vec::new(),
-            },
-        }
+    /// Borrow shared state for one runtime call. The borrow never spans an
+    /// `.await`, so no two calls ever hold it at once.
+    fn lock(&self) -> RefMut<'_, Shared> {
+        self.state.borrow_mut()
     }
 
-    /// Lock shared state and park until `rank` holds the execution turn.
-    /// Once the world has a fatal error the turn discipline is abandoned so
-    /// every rank can unwind concurrently.
-    fn enter(&self, rank: usize) -> Locked<'_> {
-        let mut g = self.lock();
-        let mut idle = false;
-        while g.fatal.is_none() && g.turn != rank {
-            if self.guard(&mut g).is_some() {
-                break; // watchdog tripped: fatal is now set
-            }
-            g = self.park(g, rank, &mut idle);
-        }
+    /// Borrow shared state for a call of `rank`, which holds the turn: the
+    /// kernel polls no other rank, until the world turns fatal.
+    fn enter(&self, rank: usize) -> RefMut<'_, Shared> {
+        let g = self.lock();
+        debug_assert!(
+            g.turn == rank || g.fatal.is_some(),
+            "rank {rank} ran off its turn"
+        );
         g
     }
 
     /// [`Self::enter`], then the fatal-or-watchdog check every operation
     /// that does not block starts with.
-    fn enter_polling(&self, rank: usize) -> Result<Locked<'_>> {
+    fn enter_polling(&self, rank: usize) -> Result<RefMut<'_, Shared>> {
         let mut g = self.enter(rank);
         match self.guard(&mut g) {
             Some(f) => Err(f),
@@ -574,79 +558,16 @@ impl World {
 
     /// [`Self::enter_polling`] for an operation that changes state another
     /// rank can see: the holder's fruitless polls start over.
-    fn enter_guarded(&self, rank: usize) -> Result<Locked<'_>> {
+    fn enter_guarded(&self, rank: usize) -> Result<RefMut<'_, Shared>> {
         let mut g = self.enter_polling(rank)?;
-        g.polled = false;
+        g.changed();
         Ok(g)
     }
 
-    /// Wait on `rank`'s condvar, bounded by the wall-clock deadline when
-    /// one is configured (so parked ranks re-check the watchdog). Every
-    /// caller re-checks what it waits for when this returns.
-    ///
-    /// Notifies are never sent under the lock, and the wait releases it,
-    /// so a park with wakes pending flushes them instead of waiting: it
-    /// releases the mutex, notifies, re-locks and returns. By then the
-    /// rank may hold what it waited for (a successor that passed the turn
-    /// straight back), and the wait is skipped. Only a park that waits is
-    /// counted.
-    ///
-    /// `idle` spans the parks of one wait: it is set when the park ended in
-    /// a notify that did not hand the rank the turn. If the rank then parks
-    /// again in the same wait, that notify found nothing to do and counts
-    /// as a spurious wake.
-    fn park<'w>(&'w self, mut g: Locked<'w>, rank: usize, idle: &mut bool) -> Locked<'w> {
-        if !g.pending.is_empty() {
-            drop(g);
-            return self.lock();
-        }
-        if std::mem::take(idle) {
-            g.census.spurious_wakes += 1;
-        }
-        g.census.parks += 1;
-        g.parked[rank] = true;
-        match self.deadline {
-            Some(d) => {
-                let remaining = d.saturating_duration_since(Instant::now());
-                let _ = self.cvs[rank].wait_for(&mut g.guard, remaining);
-            }
-            None => self.cvs[rank].wait(&mut g.guard),
-        }
-        debug_assert!(g.pending.is_empty(), "a wake outlived its lock");
-        let notified = !std::mem::replace(&mut g.parked[rank], false);
-        *idle = notified && g.turn != rank;
-        g
-    }
-
-    /// Wake `rank` if it is parked and may act now: only the turn holder
-    /// may, until the world turns fatal. Callers hold the state lock, and a
-    /// rank records what it waits for and parks under that lock, so a rank
-    /// found not parked here cannot miss the event.
-    ///
-    /// The wake is recorded, not sent: clearing `parked` makes it the
-    /// park's one wake, and the rank joins `Shared::pending`, which the
-    /// lock guard notifies once the mutex is released ([`Locked`]).
-    fn wake(&self, s: &mut Shared, rank: usize) {
-        let may_act = s.turn == rank || s.fatal.is_some();
-        if s.parked[rank] && may_act {
-            s.parked[rank] = false;
-            s.census.wakes += 1;
-            s.pending.push(rank);
-        }
-    }
-
-    /// Wake every parked rank: the world has turned fatal.
-    fn wake_all(&self, s: &mut Shared) {
-        for rank in 0..self.cfg.nprocs {
-            self.wake(s, rank);
-        }
-    }
-
-    /// Make `to` the turn holder and wake it.
-    fn give_turn(&self, s: &mut Shared, to: usize) {
+    /// Make `to` the turn holder.
+    fn give_turn(s: &mut Shared, to: usize) {
         s.turn = to;
         s.polled = false;
-        self.wake(s, to);
     }
 
     /// Hand the execution turn from `from` to the next runnable
@@ -657,7 +578,7 @@ impl World {
     /// caller's deadlock check owns that case.
     ///
     /// A rank that owes a [`Fused`] collective its next rendezvous is not
-    /// woken: it enters that rendezvous here, where it would have entered
+    /// polled: it enters that rendezvous here, where it would have entered
     /// a separate one on its turn, and the scan goes on from it. Only the
     /// entrant that completes the last rendezvous is handed the turn, as
     /// it would have left holding it.
@@ -682,85 +603,83 @@ impl World {
                 }
             }
             g.census.turn_passes += 1;
-            self.give_turn(g, r);
+            Self::give_turn(g, r);
             return;
         }
     }
 
-    /// Block `rank` until `ready` yields a result, with deadlock detection.
-    /// `wait` (with `reqs` for [`Wait::Requests`]) is what `ready` waits
-    /// for: the record events are checked against while `rank` is blocked.
+    /// One poll of a blocking operation of `rank`: `ready` yields a
+    /// result, or `rank` is recorded blocked on `wait` (with `reqs` for
+    /// [`Wait::Requests`]) and hands the turn on, with deadlock detection.
     ///
     /// `blocked[r]` means *logically* blocked: `r`'s predicate was
     /// unsatisfied when last evaluated and no event since could have
     /// satisfied it. Every event that can satisfy a blocked rank's record
-    /// ([`Self::unblock_if`]) clears its flag *before* notifying, so
-    /// `nblocked == live ranks` holds exactly when no rank can ever make
-    /// progress — a true deadlock, immune to wakeup-scheduling races.
-    fn block_on<T>(
+    /// ([`Self::unblock_if`]) clears its flag, so `nblocked == live ranks`
+    /// holds exactly when no rank can ever make progress.
+    fn poll_block<T>(
         &self,
         rank: usize,
         wait: Wait,
         reqs: &[Request],
-        mut ready: impl FnMut(&mut Shared) -> Option<Result<T>>,
-    ) -> Result<T> {
+        ready: &mut impl FnMut(&mut Shared) -> Option<Result<T>>,
+    ) -> Poll<Result<T>> {
         let mut g = self.lock();
-        let mut idle = false;
         loop {
             // Only the turn holder may evaluate its predicate (evaluation
             // can consume state — complete a request, take a collective
-            // outcome), so park until the token arrives. A fatal error
-            // suspends the discipline: every rank proceeds to the unwind
-            // paths below.
+            // outcome). A fatal error suspends the discipline: every rank
+            // proceeds to the unwind paths below.
             if g.fatal.is_none() && g.turn != rank && self.guard(&mut g).is_none() {
-                g = self.park(g, rank, &mut idle);
-                continue;
+                return Poll::Pending;
             }
             // Completion first: an operation whose predicate is already
             // satisfied succeeds even if the job is being torn down — only
             // operations that would still have to wait observe the abort.
             if let Some(out) = ready(&mut g) {
                 Self::clear_blocked(&mut g, rank);
-                g.polled = false;
-                return out;
+                g.changed();
+                return Poll::Ready(out);
             }
             if let Some(f) = self.guard(&mut g) {
                 Self::clear_blocked(&mut g, rank);
-                return Err(f);
+                return Poll::Ready(Err(f));
             }
             if !g.blocked[rank] {
                 let s = &mut *g;
+                s.stop_spinning(rank);
                 s.blocked[rank] = true;
                 s.nblocked += 1;
                 s.waits[rank] = wait;
                 s.wait_reqs[rank].clear();
                 s.wait_reqs[rank].extend_from_slice(reqs);
             }
-            if g.nblocked == self.cfg.nprocs - g.nfinished {
-                // Every unfinished rank (including us) is blocked: deadlock.
-                let blocked_ranks: Vec<usize> = g
-                    .blocked
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(r, &b)| b.then_some(r))
-                    .collect();
-                let err = MpiError::Deadlock { blocked_ranks };
+            if let Some(err) = g.stalled(self.cfg.nprocs) {
                 g.fatal = Some(err.clone());
                 Self::clear_blocked(&mut g, rank);
-                self.wake_all(&mut g);
-                return Err(err);
+                return Poll::Ready(Err(err));
             }
-            // No deadlock, so some other rank is runnable: hand it the
-            // turn. The hand-off may complete a fused collective this rank
-            // is in and bring the turn straight back; otherwise park. On
-            // timeout of the bounded wait the loop re-enters `guard`, which
-            // trips the watchdog and unwinds every rank.
+            // Some other rank is runnable: hand it the turn. The hand-off
+            // may complete a fused collective this rank is in and bring
+            // the turn straight back.
             self.pass_turn(&mut g, rank);
             if g.turn == rank && !g.blocked[rank] {
                 continue;
             }
-            g = self.park(g, rank, &mut idle);
+            return Poll::Pending;
         }
+    }
+
+    /// Block `rank` until `ready` yields a result: [`Self::poll_block`]
+    /// on every poll the kernel gives it.
+    async fn block_on<T>(
+        &self,
+        rank: usize,
+        wait: Wait,
+        reqs: &[Request],
+        mut ready: impl FnMut(&mut Shared) -> Option<Result<T>>,
+    ) -> Result<T> {
+        poll_fn(|_| self.poll_block(rank, wait, reqs, &mut ready)).await
     }
 
     fn clear_blocked(s: &mut Shared, rank: usize) {
@@ -771,7 +690,8 @@ impl World {
     }
 
     /// An event occurred: if `world_rank` is blocked on a wait it
-    /// `satisfies`, clear its logical-block flag and wake it.
+    /// `satisfies`, clear its logical-block flag, which makes it eligible
+    /// for the turn again.
     fn unblock_if(
         &self,
         s: &mut Shared,
@@ -780,7 +700,6 @@ impl World {
     ) {
         if s.blocked[world_rank] && satisfies(s.waits[world_rank], &s.wait_reqs[world_rank]) {
             Self::clear_blocked(s, world_rank);
-            self.wake(s, world_rank);
         }
     }
 
@@ -792,7 +711,7 @@ impl World {
     }
 
     /// Complete a recv request (and, for rendezvous messages, the paired
-    /// send request) and wake the owners. Caller holds the lock.
+    /// send request) and unblock the owners. Caller holds the lock.
     fn complete_recv_locked(&self, s: &mut Shared, req_id: u64, env: Envelope) {
         if let Some(sreq) = env.send_req {
             let sender = s.requests.complete_send(sreq);
@@ -974,8 +893,9 @@ impl World {
     /// took the turn or last changed state another rank can see passes the
     /// turn, and the rank stays eligible: a spin loop lets the ranks it
     /// waits for run, while a single poll (the tool's own, say) costs no
-    /// hand-off.
-    fn attempt<T>(
+    /// hand-off. The rank suspends until the turn comes back, then returns
+    /// the miss it found. Such a yield also counts towards [`SPIN_YIELDS`].
+    async fn attempt<T>(
         &self,
         rank: usize,
         blocking: bool,
@@ -984,16 +904,48 @@ impl World {
         mut ready: impl FnMut(&mut Shared) -> Option<Result<T>>,
     ) -> Result<Option<T>> {
         if blocking {
-            return self.block_on(rank, wait, reqs, ready).map(Some);
+            return self.block_on(rank, wait, reqs, ready).await.map(Some);
         }
-        let mut g = self.enter_polling(rank)?;
-        let out = ready(&mut g).transpose();
-        if !matches!(out, Ok(None)) {
-            g.polled = false;
-        } else if std::mem::replace(&mut g.polled, true) {
+        {
+            let mut g = self.enter_polling(rank)?;
+            let out = ready(&mut g).transpose();
+            if !matches!(out, Ok(None)) {
+                g.changed();
+                return out;
+            }
+            if !std::mem::replace(&mut g.polled, true) {
+                return out;
+            }
             self.pass_turn(&mut g, rank);
+            if let Some(err) = self.spun(&mut g, rank) {
+                return Err(err);
+            }
+            if g.turn == rank {
+                return out;
+            }
         }
-        out
+        yield_turn().await;
+        Ok(None)
+    }
+
+    /// `rank` yielded a fruitless poll: count it, and declare a livelock
+    /// once every unfinished rank is blocked or spinning.
+    fn spun(&self, s: &mut Shared, rank: usize) -> Option<MpiError> {
+        let (epoch, yields) = &mut s.spins[rank];
+        if *epoch != s.epoch {
+            (*epoch, *yields) = (s.epoch, 0);
+        }
+        if *yields == SPIN_YIELDS {
+            return None;
+        }
+        *yields += 1;
+        if *yields < SPIN_YIELDS {
+            return None;
+        }
+        s.nspinning += 1;
+        let err = s.stalled(self.cfg.nprocs)?;
+        s.fatal = Some(err.clone());
+        Some(err)
     }
 
     /// Consume the complete requests among `reqs` that `how` asks for into
@@ -1028,7 +980,7 @@ impl World {
     }
 
     /// The bottom of [`Mpi::complete`](crate::proc_api::Mpi::complete).
-    pub(crate) fn op_complete(
+    pub(crate) async fn op_complete(
         &self,
         rank: usize,
         reqs: &[Request],
@@ -1042,12 +994,13 @@ impl World {
         let mut done = Completed::default();
         self.attempt(rank, how.blocking(), Wait::Requests, reqs, |s| {
             self.finish_ready(s, rank, reqs, how, &mut done).transpose()
-        })?;
+        })
+        .await?;
         Ok(done)
     }
 
     /// The bottom of [`Mpi::probe_for`](crate::proc_api::Mpi::probe_for).
-    pub(crate) fn op_probe(
+    pub(crate) async fn op_probe(
         &self,
         rank: usize,
         comm: Comm,
@@ -1067,6 +1020,7 @@ impl World {
                 Err(e) => Some(Err(e)),
             }
         })
+        .await
     }
 
     // ---- collectives ------------------------------------------------------
@@ -1074,7 +1028,7 @@ impl World {
     /// The bottom of [`Mpi::collective`](crate::proc_api::Mpi::collective):
     /// the one rendezvous path of every collective, communicator management
     /// included. What `rider` adds rides the same rendezvous ([`Fused`]).
-    pub(crate) fn collective(
+    pub(crate) async fn collective(
         &self,
         rank: usize,
         comm: Comm,
@@ -1102,7 +1056,6 @@ impl World {
                     // Mismatched collective: a program bug that would hang
                     // the other participants — declare it globally.
                     g.fatal = Some(e.clone());
-                    self.wake_all(&mut g);
                     return Err(e);
                 }
             };
@@ -1112,9 +1065,11 @@ impl World {
             (gen, idx, crank)
         };
         let wait = Wait::Collective { comm: idx, gen };
-        let (outcome, vt) = self.block_on(rank, wait, &[], |s| {
-            s.comms[idx].coll.try_take(gen, crank, rider).map(Ok)
-        })?;
+        let (outcome, vt) = self
+            .block_on(rank, wait, &[], |s| {
+                s.comms[idx].coll.try_take(gen, crank, rider).map(Ok)
+            })
+            .await?;
         let mut g = self.lock();
         g.vt[rank] = g.vt[rank].max(vt);
         self.check_vt_budget(&mut g, rank)?;
@@ -1224,6 +1179,7 @@ impl World {
     /// first.
     fn fused_entry(&self, s: &mut Shared, idx: usize, rank: usize) -> bool {
         s.owes[rank] = None;
+        s.touch();
         let mut fused = s.comms[idx]
             .fused
             .take()
@@ -1355,20 +1311,28 @@ impl World {
     /// turned fatal meanwhile, to fail at its next operation: so this is
     /// [`Self::enter`], not [`Self::enter_guarded`]. And it cost virtual
     /// time ([`Self::charge_world_rendezvous`]).
-    pub(crate) fn op_shadow_world(&self, rank: usize) -> Result<Comm> {
-        let mut g = self.enter(rank);
-        let shadow = match g.world_shadow {
-            Some((shadow, _)) => shadow,
-            None => {
-                let shadow = self.push_dup(&mut g, Comm::WORLD.0 as usize);
-                g.world_shadow = Some((shadow, 0));
-                if g.fatal.is_none() {
-                    self.give_turn(&mut g, self.cfg.nprocs - 1);
+    pub(crate) async fn op_shadow_world(&self, rank: usize) -> Result<Comm> {
+        let shadow = {
+            let mut g = self.enter(rank);
+            let shadow = match g.world_shadow {
+                Some((shadow, _)) => shadow,
+                None => {
+                    let shadow = self.push_dup(&mut g, Comm::WORLD.0 as usize);
+                    g.world_shadow = Some((shadow, 0));
+                    g.touch();
+                    if g.fatal.is_none() {
+                        Self::give_turn(&mut g, self.cfg.nprocs - 1);
+                    }
+                    shadow
                 }
-                shadow
+            };
+            self.charge_world_rendezvous(&mut g, rank)?;
+            if g.turn == rank || g.fatal.is_some() {
+                return Ok(shadow);
             }
+            shadow
         };
-        self.charge_world_rendezvous(&mut g, rank)?;
+        yield_turn().await;
         Ok(shadow)
     }
 
@@ -1394,41 +1358,43 @@ impl World {
 
     // ---- lifecycle --------------------------------------------------------
 
-    fn mark_finished(&self, rank: usize) {
+    /// `rank`'s future returned: it finished cleanly (`ok`) or failed.
+    /// A clean finish can strand blocked or spinning peers, so the world
+    /// is checked for a stall before the turn moves on; a failure aborts
+    /// the job.
+    fn finish(&self, rank: usize, ok: bool) {
         let mut g = self.lock();
         if g.finished[rank] {
             return;
         }
+        g.stop_spinning(rank);
         g.finished[rank] = true;
         g.nfinished += 1;
-        // A finishing rank can strand blocked peers: recheck deadlock.
-        if g.fatal.is_none() && g.nblocked > 0 && g.nblocked == self.cfg.nprocs - g.nfinished {
-            let blocked_ranks: Vec<usize> = g
-                .blocked
-                .iter()
-                .enumerate()
-                .filter_map(|(r, &b)| b.then_some(r))
-                .collect();
-            g.fatal = Some(MpiError::Deadlock { blocked_ranks });
+        if !ok {
+            g.fatal.get_or_insert(MpiError::Aborted { by_rank: rank });
         }
-        // Finishing satisfies no wait: the turn moves on, and only a fatal
-        // world wakes anyone else.
+        if g.fatal.is_none() {
+            g.fatal = g.stalled(self.cfg.nprocs);
+        }
+        // Finishing satisfies no wait: the turn just moves on.
         self.pass_turn(&mut g, rank);
-        if g.fatal.is_some() {
-            self.wake_all(&mut g);
-        }
     }
 
-    fn abort(&self, rank: usize) {
-        let mut g = self.lock();
-        if g.fatal.is_none() {
-            g.fatal = Some(MpiError::Aborted { by_rank: rank });
+    /// The rank the kernel polls next, after `last`: the turn holder, or
+    /// once the world is fatal, the next unfinished rank in rank order.
+    /// `None` once every rank has finished.
+    fn next_to_poll(&self, last: usize) -> Option<usize> {
+        let g = self.lock();
+        let n = self.cfg.nprocs;
+        if g.nfinished == n {
+            return None;
         }
-        if !g.finished[rank] {
-            g.finished[rank] = true;
-            g.nfinished += 1;
+        if g.fatal.is_none() && !g.finished[g.turn] {
+            return Some(g.turn);
         }
-        self.wake_all(&mut g);
+        (1..=n)
+            .map(|off| (last + off) % n)
+            .find(|&r| !g.finished[r])
     }
 
     fn leak_report(&self) -> LeakReport {
@@ -1493,57 +1459,78 @@ fn split_colours(contribs: &[Contribution]) -> Result<Vec<(i64, Vec<usize>)>> {
 
 /// Factory building each rank's interposition stack on top of the runtime
 /// handle — the analog of PnMPI loading a tool-module chain. Construction
-/// is fallible (tool setup may itself perform MPI calls, e.g. DAMPI's
-/// [`Mpi::shadow_world`]); a failure is recorded as that rank's error
-/// instead of panicking the harness.
-pub type LayerFactory<'a> = dyn Fn(usize, Pmpi) -> Result<Box<dyn Mpi>> + Sync + 'a;
+/// is fallible and may itself perform MPI calls (DAMPI's
+/// [`Mpi::shadow_world`]), so it is a future of the rank's lifecycle; a
+/// failure is recorded as that rank's error instead of panicking the
+/// harness.
+pub type LayerFactory<'a> = dyn Fn(usize, Pmpi) -> StackFuture<'a> + Sync + 'a;
+
+/// A rank's interposition stack, under construction: what a
+/// [`LayerFactory`] returns.
+pub type StackFuture<'a> = Pin<Box<dyn Future<Output = Result<Box<dyn Mpi + 'a>>> + 'a>>;
+
+/// A stack whose construction makes no MPI call, as a [`LayerFactory`]
+/// returns it.
+pub fn ready_stack<'a>(stack: impl Mpi + 'a) -> StackFuture<'a> {
+    Box::pin(std::future::ready(Ok(Box::new(stack) as Box<dyn Mpi + 'a>)))
+}
+
+/// One rank's whole lifecycle: its stack, its program, its finalize.
+type RankFuture<'a> = Pin<Box<dyn Future<Output = Result<()>> + 'a>>;
 
 /// Execute `program` on a fresh world with a tool stack built by `factory`
-/// for each rank. Blocks until every rank has finished; returns the
-/// [`RunOutcome`] with per-rank errors, leak census, and virtual times.
+/// for each rank. Returns once every rank has finished, with the
+/// [`RunOutcome`]'s per-rank errors, leak census, and virtual times.
 ///
-/// The rank threads come from the process-wide [`pool`] and
-/// go back to it, unless the world is wider than [`POOLED_WORLD_MAX`].
+/// Every rank runs on the calling thread: the kernel polls the turn
+/// holder's lifecycle future until it suspends (`Pending`: it blocked,
+/// yielded or handed the turn on) or finishes (`Ready`), then the next
+/// holder's. Each poll, and the drop of a finished rank's future, sits
+/// inside an unwind barrier covering the *whole* lifecycle — tool-stack
+/// construction, the program body, finalize, and the stack's `Drop` — so a
+/// panicking tool layer is isolated exactly like a panicking application
+/// rank, and a layer can still flush partial state from `Drop`.
 pub fn run_with_layers(
     cfg: &SimConfig,
     program: &dyn MpiProgram,
     factory: &LayerFactory<'_>,
 ) -> RunOutcome {
+    let wall_start = Instant::now();
     let world = World::new(cfg.clone());
     let n = cfg.nprocs;
-    let wall_start = std::time::Instant::now();
-
-    let body = |rank: usize| -> Option<MpiError> {
-        let pmpi = Pmpi::new(Arc::clone(&world), rank);
-        // The unwind barrier covers the *whole* per-rank lifecycle —
-        // tool-stack construction, the program body, and finalize — so a
-        // panicking tool layer is isolated exactly like a panicking
-        // application rank. The stack is dropped inside the barrier too
-        // (during unwind on panic), letting tool layers flush partial
-        // state from `Drop`.
-        let result = catch_unwind(AssertUnwindSafe(|| -> Result<()> {
-            let mut stack = factory(rank, pmpi)?;
-            program.run(stack.as_mut())?;
-            stack.finalize()
-        }));
-        let outcome: Option<MpiError> = match result {
-            Ok(Ok(())) => None,
-            Ok(Err(e)) => Some(e),
-            Err(panic) => Some(MpiError::Panicked {
-                message: panic_message(panic.as_ref()),
-            }),
+    let world_ref = &world;
+    let mut ranks: Vec<Option<RankFuture<'_>>> = (0..n)
+        .map(|rank| {
+            let life: RankFuture<'_> = Box::pin(async move {
+                let pmpi = Pmpi::new(Rc::clone(world_ref), rank);
+                let mut stack = factory(rank, pmpi).await?;
+                program.run(stack.as_mut()).await?;
+                stack.finalize().await
+            });
+            Some(life)
+        })
+        .collect();
+    let mut rank_errors = vec![None; n];
+    let mut cx = Context::from_waker(Waker::noop());
+    let mut rank = 0;
+    while let Some(next) = world.next_to_poll(rank) {
+        rank = next;
+        let life = ranks[rank]
+            .as_mut()
+            .expect("an unfinished rank has a future");
+        let outcome = match catch_unwind(AssertUnwindSafe(|| life.as_mut().poll(&mut cx))) {
+            Ok(Poll::Pending) => continue,
+            Ok(Poll::Ready(done)) => done.err(),
+            Err(panic) => Some(panicked(panic.as_ref())),
         };
-        match &outcome {
-            None => world.mark_finished(rank),
-            Some(_) => world.abort(rank),
-        }
-        outcome
-    };
-    let rank_errors = if n > POOLED_WORLD_MAX {
-        run_scoped(n, &body)
-    } else {
-        pool::run(n, &body)
-    };
+        let life = ranks[rank].take();
+        let outcome = match catch_unwind(AssertUnwindSafe(move || drop(life))) {
+            Ok(()) => outcome,
+            Err(panic) => Some(panicked(panic.as_ref())),
+        };
+        world.finish(rank, outcome.is_none());
+        rank_errors[rank] = outcome;
+    }
 
     let per_rank_vt = world.snapshot_vt();
     let makespan = per_rank_vt.iter().copied().fold(0.0_f64, f64::max);
@@ -1558,32 +1545,16 @@ pub fn run_with_layers(
     }
 }
 
-/// Run `body(rank)` for every `rank < n` on freshly spawned threads that
-/// are joined before returning — how worlds too wide for the pool run.
-fn run_scoped(n: usize, body: &RankBody<'_>) -> Vec<Option<MpiError>> {
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n)
-            .map(|rank| {
-                scope
-                    .builder()
-                    .stack_size(RANK_STACK_SIZE)
-                    .name(format!("rank-{rank}"))
-                    .spawn(move |_| body(rank))
-                    .expect("spawn rank thread")
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rank thread never panics past the catch"))
-            .collect()
-    })
-    .expect("scope completes")
-}
-
 /// Execute `program` with no tool layers (the "native MPI" baseline used
 /// for Table II slowdown denominators).
 pub fn run_native(cfg: &SimConfig, program: &dyn MpiProgram) -> RunOutcome {
-    run_with_layers(cfg, program, &|_, pmpi| Ok(Box::new(pmpi)))
+    run_with_layers(cfg, program, &|_, pmpi| ready_stack(pmpi))
+}
+
+fn panicked(panic: &(dyn std::any::Any + Send)) -> MpiError {
+    MpiError::Panicked {
+        message: panic_message(panic),
+    }
 }
 
 fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
@@ -1600,15 +1571,10 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 mod thread_safety {
     //! The isolation contract parallel exploration rests on, checked at
     //! compile time: replay state is per-[`World`], and every replay
-    //! builds a *fresh* one inside [`run_with_layers`], so concurrent
-    //! replays on a scheduler worker pool share no mutable runtime state —
-    //! only `Sync` configuration ([`SimConfig`], an `Arc<FaultPlan>`, the
-    //! program itself). The rank-thread [`pool`] is the one
-    //! process-wide object, and it holds no replay state: parked threads,
-    //! checked out exclusively, that carry nothing from one job to the
-    //! next. If a global ever sneaks into these types (a `Cell`, an `Rc`,
-    //! a raw pointer), these assertions stop compiling before any test can
-    //! race.
+    //! builds a *fresh* one inside [`run_with_layers`] on the calling
+    //! thread, so concurrent replays on a scheduler worker pool share no
+    //! mutable runtime state — only `Sync` configuration ([`SimConfig`], an
+    //! `Arc<FaultPlan>`, the program itself).
 
     use super::*;
     use crate::fault::FaultPlan;
@@ -1617,10 +1583,8 @@ mod thread_safety {
 
     #[test]
     fn replay_state_is_per_world_and_configuration_is_sync() {
-        sync_send::<World>();
         sync_send::<SimConfig>();
         sync_send::<FaultPlan>();
         sync_send::<dyn MpiProgram>();
-        sync_send::<Pmpi>();
     }
 }

@@ -17,7 +17,7 @@ use crate::collective::{CollOutcome, CollSig, Contribution, Rider};
 use crate::comm::Comm;
 use crate::error::Result;
 use crate::matching::ProbeInfo;
-use crate::proc_api::{Completed, Completion, Mpi, Pmpi};
+use crate::proc_api::{Completed, Completion, Mpi, Pmpi, Waist};
 use crate::request::Request;
 use crate::types::{fnv1a64, Tag};
 
@@ -214,21 +214,23 @@ impl<M: Mpi> Mpi for TraceLayer<M> {
         });
         self.inner.irecv(comm, src, tag)
     }
-    fn complete(&mut self, reqs: &[Request], how: Completion) -> Result<Completed> {
-        let done = self.inner.complete(reqs, how)?;
-        if how.blocking() {
-            for (_, status, _) in done.iter() {
-                self.record(TraceOp::Wait {
-                    completed_source: status.source,
-                    tag: status.tag,
+    fn complete<'a>(&'a mut self, reqs: &'a [Request], how: Completion) -> Waist<'a, Completed> {
+        Box::pin(async move {
+            let done = self.inner.complete(reqs, how).await?;
+            if how.blocking() {
+                for (_, status, _) in done.iter() {
+                    self.record(TraceOp::Wait {
+                        completed_source: status.source,
+                        tag: status.tag,
+                    });
+                }
+            } else {
+                self.record(TraceOp::Test {
+                    completed: !done.is_empty(),
                 });
             }
-        } else {
-            self.record(TraceOp::Test {
-                completed: !done.is_empty(),
-            });
-        }
-        Ok(done)
+            Ok(done)
+        })
     }
     fn probe_for(
         &mut self,
@@ -236,32 +238,34 @@ impl<M: Mpi> Mpi for TraceLayer<M> {
         src: i32,
         tag: Tag,
         blocking: bool,
-    ) -> Result<Option<ProbeInfo>> {
-        let hit = self.inner.probe_for(comm, src, tag, blocking)?;
-        let comm = comm.0;
-        self.record(match hit {
-            Some(info) if blocking => TraceOp::Probe {
-                comm,
-                src,
-                tag,
-                hit_source: info.src,
-            },
-            _ => TraceOp::Iprobe {
-                comm,
-                src,
-                tag,
-                hit: hit.is_some(),
-            },
-        });
-        Ok(hit)
+    ) -> Waist<'_, Option<ProbeInfo>> {
+        Box::pin(async move {
+            let hit = self.inner.probe_for(comm, src, tag, blocking).await?;
+            let comm = comm.0;
+            self.record(match hit {
+                Some(info) if blocking => TraceOp::Probe {
+                    comm,
+                    src,
+                    tag,
+                    hit_source: info.src,
+                },
+                _ => TraceOp::Iprobe {
+                    comm,
+                    src,
+                    tag,
+                    hit: hit.is_some(),
+                },
+            });
+            Ok(hit)
+        })
     }
-    fn collective(
-        &mut self,
+    fn collective<'a>(
+        &'a mut self,
         comm: Comm,
         sig: CollSig,
         contribution: Contribution,
-        rider: &mut Rider,
-    ) -> Result<CollOutcome> {
+        rider: &'a mut Rider,
+    ) -> Waist<'a, CollOutcome> {
         let parent = comm.0;
         // A new communicator is recorded with its result, once it has one.
         let made = |out: &CollOutcome| match out {
@@ -269,15 +273,21 @@ impl<M: Mpi> Mpi for TraceLayer<M> {
             _ => None,
         };
         match (sig, &contribution) {
-            (CollSig::CommDup, _) => {
-                let out = self.inner.collective(comm, sig, contribution, rider)?;
+            (CollSig::CommDup, _) => Box::pin(async move {
+                let out = self
+                    .inner
+                    .collective(comm, sig, contribution, rider)
+                    .await?;
                 if let Some(result) = made(&out) {
                     self.record(TraceOp::CommDup { parent, result });
                 }
                 Ok(out)
-            }
-            (CollSig::CommSplit, &Contribution::Split { color, key }) => {
-                let out = self.inner.collective(comm, sig, contribution, rider)?;
+            }),
+            (CollSig::CommSplit, &Contribution::Split { color, key }) => Box::pin(async move {
+                let out = self
+                    .inner
+                    .collective(comm, sig, contribution, rider)
+                    .await?;
                 let result = made(&out);
                 self.record(TraceOp::CommSplit {
                     parent,
@@ -287,7 +297,7 @@ impl<M: Mpi> Mpi for TraceLayer<M> {
                     result,
                 });
                 Ok(out)
-            }
+            }),
             _ => {
                 self.record(match sig {
                     CollSig::CommFree => TraceOp::CommFree { comm: parent },
@@ -300,7 +310,7 @@ impl<M: Mpi> Mpi for TraceLayer<M> {
             }
         }
     }
-    fn shadow_world(&mut self) -> Result<Comm> {
+    fn shadow_world(&mut self) -> Waist<'_, Comm> {
         self.inner.shadow_world()
     }
     fn release_shadow_world(&mut self, shadow: Comm) -> Result<()> {
@@ -313,7 +323,7 @@ impl<M: Mpi> Mpi for TraceLayer<M> {
     fn compute(&mut self, seconds: f64) -> Result<()> {
         self.inner.compute(seconds)
     }
-    fn finalize(&mut self) -> Result<()> {
+    fn finalize(&mut self) -> Waist<'_, ()> {
         self.record(TraceOp::Finalize);
         self.inner.finalize()
     }
@@ -322,32 +332,35 @@ impl<M: Mpi> Mpi for TraceLayer<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::FnProgram;
-    use crate::runtime::{run_with_layers, SimConfig};
+    use crate::program::AsyncFnProgram;
+    use crate::runtime::{ready_stack, run_with_layers, SimConfig};
     use crate::{ANY_SOURCE, ANY_TAG};
 
     fn traced_run(
         n: usize,
-        prog: impl Fn(&mut dyn Mpi) -> Result<()> + Send + Sync,
+        prog: impl AsyncFn(&mut dyn Mpi) -> Result<()> + Send + Sync,
     ) -> Vec<TraceEvent> {
         let collector = TraceCollector::new();
         let c2 = Arc::clone(&collector);
-        let out = run_with_layers(&SimConfig::new(n), &FnProgram(prog), &move |_, pmpi| {
-            Ok(Box::new(TraceLayer::new(pmpi, Arc::clone(&c2))))
-        });
+        let out = run_with_layers(
+            &SimConfig::new(n),
+            &AsyncFnProgram(prog),
+            &move |_, pmpi| ready_stack(TraceLayer::new(pmpi, Arc::clone(&c2))),
+        );
         assert!(out.succeeded(), "{:?}", out.rank_errors);
         collector.take()
     }
 
     #[test]
     fn records_point_to_point_and_collectives() {
-        let events = traced_run(2, |mpi| {
+        let events = traced_run(2, async |mpi| {
             if mpi.world_rank() == 0 {
-                mpi.send(Comm::WORLD, 1, 7, Bytes::from_static(b"abc"))?;
+                mpi.send(Comm::WORLD, 1, 7, Bytes::from_static(b"abc"))
+                    .await?;
             } else {
-                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, ANY_TAG)?;
+                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, ANY_TAG).await?;
             }
-            mpi.barrier(Comm::WORLD)
+            mpi.barrier(Comm::WORLD).await
         });
         assert!(events.iter().any(|e| matches!(
             e.op,
@@ -384,10 +397,10 @@ mod tests {
 
     #[test]
     fn per_rank_sequence_is_monotone() {
-        let events = traced_run(3, |mpi| {
-            mpi.barrier(Comm::WORLD)?;
-            mpi.barrier(Comm::WORLD)?;
-            mpi.barrier(Comm::WORLD)
+        let events = traced_run(3, async |mpi| {
+            mpi.barrier(Comm::WORLD).await?;
+            mpi.barrier(Comm::WORLD).await?;
+            mpi.barrier(Comm::WORLD).await
         });
         for rank in 0..3 {
             let seqs: Vec<u64> = events
@@ -403,16 +416,16 @@ mod tests {
     fn jsonl_export_parses_back() {
         let collector = TraceCollector::new();
         let c2 = Arc::clone(&collector);
-        let prog = FnProgram(|mpi: &mut dyn Mpi| mpi.barrier(Comm::WORLD));
+        let prog = AsyncFnProgram(async |mpi: &mut dyn Mpi| mpi.barrier(Comm::WORLD).await);
         let out = run_with_layers(&SimConfig::new(2), &prog, &move |_, pmpi| {
-            Ok(Box::new(TraceLayer::new(pmpi, Arc::clone(&c2))))
+            ready_stack(TraceLayer::new(pmpi, Arc::clone(&c2)))
         });
         assert!(out.succeeded());
         // take() drains; re-record via a fresh run for the export test.
         let collector2 = TraceCollector::new();
         let c3 = Arc::clone(&collector2);
         let out = run_with_layers(&SimConfig::new(2), &prog, &move |_, pmpi| {
-            Ok(Box::new(TraceLayer::new(pmpi, Arc::clone(&c3))))
+            ready_stack(TraceLayer::new(pmpi, Arc::clone(&c3)))
         });
         assert!(out.succeeded());
         let jsonl = collector2.to_jsonl();
@@ -426,9 +439,9 @@ mod tests {
 
     #[test]
     fn comm_lifecycle_recorded() {
-        let events = traced_run(2, |mpi| {
-            let d = mpi.comm_dup(Comm::WORLD)?;
-            mpi.comm_free(d)
+        let events = traced_run(2, async |mpi| {
+            let d = mpi.comm_dup(Comm::WORLD).await?;
+            mpi.comm_free(d).await
         });
         assert!(events
             .iter()

@@ -1,37 +1,27 @@
-//! The rank-thread pool seen through the public entry points: threads are
-//! reused, a panicking rank costs neither its thread nor the run, teams
-//! of concurrent callers are disjoint, no run returns before its ranks are
-//! done with the caller's stack, and wide worlds are not pooled.
+//! Where a run's ranks execute, seen through the public entry points: on
+//! the caller's own thread, whatever the world's width, so a panicking rank
+//! costs neither the thread nor the run, concurrent callers share nothing,
+//! and no run returns before its ranks are done with the caller's stack.
+//! (The file keeps the name it had while ranks were pooled threads.)
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex, MutexGuard};
+use std::sync::{Barrier, Mutex};
 use std::thread::ThreadId;
 use std::time::Duration;
 
 use bytes::Bytes;
 use dampi_mpi::matching::ProbeInfo;
-use dampi_mpi::pool::{idle_threads, POOLED_WORLD_MAX};
 use dampi_mpi::{
-    run_native, run_with_layers, CollOutcome, CollSig, Comm, Completed, Completion, Contribution,
-    FnProgram, Mpi, MpiError, Pmpi, ReduceOp, ReplayBudget, Request, Result, Rider, SimConfig, Tag,
+    ready_stack, run_native, run_with_layers, AsyncFnProgram, CollOutcome, CollSig, Comm,
+    Completed, Completion, Contribution, Mpi, MpiError, Pmpi, ReduceOp, ReplayBudget, Request,
+    Result, Rider, SimConfig, Tag, Waist,
 };
-
-/// The pool is process-wide and these tests assert on which threads it
-/// hands out, so every test here takes a turn (the harness runs tests on
-/// parallel threads). `concurrent_callers_get_disjoint_teams` makes its
-/// own concurrency inside its turn.
-static TURN: Mutex<()> = Mutex::new(());
-
-fn my_turn() -> MutexGuard<'static, ()> {
-    TURN.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// Thread id per rank of one run of an otherwise empty program.
 fn team_of(np: usize) -> Vec<ThreadId> {
     let ids = Mutex::new(vec![None; np]);
-    let prog = FnProgram(|mpi: &mut dyn Mpi| {
+    let prog = AsyncFnProgram(async |mpi: &mut dyn Mpi| {
         ids.lock().unwrap()[mpi.world_rank()] = Some(std::thread::current().id());
         Ok(())
     });
@@ -42,12 +32,11 @@ fn team_of(np: usize) -> Vec<ThreadId> {
 
 #[test]
 fn a_thousand_sequential_runs_share_one_team() {
-    let _turn = my_turn();
     let mut seen = HashSet::new();
     for _ in 0..1000 {
         seen.extend(team_of(7));
     }
-    assert_eq!(seen.len(), 7);
+    assert_eq!(seen, HashSet::from([std::thread::current().id()]));
 }
 
 /// Forwards everything; panics in `finalize` on one rank.
@@ -66,7 +55,7 @@ impl<M: Mpi> Mpi for PanicsInFinalize<M> {
     fn irecv(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<Request> {
         self.inner.irecv(comm, src, tag)
     }
-    fn complete(&mut self, reqs: &[Request], how: Completion) -> Result<Completed> {
+    fn complete<'a>(&'a mut self, reqs: &'a [Request], how: Completion) -> Waist<'a, Completed> {
         self.inner.complete(reqs, how)
     }
     fn probe_for(
@@ -75,19 +64,19 @@ impl<M: Mpi> Mpi for PanicsInFinalize<M> {
         src: i32,
         tag: Tag,
         blocking: bool,
-    ) -> Result<Option<ProbeInfo>> {
+    ) -> Waist<'_, Option<ProbeInfo>> {
         self.inner.probe_for(comm, src, tag, blocking)
     }
-    fn collective(
-        &mut self,
+    fn collective<'a>(
+        &'a mut self,
         comm: Comm,
         sig: CollSig,
         contribution: Contribution,
-        rider: &mut Rider,
-    ) -> Result<CollOutcome> {
+        rider: &'a mut Rider,
+    ) -> Waist<'a, CollOutcome> {
         self.inner.collective(comm, sig, contribution, rider)
     }
-    fn shadow_world(&mut self) -> Result<Comm> {
+    fn shadow_world(&mut self) -> Waist<'_, Comm> {
         self.inner.shadow_world()
     }
     fn release_shadow_world(&mut self, shadow: Comm) -> Result<()> {
@@ -99,9 +88,11 @@ impl<M: Mpi> Mpi for PanicsInFinalize<M> {
     fn compute(&mut self, seconds: f64) -> Result<()> {
         self.inner.compute(seconds)
     }
-    fn finalize(&mut self) -> Result<()> {
-        assert!(self.inner.world_rank() != self.rank, "injected: finalize");
-        self.inner.finalize()
+    fn finalize(&mut self) -> Waist<'_, ()> {
+        Box::pin(async move {
+            assert!(self.inner.world_rank() != self.rank, "injected: finalize");
+            self.inner.finalize().await
+        })
     }
 }
 
@@ -115,10 +106,9 @@ fn a_panicking_rank_is_reported_and_its_thread_serves_the_next_run() {
         Run,
         Finalize,
     }
-    let _turn = my_turn();
     for at in [At::Factory, At::Run, At::Finalize] {
         let ids = Mutex::new(vec![None; NP]);
-        let prog = FnProgram(|mpi: &mut dyn Mpi| {
+        let prog = AsyncFnProgram(async |mpi: &mut dyn Mpi| {
             assert!(at != At::Run || mpi.world_rank() != BAD, "injected: run");
             Ok(())
         });
@@ -126,7 +116,7 @@ fn a_panicking_rank_is_reported_and_its_thread_serves_the_next_run() {
             ids.lock().unwrap()[rank] = Some(std::thread::current().id());
             assert!(at != At::Factory || rank != BAD, "injected: factory");
             let rank = if at == At::Finalize { BAD } else { NP };
-            Ok(Box::new(PanicsInFinalize { inner: pmpi, rank }))
+            ready_stack(PanicsInFinalize { inner: pmpi, rank })
         });
         for (rank, err) in out.rank_errors.iter().enumerate() {
             match err {
@@ -143,27 +133,29 @@ fn a_panicking_rank_is_reported_and_its_thread_serves_the_next_run() {
             .into_iter()
             .map(|id| id.expect("factory ran"))
             .collect();
-        assert_eq!(team_of(NP), ids, "{at:?}: same team, same rank order");
+        assert_eq!(team_of(NP), ids, "{at:?}: the caller's thread, every rank");
+        assert_eq!(ids, vec![std::thread::current().id(); NP], "{at:?}");
     }
 }
 
 #[test]
 fn concurrent_callers_get_disjoint_teams() {
     const NP: usize = 16;
-    let _turn = my_turn();
     // Both worlds must be in flight at once: each rank 0 waits here for
     // the other world's rank 0 before anything else happens.
     let both_running = Barrier::new(2);
     let campaign = |salt: u64| {
         let ids = Mutex::new(vec![None; NP]);
         let sums = Mutex::new(vec![0; NP]);
-        let prog = FnProgram(|mpi: &mut dyn Mpi| {
+        let prog = AsyncFnProgram(async |mpi: &mut dyn Mpi| {
             let rank = mpi.world_rank();
             ids.lock().unwrap()[rank] = Some(std::thread::current().id());
             if rank == 0 {
                 both_running.wait();
             }
-            let sum = mpi.allreduce_u64(Comm::WORLD, vec![salt + rank as u64], ReduceOp::Sum)?;
+            let sum = mpi
+                .allreduce_u64(Comm::WORLD, vec![salt + rank as u64], ReduceOp::Sum)
+                .await?;
             sums.lock().unwrap()[rank] = sum[0];
             // Odd ranks fail, so a result landing on the wrong rank shows.
             if rank % 2 == 1 {
@@ -192,7 +184,8 @@ fn concurrent_callers_get_disjoint_teams() {
         let b = s.spawn(|| campaign(2000));
         (a.join().expect("caller a"), b.join().expect("caller b"))
     });
-    assert_eq!((a.len(), b.len()), (NP, NP));
+    // Each world ran on its own caller's thread alone.
+    assert_eq!((a.len(), b.len()), (1, 1));
     assert!(a.is_disjoint(&b));
 }
 
@@ -201,16 +194,16 @@ fn concurrent_callers_get_disjoint_teams() {
 /// that everything a rank wrote, however late, is there on return.
 #[test]
 fn no_run_returns_before_its_slowest_rank() {
-    let _turn = my_turn();
     let late = Duration::from_millis(20);
-    let recv_from = |mpi: &mut dyn Mpi, src: i32| mpi.recv(Comm::WORLD, src, 0).map(|_| ());
+    let recv_from =
+        async |mpi: &mut dyn Mpi, src: i32| mpi.recv(Comm::WORLD, src, 0).await.map(|_| ());
 
     // Plain completion.
     let written = AtomicUsize::new(0);
     let flag = &written;
     let out = run_native(
         &SimConfig::new(3),
-        &FnProgram(move |mpi: &mut dyn Mpi| {
+        &AsyncFnProgram(async move |mpi: &mut dyn Mpi| {
             if mpi.world_rank() == 0 {
                 std::thread::sleep(late);
                 flag.store(1, Ordering::SeqCst);
@@ -227,13 +220,13 @@ fn no_run_returns_before_its_slowest_rank() {
     let budget = ReplayBudget::unlimited().with_max_wall_clock(Duration::from_millis(1));
     let out = run_native(
         &SimConfig::new(3).with_budget(budget),
-        &FnProgram(move |mpi: &mut dyn Mpi| {
+        &AsyncFnProgram(async move |mpi: &mut dyn Mpi| {
             if mpi.world_rank() == 0 {
                 std::thread::sleep(late);
                 flag.store(2, Ordering::SeqCst);
                 Ok(())
             } else {
-                recv_from(mpi, 0)
+                recv_from(mpi, 0).await
             }
         }),
     );
@@ -245,13 +238,13 @@ fn no_run_returns_before_its_slowest_rank() {
     let flag = &written;
     let out = run_native(
         &SimConfig::new(3),
-        &FnProgram(move |mpi: &mut dyn Mpi| {
+        &AsyncFnProgram(async move |mpi: &mut dyn Mpi| {
             let rank = mpi.world_rank();
             if rank == 0 {
                 std::thread::sleep(late);
                 flag.store(3, Ordering::SeqCst);
             }
-            recv_from(mpi, ((rank + 1) % 3) as i32)
+            recv_from(mpi, ((rank + 1) % 3) as i32).await
         }),
     );
     assert!(out.deadlocked());
@@ -260,21 +253,8 @@ fn no_run_returns_before_its_slowest_rank() {
 
 #[test]
 fn a_world_wider_than_the_pool_limit_spawns_and_retains_nothing() {
-    let _turn = my_turn();
-    let np = POOLED_WORLD_MAX + 1;
-    let idle_before = idle_threads();
-    let names = Mutex::new(vec![None; np]);
-    let prog = FnProgram(|mpi: &mut dyn Mpi| {
-        names.lock().unwrap()[mpi.world_rank()] = std::thread::current().name().map(str::to_owned);
-        Ok(())
-    });
-    assert!(run_native(&SimConfig::new(np), &prog).succeeded());
-    // Scoped threads are named after their rank; pooled ones cannot be.
-    for (rank, name) in names.into_inner().unwrap().into_iter().enumerate() {
-        assert_eq!(name, Some(format!("rank-{rank}")));
-    }
-    assert_eq!(idle_threads(), idle_before);
-    // At the limit the world is pooled, and the pool keeps its threads.
-    team_of(POOLED_WORLD_MAX);
-    assert!(idle_threads() >= POOLED_WORLD_MAX);
+    // The paper's 1K processes are 1 024 futures on this thread, not 1 024
+    // OS threads.
+    let np = 1024;
+    assert_eq!(team_of(np), vec![std::thread::current().id(); np]);
 }

@@ -5,7 +5,9 @@
 use std::sync::Arc;
 
 use dampi_mpi::envelope::codec;
-use dampi_mpi::{run_native, Comm, FnProgram, MatchPolicy, Mpi, Result, SimConfig, ANY_SOURCE};
+use dampi_mpi::{
+    run_native, AsyncFnProgram, Comm, MatchPolicy, Mpi, Result, SimConfig, ANY_SOURCE,
+};
 use proptest::prelude::*;
 
 /// A random traffic matrix: `matrix[i][j]` messages from rank i to rank j.
@@ -14,8 +16,8 @@ use proptest::prelude::*;
 /// program is deadlock-free under any schedule.
 fn traffic_program(
     matrix: Arc<Vec<Vec<usize>>>,
-) -> FnProgram<impl Fn(&mut dyn Mpi) -> Result<()> + Send + Sync> {
-    FnProgram(move |mpi: &mut dyn Mpi| {
+) -> AsyncFnProgram<impl AsyncFn(&mut dyn Mpi) -> Result<()> + Send + Sync> {
+    AsyncFnProgram(async move |mpi: &mut dyn Mpi| {
         let me = mpi.world_rank();
         let n = mpi.world_size();
         for (dst, &count) in matrix[me].iter().enumerate() {
@@ -25,13 +27,14 @@ fn traffic_program(
                     dst as i32,
                     0,
                     codec::encode_u64s(&[me as u64, k as u64]),
-                )?;
+                )
+                .await?;
             }
         }
         let in_degree: usize = (0..n).map(|src| matrix[src][me]).sum();
         let mut received = vec![0usize; n];
         for _ in 0..in_degree {
-            let (st, data) = mpi.recv(Comm::WORLD, ANY_SOURCE, 0)?;
+            let (st, data) = mpi.recv(Comm::WORLD, ANY_SOURCE, 0).await?;
             let vals = codec::decode_u64s(&data);
             assert_eq!(vals[0] as usize, st.source, "status/payload source agree");
             received[st.source] += 1;
@@ -94,14 +97,14 @@ proptest! {
     #[test]
     fn missing_message_always_detected(n in 2usize..5, extra_at in 0usize..5) {
         let extra_at = extra_at % n;
-        let prog = FnProgram(move |mpi: &mut dyn Mpi| {
+        let prog = AsyncFnProgram(async move |mpi: &mut dyn Mpi| {
             let me = mpi.world_rank();
             let n = mpi.world_size();
             // Ring: everyone sends one message right.
-            mpi.send(Comm::WORLD, ((me + 1) % n) as i32, 0, codec::encode_u64(1))?;
-            let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 0)?;
+            mpi.send(Comm::WORLD, ((me + 1) % n) as i32, 0, codec::encode_u64(1)).await?;
+            let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 0).await?;
             if me == extra_at {
-                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 0)?; // never satisfied
+                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 0).await?; // never satisfied
             }
             Ok(())
         });

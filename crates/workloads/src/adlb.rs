@@ -21,7 +21,7 @@
 use bytes::Bytes;
 use dampi_mpi::envelope::codec;
 use dampi_mpi::proc_api::user_assert;
-use dampi_mpi::{Comm, Mpi, MpiProgram, ReduceOp, Result, ANY_SOURCE, ANY_TAG};
+use dampi_mpi::{Comm, Mpi, MpiProgram, RankBody, ReduceOp, Result, ANY_SOURCE, ANY_TAG};
 
 use crate::tags;
 
@@ -87,7 +87,7 @@ impl Adlb {
         worker % self.params.nservers
     }
 
-    fn run_server(&self, mpi: &mut dyn Mpi) -> Result<()> {
+    async fn run_server(&self, mpi: &mut dyn Mpi) -> Result<()> {
         let me = mpi.world_rank();
         let np = mpi.world_size();
         let p = self.params;
@@ -115,19 +115,21 @@ impl Adlb {
                     worker as i32,
                     tags::WORK,
                     codec::encode_u64s(&[depth, id]),
-                )?;
+                )
+                .await?;
                 in_flight += 1;
             }
             // Termination: nothing queued, nothing running, all parked.
             if queue.is_empty() && in_flight == 0 && parked.len() == my_workers.len() {
                 for worker in parked.drain(..) {
-                    mpi.send(Comm::WORLD, worker as i32, tags::DONE, Bytes::new())?;
+                    mpi.send(Comm::WORLD, worker as i32, tags::DONE, Bytes::new())
+                        .await?;
                     finished_workers += 1;
                 }
                 break;
             }
             // The non-deterministic server loop: field whatever arrives.
-            let (st, data) = mpi.recv(Comm::WORLD, ANY_SOURCE, ANY_TAG)?;
+            let (st, data) = mpi.recv(Comm::WORLD, ANY_SOURCE, ANY_TAG).await?;
             match st.tag {
                 tags::GET => {
                     parked.push(st.source);
@@ -161,14 +163,15 @@ impl Adlb {
         Ok(())
     }
 
-    fn run_worker(&self, mpi: &mut dyn Mpi) -> Result<()> {
+    async fn run_worker(&self, mpi: &mut dyn Mpi) -> Result<()> {
         let me = mpi.world_rank();
         let p = self.params;
         let server = self.server_of(me) as i32;
         let mut items_done = 0u64;
         loop {
-            mpi.send(Comm::WORLD, server, tags::GET, Bytes::new())?;
-            let (st, data) = mpi.recv(Comm::WORLD, server, ANY_TAG)?;
+            mpi.send(Comm::WORLD, server, tags::GET, Bytes::new())
+                .await?;
+            let (st, data) = mpi.recv(Comm::WORLD, server, ANY_TAG).await?;
             match st.tag {
                 tags::WORK => {
                     let vals = codec::decode_u64s(&data);
@@ -181,10 +184,12 @@ impl Adlb {
                                 server,
                                 tags::PUT,
                                 codec::encode_u64s(&[depth + 1, id * 31 + c as u64 + 1]),
-                            )?;
+                            )
+                            .await?;
                         }
                     }
-                    mpi.send(Comm::WORLD, server, tags::RESULT, Bytes::new())?;
+                    mpi.send(Comm::WORLD, server, tags::RESULT, Bytes::new())
+                        .await?;
                     items_done += 1;
                 }
                 tags::DONE => break,
@@ -201,21 +206,25 @@ impl Adlb {
 }
 
 impl MpiProgram for Adlb {
-    fn run(&self, mpi: &mut dyn Mpi) -> Result<()> {
-        let np = mpi.world_size();
-        let p = self.params;
-        if np <= p.nservers {
-            return Ok(());
-        }
-        if mpi.world_rank() < p.nservers {
-            self.run_server(mpi)?;
-        } else {
-            self.run_worker(mpi)?;
-        }
-        // Global sanity: total completions across servers.
-        let total = mpi.allreduce_u64(Comm::WORLD, vec![0], ReduceOp::Sum)?;
-        let _ = total;
-        Ok(())
+    fn run<'a>(&'a self, mpi: &'a mut dyn Mpi) -> RankBody<'a> {
+        Box::pin(async move {
+            let np = mpi.world_size();
+            let p = self.params;
+            if np <= p.nservers {
+                return Ok(());
+            }
+            if mpi.world_rank() < p.nservers {
+                self.run_server(mpi).await?;
+            } else {
+                self.run_worker(mpi).await?;
+            }
+            // Global sanity: total completions across servers.
+            let total = mpi
+                .allreduce_u64(Comm::WORLD, vec![0], ReduceOp::Sum)
+                .await?;
+            let _ = total;
+            Ok(())
+        })
     }
 
     fn name(&self) -> &str {

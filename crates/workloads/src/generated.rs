@@ -20,7 +20,7 @@
 use bytes::Bytes;
 use dampi_mpi::envelope::codec;
 use dampi_mpi::proc_api::{user_assert, Mpi};
-use dampi_mpi::{Comm, MpiProgram, Result, Tag, ANY_SOURCE};
+use dampi_mpi::{Comm, MpiProgram, RankBody, Result, Tag, ANY_SOURCE};
 use serde::{Deserialize, Serialize};
 
 /// Injected bug class, recorded as a known-answer label on the spec.
@@ -261,134 +261,142 @@ impl MpiProgram for GenProgram {
     }
 
     #[allow(clippy::too_many_lines)]
-    fn run(&self, mpi: &mut dyn Mpi) -> Result<()> {
-        let me = mpi.world_rank();
-        // Communicator slots: 0 is always WORLD; the rest bind on dup/split.
-        let mut comms: Vec<Option<Comm>> = vec![None; 16];
-        comms[0] = Some(Comm::WORLD);
-        // Posted-irecv slots for this rank: (request, assert_ne), taken by Wait.
-        let mut slots: Vec<Option<(dampi_mpi::Request, Option<u64>)>> = Vec::new();
-        for op in &self.spec.ops {
-            match *op {
-                GenOp::Send {
-                    from,
-                    to,
-                    tag,
-                    comm,
-                    value,
-                } => {
-                    if from == me {
+    fn run<'a>(&'a self, mpi: &'a mut dyn Mpi) -> RankBody<'a> {
+        Box::pin(async move {
+            let me = mpi.world_rank();
+            // Communicator slots: 0 is always WORLD; the rest bind on dup/split.
+            let mut comms: Vec<Option<Comm>> = vec![None; 16];
+            comms[0] = Some(Comm::WORLD);
+            // Posted-irecv slots for this rank: (request, assert_ne), taken by Wait.
+            let mut slots: Vec<Option<(dampi_mpi::Request, Option<u64>)>> = Vec::new();
+            for op in &self.spec.ops {
+                match *op {
+                    GenOp::Send {
+                        from,
+                        to,
+                        tag,
+                        comm,
+                        value,
+                    } => {
+                        if from == me {
+                            let c = Self::resolve_comm(&comms, comm)?;
+                            mpi.send(
+                                c,
+                                i32::try_from(to).unwrap_or(0),
+                                tag,
+                                codec::encode_u64(value),
+                            )
+                            .await?;
+                        }
+                    }
+                    GenOp::Recv {
+                        rank,
+                        src,
+                        tag,
+                        comm,
+                        via,
+                        assert_ne,
+                    } => {
+                        if rank != me {
+                            continue;
+                        }
                         let c = Self::resolve_comm(&comms, comm)?;
-                        mpi.send(
-                            c,
-                            i32::try_from(to).unwrap_or(0),
-                            tag,
-                            codec::encode_u64(value),
-                        )?;
-                    }
-                }
-                GenOp::Recv {
-                    rank,
-                    src,
-                    tag,
-                    comm,
-                    via,
-                    assert_ne,
-                } => {
-                    if rank != me {
-                        continue;
-                    }
-                    let c = Self::resolve_comm(&comms, comm)?;
-                    let src_spec = match src {
-                        SrcSpec::Named(s) => i32::try_from(s).unwrap_or(0),
-                        SrcSpec::Wildcard => ANY_SOURCE,
-                    };
-                    match via {
-                        RecvVia::Blocking => {
-                            let (_, data) = mpi.recv(c, src_spec, tag)?;
-                            Self::check_payload(&data, assert_ne)?;
-                        }
-                        RecvVia::Irecv => {
-                            let req = mpi.irecv(c, src_spec, tag)?;
-                            slots.push(Some((req, assert_ne)));
-                        }
-                        RecvVia::ProbeRecv => {
-                            let info = mpi.probe(c, src_spec, tag)?;
-                            let (_, data) =
-                                mpi.recv(c, i32::try_from(info.src).unwrap_or(0), info.tag)?;
-                            Self::check_payload(&data, assert_ne)?;
+                        let src_spec = match src {
+                            SrcSpec::Named(s) => i32::try_from(s).unwrap_or(0),
+                            SrcSpec::Wildcard => ANY_SOURCE,
+                        };
+                        match via {
+                            RecvVia::Blocking => {
+                                let (_, data) = mpi.recv(c, src_spec, tag).await?;
+                                Self::check_payload(&data, assert_ne)?;
+                            }
+                            RecvVia::Irecv => {
+                                let req = mpi.irecv(c, src_spec, tag)?;
+                                slots.push(Some((req, assert_ne)));
+                            }
+                            RecvVia::ProbeRecv => {
+                                let info = mpi.probe(c, src_spec, tag).await?;
+                                let (_, data) = mpi
+                                    .recv(c, i32::try_from(info.src).unwrap_or(0), info.tag)
+                                    .await?;
+                                Self::check_payload(&data, assert_ne)?;
+                            }
                         }
                     }
-                }
-                GenOp::Wait { rank, slot } => {
-                    if rank != me {
-                        continue;
+                    GenOp::Wait { rank, slot } => {
+                        if rank != me {
+                            continue;
+                        }
+                        let entry =
+                            slots.get_mut(slot).and_then(Option::take).ok_or_else(|| {
+                                dampi_mpi::MpiError::ToolProtocol {
+                                    detail: format!(
+                                        "rank {me} waits unposted/duplicate slot {slot}"
+                                    ),
+                                }
+                            })?;
+                        let (req, assert_ne) = entry;
+                        let (_, data) = mpi.wait(req).await?;
+                        Self::check_payload(&data, assert_ne)?;
                     }
-                    let entry = slots.get_mut(slot).and_then(Option::take).ok_or_else(|| {
-                        dampi_mpi::MpiError::ToolProtocol {
-                            detail: format!("rank {me} waits unposted/duplicate slot {slot}"),
-                        }
-                    })?;
-                    let (req, assert_ne) = entry;
-                    let (_, data) = mpi.wait(req)?;
-                    Self::check_payload(&data, assert_ne)?;
-                }
-                GenOp::Collective {
-                    kind,
-                    root,
-                    comm,
-                    mismatch_rank,
-                } => {
-                    let c = Self::resolve_comm(&comms, comm)?;
-                    if mismatch_rank == Some(me) {
-                        // Injected collective mismatch: the odd rank out
-                        // calls barrier at this synchronisation point.
-                        mpi.barrier(c)?;
-                        continue;
-                    }
-                    match kind {
-                        CollectiveKind::Barrier => mpi.barrier(c)?,
-                        CollectiveKind::Bcast => {
-                            let payload = if me == root {
-                                Some(codec::encode_u64(77))
-                            } else {
-                                None
-                            };
-                            let _ = mpi.bcast(c, root, payload)?;
-                        }
-                        CollectiveKind::Allreduce => {
-                            let _ =
-                                mpi.allreduce_u64(c, vec![me as u64], dampi_mpi::ReduceOp::Max)?;
-                        }
-                        CollectiveKind::Gather => {
-                            let _ = mpi.gather(c, root, codec::encode_u64(me as u64))?;
-                        }
-                    }
-                }
-                GenOp::CommDup { id } => {
-                    let c = mpi.comm_dup(Comm::WORLD)?;
-                    comms[id] = Some(c);
-                }
-                GenOp::CommSplit { id } => {
-                    // One colour, key = world rank: the full group survives
-                    // and slot ranks equal world ranks.
-                    let c = mpi.comm_split(Comm::WORLD, 0, me as i64)?;
-                    comms[id] = c;
-                }
-                GenOp::CommFree { id } => {
-                    let c = Self::resolve_comm(&comms, id)?;
-                    comms[id] = None;
-                    mpi.comm_free(c)?;
-                }
-                GenOp::LeakRequest { rank, tag, comm } => {
-                    if rank == me {
+                    GenOp::Collective {
+                        kind,
+                        root,
+                        comm,
+                        mismatch_rank,
+                    } => {
                         let c = Self::resolve_comm(&comms, comm)?;
-                        let _abandoned = mpi.irecv(c, ANY_SOURCE, tag)?;
+                        if mismatch_rank == Some(me) {
+                            // Injected collective mismatch: the odd rank out
+                            // calls barrier at this synchronisation point.
+                            mpi.barrier(c).await?;
+                            continue;
+                        }
+                        match kind {
+                            CollectiveKind::Barrier => mpi.barrier(c).await?,
+                            CollectiveKind::Bcast => {
+                                let payload = if me == root {
+                                    Some(codec::encode_u64(77))
+                                } else {
+                                    None
+                                };
+                                let _ = mpi.bcast(c, root, payload).await?;
+                            }
+                            CollectiveKind::Allreduce => {
+                                let _ = mpi
+                                    .allreduce_u64(c, vec![me as u64], dampi_mpi::ReduceOp::Max)
+                                    .await?;
+                            }
+                            CollectiveKind::Gather => {
+                                let _ = mpi.gather(c, root, codec::encode_u64(me as u64)).await?;
+                            }
+                        }
+                    }
+                    GenOp::CommDup { id } => {
+                        let c = mpi.comm_dup(Comm::WORLD).await?;
+                        comms[id] = Some(c);
+                    }
+                    GenOp::CommSplit { id } => {
+                        // One colour, key = world rank: the full group survives
+                        // and slot ranks equal world ranks.
+                        let c = mpi.comm_split(Comm::WORLD, 0, me as i64).await?;
+                        comms[id] = c;
+                    }
+                    GenOp::CommFree { id } => {
+                        let c = Self::resolve_comm(&comms, id)?;
+                        comms[id] = None;
+                        mpi.comm_free(c).await?;
+                    }
+                    GenOp::LeakRequest { rank, tag, comm } => {
+                        if rank == me {
+                            let c = Self::resolve_comm(&comms, comm)?;
+                            let _abandoned = mpi.irecv(c, ANY_SOURCE, tag)?;
+                        }
                     }
                 }
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 }
 

@@ -25,7 +25,7 @@ pub fn payload(bytes: usize, seed: usize) -> bytes::Bytes {
 }
 
 /// Periodic ring shift: send to `(me+1) % n`, receive from `(me-1+n) % n`.
-pub fn ring_shift(mpi: &mut dyn Mpi, comm: Comm, tag: Tag, bytes: usize) -> Result<()> {
+pub async fn ring_shift(mpi: &mut dyn Mpi, comm: Comm, tag: Tag, bytes: usize) -> Result<()> {
     let n = mpi.comm_size(comm)?;
     if n < 2 {
         return Ok(());
@@ -33,12 +33,13 @@ pub fn ring_shift(mpi: &mut dyn Mpi, comm: Comm, tag: Tag, bytes: usize) -> Resu
     let me = mpi.comm_rank(comm)?;
     let next = ((me + 1) % n) as i32;
     let prev = ((me + n - 1) % n) as i32;
-    mpi.sendrecv(comm, next, tag, payload(bytes, me), prev, tag)?;
+    mpi.sendrecv(comm, next, tag, payload(bytes, me), prev, tag)
+        .await?;
     Ok(())
 }
 
 /// Non-periodic 1-D halo: exchange with both neighbors where they exist.
-pub fn halo_1d(mpi: &mut dyn Mpi, comm: Comm, tag: Tag, bytes: usize) -> Result<()> {
+pub async fn halo_1d(mpi: &mut dyn Mpi, comm: Comm, tag: Tag, bytes: usize) -> Result<()> {
     let n = mpi.comm_size(comm)?;
     let me = mpi.comm_rank(comm)?;
     let mut reqs: Vec<Request> = Vec::with_capacity(4);
@@ -50,19 +51,20 @@ pub fn halo_1d(mpi: &mut dyn Mpi, comm: Comm, tag: Tag, bytes: usize) -> Result<
         reqs.push(mpi.irecv(comm, (me + 1) as i32, tag)?);
         reqs.push(mpi.isend(comm, (me + 1) as i32, tag, payload(bytes, me))?);
     }
-    mpi.waitall(&reqs)?;
+    mpi.waitall(&reqs).await?;
     Ok(())
 }
 
 /// Hypercube butterfly: one sendrecv per dimension (`log2(n)` rounds).
-pub fn butterfly(mpi: &mut dyn Mpi, comm: Comm, tag: Tag, bytes: usize) -> Result<()> {
+pub async fn butterfly(mpi: &mut dyn Mpi, comm: Comm, tag: Tag, bytes: usize) -> Result<()> {
     let n = mpi.comm_size(comm)?;
     let me = mpi.comm_rank(comm)?;
     let mut bit = 1usize;
     while bit < n {
         let peer = me ^ bit;
         if peer < n {
-            mpi.sendrecv(comm, peer as i32, tag, payload(bytes, me), peer as i32, tag)?;
+            mpi.sendrecv(comm, peer as i32, tag, payload(bytes, me), peer as i32, tag)
+                .await?;
         }
         bit <<= 1;
     }
@@ -70,16 +72,16 @@ pub fn butterfly(mpi: &mut dyn Mpi, comm: Comm, tag: Tag, bytes: usize) -> Resul
 }
 
 /// Full transpose: alltoall of `bytes` to every peer.
-pub fn transpose(mpi: &mut dyn Mpi, comm: Comm, bytes: usize) -> Result<()> {
+pub async fn transpose(mpi: &mut dyn Mpi, comm: Comm, bytes: usize) -> Result<()> {
     let n = mpi.comm_size(comm)?;
     let me = mpi.comm_rank(comm)?;
     let out: Vec<bytes::Bytes> = (0..n).map(|j| payload(bytes, me * n + j)).collect();
-    let _ = mpi.alltoall(comm, out)?;
+    let _ = mpi.alltoall(comm, out).await?;
     Ok(())
 }
 
 /// 2-D halo on a `rows × cols` grid embedded in `comm` (row-major ranks).
-pub fn halo_2d(mpi: &mut dyn Mpi, comm: Comm, tag: Tag, bytes: usize) -> Result<()> {
+pub async fn halo_2d(mpi: &mut dyn Mpi, comm: Comm, tag: Tag, bytes: usize) -> Result<()> {
     let n = mpi.comm_size(comm)?;
     let me = mpi.comm_rank(comm)?;
     let (rows, cols) = grid_dims(n);
@@ -104,14 +106,19 @@ pub fn halo_2d(mpi: &mut dyn Mpi, comm: Comm, tag: Tag, bytes: usize) -> Result<
     for &nb in &neighbors {
         reqs.push(mpi.isend(comm, nb as i32, tag, payload(bytes, me))?);
     }
-    mpi.waitall(&reqs)?;
+    mpi.waitall(&reqs).await?;
     Ok(())
 }
 
 /// 2-D halo whose receives use `MPI_ANY_SOURCE`: the wildcard-gather idiom
 /// of codes like 104.milc, where halo contributions are consumed in
 /// arrival order. Each wildcard receive is a DAMPI epoch.
-pub fn halo_2d_wildcard(mpi: &mut dyn Mpi, comm: Comm, tag: Tag, bytes: usize) -> Result<usize> {
+pub async fn halo_2d_wildcard(
+    mpi: &mut dyn Mpi,
+    comm: Comm,
+    tag: Tag,
+    bytes: usize,
+) -> Result<usize> {
     let n = mpi.comm_size(comm)?;
     let me = mpi.comm_rank(comm)?;
     let (rows, cols) = grid_dims(n);
@@ -134,16 +141,16 @@ pub fn halo_2d_wildcard(mpi: &mut dyn Mpi, comm: Comm, tag: Tag, bytes: usize) -
         send_reqs.push(mpi.isend(comm, nb as i32, tag, payload(bytes, me))?);
     }
     for _ in &neighbors {
-        let _ = mpi.recv(comm, ANY_SOURCE, tag)?;
+        let _ = mpi.recv(comm, ANY_SOURCE, tag).await?;
     }
-    mpi.waitall(&send_reqs)?;
+    mpi.waitall(&send_reqs).await?;
     Ok(neighbors.len())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dampi_mpi::{run_native, FnProgram, SimConfig};
+    use dampi_mpi::{run_native, AsyncFnProgram, SimConfig};
 
     #[test]
     fn grid_dims_most_square() {
@@ -159,42 +166,42 @@ mod tests {
         assert_eq!(payload(9, 0).len(), 16);
     }
 
-    fn run_idiom(n: usize, f: impl Fn(&mut dyn Mpi) -> Result<()> + Send + Sync + 'static) {
-        let out = run_native(&SimConfig::new(n), &FnProgram(f));
+    fn run_idiom(n: usize, f: impl AsyncFn(&mut dyn Mpi) -> Result<()> + Send + Sync + 'static) {
+        let out = run_native(&SimConfig::new(n), &AsyncFnProgram(f));
         assert!(out.succeeded(), "{:?}", out.rank_errors);
         assert!(out.leaks.is_clean(), "{:?}", out.leaks);
     }
 
     #[test]
     fn ring_completes() {
-        run_idiom(5, |mpi| ring_shift(mpi, Comm::WORLD, 1, 64));
+        run_idiom(5, async |mpi| ring_shift(mpi, Comm::WORLD, 1, 64).await);
     }
 
     #[test]
     fn halo_1d_completes() {
-        run_idiom(6, |mpi| halo_1d(mpi, Comm::WORLD, 1, 64));
+        run_idiom(6, async |mpi| halo_1d(mpi, Comm::WORLD, 1, 64).await);
     }
 
     #[test]
     fn butterfly_completes_power_of_two_and_ragged() {
-        run_idiom(8, |mpi| butterfly(mpi, Comm::WORLD, 1, 32));
-        run_idiom(6, |mpi| butterfly(mpi, Comm::WORLD, 1, 32));
+        run_idiom(8, async |mpi| butterfly(mpi, Comm::WORLD, 1, 32).await);
+        run_idiom(6, async |mpi| butterfly(mpi, Comm::WORLD, 1, 32).await);
     }
 
     #[test]
     fn transpose_completes() {
-        run_idiom(4, |mpi| transpose(mpi, Comm::WORLD, 16));
+        run_idiom(4, async |mpi| transpose(mpi, Comm::WORLD, 16).await);
     }
 
     #[test]
     fn halo_2d_completes() {
-        run_idiom(12, |mpi| halo_2d(mpi, Comm::WORLD, 2, 64));
+        run_idiom(12, async |mpi| halo_2d(mpi, Comm::WORLD, 2, 64).await);
     }
 
     #[test]
     fn halo_2d_wildcard_completes_and_counts() {
-        run_idiom(9, |mpi| {
-            let nd = halo_2d_wildcard(mpi, Comm::WORLD, 2, 64)?;
+        run_idiom(9, async |mpi| {
+            let nd = halo_2d_wildcard(mpi, Comm::WORLD, 2, 64).await?;
             assert!(nd >= 2, "3x3 grid has 2-4 neighbors");
             Ok(())
         });
@@ -202,11 +209,11 @@ mod tests {
 
     #[test]
     fn singleton_world_is_noop() {
-        run_idiom(1, |mpi| {
-            ring_shift(mpi, Comm::WORLD, 1, 8)?;
-            halo_1d(mpi, Comm::WORLD, 1, 8)?;
-            butterfly(mpi, Comm::WORLD, 1, 8)?;
-            halo_2d(mpi, Comm::WORLD, 1, 8)
+        run_idiom(1, async |mpi| {
+            ring_shift(mpi, Comm::WORLD, 1, 8).await?;
+            halo_1d(mpi, Comm::WORLD, 1, 8).await?;
+            butterfly(mpi, Comm::WORLD, 1, 8).await?;
+            halo_2d(mpi, Comm::WORLD, 1, 8).await
         });
     }
 }

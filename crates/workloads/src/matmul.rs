@@ -13,7 +13,7 @@
 use bytes::Bytes;
 use dampi_mpi::envelope::codec;
 use dampi_mpi::proc_api::user_assert;
-use dampi_mpi::{Comm, Mpi, MpiProgram, Result, ANY_SOURCE};
+use dampi_mpi::{Comm, Mpi, MpiProgram, RankBody, Result, ANY_SOURCE};
 
 use crate::tags;
 
@@ -104,13 +104,14 @@ impl Matmul {
         lo..hi
     }
 
-    fn run_master(&self, mpi: &mut dyn Mpi) -> Result<()> {
+    async fn run_master(&self, mpi: &mut dyn Mpi) -> Result<()> {
         let np = mpi.world_size();
         let slaves = np - 1;
         let tasks = slaves * self.params.rounds_per_slave;
         let n = self.params.n;
         // Broadcast B.
-        mpi.bcast(Comm::WORLD, 0, Some(codec::encode_f64s(&self.b)))?;
+        mpi.bcast(Comm::WORLD, 0, Some(codec::encode_f64s(&self.b)))
+            .await?;
         let mut c = vec![0.0; n * n];
         // Ack mode: which task each slave is working on, keyed by rank.
         let mut working: Vec<Option<usize>> = vec![None; np];
@@ -123,14 +124,15 @@ impl Matmul {
                 s as i32,
                 tags::WORK,
                 codec::encode_u64(next_task as u64),
-            )?;
+            )
+            .await?;
             *slot = Some(next_task);
             next_task += 1;
         }
         let mut completed = 0usize;
         while completed < tasks {
             // The wildcard receive: any slave may finish first.
-            let (st, data) = mpi.recv(Comm::WORLD, ANY_SOURCE, tags::RESULT)?;
+            let (st, data) = mpi.recv(Comm::WORLD, ANY_SOURCE, tags::RESULT).await?;
             if self.params.ack_results {
                 // The ack carries no content; the sender rank alone says
                 // which assignment completed. Dealing is static round-robin
@@ -150,10 +152,12 @@ impl Matmul {
                         st.source as i32,
                         tags::WORK,
                         codec::encode_u64(next as u64),
-                    )?;
+                    )
+                    .await?;
                     working[st.source] = Some(next);
                 } else {
-                    mpi.send(Comm::WORLD, st.source as i32, tags::DONE, Bytes::new())?;
+                    mpi.send(Comm::WORLD, st.source as i32, tags::DONE, Bytes::new())
+                        .await?;
                 }
                 continue;
             }
@@ -172,11 +176,13 @@ impl Matmul {
                     st.source as i32,
                     tags::WORK,
                     codec::encode_u64(next_task as u64),
-                )?;
+                )
+                .await?;
                 working[st.source] = Some(next_task);
                 next_task += 1;
             } else {
-                mpi.send(Comm::WORLD, st.source as i32, tags::DONE, Bytes::new())?;
+                mpi.send(Comm::WORLD, st.source as i32, tags::DONE, Bytes::new())
+                    .await?;
             }
         }
         if self.params.ack_results {
@@ -193,13 +199,13 @@ impl Matmul {
         user_assert(ok, "matmul result mismatch: a schedule corrupted routing")
     }
 
-    fn run_slave(&self, mpi: &mut dyn Mpi) -> Result<()> {
+    async fn run_slave(&self, mpi: &mut dyn Mpi) -> Result<()> {
         let np = mpi.world_size();
         let slaves = np - 1;
         let tasks = slaves * self.params.rounds_per_slave;
-        mpi.bcast(Comm::WORLD, 0, None)?;
+        mpi.bcast(Comm::WORLD, 0, None).await?;
         loop {
-            let (st, data) = mpi.recv(Comm::WORLD, 0, dampi_mpi::ANY_TAG)?;
+            let (st, data) = mpi.recv(Comm::WORLD, 0, dampi_mpi::ANY_TAG).await?;
             if st.tag == tags::DONE {
                 break;
             }
@@ -217,12 +223,13 @@ impl Matmul {
                     .zip(&reference[range.start * n..range.end * n])
                     .all(|(x, y)| (x - y).abs() < 1e-9);
                 user_assert(ok, "matmul slave-side partial product mismatch")?;
-                mpi.send(Comm::WORLD, 0, tags::RESULT, Bytes::new())?;
+                mpi.send(Comm::WORLD, 0, tags::RESULT, Bytes::new()).await?;
             } else {
                 let mut payload = Vec::with_capacity(1 + partial.len());
                 payload.push(task as f64);
                 payload.extend_from_slice(&partial);
-                mpi.send(Comm::WORLD, 0, tags::RESULT, codec::encode_f64s(&payload))?;
+                mpi.send(Comm::WORLD, 0, tags::RESULT, codec::encode_f64s(&payload))
+                    .await?;
             }
         }
         Ok(())
@@ -230,15 +237,17 @@ impl Matmul {
 }
 
 impl MpiProgram for Matmul {
-    fn run(&self, mpi: &mut dyn Mpi) -> Result<()> {
-        if mpi.world_size() < 2 {
-            return Ok(());
-        }
-        if mpi.world_rank() == 0 {
-            self.run_master(mpi)
-        } else {
-            self.run_slave(mpi)
-        }
+    fn run<'a>(&'a self, mpi: &'a mut dyn Mpi) -> RankBody<'a> {
+        Box::pin(async move {
+            if mpi.world_size() < 2 {
+                return Ok(());
+            }
+            if mpi.world_rank() == 0 {
+                self.run_master(mpi).await
+            } else {
+                self.run_slave(mpi).await
+            }
+        })
     }
 
     fn name(&self) -> &str {

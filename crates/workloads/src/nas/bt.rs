@@ -5,7 +5,7 @@
 //! reduction every few iterations. BT sets up a working communicator that
 //! the original code never frees — Table II flags it (C-leak = Yes).
 
-use dampi_mpi::{Comm, Mpi, MpiProgram, ReduceOp, Result};
+use dampi_mpi::{Comm, Mpi, MpiProgram, RankBody, ReduceOp};
 
 use crate::idioms;
 use crate::tags;
@@ -46,19 +46,21 @@ impl Bt {
 }
 
 impl MpiProgram for Bt {
-    fn run(&self, mpi: &mut dyn Mpi) -> Result<()> {
-        let work = mpi.comm_dup(Comm::WORLD)?; // never freed: the C-leak
-        for it in 0..self.params.iters {
-            // x-, y-sweeps: 2-D face exchanges.
-            idioms::halo_2d(mpi, work, tags::HALO, self.params.msg_bytes)?;
-            mpi.compute(self.params.sweep_cost)?;
-            idioms::halo_2d(mpi, work, tags::HALO + 1, self.params.msg_bytes)?;
-            mpi.compute(self.params.sweep_cost)?;
-            if it % 5 == 4 {
-                let _ = mpi.allreduce_f64(work, vec![1.0], ReduceOp::Sum)?;
+    fn run<'a>(&'a self, mpi: &'a mut dyn Mpi) -> RankBody<'a> {
+        Box::pin(async move {
+            let work = mpi.comm_dup(Comm::WORLD).await?; // never freed: the C-leak
+            for it in 0..self.params.iters {
+                // x-, y-sweeps: 2-D face exchanges.
+                idioms::halo_2d(mpi, work, tags::HALO, self.params.msg_bytes).await?;
+                mpi.compute(self.params.sweep_cost)?;
+                idioms::halo_2d(mpi, work, tags::HALO + 1, self.params.msg_bytes).await?;
+                mpi.compute(self.params.sweep_cost)?;
+                if it % 5 == 4 {
+                    let _ = mpi.allreduce_f64(work, vec![1.0], ReduceOp::Sum).await?;
+                }
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     fn name(&self) -> &str {

@@ -4,7 +4,7 @@
 //! (the row/column-partner reductions of the NPB CG) plus two dot-product
 //! allreduces. Fully deterministic; clean of leaks (Table II).
 
-use dampi_mpi::{Comm, Mpi, MpiProgram, ReduceOp, Result};
+use dampi_mpi::{Comm, Mpi, MpiProgram, RankBody, ReduceOp};
 
 use crate::idioms;
 use crate::tags;
@@ -45,17 +45,23 @@ impl Cg {
 }
 
 impl MpiProgram for Cg {
-    fn run(&self, mpi: &mut dyn Mpi) -> Result<()> {
-        let mut rho = 1.0f64;
-        for _ in 0..self.params.iters {
-            idioms::butterfly(mpi, Comm::WORLD, tags::HALO, self.params.msg_bytes)?;
-            mpi.compute(self.params.matvec_cost)?;
-            let dot = mpi.allreduce_f64(Comm::WORLD, vec![rho], ReduceOp::Sum)?;
-            rho = dot[0] / mpi.world_size() as f64;
-            let norm = mpi.allreduce_f64(Comm::WORLD, vec![rho * rho], ReduceOp::Sum)?;
-            rho = norm[0].sqrt().max(1e-30);
-        }
-        Ok(())
+    fn run<'a>(&'a self, mpi: &'a mut dyn Mpi) -> RankBody<'a> {
+        Box::pin(async move {
+            let mut rho = 1.0f64;
+            for _ in 0..self.params.iters {
+                idioms::butterfly(mpi, Comm::WORLD, tags::HALO, self.params.msg_bytes).await?;
+                mpi.compute(self.params.matvec_cost)?;
+                let dot = mpi
+                    .allreduce_f64(Comm::WORLD, vec![rho], ReduceOp::Sum)
+                    .await?;
+                rho = dot[0] / mpi.world_size() as f64;
+                let norm = mpi
+                    .allreduce_f64(Comm::WORLD, vec![rho * rho], ReduceOp::Sum)
+                    .await?;
+                rho = norm[0].sqrt().max(1e-30);
+            }
+            Ok(())
+        })
     }
 
     fn name(&self) -> &str {

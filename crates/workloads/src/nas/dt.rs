@@ -5,7 +5,7 @@
 //! DT shows essentially no interposition overhead in Table II (1.01x).
 
 use dampi_mpi::envelope::codec;
-use dampi_mpi::{Comm, Mpi, MpiProgram, Result};
+use dampi_mpi::{Comm, Mpi, MpiProgram, RankBody};
 
 use crate::tags;
 
@@ -45,45 +45,48 @@ impl Dt {
 }
 
 impl MpiProgram for Dt {
-    fn run(&self, mpi: &mut dyn Mpi) -> Result<()> {
-        let np = mpi.world_size();
-        let me = mpi.world_rank();
-        for _ in 0..self.params.rounds {
-            // Binary-tree reduction toward rank 0: leaves send up, inner
-            // nodes combine children then forward.
-            let left = 2 * me + 1;
-            let right = 2 * me + 2;
-            let mut acc = me as u64;
-            if left < np {
-                let (_, d) = mpi.recv(Comm::WORLD, left as i32, tags::RESULT)?;
-                acc += codec::decode_u64s(&d)[0];
+    fn run<'a>(&'a self, mpi: &'a mut dyn Mpi) -> RankBody<'a> {
+        Box::pin(async move {
+            let np = mpi.world_size();
+            let me = mpi.world_rank();
+            for _ in 0..self.params.rounds {
+                // Binary-tree reduction toward rank 0: leaves send up, inner
+                // nodes combine children then forward.
+                let left = 2 * me + 1;
+                let right = 2 * me + 2;
+                let mut acc = me as u64;
+                if left < np {
+                    let (_, d) = mpi.recv(Comm::WORLD, left as i32, tags::RESULT).await?;
+                    acc += codec::decode_u64s(&d)[0];
+                }
+                if right < np {
+                    let (_, d) = mpi.recv(Comm::WORLD, right as i32, tags::RESULT).await?;
+                    acc += codec::decode_u64s(&d)[0];
+                }
+                mpi.compute(self.params.node_cost)?;
+                if me > 0 {
+                    let words = self.params.msg_bytes.div_ceil(8).max(1);
+                    let mut v = vec![acc; words];
+                    v[0] = acc;
+                    mpi.send(
+                        Comm::WORLD,
+                        ((me - 1) / 2) as i32,
+                        tags::RESULT,
+                        codec::encode_u64s(&v),
+                    )
+                    .await?;
+                } else {
+                    // Sink validates the whole-tree sum.
+                    let expect: u64 = (0..np as u64).sum();
+                    dampi_mpi::proc_api::user_assert(
+                        acc == expect,
+                        format!("DT sum {acc} != expected {expect}"),
+                    )?;
+                }
+                mpi.barrier(Comm::WORLD).await?;
             }
-            if right < np {
-                let (_, d) = mpi.recv(Comm::WORLD, right as i32, tags::RESULT)?;
-                acc += codec::decode_u64s(&d)[0];
-            }
-            mpi.compute(self.params.node_cost)?;
-            if me > 0 {
-                let words = self.params.msg_bytes.div_ceil(8).max(1);
-                let mut v = vec![acc; words];
-                v[0] = acc;
-                mpi.send(
-                    Comm::WORLD,
-                    ((me - 1) / 2) as i32,
-                    tags::RESULT,
-                    codec::encode_u64s(&v),
-                )?;
-            } else {
-                // Sink validates the whole-tree sum.
-                let expect: u64 = (0..np as u64).sum();
-                dampi_mpi::proc_api::user_assert(
-                    acc == expect,
-                    format!("DT sum {acc} != expected {expect}"),
-                )?;
-            }
-            mpi.barrier(Comm::WORLD)?;
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     fn name(&self) -> &str {

@@ -4,7 +4,7 @@
 //! final reductions — the Table II floor case (1.02x slowdown), since the
 //! tool has almost nothing to interpose on.
 
-use dampi_mpi::{Comm, Mpi, MpiProgram, ReduceOp, Result};
+use dampi_mpi::{Comm, Mpi, MpiProgram, RankBody, ReduceOp};
 
 /// EP skeleton parameters.
 #[derive(Debug, Clone, Copy)]
@@ -39,22 +39,28 @@ impl Ep {
 }
 
 impl MpiProgram for Ep {
-    fn run(&self, mpi: &mut dyn Mpi) -> Result<()> {
-        let me = mpi.world_rank() as u64;
-        let mut counts = [0u64; 4];
-        for b in 0..self.params.batches {
-            mpi.compute(self.params.batch_cost)?;
-            // Deterministic pseudo-random Gaussian-pair counting stand-in.
-            counts[(me as usize + b) % 4] += 1 + (me * 31 + b as u64) % 7;
-        }
-        let totals = mpi.allreduce_u64(Comm::WORLD, counts.to_vec(), ReduceOp::Sum)?;
-        let _ = mpi.reduce_f64(
-            Comm::WORLD,
-            0,
-            vec![totals.iter().sum::<u64>() as f64],
-            ReduceOp::Max,
-        )?;
-        Ok(())
+    fn run<'a>(&'a self, mpi: &'a mut dyn Mpi) -> RankBody<'a> {
+        Box::pin(async move {
+            let me = mpi.world_rank() as u64;
+            let mut counts = [0u64; 4];
+            for b in 0..self.params.batches {
+                mpi.compute(self.params.batch_cost)?;
+                // Deterministic pseudo-random Gaussian-pair counting stand-in.
+                counts[(me as usize + b) % 4] += 1 + (me * 31 + b as u64) % 7;
+            }
+            let totals = mpi
+                .allreduce_u64(Comm::WORLD, counts.to_vec(), ReduceOp::Sum)
+                .await?;
+            let _ = mpi
+                .reduce_f64(
+                    Comm::WORLD,
+                    0,
+                    vec![totals.iter().sum::<u64>() as f64],
+                    ReduceOp::Max,
+                )
+                .await?;
+            Ok(())
+        })
     }
 
     fn name(&self) -> &str {

@@ -6,7 +6,7 @@
 //! Yes) while its overhead stays at the floor (1.01x: few, large
 //! messages).
 
-use dampi_mpi::{Comm, Mpi, MpiProgram, ReduceOp, Result};
+use dampi_mpi::{Comm, Mpi, MpiProgram, RankBody, ReduceOp};
 
 use crate::idioms;
 
@@ -46,16 +46,20 @@ impl Ft {
 }
 
 impl MpiProgram for Ft {
-    fn run(&self, mpi: &mut dyn Mpi) -> Result<()> {
-        let transpose_comm = mpi.comm_dup(Comm::WORLD)?; // never freed
-        for _ in 0..self.params.iters {
-            mpi.compute(self.params.fft_cost)?;
-            idioms::transpose(mpi, transpose_comm, self.params.bytes_per_peer)?;
-            mpi.compute(self.params.fft_cost)?;
-            idioms::transpose(mpi, transpose_comm, self.params.bytes_per_peer)?;
-            let _ = mpi.allreduce_f64(Comm::WORLD, vec![1.0, 0.5], ReduceOp::Sum)?;
-        }
-        Ok(())
+    fn run<'a>(&'a self, mpi: &'a mut dyn Mpi) -> RankBody<'a> {
+        Box::pin(async move {
+            let transpose_comm = mpi.comm_dup(Comm::WORLD).await?; // never freed
+            for _ in 0..self.params.iters {
+                mpi.compute(self.params.fft_cost)?;
+                idioms::transpose(mpi, transpose_comm, self.params.bytes_per_peer).await?;
+                mpi.compute(self.params.fft_cost)?;
+                idioms::transpose(mpi, transpose_comm, self.params.bytes_per_peer).await?;
+                let _ = mpi
+                    .allreduce_f64(Comm::WORLD, vec![1.0, 0.5], ReduceOp::Sum)
+                    .await?;
+            }
+            Ok(())
+        })
     }
 
     fn name(&self) -> &str {

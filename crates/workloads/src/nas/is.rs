@@ -4,7 +4,7 @@
 //! all-to-all key redistribution, and a final verification reduction.
 //! Deterministic and leak-free (Table II: 1.09x).
 
-use dampi_mpi::{Comm, Mpi, MpiProgram, ReduceOp, Result};
+use dampi_mpi::{Comm, Mpi, MpiProgram, RankBody, ReduceOp};
 
 use crate::idioms;
 
@@ -44,23 +44,29 @@ impl Is {
 }
 
 impl MpiProgram for Is {
-    fn run(&self, mpi: &mut dyn Mpi) -> Result<()> {
-        let np = mpi.world_size() as u64;
-        for _ in 0..self.params.iters {
-            // Bucket-size exchange.
-            let sizes = mpi.allreduce_u64(
-                Comm::WORLD,
-                vec![mpi.world_rank() as u64 + 1; 4],
-                ReduceOp::Sum,
-            )?;
-            debug_assert_eq!(sizes[0], np * (np + 1) / 2);
-            // Key redistribution.
-            idioms::transpose(mpi, Comm::WORLD, self.params.bytes_per_peer)?;
-            mpi.compute(self.params.sort_cost)?;
-        }
-        // Final verification: global key count must be conserved.
-        let _ = mpi.reduce_u64(Comm::WORLD, 0, vec![1], ReduceOp::Sum)?;
-        Ok(())
+    fn run<'a>(&'a self, mpi: &'a mut dyn Mpi) -> RankBody<'a> {
+        Box::pin(async move {
+            let np = mpi.world_size() as u64;
+            for _ in 0..self.params.iters {
+                // Bucket-size exchange.
+                let sizes = mpi
+                    .allreduce_u64(
+                        Comm::WORLD,
+                        vec![mpi.world_rank() as u64 + 1; 4],
+                        ReduceOp::Sum,
+                    )
+                    .await?;
+                debug_assert_eq!(sizes[0], np * (np + 1) / 2);
+                // Key redistribution.
+                idioms::transpose(mpi, Comm::WORLD, self.params.bytes_per_peer).await?;
+                mpi.compute(self.params.sort_cost)?;
+            }
+            // Final verification: global key count must be conserved.
+            let _ = mpi
+                .reduce_u64(Comm::WORLD, 0, vec![1], ReduceOp::Sum)
+                .await?;
+            Ok(())
+        })
     }
 
     fn name(&self) -> &str {

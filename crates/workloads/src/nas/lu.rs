@@ -9,7 +9,7 @@
 //! NAS overhead under DAMPI (2.22x).
 
 use dampi_mpi::envelope::codec;
-use dampi_mpi::{Comm, Mpi, MpiProgram, ReduceOp, Result, ANY_SOURCE};
+use dampi_mpi::{Comm, Mpi, MpiProgram, RankBody, ReduceOp, Result, ANY_SOURCE};
 
 use crate::idioms::grid_dims;
 use crate::tags;
@@ -56,7 +56,7 @@ impl Lu {
     }
 
     /// One sweep in the given direction (`forward`: from NW corner).
-    fn sweep(&self, mpi: &mut dyn Mpi, forward: bool, wildcard: bool) -> Result<()> {
+    async fn sweep(&self, mpi: &mut dyn Mpi, forward: bool, wildcard: bool) -> Result<()> {
         let np = mpi.world_size();
         let me = mpi.world_rank();
         let (rows, cols) = grid_dims(np);
@@ -98,11 +98,11 @@ impl Lu {
         if wildcard {
             // Lookahead path: consume incoming faces in arrival order.
             for _ in &up {
-                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, tags::SWEEP)?;
+                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, tags::SWEEP).await?;
             }
         } else {
             for &u in &up {
-                let _ = mpi.recv(Comm::WORLD, u as i32, tags::SWEEP)?;
+                let _ = mpi.recv(Comm::WORLD, u as i32, tags::SWEEP).await?;
             }
         }
         mpi.compute(self.params.cell_cost)?;
@@ -113,21 +113,26 @@ impl Lu {
                 d as i32,
                 tags::SWEEP,
                 codec::encode_u64s(&vec![me as u64; words]),
-            )?;
+            )
+            .await?;
         }
         Ok(())
     }
 }
 
 impl MpiProgram for Lu {
-    fn run(&self, mpi: &mut dyn Mpi) -> Result<()> {
-        for it in 0..self.params.iters {
-            let wildcard = it < self.params.wildcard_iters;
-            self.sweep(mpi, true, wildcard)?;
-            self.sweep(mpi, false, wildcard)?;
-            let _ = mpi.allreduce_f64(Comm::WORLD, vec![1.0], ReduceOp::Max)?;
-        }
-        Ok(())
+    fn run<'a>(&'a self, mpi: &'a mut dyn Mpi) -> RankBody<'a> {
+        Box::pin(async move {
+            for it in 0..self.params.iters {
+                let wildcard = it < self.params.wildcard_iters;
+                self.sweep(mpi, true, wildcard).await?;
+                self.sweep(mpi, false, wildcard).await?;
+                let _ = mpi
+                    .allreduce_f64(Comm::WORLD, vec![1.0], ReduceOp::Max)
+                    .await?;
+            }
+            Ok(())
+        })
     }
 
     fn name(&self) -> &str {

@@ -5,7 +5,7 @@
 //! allreduce per V-cycle. Deterministic and leak-free (Table II: 1.15x).
 
 use dampi_mpi::envelope::codec;
-use dampi_mpi::{Comm, Mpi, MpiProgram, ReduceOp, Request, Result};
+use dampi_mpi::{Comm, Mpi, MpiProgram, RankBody, ReduceOp, Request, Result};
 
 use crate::tags;
 
@@ -44,7 +44,7 @@ impl Mg {
     }
 
     /// Halo exchange with partners at `stride` in both directions.
-    fn strided_halo(&self, mpi: &mut dyn Mpi, stride: usize, bytes: usize) -> Result<()> {
+    async fn strided_halo(&self, mpi: &mut dyn Mpi, stride: usize, bytes: usize) -> Result<()> {
         let np = mpi.world_size();
         let me = mpi.world_rank();
         let words = bytes.div_ceil(8).max(1);
@@ -58,34 +58,38 @@ impl Mg {
             reqs.push(mpi.irecv(Comm::WORLD, (me + stride) as i32, tags::HALO)?);
             reqs.push(mpi.isend(Comm::WORLD, (me + stride) as i32, tags::HALO, data)?);
         }
-        mpi.waitall(&reqs)?;
+        mpi.waitall(&reqs).await?;
         Ok(())
     }
 }
 
 impl MpiProgram for Mg {
-    fn run(&self, mpi: &mut dyn Mpi) -> Result<()> {
-        let np = mpi.world_size();
-        for _ in 0..self.params.cycles {
-            // Down-sweep: finest to coarsest.
-            let mut stride = 1usize;
-            let mut bytes = self.params.msg_bytes;
-            while stride < np {
-                self.strided_halo(mpi, stride, bytes)?;
-                mpi.compute(self.params.smooth_cost)?;
-                stride *= 2;
-                bytes = (bytes / 2).max(8);
+    fn run<'a>(&'a self, mpi: &'a mut dyn Mpi) -> RankBody<'a> {
+        Box::pin(async move {
+            let np = mpi.world_size();
+            for _ in 0..self.params.cycles {
+                // Down-sweep: finest to coarsest.
+                let mut stride = 1usize;
+                let mut bytes = self.params.msg_bytes;
+                while stride < np {
+                    self.strided_halo(mpi, stride, bytes).await?;
+                    mpi.compute(self.params.smooth_cost)?;
+                    stride *= 2;
+                    bytes = (bytes / 2).max(8);
+                }
+                // Up-sweep: coarsest back to finest.
+                while stride > 1 {
+                    stride /= 2;
+                    bytes *= 2;
+                    self.strided_halo(mpi, stride, bytes).await?;
+                    mpi.compute(self.params.smooth_cost)?;
+                }
+                let _ = mpi
+                    .allreduce_f64(Comm::WORLD, vec![1.0], ReduceOp::Sum)
+                    .await?;
             }
-            // Up-sweep: coarsest back to finest.
-            while stride > 1 {
-                stride /= 2;
-                bytes *= 2;
-                self.strided_halo(mpi, stride, bytes)?;
-                mpi.compute(self.params.smooth_cost)?;
-            }
-            let _ = mpi.allreduce_f64(Comm::WORLD, vec![1.0], ReduceOp::Sum)?;
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     fn name(&self) -> &str {

@@ -16,7 +16,7 @@
 //! leaving its workspace communicator unfreed (configurable).
 
 use dampi_mpi::envelope::codec;
-use dampi_mpi::{Comm, Mpi, MpiProgram, ReduceOp, Request, Result};
+use dampi_mpi::{Comm, Mpi, MpiProgram, RankBody, ReduceOp, Request};
 
 use crate::tags;
 
@@ -102,53 +102,57 @@ impl Parmetis {
 }
 
 impl MpiProgram for Parmetis {
-    fn run(&self, mpi: &mut dyn Mpi) -> Result<()> {
-        let np = mpi.world_size();
-        let me = mpi.world_rank();
-        let p = self.params;
-        // Workspace communicator (ParMETIS duplicates the user's comm).
-        let work = mpi.comm_dup(Comm::WORLD)?;
-        let nbrs = Self::neighbors(me, np);
-        let payload: Vec<u64> = (0..p.msg_bytes / 8).map(|i| (me + i) as u64).collect();
-        let mut edge_cut = (me as u64 + 1) * 1000;
-        for round in 0..p.coarsen_rounds {
-            for _ in 0..p.exchanges_per_round {
-                let mut reqs: Vec<Request> = Vec::with_capacity(2 * nbrs.len());
-                for &nb in &nbrs {
-                    reqs.push(mpi.irecv(work, nb as i32, tags::HALO)?);
+    fn run<'a>(&'a self, mpi: &'a mut dyn Mpi) -> RankBody<'a> {
+        Box::pin(async move {
+            let np = mpi.world_size();
+            let me = mpi.world_rank();
+            let p = self.params;
+            // Workspace communicator (ParMETIS duplicates the user's comm).
+            let work = mpi.comm_dup(Comm::WORLD).await?;
+            let nbrs = Self::neighbors(me, np);
+            let payload: Vec<u64> = (0..p.msg_bytes / 8).map(|i| (me + i) as u64).collect();
+            let mut edge_cut = (me as u64 + 1) * 1000;
+            for round in 0..p.coarsen_rounds {
+                for _ in 0..p.exchanges_per_round {
+                    let mut reqs: Vec<Request> = Vec::with_capacity(2 * nbrs.len());
+                    for &nb in &nbrs {
+                        reqs.push(mpi.irecv(work, nb as i32, tags::HALO)?);
+                    }
+                    for &nb in &nbrs {
+                        reqs.push(mpi.isend(
+                            work,
+                            nb as i32,
+                            tags::HALO,
+                            codec::encode_u64s(&payload),
+                        )?);
+                    }
+                    // ParMETIS consumes some halo replies eagerly (individual
+                    // waits) and batches the rest in one Waitall — this gives
+                    // Table I its ~3.6:1 Send-Recv:Wait call ratio.
+                    let eager = nbrs.len() / 2;
+                    for r in reqs.drain(..eager) {
+                        mpi.wait(r).await?;
+                    }
+                    mpi.waitall(&reqs).await?;
                 }
-                for &nb in &nbrs {
-                    reqs.push(mpi.isend(
-                        work,
-                        nb as i32,
-                        tags::HALO,
-                        codec::encode_u64s(&payload),
-                    )?);
+                mpi.compute(p.round_cost)?;
+                // Coarsening step: global edge-cut reduction.
+                let cut = mpi
+                    .allreduce_u64(work, vec![edge_cut], ReduceOp::Min)
+                    .await?;
+                edge_cut = cut[0].saturating_sub(round as u64);
+                // Occasional synchronization barrier between phases.
+                if round % 4 == 3 {
+                    mpi.barrier(work).await?;
                 }
-                // ParMETIS consumes some halo replies eagerly (individual
-                // waits) and batches the rest in one Waitall — this gives
-                // Table I its ~3.6:1 Send-Recv:Wait call ratio.
-                let eager = nbrs.len() / 2;
-                for r in reqs.drain(..eager) {
-                    mpi.wait(r)?;
-                }
-                mpi.waitall(&reqs)?;
             }
-            mpi.compute(p.round_cost)?;
-            // Coarsening step: global edge-cut reduction.
-            let cut = mpi.allreduce_u64(work, vec![edge_cut], ReduceOp::Min)?;
-            edge_cut = cut[0].saturating_sub(round as u64);
-            // Occasional synchronization barrier between phases.
-            if round % 4 == 3 {
-                mpi.barrier(work)?;
+            // Final gather of partition quality at root.
+            let _ = mpi.gather(work, 0, codec::encode_u64(edge_cut)).await?;
+            if !p.leak_comm {
+                mpi.comm_free(work).await?;
             }
-        }
-        // Final gather of partition quality at root.
-        let _ = mpi.gather(work, 0, codec::encode_u64(edge_cut))?;
-        if !p.leak_comm {
-            mpi.comm_free(work)?;
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     fn name(&self) -> &str {
@@ -161,7 +165,7 @@ mod tests {
     use super::*;
     use dampi_mpi::interpose::StatsLayer;
     use dampi_mpi::stats::StatsCollector;
-    use dampi_mpi::{run_native, run_with_layers, SimConfig};
+    use dampi_mpi::{ready_stack, run_native, run_with_layers, SimConfig};
     use std::sync::Arc;
 
     #[test]
@@ -208,7 +212,7 @@ mod tests {
             let prog = Parmetis::new(ParmetisParams::nominal(np, 0.2));
             let c2 = Arc::clone(&collector);
             let out = run_with_layers(&SimConfig::new(np), &prog, &move |_, pmpi| {
-                Ok(Box::new(StatsLayer::new(pmpi, Arc::clone(&c2))))
+                ready_stack(StatsLayer::new(pmpi, Arc::clone(&c2)))
             });
             assert!(out.succeeded());
             (collector.total().total(), collector.per_proc().total())
@@ -235,7 +239,7 @@ mod tests {
             let prog = Parmetis::new(ParmetisParams::nominal(np, 0.2));
             let c2 = Arc::clone(&collector);
             let out = run_with_layers(&SimConfig::new(np), &prog, &move |_, pmpi| {
-                Ok(Box::new(StatsLayer::new(pmpi, Arc::clone(&c2))))
+                ready_stack(StatsLayer::new(pmpi, Arc::clone(&c2)))
             });
             assert!(out.succeeded());
             collector.per_proc().collective

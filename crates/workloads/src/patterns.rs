@@ -4,33 +4,33 @@
 use bytes::Bytes;
 use dampi_mpi::envelope::codec;
 use dampi_mpi::proc_api::user_assert;
-use dampi_mpi::{Comm, FnProgram, Mpi, Result, ANY_SOURCE, ANY_TAG};
+use dampi_mpi::{AsyncFnProgram, Comm, Mpi, Result, ANY_SOURCE, ANY_TAG};
 
 /// Paper Fig. 3: three processes; P1's wildcard receive can match P0
 /// (value 22, fine) or P2 (value 33, triggers the application error).
 /// A barrier separates the sends from the receive so the choice is purely
 /// the runtime's — the bias DAMPI's replay overrides.
 #[must_use]
-pub fn fig3() -> FnProgram<impl Fn(&mut dyn Mpi) -> Result<()> + Send + Sync> {
-    FnProgram(|mpi: &mut dyn Mpi| {
+pub fn fig3() -> AsyncFnProgram<impl AsyncFn(&mut dyn Mpi) -> Result<()> + Send + Sync> {
+    AsyncFnProgram(async |mpi: &mut dyn Mpi| {
         match mpi.world_rank() {
             0 => {
-                mpi.send(Comm::WORLD, 1, 22, codec::encode_u64(22))?;
-                mpi.barrier(Comm::WORLD)?;
+                mpi.send(Comm::WORLD, 1, 22, codec::encode_u64(22)).await?;
+                mpi.barrier(Comm::WORLD).await?;
             }
             2 => {
-                mpi.send(Comm::WORLD, 1, 22, codec::encode_u64(33))?;
-                mpi.barrier(Comm::WORLD)?;
+                mpi.send(Comm::WORLD, 1, 22, codec::encode_u64(33)).await?;
+                mpi.barrier(Comm::WORLD).await?;
             }
             1 => {
-                mpi.barrier(Comm::WORLD)?;
-                let (_, data) = mpi.recv(Comm::WORLD, ANY_SOURCE, 22)?;
+                mpi.barrier(Comm::WORLD).await?;
+                let (_, data) = mpi.recv(Comm::WORLD, ANY_SOURCE, 22).await?;
                 let x = codec::decode_u64(&data);
                 user_assert(x != 33, "x == 33")?;
-                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 22)?;
+                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 22).await?;
             }
             // Extra ranks in larger worlds only synchronize.
-            _ => mpi.barrier(Comm::WORLD)?,
+            _ => mpi.barrier(Comm::WORLD).await?,
         }
         Ok(())
     })
@@ -42,24 +42,29 @@ pub fn fig3() -> FnProgram<impl Fn(&mut dyn Mpi) -> Result<()> + Send + Sync> {
 /// the other, creating concurrent sends whose Lamport projections are
 /// indistinguishable from causally-later ones.
 #[must_use]
-pub fn fig4_cross_coupled() -> FnProgram<impl Fn(&mut dyn Mpi) -> Result<()> + Send + Sync> {
-    FnProgram(|mpi: &mut dyn Mpi| {
+pub fn fig4_cross_coupled() -> AsyncFnProgram<impl AsyncFn(&mut dyn Mpi) -> Result<()> + Send + Sync>
+{
+    AsyncFnProgram(async |mpi: &mut dyn Mpi| {
         match mpi.world_rank() {
             0 => {
-                mpi.send(Comm::WORLD, 1, 0, Bytes::from_static(b"p0"))?;
+                mpi.send(Comm::WORLD, 1, 0, Bytes::from_static(b"p0"))
+                    .await?;
             }
             1 => {
-                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 0)?;
-                mpi.send(Comm::WORLD, 2, 0, Bytes::from_static(b"p1"))?;
-                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 0)?;
+                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 0).await?;
+                mpi.send(Comm::WORLD, 2, 0, Bytes::from_static(b"p1"))
+                    .await?;
+                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 0).await?;
             }
             2 => {
-                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 0)?;
-                mpi.send(Comm::WORLD, 1, 0, Bytes::from_static(b"p2"))?;
-                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 0)?;
+                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 0).await?;
+                mpi.send(Comm::WORLD, 1, 0, Bytes::from_static(b"p2"))
+                    .await?;
+                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 0).await?;
             }
             3 => {
-                mpi.send(Comm::WORLD, 2, 0, Bytes::from_static(b"p3"))?;
+                mpi.send(Comm::WORLD, 2, 0, Bytes::from_static(b"p3"))
+                    .await?;
             }
             // Ranks beyond the four-process pattern sit out.
             _ => {}
@@ -78,20 +83,23 @@ pub fn fig4_cross_coupled() -> FnProgram<impl Fn(&mut dyn Mpi) -> Result<()> + S
 /// equal-clock epoch unprescribed: a deterministic prefix divergence of the
 /// §II-F imprecision kind, on every replay of that branch.
 #[must_use]
-pub fn symmetric_racers() -> FnProgram<impl Fn(&mut dyn Mpi) -> Result<()> + Send + Sync> {
-    FnProgram(|mpi: &mut dyn Mpi| {
+pub fn symmetric_racers() -> AsyncFnProgram<impl AsyncFn(&mut dyn Mpi) -> Result<()> + Send + Sync>
+{
+    AsyncFnProgram(async |mpi: &mut dyn Mpi| {
         match mpi.world_rank() {
             0 | 2 => {
-                mpi.send(Comm::WORLD, 1, 7, Bytes::from_static(b"race"))?;
-                mpi.send(Comm::WORLD, 3, 7, Bytes::from_static(b"race"))?;
-                mpi.barrier(Comm::WORLD)?;
+                mpi.send(Comm::WORLD, 1, 7, Bytes::from_static(b"race"))
+                    .await?;
+                mpi.send(Comm::WORLD, 3, 7, Bytes::from_static(b"race"))
+                    .await?;
+                mpi.barrier(Comm::WORLD).await?;
             }
             1 | 3 => {
-                mpi.barrier(Comm::WORLD)?;
-                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 7)?;
-                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 7)?;
+                mpi.barrier(Comm::WORLD).await?;
+                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 7).await?;
+                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 7).await?;
             }
-            _ => mpi.barrier(Comm::WORLD)?,
+            _ => mpi.barrier(Comm::WORLD).await?,
         }
         Ok(())
     })
@@ -101,28 +109,28 @@ pub fn symmetric_racers() -> FnProgram<impl Fn(&mut dyn Mpi) -> Result<()> + Sen
 /// barrier) before its `Wait`, making P2's post-barrier send an undetected
 /// competitor. Crashes (application error) when that send wins.
 #[must_use]
-pub fn fig10_unsafe() -> FnProgram<impl Fn(&mut dyn Mpi) -> Result<()> + Send + Sync> {
-    FnProgram(|mpi: &mut dyn Mpi| {
+pub fn fig10_unsafe() -> AsyncFnProgram<impl AsyncFn(&mut dyn Mpi) -> Result<()> + Send + Sync> {
+    AsyncFnProgram(async |mpi: &mut dyn Mpi| {
         match mpi.world_rank() {
             0 => {
-                mpi.send(Comm::WORLD, 1, 22, codec::encode_u64(22))?;
-                mpi.barrier(Comm::WORLD)?;
+                mpi.send(Comm::WORLD, 1, 22, codec::encode_u64(22)).await?;
+                mpi.barrier(Comm::WORLD).await?;
             }
             1 => {
                 let req = mpi.irecv(Comm::WORLD, ANY_SOURCE, 22)?;
-                mpi.barrier(Comm::WORLD)?;
-                let (_, data) = mpi.wait(req)?;
+                mpi.barrier(Comm::WORLD).await?;
+                let (_, data) = mpi.wait(req).await?;
                 let x = codec::decode_u64(&data);
                 user_assert(x != 33, "x == 33 (fig10 crash)")?;
                 // Drain whichever message lost the race.
-                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 22)?;
+                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 22).await?;
             }
             2 => {
-                mpi.barrier(Comm::WORLD)?;
-                mpi.send(Comm::WORLD, 1, 22, codec::encode_u64(33))?;
+                mpi.barrier(Comm::WORLD).await?;
+                mpi.send(Comm::WORLD, 1, 22, codec::encode_u64(33)).await?;
             }
             _ => {
-                mpi.barrier(Comm::WORLD)?;
+                mpi.barrier(Comm::WORLD).await?;
             }
         }
         Ok(())
@@ -131,14 +139,16 @@ pub fn fig10_unsafe() -> FnProgram<impl Fn(&mut dyn Mpi) -> Result<()> + Send + 
 
 /// A head-to-head deadlock: both ranks receive before sending.
 #[must_use]
-pub fn deadlock_head_to_head() -> FnProgram<impl Fn(&mut dyn Mpi) -> Result<()> + Send + Sync> {
-    FnProgram(|mpi: &mut dyn Mpi| {
+pub fn deadlock_head_to_head(
+) -> AsyncFnProgram<impl AsyncFn(&mut dyn Mpi) -> Result<()> + Send + Sync> {
+    AsyncFnProgram(async |mpi: &mut dyn Mpi| {
         let peer = (mpi.world_rank() ^ 1) as i32;
         if peer as usize >= mpi.world_size() {
             return Ok(());
         }
-        let (_, _) = mpi.recv(Comm::WORLD, peer, 0)?;
-        mpi.send(Comm::WORLD, peer, 0, Bytes::from_static(b"never"))?;
+        let (_, _) = mpi.recv(Comm::WORLD, peer, 0).await?;
+        mpi.send(Comm::WORLD, peer, 0, Bytes::from_static(b"never"))
+            .await?;
         Ok(())
     })
 }
@@ -148,21 +158,22 @@ pub fn deadlock_head_to_head() -> FnProgram<impl Fn(&mut dyn Mpi) -> Result<()> 
 /// index keyed by arrival order instead of rank).
 #[must_use]
 pub fn deadlock_on_alternate_schedule(
-) -> FnProgram<impl Fn(&mut dyn Mpi) -> Result<()> + Send + Sync> {
-    FnProgram(|mpi: &mut dyn Mpi| {
+) -> AsyncFnProgram<impl AsyncFn(&mut dyn Mpi) -> Result<()> + Send + Sync> {
+    AsyncFnProgram(async |mpi: &mut dyn Mpi| {
         match mpi.world_rank() {
             0 => {
-                let (st, _) = mpi.recv(Comm::WORLD, ANY_SOURCE, 0)?;
+                let (st, _) = mpi.recv(Comm::WORLD, ANY_SOURCE, 0).await?;
                 if st.source == 2 {
                     // Buggy path: waits for a second message from rank 2
                     // that never comes.
-                    let _ = mpi.recv(Comm::WORLD, 2, 0)?;
+                    let _ = mpi.recv(Comm::WORLD, 2, 0).await?;
                 } else {
-                    let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 0)?;
+                    let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 0).await?;
                 }
             }
             r @ (1 | 2) => {
-                mpi.send(Comm::WORLD, 0, 0, codec::encode_u64(r as u64))?;
+                mpi.send(Comm::WORLD, 0, 0, codec::encode_u64(r as u64))
+                    .await?;
             }
             _ => {}
         }
@@ -175,14 +186,17 @@ pub fn deadlock_on_alternate_schedule(
 /// this dynamically as a collective mismatch; the pre-replay lint pass
 /// flags it from the free run's trace without spending a single replay.
 #[must_use]
-pub fn collective_mismatch() -> FnProgram<impl Fn(&mut dyn Mpi) -> Result<()> + Send + Sync> {
-    FnProgram(|mpi: &mut dyn Mpi| {
+pub fn collective_mismatch(
+) -> AsyncFnProgram<impl AsyncFn(&mut dyn Mpi) -> Result<()> + Send + Sync> {
+    AsyncFnProgram(async |mpi: &mut dyn Mpi| {
         if mpi.world_rank() == 0 {
-            mpi.barrier(Comm::WORLD)?;
+            mpi.barrier(Comm::WORLD).await?;
         } else if mpi.world_rank() == 1 {
-            let _ = mpi.bcast(Comm::WORLD, 1, Some(Bytes::from_static(b"cfg")))?;
+            let _ = mpi
+                .bcast(Comm::WORLD, 1, Some(Bytes::from_static(b"cfg")))
+                .await?;
         } else {
-            let _ = mpi.bcast(Comm::WORLD, 1, None)?;
+            let _ = mpi.bcast(Comm::WORLD, 1, None).await?;
         }
         Ok(())
     })
@@ -193,13 +207,16 @@ pub fn collective_mismatch() -> FnProgram<impl Fn(&mut dyn Mpi) -> Result<()> + 
 /// completing it. The named receive keeps the send/recv counts balanced,
 /// so exactly the request-leak lint fires and nothing else.
 #[must_use]
-pub fn request_leak() -> FnProgram<impl Fn(&mut dyn Mpi) -> Result<()> + Send + Sync> {
-    FnProgram(|mpi: &mut dyn Mpi| {
+pub fn request_leak() -> AsyncFnProgram<impl AsyncFn(&mut dyn Mpi) -> Result<()> + Send + Sync> {
+    AsyncFnProgram(async |mpi: &mut dyn Mpi| {
         match mpi.world_rank() {
             0 => {
                 let _abandoned = mpi.irecv(Comm::WORLD, 1, 5)?;
             }
-            1 => mpi.send(Comm::WORLD, 0, 5, Bytes::from_static(b"orphaned"))?,
+            1 => {
+                mpi.send(Comm::WORLD, 0, 5, Bytes::from_static(b"orphaned"))
+                    .await?
+            }
             _ => {}
         }
         Ok(())
@@ -209,13 +226,14 @@ pub fn request_leak() -> FnProgram<impl Fn(&mut dyn Mpi) -> Result<()> + Send + 
 /// Leaks one duplicated communicator and one request per run (Table II's
 /// C-leak and R-leak detectors).
 #[must_use]
-pub fn leaky_program() -> FnProgram<impl Fn(&mut dyn Mpi) -> Result<()> + Send + Sync> {
-    FnProgram(|mpi: &mut dyn Mpi| {
-        let _leaked_comm = mpi.comm_dup(Comm::WORLD)?;
+pub fn leaky_program() -> AsyncFnProgram<impl AsyncFn(&mut dyn Mpi) -> Result<()> + Send + Sync> {
+    AsyncFnProgram(async |mpi: &mut dyn Mpi| {
+        let _leaked_comm = mpi.comm_dup(Comm::WORLD).await?;
         if mpi.world_rank() == 0 {
             let _leaked_req = mpi.irecv(Comm::WORLD, ANY_SOURCE, ANY_TAG)?;
         } else if mpi.world_rank() == 1 {
-            mpi.send(Comm::WORLD, 0, 7, Bytes::from_static(b"leak-bait"))?;
+            mpi.send(Comm::WORLD, 0, 7, Bytes::from_static(b"leak-bait"))
+                .await?;
         }
         Ok(())
     })
@@ -227,15 +245,18 @@ pub fn leaky_program() -> FnProgram<impl Fn(&mut dyn Mpi) -> Result<()> + Send +
 /// only traffic (rank 1's tag-8 send) goes to rank 2's named receive, so
 /// the send/recv counts stay balanced and L003 stays quiet.
 #[must_use]
-pub fn stuck_wildcard() -> FnProgram<impl Fn(&mut dyn Mpi) -> Result<()> + Send + Sync> {
-    FnProgram(|mpi: &mut dyn Mpi| {
+pub fn stuck_wildcard() -> AsyncFnProgram<impl AsyncFn(&mut dyn Mpi) -> Result<()> + Send + Sync> {
+    AsyncFnProgram(async |mpi: &mut dyn Mpi| {
         match mpi.world_rank() {
             0 => {
-                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 9)?;
+                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 9).await?;
             }
-            1 => mpi.send(Comm::WORLD, 2, 8, Bytes::from_static(b"routine"))?,
+            1 => {
+                mpi.send(Comm::WORLD, 2, 8, Bytes::from_static(b"routine"))
+                    .await?
+            }
             2 => {
-                let _ = mpi.recv(Comm::WORLD, 1, 8)?;
+                let _ = mpi.recv(Comm::WORLD, 1, 8).await?;
             }
             _ => {}
         }
@@ -249,22 +270,26 @@ pub fn stuck_wildcard() -> FnProgram<impl Fn(&mut dyn Mpi) -> Result<()> + Send 
 /// the program is bug-free; it exists so the conformance checker has a
 /// known-clean baseline next to the three seeded violations below.
 #[must_use]
-pub fn protocol_demo() -> FnProgram<impl Fn(&mut dyn Mpi) -> Result<()> + Send + Sync> {
-    FnProgram(|mpi: &mut dyn Mpi| {
+pub fn protocol_demo() -> AsyncFnProgram<impl AsyncFn(&mut dyn Mpi) -> Result<()> + Send + Sync> {
+    AsyncFnProgram(async |mpi: &mut dyn Mpi| {
         match mpi.world_rank() {
             0 => {
-                mpi.send(Comm::WORLD, 1, 10, Bytes::from_static(b"left"))?;
-                mpi.send(Comm::WORLD, 2, 11, Bytes::from_static(b"right"))?;
-                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 12)?;
-                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 12)?;
+                mpi.send(Comm::WORLD, 1, 10, Bytes::from_static(b"left"))
+                    .await?;
+                mpi.send(Comm::WORLD, 2, 11, Bytes::from_static(b"right"))
+                    .await?;
+                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 12).await?;
+                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 12).await?;
             }
             1 => {
-                let _ = mpi.recv(Comm::WORLD, 0, 10)?;
-                mpi.send(Comm::WORLD, 0, 12, Bytes::from_static(b"from-left"))?;
+                let _ = mpi.recv(Comm::WORLD, 0, 10).await?;
+                mpi.send(Comm::WORLD, 0, 12, Bytes::from_static(b"from-left"))
+                    .await?;
             }
             2 => {
-                let _ = mpi.recv(Comm::WORLD, 0, 11)?;
-                mpi.send(Comm::WORLD, 0, 12, Bytes::from_static(b"from-right"))?;
+                let _ = mpi.recv(Comm::WORLD, 0, 11).await?;
+                mpi.send(Comm::WORLD, 0, 12, Bytes::from_static(b"from-right"))
+                    .await?;
             }
             _ => {}
         }
@@ -277,22 +302,27 @@ pub fn protocol_demo() -> FnProgram<impl Fn(&mut dyn Mpi) -> Result<()> + Send +
 /// still delivered (the workers' named receives don't care about global
 /// order), so the program runs clean — only the protocol walk objects.
 #[must_use]
-pub fn protocol_order_bug() -> FnProgram<impl Fn(&mut dyn Mpi) -> Result<()> + Send + Sync> {
-    FnProgram(|mpi: &mut dyn Mpi| {
+pub fn protocol_order_bug() -> AsyncFnProgram<impl AsyncFn(&mut dyn Mpi) -> Result<()> + Send + Sync>
+{
+    AsyncFnProgram(async |mpi: &mut dyn Mpi| {
         match mpi.world_rank() {
             0 => {
-                mpi.send(Comm::WORLD, 2, 11, Bytes::from_static(b"right"))?;
-                mpi.send(Comm::WORLD, 1, 10, Bytes::from_static(b"left"))?;
-                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 12)?;
-                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 12)?;
+                mpi.send(Comm::WORLD, 2, 11, Bytes::from_static(b"right"))
+                    .await?;
+                mpi.send(Comm::WORLD, 1, 10, Bytes::from_static(b"left"))
+                    .await?;
+                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 12).await?;
+                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 12).await?;
             }
             1 => {
-                let _ = mpi.recv(Comm::WORLD, 0, 10)?;
-                mpi.send(Comm::WORLD, 0, 12, Bytes::from_static(b"from-left"))?;
+                let _ = mpi.recv(Comm::WORLD, 0, 10).await?;
+                mpi.send(Comm::WORLD, 0, 12, Bytes::from_static(b"from-left"))
+                    .await?;
             }
             2 => {
-                let _ = mpi.recv(Comm::WORLD, 0, 11)?;
-                mpi.send(Comm::WORLD, 0, 12, Bytes::from_static(b"from-right"))?;
+                let _ = mpi.recv(Comm::WORLD, 0, 11).await?;
+                mpi.send(Comm::WORLD, 0, 12, Bytes::from_static(b"from-right"))
+                    .await?;
             }
             _ => {}
         }
@@ -305,22 +335,27 @@ pub fn protocol_order_bug() -> FnProgram<impl Fn(&mut dyn Mpi) -> Result<()> + S
 /// recipients — tag 10 goes to `right` and tag 11 to `left`. The workers
 /// post `ANY_TAG` receives so the run itself completes.
 #[must_use]
-pub fn protocol_peer_bug() -> FnProgram<impl Fn(&mut dyn Mpi) -> Result<()> + Send + Sync> {
-    FnProgram(|mpi: &mut dyn Mpi| {
+pub fn protocol_peer_bug() -> AsyncFnProgram<impl AsyncFn(&mut dyn Mpi) -> Result<()> + Send + Sync>
+{
+    AsyncFnProgram(async |mpi: &mut dyn Mpi| {
         match mpi.world_rank() {
             0 => {
-                mpi.send(Comm::WORLD, 2, 10, Bytes::from_static(b"misrouted"))?;
-                mpi.send(Comm::WORLD, 1, 11, Bytes::from_static(b"misrouted"))?;
-                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 12)?;
-                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 12)?;
+                mpi.send(Comm::WORLD, 2, 10, Bytes::from_static(b"misrouted"))
+                    .await?;
+                mpi.send(Comm::WORLD, 1, 11, Bytes::from_static(b"misrouted"))
+                    .await?;
+                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 12).await?;
+                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 12).await?;
             }
             1 => {
-                let _ = mpi.recv(Comm::WORLD, 0, ANY_TAG)?;
-                mpi.send(Comm::WORLD, 0, 12, Bytes::from_static(b"from-left"))?;
+                let _ = mpi.recv(Comm::WORLD, 0, ANY_TAG).await?;
+                mpi.send(Comm::WORLD, 0, 12, Bytes::from_static(b"from-left"))
+                    .await?;
             }
             2 => {
-                let _ = mpi.recv(Comm::WORLD, 0, ANY_TAG)?;
-                mpi.send(Comm::WORLD, 0, 12, Bytes::from_static(b"from-right"))?;
+                let _ = mpi.recv(Comm::WORLD, 0, ANY_TAG).await?;
+                mpi.send(Comm::WORLD, 0, 12, Bytes::from_static(b"from-right"))
+                    .await?;
             }
             _ => {}
         }
@@ -335,20 +370,24 @@ pub fn protocol_peer_bug() -> FnProgram<impl Fn(&mut dyn Mpi) -> Result<()> + Se
 /// balanced, so L002/L003 have nothing to say — only the session type
 /// notices the early exit.
 #[must_use]
-pub fn protocol_short_bug() -> FnProgram<impl Fn(&mut dyn Mpi) -> Result<()> + Send + Sync> {
-    FnProgram(|mpi: &mut dyn Mpi| {
+pub fn protocol_short_bug() -> AsyncFnProgram<impl AsyncFn(&mut dyn Mpi) -> Result<()> + Send + Sync>
+{
+    AsyncFnProgram(async |mpi: &mut dyn Mpi| {
         match mpi.world_rank() {
             0 => {
-                mpi.send(Comm::WORLD, 1, 10, Bytes::from_static(b"left"))?;
-                mpi.send(Comm::WORLD, 2, 11, Bytes::from_static(b"right"))?;
-                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 12)?;
+                mpi.send(Comm::WORLD, 1, 10, Bytes::from_static(b"left"))
+                    .await?;
+                mpi.send(Comm::WORLD, 2, 11, Bytes::from_static(b"right"))
+                    .await?;
+                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 12).await?;
             }
             1 => {
-                let _ = mpi.recv(Comm::WORLD, 0, 10)?;
-                mpi.send(Comm::WORLD, 0, 12, Bytes::from_static(b"from-left"))?;
+                let _ = mpi.recv(Comm::WORLD, 0, 10).await?;
+                mpi.send(Comm::WORLD, 0, 12, Bytes::from_static(b"from-left"))
+                    .await?;
             }
             2 => {
-                let _ = mpi.recv(Comm::WORLD, 0, 11)?;
+                let _ = mpi.recv(Comm::WORLD, 0, 11).await?;
             }
             _ => {}
         }
@@ -364,20 +403,23 @@ pub fn protocol_short_bug() -> FnProgram<impl Fn(&mut dyn Mpi) -> Result<()> + S
 /// each receive to exactly one sender — the committed demonstration that
 /// `--prune-static --protocol` removes a replay PrunePlan v2 keeps.
 #[must_use]
-pub fn ordered_stages() -> FnProgram<impl Fn(&mut dyn Mpi) -> Result<()> + Send + Sync> {
-    FnProgram(|mpi: &mut dyn Mpi| {
+pub fn ordered_stages() -> AsyncFnProgram<impl AsyncFn(&mut dyn Mpi) -> Result<()> + Send + Sync> {
+    AsyncFnProgram(async |mpi: &mut dyn Mpi| {
         match mpi.world_rank() {
             0 => {
-                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 7)?;
-                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 7)?;
+                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 7).await?;
+                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 7).await?;
             }
             1 => {
-                mpi.send(Comm::WORLD, 0, 7, Bytes::from_static(b"stage-one"))?;
-                mpi.send(Comm::WORLD, 2, 8, Bytes::from_static(b"token"))?;
+                mpi.send(Comm::WORLD, 0, 7, Bytes::from_static(b"stage-one"))
+                    .await?;
+                mpi.send(Comm::WORLD, 2, 8, Bytes::from_static(b"token"))
+                    .await?;
             }
             2 => {
-                let _ = mpi.recv(Comm::WORLD, 1, 8)?;
-                mpi.send(Comm::WORLD, 0, 7, Bytes::from_static(b"stage-two"))?;
+                let _ = mpi.recv(Comm::WORLD, 1, 8).await?;
+                mpi.send(Comm::WORLD, 0, 7, Bytes::from_static(b"stage-two"))
+                    .await?;
             }
             _ => {}
         }

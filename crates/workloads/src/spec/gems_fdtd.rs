@@ -4,7 +4,7 @@
 //! duplicates a communicator for its field exchanges and never frees it
 //! (Table II: C-leak = Yes, slowdown 1.13x).
 
-use dampi_mpi::{Comm, Mpi, MpiProgram, ReduceOp, Result};
+use dampi_mpi::{Comm, Mpi, MpiProgram, RankBody, ReduceOp};
 
 use crate::idioms;
 use crate::tags;
@@ -45,18 +45,22 @@ impl GemsFdtd {
 }
 
 impl MpiProgram for GemsFdtd {
-    fn run(&self, mpi: &mut dyn Mpi) -> Result<()> {
-        let field_comm = mpi.comm_dup(Comm::WORLD)?; // never freed
-        for _ in 0..self.params.steps {
-            // E-field update + exchange.
-            idioms::halo_2d(mpi, field_comm, tags::HALO, self.params.msg_bytes)?;
-            mpi.compute(self.params.update_cost)?;
-            // H-field update + exchange.
-            idioms::halo_2d(mpi, field_comm, tags::HALO + 1, self.params.msg_bytes)?;
-            mpi.compute(self.params.update_cost)?;
-        }
-        let _ = mpi.reduce_f64(Comm::WORLD, 0, vec![1.0], ReduceOp::Sum)?;
-        Ok(())
+    fn run<'a>(&'a self, mpi: &'a mut dyn Mpi) -> RankBody<'a> {
+        Box::pin(async move {
+            let field_comm = mpi.comm_dup(Comm::WORLD).await?; // never freed
+            for _ in 0..self.params.steps {
+                // E-field update + exchange.
+                idioms::halo_2d(mpi, field_comm, tags::HALO, self.params.msg_bytes).await?;
+                mpi.compute(self.params.update_cost)?;
+                // H-field update + exchange.
+                idioms::halo_2d(mpi, field_comm, tags::HALO + 1, self.params.msg_bytes).await?;
+                mpi.compute(self.params.update_cost)?;
+            }
+            let _ = mpi
+                .reduce_f64(Comm::WORLD, 0, vec![1.0], ReduceOp::Sum)
+                .await?;
+            Ok(())
+        })
     }
 
     fn name(&self) -> &str {

@@ -5,7 +5,7 @@
 //! compute than the CFD codes, hence a visibly higher DAMPI overhead
 //! (Table II: 1.88x). Deterministic, leak-free.
 
-use dampi_mpi::{Comm, Mpi, MpiProgram, ReduceOp, Result};
+use dampi_mpi::{Comm, Mpi, MpiProgram, RankBody, ReduceOp};
 
 use crate::idioms;
 use crate::tags;
@@ -46,19 +46,23 @@ impl Lammps {
 }
 
 impl MpiProgram for Lammps {
-    fn run(&self, mpi: &mut dyn Mpi) -> Result<()> {
-        for step in 0..self.params.steps {
-            // Forward communication: ghost-atom positions.
-            idioms::halo_2d(mpi, Comm::WORLD, tags::HALO, self.params.msg_bytes)?;
-            mpi.compute(self.params.force_cost)?;
-            // Reverse communication: ghost forces.
-            idioms::halo_2d(mpi, Comm::WORLD, tags::HALO + 1, self.params.msg_bytes)?;
-            // Thermo output every few steps.
-            if step % 5 == 4 {
-                let _ = mpi.allreduce_f64(Comm::WORLD, vec![1.0, 2.0, 3.0], ReduceOp::Sum)?;
+    fn run<'a>(&'a self, mpi: &'a mut dyn Mpi) -> RankBody<'a> {
+        Box::pin(async move {
+            for step in 0..self.params.steps {
+                // Forward communication: ghost-atom positions.
+                idioms::halo_2d(mpi, Comm::WORLD, tags::HALO, self.params.msg_bytes).await?;
+                mpi.compute(self.params.force_cost)?;
+                // Reverse communication: ghost forces.
+                idioms::halo_2d(mpi, Comm::WORLD, tags::HALO + 1, self.params.msg_bytes).await?;
+                // Thermo output every few steps.
+                if step % 5 == 4 {
+                    let _ = mpi
+                        .allreduce_f64(Comm::WORLD, vec![1.0, 2.0, 3.0], ReduceOp::Sum)
+                        .await?;
+                }
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     fn name(&self) -> &str {

@@ -3,7 +3,7 @@
 //! Deterministic 1-D decomposition halo exchanges with substantial compute
 //! between them: near-floor DAMPI overhead (Table II: 1.14x), no leaks.
 
-use dampi_mpi::{Comm, Mpi, MpiProgram, ReduceOp, Result};
+use dampi_mpi::{Comm, Mpi, MpiProgram, RankBody, ReduceOp};
 
 use crate::idioms;
 use crate::tags;
@@ -44,15 +44,19 @@ impl Leslie3d {
 }
 
 impl MpiProgram for Leslie3d {
-    fn run(&self, mpi: &mut dyn Mpi) -> Result<()> {
-        for step in 0..self.params.steps {
-            idioms::halo_1d(mpi, Comm::WORLD, tags::HALO, self.params.msg_bytes)?;
-            mpi.compute(self.params.step_cost)?;
-            if step % 10 == 9 {
-                let _ = mpi.allreduce_f64(Comm::WORLD, vec![0.1], ReduceOp::Max)?;
+    fn run<'a>(&'a self, mpi: &'a mut dyn Mpi) -> RankBody<'a> {
+        Box::pin(async move {
+            for step in 0..self.params.steps {
+                idioms::halo_1d(mpi, Comm::WORLD, tags::HALO, self.params.msg_bytes).await?;
+                mpi.compute(self.params.step_cost)?;
+                if step % 10 == 9 {
+                    let _ = mpi
+                        .allreduce_f64(Comm::WORLD, vec![0.1], ReduceOp::Max)
+                        .await?;
+                }
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     fn name(&self) -> &str {

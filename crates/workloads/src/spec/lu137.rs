@@ -6,7 +6,7 @@
 //! overhead (1.04x) and a leaked communicator (C-leak = Yes).
 
 use dampi_mpi::envelope::codec;
-use dampi_mpi::{Comm, Mpi, MpiProgram, ReduceOp, Result, ANY_SOURCE};
+use dampi_mpi::{Comm, Mpi, MpiProgram, RankBody, ReduceOp, ANY_SOURCE};
 
 use crate::tags;
 
@@ -50,46 +50,51 @@ impl Lu137 {
 }
 
 impl MpiProgram for Lu137 {
-    fn run(&self, mpi: &mut dyn Mpi) -> Result<()> {
-        let np = mpi.world_size();
-        let me = mpi.world_rank();
-        let grid_comm = mpi.comm_dup(Comm::WORLD)?; // never freed
-        let words = self.params.panel_bytes / 8;
-        for panel in 0..self.params.panels {
-            let owner = panel % np;
-            // Panel broadcast down the process column (ring pipeline).
-            if me == owner {
-                let next = (me + 1) % np;
-                if next != owner {
-                    mpi.send(
-                        grid_comm,
-                        next as i32,
-                        tags::SWEEP,
-                        codec::encode_u64s(&vec![panel as u64; words.max(1)]),
-                    )?;
-                }
-            } else {
-                let use_wildcard =
-                    self.params.wildcard_stride > 0 && panel % self.params.wildcard_stride == 0;
-                let (_, data) = if use_wildcard {
-                    // Lookahead path: accept the panel from whoever
-                    // forwards it first.
-                    mpi.recv(grid_comm, ANY_SOURCE, tags::SWEEP)?
+    fn run<'a>(&'a self, mpi: &'a mut dyn Mpi) -> RankBody<'a> {
+        Box::pin(async move {
+            let np = mpi.world_size();
+            let me = mpi.world_rank();
+            let grid_comm = mpi.comm_dup(Comm::WORLD).await?; // never freed
+            let words = self.params.panel_bytes / 8;
+            for panel in 0..self.params.panels {
+                let owner = panel % np;
+                // Panel broadcast down the process column (ring pipeline).
+                if me == owner {
+                    let next = (me + 1) % np;
+                    if next != owner {
+                        mpi.send(
+                            grid_comm,
+                            next as i32,
+                            tags::SWEEP,
+                            codec::encode_u64s(&vec![panel as u64; words.max(1)]),
+                        )
+                        .await?;
+                    }
                 } else {
-                    let prev = (me + np - 1) % np;
-                    mpi.recv(grid_comm, prev as i32, tags::SWEEP)?
-                };
-                let next = (me + 1) % np;
-                if next != owner {
-                    mpi.send(grid_comm, next as i32, tags::SWEEP, data)?;
+                    let use_wildcard =
+                        self.params.wildcard_stride > 0 && panel % self.params.wildcard_stride == 0;
+                    let (_, data) = if use_wildcard {
+                        // Lookahead path: accept the panel from whoever
+                        // forwards it first.
+                        mpi.recv(grid_comm, ANY_SOURCE, tags::SWEEP).await?
+                    } else {
+                        let prev = (me + np - 1) % np;
+                        mpi.recv(grid_comm, prev as i32, tags::SWEEP).await?
+                    };
+                    let next = (me + 1) % np;
+                    if next != owner {
+                        mpi.send(grid_comm, next as i32, tags::SWEEP, data).await?;
+                    }
+                }
+                mpi.compute(self.params.update_cost)?;
+                if panel % 4 == 3 {
+                    let _ = mpi
+                        .allreduce_f64(grid_comm, vec![1.0], ReduceOp::Max)
+                        .await?;
                 }
             }
-            mpi.compute(self.params.update_cost)?;
-            if panel % 4 == 3 {
-                let _ = mpi.allreduce_f64(grid_comm, vec![1.0], ReduceOp::Max)?;
-            }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     fn name(&self) -> &str {

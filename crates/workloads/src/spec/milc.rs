@@ -8,7 +8,7 @@
 //! large epoch log. It also leaves a gather communicator unfreed (C-leak =
 //! Yes).
 
-use dampi_mpi::{Comm, Mpi, MpiProgram, ReduceOp, Result};
+use dampi_mpi::{Comm, Mpi, MpiProgram, RankBody, ReduceOp};
 
 use crate::idioms;
 use crate::tags;
@@ -53,23 +53,28 @@ impl Milc {
 }
 
 impl MpiProgram for Milc {
-    fn run(&self, mpi: &mut dyn Mpi) -> Result<()> {
-        let gather_comm = mpi.comm_dup(Comm::WORLD)?; // never freed
-        for _ in 0..self.params.iters {
-            for g in 0..self.params.gathers_per_iter {
-                // Wildcard halo gather: neighbors' contributions consumed
-                // in arrival order.
-                let _ = idioms::halo_2d_wildcard(
-                    mpi,
-                    gather_comm,
-                    tags::HALO + g as i32,
-                    self.params.msg_bytes,
-                )?;
+    fn run<'a>(&'a self, mpi: &'a mut dyn Mpi) -> RankBody<'a> {
+        Box::pin(async move {
+            let gather_comm = mpi.comm_dup(Comm::WORLD).await?; // never freed
+            for _ in 0..self.params.iters {
+                for g in 0..self.params.gathers_per_iter {
+                    // Wildcard halo gather: neighbors' contributions consumed
+                    // in arrival order.
+                    let _ = idioms::halo_2d_wildcard(
+                        mpi,
+                        gather_comm,
+                        tags::HALO + g as i32,
+                        self.params.msg_bytes,
+                    )
+                    .await?;
+                }
+                mpi.compute(self.params.iter_cost)?;
+                let _ = mpi
+                    .allreduce_f64(Comm::WORLD, vec![1.0, 2.0], ReduceOp::Sum)
+                    .await?;
             }
-            mpi.compute(self.params.iter_cost)?;
-            let _ = mpi.allreduce_f64(Comm::WORLD, vec![1.0, 2.0], ReduceOp::Sum)?;
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     fn name(&self) -> &str {

@@ -6,7 +6,7 @@
 //! phases (Table II: 1.25x). Deterministic, leak-free.
 
 use dampi_mpi::envelope::codec;
-use dampi_mpi::{Comm, Mpi, MpiProgram, ReduceOp, Result};
+use dampi_mpi::{Comm, Mpi, MpiProgram, RankBody, ReduceOp};
 
 use crate::idioms;
 
@@ -46,29 +46,33 @@ impl Socorro {
 }
 
 impl MpiProgram for Socorro {
-    fn run(&self, mpi: &mut dyn Mpi) -> Result<()> {
-        let words = self.params.block_bytes / 8;
-        for it in 0..self.params.scf_iters {
-            // Root distributes the current wavefunction block.
-            let root = it % mpi.world_size();
-            let me = mpi.world_rank();
-            let data = if me == root {
-                Some(codec::encode_u64s(&vec![it as u64; words]))
-            } else {
-                None
-            };
-            let _ = mpi.bcast(Comm::WORLD, root, data)?;
-            mpi.compute(self.params.step_cost)?;
-            // FFT-ish transpose every few iterations.
-            if it % 4 == 3 {
-                idioms::transpose(mpi, Comm::WORLD, 256)?;
+    fn run<'a>(&'a self, mpi: &'a mut dyn Mpi) -> RankBody<'a> {
+        Box::pin(async move {
+            let words = self.params.block_bytes / 8;
+            for it in 0..self.params.scf_iters {
+                // Root distributes the current wavefunction block.
+                let root = it % mpi.world_size();
+                let me = mpi.world_rank();
+                let data = if me == root {
+                    Some(codec::encode_u64s(&vec![it as u64; words]))
+                } else {
+                    None
+                };
+                let _ = mpi.bcast(Comm::WORLD, root, data).await?;
+                mpi.compute(self.params.step_cost)?;
+                // FFT-ish transpose every few iterations.
+                if it % 4 == 3 {
+                    idioms::transpose(mpi, Comm::WORLD, 256).await?;
+                }
+                // Energy reduction.
+                let _ = mpi
+                    .allreduce_f64(Comm::WORLD, vec![1.0 / (it + 1) as f64], ReduceOp::Sum)
+                    .await?;
             }
-            // Energy reduction.
-            let _ = mpi.allreduce_f64(Comm::WORLD, vec![1.0 / (it + 1) as f64], ReduceOp::Sum)?;
-        }
-        // Final gathered report at root.
-        let _ = mpi.gather(Comm::WORLD, 0, codec::encode_u64(42))?;
-        Ok(())
+            // Final gathered report at root.
+            let _ = mpi.gather(Comm::WORLD, 0, codec::encode_u64(42)).await?;
+            Ok(())
+        })
     }
 
     fn name(&self) -> &str {

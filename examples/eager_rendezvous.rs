@@ -11,16 +11,17 @@
 
 use dampi::core::verifier::DampiVerifier;
 use dampi::mpi::envelope::codec;
-use dampi::mpi::{run_native, Comm, FnProgram, Mpi, SimConfig};
+use dampi::mpi::{run_native, AsyncFnProgram, Comm, Mpi, SimConfig};
 
 fn head_to_head(
     words: usize,
-) -> FnProgram<impl Fn(&mut dyn Mpi) -> dampi::mpi::Result<()> + Send + Sync> {
-    FnProgram(move |mpi: &mut dyn Mpi| {
+) -> AsyncFnProgram<impl AsyncFn(&mut dyn Mpi) -> dampi::mpi::Result<()> + Send + Sync> {
+    AsyncFnProgram(async move |mpi: &mut dyn Mpi| {
         let peer = (mpi.world_rank() ^ 1) as i32;
         // Both ranks send first — safe only with buffering.
-        mpi.send(Comm::WORLD, peer, 0, codec::encode_u64s(&vec![7; words]))?;
-        let _ = mpi.recv(Comm::WORLD, peer, 0)?;
+        mpi.send(Comm::WORLD, peer, 0, codec::encode_u64s(&vec![7; words]))
+            .await?;
+        let _ = mpi.recv(Comm::WORLD, peer, 0).await?;
         Ok(())
     })
 }

@@ -10,30 +10,30 @@
 use dampi::core::verifier::DampiVerifier;
 use dampi::mpi::envelope::codec;
 use dampi::mpi::proc_api::user_assert;
-use dampi::mpi::{Comm, FnProgram, MatchPolicy, Mpi, SimConfig, ANY_SOURCE};
+use dampi::mpi::{AsyncFnProgram, Comm, MatchPolicy, Mpi, SimConfig, ANY_SOURCE};
 
 fn report_verifier() -> DampiVerifier {
     DampiVerifier::new(SimConfig::new(3).with_policy(MatchPolicy::LowestRank))
 }
 
 fn main() {
-    let program = FnProgram(|mpi: &mut dyn Mpi| {
+    let program = AsyncFnProgram(async |mpi: &mut dyn Mpi| {
         match mpi.world_rank() {
             0 => {
-                mpi.send(Comm::WORLD, 1, 22, codec::encode_u64(22))?;
-                mpi.barrier(Comm::WORLD)?;
+                mpi.send(Comm::WORLD, 1, 22, codec::encode_u64(22)).await?;
+                mpi.barrier(Comm::WORLD).await?;
             }
             2 => {
-                mpi.send(Comm::WORLD, 1, 22, codec::encode_u64(33))?;
-                mpi.barrier(Comm::WORLD)?;
+                mpi.send(Comm::WORLD, 1, 22, codec::encode_u64(33)).await?;
+                mpi.barrier(Comm::WORLD).await?;
             }
             _ => {
-                mpi.barrier(Comm::WORLD)?;
-                let (st, data) = mpi.recv(Comm::WORLD, ANY_SOURCE, 22)?;
+                mpi.barrier(Comm::WORLD).await?;
+                let (st, data) = mpi.recv(Comm::WORLD, ANY_SOURCE, 22).await?;
                 let x = codec::decode_u64(&data);
                 println!("  [P1] received x={x} from P{}", st.source);
                 user_assert(x != 33, "x == 33")?;
-                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 22)?;
+                let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 22).await?;
             }
         }
         Ok(())

@@ -16,16 +16,16 @@
 //!
 //! ```
 //! use dampi::core::DampiVerifier;
-//! use dampi::mpi::{FnProgram, SimConfig, Comm, ANY_SOURCE};
+//! use dampi::mpi::{AsyncFnProgram, SimConfig, Comm, ANY_SOURCE};
 //!
-//! let prog = FnProgram(|mpi: &mut dyn dampi::mpi::Mpi| {
+//! let prog = AsyncFnProgram(async |mpi: &mut dyn dampi::mpi::Mpi| {
 //!     if mpi.world_rank() == 0 {
 //!         for _ in 1..mpi.world_size() {
-//!             let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 0)?;
+//!             let _ = mpi.recv(Comm::WORLD, ANY_SOURCE, 0).await?;
 //!         }
 //!     } else {
 //!         let payload = dampi::mpi::envelope::codec::encode_u64(42);
-//!         mpi.send(Comm::WORLD, 0, 0, payload)?;
+//!         mpi.send(Comm::WORLD, 0, 0, payload).await?;
 //!     }
 //!     Ok(())
 //! });

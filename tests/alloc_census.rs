@@ -8,28 +8,30 @@
 //!   `matmul_ack_warm` benchmark's program), the cache hit's per-commit
 //!   decode, and encoding one, what every cache store, journal append and
 //!   shard frame pays;
-//! * a whole cold `matmul_ack` campaign at `--jobs 1`, on its calling
-//!   thread (the rank threads' allocations are theirs, not counted);
+//! * a whole cold `matmul_ack` campaign at `--jobs 1`, replays included:
+//!   every rank of a run is a future polled on the calling thread;
 //! * a whole warm `matmul_ack` campaign at `--jobs 1`, every commit a cache
-//!   hit, which runs on the calling thread alone.
+//!   hit;
+//! * one DAMPI self-run of matmul (np=7) and of adlb (np=16): the replay
+//!   kernel alone, each rank's layers and every boxed waist future.
 //!
-//! Every campaign runs on the cooperative scheduler, and one at a time with
-//! the process's rank-thread pool already holding its threads, so every
-//! count repeats exactly. A perf change to these paths claims its count
-//! delta here first.
+//! Every run is on the cooperative scheduler, and nothing in it is shared
+//! with the tests beside it, so every count repeats exactly. A perf change
+//! to these paths claims its count delta here first.
 //! `cargo test --offline --test alloc_census -- --nocapture` prints them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::fs::File;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 use dampi::core::cache::plan_digest;
 use dampi::core::frame::{self, LOG_HEAD_LEN};
 use dampi::core::shard::protocol::SubtreeResult;
-use dampi::core::{DampiVerifier, ReplayCache};
-use dampi::mpi::{MatchPolicy, SimConfig};
+use dampi::core::{DampiVerifier, DecisionSet, ReplayCache};
+use dampi::mpi::{MatchPolicy, MpiProgram, SimConfig};
+use dampi::workloads::adlb::{Adlb, AdlbParams};
 use dampi::workloads::matmul::{Matmul, MatmulParams};
 
 struct Counting;
@@ -73,13 +75,6 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static COUNTING: Counting = Counting;
-
-/// Held by every test of this binary: a campaign that ran beside the one
-/// counted could take the pooled rank threads it would have found idle.
-fn one_at_a_time() -> MutexGuard<'static, ()> {
-    static CAMPAIGNS: Mutex<()> = Mutex::new(());
-    CAMPAIGNS.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// `f`'s result and the allocations it made on this thread.
 fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
@@ -145,7 +140,6 @@ fn entries(dir: &Path) -> Vec<String> {
 
 #[test]
 fn a_matmul_ack_cache_hit_decodes_in_few_allocations() {
-    let _campaign = one_at_a_time();
     let dir = scratch("decode");
     let (program, sim) = matmul_ack();
     let cold = cached(&dir, &sim).verify(&program);
@@ -169,7 +163,6 @@ fn a_matmul_ack_cache_hit_decodes_in_few_allocations() {
 
 #[test]
 fn a_matmul_ack_cache_entry_encodes_in_few_allocations() {
-    let _campaign = one_at_a_time();
     let dir = scratch("encode");
     let (program, sim) = matmul_ack();
     let cold = cached(&dir, &sim).verify(&program);
@@ -197,12 +190,8 @@ fn a_matmul_ack_cache_entry_encodes_in_few_allocations() {
 
 #[test]
 fn a_cold_matmul_ack_campaign_allocates_on_its_calling_thread() {
-    let _campaign = one_at_a_time();
     let dir = scratch("cold");
     let (program, sim) = matmul_ack();
-    // The pool spawns the threads a run finds missing, on the calling
-    // thread: one run first, so that none are.
-    dampi::mpi::run_native(&sim, &program);
     let verifier = cached(&dir, &sim);
     let (cold, n) = allocations(|| verifier.verify(&program));
     let _ = std::fs::remove_dir_all(&dir);
@@ -212,16 +201,16 @@ fn a_cold_matmul_ack_campaign_allocates_on_its_calling_thread() {
         n as f64 / commits as f64
     );
     assert_eq!(commits, 720);
-    // With every entry encoded through a `Content` tree: 129 391.
+    // With every entry encoded through a `Content` tree: 129 391. 39 391
+    // while the replays ran on pooled rank threads, uncounted here.
     assert_eq!(
-        n, 39_391,
+        n, 346_430,
         "calling-thread allocations in a cold campaign of 720 commits"
     );
 }
 
 #[test]
 fn a_warm_matmul_ack_campaign_allocates_little_per_commit() {
-    let _campaign = one_at_a_time();
     let dir = scratch("warm");
     let (program, sim) = matmul_ack();
     let cold = cached(&dir, &sim).verify(&program);
@@ -238,4 +227,42 @@ fn a_warm_matmul_ack_campaign_allocates_little_per_commit() {
     // With the decode through a `Content` tree: 127 937 (177.7 per commit);
     // with a sorted copy of each commit's epoch references: 17 777.
     assert_eq!(n, 17_058, "allocations in a warm campaign of 720 commits");
+}
+
+/// The allocations of one DAMPI self-run of `program` on `np` ranks.
+fn self_run(np: usize, program: &dyn MpiProgram) -> u64 {
+    let verifier = DampiVerifier::new(SimConfig::new(np).with_policy(MatchPolicy::LowestRank));
+    let (run, n) = allocations(|| verifier.instrumented_run(program, &DecisionSet::self_run()));
+    assert!(run.outcome.succeeded(), "{:?}", run.outcome.rank_errors);
+    eprintln!(
+        "DAMPI self-run of {} at np={np}: {n} allocations",
+        program.name()
+    );
+    n
+}
+
+#[test]
+fn a_dampi_self_run_of_matmul_allocates_on_the_calling_thread() {
+    let matmul = Matmul::new(MatmulParams {
+        rounds_per_slave: 1,
+        ..MatmulParams::default()
+    });
+    assert_eq!(
+        self_run(7, &matmul),
+        474,
+        "allocations of one matmul np=7 self-run"
+    );
+}
+
+#[test]
+fn a_dampi_self_run_of_adlb_allocates_on_the_calling_thread() {
+    let adlb = Adlb::new(AdlbParams {
+        seed_items: 2,
+        ..AdlbParams::default()
+    });
+    assert_eq!(
+        self_run(16, &adlb),
+        1_194,
+        "allocations of one adlb np=16 self-run"
+    );
 }

@@ -270,13 +270,13 @@ fn verify_metrics_snapshot_is_deterministic_across_jobs() {
     assert_trace_refolds(&trace1, &p1);
     assert_trace_refolds(&trace, &p4);
     // The runtime census rides beside it: every replay's finalize barrier
-    // parks its first entrants.
+    // passes the turn on from its first entrants.
     let snapshot: serde_json::Value =
         serde_json::from_str(&std::fs::read_to_string(&p1).unwrap()).unwrap();
-    let parks = snapshot["runtime"]["parks"]
+    let passes = snapshot["runtime"]["turn_passes"]
         .as_u64()
-        .expect("runtime.parks");
-    assert!(parks > 0, "{}", snapshot["runtime"]);
+        .expect("runtime.turn_passes");
+    assert!(passes > 0, "{}", snapshot["runtime"]);
     // The wall-clock counters that repeat at `--jobs 1`: the dispatch
     // ledger, the pool width, both histograms' counts and the idle fleet.
     let wall = &snapshot["wall_clock"];
@@ -414,8 +414,8 @@ fn verify_cache_contract_holds_as_counts_under_every_driver() {
         let ledger = ["hits", "misses", "stores", "stale"].map(|k| count("cache", k));
         let committed = count("wall_clock", "replays_committed");
         // The runtime census counts only replays executed in this process.
-        let parks = count("runtime", "parks");
-        assert_eq!(parks == 0, ledger[1] == 0, "{tag}: {parks} parks");
+        let passes = count("runtime", "turn_passes");
+        assert_eq!(passes == 0, ledger[1] == 0, "{tag}: {passes} turn passes");
         (
             String::from_utf8_lossy(&out.stdout).into_owned(),
             ledger,

@@ -3,7 +3,7 @@
 
 use dampi::core::{DampiConfig, DampiVerifier, DecisionSet, MixingBound, ToolStack};
 use dampi::mpi::{
-    run_native, Comm, FnProgram, MatchPolicy, Mpi, MpiError, ReduceOp, RunOutcome, SimConfig,
+    run_native, AsyncFnProgram, Comm, MatchPolicy, Mpi, MpiError, ReduceOp, RunOutcome, SimConfig,
 };
 use dampi::workloads::adlb::{Adlb, AdlbParams};
 use dampi::workloads::matmul::{Matmul, MatmulParams};
@@ -147,12 +147,12 @@ fn native_bias_masks_what_verifiers_find() {
 /// rendezvous that followed.
 #[test]
 fn a_free_against_a_max_allreduce_is_a_mismatch_on_the_turn_token() {
-    let program = FnProgram(|mpi: &mut dyn Mpi| {
-        let c = mpi.comm_dup(Comm::WORLD)?;
+    let program = AsyncFnProgram(async |mpi: &mut dyn Mpi| {
+        let c = mpi.comm_dup(Comm::WORLD).await?;
         if mpi.world_rank() == 0 {
-            mpi.comm_free(c)
+            mpi.comm_free(c).await
         } else {
-            mpi.allreduce_u64(c, vec![5], ReduceOp::Max).map(drop)
+            mpi.allreduce_u64(c, vec![5], ReduceOp::Max).await.map(drop)
         }
     });
     let sim = SimConfig::new(2);
@@ -202,12 +202,12 @@ fn a_polling_wildcard_receive_verifies_under_both_tools() {
     use std::time::Duration;
 
     for work in [0.0, 1e-6] {
-        let program = FnProgram(|mpi: &mut dyn Mpi| {
+        let program = AsyncFnProgram(async |mpi: &mut dyn Mpi| {
             let w = Comm::WORLD;
             if mpi.world_rank() == 0 {
                 for _ in 1..mpi.world_size() {
                     let r = mpi.irecv(w, ANY_SOURCE, 3)?;
-                    while mpi.test(r)?.is_none() {
+                    while mpi.test(r).await?.is_none() {
                         if work > 0.0 {
                             mpi.compute(work)?;
                         }
@@ -216,7 +216,7 @@ fn a_polling_wildcard_receive_verifies_under_both_tools() {
                 Ok(())
             } else {
                 mpi.compute(1e-3)?;
-                mpi.send(w, 0, 3, Default::default())
+                mpi.send(w, 0, 3, Default::default()).await
             }
         });
         let budget = ReplayBudget::unlimited().with_max_wall_clock(Duration::from_secs(10));

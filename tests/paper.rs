@@ -18,7 +18,7 @@ use dampi::core::{
 };
 use dampi::mpi::interpose::StatsLayer;
 use dampi::mpi::stats::{OpStats, StatsCollector};
-use dampi::mpi::{run_native, run_with_layers, MatchPolicy, MpiProgram, SimConfig};
+use dampi::mpi::{ready_stack, run_native, run_with_layers, MatchPolicy, MpiProgram, SimConfig};
 use dampi::workloads::adlb::{Adlb, AdlbParams};
 use dampi::workloads::matmul::{Matmul, MatmulParams};
 use dampi::workloads::parmetis::{Parmetis, ParmetisParams};
@@ -62,11 +62,12 @@ fn yes_no(b: bool) -> &'static str {
 }
 
 /// Fig. 5: ParMETIS verification time (virtual seconds) natively, under
-/// DAMPI and under ISP, np 4-32; then DAMPI alone to np 256. ISP's time
-/// climbs with the op count; DAMPI stays within a small factor of native.
+/// DAMPI and under ISP, np 4-32; then DAMPI alone to the paper's 1K
+/// processes. ISP's time climbs with the op count; DAMPI stays within a
+/// small factor of native.
 #[test]
 fn fig5_parmetis_dampi_vs_isp() {
-    let rows: Vec<String> = [4, 8, 12, 16, 20, 24, 28, 32, 64, 128, 256]
+    let rows: Vec<String> = [4, 8, 12, 16, 20, 24, 28, 32, 64, 128, 256, 512, 1024]
         .into_iter()
         .map(|np| {
             let prog = parmetis(np);
@@ -98,6 +99,8 @@ fn fig5_parmetis_dampi_vs_isp() {
             "64 0.0017 0.0021 - 1.23x -",
             "128 0.0018 0.0022 - 1.26x -",
             "256 0.0018 0.0023 - 1.29x -",
+            "512 0.0018 0.0024 - 1.31x -",
+            "1024 0.0019 0.0025 - 1.34x -",
         ]
     );
 }
@@ -115,7 +118,7 @@ fn table1_parmetis_operation_census() {
             let collector = StatsCollector::new();
             let c = Arc::clone(&collector);
             let out = run_with_layers(&SimConfig::new(np), &parmetis(np), &move |_, pmpi| {
-                Ok(Box::new(StatsLayer::new(pmpi, Arc::clone(&c))))
+                ready_stack(StatsLayer::new(pmpi, Arc::clone(&c)))
             });
             assert!(out.succeeded(), "{:?}", out.fatal);
             (collector.total(), collector.per_proc())

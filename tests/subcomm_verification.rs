@@ -5,16 +5,18 @@
 use dampi::core::{DampiConfig, DampiVerifier, DecisionSet, ToolStack};
 use dampi::mpi::envelope::codec;
 use dampi::mpi::proc_api::user_assert;
-use dampi::mpi::{Comm, FnProgram, Mpi, Result, SimConfig, ANY_SOURCE};
+use dampi::mpi::{AsyncFnProgram, Comm, Mpi, Result, SimConfig, ANY_SOURCE};
 
 /// Split the world by parity; the even group runs a master/worker exchange
 /// with wildcard receives entirely inside the sub-communicator.
-fn split_with_wildcards() -> FnProgram<impl Fn(&mut dyn Mpi) -> Result<()> + Send + Sync> {
-    FnProgram(|mpi: &mut dyn Mpi| {
+fn split_with_wildcards() -> AsyncFnProgram<impl AsyncFn(&mut dyn Mpi) -> Result<()> + Send + Sync>
+{
+    AsyncFnProgram(async |mpi: &mut dyn Mpi| {
         let me = mpi.world_rank();
         let color = (me % 2) as i64;
         let sub = mpi
-            .comm_split(Comm::WORLD, color, me as i64)?
+            .comm_split(Comm::WORLD, color, me as i64)
+            .await?
             .expect("non-negative color");
         let sub_rank = mpi.comm_rank(sub)?;
         let sub_size = mpi.comm_size(sub)?;
@@ -22,18 +24,18 @@ fn split_with_wildcards() -> FnProgram<impl Fn(&mut dyn Mpi) -> Result<()> + Sen
             if sub_rank == 0 {
                 let mut sum = 0u64;
                 for _ in 1..sub_size {
-                    let (_, data) = mpi.recv(sub, ANY_SOURCE, 1)?;
+                    let (_, data) = mpi.recv(sub, ANY_SOURCE, 1).await?;
                     sum += codec::decode_u64(&data);
                 }
                 // World ranks 2, 4, ... contribute their world rank.
                 let expect: u64 = (1..sub_size as u64).map(|r| r * 2).sum();
                 user_assert(sum == expect, format!("subcomm sum {sum} != {expect}"))?;
             } else {
-                mpi.send(sub, 0, 1, codec::encode_u64(me as u64))?;
+                mpi.send(sub, 0, 1, codec::encode_u64(me as u64)).await?;
             }
         }
-        mpi.barrier(Comm::WORLD)?;
-        mpi.comm_free(sub)?;
+        mpi.barrier(Comm::WORLD).await?;
+        mpi.comm_free(sub).await?;
         Ok(())
     })
 }
@@ -68,18 +70,18 @@ fn isp_verifies_wildcards_inside_split_comms() {
 #[test]
 fn nested_dups_with_wildcards() {
     // dup of a dup; wildcard traffic on the innermost communicator.
-    let prog = FnProgram(|mpi: &mut dyn Mpi| {
-        let d1 = mpi.comm_dup(Comm::WORLD)?;
-        let d2 = mpi.comm_dup(d1)?;
+    let prog = AsyncFnProgram(async |mpi: &mut dyn Mpi| {
+        let d1 = mpi.comm_dup(Comm::WORLD).await?;
+        let d2 = mpi.comm_dup(d1).await?;
         if mpi.world_rank() == 0 {
             for _ in 1..mpi.world_size() {
-                let _ = mpi.recv(d2, ANY_SOURCE, 3)?;
+                let _ = mpi.recv(d2, ANY_SOURCE, 3).await?;
             }
         } else {
-            mpi.send(d2, 0, 3, codec::encode_u64(1))?;
+            mpi.send(d2, 0, 3, codec::encode_u64(1)).await?;
         }
-        mpi.comm_free(d2)?;
-        mpi.comm_free(d1)?;
+        mpi.comm_free(d2).await?;
+        mpi.comm_free(d1).await?;
         Ok(())
     });
     let report = DampiVerifier::new(SimConfig::new(3)).verify(&prog);
@@ -92,19 +94,19 @@ fn nested_dups_with_wildcards() {
 fn traffic_on_different_comms_does_not_cross_match() {
     // Same (src, dst, tag) on two communicators: each receive must get its
     // own communicator's message, under verification too.
-    let prog = FnProgram(|mpi: &mut dyn Mpi| {
-        let dup = mpi.comm_dup(Comm::WORLD)?;
+    let prog = AsyncFnProgram(async |mpi: &mut dyn Mpi| {
+        let dup = mpi.comm_dup(Comm::WORLD).await?;
         if mpi.world_rank() == 0 {
-            mpi.send(Comm::WORLD, 1, 5, codec::encode_u64(111))?;
-            mpi.send(dup, 1, 5, codec::encode_u64(222))?;
+            mpi.send(Comm::WORLD, 1, 5, codec::encode_u64(111)).await?;
+            mpi.send(dup, 1, 5, codec::encode_u64(222)).await?;
         } else if mpi.world_rank() == 1 {
             // Receive in the opposite order of the sends.
-            let (_, on_dup) = mpi.recv(dup, ANY_SOURCE, 5)?;
-            let (_, on_world) = mpi.recv(Comm::WORLD, ANY_SOURCE, 5)?;
+            let (_, on_dup) = mpi.recv(dup, ANY_SOURCE, 5).await?;
+            let (_, on_world) = mpi.recv(Comm::WORLD, ANY_SOURCE, 5).await?;
             user_assert(codec::decode_u64(&on_dup) == 222, "dup got world traffic")?;
             user_assert(codec::decode_u64(&on_world) == 111, "world got dup traffic")?;
         }
-        mpi.comm_free(dup)?;
+        mpi.comm_free(dup).await?;
         Ok(())
     });
     let report = DampiVerifier::new(SimConfig::new(2)).verify(&prog);

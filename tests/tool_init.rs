@@ -22,9 +22,9 @@ use dampi::core::{ClockMode, DampiConfig, DampiVerifier, DecisionSet, PiggybackM
 use dampi::mpi::leak::CommLeak;
 use dampi::mpi::matching::ProbeInfo;
 use dampi::mpi::{
-    run_with_layers, CollOutcome, CollSig, Comm, Completed, Completion, Contribution, FnProgram,
-    MatchPolicy, Mpi, MpiProgram, Pmpi, ReduceOp, Request, Result, Rider, RunOutcome, SimConfig,
-    Tag, ANY_SOURCE,
+    run_with_layers, AsyncFnProgram, CollOutcome, CollSig, Comm, Completed, Completion,
+    Contribution, MatchPolicy, Mpi, MpiProgram, Pmpi, ReduceOp, Request, Result, Rider, RunOutcome,
+    SimConfig, Tag, Waist, ANY_SOURCE,
 };
 use dampi::workloads::adlb::{Adlb, AdlbParams};
 use dampi::workloads::matmul::{Matmul, MatmulParams};
@@ -57,7 +57,7 @@ impl<M: Mpi> Mpi for Counting<M> {
     fn irecv(&mut self, comm: Comm, src: i32, tag: Tag) -> Result<Request> {
         self.inner.irecv(comm, src, tag)
     }
-    fn complete(&mut self, reqs: &[Request], how: Completion) -> Result<Completed> {
+    fn complete<'a>(&'a mut self, reqs: &'a [Request], how: Completion) -> Waist<'a, Completed> {
         self.inner.complete(reqs, how)
     }
     fn probe_for(
@@ -66,20 +66,20 @@ impl<M: Mpi> Mpi for Counting<M> {
         src: i32,
         tag: Tag,
         blocking: bool,
-    ) -> Result<Option<ProbeInfo>> {
+    ) -> Waist<'_, Option<ProbeInfo>> {
         self.inner.probe_for(comm, src, tag, blocking)
     }
-    fn collective(
-        &mut self,
+    fn collective<'a>(
+        &'a mut self,
         comm: Comm,
         sig: CollSig,
         contribution: Contribution,
-        rider: &mut Rider,
-    ) -> Result<CollOutcome> {
+        rider: &'a mut Rider,
+    ) -> Waist<'a, CollOutcome> {
         self.saw(sig.name());
         self.inner.collective(comm, sig, contribution, rider)
     }
-    fn shadow_world(&mut self) -> Result<Comm> {
+    fn shadow_world(&mut self) -> Waist<'_, Comm> {
         self.saw("shadow_world");
         self.inner.shadow_world()
     }
@@ -93,7 +93,7 @@ impl<M: Mpi> Mpi for Counting<M> {
     fn compute(&mut self, seconds: f64) -> Result<()> {
         self.inner.compute(seconds)
     }
-    fn finalize(&mut self) -> Result<()> {
+    fn finalize(&mut self) -> Waist<'_, ()> {
         self.inner.finalize()
     }
 }
@@ -122,7 +122,11 @@ fn calls_per_rank(
             inner: pmpi,
             calls: Arc::clone(&calls),
         };
-        Ok(Box::new(DampiLayer::new(counting, Arc::clone(&ctx))?))
+        let ctx = Arc::clone(&ctx);
+        Box::pin(async move {
+            let dampi = DampiLayer::new(counting, ctx).await?;
+            Ok(Box::new(dampi) as Box<dyn Mpi>)
+        })
     });
     assert!(out.succeeded(), "{:?}", out.rank_errors);
     assert!(out.leaks.is_clean(), "{:?}", out.leaks);
@@ -138,7 +142,7 @@ fn calls_per_rank(
 
 #[test]
 fn an_empty_replay_holds_one_rendezvous() {
-    let empty = FnProgram(|_: &mut dyn Mpi| Ok(()));
+    let empty = AsyncFnProgram(async |_: &mut dyn Mpi| Ok(()));
     assert_eq!(
         calls_per_rank(PiggybackMechanism::SeparateMessage, &empty),
         BTreeMap::from([
@@ -158,9 +162,9 @@ fn application_communicators_keep_their_collective_shadows() {
     // dup + free of WORLD: each used to be the application's rendezvous,
     // its shadow's (separate messages only) and a clock exchange, 6 per
     // rank (4 packing). The shadow and the clock now ride the one.
-    let dups = FnProgram(|mpi: &mut dyn Mpi| {
-        let c = mpi.comm_dup(Comm::WORLD)?;
-        mpi.comm_free(c)
+    let dups = AsyncFnProgram(async |mpi: &mut dyn Mpi| {
+        let c = mpi.comm_dup(Comm::WORLD).await?;
+        mpi.comm_free(c).await
     });
     assert_eq!(
         calls_per_rank(PiggybackMechanism::SeparateMessage, &dups),
@@ -182,10 +186,12 @@ fn application_communicators_keep_their_collective_shadows() {
 fn data_collectives_carry_the_clock_exchange() {
     // bcast + allreduce: each was followed by the tool's own allreduce,
     // 4 rendezvous per rank; now 2.
-    let data = FnProgram(|mpi: &mut dyn Mpi| {
+    let data = AsyncFnProgram(async |mpi: &mut dyn Mpi| {
         let me = mpi.world_rank();
-        mpi.bcast(Comm::WORLD, 0, (me == 0).then(Bytes::new))?;
+        mpi.bcast(Comm::WORLD, 0, (me == 0).then(Bytes::new))
+            .await?;
         mpi.allreduce_u64(Comm::WORLD, vec![1], ReduceOp::Sum)
+            .await
             .map(drop)
     });
     for piggyback in [
@@ -362,7 +368,7 @@ impl<M: Mpi> Mpi for Recorder<M> {
         self.saw("irecv");
         self.inner.irecv(comm, src, tag)
     }
-    fn complete(&mut self, reqs: &[Request], how: Completion) -> Result<Completed> {
+    fn complete<'a>(&'a mut self, reqs: &'a [Request], how: Completion) -> Waist<'a, Completed> {
         self.saw("complete");
         self.inner.complete(reqs, how)
     }
@@ -372,27 +378,32 @@ impl<M: Mpi> Mpi for Recorder<M> {
         src: i32,
         tag: Tag,
         blocking: bool,
-    ) -> Result<Option<ProbeInfo>> {
+    ) -> Waist<'_, Option<ProbeInfo>> {
         self.saw("probe");
         self.inner.probe_for(comm, src, tag, blocking)
     }
-    fn collective(
-        &mut self,
+    fn collective<'a>(
+        &'a mut self,
         comm: Comm,
         sig: CollSig,
         contribution: Contribution,
-        rider: &mut Rider,
-    ) -> Result<CollOutcome> {
-        self.saw(sig.name());
-        let out = self.inner.collective(comm, sig, contribution, rider)?;
-        match out {
-            CollOutcome::Comm(c) => self.made(Some(c)),
-            CollOutcome::NoComm => self.made(None),
-            _ => {}
-        }
-        Ok(out)
+        rider: &'a mut Rider,
+    ) -> Waist<'a, CollOutcome> {
+        Box::pin(async move {
+            self.saw(sig.name());
+            let out = self
+                .inner
+                .collective(comm, sig, contribution, rider)
+                .await?;
+            match out {
+                CollOutcome::Comm(c) => self.made(Some(c)),
+                CollOutcome::NoComm => self.made(None),
+                _ => {}
+            }
+            Ok(out)
+        })
     }
-    fn shadow_world(&mut self) -> Result<Comm> {
+    fn shadow_world(&mut self) -> Waist<'_, Comm> {
         self.inner.shadow_world()
     }
     fn release_shadow_world(&mut self, shadow: Comm) -> Result<()> {
@@ -404,7 +415,7 @@ impl<M: Mpi> Mpi for Recorder<M> {
     fn compute(&mut self, seconds: f64) -> Result<()> {
         self.inner.compute(seconds)
     }
-    fn finalize(&mut self) -> Result<()> {
+    fn finalize(&mut self) -> Waist<'_, ()> {
         self.saw("finalize");
         self.inner.finalize()
     }
@@ -413,29 +424,34 @@ impl<M: Mpi> Mpi for Recorder<M> {
 /// Collectives on WORLD, a dup, a split of the dup into two colours (one
 /// colour in a collective while the other exchanges point-to-point),
 /// wildcard receives on the dup; the split is freed and the dup leaked.
-fn collectives_and_communicators(mpi: &mut dyn Mpi) -> Result<()> {
+async fn collectives_and_communicators(mpi: &mut dyn Mpi) -> Result<()> {
     let me = mpi.world_rank();
-    mpi.bcast(Comm::WORLD, 0, (me == 0).then(|| Bytes::from_static(b"go")))?;
-    let sum = mpi.allreduce_u64(Comm::WORLD, vec![me as u64], ReduceOp::Sum)?;
-    let dup = mpi.comm_dup(Comm::WORLD)?;
+    mpi.bcast(Comm::WORLD, 0, (me == 0).then(|| Bytes::from_static(b"go")))
+        .await?;
+    let sum = mpi
+        .allreduce_u64(Comm::WORLD, vec![me as u64], ReduceOp::Sum)
+        .await?;
+    let dup = mpi.comm_dup(Comm::WORLD).await?;
     let colour = (me % 2) as i64;
     let half = mpi
-        .comm_split(dup, colour, -(me as i64))?
+        .comm_split(dup, colour, -(me as i64))
+        .await?
         .expect("every rank has a colour");
     if colour == 0 {
-        mpi.allreduce_u64(half, sum, ReduceOp::Max)?;
+        mpi.allreduce_u64(half, sum, ReduceOp::Max).await?;
     } else {
         let peer = 1 - mpi.comm_rank(half)? as i32;
-        mpi.sendrecv(half, peer, 7, Bytes::from(vec![me as u8]), peer, 7)?;
+        mpi.sendrecv(half, peer, 7, Bytes::from(vec![me as u8]), peer, 7)
+            .await?;
     }
     if me == 0 {
         for _ in 1..mpi.world_size() {
-            mpi.recv(dup, ANY_SOURCE, 9)?;
+            mpi.recv(dup, ANY_SOURCE, 9).await?;
         }
     } else {
-        mpi.send(dup, 0, 9, Bytes::from(vec![me as u8]))?;
+        mpi.send(dup, 0, 9, Bytes::from(vec![me as u8])).await?;
     }
-    mpi.comm_free(half)
+    mpi.comm_free(half).await
 }
 
 type Discovered = Vec<(usize, u64, Option<usize>, Vec<usize>)>;
@@ -467,12 +483,13 @@ fn exact_self_run(piggyback: PiggybackMechanism) -> Exact {
         deferred_clock: false,
     });
     let log = Arc::default();
-    let program = FnProgram(collectives_and_communicators);
+    let program = AsyncFnProgram(collectives_and_communicators);
     let out = run_with_layers(&sim, &program, &|_, pmpi| {
-        Ok(Box::new(Recorder {
-            inner: DampiLayer::new(pmpi, Arc::clone(&ctx))?,
-            log: Arc::clone(&log),
-        }))
+        let (ctx, log) = (Arc::clone(&ctx), Arc::clone(&log));
+        Box::pin(async move {
+            let inner = DampiLayer::new(pmpi, ctx).await?;
+            Ok(Box::new(Recorder { inner, log }) as Box<dyn Mpi>)
+        })
     });
     assert!(out.succeeded(), "{:?}", out.rank_errors);
     let log = std::mem::take(&mut *log.lock().unwrap());

@@ -1,18 +1,15 @@
-//! How often a replay's rank threads park and wake, pinned as counts.
+//! How often a replay hands the turn on, pinned as counts.
 //!
-//! Each run here is one DAMPI self-run (`DecisionSet::self_run`). The
-//! runtime wakes a rank only when it can act, so no wake is spurious and a
-//! rank gets at most one notify per park. Only the turn holder is ever
-//! woken, so the notifies are the turn passes (plus, at most, the first
-//! hand-off to a rank already parked for it) and the turn passes repeat
-//! exactly. None of these programs polls, so no pass is a poller's. A park
-//! counts only when it waits, and every wait ends in a notify, so the parks
-//! are bounded the same way. (A park with
-//! notifies pending sends them instead of waiting: a rank whose successor
-//! passes the turn straight back may not park at all.)
+//! Every rank of a run is a future polled on the calling thread, and the
+//! kernel polls only the turn holder, so nothing parks and nothing is
+//! woken: the turn passes are the whole census, and they repeat exactly.
+//! Each DAMPI run here is one self-run (`DecisionSet::self_run`). None of
+//! these programs polls, so no pass is a poller's. (The test names keep
+//! the wake-up vocabulary of the threaded runtime these counts were first
+//! taken on.)
 
 use dampi::core::{DampiVerifier, DecisionSet};
-use dampi::mpi::{MatchPolicy, MpiProgram, RuntimeCensus, SimConfig};
+use dampi::mpi::{run_native, FnProgram, MatchPolicy, Mpi, MpiProgram, RuntimeCensus, SimConfig};
 use dampi::workloads::adlb::{Adlb, AdlbParams};
 use dampi::workloads::matmul::{Matmul, MatmulParams};
 use dampi::workloads::parmetis::{Parmetis, ParmetisParams};
@@ -23,10 +20,6 @@ fn census(np: usize, program: &dyn MpiProgram) -> RuntimeCensus {
     assert!(run.outcome.succeeded(), "{:?}", run.outcome.rank_errors);
     let c = run.outcome.census;
     eprintln!("np={np}: {c:?}");
-    assert_eq!(c.spurious_wakes, 0, "{c:?}");
-    assert!(c.wakes <= c.parks, "{c:?}");
-    assert!(c.wakes <= c.turn_passes + 1, "{c:?}");
-    assert!(c.parks <= c.turn_passes + 1, "{c:?}");
     c
 }
 
@@ -64,4 +57,21 @@ fn parmetis_on_the_turn_token_wakes_each_holder_once() {
     let parmetis = Parmetis::new(ParmetisParams::nominal(16, 0.5));
     let c = census(16, &parmetis);
     assert_eq!(c.turn_passes, 978, "{c:?}");
+}
+
+#[test]
+fn a_finishing_rank_passes_the_turn_the_same_way_every_run() {
+    // A rank finishes while it holds the turn (the kernel sees its future
+    // return), so an empty program passes the turn once per rank but the
+    // last. While each rank was a thread that finished off the turn, this
+    // read 0-1 at np 2 and 4-15 at np 16, varying from run to run.
+    let empty = FnProgram(|_: &mut dyn Mpi| Ok(()));
+    for (np, passes) in [(2, 1), (16, 15)] {
+        let sim = SimConfig::new(np);
+        for _ in 0..100 {
+            let out = run_native(&sim, &empty);
+            assert!(out.succeeded(), "{:?}", out.rank_errors);
+            assert_eq!(out.census.turn_passes, passes, "np={np}");
+        }
+    }
 }
