@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI gate: format, unsafe/waist greps, build, full test suite, a 20x loop
+# CI gate: format, unsafe/waist/hasher greps, build, full test suite, a 20x loop
 # over the tests whose outcome could vary with replay-worker timing,
 # lints-as-errors, docs (the vendored JSON codec's format, lints
 # and docs by name too), then one release-binary smoke (64 seeds of the
@@ -37,6 +37,15 @@ done
 found="$(grep -rlE 'fn (waitany|testany|waitsome|iprobe)\(|^[[:space:]]*fn (world_rank|world_size|comm_rank|comm_size|translate_rank|now)\(' \
     --include='*.rs' crates src tests examples)"
 [ "$found" = crates/mpi/src/proc_api.rs ] || { echo "ci: provided Mpi calls overridden in: $found" >&2; exit 1; }
+# Hasher gate: a replay's maps are keyed by integers the simulator makes
+# (request handles, generations, ranks), hashed by `dampi_mpi::IdHasher`
+# through `IdMap`/`IdSet`, never by the default SipHash. No `HashMap<`,
+# `HashSet<`, `HashMap::` or `HashSet::` in `dampi-mpi` or in the replay-path
+# files of `dampi-core`, bar the two aliases' own definitions.
+found="$(grep -rnE '\bHash(Map|Set)(<|::)' crates/mpi/src crates/core/src/tool.rs \
+    crates/core/src/monitor.rs crates/core/src/decisions.rs crates/core/src/isp \
+    | grep -vF 'BuildHasherDefault<IdHasher>' || true)"
+[ -z "$found" ] || { echo "ci: default-hasher map on the replay path:" >&2; echo "$found" >&2; exit 1; }
 cargo build --release --offline --workspace
 cargo test -q --offline
 # Flake guard: every rank of a replay is a future polled in turn order on

@@ -12,11 +12,11 @@
 //! exactly like the paper's on-disk decisions file.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::io;
 use std::path::Path;
 
+use dampi_mpi::IdMap;
 use serde::{Deserialize, Serialize};
 
 /// One forced match: at (`rank`, `clock`), take the message from `src`.
@@ -40,7 +40,7 @@ pub struct DecisionSet {
     /// the freshly-forced alternate — the branch point).
     pub decisions: Vec<EpochDecision>,
     #[serde(skip)]
-    index: HashMap<(usize, u64), usize>,
+    index: IdMap<(usize, u64), usize>,
 }
 
 impl DecisionSet {
@@ -56,7 +56,7 @@ impl DecisionSet {
         let mut s = Self {
             guided_epoch,
             decisions,
-            index: HashMap::new(),
+            index: IdMap::default(),
         };
         s.rebuild_index();
         s

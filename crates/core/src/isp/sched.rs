@@ -15,11 +15,11 @@
 //!   messages and never misses a cross-coupled match (§II-F) — at the cost
 //!   of the architecture that cannot scale.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use dampi_clocks::{ClockMode, ClockStamp, LogicalClock, VectorClock};
 use dampi_mpi::vtime::{CentralClock, VTimeParams};
-use dampi_mpi::{Comm, Tag};
+use dampi_mpi::{Comm, IdMap, Tag};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -47,9 +47,9 @@ struct SchedInner {
     nd_counters: Vec<u64>,
     epochs: Vec<EpochRecord>,
     /// (comm, src world, dst world, tag) → pending sends in order.
-    send_log: HashMap<(Comm, usize, usize, Tag), VecDeque<SendRec>>,
+    send_log: IdMap<(Comm, usize, usize, Tag), VecDeque<SendRec>>,
     /// In-flight collective gathers per communicator.
-    colls: HashMap<Comm, CollGather>,
+    colls: IdMap<Comm, CollGather>,
     stats: ToolRunStats,
 }
 
@@ -72,8 +72,8 @@ impl IspScheduler {
                 vcs: (0..nprocs).map(|r| VectorClock::new(r, nprocs)).collect(),
                 nd_counters: vec![0; nprocs],
                 epochs: Vec::new(),
-                send_log: HashMap::new(),
-                colls: HashMap::new(),
+                send_log: IdMap::default(),
+                colls: IdMap::default(),
                 stats: ToolRunStats::default(),
             }),
         })

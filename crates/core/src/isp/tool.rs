@@ -7,14 +7,13 @@
 //! the same replay mechanism as DAMPI, but keyed by ISP's per-rank
 //! non-deterministic event counters.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
 use dampi_mpi::matching::ProbeInfo;
 use dampi_mpi::proc_api::{Completed, Completion, Mpi, Pmpi, Status, Waist};
 use dampi_mpi::{
-    CollOutcome, CollSig, Comm, Contribution, Request, Result, Rider, Tag, ANY_SOURCE,
+    CollOutcome, CollSig, Comm, Contribution, IdMap, Request, Result, Rider, Tag, ANY_SOURCE,
 };
 
 use super::sched::IspScheduler;
@@ -38,7 +37,7 @@ pub struct IspLayer<M: Mpi> {
     decisions: Arc<DecisionSet>,
     rank: usize,
     nd_counter: u64,
-    meta: HashMap<Request, IspMeta>,
+    meta: IdMap<Request, IspMeta>,
     divergences: u64,
 }
 
@@ -52,7 +51,7 @@ impl<M: Mpi> IspLayer<M> {
             decisions,
             rank,
             nd_counter: 0,
-            meta: HashMap::new(),
+            meta: IdMap::default(),
             divergences: 0,
         }
     }

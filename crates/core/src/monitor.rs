@@ -12,14 +12,12 @@
 //! track wildcard receives posted but not yet completed; flag every
 //! clock-transmitting operation issued while any is pending.
 
-use std::collections::HashSet;
-
-use dampi_mpi::Request;
+use dampi_mpi::{IdSet, Request};
 
 /// Per-rank unsafe-pattern monitor.
 #[derive(Debug, Default)]
 pub struct UnsafePatternMonitor {
-    pending: HashSet<Request>,
+    pending: IdSet<Request>,
     alerts: u64,
 }
 

@@ -6,35 +6,61 @@
 //! `[mode, nwords, words...]` that is self-describing, so a receiver can
 //! split a packed message without out-of-band length information.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 use dampi_clocks::{ClockMode, ClockStamp};
 
 const MODE_LAMPORT: u64 = 0;
 const MODE_VECTOR: u64 = 1;
 
-/// Encode a stamp into its wire frame.
-#[must_use]
-pub fn encode_stamp(stamp: &ClockStamp) -> Bytes {
+/// Bytes of a Lamport frame: mode, word count, the clock.
+const LAMPORT_FRAME: usize = 24;
+
+/// Append a stamp's wire frame to `b`.
+fn put_stamp(b: &mut impl BufMut, stamp: &ClockStamp) {
     let (mode, words): (u64, &[u64]) = match stamp {
         ClockStamp::Lamport(v) => (MODE_LAMPORT, std::slice::from_ref(v)),
         ClockStamp::Vector(v) => (MODE_VECTOR, v.as_slice()),
     };
-    let mut b = BytesMut::with_capacity(16 + words.len() * 8);
     b.put_u64_le(mode);
     b.put_u64_le(words.len() as u64);
     for w in words {
         b.put_u64_le(*w);
     }
-    b.freeze()
+}
+
+/// Encode a stamp into its wire frame. A Lamport frame is built on the
+/// stack and copied into its one allocation.
+#[must_use]
+pub fn encode_stamp(stamp: &ClockStamp) -> Bytes {
+    if let ClockStamp::Lamport(v) = stamp {
+        let mut frame = [0u8; LAMPORT_FRAME];
+        for (at, word) in frame.chunks_exact_mut(8).zip([MODE_LAMPORT, 1, *v]) {
+            at.copy_from_slice(&word.to_le_bytes());
+        }
+        return Bytes::copy_from_slice(&frame);
+    }
+    let mut b = Vec::with_capacity(stamp_len(stamp));
+    put_stamp(&mut b, stamp);
+    Bytes::from(b)
+}
+
+/// Length of a stamp's wire frame.
+fn stamp_len(stamp: &ClockStamp) -> usize {
+    match stamp {
+        ClockStamp::Lamport(_) => LAMPORT_FRAME,
+        ClockStamp::Vector(v) => 16 + 8 * v.len(),
+    }
 }
 
 /// Decode a stamp frame; returns the stamp and the number of bytes
-/// consumed. Panics on malformed frames (tool-internal traffic only).
+/// consumed. Panics on malformed frames (tool-internal traffic only). A
+/// Lamport frame decodes without allocating; a vector one into its `Vec`.
 #[must_use]
 pub fn decode_stamp(data: &[u8]) -> (ClockStamp, usize) {
     assert!(data.len() >= 16, "stamp frame too short");
-    let mode = u64::from_le_bytes(data[0..8].try_into().expect("8 bytes"));
-    let nwords = u64::from_le_bytes(data[8..16].try_into().expect("8 bytes"));
+    let word = |off: usize| u64::from_le_bytes(data[off..off + 8].try_into().expect("8 bytes"));
+    let mode = word(0);
+    let nwords = word(8);
     // `nwords` is untrusted wire data: a corrupt frame can carry a count
     // whose byte length overflows `usize`. Checked arithmetic keeps the
     // failure on the intended "truncated" diagnostic instead of a wrapped
@@ -48,18 +74,17 @@ pub fn decode_stamp(data: &[u8]) -> (ClockStamp, usize) {
         _ => panic!("stamp frame truncated"),
     };
     let n = usize::try_from(nwords).expect("bounded by frame length");
-    let words: Vec<u64> = (0..n)
-        .map(|i| {
-            let off = 16 + i * 8;
-            u64::from_le_bytes(data[off..off + 8].try_into().expect("8 bytes"))
-        })
-        .collect();
     let stamp = match mode {
         MODE_LAMPORT => {
             assert_eq!(n, 1, "Lamport stamp must be one word");
-            ClockStamp::Lamport(words[0])
+            ClockStamp::Lamport(word(16))
         }
-        MODE_VECTOR => ClockStamp::Vector(words),
+        MODE_VECTOR => ClockStamp::Vector(
+            data[16..end]
+                .chunks_exact(8)
+                .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")))
+                .collect(),
+        ),
         other => panic!("unknown stamp mode {other}"),
     };
     (stamp, end)
@@ -68,11 +93,10 @@ pub fn decode_stamp(data: &[u8]) -> (ClockStamp, usize) {
 /// Payload packing: prepend the stamp frame to the application payload.
 #[must_use]
 pub fn pack(stamp: &ClockStamp, payload: &Bytes) -> Bytes {
-    let frame = encode_stamp(stamp);
-    let mut b = BytesMut::with_capacity(frame.len() + payload.len());
-    b.extend_from_slice(&frame);
+    let mut b = Vec::with_capacity(stamp_len(stamp) + payload.len());
+    put_stamp(&mut b, stamp);
     b.extend_from_slice(payload);
-    b.freeze()
+    Bytes::from(b)
 }
 
 /// Split a packed message back into (stamp, application payload).

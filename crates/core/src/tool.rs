@@ -29,7 +29,7 @@
 //!
 //! The layer also hosts the §V unsafe-pattern monitor.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -37,7 +37,7 @@ use dampi_clocks::{ClockMode, ClockStamp};
 use dampi_mpi::matching::ProbeInfo;
 use dampi_mpi::proc_api::{Completed, Completion, Mpi, Pmpi, Status, Waist};
 use dampi_mpi::{
-    CollOutcome, CollSig, Comm, Contribution, MpiError, Request, Result, Rider, Shadow, Tag,
+    CollOutcome, CollSig, Comm, Contribution, IdMap, MpiError, Request, Result, Rider, Shadow, Tag,
     ANY_SOURCE, ANY_TAG,
 };
 
@@ -108,7 +108,7 @@ pub struct DampiLayer<M: Mpi> {
     /// Currently in `GUIDED_RUN` (reverts to `SELF_RUN` past the horizon).
     guided: bool,
     epochs: Vec<EpochRecord>,
-    meta: HashMap<Request, ReqMeta>,
+    meta: IdMap<Request, ReqMeta>,
     /// Application comm → shadow piggyback comm (separate-message mode).
     /// Ordered so finalize-time cleanup frees collectively in one order.
     shadow: BTreeMap<Comm, Comm>,
@@ -124,7 +124,7 @@ pub struct DampiLayer<M: Mpi> {
     /// `wait`/`test`/`waitany`/`testany`/`waitsome`. Clock effects are
     /// deferred to claim time so they land exactly where payload-packing
     /// mode would apply them.
-    ready: HashMap<Request, (Status, Bytes, ClockStamp)>,
+    ready: IdMap<Request, (Status, Bytes, ClockStamp)>,
     region_depth: u32,
     monitor: UnsafePatternMonitor,
     stats: ToolRunStats,
@@ -154,10 +154,10 @@ impl<M: Mpi> DampiLayer<M> {
             xmit: AnyClock::new(ctx.clock_mode, rank, nprocs),
             guided,
             epochs: Vec::new(),
-            meta: HashMap::new(),
+            meta: IdMap::default(),
             recv_seq: 0,
             posted_recvs: BTreeMap::new(),
-            ready: HashMap::new(),
+            ready: IdMap::default(),
             shadow,
             region_depth: 0,
             monitor: UnsafePatternMonitor::default(),

@@ -12,12 +12,11 @@
 //! own ([`Rider`]): its clock words are max-combined over the members, and
 //! the shadow twin of a communicator is created or freed with it.
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
 
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
+use crate::types::IdMap;
 
 /// Reduction operator for `reduce`/`allreduce`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -377,7 +376,7 @@ pub struct CollSlot {
     /// The entrants' rider: clock words max-combined so far, and the first
     /// entrant's shadow request.
     rider: Rider,
-    results: HashMap<u64, Pending>,
+    results: IdMap<u64, Pending>,
 }
 
 #[derive(Debug)]
@@ -402,7 +401,7 @@ impl CollSlot {
             narrived: 0,
             max_vt: 0.0,
             rider: Rider::default(),
-            results: HashMap::new(),
+            results: IdMap::default(),
         }
     }
 

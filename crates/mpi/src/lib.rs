@@ -66,5 +66,7 @@ pub use runtime::{
     ready_stack, run_native, run_with_layers, ReplayBudget, SimConfig, World, SPIN_YIELDS,
 };
 pub use stats::{OpClass, OpStats};
-pub use types::{fnv1a64, fnv1a64_extend, Tag, ANY_SOURCE, ANY_TAG, FNV1A64_EMPTY};
+pub use types::{
+    fnv1a64, fnv1a64_extend, IdHasher, IdMap, IdSet, Tag, ANY_SOURCE, ANY_TAG, FNV1A64_EMPTY,
+};
 pub use vtime::VTimeParams;

@@ -90,6 +90,10 @@ pub struct MatchEngine {
     post_seq: Vec<u64>,
     /// Monotone counter consumed by the seeded policy.
     match_counter: u64,
+    /// The seeded policy's candidates: the earliest matching queue index
+    /// of each source, in source order. Sized by the first seeded pick and
+    /// reused by every later one.
+    per_src: Vec<usize>,
 }
 
 impl MatchEngine {
@@ -103,6 +107,7 @@ impl MatchEngine {
             arrival_seq: vec![0; size],
             post_seq: vec![0; size],
             match_counter: 0,
+            per_src: Vec::new(),
         }
     }
 
@@ -201,6 +206,13 @@ impl MatchEngine {
 
     /// Index into `unexpected[dst]` of the message a receive with the given
     /// specs would match, honoring non-overtaking and the wildcard policy.
+    ///
+    /// A wildcard chooses among the earliest matching message of each
+    /// source. `ArrivalOrder` wants the earliest of those, which is the
+    /// first matching message in the (arrival-ordered) queue; `LowestRank`
+    /// the first message of the lowest matching source. Both are one pass.
+    /// `Seeded` draws an index into the candidates in source order, which
+    /// it gathers in the engine's `per_src` buffer.
     fn select_unexpected(
         &mut self,
         dst: usize,
@@ -209,43 +221,44 @@ impl MatchEngine {
         policy: MatchPolicy,
     ) -> Option<usize> {
         let q = &self.unexpected[dst];
+        let matching =
+            |e: &Envelope| source_matches(src_spec, e.src) && tag_matches(tag_spec, e.tag);
         if src_spec != crate::types::ANY_SOURCE {
             // Earliest message from the named source with a matching tag:
             // queue is arrival-ordered and per-source arrival order is send
             // order, so first hit is the non-overtaking-correct one.
-            return q
-                .iter()
-                .position(|e| source_matches(src_spec, e.src) && tag_matches(tag_spec, e.tag));
+            return q.iter().position(matching);
         }
-        // Wildcard: earliest candidate per source...
-        let mut per_src: Vec<Option<usize>> = vec![None; self.size];
-        for (i, e) in q.iter().enumerate() {
-            if tag_matches(tag_spec, e.tag) && per_src[e.src].is_none() {
-                per_src[e.src] = Some(i);
+        match policy {
+            MatchPolicy::ArrivalOrder => q.iter().position(matching),
+            MatchPolicy::LowestRank => {
+                let mut pick: Option<(usize, usize)> = None;
+                for (i, e) in q.iter().enumerate() {
+                    if matching(e) && pick.is_none_or(|(src, _)| e.src < src) {
+                        pick = Some((e.src, i));
+                    }
+                }
+                pick.map(|(_, i)| i)
             }
-        }
-        let candidates: Vec<usize> = per_src.into_iter().flatten().collect();
-        if candidates.is_empty() {
-            return None;
-        }
-        // ...then the policy picks the source.
-        let pick = match policy {
-            MatchPolicy::ArrivalOrder => *candidates
-                .iter()
-                .min_by_key(|&&i| q[i].arrival_seq)
-                .expect("nonempty"),
-            MatchPolicy::LowestRank => *candidates
-                .iter()
-                .min_by_key(|&&i| q[i].src)
-                .expect("nonempty"),
             MatchPolicy::Seeded(seed) => {
+                let per_src = &mut self.per_src;
+                per_src.clear();
+                per_src.resize(self.size, usize::MAX);
+                for (i, e) in q.iter().enumerate() {
+                    if matching(e) && per_src[e.src] == usize::MAX {
+                        per_src[e.src] = i;
+                    }
+                }
+                per_src.retain(|&i| i != usize::MAX);
+                if per_src.is_empty() {
+                    return None;
+                }
                 let mut rng = SmallRng::seed_from_u64(
                     seed ^ self.match_counter.wrapping_mul(0x9E37_79B9_7F4A_7C15),
                 );
-                candidates[rng.gen_range(0..candidates.len())]
+                Some(per_src[rng.gen_range(0..per_src.len())])
             }
-        };
-        Some(pick)
+        }
     }
 
     /// Number of unexpected (unreceived) messages queued for `dst`.
@@ -287,7 +300,9 @@ impl MatchEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::{ANY_SOURCE, ANY_TAG};
     use bytes::Bytes;
+    use proptest::prelude::*;
 
     fn env(src: usize, dst: usize, tag: Tag) -> Envelope {
         Envelope {
@@ -471,6 +486,94 @@ mod tests {
             .unwrap();
         assert_eq!(got.src, 1);
         assert_eq!(got.tag, 4);
+    }
+
+    /// The pick as first written, kept as the reference: gather the
+    /// earliest matching message of each source, then let the policy
+    /// choose among those candidates (listed in source order).
+    fn per_source_candidate_pick(
+        q: &VecDeque<Envelope>,
+        size: usize,
+        src_spec: i32,
+        tag_spec: Tag,
+        policy: MatchPolicy,
+        match_counter: u64,
+    ) -> Option<usize> {
+        if src_spec != ANY_SOURCE {
+            return q
+                .iter()
+                .position(|e| source_matches(src_spec, e.src) && tag_matches(tag_spec, e.tag));
+        }
+        let mut per_src: Vec<Option<usize>> = vec![None; size];
+        for (i, e) in q.iter().enumerate() {
+            if tag_matches(tag_spec, e.tag) && per_src[e.src].is_none() {
+                per_src[e.src] = Some(i);
+            }
+        }
+        let candidates: Vec<usize> = per_src.into_iter().flatten().collect();
+        if candidates.is_empty() {
+            return None;
+        }
+        Some(match policy {
+            MatchPolicy::ArrivalOrder => *candidates
+                .iter()
+                .min_by_key(|&&i| q[i].arrival_seq)
+                .expect("nonempty"),
+            MatchPolicy::LowestRank => *candidates
+                .iter()
+                .min_by_key(|&&i| q[i].src)
+                .expect("nonempty"),
+            MatchPolicy::Seeded(seed) => {
+                let mut rng = SmallRng::seed_from_u64(
+                    seed ^ match_counter.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                );
+                candidates[rng.gen_range(0..candidates.len())]
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// On random queues, source and tag specs and all three policies,
+        /// every probe and every receive takes the message the
+        /// per-source-candidate rule picks.
+        #[test]
+        fn a_pick_is_the_per_source_candidate_rule(
+            size in 1usize..6,
+            ops in prop::collection::vec((0usize..3, 0usize..7, 0i32..4, 0usize..3), 1..60),
+            seed in 0u64..1_000_000,
+        ) {
+            let mut m = MatchEngine::new(size);
+            let mut next_id = 0u8;
+            for (kind, src, tag, policy) in ops {
+                if kind < 2 {
+                    let mut e = env(src % size, 0, tag % 3);
+                    e.payload = Bytes::from(vec![next_id]);
+                    next_id = next_id.wrapping_add(1);
+                    m.deliver(e);
+                    continue;
+                }
+                let src_spec = if src >= size { ANY_SOURCE } else { src as i32 };
+                let tag_spec = if tag == 3 { ANY_TAG } else { tag };
+                let policy = [
+                    MatchPolicy::ArrivalOrder,
+                    MatchPolicy::LowestRank,
+                    MatchPolicy::Seeded(seed),
+                ][policy];
+                let want = per_source_candidate_pick(
+                    &m.unexpected[0], size, src_spec, tag_spec, policy, m.match_counter,
+                );
+                let wanted = want.map(|i| m.unexpected[0][i].payload.clone());
+                let probed = m.probe(0, src_spec, tag_spec, policy);
+                prop_assert_eq!(probed.map(|p| p.src), want.map(|i| m.unexpected[0][i].src));
+                let got = m.post(0, 0, src_spec, tag_spec, policy).map(|e| e.payload);
+                prop_assert_eq!(got, wanted);
+                // Keep the queue of unexpected messages the subject: a
+                // receive that found none leaves the next delivery alone.
+                m.cancel_posted(0, 0);
+            }
+        }
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! Nonblocking-communication request table.
 
-use std::collections::HashMap;
-
 use crate::comm::Comm;
 use crate::envelope::Envelope;
 use crate::error::{MpiError, Result};
 use crate::types::Tag;
 
-/// A request handle (the analog of `MPI_Request`). Handles are globally
-/// unique for a run, so tool layers can key their own metadata on them.
+/// A request handle (the analog of `MPI_Request`): `generation << 32 |
+/// slot` of the [`RequestTable`] slot that holds it. Consuming a request
+/// bumps its slot's generation, so a handle is not reissued before its slot
+/// has been consumed 2^32 times (and a stale one reads
+/// [`MpiError::InvalidRequest`]); tool layers can key their own metadata on
+/// them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Request(pub u64);
 
@@ -60,13 +62,16 @@ impl RequestEntry {
     }
 }
 
-/// Table of live requests. A request is removed when its owner consumes it
-/// via `wait`/successful `test`; entries remaining at finalize are request
-/// leaks (Table II's "R-Leak" column).
+/// Table of live requests: a slab of slots, each with the generation of its
+/// next handle. A request is removed when its owner consumes it via
+/// `wait`/successful `test`, and its slot is reused last-freed-first, so the
+/// table is as large as the most requests ever live at once; entries
+/// remaining at finalize are request leaks (Table II's "R-Leak" column).
 #[derive(Debug, Default)]
 pub struct RequestTable {
-    entries: HashMap<u64, RequestEntry>,
-    next: u64,
+    slots: Vec<(u32, Option<RequestEntry>)>,
+    free: Vec<u32>,
+    live: usize,
 }
 
 impl RequestTable {
@@ -78,43 +83,61 @@ impl RequestTable {
 
     /// Register a new request; returns its handle.
     pub fn create(&mut self, entry: RequestEntry) -> Request {
-        let id = self.next;
-        self.next += 1;
-        self.entries.insert(id, entry);
-        Request(id)
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push((0, None));
+            u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 live requests")
+        });
+        let (generation, held) = &mut self.slots[slot as usize];
+        debug_assert!(held.is_none(), "a free slot holds a request");
+        *held = Some(entry);
+        self.live += 1;
+        Request(u64::from(*generation) << 32 | u64::from(slot))
+    }
+
+    /// The slot of a handle whose generation is current.
+    fn slot(&self, req: Request) -> Option<usize> {
+        let slot = (req.0 & u64::from(u32::MAX)) as usize;
+        let (generation, _) = self.slots.get(slot)?;
+        (u64::from(*generation) == req.0 >> 32).then_some(slot)
     }
 
     /// Look up a live request.
     pub fn get(&self, req: Request) -> Result<&RequestEntry> {
-        self.entries.get(&req.0).ok_or(MpiError::InvalidRequest)
+        self.slot(req)
+            .and_then(|slot| self.slots[slot].1.as_ref())
+            .ok_or(MpiError::InvalidRequest)
     }
 
     /// Mutable lookup.
     pub fn get_mut(&mut self, req: Request) -> Result<&mut RequestEntry> {
-        self.entries.get_mut(&req.0).ok_or(MpiError::InvalidRequest)
+        let slot = self.slot(req).ok_or(MpiError::InvalidRequest)?;
+        self.slots[slot].1.as_mut().ok_or(MpiError::InvalidRequest)
     }
 
     /// True if the request is live (not yet consumed).
     #[must_use]
     pub fn is_live(&self, req: Request) -> bool {
-        self.entries.contains_key(&req.0)
+        self.get(req).is_ok()
     }
 
-    /// Consume a completed request, removing it from the table.
+    /// Consume a completed request, removing it from the table. Its slot's
+    /// generation moves on, so `req` (and any copy of it) is stale from
+    /// here on.
     pub fn consume(&mut self, req: Request) -> Result<RequestEntry> {
-        let entry = self
-            .entries
-            .remove(&req.0)
-            .ok_or(MpiError::InvalidRequest)?;
+        let slot = self.slot(req).ok_or(MpiError::InvalidRequest)?;
+        let (generation, held) = &mut self.slots[slot];
+        let entry = held.take().ok_or(MpiError::InvalidRequest)?;
         debug_assert!(entry.is_done(), "consumed an incomplete request");
+        *generation = generation.wrapping_add(1);
+        self.free.push(slot as u32);
+        self.live -= 1;
         Ok(entry)
     }
 
     /// Complete a pending receive with a matched envelope.
-    pub fn complete_recv(&mut self, req_id: u64, env: Envelope) {
+    pub fn complete_recv(&mut self, req: Request, env: Envelope) {
         let entry = self
-            .entries
-            .get_mut(&req_id)
+            .get_mut(req)
             .expect("matching engine completed an unknown request");
         debug_assert!(matches!(entry.state, ReqState::Pending));
         entry.state = ReqState::RecvDone(env);
@@ -122,10 +145,9 @@ impl RequestTable {
 
     /// Complete a pending rendezvous send (its message was matched by a
     /// receive). Returns the owning rank, whose wait it may satisfy.
-    pub fn complete_send(&mut self, req_id: u64) -> usize {
+    pub fn complete_send(&mut self, req: Request) -> usize {
         let entry = self
-            .entries
-            .get_mut(&req_id)
+            .get_mut(req)
             .expect("matched a message of an unknown send request");
         debug_assert!(matches!(entry.kind, ReqKind::Send));
         debug_assert!(matches!(entry.state, ReqState::Pending));
@@ -137,7 +159,7 @@ impl RequestTable {
     #[must_use]
     pub fn live_by_owner(&self, nprocs: usize) -> Vec<usize> {
         let mut counts = vec![0usize; nprocs];
-        for e in self.entries.values() {
+        for e in self.slots.iter().filter_map(|(_, held)| held.as_ref()) {
             counts[e.owner] += 1;
         }
         counts
@@ -146,13 +168,13 @@ impl RequestTable {
     /// Number of live requests.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.live
     }
 
     /// True when no requests are live.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.live == 0
     }
 }
 
@@ -160,6 +182,7 @@ impl RequestTable {
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use proptest::prelude::*;
 
     fn send_entry() -> RequestEntry {
         RequestEntry {
@@ -180,6 +203,18 @@ mod tests {
             src_spec: crate::types::ANY_SOURCE,
             tag_spec: 0,
             state: ReqState::Pending,
+        }
+    }
+
+    fn matched() -> Envelope {
+        Envelope {
+            src: 0,
+            dst: 1,
+            tag: 0,
+            payload: Bytes::from_static(b"x"),
+            arrival_seq: 0,
+            send_vt: 0.0,
+            send_req: None,
         }
     }
 
@@ -207,18 +242,7 @@ mod tests {
         let mut t = RequestTable::new();
         let r = t.create(recv_entry(1));
         assert!(!t.get(r).unwrap().is_done());
-        t.complete_recv(
-            r.0,
-            Envelope {
-                src: 0,
-                dst: 1,
-                tag: 0,
-                payload: Bytes::from_static(b"x"),
-                arrival_seq: 0,
-                send_vt: 0.0,
-                send_req: None,
-            },
-        );
+        t.complete_recv(r, matched());
         assert!(t.get(r).unwrap().is_done());
     }
 
@@ -238,5 +262,84 @@ mod tests {
         let a = t.create(send_entry());
         let b = t.create(send_entry());
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn a_consumed_handle_is_stale_once_its_slot_is_reused() {
+        let mut t = RequestTable::new();
+        let old = t.create(send_entry());
+        t.consume(old).unwrap();
+        let new = t.create(recv_entry(1));
+        assert_eq!(old.0 as u32, new.0 as u32, "the freed slot is reused");
+        assert_ne!(old, new);
+        assert!(!t.is_live(old));
+        assert!(matches!(t.get(old), Err(MpiError::InvalidRequest)));
+        assert!(matches!(t.get_mut(old), Err(MpiError::InvalidRequest)));
+        assert!(matches!(t.consume(old), Err(MpiError::InvalidRequest)));
+        assert_eq!(t.get(new).unwrap().owner, 1, "the stale consume left it");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Over random create / complete / consume sequences, the table
+        /// agrees with a model of the live requests: `len`, the leak census
+        /// and every lookup; no handle is issued twice, and a consumed one
+        /// stays invalid.
+        #[test]
+        fn the_table_agrees_with_a_model(
+            ops in prop::collection::vec((0usize..3, 0usize..4, 0usize..64), 1..120),
+        ) {
+            const NP: usize = 4;
+            let mut t = RequestTable::new();
+            // (handle, owner, done) of every live request.
+            let mut live: Vec<(Request, usize, bool)> = Vec::new();
+            let mut issued = std::collections::BTreeSet::new();
+            let mut consumed = Vec::new();
+            for (op, owner, pick) in ops {
+                match op {
+                    0 => {
+                        let (entry, done) = if pick % 2 == 0 {
+                            (RequestEntry { owner, ..send_entry() }, true)
+                        } else {
+                            (recv_entry(owner), false)
+                        };
+                        let r = t.create(entry);
+                        prop_assert!(issued.insert(r), "handle {r:?} issued twice");
+                        live.push((r, owner, done));
+                    }
+                    1 => {
+                        let pending: Vec<usize> =
+                            (0..live.len()).filter(|&i| !live[i].2).collect();
+                        if let Some(&i) = pending.get(pick % pending.len().max(1)) {
+                            t.complete_recv(live[i].0, matched());
+                            live[i].2 = true;
+                        }
+                    }
+                    _ => {
+                        let done: Vec<usize> =
+                            (0..live.len()).filter(|&i| live[i].2).collect();
+                        if let Some(&i) = done.get(pick % done.len().max(1)) {
+                            let (r, owner, _) = live.remove(i);
+                            prop_assert_eq!(t.consume(r).unwrap().owner, owner);
+                            consumed.push(r);
+                        }
+                    }
+                }
+                prop_assert_eq!(t.len(), live.len());
+                prop_assert_eq!(t.is_empty(), live.is_empty());
+                let mut by_owner = vec![0; NP];
+                for &(r, owner, done) in &live {
+                    by_owner[owner] += 1;
+                    let entry = t.get(r).unwrap();
+                    prop_assert_eq!(entry.owner, owner);
+                    prop_assert_eq!(entry.is_done(), done);
+                }
+                prop_assert_eq!(t.live_by_owner(NP), by_owner);
+                for &r in &consumed {
+                    prop_assert!(matches!(t.get(r), Err(MpiError::InvalidRequest)));
+                }
+            }
+        }
     }
 }

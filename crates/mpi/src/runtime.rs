@@ -712,18 +712,14 @@ impl World {
 
     /// Complete a recv request (and, for rendezvous messages, the paired
     /// send request) and unblock the owners. Caller holds the lock.
-    fn complete_recv_locked(&self, s: &mut Shared, req_id: u64, env: Envelope) {
-        if let Some(sreq) = env.send_req {
+    fn complete_recv_locked(&self, s: &mut Shared, req: Request, env: Envelope) {
+        if let Some(sreq) = env.send_req.map(Request) {
             let sender = s.requests.complete_send(sreq);
-            self.request_done(s, sender, Request(sreq));
+            self.request_done(s, sender, sreq);
         }
-        s.requests.complete_recv(req_id, env);
-        let owner = s
-            .requests
-            .get(Request(req_id))
-            .expect("just completed")
-            .owner;
-        self.request_done(s, owner, Request(req_id));
+        s.requests.complete_recv(req, env);
+        let owner = s.requests.get(req).expect("just completed").owner;
+        self.request_done(s, owner, req);
     }
 
     // ---- point-to-point ---------------------------------------------------
@@ -820,7 +816,7 @@ impl World {
                 req: rreq,
                 envelope,
             } => {
-                self.complete_recv_locked(&mut g, rreq, envelope);
+                self.complete_recv_locked(&mut g, Request(rreq), envelope);
             }
             Delivery::Queued => {
                 // An unexpected message can satisfy only a blocking probe.
@@ -853,7 +849,7 @@ impl World {
         });
         let policy = self.cfg.policy;
         if let Some(env) = g.comms[idx].engine.post(crank, req.0, src, tag, policy) {
-            self.complete_recv_locked(&mut g, req.0, env);
+            self.complete_recv_locked(&mut g, req, env);
         }
         Ok(req)
     }

@@ -1,4 +1,9 @@
-//! Basic MPI-flavored scalar types and wildcard constants.
+//! Basic MPI-flavored scalar types and wildcard constants, and the two
+//! hashes the simulator uses: [`fnv1a64`] for digests and [`IdHasher`] for
+//! its own maps.
+
+use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasherDefault;
 
 /// Message tag. Like MPI, tags are small non-negative integers; the wildcard
 /// [`ANY_TAG`] is negative.
@@ -48,6 +53,76 @@ pub fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     }
     h
 }
+
+/// The hasher of the simulator's integer-keyed maps (request handles,
+/// collective generations, `(rank, clock)` pairs, stream keys): one
+/// multiply per word, where the default `RandomState` runs SipHash on
+/// every lookup. Every key it sees is made by the simulator, never by an
+/// adversary, so flooding resistance buys nothing here. Not a digest:
+/// nothing it returns is persisted or compared across processes.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher {
+    hash: u64,
+}
+
+impl IdHasher {
+    /// An odd constant with well-spread bits (the 64-bit golden ratio).
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl std::hash::Hasher for IdHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, n: u16) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    /// The product's high bits are its best mixed; a table indexes by the
+    /// low ones, so rotate them down.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash.rotate_left(26)
+    }
+}
+
+/// A `HashMap` keyed by simulator-made integers, hashed by [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A `HashSet` of simulator-made integers, hashed by [`IdHasher`].
+pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 #[cfg(test)]
 mod tests {

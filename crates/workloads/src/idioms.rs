@@ -1,6 +1,6 @@
 //! Shared communication idioms used by the NAS and SpecMPI skeletons.
 
-use dampi_mpi::envelope::codec;
+use bytes::BufMut;
 use dampi_mpi::{Comm, Mpi, Request, Result, Tag, ANY_SOURCE};
 
 /// Factor `np` into the most square `(rows, cols)` grid.
@@ -17,11 +17,16 @@ pub fn grid_dims(np: usize) -> (usize, usize) {
     best
 }
 
-/// Payload of `bytes` length (rounded up to whole u64 words).
+/// Payload of `bytes` length (rounded up to whole u64 words): the words
+/// `seed, seed + 1, …` little-endian, written straight into one buffer.
 #[must_use]
 pub fn payload(bytes: usize, seed: usize) -> bytes::Bytes {
     let words = bytes.div_ceil(8).max(1);
-    codec::encode_u64s(&(0..words).map(|i| (seed + i) as u64).collect::<Vec<_>>())
+    let mut b = Vec::with_capacity(words * 8);
+    for i in 0..words {
+        b.put_u64_le((seed + i) as u64);
+    }
+    bytes::Bytes::from(b)
 }
 
 /// Periodic ring shift: send to `(me+1) % n`, receive from `(me-1+n) % n`.
@@ -158,6 +163,17 @@ mod tests {
         assert_eq!(grid_dims(12), (3, 4));
         assert_eq!(grid_dims(7), (1, 7));
         assert_eq!(grid_dims(1), (1, 1));
+    }
+
+    #[test]
+    fn payload_is_the_encoded_words() {
+        use dampi_mpi::envelope::codec;
+        for (bytes, seed) in [(0usize, 0usize), (1, 3), (8, 5), (9, 7), (4096, 11)] {
+            let words = bytes.div_ceil(8).max(1);
+            let want =
+                codec::encode_u64s(&(0..words).map(|i| (seed + i) as u64).collect::<Vec<_>>());
+            assert_eq!(payload(bytes, seed), want, "{bytes} bytes from {seed}");
+        }
     }
 
     #[test]
